@@ -50,7 +50,7 @@ from .hahn import (
 )
 from .ladder import ladder_operator, series_coefficients
 from .measures import DiscreteMeasure, gram_schmidt
-from .oracle import find_operator_oracle, operator_solution_space
+from .oracle import operator_solution_space
 from .polynomials import Polynomial, RationalFunction, antidifference, pochhammer
 from .rationals import Rational, as_rational, format_rational
 from .sets import SetQuartet, involution, padded_complement, transform_quartet
@@ -102,7 +102,6 @@ __all__ = [
     "eigenvalue_polynomial",
     "enumerate_root_couples",
     "factored_hahn_weight",
-    "find_operator_oracle",
     "format_rational",
     "gram_schmidt",
     "hahn_operator",

@@ -9,9 +9,13 @@ invariant prefactor.  From those this module builds, all exactly:
 * the eigenvalue polynomial and the spectral polynomial,
 * the higher-order difference operator the new family satisfies.
 
-Rational functions only appear in intermediate steps; every quantity the
-theory claims is polynomial is produced by exact division, so a failed
-cancellation surfaces as an error instead of an approximation.
+Every determinant here goes through the one exact routine
+:func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and
+its minors (the mixing polynomials) on polynomial entries, the minors of the
+bordered polynomials on ``Fraction`` entries.  Rational functions only appear
+in intermediate steps; every quantity the theory claims is polynomial is
+produced by exact division, so a failed cancellation surfaces as an error
+instead of an approximation.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .ladder import (
     rising_block,
     series_shift,
 )
-from .matrices import PolyMatrix, poly_det, rational_det
+from .matrices import poly_det, rational_det
 from .polynomials import Polynomial, RationalFunction, antidifference
 from .rationals import Rational, as_rational, format_rational, is_integer_at_most
 from .sets import SetQuartet, default_pads, set_max, transform_quartet
@@ -262,10 +266,11 @@ def _cleared_entry(ctx: ConstructionContext, row: int, col: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def cleared_matrix(ctx: ConstructionContext) -> PolyMatrix:
+def cleared_matrix(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], ...]:
+    """The denominator-cleared Casorati matrix, as a tuple of row tuples."""
     m = ctx.m
-    return PolyMatrix(
-        [[_cleared_entry(ctx, row, col) for col in range(1, m + 1)] for row in range(m)]
+    return tuple(
+        tuple(_cleared_entry(ctx, row, col) for col in range(1, m + 1)) for row in range(m)
     )
 
 
@@ -313,36 +318,10 @@ def casorati_rational(ctx: ConstructionContext) -> RationalFunction:
             value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
             entries.append(xi * value)
         rows.append(entries)
-    return rational_det(PolyMatrix(rows))
+    return rational_det(rows)
 
 
 # -- the constructed orthogonal polynomials ------------------------------------------
-
-
-def _numeric_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor != 0:
-                m[i] = [vi - factor * vk for vi, vk in zip(m[i], m[k])]
-    return det
 
 
 def _bordered_minor_column(ctx: ConstructionContext, n: int, col: int) -> list[Fraction]:
@@ -361,7 +340,8 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
 
     Expansion along the first row: the alternating signs there cancel the
     cofactor signs, leaving sum_k h_{n-k} * minor_k with minor_0 equal to the
-    Casorati determinant at n.
+    Casorati determinant at n.  Each minor is the scalar determinant of the
+    kept columns, passed as rows (a transpose has the same determinant).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -371,8 +351,7 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     for k in range(m + 1):
         if n - k < 0:
             break
-        kept = [columns[c] for c in range(m + 1) if c != k]
-        minor = _numeric_det([[kept[c][r] for c in range(m)] for r in range(m)])
+        minor = poly_det([columns[c] for c in range(m + 1) if c != k])
         if minor != 0:
             acc = acc + minor * hahn_polynomial(n - k, ctx.params)
     return acc
@@ -454,16 +433,6 @@ def spectral_increment(ctx: ConstructionContext) -> Polynomial:
     return sigma * ctx.prefactor * core_determinant(ctx)
 
 
-def normalizing_function(ctx: ConstructionContext) -> RationalFunction:
-    """The rational function S with S * Omega equal to the spectral increment."""
-    numer = (
-        series_shift(ctx.params).shift_argument(Fraction(-(ctx.m - 1), 2))
-        * ctx.prefactor
-        * clearing_factor(ctx)
-    )
-    return RationalFunction(numer, normalizer_pochhammer(ctx) * normalizer_shifts(ctx))
-
-
 @lru_cache(maxsize=None)
 def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
     """lambda with lambda(x) - lambda(x-1) = increment(x), pinned by lambda(-1) = 0."""
@@ -499,28 +468,24 @@ def _mixing_prefactor(ctx: ConstructionContext, row: int, j: int) -> Polynomial:
 def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
-    Assembled from denominator-cleared minors; the final sum over column
-    positions must collapse to a polynomial, which is one of the structural
-    hypotheses of the construction.
+    Assembled from the minors of the cached cleared matrix, each evaluated at
+    x + j by shifting the minor once (det A(x + j) = (det A)(x + j)); the
+    final sum over column positions must collapse to a polynomial, which is
+    one of the structural hypotheses of the construction.
     """
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
     half = Fraction(-(m - 1), 2)
     divisor_base = normalizer_pochhammer(ctx) * normalizer_shifts(ctx)
     acc = RationalFunction.zero()
-    rows_kept = [r for r in range(m) if r != row]
+    rows_kept = [entries for r, entries in enumerate(cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
-        cols_kept = [c for c in range(1, m + 1) if c != j]
-        minor_entries = [
-            [_cleared_entry(ctx, r, c).shift_argument(j) for c in cols_kept]
-            for r in rows_kept
-        ]
-        minor = poly_det(PolyMatrix(minor_entries)) if rows_kept else Polynomial.one()
+        minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
         numer = (
             sigma.shift_argument(half + j)
             * ctx.prefactor.shift_argument(j)
             * _mixing_prefactor(ctx, row, j)
-            * minor
+            * minor.shift_argument(j)
         )
         term = RationalFunction(numer, divisor_base.shift_argument(j))
         acc = acc + (term if (row + 1 + j) % 2 == 0 else -term)

@@ -45,7 +45,10 @@ def _cmd_verify(args) -> int:
             payload = reports[0].to_json_dict()
         else:
             payload = [report.to_json_dict() for report in reports]
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
+        try:
+            Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write report {args.report}: {exc}") from exc
     return 0 if all(report.passed for report in reports) else 1
 
 

@@ -102,8 +102,16 @@ def config_from_dict(data: dict, name: str = "") -> ConstructionConfig:
     if not isinstance(n_value, int) or isinstance(n_value, bool) or n_value < 1:
         raise ConfigInvalid(f"field 'N' must be a positive integer, got {n_value!r}")
     raw_sets = data.get("F")
-    if not isinstance(raw_sets, list) or len(raw_sets) != 4:
+    if (
+        not isinstance(raw_sets, list)
+        or len(raw_sets) != 4
+        or not all(isinstance(s, list) for s in raw_sets)
+    ):
         raise ConfigInvalid("field 'F' must be a list of four integer lists")
+    for fset in raw_sets:
+        for v in fset:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigInvalid(f"field 'F': set elements must be integers, got {v!r}")
     try:
         quartet = SetQuartet.of(*raw_sets)
     except (TypeError, ValueError) as exc:

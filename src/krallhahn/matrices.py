@@ -1,15 +1,18 @@
-"""Determinants of polynomial matrices and exact linear algebra.
+"""Exact determinants and exact linear solving.
 
-Small determinants go through cofactor expansion; anything larger uses the
-Bareiss fraction-free scheme, whose interior divisions are exact over a
-polynomial ring.  A separate routine handles matrices of rational functions
-(used only for cross-checks) and a Gaussian solver over the rationals backs
-the operator-existence probe.
+:func:`poly_det` is the one determinant routine for exact entries: the same
+code runs on polynomial entries and on ``Fraction`` scalars, because it uses
+only ring operations and exact division.  Small matrices go through cofactor
+expansion, each minor computed once; anything larger uses the Bareiss
+fraction-free scheme (Bareiss, 1968), whose interior divisions are exact.  A separate cofactor routine over
+rational functions serves only the cross-check route, and a Gaussian solver
+over the rationals backs the operator-existence probe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .polynomials import Polynomial, RationalFunction
@@ -17,125 +20,93 @@ from .polynomials import Polynomial, RationalFunction
 _COFACTOR_LIMIT = 5  # cofactor expansion up to this size, Bareiss beyond
 
 
-class PolyMatrix:
-    """Rectangular matrix with rational-function entries, stored row-major."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[RationalFunction | Polynomial | int | Fraction]]):
-        built: list[tuple[RationalFunction, ...]] = []
-        width = None
-        for row in rows:
-            entries = tuple(_as_rf(e) for e in row)
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ValueError("ragged rows in matrix")
-            built.append(entries)
-        self.rows = tuple(built)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def entry(self, i: int, j: int) -> RationalFunction:
-        return self.rows[i][j]
-
-    def polynomial_rows(self) -> list[list[Polynomial]]:
-        """Entries as polynomials; raises if any denominator survives."""
-        out = []
-        for i, row in enumerate(self.rows):
-            line = []
-            for j, e in enumerate(row):
-                if not e.is_polynomial:
-                    raise ValueError(f"entry ({i},{j}) is not a polynomial")
-                line.append(e.as_polynomial())
-            out.append(line)
-        return out
+def _square_size(rows: Sequence[Sequence]) -> int:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(
+            f"determinant needs a square matrix, got row lengths {[len(r) for r in rows]}"
+        )
+    return n
 
 
-def _as_rf(entry) -> RationalFunction:
-    if isinstance(entry, RationalFunction):
-        return entry
-    return RationalFunction(entry)
+def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial | Fraction:
+    """Determinant of a square matrix of polynomials or of rational scalars.
 
-
-def poly_det(matrix: PolyMatrix) -> Polynomial:
-    """Determinant of a square matrix with polynomial entries.
-
-    Callers clear denominators first; a surviving rational entry is an error.
-    The empty matrix has determinant 1.
+    If any entry is a :class:`Polynomial` the result is one; otherwise the
+    entries are read as ``Fraction`` and so is the result.  The empty matrix
+    has determinant ``Polynomial.one()``.
     """
-    if not matrix.is_square:
-        raise ValueError(f"determinant of a {matrix.nrows}x{matrix.ncols} matrix")
-    n = matrix.nrows
+    n = _square_size(rows)
     if n == 0:
         return Polynomial.one()
-    rows = matrix.polynomial_rows()
+    polynomial = any(isinstance(e, Polynomial) for row in rows for e in row)
+    lift = _as_polynomial if polynomial else Fraction
+    entries = [[lift(e) for e in row] for row in rows]
     if n <= _COFACTOR_LIMIT:
-        return _cofactor_det(rows)
-    return _bareiss_det(rows)
+        return _cofactor_det(entries)
+    return _bareiss_det(entries)
 
 
-def _cofactor_det(rows: list[list[Polynomial]]) -> Polynomial:
+def _as_polynomial(entry: Polynomial | Fraction | int) -> Polynomial:
+    return entry if isinstance(entry, Polynomial) else Polynomial.constant(entry)
+
+
+def _cofactor_det(rows):
+    """Laplace expansion along the top row, with every minor computed once.
+
+    ``minors[cols]`` is the determinant of the bottom ``len(cols)`` rows
+    restricted to the columns ``cols``; each pass expands the row above.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = Polynomial.zero()
-    for j, top in enumerate(rows[0]):
-        if top.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = top * _cofactor_det(minor)
-        acc = acc - term if j % 2 else acc + term
-    return acc
+    zero = 0 * rows[0][0]  # the zero of the entries' ring
+    minors = {(j,): entry for j, entry in enumerate(rows[-1])}
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        expanded = {}
+        for cols in combinations(range(n), n - i):
+            acc = zero
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
+                    acc = acc - term if pos % 2 else acc + term
+            expanded[cols] = acc
+        minors = expanded
+    return minors[tuple(range(n))]
 
 
-def _bareiss_det(rows: list[list[Polynomial]]) -> Polynomial:
+def _bareiss_det(rows):
     n = len(rows)
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     sign = 1
-    prev = Polynomial.one()
+    prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return Polynomial.zero()
+                return m[k][k]  # a zero column below the diagonal: the zero pivot
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]).divide_exact(prev)
-            m[i][k] = Polynomial.zero()
+                step = pivot * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = step if prev is None else step / prev  # exact division
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
 
 
-def rational_det(matrix: PolyMatrix) -> RationalFunction:
+def rational_det(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
     """Cofactor determinant over the rational-function field.
 
     Slower than :func:`poly_det`; kept for independent cross-checks of the
     denominator-cleared computations.
     """
-    if not matrix.is_square:
-        raise ValueError(f"determinant of a {matrix.nrows}x{matrix.ncols} matrix")
-    if matrix.nrows == 0:
+    if _square_size(rows) == 0:
         return RationalFunction.one()
-    return _rf_cofactor([list(row) for row in matrix.rows])
+    return _rf_cofactor([list(row) for row in rows])
 
 
 def _rf_cofactor(rows: list[list[RationalFunction]]) -> RationalFunction:

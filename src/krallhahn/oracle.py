@@ -81,13 +81,3 @@ def operator_solution_space(
         terms[l] = Polynomial(coeffs)
     return DifferenceOperator(terms), nullity
 
-
-def find_operator_oracle(
-    qs: Sequence[Polynomial],
-    lambdas: Sequence[Rational],
-    r_probe: int,
-    coeff_degree_cap: int,
-) -> DifferenceOperator | None:
-    """One exact eigen-operator of genre (-r_probe, r_probe), or None."""
-    operator, _ = operator_solution_space(qs, lambdas, r_probe, coeff_degree_cap)
-    return operator

@@ -142,7 +142,14 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __truediv__(self, other: Scalar) -> "Polynomial":
+    def __truediv__(self, other: "Polynomial | Scalar") -> "Polynomial":
+        """Division by a scalar, or the exact quotient by a polynomial.
+
+        A polynomial divisor that leaves a remainder raises
+        :class:`NonExactDivision`.
+        """
+        if isinstance(other, Polynomial):
+            return self.divide_exact(other)
         c = _frac(other)
         return Polynomial(tuple(a / c for a in self.coeffs))
 
@@ -219,11 +226,6 @@ class Polynomial:
                 f"division left remainder of degree {rem.degree}", remainder=rem
             )
         return quo
-
-    # -- calculus-flavoured helpers -------------------------------------------
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def monic(self) -> "Polynomial":
         if self.is_zero:

@@ -450,13 +450,15 @@ def _check_oracle(run: RunData) -> tuple[bool, dict]:
         "nullity": nullity,
         "agrees_with_construction": agrees,
     }
+    narrower = False
     if r >= 1:
         lower_cap = max(2 * (r - 1), 0)
         lower, _ = operator_solution_space(qs, lambdas, r - 1, lower_cap)
+        narrower = lower is not None
         witness["lower_probe"] = (
-            "unsolvable" if lower is None else f"solvable with degree cap {lower_cap}"
+            f"solvable with degree cap {lower_cap}" if narrower else "unsolvable"
         )
-    ok = found is not None and nullity == 0 and agrees
+    ok = found is not None and nullity == 0 and agrees and not narrower
     return ok, witness
 
 

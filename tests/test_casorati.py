@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from krallhahn import casorati
 from krallhahn.casorati import (
     casorati_cleared,
     casorati_rational,
@@ -27,6 +28,7 @@ from krallhahn.casorati import (
     spectral_polynomial,
     theta_substitute,
 )
+from krallhahn.config import builtin_config, config_from_dict
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.errors import (
     NotThetaRepresentable,
@@ -40,8 +42,10 @@ from krallhahn.hahn import (
     hahn_polynomial,
 )
 from krallhahn.ladder import series_shift
+from krallhahn.matrices import poly_det
 from krallhahn.polynomials import Polynomial, RationalFunction
 from krallhahn.sets import SetQuartet
+from krallhahn.verify import build_run
 
 X = Polynomial.variable()
 
@@ -233,6 +237,42 @@ class TestDifferenceIdentities:
             assert theta_substitute(quotient, p.a + p.b) == mixing_symbol(
                 four_root_ctx, row
             )
+
+    def test_mixing_matches_shifted_entry_route(self):
+        """Minors of the cached matrix shifted once equal minors rebuilt at x + j."""
+
+        def reference(ctx, row):
+            # the mixing polynomial with every minor entry rebuilt and shifted
+            p, m = ctx.params, ctx.m
+            sigma = series_shift(p)
+            half = Fraction(-(m - 1), 2)
+            divisor_base = casorati.normalizer_pochhammer(ctx) * casorati.normalizer_shifts(ctx)
+            acc = RationalFunction.zero()
+            rows_kept = [r for r in range(m) if r != row]
+            for j in range(1, m + 1):
+                minor = poly_det([
+                    [casorati._cleared_entry(ctx, r, c).shift_argument(j)
+                     for c in range(1, m + 1) if c != j]
+                    for r in rows_kept
+                ])
+                numer = (
+                    sigma.shift_argument(half + j)
+                    * ctx.prefactor.shift_argument(j)
+                    * casorati._mixing_prefactor(ctx, row, j)
+                    * minor
+                )
+                term = RationalFunction(numer, divisor_base.shift_argument(j))
+                acc = acc + (term if (row + 1 + j) % 2 == 0 else -term)
+            return acc.as_polynomial()
+
+        theorem_m3 = config_from_dict({
+            "a": "1/2", "b": "1/3", "N": 12, "F": [[1], [1], [1], []], "path": "theorem",
+        })
+        contexts = [build_run(builtin_config("four-roots")).ctx, build_run(theorem_m3).ctx]
+        assert [ctx.m for ctx in contexts] == [4, 3]
+        for ctx in contexts:
+            for row in range(ctx.m):
+                assert mixing_polynomial(ctx, row) == reference(ctx, row)
 
     def test_spectral_difference(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):

@@ -57,6 +57,10 @@ class TestConfigParsing:
             ({"extra": 1}, "unknown fields"),
             ({"h": [1, 1]}, "three integers"),
             ({"h": [2, 1, 1]}, "determined by F"),
+            ({"F": [[], [], [], [1.9]]}, "field 'F'"),
+            ({"F": [[], [], [], [True]]}, "field 'F'"),
+            ({"F": [[], [], [], ["2"]]}, "field 'F'"),
+            ({"F": [[], [], [], "12"]}, "field 'F'"),
         ],
     )
     def test_rejections(self, overrides, fragment):
@@ -126,6 +130,19 @@ class TestCli:
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert isinstance(payload, list) and len(payload) == 2
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "a.json"
+        cfg_path.write_text(json.dumps(_variant(checks=["genre"])))
+        report_path = tmp_path / "no" / "such" / "dir" / "r.json"
+        assert main(["verify", "--config", str(cfg_path), "--report", str(report_path)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_non_integer_root_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_variant(F=[[], [], [], [1.9]])))
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert "field 'F'" in capsys.readouterr().err
 
     def test_malformed_rational_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

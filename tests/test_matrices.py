@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
-    PolyMatrix,
     poly_det,
     rational_det,
     solve_linear_system,
@@ -31,16 +31,32 @@ def _sarrus(m):
 
 def test_matrix_shape_checks():
     with pytest.raises(ValueError):
-        PolyMatrix([[1, 2], [3]])
+        poly_det([[1, 2], [3]])
     with pytest.raises(ValueError):
-        poly_det(PolyMatrix([[1, 2, 3], [4, 5, 6]]))
-    assert poly_det(PolyMatrix([])) == Polynomial.one()
+        poly_det([[X, 2], [3]])
+    with pytest.raises(ValueError):
+        rational_det([[RationalFunction.one()], [RationalFunction.one()]])
+    with pytest.raises(ValueError):
+        poly_det([[1, 2, 3], [4, 5, 6]])
+    assert poly_det([]) == Polynomial.one()
+    assert poly_det([[X]]) == X
 
 
 def test_numeric_vandermonde():
     nodes = [1, 2, 3]
     rows = [[Fraction(v) ** k for k in range(3)] for v in nodes]
-    assert poly_det(PolyMatrix(rows)) == Polynomial.constant(2)
+    det = poly_det(rows)
+    assert isinstance(det, Fraction) and det == 2
+    # scalar entries among polynomials are read as constant polynomials
+    det = poly_det([[Polynomial.constant(row[0]), *row[1:]] for row in rows])
+    assert det == Polynomial.constant(2)
+
+
+def test_polynomial_division_is_exact():
+    assert (X**2 - 1) / (X + 1) == X - 1
+    with pytest.raises(NonExactDivision):
+        (X**2 + 1) / (X + 1)
+    assert (2 * X) / 2 == X
 
 
 def test_poly_det_3x3_against_sarrus():
@@ -49,32 +65,40 @@ def test_poly_det_3x3_against_sarrus():
         [X**2, Polynomial.one(), X - 3],
         [Polynomial.constant(Fraction(1, 2)), X, X**2 + 1],
     ]
-    assert poly_det(PolyMatrix(rows)) == _sarrus(rows)
+    assert poly_det(rows) == _sarrus(rows)
 
 
 def test_poly_det_equal_rows_vanishes():
     row = [X, X**2 - 1, 3 * X]
-    assert poly_det(PolyMatrix([row, row, [1, X, Polynomial.one()]])).is_zero
+    assert poly_det([row, row, [1, X, Polynomial.one()]]).is_zero
 
 
 def test_bareiss_agrees_with_cofactor():
     """Fraction-free elimination against plain expansion on seeded matrices.
 
     Sizes straddle the internal dispatch threshold so poly_det exercises
-    the Bareiss branch at 6x6 (including a singular instance).
+    the Bareiss branch at 6x6 (including a singular instance), once with
+    polynomial entries and once with Fraction entries.
     """
     rng = random.Random(7)
 
     def rand_poly():
         return Polynomial([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))])
 
-    for n in (4, 6):
-        rows = [[rand_poly() for _ in range(n)] for _ in range(n)]
-        assert _bareiss_det([r[:] for r in rows]) == _cofactor_det(rows)
-        assert poly_det(PolyMatrix(rows)) == _cofactor_det(rows)
-    singular = [[rand_poly() for _ in range(6)] for _ in range(5)]
-    singular.append(list(singular[0]))  # duplicate row
-    assert poly_det(PolyMatrix(singular)).is_zero
+    def rand_fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for rand_entry, zero in ((rand_poly, Polynomial.zero()), (rand_fraction, Fraction(0))):
+        for n in (4, 6):
+            rows = [[rand_entry() for _ in range(n)] for _ in range(n)]
+            expected = _cofactor_det(rows)
+            assert type(expected) is type(zero) and expected != zero
+            assert _bareiss_det([r[:] for r in rows]) == expected
+            assert poly_det(rows) == expected
+        singular = [[rand_entry() for _ in range(6)] for _ in range(5)]
+        singular.append(list(singular[0]))  # duplicate row
+        assert _cofactor_det(singular) == zero
+        assert poly_det(singular) == zero
 
 
 def test_rational_det():
@@ -83,7 +107,7 @@ def test_rational_det():
         [RationalFunction.one(), RationalFunction(X - 2)],
     ]
     expected = RationalFunction(X - 2, X) - RationalFunction(X, X + 1)
-    assert rational_det(PolyMatrix(rows)) == expected
+    assert rational_det(rows) == expected
 
 
 def test_solve_unique():

@@ -6,7 +6,7 @@ import pytest
 
 from krallhahn.errors import InsufficientData
 from krallhahn.hahn import HahnParams, hahn_operator, hahn_polynomial
-from krallhahn.oracle import find_operator_oracle, operator_solution_space
+from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 
 
@@ -23,7 +23,6 @@ def test_recovers_classical_operator(classical_data, desk_params):
     op, nullity = operator_solution_space(qs, lams, 1, 2)
     assert nullity == 0
     assert op == hahn_operator(desk_params)
-    assert find_operator_oracle(qs, lams, 1, 2) == hahn_operator(desk_params)
 
 
 def test_insufficient_data(classical_data):

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from krallhahn.config import (
+    BUILTIN_CONFIGS,
     CHECK_NAMES,
     ConstructionConfig,
     builtin_config,
     config_from_dict,
 )
+from krallhahn.diffops import DifferenceOperator
 from krallhahn.errors import ConfigInvalid
+from krallhahn.polynomials import Polynomial
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import (
     build_run,
@@ -86,6 +89,30 @@ def test_run_config_report_shape():
     payload = report.to_json_dict()
     assert set(payload) == {"config", "summary", "checks"}
     assert payload["summary"]["passed"] is True
+
+
+def test_oracle_fails_when_a_narrower_operator_exists(monkeypatch):
+    """A solvable probe one half-width below r fails the oracle check."""
+    import krallhahn.verify as verify
+
+    solve = verify.operator_solution_space
+    cfg = config_from_dict({**BUILTIN_CONFIGS["single-root"], "checks": ["oracle"]})
+    report = run_config(cfg)
+    assert report.passed
+    assert report.checks[0].witness["lower_probe"] == "unsolvable"
+    r = report.checks[0].witness["halfwidth"]
+
+    def narrower_solvable(qs, lambdas, halfwidth, degree_cap):
+        found, nullity = solve(qs, lambdas, halfwidth, degree_cap)
+        if halfwidth == r - 1:
+            return DifferenceOperator({0: Polynomial.one()}), 0
+        return found, nullity
+
+    monkeypatch.setattr(verify, "operator_solution_space", narrower_solvable)
+    check = run_config(cfg).checks[0]
+    assert not check.passed
+    assert check.witness["agrees_with_construction"] and check.witness["nullity"] == 0
+    assert check.witness["lower_probe"].startswith("solvable")
 
 
 def test_run_config_criteria_constant_surfaces():
