@@ -16,18 +16,24 @@ bordered polynomials on ``Fraction`` entries.  Rational functions only appear
 in intermediate steps; every quantity the theory claims is polynomial is
 produced by exact division, so a failed cancellation surfaces as an error
 instead of an approximation.
+
+The stages that several checks read are memoised per context in one bounded
+store owned by this module.  Contexts are matched by equality, so equal
+contexts built by separate calls share their results; only the few most
+recently used contexts are kept, so memory stays flat however many configs
+one process verifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import comb
 
 from .diffops import DifferenceOperator, operator_polynomial
 from .errors import (
-    NonExactDivision,
     NotThetaRepresentable,
     ParameterSingularity,
     ResonantParameters,
@@ -35,16 +41,17 @@ from .errors import (
 from .hahn import HahnParams, companion_eigencoefficients, companion_polynomial, hahn_polynomial
 from .hahn import hahn_operator
 from .ladder import (
+    CLEARING_BLOCKS,
     falling_block,
     ladder_operator,
-    ratio_product_value,
+    ratio_product,
     rising_block,
     series_shift,
 )
 from .matrices import poly_det, rational_det
 from .polynomials import Polynomial, RationalFunction, antidifference
 from .rationals import Rational, as_rational, format_rational, is_integer_at_most
-from .sets import SetQuartet, default_pads, set_max, transform_quartet
+from .sets import SetQuartet, default_pads, transform_quartet
 
 
 @dataclass(frozen=True)
@@ -242,30 +249,47 @@ def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+# -- the stage store --------------------------------------------------------------
+
+# How many contexts keep their stage results.  A run reads one context, so a
+# small bound keeps memory flat over any number of configs in one process.
+_STORE_CONTEXTS = 4
+
+# context -> {(stage, *args): result}, least recently used context first.
+# Keyed by equality: equal contexts built by separate calls share one entry.
+_store: OrderedDict[ConstructionContext, dict] = OrderedDict()
+
+
+def _stage(fn):
+    """Memoise ``fn(ctx, *args)`` in ``ctx``'s entry of the stage store."""
+
+    @wraps(fn)
+    def memoised(ctx: ConstructionContext, *args):
+        results = _store.pop(ctx, {})
+        _store[ctx] = results
+        if len(_store) > _STORE_CONTEXTS:
+            _store.popitem(last=False)
+        key = (fn, *args)
+        if key not in results:
+            results[key] = fn(ctx, *args)
+        return results[key]
+
+    return memoised
+
+
 # -- the cleared Casorati determinant ----------------------------------------------
 
 
 def _cleared_entry(ctx: ConstructionContext, row: int, col: int) -> Polynomial:
     """Row `row`, column `col` (1-based col) of the denominator-cleared matrix."""
     p, m = ctx.params, ctx.m
-    kind = ctx.row_kinds[row]
     value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
-    if kind == 1:
-        value = value * rising_block(2, m - col, -col, p) * falling_block(2, col - 1, -1, p)
-    elif kind == 2:
-        value = (
-            value
-            * rising_block(1, m - col, -col, p)
-            * rising_block(2, m - col, -col, p)
-            * falling_block(1, col - 1, -1, p)
-            * falling_block(2, col - 1, -1, p)
-        )
-    elif kind == 4:
-        value = value * rising_block(1, m - col, -col, p) * falling_block(1, col - 1, -1, p)
+    for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
+        value = value * rising_block(which, m - col, -col, p) * falling_block(which, col - 1, -1, p)
     return value
 
 
-@lru_cache(maxsize=None)
+@_stage
 def cleared_matrix(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], ...]:
     """The denominator-cleared Casorati matrix, as a tuple of row tuples."""
     m = ctx.m
@@ -274,23 +298,20 @@ def cleared_matrix(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], ..
     )
 
 
-@lru_cache(maxsize=None)
+@_stage
 def casorati_cleared(ctx: ConstructionContext) -> Polynomial:
     """Determinant with all row denominators multiplied away."""
     return poly_det(cleared_matrix(ctx))
 
 
-@lru_cache(maxsize=None)
+@_stage
 def clearing_factor(ctx: ConstructionContext) -> Polynomial:
     """Product of the per-row denominators removed from the raw determinant."""
-    m1, m2, m3, m4 = ctx.block_counts
-    m = ctx.m
-    if m == 0:
-        return Polynomial.one()
-    return (
-        falling_block(1, m - 1, -1, ctx.params) ** (m2 + m4)
-        * falling_block(2, m - 1, -1, ctx.params) ** (m1 + m2)
-    )
+    acc = Polynomial.one()
+    for kind in ctx.row_kinds:
+        for which in CLEARING_BLOCKS[kind]:
+            acc = acc * falling_block(which, ctx.m - 1, -1, ctx.params)
+    return acc
 
 
 def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
@@ -304,17 +325,25 @@ def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
     return casorati_cleared(ctx)(point) / denom
 
 
+@_stage
+def _ratio_products(ctx: ConstructionContext) -> dict[int, tuple[RationalFunction, ...]]:
+    """Per row kind, the closed-form ratio products of lengths 0..m."""
+    return {
+        kind: tuple(ratio_product(kind, length, ctx.params) for length in range(ctx.m + 1))
+        for kind in set(ctx.row_kinds)
+    }
+
+
 def casorati_rational(ctx: ConstructionContext) -> RationalFunction:
     """The raw determinant over the rational-function field (cross-check route)."""
-    from .ladder import ratio_product
-
     m, p = ctx.m, ctx.params
+    products = _ratio_products(ctx)
     rows = []
     for row in range(m):
         kind = ctx.row_kinds[row]
         entries = []
         for col in range(1, m + 1):
-            xi = ratio_product(kind, m - col, p).shift_argument(-col)
+            xi = products[kind][m - col].shift_argument(-col)
             value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
             entries.append(xi * value)
         rows.append(entries)
@@ -322,17 +351,6 @@ def casorati_rational(ctx: ConstructionContext) -> RationalFunction:
 
 
 # -- the constructed orthogonal polynomials ------------------------------------------
-
-
-def _bordered_minor_column(ctx: ConstructionContext, n: int, col: int) -> list[Fraction]:
-    """Column of ratio-product-weighted row values at degree n - col."""
-    p, m = ctx.params, ctx.m
-    theta = p.eigenvalue(n - col)
-    out = []
-    for row in range(m):
-        xi = ratio_product_value(ctx.row_kinds[row], n - col, m - col, p)
-        out.append(xi * ctx.row_polys[row](theta))
-    return out
 
 
 def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
@@ -345,42 +363,40 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    m = ctx.m
-    columns = [_bordered_minor_column(ctx, n, col) for col in range(m + 1)]
+    p, m = ctx.params, ctx.m
+    products = _ratio_products(ctx)
+    # column col: the ratio-product-weighted row values at degree n - col
+    columns = [
+        [products[kind][m - col](n - col) * poly(p.eigenvalue(n - col))
+         for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
+        for col in range(m + 1)
+    ]
     acc = Polynomial.zero()
     for k in range(m + 1):
         if n - k < 0:
             break
         minor = poly_det([columns[c] for c in range(m + 1) if c != k])
         if minor != 0:
-            acc = acc + minor * hahn_polynomial(n - k, ctx.params)
+            acc = acc + minor * hahn_polynomial(n - k, p)
     return acc
 
 
 # -- normalisers and the spectral data ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def normalizer_pochhammer(ctx: ConstructionContext) -> Polynomial:
-    """The Pochhammer-product normaliser dividing the cleared determinant."""
-    p = ctx.params
-    m1, m2, m3, m4 = ctx.block_counts
+@_stage
+def normalizer(ctx: ConstructionContext) -> Polynomial:
+    """The divisor of the cleared determinant: a Pochhammer-product normaliser
+    times the triangular product of shifted eigenvalue steps (half-integer
+    shifts)."""
+    p, m = ctx.params, ctx.m
     acc = Polynomial.one()
-    for i in range(1, m2 + m4):
-        acc = acc * rising_block(1, m2 + m4 - i, -m1 - m3 - i, p)
-        acc = acc * falling_block(1, m2 + m4 - i, -1, p)
-    for i in range(1, m1 + m2):
-        acc = acc * rising_block(2, m1 + m2 - i, -m3 - m4 - i, p)
-        acc = acc * falling_block(2, m1 + m2 - i, -1, p)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def normalizer_shifts(ctx: ConstructionContext) -> Polynomial:
-    """The triangular product of shifted eigenvalue steps (half-integer shifts)."""
-    m = ctx.m
-    sigma = series_shift(ctx.params)
-    acc = Polynomial.one()
+    for which in (1, 2):
+        users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
+        for i in range(1, users):
+            acc = acc * rising_block(which, users - i, users - m - i, p)
+            acc = acc * falling_block(which, users - i, -1, p)
+    sigma = series_shift(p)
     for outer in range(1, m):
         for inner in range(1, outer + 1):
             acc = acc * sigma.shift_argument(Fraction(inner + outer + 1, 2) - m)
@@ -389,11 +405,10 @@ def normalizer_shifts(ctx: ConstructionContext) -> Polynomial:
     return acc
 
 
-@lru_cache(maxsize=None)
+@_stage
 def core_determinant(ctx: ConstructionContext) -> Polynomial:
-    """Cleared determinant divided by both normalisers; polynomial by the theory."""
-    divisor = normalizer_pochhammer(ctx) * normalizer_shifts(ctx)
-    return casorati_cleared(ctx).divide_exact(divisor)
+    """Cleared determinant divided by the normaliser; polynomial by the theory."""
+    return casorati_cleared(ctx).divide_exact(normalizer(ctx))
 
 
 def core_degree(ctx: ConstructionContext) -> int:
@@ -426,14 +441,13 @@ def core_leading_coefficient(ctx: ConstructionContext) -> Fraction:
     return acc
 
 
-@lru_cache(maxsize=None)
 def spectral_increment(ctx: ConstructionContext) -> Polynomial:
     """S(x) * Omega(x): the exact increment of the eigenvalue polynomial."""
     sigma = series_shift(ctx.params).shift_argument(Fraction(-(ctx.m - 1), 2))
     return sigma * ctx.prefactor * core_determinant(ctx)
 
 
-@lru_cache(maxsize=None)
+@_stage
 def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
     """lambda with lambda(x) - lambda(x-1) = increment(x), pinned by lambda(-1) = 0."""
     return antidifference(spectral_increment(ctx))
@@ -449,22 +463,13 @@ def eigenvalue(ctx: ConstructionContext, n: int) -> Fraction:
 def _mixing_prefactor(ctx: ConstructionContext, row: int, j: int) -> Polynomial:
     """Clearing factor for the j-th term of one mixing polynomial."""
     p, m = ctx.params, ctx.m
-    kind = ctx.row_kinds[row]
-    if kind == 3:
-        return Polynomial.one()
-    if kind == 1:
-        return rising_block(2, m - j, 0, p) * falling_block(2, j - 1, j - 1, p)
-    if kind == 4:
-        return rising_block(1, m - j, 0, p) * falling_block(1, j - 1, j - 1, p)
-    return (
-        rising_block(1, m - j, 0, p)
-        * rising_block(2, m - j, 0, p)
-        * falling_block(1, j - 1, j - 1, p)
-        * falling_block(2, j - 1, j - 1, p)
-    )
+    acc = Polynomial.one()
+    for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
+        acc = acc * rising_block(which, m - j, 0, p) * falling_block(which, j - 1, j - 1, p)
+    return acc
 
 
-@lru_cache(maxsize=None)
+@_stage
 def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
@@ -476,7 +481,7 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
     half = Fraction(-(m - 1), 2)
-    divisor_base = normalizer_pochhammer(ctx) * normalizer_shifts(ctx)
+    divisor_base = normalizer(ctx)
     acc = RationalFunction.zero()
     rows_kept = [entries for r, entries in enumerate(cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
@@ -492,7 +497,6 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     return acc.as_polynomial()
 
 
-@lru_cache(maxsize=None)
 def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:
     """Mixing polynomial divided by the shifted step, written in theta."""
     sigma_next = series_shift(ctx.params).shift_argument(1)
@@ -503,7 +507,7 @@ def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:
 # -- the spectral polynomial and the operator -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_stage
 def spectral_polynomial(ctx: ConstructionContext) -> Polynomial:
     """P with P(theta_x) = 2 lambda(x) + sum over rows of Y(theta_x) M(x)."""
     p = ctx.params
@@ -514,7 +518,7 @@ def spectral_polynomial(ctx: ConstructionContext) -> Polynomial:
     return theta_substitute(acc, p.a + p.b)
 
 
-@lru_cache(maxsize=None)
+@_stage
 def krall_operator(ctx: ConstructionContext) -> DifferenceOperator:
     """The higher-order difference operator with the constructed family as
     eigenfunctions (eigenvalues given by the eigenvalue polynomial)."""

@@ -35,8 +35,21 @@ def _print_report(report: VerificationReport, out) -> None:
     print(f"{label}: {tally}/{len(report.checks)} checks passed", file=out)
 
 
+def _probe_report(path: Path) -> None:
+    """Fail before any check runs if the report cannot be written."""
+    existed = path.exists()
+    try:
+        path.open("a").close()
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write report {path}: {exc}") from exc
+    if not existed:
+        path.unlink()
+
+
 def _cmd_verify(args) -> int:
     configs = [config_from_file(path) for path in args.config]
+    if args.report:
+        _probe_report(Path(args.report))
     reports = run_many(configs)
     for report in reports:
         _print_report(report, sys.stdout)

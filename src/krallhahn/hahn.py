@@ -50,12 +50,6 @@ class HahnParams:
                 f"a+b = {format_rational(s)} lies in -1..-{2 * self.N + 1}"
             )
 
-    @property
-    def classically_positive(self) -> bool:
-        """True when the weight has constant sign on its whole support."""
-        minus_n = Fraction(-self.N)
-        return (self.a > -1 and self.b > -1) or (self.a < minus_n and self.b < minus_n)
-
     def eigenvalue(self, n: Rational | int) -> Fraction:
         """theta_n = n (n + a + b + 1)."""
         n = as_rational(n)
@@ -65,9 +59,6 @@ class HahnParams:
         """theta_{x+shift} as a polynomial in x."""
         base = Polynomial((0, self.a + self.b + 1, 1))
         return base.shift_argument(shift)
-
-    def shifted(self, da: Rational | int, db: Rational | int, dN: int) -> "HahnParams":
-        return HahnParams(self.a + as_rational(da), self.b + as_rational(db), self.N + dN)
 
 
 def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:

@@ -11,7 +11,6 @@ the determinant machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
@@ -93,6 +92,10 @@ def series_coefficients(kind: int, n: int, p: HahnParams) -> list[Fraction]:
 
 # -- partial products of the ratios and their clearing factors ---------------------
 
+# The blocks (the ``which`` argument below) whose rising and falling forms give
+# the numerator and denominator of each kind's ratio products.
+CLEARING_BLOCKS = {1: (2,), 2: (1, 2), 3: (), 4: (1,)}
+
 
 def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
     """Numerator clearing factor: a length-j Pochhammer block at x + shift.
@@ -124,32 +127,21 @@ def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams)
     return -block if length % 2 else block
 
 
-@lru_cache(maxsize=None)
-def _ratio_product_closed(kind: int, length: int, p: HahnParams) -> RationalFunction:
-    if kind == 1:
-        return RationalFunction(rising_block(2, length, 0, p), falling_block(2, length, 0, p))
-    if kind == 2:
-        return RationalFunction(
-            rising_block(1, length, 0, p) * rising_block(2, length, 0, p),
-            falling_block(1, length, 0, p) * falling_block(2, length, 0, p),
-        )
-    if kind == 3:
-        return RationalFunction.one()
-    if kind == 4:
-        return RationalFunction(rising_block(1, length, 0, p), falling_block(1, length, 0, p))
-    raise ValueError(f"kind must be 1..4, got {kind}")
-
-
 def ratio_product(kind: int, length: int, p: HahnParams) -> RationalFunction:
     """Product ratio(x) ratio(x-1) ... ratio(x-length+1) in closed form.
 
     length 0 gives 1; negative length gives the reciprocal of the product
     based at x - length.
     """
-    if length >= 0:
-        return _ratio_product_closed(kind, length, p)
-    positive = _ratio_product_closed(kind, -length, p).shift_argument(-length)
-    return positive.reciprocal()
+    if kind not in CLEARING_BLOCKS:
+        raise ValueError(f"kind must be 1..4, got {kind}")
+    if length < 0:
+        return ratio_product(kind, -length, p).shift_argument(-length).reciprocal()
+    numer = denom = Polynomial.one()
+    for which in CLEARING_BLOCKS[kind]:
+        numer = numer * rising_block(which, length, 0, p)
+        denom = denom * falling_block(which, length, 0, p)
+    return RationalFunction(numer, denom)
 
 
 def ratio_product_value(kind: int, base: Rational | int, length: int, p: HahnParams) -> Fraction:

@@ -290,8 +290,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def pochhammer(base, length: int):
     """Rising factorial base*(base+1)*...*(base+length-1).
 
-    Works the same for Fraction, Polynomial, or RationalFunction arguments and
-    returns 1 of the matching kind when ``length`` is 0.
+    Works the same for Fraction or Polynomial arguments and returns 1 of the
+    matching kind when ``length`` is 0.
     """
     if length < 0:
         raise ValueError("pochhammer length must be nonnegative")
@@ -301,8 +301,6 @@ def pochhammer(base, length: int):
         acc = Fraction(1)
     elif isinstance(base, Polynomial):
         acc = Polynomial.one()
-    elif isinstance(base, RationalFunction):
-        acc = RationalFunction.one()
     else:
         raise TypeError(f"unsupported pochhammer base {type(base).__name__}")
     for i in range(length):

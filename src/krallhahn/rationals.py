@@ -35,10 +35,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def is_integer(value: Fraction) -> bool:
-    return value.denominator == 1
-
-
 def is_integer_at_most(value: Fraction, bound: int) -> bool:
     """True when ``value`` is an integer less than or equal to ``bound``."""
     return value.denominator == 1 and value.numerator <= bound

@@ -20,8 +20,7 @@ from krallhahn.casorati import (
     krall_polynomial,
     mixing_polynomial,
     mixing_symbol,
-    normalizer_pochhammer,
-    normalizer_shifts,
+    normalizer,
     operator_halfwidth,
     reflect,
     spectral_increment,
@@ -194,12 +193,7 @@ class TestDeterminantRoutes:
 
     def test_core_times_normalizers_is_cleared(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):
-            product = (
-                core_determinant(ctx)
-                * normalizer_pochhammer(ctx)
-                * normalizer_shifts(ctx)
-            )
-            assert product == casorati_cleared(ctx)
+            assert core_determinant(ctx) * normalizer(ctx) == casorati_cleared(ctx)
 
     def test_point_values(self, four_root_ctx):
         cleared = casorati_cleared(four_root_ctx)
@@ -246,7 +240,7 @@ class TestDifferenceIdentities:
             p, m = ctx.params, ctx.m
             sigma = series_shift(p)
             half = Fraction(-(m - 1), 2)
-            divisor_base = casorati.normalizer_pochhammer(ctx) * casorati.normalizer_shifts(ctx)
+            divisor_base = normalizer(ctx)
             acc = RationalFunction.zero()
             rows_kept = [r for r in range(m) if r != row]
             for j in range(1, m + 1):
@@ -300,3 +294,56 @@ class TestBorderedFamily:
         for n in range(5):
             qn = krall_polynomial(ctx, n)
             assert op.apply(qn) == Fraction(lam(n)) * qn
+
+
+class TestStageStore:
+    STAGES = (
+        casorati.cleared_matrix,
+        casorati_cleared,
+        clearing_factor,
+        normalizer,
+        core_determinant,
+        eigenvalue_polynomial,
+        spectral_polynomial,
+        krall_operator,
+    )
+
+    @staticmethod
+    def _distinct_contexts(count):
+        # single-root contexts that differ only in a
+        return [
+            context_from_quartet(
+                HahnParams(Fraction(2 * k + 1, 2), Fraction(1, 3), 8),
+                SetQuartet.of((), (), (), (1,)),
+                (1, 1, 1),
+            )
+            for k in range(count)
+        ]
+
+    def test_equal_contexts_share_results(self):
+        first = build_run(builtin_config("four-roots")).ctx
+        second = build_run(builtin_config("four-roots")).ctx
+        assert first == second and first is not second
+        for stage in self.STAGES:
+            assert stage(first) is stage(second)
+        for row in range(first.m):
+            assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
+
+    def test_store_is_bounded(self):
+        contexts = self._distinct_contexts(casorati._STORE_CONTEXTS + 3)
+        for ctx in contexts:
+            core_determinant(ctx)
+        assert len(casorati._store) <= casorati._STORE_CONTEXTS
+        assert contexts[-1] in casorati._store
+        assert contexts[0] not in casorati._store
+
+    def test_evicted_context_recomputes_equal_results(self, desk_params):
+        ctx = context_from_quartet(desk_params, SetQuartet.of((), (), (1,), (1,)), (1, 1, 1))
+        operator = krall_operator(ctx)
+        mixing = [mixing_polynomial(ctx, row) for row in range(ctx.m)]
+        for other in self._distinct_contexts(casorati._STORE_CONTEXTS):
+            core_determinant(other)
+        assert ctx not in casorati._store
+        again = krall_operator(ctx)
+        assert again is not operator and again == operator
+        assert [mixing_polynomial(ctx, row) for row in range(ctx.m)] == mixing

@@ -136,7 +136,10 @@ class TestCli:
         cfg_path.write_text(json.dumps(_variant(checks=["genre"])))
         report_path = tmp_path / "no" / "such" / "dir" / "r.json"
         assert main(["verify", "--config", str(cfg_path), "--report", str(report_path)]) == 2
-        assert "cannot write report" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cannot write report" in captured.err
+        # the path is checked before any check runs
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
 
     def test_non_integer_root_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -154,8 +157,11 @@ class TestCli:
         # parses fine, fails the construction constraints
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_variant(a="2", F=[[], [1], [], []])))
-        assert main(["verify", "--config", str(cfg_path)]) == 2
+        report_path = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg_path), "--report", str(report_path)]) == 2
         assert "second/fourth" in capsys.readouterr().err
+        # probing the report path leaves no file behind
+        assert not report_path.exists()
 
     def test_demo(self, capsys):
         assert main(["demo", "--name", "classical"]) == 0
