@@ -17,11 +17,11 @@ in intermediate steps; every quantity the theory claims is polynomial is
 produced by exact division, so a failed cancellation surfaces as an error
 instead of an approximation.
 
-The stages that several checks read are memoised per context in one bounded
-store owned by this module.  Contexts are matched by equality, so equal
-contexts built by separate calls share their results; only the few most
-recently used contexts are kept, so memory stays flat however many configs
-one process verifies.
+The stages that several checks read, the Hahn base polynomials among them,
+are memoised per context in one bounded store owned by this module.  Contexts
+are matched by equality, so equal contexts built by separate calls share
+their results; only the few most recently used contexts are kept, so memory
+stays flat however many configs one process verifies.
 """
 
 from __future__ import annotations
@@ -353,6 +353,12 @@ def casorati_rational(ctx: ConstructionContext) -> RationalFunction:
 # -- the constructed orthogonal polynomials ------------------------------------------
 
 
+@_stage
+def base_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
+    """The degree-n Hahn polynomial of the context's parameters, built once."""
+    return hahn_polynomial(n, ctx.params)
+
+
 def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     """Degree-n member of the constructed family (bordered determinant).
 
@@ -377,7 +383,7 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
             break
         minor = poly_det([columns[c] for c in range(m + 1) if c != k])
         if minor != 0:
-            acc = acc + minor * hahn_polynomial(n - k, p)
+            acc = acc + minor * base_polynomial(ctx, n - k)
     return acc
 
 

@@ -166,8 +166,8 @@ def config_from_dict(data: dict, name: str = "") -> ConstructionConfig:
 def config_from_file(path: str | Path) -> ConstructionConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -71,9 +71,11 @@ def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
         raise ParameterSingularity(
             f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(a + b)}, N = {N}"
         )
-    minus_x = Polynomial((0, -1))
     acc = Polynomial.zero()
+    rising = Polynomial.one()  # (-x)_j, one linear factor per term
     for j in range(n + 1):
+        if j:
+            rising = rising * Polynomial((j - 1, -1))
         low = pochhammer(a + 1, j)
         if low == 0:
             raise ParameterSingularity(f"(a+1)_{j} vanishes for a = {format_rational(a)}")
@@ -83,7 +85,7 @@ def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
             / (outer * low * factorial(n - j) * factorial(j))
         )
         if coeff != 0:
-            acc = acc + coeff * pochhammer(minus_x, j)
+            acc = acc + coeff * rising
     return acc
 
 

@@ -4,12 +4,16 @@ Measures here are formal: masses may be negative (parameters outside the
 classical positivity range still give valid orthogonality functionals), and
 families are routinely stored modulo a global nonzero constant, so comparisons
 up to constant and up to sign are first-class operations.
+
+Inner products are taken in the evaluation domain: a polynomial is evaluated
+once on the support, giving its value vector in support order, and pairings
+are weighted dot products of value vectors, never polynomial products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 from .errors import DegenerateMoments
 from .polynomials import Polynomial, Scalar
@@ -18,7 +22,7 @@ from .polynomials import Polynomial, Scalar
 class DiscreteMeasure:
     """Finite atom -> mass map; zero-mass atoms are dropped on construction."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_points", "_masses")
 
     def __init__(self, atoms: Mapping[Scalar, Scalar]) -> None:
         cleaned: dict[Fraction, Fraction] = {}
@@ -27,10 +31,13 @@ class DiscreteMeasure:
             if mass != 0:
                 cleaned[Fraction(point)] = mass
         object.__setattr__(self, "atoms", cleaned)
+        points = tuple(sorted(cleaned))
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_masses", tuple(cleaned[pt] for pt in points))
 
     @property
     def support(self) -> list[Fraction]:
-        return sorted(self.atoms)
+        return list(self._points)
 
     @property
     def size(self) -> int:
@@ -45,8 +52,16 @@ class DiscreteMeasure:
     def integrate(self, p: Polynomial) -> Fraction:
         return sum((m * p(pt) for pt, m in self.atoms.items()), Fraction(0))
 
+    def values(self, p: Polynomial) -> tuple[Fraction, ...]:
+        """The value vector of p: its value at each support point, in support order."""
+        return tuple(p(pt) for pt in self._points)
+
+    def dot(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+        """Weighted dot product of two value vectors: the sum of mass * u * v."""
+        return sum((m * x * y for m, x, y in zip(self._masses, u, v)), Fraction(0))
+
     def inner_product(self, p: Polynomial, q: Polynomial) -> Fraction:
-        return self.integrate(p * q)
+        return self.dot(self.values(p), self.values(q))
 
     def moments(self, up_to: int) -> list[Fraction]:
         """Power moments of degree 0..up_to."""
@@ -112,22 +127,33 @@ def equal_up_to_sign(left: DiscreteMeasure, right: DiscreteMeasure) -> bool:
 def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
     """Monic orthogonal polynomials of degree 0..up_to by full projection.
 
-    Deliberately naive (projects x^k against every earlier polynomial): this
-    is the independent oracle that the determinantal construction is compared
-    against, so it must not share any machinery with it.
+    Deliberately naive: x^k is projected against every earlier polynomial g_j
+    with the coefficient <x^k, g_j> / <g_j, g_j>.  The pairings are dot
+    products of value vectors on the support; each g_j's values are updated
+    alongside its coefficients, so no polynomial product is ever formed.
+    This is the independent oracle that the determinantal construction is
+    compared against, so it must not share any machinery with it.
     """
+    points = measure._points
+    power = tuple(Fraction(1) for _ in points)  # the value vector of x^k
     basis: list[Polynomial] = []
+    basis_values: list[tuple[Fraction, ...]] = []
     norms: list[Fraction] = []
     for k in range(up_to + 1):
+        if k:
+            power = tuple(v * x for v, x in zip(power, points))
         candidate = Polynomial.monomial(k)
-        for p, norm in zip(basis, norms):
-            coeff = measure.inner_product(candidate, p) / norm
+        values = power
+        for p, p_values, norm in zip(basis, basis_values, norms):
+            coeff = measure.dot(power, p_values) / norm
             if coeff != 0:
                 candidate = candidate - coeff * p
-        norm = measure.inner_product(candidate, candidate)
+                values = tuple(v - coeff * w for v, w in zip(values, p_values))
+        norm = measure.dot(values, values)
         if norm == 0 and k < up_to:
             raise DegenerateMoments(k)
         basis.append(candidate)
+        basis_values.append(values)
         norms.append(norm)
     return basis
 
@@ -135,9 +161,14 @@ def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
 def orthogonality_table(
     measure: DiscreteMeasure, polys: list[Polynomial]
 ) -> dict[tuple[int, int], Fraction]:
-    """All pairwise inner products <p_i, p_j> for i <= j."""
+    """All pairwise inner products <p_i, p_j> for i <= j.
+
+    Each polynomial is evaluated once on the support; the table is the n^2/2
+    weighted dot products of those value vectors.
+    """
+    values = [measure.values(p) for p in polys]
     table: dict[tuple[int, int], Fraction] = {}
-    for i, p in enumerate(polys):
-        for j in range(i, len(polys)):
-            table[(i, j)] = measure.inner_product(p, polys[j])
+    for i, u in enumerate(values):
+        for j in range(i, len(values)):
+            table[(i, j)] = measure.dot(u, values[j])
     return table

@@ -16,7 +16,11 @@ RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or ``"p/q"`` string to a Fraction."""
+    """Coerce an int, Fraction, or ``"p/q"`` string to a Fraction.
+
+    Exponent notation (``"1e3"``) is rejected: ``Fraction`` would expand a
+    large exponent into an integer of that many digits.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # bool is an int; reject it explicitly
@@ -24,6 +28,8 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted in {value!r}")
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .casorati import (
     ConstructionContext,
+    base_polynomial,
     casorati_cleared,
     casorati_rational,
     casorati_value,
@@ -43,12 +44,16 @@ from .hahn import (
     corollary_reduction,
     factored_hahn_weight,
     hahn_leading_coefficient,
-    hahn_polynomial,
     transformed_hahn_weight,
     transformed_support,
 )
 from .ladder import ratio_product_value, series_ratio, series_shift
-from .measures import DiscreteMeasure, gram_schmidt, proportionality_constant
+from .measures import (
+    DiscreteMeasure,
+    gram_schmidt,
+    orthogonality_table,
+    proportionality_constant,
+)
 from .oracle import operator_solution_space
 from .polynomials import RationalFunction, rational_roots
 from .rationals import format_rational
@@ -262,17 +267,10 @@ def _check_eigen(run: RunData) -> tuple[bool, dict]:
 def _check_orthogonality(run: RunData) -> tuple[bool, dict]:
     ctx = run.ctx
     qs = [krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
-    norms = []
-    cross_failures = []
-    zero_norms = []
-    for i, qi in enumerate(qs):
-        norm = run.inner_measure.inner_product(qi, qi)
-        norms.append(norm)
-        if norm == 0:
-            zero_norms.append(i)
-        for j in range(i + 1, len(qs)):
-            if run.inner_measure.inner_product(qi, qs[j]) != 0:
-                cross_failures.append([i, j])
+    table = orthogonality_table(run.inner_measure, qs)
+    norms = [table[(i, i)] for i in range(len(qs))]
+    zero_norms = [i for i, norm in enumerate(norms) if norm == 0]
+    cross_failures = [[i, j] for (i, j), value in table.items() if i < j and value != 0]
     gs_mismatch = []
     try:
         monic = gram_schmidt(run.inner_measure, run.n_max)
@@ -376,7 +374,7 @@ def check_foeq(
     fit_at = None
     failures = []
     for n in range(n_top + 1):
-        lhs = measure.integrate(hahn_polynomial(n, p))
+        lhs = measure.integrate(base_polynomial(ctx, n))
         rhs = ratio_sum(n) * (-1 if n % 2 else 1)
         if constant is None:
             if rhs != 0:

@@ -6,6 +6,7 @@ import pytest
 
 from krallhahn import casorati
 from krallhahn.casorati import (
+    base_polynomial,
     casorati_cleared,
     casorati_rational,
     casorati_value,
@@ -328,6 +329,13 @@ class TestStageStore:
             assert stage(first) is stage(second)
         for row in range(first.m):
             assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
+
+    def test_base_polynomials_are_built_once(self):
+        first = build_run(builtin_config("four-roots")).ctx
+        second = build_run(builtin_config("four-roots")).ctx
+        for n in range(first.params.N + 1):
+            assert base_polynomial(first, n) == hahn_polynomial(n, first.params)
+            assert base_polynomial(first, n) is base_polynomial(second, n)
 
     def test_store_is_bounded(self):
         contexts = self._distinct_contexts(casorati._STORE_CONTEXTS + 3)

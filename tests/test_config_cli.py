@@ -61,6 +61,8 @@ class TestConfigParsing:
             ({"F": [[], [], [], [True]]}, "field 'F'"),
             ({"F": [[], [], [], ["2"]]}, "field 'F'"),
             ({"F": [[], [], [], "12"]}, "field 'F'"),
+            ({"a": "1e3"}, "exponent"),
+            ({"b": "2E-1"}, "field 'b'.*exponent"),
         ],
     )
     def test_rejections(self, overrides, fragment):
@@ -95,6 +97,12 @@ class TestConfigFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="cannot read"):
             config_from_file(tmp_path / "absent.json")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"a": 1}')
+        with pytest.raises(ConfigInvalid, match="cannot read"):
+            config_from_file(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -152,6 +160,12 @@ class TestCli:
         cfg_path.write_text(json.dumps(_variant(a="1/0")))
         assert main(["verify", "--config", str(cfg_path)]) == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b'\xff\xfe{"a": 1}')
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         # parses fine, fails the construction constraints

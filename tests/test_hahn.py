@@ -1,6 +1,7 @@
 """The classical family: weights, recurrence, duality, companions, reductions."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -63,6 +64,33 @@ def test_degree_and_leading_coefficient(a, b, N):
         hn = hahn_polynomial(n, p)
         assert hn.degree == n
         assert hn.leading_coefficient == hahn_leading_coefficient(n, p)
+
+
+def _reference_hahn(n, p):
+    """The defining sum with (-x)_j rebuilt from scratch for every j."""
+    a, b, N = p.a, p.b, p.N
+    outer = pochhammer(2 + a + b + N, n)
+    minus_x = Polynomial((0, -1))
+    acc = Polynomial.zero()
+    for j in range(n + 1):
+        coeff = (
+            pochhammer(Fraction(N - n + 1), n - j)
+            * pochhammer(a + b + 1, j + n)
+            / (outer * pochhammer(a + 1, j) * factorial(n - j) * factorial(j))
+        )
+        if coeff != 0:
+            acc = acc + coeff * pochhammer(minus_x, j)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "a,b,N", [(Fraction(7, 3), Fraction(11, 5), 17), (Fraction(1, 2), Fraction(1, 3), 8)]
+)
+def test_sum_matches_reference(a, b, N):
+    # degrees above N (second set) have zero terms the running product skips over
+    p = HahnParams(a, b, N)
+    for n in range(13):
+        assert hahn_polynomial(n, p) == _reference_hahn(n, p)
 
 
 @pytest.mark.parametrize("a,b,N", TRIPLES)

@@ -115,6 +115,26 @@ def test_oracle_fails_when_a_narrower_operator_exists(monkeypatch):
     assert check.witness["lower_probe"].startswith("solvable")
 
 
+def test_orthogonality_fails_for_a_non_orthogonal_member(monkeypatch):
+    """q_3 plus a multiple of q_1 breaks both the Gram table and Gram-Schmidt."""
+    import krallhahn.verify as verify
+
+    build = verify.krall_polynomial
+    cfg = config_from_dict({**BUILTIN_CONFIGS["single-root"], "checks": ["orthogonality"]})
+    assert run_config(cfg).passed
+
+    def tilted(ctx, n):
+        q = build(ctx, n)
+        return q + Fraction(1, 3) * build(ctx, 1) if n == 3 else q
+
+    monkeypatch.setattr(verify, "krall_polynomial", tilted)
+    check = run_config(cfg).checks[0]
+    assert not check.passed
+    assert check.witness["nonorthogonal_pairs"] == [[1, 3]]
+    assert 3 in check.witness["gram_schmidt_mismatches"]
+    assert check.witness["zero_norms"] == []
+
+
 def test_run_config_criteria_constant_surfaces():
     report = run_config(builtin_config("single-root"))
     assert report.passed
