@@ -71,19 +71,24 @@ def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
         raise ParameterSingularity(
             f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(a + b)}, N = {N}"
         )
+    # The scalar factors of term j are (a+1)_j, (a+b+1)_{n+j} and
+    # (N-n+1)_{n-j}; each is carried by multiplying in one factor at a time,
+    # so a vanishing factor keeps its product zero.
+    tail = [Fraction(1)]  # tail[k] = (N-n+1)_k
+    for k in range(n):
+        tail.append(tail[-1] * (N - n + 1 + k))
+    low = Fraction(1)
+    high = pochhammer(a + b + 1, n)
     acc = Polynomial.zero()
     rising = Polynomial.one()  # (-x)_j, one linear factor per term
     for j in range(n + 1):
         if j:
             rising = rising * Polynomial((j - 1, -1))
-        low = pochhammer(a + 1, j)
+            low *= a + j
+            high *= a + b + n + j
         if low == 0:
             raise ParameterSingularity(f"(a+1)_{j} vanishes for a = {format_rational(a)}")
-        coeff = (
-            pochhammer(Fraction(N - n + 1), n - j)
-            * pochhammer(a + b + 1, j + n)
-            / (outer * low * factorial(n - j) * factorial(j))
-        )
+        coeff = tail[n - j] * high / (outer * low * factorial(n - j) * factorial(j))
         if coeff != 0:
             acc = acc + coeff * rising
     return acc

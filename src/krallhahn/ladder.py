@@ -97,6 +97,22 @@ def series_coefficients(kind: int, n: int, p: HahnParams) -> list[Fraction]:
 CLEARING_BLOCKS = {1: (2,), 2: (1, 2), 3: (), 4: (1,)}
 
 
+def _rising_offset(which: int, length: int, p: HahnParams) -> Fraction | int:
+    if which == 1:
+        return p.b + 1 - length
+    if which == 2:
+        return -length - p.N
+    raise ValueError(f"which must be 1 or 2, got {which}")
+
+
+def _falling_offset(which: int, length: int, p: HahnParams) -> Fraction:
+    if which == 1:
+        return p.a + 1 - length
+    if which == 2:
+        return p.a + p.b + p.N + 2 - length
+    raise ValueError(f"which must be 1 or 2, got {which}")
+
+
 def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
     """Numerator clearing factor: a length-j Pochhammer block at x + shift.
 
@@ -104,11 +120,7 @@ def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) 
     both with y = x + shift.
     """
     x = Polynomial.variable() + as_rational(shift)
-    if which == 1:
-        return pochhammer(x - length + p.b + 1, length)
-    if which == 2:
-        return pochhammer(x - length - p.N, length)
-    raise ValueError(f"which must be 1 or 2, got {which}")
+    return pochhammer(x + _rising_offset(which, length, p), length)
 
 
 def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
@@ -118,12 +130,7 @@ def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams)
     (-1)^j (y - j + a + b + N + 2)_j, both with y = x + shift.
     """
     x = Polynomial.variable() + as_rational(shift)
-    if which == 1:
-        block = pochhammer(x - length + p.a + 1, length)
-    elif which == 2:
-        block = pochhammer(x - length + p.a + p.b + p.N + 2, length)
-    else:
-        raise ValueError(f"which must be 1 or 2, got {which}")
+    block = pochhammer(x + _falling_offset(which, length, p), length)
     return -block if length % 2 else block
 
 
@@ -145,5 +152,25 @@ def ratio_product(kind: int, length: int, p: HahnParams) -> RationalFunction:
 
 
 def ratio_product_value(kind: int, base: Rational | int, length: int, p: HahnParams) -> Fraction:
-    """Exact value of the partial product at a rational base point."""
-    return ratio_product(kind, length, p)(as_rational(base))
+    """Exact value of the partial product at a rational base point.
+
+    The clearing blocks are evaluated as scalars.  Only where the block in the
+    denominator vanishes at the point, a zero the closed form may cancel, is
+    the closed form built and evaluated instead.
+    """
+    if kind not in CLEARING_BLOCKS:
+        raise ValueError(f"kind must be 1..4, got {kind}")
+    base = as_rational(base)
+    span = abs(length)
+    at = base if length >= 0 else base - length
+    numer = denom = Fraction(1)
+    for which in CLEARING_BLOCKS[kind]:
+        numer *= pochhammer(at + _rising_offset(which, span, p), span)
+        denom *= pochhammer(at + _falling_offset(which, span, p), span)
+    if span % 2 and len(CLEARING_BLOCKS[kind]) % 2:
+        denom = -denom
+    if length < 0:
+        numer, denom = denom, numer
+    if denom:
+        return numer / denom
+    return ratio_product(kind, length, p)(base)

@@ -5,14 +5,24 @@ code runs on polynomial entries and on ``Fraction`` scalars, because it uses
 only ring operations and exact division.  Small matrices go through cofactor
 expansion, each minor computed once; anything larger uses the Bareiss
 fraction-free scheme (Bareiss, 1968), whose interior divisions are exact.  A separate cofactor routine over
-rational functions serves only the cross-check route, and a Gaussian solver
-over the rationals backs the operator-existence probe.
+rational functions serves only the cross-check route.
+
+:func:`solve_linear_system` backs the operator-existence probe.  Its verdicts
+rest on one of two things.  Either a minor that is nonzero modulo a word-size
+prime (so nonzero over the rationals) certifies full column rank, and with it
+nullity 0 or, when b is a pivot too, inconsistency; a solution found modulo
+further primes is then accepted only after exact substitution.  Or exact
+Gauss-Jordan elimination over the rationals decides, which happens when the
+system is rank-deficient modulo the first prime or its solution needs more
+primes than the fixed tuple holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .polynomials import Polynomial, RationalFunction
@@ -123,17 +133,192 @@ def _rf_cofactor(rows: list[list[RationalFunction]]) -> RationalFunction:
     return acc
 
 
+# The 12 largest primes below 2**62.  The first gives the rank profile.  Their
+# product M bounds the modular route to solutions whose numerators and
+# denominators all stay below sqrt(M / 2), about 2**371.
+_PRIMES = (
+    4611686018427387847, 4611686018427387817, 4611686018427387787,
+    4611686018427387761, 4611686018427387751, 4611686018427387737,
+    4611686018427387733, 4611686018427387709, 4611686018427387701,
+    4611686018427387631, 4611686018427387617, 4611686018427387587,
+)
+
+
 def solve_linear_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> tuple[list[Fraction], int] | None:
-    """Solve A x = b exactly by Gaussian elimination.
+    """Solve A x = b exactly.
 
     Returns ``(particular_solution, nullity)`` with free variables pinned to
     zero, or ``None`` when the system is inconsistent.
+
+    Each row of [A | b] is scaled to integers and eliminated modulo the first
+    of ``_PRIMES``.  If A has full column rank mod p, one of its ncols x ncols
+    minors is nonzero mod p, hence nonzero over the rationals: that certifies
+    nullity 0.  If b is then a pivot mod p too, a minor of [A | b] of size
+    ncols + 1 is nonzero, so rank [A | b] > rank A certifies that the system is
+    unsolvable.  Otherwise the square subsystem on the pivot rows is solved
+    modulo further primes, combined by the Chinese remainder theorem and
+    rational reconstruction (Wang, 1981).  A candidate is accepted only when it
+    satisfies that subsystem exactly, and it is then substituted exactly into
+    every other row to decide consistency.  A system that is rank-deficient mod
+    p, or whose solution needs more primes than ``_PRIMES`` holds, is solved by
+    exact Gauss-Jordan elimination over the rationals instead; that is the only
+    route that runs for nullity > 0.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("rhs length does not match row count")
+    ncols = len(rows[0]) if rows else 0
+    aug = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    pivots = _echelon_mod(aug, _PRIMES[0])
+    if not _full_column_rank(pivots, ncols):
+        return _gauss_jordan(rows, rhs)
+    if len(pivots) > ncols:
+        return None  # b is a pivot too: rank [A | b] = ncols + 1
+    square = [aug[source] for _, source, _ in pivots]
+    solved = _multimodular_solve(square, _back_substitute(pivots, _PRIMES[0]))
+    if solved is None:
+        return _gauss_jordan(rows, rhs)
+    numerators, denominator = solved
+    chosen = {source for _, source, _ in pivots}
+    for i, row in enumerate(aug):
+        if i not in chosen and _residual(row, numerators, denominator):
+            return None
+    return [Fraction(v, denominator) for v in numerators], 0
+
+
+def _integer_row(values: list) -> list[int]:
+    """The row scaled by the lcm of its denominators, as Python ints."""
+    if all(type(v) is int for v in values):
+        return values
+    fractions = [Fraction(v) for v in values]
+    scale = lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions]
+
+
+def _echelon_mod(aug: list[list[int]], p: int) -> list[tuple[int, int, list[int]]]:
+    """Forward elimination of integer rows modulo the prime p.
+
+    Returns the pivots in column order as ``(column, source, row)``: ``source``
+    indexes ``aug`` and ``row`` is that row's reduced tail from ``column`` on,
+    scaled to a leading 1.  Rows awaiting a pivot are reduced mod p once and
+    then only where an entry is read, so each update is one multiply-subtract.
+    """
+    pending = [(i, [v % p for v in row]) for i, row in enumerate(aug)]
+    width = len(aug[0]) if aug else 0
+    pivots = []
+    for c in range(width):
+        if not pending:
+            break
+        for k, (source, row) in enumerate(pending):
+            lead = row[c] % p
+            if lead:
+                break
+        else:
+            continue
+        del pending[k]
+        inv = pow(lead, -1, p)
+        tail = [v * inv % p for v in row[c:]]
+        for _, other in pending:
+            f = other[c] % p
+            if f:
+                other[c:] = [v - f * t for v, t in zip(other[c:], tail)]
+        pivots.append((c, source, tail))
+    return pivots
+
+
+def _full_column_rank(pivots: list[tuple[int, int, list[int]]], ncols: int) -> bool:
+    """Whether every one of the first ncols columns holds a pivot."""
+    return sum(c < ncols for c, _, _ in pivots) == ncols
+
+
+def _back_substitute(pivots: list[tuple[int, int, list[int]]], p: int) -> list[int]:
+    """Solution mod p of a system whose n pivots sit in columns 0..n-1."""
+    x: list[int] = []
+    for _, _, tail in reversed(pivots):
+        x.insert(0, (tail[-1] - sum(map(mul, tail[1:-1], x))) % p)
+    return x
+
+
+def _multimodular_solve(
+    square: list[list[int]], residues: list[int]
+) -> tuple[list[int], int] | None:
+    """Exact solution ``(numerators, denominator)`` of a nonsingular system.
+
+    ``square`` holds the integer rows [A | b] of a square A that is
+    nonsingular mod the first prime, and ``residues`` its solution mod that
+    prime.  Returns None when no candidate from the primes in ``_PRIMES``
+    satisfies the system exactly.
+    """
+    for residues, modulus in _crt_rounds(square, residues):
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None and not any(_residual(row, *candidate) for row in square):
+            return candidate
+    return None
+
+
+def _crt_rounds(square: list[list[int]], residues: list[int]):
+    """The solution modulo the first prime, then modulo each growing product.
+
+    A prime that divides det A is skipped.
+    """
+    modulus = _PRIMES[0]
+    yield residues, modulus
+    for p in _PRIMES[1:]:
+        pivots = _echelon_mod(square, p)
+        if not _full_column_rank(pivots, len(square)):
+            continue
+        inv = pow(modulus, -1, p)
+        residues = [
+            r + modulus * ((s - r) * inv % p)
+            for r, s in zip(residues, _back_substitute(pivots, p))
+        ]
+        modulus *= p
+        yield residues, modulus
+
+
+def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Rational reconstruction of every residue over one common denominator."""
+    bound = isqrt((modulus - 1) // 2)
+    values = []
+    for u in residues:
+        value = _rational_reconstruction(u, modulus, bound)
+        if value is None:
+            return None
+        values.append(value)
+    denominator = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
+def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
+    """The a/b with a = b u mod ``modulus``, |a| <= bound and 0 < b <= bound.
+
+    Wang's half-extended Euclidean algorithm; None when no such fraction exists.
+    """
+    r0, r1 = modulus, u
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
+    """Row [a | b] at x = numerators / denominator: denominator * (a . x - b)."""
+    return sum(map(mul, row, numerators)) - row[-1] * denominator
+
+
+def _gauss_jordan(
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> tuple[list[Fraction], int] | None:
+    """Solve A x = b by Gauss-Jordan elimination over the rationals.
+
+    Same contract as :func:`solve_linear_system`, at any nullity.
     """
     nrows = len(rows)
-    if nrows != len(rhs):
-        raise ValueError("rhs length does not match row count")
     ncols = len(rows[0]) if nrows else 0
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots: list[int] = []

@@ -6,11 +6,18 @@ exact linear system in the unknown coefficient polynomials.  This makes no
 use of how the q_n were built, so it can confirm (or refute) the existence
 of an operator of a given order independently of the determinantal
 construction.
+
+The equations are built as integer rows: each q_n is cleared to integer
+coefficients once and shifted by an integer Taylor shift, and each row is
+divided by its content.  :func:`~krallhahn.matrices.solve_linear_system`
+certifies its verdicts modulo word-size primes and falls back to exact
+Gauss-Jordan elimination where that cannot decide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .diffops import DifferenceOperator
@@ -20,29 +27,53 @@ from .polynomials import Polynomial
 from .rationals import Rational
 
 
-def _equation_rows(
+def _cleared(q: Polynomial) -> list[int]:
+    """Integer coefficients of D q, with D the lcm of q's denominators."""
+    scale = lcm(*(c.denominator for c in q.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in q.coeffs]
+
+
+def _taylor_shift(coeffs: list[int], shift: int) -> list[int]:
+    """Coefficients of f(x + shift), for integer coefficients and shift."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += shift * out[j + 1]
+    return out
+
+
+def _integer_rows(
     qs: Sequence[Polynomial],
     lambdas: Sequence[Rational],
     halfwidth: int,
     degree_cap: int,
-) -> tuple[list[list[Fraction]], list[Fraction]]:
+) -> tuple[list[list[int]], list[int]]:
+    """One equation per coefficient of D(q_n) - lambda_n q_n, as primitive integer rows.
+
+    The unknowns are the coefficients of x^d (d <= degree_cap) in the operator
+    coefficient at each shift.  Each row is the rational equation times the
+    denominator of lambda_n and that of q_n, divided by its content.
+    """
     offsets = range(-halfwidth, halfwidth + 1)
     width = degree_cap + 1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for qn, lam in zip(qs, lambdas):
-        shifted = {l: qn.shift_argument(l) for l in offsets}
-        target = Fraction(lam) * qn
-        max_degree = qn.degree + degree_cap
-        for power in range(max_degree + 1):
-            row = [Fraction(0)] * ((2 * halfwidth + 1) * width)
-            for col, l in enumerate(offsets):
-                q_shift = shifted[l]
-                for d in range(width):
-                    if 0 <= power - d <= q_shift.degree:
-                        row[col * width + d] = q_shift.coefficient(power - d)
+        cleared = _cleared(qn)
+        lam = Fraction(lam)
+        shifted = [[lam.denominator * c for c in _taylor_shift(cleared, l)] for l in offsets]
+        for power in range(qn.degree + degree_cap + 1):
+            row = [0] * (len(offsets) * width)
+            for col, q_shift in enumerate(shifted):
+                for d in range(max(0, power - qn.degree), min(power, degree_cap) + 1):
+                    row[col * width + d] = q_shift[power - d]
+            target = lam.numerator * cleared[power] if power <= qn.degree else 0
+            content = gcd(*row, target)
+            if content > 1:
+                row = [v // content for v in row]
+                target //= content
             rows.append(row)
-            rhs.append(target.coefficient(power))
+            rhs.append(target)
     return rows, rhs
 
 
@@ -57,20 +88,25 @@ def operator_solution_space(
     Returns (operator, nullity) where the operator is one exact solution
     (None if the system is inconsistent) and nullity counts the remaining
     degrees of freedom.  Nullity zero certifies uniqueness within the probed
-    half-width and coefficient-degree cap.
+    half-width and coefficient-degree cap.  Full column rank modulo a prime
+    certifies nullity 0, and a right-hand side that is a pivot there as well
+    certifies inconsistency.  A solution found modulo primes counts only after
+    exact substitution into every equation.  A system that is rank-deficient
+    modulo the prime, so every nullity > 0, is decided by exact Gauss-Jordan
+    elimination.
     """
     if len(qs) != len(lambdas):
         raise ValueError("need one eigenvalue per polynomial")
     if halfwidth < 0 or degree_cap < 0:
         raise ValueError("halfwidth and degree_cap must be nonnegative")
-    rows, rhs = _equation_rows(qs, lambdas, halfwidth, degree_cap)
+    equations = sum(q.degree + degree_cap + 1 for q in qs)
     required = (2 * halfwidth + 1) * (degree_cap + 2)
-    if len(rows) < required:
+    if equations < required:
         raise InsufficientData(
-            f"{len(rows)} equations but at least {required} required to probe "
+            f"{equations} equations but at least {required} required to probe "
             f"halfwidth {halfwidth} with coefficient degrees up to {degree_cap}"
         )
-    solved = solve_linear_system(rows, rhs)
+    solved = solve_linear_system(*_integer_rows(qs, lambdas, halfwidth, degree_cap))
     if solved is None:
         return None, 0
     solution, nullity = solved

@@ -6,6 +6,7 @@ import pytest
 
 from krallhahn.errors import ParameterSingularity
 from krallhahn.hahn import HahnParams, hahn_polynomial
+from krallhahn import ladder
 from krallhahn.ladder import (
     KINDS,
     falling_block,
@@ -84,6 +85,35 @@ def test_ratio_product_negative_length(kind, desk_params):
             lhs = ratio_product_value(kind, n, i, desk_params)
             rhs = ratio_product_value(kind, n - i, -i, desk_params)
             assert lhs * rhs == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ratio_product_value_matches_closed_form(kind, monkeypatch):
+    """Scalar blocks against evaluating the closed form, at half-integer points.
+
+    With a = b the factor (n + b) / (n + a) of kinds 2 and 4 cancels, so their
+    blocks vanish together at points where the closed form has no pole: there
+    the value must come from the closed form.  Where the closed form keeps a
+    pole, both routes raise.
+    """
+    fallbacks = []
+    closed_form = ladder.ratio_product
+    monkeypatch.setattr(
+        ladder, "ratio_product", lambda *args: fallbacks.append(args) or closed_form(*args)
+    )
+    points = [Fraction(k, 2) for k in range(-12, 17)]
+    for p in (HahnParams(Fraction(1, 2), Fraction(1, 3), 8), HahnParams(Fraction(1, 2), Fraction(1, 2), 6)):
+        for length in range(-4, 7):
+            closed = closed_form(kind, length, p)
+            for base in points:
+                try:
+                    expected = closed(base)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        ratio_product_value(kind, base, length, p)
+                    continue
+                assert ratio_product_value(kind, base, length, p) == expected, (p, length, base)
+    assert fallbacks or kind in (1, 3)
 
 
 def test_blocks_are_shifted_pochhammers(desk_params):

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
     poly_det,
     rational_det,
     solve_linear_system,
 )
-from krallhahn.matrices import _bareiss_det, _cofactor_det
+from krallhahn.matrices import _PRIMES, _bareiss_det, _cofactor_det, _gauss_jordan
 from krallhahn.polynomials import Polynomial, RationalFunction
 
 X = Polynomial.variable()
@@ -139,3 +140,144 @@ def test_solve_overdetermined_consistent():
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
+
+
+# -- the certified modular route against the Gauss-Jordan reference ----------
+
+
+def _is_prime(n):
+    # Miller-Rabin with the first twelve primes as bases is exact below 3.3e24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % q == 0 for q in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_are_distinct_word_size_primes():
+    assert len(set(_PRIMES)) == len(_PRIMES)
+    assert all(p < 2**62 and _is_prime(p) for p in _PRIMES)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts Gauss-Jordan fallbacks and modular eliminations per solve."""
+    calls = {"gauss_jordan": 0, "echelon": 0}
+    echelon = matrices._echelon_mod
+
+    def gauss_jordan(rows, rhs):
+        calls["gauss_jordan"] += 1
+        return _gauss_jordan(rows, rhs)
+
+    def counted_echelon(aug, p):
+        calls["echelon"] += 1
+        return echelon(aug, p)
+
+    monkeypatch.setattr(matrices, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(matrices, "_echelon_mod", counted_echelon)
+    return calls
+
+
+def _system(matrix, x):
+    rhs = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in matrix]
+    return matrix, rhs
+
+
+def test_full_rank_consistent_is_solved_modularly(routes):
+    rng = random.Random(11)
+    x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(6)]
+    rows, rhs = _system([[rng.randint(-9, 9) for _ in range(6)] for _ in range(9)], x)
+    assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
+    assert routes["gauss_jordan"] == 0
+
+
+def test_b_as_pivot_certifies_inconsistency(routes, monkeypatch):
+    rows = [[1, 0], [0, 1], [1, 1]]
+    rhs = [1, 1, 3]
+    monkeypatch.setattr(
+        matrices, "_multimodular_solve", lambda *args: pytest.fail("solved, not certified")
+    )
+    assert solve_linear_system(rows, rhs) is None
+    assert _gauss_jordan(rows, rhs) is None
+    assert routes == {"gauss_jordan": 0, "echelon": 1}
+
+
+def test_inconsistency_hidden_mod_p_is_found_by_substitution(routes):
+    # b = (0, p) lies in the image of A mod p but not over the rationals
+    rows, rhs = [[1], [1]], [0, _PRIMES[0]]
+    assert solve_linear_system(rows, rhs) is None
+    assert _gauss_jordan(rows, rhs) is None
+    assert routes["gauss_jordan"] == 0
+
+
+def test_positive_nullity_goes_to_gauss_jordan(routes):
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    rhs = [6, 12, 2]
+    expected = _gauss_jordan(rows, rhs)
+    assert expected[1] == 1
+    assert solve_linear_system(rows, rhs) == expected
+    assert routes["gauss_jordan"] == 1
+
+
+def test_singular_mod_the_first_prime_goes_to_gauss_jordan(routes):
+    p = _PRIMES[0]
+    rows = [[p, 1], [2 * p, 3]]  # det = p, zero mod p
+    rhs = [1, 5]
+    expected = _gauss_jordan(rows, rhs)
+    assert expected == ([Fraction(-2, p), Fraction(3)], 0)
+    assert solve_linear_system(rows, rhs) == expected
+    assert routes["gauss_jordan"] == 1
+
+
+def test_solution_needing_several_primes(routes):
+    x = [Fraction(3**100, 7**40), Fraction(-(5**60), 11**30)]
+    rows, rhs = _system([[1, 2], [3, 5], [2, -7]], x)
+    assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
+    assert routes["gauss_jordan"] == 0
+    assert routes["echelon"] >= 5  # the first prime alone reconstructs 30 bits
+
+
+def test_prime_dividing_the_minor_is_skipped(routes):
+    rows, rhs = [[_PRIMES[1], 0], [0, 1]], [1, 1]
+    solved = solve_linear_system(rows, rhs)
+    assert solved == ([Fraction(1, _PRIMES[1]), Fraction(1)], 0)
+    assert routes["gauss_jordan"] == 0
+
+
+def test_solution_too_large_for_the_primes(routes):
+    x = [Fraction(3**500, 7**300), Fraction(1, 2)]
+    rows, rhs = _system([[1, 1], [1, -1]], x)
+    assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
+    assert routes["gauss_jordan"] == 1
+    assert routes["echelon"] == len(_PRIMES)  # the full system once, then each further prime
+
+
+def test_random_systems_match_gauss_jordan():
+    rng = random.Random(5)
+    for trial in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if trial % 4 == 0 and ncols > 1:  # a repeated column: nullity > 0
+            for row in rows:
+                row[-1] = row[0]
+        if trial % 2:
+            rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nrows)]
+        else:
+            x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)]
+            rhs = _system(rows, x)[1]
+        assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs), trial

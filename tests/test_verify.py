@@ -13,6 +13,7 @@ from krallhahn.config import (
     config_from_dict,
 )
 from krallhahn.diffops import DifferenceOperator
+from krallhahn.ladder import ratio_product
 from krallhahn.errors import ConfigInvalid
 from krallhahn.polynomials import Polynomial
 from krallhahn.sets import SetQuartet
@@ -161,6 +162,30 @@ def test_check_foeq_vacuous_without_rows():
     ok, witness = check_foeq(run.ctx, run.inner_measure)
     assert ok
     assert "vacuous" in witness["note"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        builtin_config("four-roots"),
+        config_from_dict(
+            {"a": "7/3", "b": "11/5", "N": 17, "F": [[], [], [], [1, 2]], "path": "corollary"}
+        ),
+    ],
+    ids=["four-roots", "F4=[1,2],N=17"],
+)
+def test_check_foeq_matches_closed_form_route(cfg, monkeypatch):
+    import krallhahn.verify as verify
+
+    run = build_run(cfg)
+    scalar = check_foeq(run.ctx, run.inner_measure)
+    assert scalar[0]
+    monkeypatch.setattr(
+        verify,
+        "ratio_product_value",
+        lambda kind, base, length, p: ratio_product(kind, length, p)(Fraction(base)),
+    )
+    assert check_foeq(run.ctx, run.inner_measure) == scalar
 
 
 def test_checks_subset_is_respected():
