@@ -12,10 +12,12 @@ invariant prefactor.  From those this module builds, all exactly:
 Every determinant here goes through the one exact routine
 :func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and
 its minors (the mixing polynomials) on polynomial entries, the minors of the
-bordered polynomials on ``Fraction`` entries.  Rational functions only appear
-in intermediate steps; every quantity the theory claims is polynomial is
-produced by exact division, so a failed cancellation surfaces as an error
-instead of an approximation.
+bordered polynomials on ``Fraction`` entries.  Every quantity the theory
+claims is polynomial is produced by exact division, so a failed cancellation
+surfaces as an error instead of an approximation.  Rational functions remain
+in one place, :func:`mixing_polynomial`, which sums its terms over Q(x); the
+cross-check of the cleared determinant, :func:`casorati_rational`, compares
+scalar determinants at points instead.
 
 The stages that several checks read, the Hahn base polynomials among them,
 are memoised per context in one bounded store owned by this module.  Contexts
@@ -44,11 +46,12 @@ from .ladder import (
     CLEARING_BLOCKS,
     falling_block,
     ladder_operator,
-    ratio_product,
+    ratio_product_value,
     rising_block,
+    series_ratio,
     series_shift,
 )
-from .matrices import poly_det, rational_det
+from .matrices import poly_det
 from .polynomials import Polynomial, RationalFunction, antidifference
 from .rationals import Rational, as_rational, format_rational, is_integer_at_most
 from .sets import SetQuartet, default_pads, transform_quartet
@@ -325,29 +328,50 @@ def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
     return casorati_cleared(ctx)(point) / denom
 
 
-@_stage
-def _ratio_products(ctx: ConstructionContext) -> dict[int, tuple[RationalFunction, ...]]:
-    """Per row kind, the closed-form ratio products of lengths 0..m."""
-    return {
-        kind: tuple(ratio_product(kind, length, ctx.params) for length in range(ctx.m + 1))
-        for kind in set(ctx.row_kinds)
-    }
+def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
+    """Raw (uncleared) determinant values at t = 0, 1, ..., the cross-check route.
 
+    Each entry is built from its definition: row r, column c is the product of
+    the row's series ratio at t - i for i = c..m-1, times the row polynomial
+    at theta(t - c).  No clearing block is used, so the route is independent
+    of the clearing algebra.  Points where a ratio has a pole are skipped.
 
-def casorati_rational(ctx: ConstructionContext) -> RationalFunction:
-    """The raw determinant over the rational-function field (cross-check route)."""
-    m, p = ctx.m, ctx.params
-    products = _ratio_products(ctx)
-    rows = []
-    for row in range(m):
-        kind = ctx.row_kinds[row]
-        entries = []
-        for col in range(1, m + 1):
-            xi = products[kind][m - col].shift_argument(-col)
-            value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
-            entries.append(xi * value)
-        rows.append(entries)
-    return rational_det(rows)
+    With den_r the reduced denominator of row r's ratio, D = prod_r prod_{i=1}^{m-1}
+    den_r(x - i) clears every row, and D * clearing_factor * R and
+    D * casorati_cleared are polynomials of degree at most B, computed below.
+    D is nonzero at every point kept, so agreement at the B + 1 points returned
+    proves clearing_factor * R = casorati_cleared: a nonzero polynomial of
+    degree B has at most B roots.
+    """
+    p, m = ctx.params, ctx.m
+    ratios = {kind: series_ratio(kind, p) for kind in set(ctx.row_kinds)}
+    raw_degree = denominator_degree = 0
+    for kind, u in zip(ctx.row_kinds, ctx.row_degrees):
+        dn, dd = ratios[kind].numer.degree, ratios[kind].denom.degree
+        raw_degree += max((m - c) * dn + (c - 1) * dd for c in range(1, m + 1)) + 2 * u
+        denominator_degree += (m - 1) * dd
+    bound = max(
+        clearing_factor(ctx).degree + raw_degree,
+        denominator_degree + casorati_cleared(ctx).degree,
+    )
+    values: dict[int, Fraction] = {}
+    t = 0
+    while len(values) <= bound:
+        rows = []
+        try:
+            for kind, poly in zip(ctx.row_kinds, ctx.row_polys):
+                running = Fraction(1)
+                entries = [poly(p.eigenvalue(t - m))]
+                for col in range(m - 1, 0, -1):
+                    running *= ratios[kind](t - col)
+                    entries.append(running * poly(p.eigenvalue(t - col)))
+                rows.append(entries[::-1])
+        except ZeroDivisionError:
+            pass  # a ratio has a pole at t - col: D(t) = 0
+        else:
+            values[t] = poly_det(rows) if rows else Fraction(1)
+        t += 1
+    return values
 
 
 # -- the constructed orthogonal polynomials ------------------------------------------
@@ -370,10 +394,9 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     p, m = ctx.params, ctx.m
-    products = _ratio_products(ctx)
     # column col: the ratio-product-weighted row values at degree n - col
     columns = [
-        [products[kind][m - col](n - col) * poly(p.eigenvalue(n - col))
+        [ratio_product_value(kind, n - col, m - col, p) * poly(p.eigenvalue(n - col))
          for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
         for col in range(m + 1)
     ]

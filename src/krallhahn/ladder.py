@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
-from .hahn import HahnParams, hahn_recurrence_functions
+from .hahn import HahnParams
 from .polynomials import Polynomial, RationalFunction, pochhammer
 from .rationals import Rational, as_rational
 
@@ -39,17 +39,6 @@ def series_ratio(kind: int, p: HahnParams) -> RationalFunction:
 def series_shift(p: HahnParams) -> Polynomial:
     """-(2n + a + b - 1), common to all four kinds, as a polynomial in n."""
     return Polynomial((-(p.a + p.b - 1), -2))
-
-
-def ratio_replacement(kind: int, p: HahnParams) -> RationalFunction:
-    """C(n) / ratio(n) with the common zero cancelled.
-
-    The recurrence coefficient C and the ratios of kinds 1 and 2 both vanish
-    at n = N + 1; the twisted recurrence still holds there with this
-    cancelled quotient in place of the raw division.
-    """
-    _, _, C = hahn_recurrence_functions(p)
-    return C / series_ratio(kind, p)
 
 
 def ladder_operator(kind: int, p: HahnParams) -> DifferenceOperator:
@@ -143,7 +132,8 @@ def ratio_product(kind: int, length: int, p: HahnParams) -> RationalFunction:
     if kind not in CLEARING_BLOCKS:
         raise ValueError(f"kind must be 1..4, got {kind}")
     if length < 0:
-        return ratio_product(kind, -length, p).shift_argument(-length).reciprocal()
+        forward = ratio_product(kind, -length, p).shift_argument(-length)
+        return RationalFunction(forward.denom, forward.numer)
     numer = denom = Polynomial.one()
     for which in CLEARING_BLOCKS[kind]:
         numer = numer * rising_block(which, length, 0, p)

@@ -4,8 +4,10 @@
 code runs on polynomial entries and on ``Fraction`` scalars, because it uses
 only ring operations and exact division.  Small matrices go through cofactor
 expansion, each minor computed once; anything larger uses the Bareiss
-fraction-free scheme (Bareiss, 1968), whose interior divisions are exact.  A separate cofactor routine over
-rational functions serves only the cross-check route.
+fraction-free scheme (Bareiss, 1968), whose interior divisions are exact.  No
+determinant here works over rational functions: the construction clears row
+denominators first, and its cross-check compares scalar determinants at
+points.
 
 :func:`solve_linear_system` backs the operator-existence probe.  Its verdicts
 rest on one of two things.  Either a minor that is nonzero modulo a word-size
@@ -25,7 +27,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial
 
 _COFACTOR_LIMIT = 5  # cofactor expansion up to this size, Bareiss beyond
 
@@ -106,31 +108,6 @@ def _bareiss_det(rows):
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def rational_det(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
-    """Cofactor determinant over the rational-function field.
-
-    Slower than :func:`poly_det`; kept for independent cross-checks of the
-    denominator-cleared computations.
-    """
-    if _square_size(rows) == 0:
-        return RationalFunction.one()
-    return _rf_cofactor([list(row) for row in rows])
-
-
-def _rf_cofactor(rows: list[list[RationalFunction]]) -> RationalFunction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = RationalFunction.zero()
-    for j, top in enumerate(rows[0]):
-        if top.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = top * _rf_cofactor(minor)
-        acc = acc - term if j % 2 else acc + term
-    return acc
 
 
 # The 12 largest primes below 2**62.  The first gives the rank profile.  Their

@@ -23,7 +23,7 @@ from typing import Sequence
 from .diffops import DifferenceOperator
 from .errors import InsufficientData
 from .matrices import solve_linear_system
-from .polynomials import Polynomial
+from .polynomials import Polynomial, taylor_shift
 from .rationals import Rational
 
 
@@ -31,15 +31,6 @@ def _cleared(q: Polynomial) -> list[int]:
     """Integer coefficients of D q, with D the lcm of q's denominators."""
     scale = lcm(*(c.denominator for c in q.coeffs))
     return [c.numerator * (scale // c.denominator) for c in q.coeffs]
-
-
-def _taylor_shift(coeffs: list[int], shift: int) -> list[int]:
-    """Coefficients of f(x + shift), for integer coefficients and shift."""
-    out = list(coeffs)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += shift * out[j + 1]
-    return out
 
 
 def _integer_rows(
@@ -61,7 +52,7 @@ def _integer_rows(
     for qn, lam in zip(qs, lambdas):
         cleared = _cleared(qn)
         lam = Fraction(lam)
-        shifted = [[lam.denominator * c for c in _taylor_shift(cleared, l)] for l in offsets]
+        shifted = [[lam.denominator * c for c in taylor_shift(cleared, l)] for l in offsets]
         for power in range(qn.degree + degree_cap + 1):
             row = [0] * (len(offsets) * width)
             for col, q_shift in enumerate(shifted):

@@ -9,7 +9,6 @@ point enters anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
@@ -187,11 +186,11 @@ class Polynomial:
         return acc
 
     def shift_argument(self, c: Scalar) -> "Polynomial":
-        """p(x + c) for a rational shift c."""
+        """p(x + c) for a rational shift c, by a Taylor shift."""
         c = _frac(c)
         if c == 0 or self.is_zero:
             return self
-        return self.compose(Polynomial((c, 1)))
+        return Polynomial(taylor_shift(self.coeffs, c))
 
     def reflect_argument(self) -> "Polynomial":
         """p(-x)."""
@@ -280,6 +279,19 @@ def _promote(value: "Polynomial | Scalar") -> Polynomial:
     return NotImplemented
 
 
+def taylor_shift(coeffs: Sequence, shift):
+    """Coefficients of f(x + shift), given f's coefficients constant term first.
+
+    Ring-generic: ``int`` coefficients and shift stay integers, ``Fraction``
+    ones stay rational.  Quadratic in the length, with no polynomial products.
+    """
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += shift * out[j + 1]
+    return out
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor (Euclid over the rationals)."""
     while not b.is_zero:
@@ -330,48 +342,6 @@ def antidifference(p: Polynomial) -> Polynomial:
         q = q + mono
         residual = residual - (mono - mono.shift_argument(-1))
     return q - Polynomial.constant(q(Fraction(-1)))
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of p, each listed once, in increasing order.
-
-    Rational-root-theorem search after clearing denominators; meant for the
-    low-degree polynomials this package produces, not for large coefficients.
-    """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every root")
-    roots = []
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return sorted(roots)
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for sign in (1, -1):
-                candidate = Fraction(sign * num, den)
-                if candidate not in roots and p(candidate) == 0:
-                    roots.append(candidate)
-    return sorted(roots)
 
 
 class RationalFunction:
@@ -439,15 +409,6 @@ class RationalFunction:
         object.__setattr__(out, "denom", self.denom)
         return out
 
-    def __sub__(self, other) -> "RationalFunction":
-        other = _promote_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return (-self) + other
-
     def __mul__(self, other) -> "RationalFunction":
         other = _promote_rf(other)
         if other is NotImplemented:
@@ -455,20 +416,6 @@ class RationalFunction:
         return RationalFunction(self.numer * other.numer, self.denom * other.denom)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _promote_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.numer * other.denom, self.denom * other.numer)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return _promote_rf(other) / self
-
-    def reciprocal(self) -> "RationalFunction":
-        return RationalFunction.one() / self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Polynomial)):

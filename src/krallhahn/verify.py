@@ -55,7 +55,6 @@ from .measures import (
     proportionality_constant,
 )
 from .oracle import operator_solution_space
-from .polynomials import RationalFunction, rational_roots
 from .rationals import format_rational
 from .sets import SetQuartet, corollary_halfwidth, default_pads, theorem_halfwidth
 
@@ -180,8 +179,9 @@ def _check_hypotheses(run: RunData) -> tuple[bool, dict]:
     inc = spectral_increment(ctx)
     lam = eigenvalue_polynomial(ctx)
     ok_lambda = lam(Fraction(-1)) == 0 and lam - lam.shift_argument(-1) == inc
-    dual_route = casorati_rational(ctx) == RationalFunction(
-        casorati_cleared(ctx), clearing_factor(ctx)
+    cleared, clearing = casorati_cleared(ctx), clearing_factor(ctx)
+    dual_route = all(
+        value * clearing(t) == cleared(t) for t, value in casorati_rational(ctx).items()
     )
     transport = reflect(inc, p.a + p.b - 1) == -inc.shift_argument(ctx.m)
     sigma_next = series_shift(p).shift_argument(1)
@@ -334,13 +334,15 @@ def check_foeq(
         return True, {"note": "no determinant rows; criteria are vacuous"}
     if n_top is None:
         n_top = p.N
+    # every root of a ratio is a root of one of its defining linear factors
+    candidates = [
+        r for r in (p.N + 1, -p.a, -p.b, -(p.a + p.b + p.N + 1))
+        if Fraction(r).denominator == 1 and r <= 0
+    ]
     for kind in sorted(set(ctx.row_kinds)):
         ratio = series_ratio(kind, p)
         bad = [
-            r
-            for poly in (ratio.numer, ratio.denom)
-            for r in rational_roots(poly)
-            if r.denominator == 1 and r <= 0
+            r for r in candidates for poly in (ratio.numer, ratio.denom) if poly(r) == 0
         ]
         if bad:
             return False, {

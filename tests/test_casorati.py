@@ -1,10 +1,12 @@
 """The determinantal construction engine."""
 
+from collections import OrderedDict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from krallhahn import casorati
+from krallhahn import casorati, verify
 from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
@@ -41,7 +43,13 @@ from krallhahn.hahn import (
     hahn_operator,
     hahn_polynomial,
 )
-from krallhahn.ladder import series_shift
+from krallhahn.ladder import (
+    CLEARING_BLOCKS,
+    falling_block,
+    ratio_product,
+    rising_block,
+    series_shift,
+)
 from krallhahn.matrices import poly_det
 from krallhahn.polynomials import Polynomial, RationalFunction
 from krallhahn.sets import SetQuartet
@@ -185,12 +193,148 @@ class TestSingleRootContext:
         assert krall_operator(single_root_ctx).genre == (-2, 2)
 
 
+# -- the rational-function reference routes ----------------------------------------
+
+
+def rational_det(rows):
+    """Cofactor determinant over Q(x), the reference for the pointwise route."""
+    if not rows:
+        return RationalFunction.one()
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = RationalFunction.zero()
+    for j, top in enumerate(rows[0]):
+        if not top.is_zero:
+            term = top * rational_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+            acc = acc + (-term if j % 2 else term)
+    return acc
+
+
+def closed_form_products(ctx):
+    """Per row kind, the closed-form ratio products of lengths 0..m."""
+    return {
+        kind: tuple(ratio_product(kind, length, ctx.params) for length in range(ctx.m + 1))
+        for kind in set(ctx.row_kinds)
+    }
+
+
+def rational_casorati(ctx):
+    """The raw determinant over Q(x), from the closed-form ratio products."""
+    m, p = ctx.m, ctx.params
+    products = closed_form_products(ctx)
+    return rational_det([
+        [
+            products[kind][m - col].shift_argument(-col)
+            * poly.compose(p.eigenvalue_poly(shift=-col))
+            for col in range(1, m + 1)
+        ]
+        for kind, poly in zip(ctx.row_kinds, ctx.row_polys)
+    ])
+
+
+def closed_form_krall_polynomial(ctx, n):
+    """The bordered polynomial with its columns from the closed-form products."""
+    p, m = ctx.params, ctx.m
+    products = closed_form_products(ctx)
+    columns = [
+        [products[kind][m - col](n - col) * poly(p.eigenvalue(n - col))
+         for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
+        for col in range(m + 1)
+    ]
+    acc = Polynomial.zero()
+    for k in range(min(m, n) + 1):
+        minor = poly_det([columns[c] for c in range(m + 1) if c != k])
+        acc = acc + minor * hahn_polynomial(n - k, p)
+    return acc
+
+
+def pointwise_dual_route(ctx):
+    """The hypotheses check's comparison, reading stages through the module."""
+    cleared, clearing = casorati.casorati_cleared(ctx), casorati.clearing_factor(ctx)
+    return all(
+        value * clearing(t) == cleared(t) for t, value in casorati_rational(ctx).items()
+    )
+
+
+def _template_config(F, path, a, b):
+    return config_from_dict({"a": a, "b": b, "N": 12, "F": F, "path": path})
+
+
+# the four builtin configs and one context per construct template (m = 3, 3, 3, 4)
+ROUTE_CONFIGS = {
+    **{name: builtin_config(name)
+       for name in ("single-root", "single-root-direct", "four-roots", "classical")},
+    "F4=3-corollary": _template_config([[], [], [], [3]], "corollary", "7/2", "5/3"),
+    "F123=1-theorem": _template_config([[1], [1], [1], []], "theorem", "5/4", "7/3"),
+    "F1=2-theorem": _template_config([[2], [], [], []], "theorem", "3/5", "9/2"),
+    "F1234=1-corollary": _template_config([[1], [1], [1], [1]], "corollary", "11/4", "2/3"),
+}
+
+
 class TestDeterminantRoutes:
-    def test_cleared_route_equals_rational_route(self, single_root_ctx, four_root_ctx):
-        for ctx in (single_root_ctx, four_root_ctx):
-            assert casorati_rational(ctx) == RationalFunction(
-                casorati_cleared(ctx), clearing_factor(ctx)
-            )
+    @pytest.mark.parametrize("name", ROUTE_CONFIGS)
+    def test_pointwise_route_matches_rational_route(self, name):
+        ctx = build_run(ROUTE_CONFIGS[name]).ctx
+        reference = rational_casorati(ctx)
+        values = casorati_rational(ctx)
+        assert all(value == reference(t) for t, value in values.items())
+        verdict = reference == RationalFunction(casorati_cleared(ctx), clearing_factor(ctx))
+        assert pointwise_dual_route(ctx) == verdict
+        assert verdict
+
+    def test_point_count_is_the_degree_bound(self, four_root_ctx):
+        """B + 1 points for the m = 4 context with one row of each kind, degree 1.
+
+        Reduced ratio degrees (numerator, denominator) are (1, 1), (2, 2),
+        (0, 0), (1, 1) for kinds 1..4.  With both equal to d, every entry of
+        row r times D_r has degree at most 3 d + 2 u = 3 d + 2, and these sum
+        to 3 * 4 + 8 = 20.  The clearing factor has degree 3 per clearing
+        block, 4 blocks: 12.  So B = max(12 + 20, 3 * 4 + deg C) with
+        deg C = 18, and B = 32.
+        """
+        ctx = four_root_ctx
+        assert ctx.row_kinds == (1, 2, 3, 4) and ctx.row_degrees == (1, 1, 1, 1)
+        assert clearing_factor(ctx).degree == 12
+        assert casorati_cleared(ctx).degree == 18
+        assert len(casorati_rational(ctx)) == max(12 + 20, 12 + 18) + 1
+
+    def test_poles_are_skipped(self):
+        # kind 4's ratio -(n + b)/(n + a) has its pole at n = 2 when a = -2;
+        # with m = 2 only column 1 reads a ratio, at t - 1, so t = 3 is skipped
+        ctx = context_from_degrees(HahnParams(-2, Fraction(1, 2), 1), ((), (), (), (0, 1)))
+        values = casorati_rational(ctx)
+        assert 3 not in values and 0 in values
+        assert pointwise_dual_route(ctx)
+
+    @pytest.mark.parametrize("corrupt", ["cleared_entry", "clearing_factor"])
+    def test_corrupted_clearing_block_fails(self, corrupt, monkeypatch):
+        """A falling block one step too long breaks the pointwise comparison."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(builtin_config("four-roots")).ctx
+        p, m = ctx.params, ctx.m
+        if corrupt == "cleared_entry":
+            def entry(ctx, row, col):
+                value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
+                for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
+                    value = value * rising_block(which, m - col, -col, p) * falling_block(
+                        which, col, -1, p
+                    )
+                return value
+
+            monkeypatch.setattr(casorati, "_cleared_entry", entry)
+        else:
+            def factor(ctx):
+                acc = Polynomial.one()
+                for kind in ctx.row_kinds:
+                    for which in CLEARING_BLOCKS[kind]:
+                        acc = acc * falling_block(which, m, -1, p)
+                return acc
+
+            monkeypatch.setattr(casorati, "clearing_factor", casorati._stage(factor))
+            monkeypatch.setattr(verify, "clearing_factor", casorati.clearing_factor)
+            report = verify.run_config(replace(builtin_config("four-roots"), checks=("hypotheses",)))
+            assert report.checks[0].witness["determinant_dual_route"] is False
+        assert not pointwise_dual_route(ctx)
 
     def test_core_times_normalizers_is_cleared(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):
@@ -278,7 +422,22 @@ class TestDifferenceIdentities:
             assert lhs == inc + inc.shift_argument(ctx.m)
 
 
+def test_reference_rational_det():
+    rows = [
+        [RationalFunction(1, X), RationalFunction(X, X + 1)],
+        [RationalFunction.one(), RationalFunction(X - 2)],
+    ]
+    expected = RationalFunction(X - 2, X) + RationalFunction(-X, X + 1)
+    assert rational_det(rows) == expected
+
+
 class TestBorderedFamily:
+    @pytest.mark.parametrize("name", ROUTE_CONFIGS)
+    def test_scalar_ratio_values_match_closed_form(self, name):
+        run = build_run(ROUTE_CONFIGS[name])
+        for n in range(run.n_max + 1):
+            assert krall_polynomial(run.ctx, n) == closed_form_krall_polynomial(run.ctx, n)
+
     def test_degree_and_leading(self, single_root_ctx):
         ctx = single_root_ctx
         for n in range(6):

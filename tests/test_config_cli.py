@@ -1,10 +1,16 @@
 """Config parsing and the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import krallhahn
 from krallhahn.cli import main
 from krallhahn.config import (
     BUILTIN_CONFIGS,
@@ -176,6 +182,19 @@ class TestCli:
         assert "second/fourth" in capsys.readouterr().err
         # probing the report path leaves no file behind
         assert not report_path.exists()
+
+    def test_large_parameter_numerator_finishes(self, tmp_path):
+        # a 75-bit numerator in a: the criteria precondition must not factor it
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(_variant(a="10000000000000000000001/3", N=4)))
+        env = dict(os.environ, PYTHONPATH=str(Path(krallhahn.__file__).parent.parent))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "krallhahn.cli", "verify", "--config", str(cfg_path)],
+            env=env, capture_output=True, timeout=30,
+        )
+        assert done.returncode in (0, 1, 2), done.stderr
+        assert time.perf_counter() - start < 5
 
     def test_demo(self, capsys):
         assert main(["demo", "--name", "classical"]) == 0

@@ -19,14 +19,27 @@ from krallhahn.hahn import (
     hahn_operator,
     hahn_polynomial,
     hahn_recurrence,
+    hahn_recurrence_functions,
     hahn_weight,
     transformed_hahn_weight,
     transformed_support,
 )
-from krallhahn.ladder import ratio_replacement, series_ratio
+from krallhahn.ladder import series_ratio
 from krallhahn.measures import gram_schmidt
-from krallhahn.polynomials import Polynomial, pochhammer
+from krallhahn.polynomials import Polynomial, RationalFunction, pochhammer
 from krallhahn.sets import SetQuartet
+
+
+def ratio_replacement(kind, p):
+    """C(n) / ratio(n) with the common zero cancelled.
+
+    The recurrence coefficient C and the ratios of kinds 1 and 2 both vanish
+    at n = N + 1; the twisted recurrence still holds there with this
+    cancelled quotient in place of the raw division.
+    """
+    _, _, C = hahn_recurrence_functions(p)
+    ratio = series_ratio(kind, p)
+    return RationalFunction(C.numer * ratio.denom, C.denom * ratio.numer)
 
 TRIPLES = [
     (Fraction(1, 2), Fraction(1, 3), 8),

@@ -9,11 +9,10 @@ from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
     poly_det,
-    rational_det,
     solve_linear_system,
 )
 from krallhahn.matrices import _PRIMES, _bareiss_det, _cofactor_det, _gauss_jordan
-from krallhahn.polynomials import Polynomial, RationalFunction
+from krallhahn.polynomials import Polynomial
 
 X = Polynomial.variable()
 
@@ -35,8 +34,6 @@ def test_matrix_shape_checks():
         poly_det([[1, 2], [3]])
     with pytest.raises(ValueError):
         poly_det([[X, 2], [3]])
-    with pytest.raises(ValueError):
-        rational_det([[RationalFunction.one()], [RationalFunction.one()]])
     with pytest.raises(ValueError):
         poly_det([[1, 2, 3], [4, 5, 6]])
     assert poly_det([]) == Polynomial.one()
@@ -100,15 +97,6 @@ def test_bareiss_agrees_with_cofactor():
         singular.append(list(singular[0]))  # duplicate row
         assert _cofactor_det(singular) == zero
         assert poly_det(singular) == zero
-
-
-def test_rational_det():
-    rows = [
-        [RationalFunction(1, X), RationalFunction(X, X + 1)],
-        [RationalFunction.one(), RationalFunction(X - 2)],
-    ]
-    expected = RationalFunction(X - 2, X) - RationalFunction(X, X + 1)
-    assert rational_det(rows) == expected
 
 
 def test_solve_unique():

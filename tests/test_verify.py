@@ -12,9 +12,11 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
+from krallhahn.casorati import context_from_degrees
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import ratio_product
 from krallhahn.errors import ConfigInvalid
+from krallhahn.hahn import HahnParams, hahn_weight
 from krallhahn.polynomials import Polynomial
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import (
@@ -162,6 +164,27 @@ def test_check_foeq_vacuous_without_rows():
     ok, witness = check_foeq(run.ctx, run.inner_measure)
     assert ok
     assert "vacuous" in witness["note"]
+
+
+@pytest.mark.parametrize(
+    "a, b, degree_sets, bad",
+    [
+        (1, Fraction(1, 3), ((), (), (), (1,)), [-1]),
+        (1, 1, ((), (), (), (1,)), None),  # a = b: the kind-4 ratio is -1
+        (Fraction(1, 2), 0, ((), (1,), (), ()), [0]),
+        (2, 2, ((), (1,), (), ()), [-11]),  # (n + 2) cancels, -(a+b+N+1) stays
+        (Fraction(1, 2), Fraction(1, 3), ((1,), (), (), ()), None),
+    ],
+)
+def test_check_foeq_ratio_precondition(a, b, degree_sets, bad):
+    """Nonpositive-integer zeros and poles of the reduced ratio fail the criteria."""
+    p = HahnParams(a, b, 6)
+    ctx = context_from_degrees(p, degree_sets, row_polys=(Polynomial((3, 1)),))
+    _, witness = check_foeq(ctx, hahn_weight(p))
+    if bad is None:
+        assert "precondition" not in witness
+    else:
+        assert witness["precondition"].endswith(f"nonpositive integer(s) {bad}")
 
 
 @pytest.mark.parametrize(
