@@ -15,7 +15,7 @@ from krallhahn.ladder import (
     series_ratio,
     series_shift,
 )
-from krallhahn.polynomials import Polynomial
+from krallhahn.polynomials import Polynomial, lowest_terms
 from krallhahn.rationals import format_rational
 
 
@@ -25,7 +25,8 @@ def main() -> None:
     print(f"shared shift sequence sigma(n) = {series_shift(p)}\n")
 
     for kind in (1, 2, 3, 4):
-        print(f"kind {kind}: ratio epsilon(n) = {series_ratio(kind, p)}")
+        numer, denom = series_ratio(kind, p)
+        print(f"kind {kind}: ratio epsilon(n) = ({numer}) / ({denom})")
         op = ladder_operator(kind, p)
         for offset in sorted(op.terms):
             print(f"  shift {offset:+d}: {op.terms[offset]}")
@@ -40,12 +41,12 @@ def main() -> None:
         print(f"  operator form == series form: {op.apply(hahn_polynomial(n, p)) == image}")
 
         # partial products of the ratio collapse to a ratio of Pochhammer blocks
-        closed = ratio_product(kind, 3, p)
-        direct = series_ratio(kind, p)
-        product = direct
+        product_numer, product_denom = numer, denom
         for i in (1, 2):
-            product = product * direct.shift_argument(-i)
-        print(f"  three-step product closed form agrees: {closed == product}\n")
+            product_numer = product_numer * numer.shift_argument(-i)
+            product_denom = product_denom * denom.shift_argument(-i)
+        product = lowest_terms(product_numer, product_denom)
+        print(f"  three-step product closed form agrees: {ratio_product(kind, 3, p) == product}\n")
 
 
 if __name__ == "__main__":

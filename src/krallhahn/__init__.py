@@ -51,7 +51,7 @@ from .hahn import (
 from .ladder import ladder_operator, series_coefficients
 from .measures import DiscreteMeasure, gram_schmidt
 from .oracle import operator_solution_space
-from .polynomials import Polynomial, RationalFunction, antidifference, pochhammer
+from .polynomials import Polynomial, antidifference, pochhammer
 from .rationals import Rational, as_rational, format_rational
 from .sets import SetQuartet, involution, padded_complement, transform_quartet
 from .verify import (
@@ -81,7 +81,6 @@ __all__ = [
     "ParameterSingularity",
     "Polynomial",
     "Rational",
-    "RationalFunction",
     "ResonantParameters",
     "SetQuartet",
     "VerificationReport",

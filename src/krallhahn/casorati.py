@@ -14,10 +14,10 @@ Every determinant here goes through the one exact routine
 its minors (the mixing polynomials) on polynomial entries, the minors of the
 bordered polynomials on ``Fraction`` entries.  Every quantity the theory
 claims is polynomial is produced by exact division, so a failed cancellation
-surfaces as an error instead of an approximation.  Rational functions remain
-in one place, :func:`mixing_polynomial`, which sums its terms over Q(x); the
-cross-check of the cleared determinant, :func:`casorati_rational`, compares
-scalar determinants at points instead.
+surfaces as an error instead of an approximation.  :func:`mixing_polynomial`
+sums its terms as reduced (numerator, denominator) pairs and requires the
+denominator to cancel; the cross-check of the cleared determinant,
+:func:`casorati_rational`, compares scalar determinants at points.
 
 The stages that several checks read, the Hahn base polynomials among them,
 are memoised per context in one bounded store owned by this module.  Contexts
@@ -36,6 +36,7 @@ from math import comb
 
 from .diffops import DifferenceOperator, operator_polynomial
 from .errors import (
+    NonExactDivision,
     NotThetaRepresentable,
     ParameterSingularity,
     ResonantParameters,
@@ -52,7 +53,7 @@ from .ladder import (
     series_shift,
 )
 from .matrices import poly_det
-from .polynomials import Polynomial, RationalFunction, antidifference
+from .polynomials import Polynomial, antidifference, lowest_terms
 from .rationals import Rational, as_rational, format_rational, is_integer_at_most
 from .sets import SetQuartet, default_pads, transform_quartet
 
@@ -347,7 +348,7 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     ratios = {kind: series_ratio(kind, p) for kind in set(ctx.row_kinds)}
     raw_degree = denominator_degree = 0
     for kind, u in zip(ctx.row_kinds, ctx.row_degrees):
-        dn, dd = ratios[kind].numer.degree, ratios[kind].denom.degree
+        dn, dd = (part.degree for part in ratios[kind])
         raw_degree += max((m - c) * dn + (c - 1) * dd for c in range(1, m + 1)) + 2 * u
         denominator_degree += (m - 1) * dd
     bound = max(
@@ -360,10 +361,11 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
         rows = []
         try:
             for kind, poly in zip(ctx.row_kinds, ctx.row_polys):
+                numer, denom = ratios[kind]
                 running = Fraction(1)
                 entries = [poly(p.eigenvalue(t - m))]
                 for col in range(m - 1, 0, -1):
-                    running *= ratios[kind](t - col)
+                    running *= numer(t - col) / denom(t - col)
                     entries.append(running * poly(p.eigenvalue(t - col)))
                 rows.append(entries[::-1])
         except ZeroDivisionError:
@@ -503,15 +505,16 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
     Assembled from the minors of the cached cleared matrix, each evaluated at
-    x + j by shifting the minor once (det A(x + j) = (det A)(x + j)); the
-    final sum over column positions must collapse to a polynomial, which is
-    one of the structural hypotheses of the construction.
+    x + j by shifting the minor once (det A(x + j) = (det A)(x + j)).  The
+    terms are summed as reduced (numerator, denominator) pairs, and the sum
+    must collapse to a polynomial, which is one of the structural hypotheses
+    of the construction; a denominator left over raises NonExactDivision.
     """
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
     half = Fraction(-(m - 1), 2)
     divisor_base = normalizer(ctx)
-    acc = RationalFunction.zero()
+    acc_numer, acc_denom = Polynomial.zero(), Polynomial.one()
     rows_kept = [entries for r, entries in enumerate(cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
         minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
@@ -521,9 +524,17 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
             * _mixing_prefactor(ctx, row, j)
             * minor.shift_argument(j)
         )
-        term = RationalFunction(numer, divisor_base.shift_argument(j))
-        acc = acc + (term if (row + 1 + j) % 2 == 0 else -term)
-    return acc.as_polynomial()
+        numer, denom = lowest_terms(numer, divisor_base.shift_argument(j))
+        if (row + 1 + j) % 2:
+            numer = -numer
+        acc_numer, acc_denom = lowest_terms(
+            acc_numer * denom + numer * acc_denom, acc_denom * denom
+        )
+    if acc_denom.degree > 0:
+        raise NonExactDivision(
+            f"denominator of degree {acc_denom.degree} does not cancel", remainder=acc_denom
+        )
+    return acc_numer
 
 
 def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ConfigInvalid
 from .rationals import as_rational, format_rational
-from .sets import SetQuartet
+from .sets import SetQuartet, default_pads
 
 CHECK_NAMES = (
     "omega-nonvanishing",
@@ -141,10 +141,7 @@ def config_from_dict(data: dict, name: str = "") -> ConstructionConfig:
     if n_max is not None and (not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0):
         raise ConfigInvalid(f"field 'n_max' must be a nonnegative integer, got {n_max!r}")
     if path == "corollary" and pads is not None:
-        derived = tuple(
-            min(fset) if fset else 1
-            for fset in (quartet.first, quartet.second, quartet.third)
-        )
+        derived = default_pads(quartet)
         if pads != derived:
             raise ConfigInvalid(
                 f"field 'h' is determined by F on the corollary path "

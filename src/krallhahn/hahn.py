@@ -15,10 +15,10 @@ from math import factorial
 
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
-from .measures import DiscreteMeasure
-from .polynomials import Polynomial, RationalFunction, pochhammer
+from .measures import DiscreteMeasure, christoffel
+from .polynomials import Polynomial, lowest_terms, pochhammer
 from .rationals import Rational, as_rational, format_rational
-from .sets import SetQuartet, set_max
+from .sets import SetQuartet, default_pads, set_max
 
 
 @dataclass(frozen=True)
@@ -113,31 +113,30 @@ def hahn_operator(p: HahnParams) -> DifferenceOperator:
     return DifferenceOperator({-1: down, 0: -(up + down), 1: up})
 
 
-def hahn_recurrence_functions(
-    p: HahnParams,
-) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
+def hahn_recurrence_functions(p: HahnParams) -> tuple[tuple[Polynomial, Polynomial], ...]:
     """The three-term recurrence coefficients as rational functions of the degree.
 
-    Convention: x h_n = A(n+1) h_{n+1} + B(n) h_n + C(n) h_{n-1}.
+    Each is a reduced (numerator, denominator) pair.  Convention:
+    x h_n = A(n+1) h_{n+1} + B(n) h_n + C(n) h_{n-1}.
     """
     a, b, N = p.a, p.b, p.N
     n = Polynomial.variable()
     s = a + b
-    A = RationalFunction(-(n * (n + a) * (n + s + N + 1)), (2 * n + s - 1) * (2 * n + s))
-    B = RationalFunction(
+    A = lowest_terms(-(n * (n + a) * (n + s + N + 1)), (2 * n + s - 1) * (2 * n + s))
+    B = lowest_terms(
         Polynomial.constant(N * (a + 1) * s) + n * (2 * N + b - a) * (n + s + 1),
         (2 * n + s) * (2 * n + s + 2),
     )
-    C = RationalFunction(
-        -((n + s) * (n + b) * (N - n + 1)), (2 * n + s) * (2 * n + s + 1)
-    )
+    C = lowest_terms(-((n + s) * (n + b) * (N - n + 1)), (2 * n + s) * (2 * n + s + 1))
     return A, B, C
 
 
 def hahn_recurrence(n: int, p: HahnParams) -> tuple[Fraction, Fraction, Fraction]:
     """(A(n), B(n), C(n)) evaluated at integer degree n."""
     try:
-        return tuple(f(n) for f in hahn_recurrence_functions(p))  # type: ignore[return-value]
+        return tuple(  # type: ignore[return-value]
+            numer(n) / denom(n) for numer, denom in hahn_recurrence_functions(p)
+        )
     except ZeroDivisionError as exc:
         raise ParameterSingularity(
             f"recurrence coefficient undefined at n = {n} for a+b = "
@@ -262,8 +261,7 @@ def factored_hahn_weight(p: HahnParams, quartet: SetQuartet) -> DiscreteMeasure:
         factor = factor * (p.N - f - x)
     for f in quartet.fourth:
         factor = factor * (x - f)
-    base = hahn_weight(p)
-    return DiscreteMeasure({pt: m * factor(pt) for pt, m in base.atoms.items()})
+    return christoffel(hahn_weight(p), factor)
 
 
 def transformed_parameters(
@@ -301,7 +299,7 @@ def transformed_hahn_weight(
         factor = factor * (p.N + f - x)
     for f in quartet.fourth:
         factor = factor * (x + f4m + 1 - f)
-    return DiscreteMeasure({pt: m * factor(pt) for pt, m in base.atoms.items()})
+    return christoffel(base, factor)
 
 
 def transformed_support(p: HahnParams, quartet: SetQuartet, pads: tuple[int, int, int]) -> list[Fraction]:
@@ -363,8 +361,4 @@ def corollary_reduction(p: HahnParams, quartet: SetQuartet) -> CorollaryReductio
         p.b + f1m + f3m + 2,
         p.N - f3m - f4m - 2,
     )
-    pads = tuple(
-        min(fset) if fset else 1
-        for fset in (quartet.first, quartet.second, quartet.third)
-    )
-    return CorollaryReduction(inner, quartet.reversal(), pads, f4m + 1)
+    return CorollaryReduction(inner, quartet.reversal(), default_pads(quartet), f4m + 1)

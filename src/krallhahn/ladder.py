@@ -1,11 +1,12 @@
 """The four first-order ladder operators attached to the Hahn family.
 
-Each kind is defined by a ratio sequence (a rational function of the degree)
-and the common shift sequence -(2n + a + b - 1); the operator acts on the
-basis by a triangular series whose coefficients are products of consecutive
-ratios.  Partial products of the ratios have Pochhammer closed forms whose
-numerator and denominator blocks are the clearing factors used everywhere in
-the determinant machinery.
+Each kind is defined by a ratio sequence (a rational function of the degree,
+kept as a reduced (numerator, denominator) pair) and the common shift
+sequence -(2n + a + b - 1); the operator acts on the basis by a triangular
+series whose coefficients are products of consecutive ratios.  Partial
+products of the ratios have Pochhammer closed forms whose numerator and
+denominator blocks are the clearing factors used everywhere in the
+determinant machinery.
 """
 
 from __future__ import annotations
@@ -15,24 +16,24 @@ from fractions import Fraction
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
 from .hahn import HahnParams
-from .polynomials import Polynomial, RationalFunction, pochhammer
+from .polynomials import Polynomial, lowest_terms, pochhammer
 from .rationals import Rational, as_rational
 
 KINDS = (1, 2, 3, 4)
 
 
-def series_ratio(kind: int, p: HahnParams) -> RationalFunction:
-    """The ratio sequence of one ladder kind, as a rational function of n."""
+def series_ratio(kind: int, p: HahnParams) -> tuple[Polynomial, Polynomial]:
+    """The ratio sequence of one ladder kind: (numerator, denominator) in n."""
     n = Polynomial.variable()
     a, b, N = p.a, p.b, p.N
     if kind == 1:
-        return RationalFunction(-(n - N - 1), n + a + b + N + 1)
+        return lowest_terms(-(n - N - 1), n + a + b + N + 1)
     if kind == 2:
-        return RationalFunction((n - N - 1) * (n + b), (n + a) * (n + a + b + N + 1))
+        return lowest_terms((n - N - 1) * (n + b), (n + a) * (n + a + b + N + 1))
     if kind == 3:
-        return RationalFunction.one()
+        return Polynomial.one(), Polynomial.one()
     if kind == 4:
-        return RationalFunction(-(n + b), n + a)
+        return lowest_terms(-(n + b), n + a)
     raise ValueError(f"kind must be 1..4, got {kind}")
 
 
@@ -63,13 +64,13 @@ def series_coefficients(kind: int, n: int, p: HahnParams) -> list[Fraction]:
     The image of h_n under the ladder operator is
     -shift(n+1)/2 * h_n  +  sum_j (-1)^{j+1} shift(n-j+1) ratio(n)...ratio(n-j+1) h_{n-j}.
     """
-    ratio = series_ratio(kind, p)
+    numer, denom = series_ratio(kind, p)
     shift = series_shift(p)
     out = [-shift(n + 1) / 2]
     running = Fraction(1)
     for j in range(1, n + 1):
         try:
-            running *= ratio(n - j + 1)
+            running *= numer(n - j + 1) / denom(n - j + 1)
         except ZeroDivisionError as exc:
             raise ParameterSingularity(
                 f"ladder ratio of kind {kind} has a pole at degree {n - j + 1}"
@@ -123,22 +124,22 @@ def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams)
     return -block if length % 2 else block
 
 
-def ratio_product(kind: int, length: int, p: HahnParams) -> RationalFunction:
+def ratio_product(kind: int, length: int, p: HahnParams) -> tuple[Polynomial, Polynomial]:
     """Product ratio(x) ratio(x-1) ... ratio(x-length+1) in closed form.
 
-    length 0 gives 1; negative length gives the reciprocal of the product
-    based at x - length.
+    Returned as a reduced (numerator, denominator) pair.  length 0 gives 1;
+    negative length gives the reciprocal of the product based at x - length.
     """
     if kind not in CLEARING_BLOCKS:
         raise ValueError(f"kind must be 1..4, got {kind}")
     if length < 0:
-        forward = ratio_product(kind, -length, p).shift_argument(-length)
-        return RationalFunction(forward.denom, forward.numer)
+        numer, denom = ratio_product(kind, -length, p)
+        return lowest_terms(denom.shift_argument(-length), numer.shift_argument(-length))
     numer = denom = Polynomial.one()
     for which in CLEARING_BLOCKS[kind]:
         numer = numer * rising_block(which, length, 0, p)
         denom = denom * falling_block(which, length, 0, p)
-    return RationalFunction(numer, denom)
+    return lowest_terms(numer, denom)
 
 
 def ratio_product_value(kind: int, base: Rational | int, length: int, p: HahnParams) -> Fraction:
@@ -163,4 +164,5 @@ def ratio_product_value(kind: int, base: Rational | int, length: int, p: HahnPar
         numer, denom = denom, numer
     if denom:
         return numer / denom
-    return ratio_product(kind, length, p)(base)
+    numer, denom = ratio_product(kind, length, p)
+    return numer(base) / denom(base)

@@ -146,7 +146,7 @@ def solve_linear_system(
     if len(rows) != len(rhs):
         raise ValueError("rhs length does not match row count")
     ncols = len(rows[0]) if rows else 0
-    aug = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    aug = [clear_denominators([*row, b]) for row, b in zip(rows, rhs)]
     pivots = _echelon_mod(aug, _PRIMES[0])
     if not _full_column_rank(pivots, ncols):
         return _gauss_jordan(rows, rhs)
@@ -164,8 +164,8 @@ def solve_linear_system(
     return [Fraction(v, denominator) for v in numerators], 0
 
 
-def _integer_row(values: list) -> list[int]:
-    """The row scaled by the lcm of its denominators, as Python ints."""
+def clear_denominators(values: Sequence) -> list[int]:
+    """The values scaled by the lcm of their denominators, as Python ints."""
     if all(type(v) is int for v in values):
         return values
     fractions = [Fraction(v) for v in values]

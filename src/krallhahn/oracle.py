@@ -17,20 +17,14 @@ Gauss-Jordan elimination where that cannot decide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .diffops import DifferenceOperator
 from .errors import InsufficientData
-from .matrices import solve_linear_system
+from .matrices import clear_denominators, solve_linear_system
 from .polynomials import Polynomial, taylor_shift
 from .rationals import Rational
-
-
-def _cleared(q: Polynomial) -> list[int]:
-    """Integer coefficients of D q, with D the lcm of q's denominators."""
-    scale = lcm(*(c.denominator for c in q.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in q.coeffs]
 
 
 def _integer_rows(
@@ -50,7 +44,7 @@ def _integer_rows(
     rows: list[list[int]] = []
     rhs: list[int] = []
     for qn, lam in zip(qs, lambdas):
-        cleared = _cleared(qn)
+        cleared = clear_denominators(qn.coeffs)
         lam = Fraction(lam)
         shifted = [[lam.denominator * c for c in taylor_shift(cleared, l)] for l in offsets]
         for power in range(qn.degree + degree_cap + 1):

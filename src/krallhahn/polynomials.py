@@ -1,9 +1,11 @@
-"""Dense univariate polynomials and rational functions over the rationals.
+"""Dense univariate polynomials over the rationals.
 
 A :class:`Polynomial` is an immutable tuple of ``Fraction`` coefficients in
 increasing degree order with no trailing zeros; the zero polynomial is the
 empty tuple and reports degree ``-1``.  All arithmetic is exact.  No floating
-point enters anywhere.
+point enters anywhere.  The few rational functions the construction needs
+(ladder ratios, recurrence coefficients, the mixing sums) are plain
+(numerator, denominator) pairs reduced by :func:`lowest_terms`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
-from .rationals import Rational, as_rational, format_rational
+from .rationals import as_rational, format_rational
 
 Scalar = Union[int, Fraction]
 
@@ -299,6 +301,27 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
+def lowest_terms(numer: Polynomial, denom: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """The quotient numer / denom as a coprime pair with monic denominator.
+
+    A zero numerator gives (0, 1).  The value at a point t is
+    numer(t) / denom(t); the parts are coprime, so a zero of the denominator
+    is a genuine pole and that division raises ``ZeroDivisionError``.
+    """
+    if denom.is_zero:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if numer.is_zero:
+        return _ZERO, _ONE
+    g = poly_gcd(numer, denom)
+    if g.degree > 0:
+        numer = numer.divide_exact(g)
+        denom = denom.divide_exact(g)
+    lead = denom.leading_coefficient
+    if lead != 1:
+        numer, denom = numer / lead, denom / lead
+    return numer, denom
+
+
 def pochhammer(base, length: int):
     """Rising factorial base*(base+1)*...*(base+length-1).
 
@@ -342,115 +365,3 @@ def antidifference(p: Polynomial) -> Polynomial:
         q = q + mono
         residual = residual - (mono - mono.shift_argument(-1))
     return q - Polynomial.constant(q(Fraction(-1)))
-
-
-class RationalFunction:
-    """Quotient of two polynomials, kept in lowest terms with monic denominator."""
-
-    __slots__ = ("numer", "denom")
-
-    def __init__(self, numer: Polynomial | Scalar, denom: Polynomial | Scalar = 1) -> None:
-        numer = _promote(numer)
-        denom = _promote(denom)
-        if denom.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if numer.is_zero:
-            numer, denom = Polynomial.zero(), Polynomial.one()
-        else:
-            g = poly_gcd(numer, denom)
-            if g.degree > 0:
-                numer = numer.divide_exact(g)
-                denom = denom.divide_exact(g)
-            lead = denom.leading_coefficient
-            if lead != 1:
-                numer = numer / lead
-                denom = denom / lead
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Polynomial.one())
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Polynomial.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numer.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.denom.degree == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial:
-            raise NonExactDivision(
-                f"denominator of degree {self.denom.degree} does not cancel",
-                remainder=self.denom,
-            )
-        return self.numer  # denominator is monic of degree 0, hence 1
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _promote_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.numer * other.denom + other.numer * self.denom,
-            self.denom * other.denom,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        object.__setattr__(out, "numer", -self.numer)
-        object.__setattr__(out, "denom", self.denom)
-        return out
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _promote_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.numer * other.numer, self.denom * other.denom)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.numer == other.numer and self.denom == other.denom
-
-    def __hash__(self) -> int:
-        return hash((self.numer, self.denom))
-
-    def __call__(self, point: Scalar) -> Fraction:
-        """Exact evaluation; raises ZeroDivisionError at a pole."""
-        x = _frac(point)
-        den = self.denom(x)
-        if den == 0:
-            # numerator and denominator are coprime, so this is a genuine pole
-            raise ZeroDivisionError(f"pole at {format_rational(x)}")
-        return self.numer(x) / den
-
-    def shift_argument(self, c: Scalar) -> "RationalFunction":
-        return RationalFunction(self.numer.shift_argument(c), self.denom.shift_argument(c))
-
-    def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self.numer)
-        return f"({self.numer}) / ({self.denom})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self})"
-
-
-def _promote_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (int, Fraction, Polynomial)):
-        return RationalFunction(value)
-    return NotImplemented

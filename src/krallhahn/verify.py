@@ -340,10 +340,7 @@ def check_foeq(
         if Fraction(r).denominator == 1 and r <= 0
     ]
     for kind in sorted(set(ctx.row_kinds)):
-        ratio = series_ratio(kind, p)
-        bad = [
-            r for r in candidates for poly in (ratio.numer, ratio.denom) if poly(r) == 0
-        ]
+        bad = [r for r in candidates for poly in series_ratio(kind, p) if poly(r) == 0]
         if bad:
             return False, {
                 "precondition": f"ratio sequence of kind {kind} vanishes or blows "

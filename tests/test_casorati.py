@@ -33,6 +33,7 @@ from krallhahn.casorati import (
 from krallhahn.config import builtin_config, config_from_dict
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.errors import (
+    NonExactDivision,
     NotThetaRepresentable,
     ParameterSingularity,
     ResonantParameters,
@@ -51,7 +52,7 @@ from krallhahn.ladder import (
     series_shift,
 )
 from krallhahn.matrices import poly_det
-from krallhahn.polynomials import Polynomial, RationalFunction
+from krallhahn.polynomials import Polynomial, lowest_terms
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
 
@@ -194,19 +195,48 @@ class TestSingleRootContext:
 
 
 # -- the rational-function reference routes ----------------------------------------
+# Elements of Q(x) are reduced (numerator, denominator) pairs.
+
+ONE = (Polynomial.one(), Polynomial.one())
+ZERO = (Polynomial.zero(), Polynomial.one())
+
+
+def mul(f, g):
+    return lowest_terms(f[0] * g[0], f[1] * g[1])
+
+
+def add(f, g):
+    return lowest_terms(f[0] * g[1] + g[0] * f[1], f[1] * g[1])
+
+
+def neg(f):
+    return -f[0], f[1]
+
+
+def shifted(f, c):
+    return f[0].shift_argument(c), f[1].shift_argument(c)
+
+
+def value(f, t):
+    return f[0](t) / f[1](t)
+
+
+def as_polynomial(f):
+    assert f[1] == 1, f"denominator of degree {f[1].degree} does not cancel"
+    return f[0]
 
 
 def rational_det(rows):
     """Cofactor determinant over Q(x), the reference for the pointwise route."""
     if not rows:
-        return RationalFunction.one()
+        return ONE
     if len(rows) == 1:
         return rows[0][0]
-    acc = RationalFunction.zero()
+    acc = ZERO
     for j, top in enumerate(rows[0]):
-        if not top.is_zero:
-            term = top * rational_det([row[:j] + row[j + 1 :] for row in rows[1:]])
-            acc = acc + (-term if j % 2 else term)
+        if not top[0].is_zero:
+            term = mul(top, rational_det([row[:j] + row[j + 1 :] for row in rows[1:]]))
+            acc = add(acc, neg(term) if j % 2 else term)
     return acc
 
 
@@ -224,8 +254,10 @@ def rational_casorati(ctx):
     products = closed_form_products(ctx)
     return rational_det([
         [
-            products[kind][m - col].shift_argument(-col)
-            * poly.compose(p.eigenvalue_poly(shift=-col))
+            mul(
+                shifted(products[kind][m - col], -col),
+                (poly.compose(p.eigenvalue_poly(shift=-col)), Polynomial.one()),
+            )
             for col in range(1, m + 1)
         ]
         for kind, poly in zip(ctx.row_kinds, ctx.row_polys)
@@ -237,7 +269,7 @@ def closed_form_krall_polynomial(ctx, n):
     p, m = ctx.params, ctx.m
     products = closed_form_products(ctx)
     columns = [
-        [products[kind][m - col](n - col) * poly(p.eigenvalue(n - col))
+        [value(products[kind][m - col], n - col) * poly(p.eigenvalue(n - col))
          for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
         for col in range(m + 1)
     ]
@@ -277,8 +309,8 @@ class TestDeterminantRoutes:
         ctx = build_run(ROUTE_CONFIGS[name]).ctx
         reference = rational_casorati(ctx)
         values = casorati_rational(ctx)
-        assert all(value == reference(t) for t, value in values.items())
-        verdict = reference == RationalFunction(casorati_cleared(ctx), clearing_factor(ctx))
+        assert all(v == value(reference, t) for t, v in values.items())
+        verdict = reference == lowest_terms(casorati_cleared(ctx), clearing_factor(ctx))
         assert pointwise_dual_route(ctx) == verdict
         assert verdict
 
@@ -386,7 +418,7 @@ class TestDifferenceIdentities:
             sigma = series_shift(p)
             half = Fraction(-(m - 1), 2)
             divisor_base = normalizer(ctx)
-            acc = RationalFunction.zero()
+            acc = ZERO
             rows_kept = [r for r in range(m) if r != row]
             for j in range(1, m + 1):
                 minor = poly_det([
@@ -400,9 +432,9 @@ class TestDifferenceIdentities:
                     * casorati._mixing_prefactor(ctx, row, j)
                     * minor
                 )
-                term = RationalFunction(numer, divisor_base.shift_argument(j))
-                acc = acc + (term if (row + 1 + j) % 2 == 0 else -term)
-            return acc.as_polynomial()
+                term = lowest_terms(numer, divisor_base.shift_argument(j))
+                acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
+            return as_polynomial(acc)
 
         theorem_m3 = config_from_dict({
             "a": "1/2", "b": "1/3", "N": 12, "F": [[1], [1], [1], []], "path": "theorem",
@@ -412,6 +444,26 @@ class TestDifferenceIdentities:
         for ctx in contexts:
             for row in range(ctx.m):
                 assert mixing_polynomial(ctx, row) == reference(ctx, row)
+
+    def test_uncancelled_mixing_denominator_raises(self, monkeypatch):
+        """One mixing term times (x + 1/3) leaves a denominator the sum cannot cancel."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        cfg = replace(builtin_config("four-roots"), checks=("hypotheses",))
+        ctx = build_run(cfg).ctx
+        prefactor = casorati._mixing_prefactor
+
+        def skewed(ctx, row, j):
+            factor = prefactor(ctx, row, j)
+            return factor * (X + Fraction(1, 3)) if j == 1 else factor
+
+        monkeypatch.setattr(casorati, "_mixing_prefactor", skewed)
+        message = "denominator of degree 2 does not cancel"
+        with pytest.raises(NonExactDivision, match=message) as err:
+            mixing_polynomial(ctx, 0)
+        assert err.value.remainder.degree > 0
+        check = verify.run_config(cfg).checks[0]
+        assert not check.passed
+        assert check.witness["error"] == f"NonExactDivision: {err.value}"
 
     def test_spectral_difference(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):
@@ -423,12 +475,14 @@ class TestDifferenceIdentities:
 
 
 def test_reference_rational_det():
+    one = Polynomial.one()
     rows = [
-        [RationalFunction(1, X), RationalFunction(X, X + 1)],
-        [RationalFunction.one(), RationalFunction(X - 2)],
+        [lowest_terms(one, X), lowest_terms(X, X + 1)],
+        [ONE, (X - 2, one)],
     ]
-    expected = RationalFunction(X - 2, X) + RationalFunction(-X, X + 1)
-    assert rational_det(rows) == expected
+    # (x - 2)/x - x/(x + 1) = (-x - 2) / (x^2 + x)
+    assert rational_det(rows) == (-X - 2, X * X + X)
+    assert rational_det(rows) == add(lowest_terms(X - 2, X), lowest_terms(-X, X + 1))
 
 
 class TestBorderedFamily:

@@ -26,7 +26,7 @@ from krallhahn.hahn import (
 )
 from krallhahn.ladder import series_ratio
 from krallhahn.measures import gram_schmidt
-from krallhahn.polynomials import Polynomial, RationalFunction, pochhammer
+from krallhahn.polynomials import Polynomial, lowest_terms, pochhammer
 from krallhahn.sets import SetQuartet
 
 
@@ -37,9 +37,9 @@ def ratio_replacement(kind, p):
     at n = N + 1; the twisted recurrence still holds there with this
     cancelled quotient in place of the raw division.
     """
-    _, _, C = hahn_recurrence_functions(p)
-    ratio = series_ratio(kind, p)
-    return RationalFunction(C.numer * ratio.denom, C.denom * ratio.numer)
+    _, _, (c_numer, c_denom) = hahn_recurrence_functions(p)
+    numer, denom = series_ratio(kind, p)
+    return lowest_terms(c_numer * denom, c_denom * numer)
 
 TRIPLES = [
     (Fraction(1, 2), Fraction(1, 3), 8),
@@ -209,16 +209,17 @@ class TestCompanions:
         p = desk_params
         for kind in (1, 2, 3, 4):
             slope, intercept = companion_eigencoefficients(kind, p)
-            ratio = series_ratio(kind, p)
-            repl = ratio_replacement(kind, p)
+            numer, denom = series_ratio(kind, p)
+            repl_numer, repl_denom = ratio_replacement(kind, p)
             for j in range(4):
                 z = companion_polynomial(kind, j, p)
                 eig = slope * j + intercept
                 for n in range(1, 9):
                     lhs = (
-                        ratio(n + 1) * hahn_recurrence(n + 1, p)[0] * z(p.eigenvalue(n + 1))
+                        numer(n + 1) / denom(n + 1)
+                        * hahn_recurrence(n + 1, p)[0] * z(p.eigenvalue(n + 1))
                         - hahn_recurrence(n, p)[1] * z(p.eigenvalue(n))
-                        + repl(n) * z(p.eigenvalue(n - 1))
+                        + repl_numer(n) / repl_denom(n) * z(p.eigenvalue(n - 1))
                     )
                     assert lhs == eig * z(p.eigenvalue(n)), (kind, j, n)
 

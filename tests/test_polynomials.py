@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic."""
+"""Exact polynomial arithmetic and rational functions in lowest terms."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,9 @@ import pytest
 from krallhahn.errors import NonExactDivision
 from krallhahn.polynomials import (
     Polynomial,
-    RationalFunction,
     antidifference,
     falling_factorial,
+    lowest_terms,
     pochhammer,
     poly_gcd,
     taylor_shift,
@@ -145,29 +145,43 @@ def test_serialisation_round_trip():
 
 
 class TestRationalFunction:
-    def test_normalisation(self):
-        f = RationalFunction(2 * X + 2, 4 * X + 4)
-        assert f == RationalFunction(Polynomial.constant(Fraction(1, 2)))
-        assert f.is_polynomial
-        assert f.as_polynomial() == Polynomial.constant(Fraction(1, 2))
+    """Rational functions as (numerator, denominator) pairs made by lowest_terms."""
 
-    def test_field_arithmetic(self):
-        f = RationalFunction(X, X + 1)
-        g = RationalFunction(1, X)
-        assert f * g == RationalFunction(1, X + 1)
-        assert (f + g)(2) == f(2) + g(2)
-        assert (f + (-f)).is_zero
+    def test_normalisation(self):
+        assert lowest_terms(2 * X + 2, 4 * X + 4) == (Polynomial.constant(Fraction(1, 2)), 1)
+        numer, denom = lowest_terms((X - 1) * (X + 2), 3 * (X - 1) * (X - 5))
+        assert (numer, denom) == (Fraction(1, 3) * (X + 2), X - 5)
+
+    def test_monic_denominator(self):
+        numer, denom = lowest_terms(X, -2 * X**2 + 6)
+        assert denom.leading_coefficient == 1
+        assert (numer, denom) == (Fraction(-1, 2) * X, X**2 - 3)
+
+    def test_zero_numerator(self):
+        assert lowest_terms(Polynomial.zero(), 5 * X**3 + X) == (Polynomial.zero(), 1)
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            lowest_terms(X, Polynomial.zero())
 
     def test_pole_evaluation_raises(self):
-        f = RationalFunction(1, X - 3)
+        numer, denom = lowest_terms(X * (X - 1), (X - 1) * (X - 3))
+        assert numer(1) / denom(1) == Fraction(1, -2)
         with pytest.raises(ZeroDivisionError):
-            f(3)
+            numer(3) / denom(3)
 
-    def test_as_polynomial_requires_trivial_denominator(self):
-        f = RationalFunction(1, X - 3)
-        with pytest.raises(NonExactDivision):
-            f.as_polynomial()
+    def test_field_arithmetic(self):
+        # x/(x+1) and 1/x: product and sum are lowest_terms of the cross products
+        product = lowest_terms(X * 1, (X + 1) * X)
+        assert product == (Polynomial.one(), X + 1)
+        total = lowest_terms(X * X + 1 * (X + 1), (X + 1) * X)
+        assert total == (X**2 + X + 1, X**2 + X)
+        assert total[0](2) / total[1](2) == Fraction(2, 3) + Fraction(1, 2)
+        assert lowest_terms(X - X, X + 1) == (Polynomial.zero(), 1)
 
     def test_shift_argument(self):
-        f = RationalFunction(X**2, X + 5)
-        assert f.shift_argument(2)(0) == f(2)
+        # shifting both parts of a reduced pair keeps it reduced
+        numer, denom = lowest_terms(X**2, 2 * X + 10)
+        moved = numer.shift_argument(2), denom.shift_argument(2)
+        assert lowest_terms(*moved) == moved
+        assert moved[0](0) / moved[1](0) == numer(2) / denom(2)

@@ -159,6 +159,16 @@ def test_run_many_serial():
     assert all(r.passed for r in reports)
 
 
+def test_run_many_process_pool_matches_serial():
+    configs = [builtin_config("single-root"), builtin_config("classical")]
+    serial = run_many(configs, workers=1)
+    pooled = run_many(configs, workers=2)
+    assert [r.config for r in pooled] == configs
+    assert [_scrub(r.to_json_dict()) for r in pooled] == [
+        _scrub(r.to_json_dict()) for r in serial
+    ]
+
+
 def test_check_foeq_vacuous_without_rows():
     run = build_run(builtin_config("classical"))
     ok, witness = check_foeq(run.ctx, run.inner_measure)
@@ -203,11 +213,11 @@ def test_check_foeq_matches_closed_form_route(cfg, monkeypatch):
     run = build_run(cfg)
     scalar = check_foeq(run.ctx, run.inner_measure)
     assert scalar[0]
-    monkeypatch.setattr(
-        verify,
-        "ratio_product_value",
-        lambda kind, base, length, p: ratio_product(kind, length, p)(Fraction(base)),
-    )
+    def closed_form_value(kind, base, length, p):
+        numer, denom = ratio_product(kind, length, p)
+        return numer(base) / denom(base)
+
+    monkeypatch.setattr(verify, "ratio_product_value", closed_form_value)
     assert check_foeq(run.ctx, run.inner_measure) == scalar
 
 
