@@ -14,10 +14,14 @@ Every determinant here goes through the one exact routine
 its minors (the mixing polynomials) on polynomial entries, the minors of the
 bordered polynomials on ``Fraction`` entries.  Every quantity the theory
 claims is polynomial is produced by exact division, so a failed cancellation
-surfaces as an error instead of an approximation.  :func:`mixing_polynomial`
-sums its terms as reduced (numerator, denominator) pairs and requires the
-denominator to cancel; the cross-check of the cleared determinant,
-:func:`casorati_rational`, compares scalar determinants at points.
+surfaces as an error instead of an approximation.  The normaliser is a
+product of known linear factors, kept as a leading constant and a root
+multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
+terms over L, the lcm of the m shifted root multisets, so each term is
+multiplied by the leftover linear factors and no gcd is taken; the sum makes
+one exact division by L, and a remainder raises.  The cross-check of the
+cleared determinant, :func:`casorati_rational`, compares scalar determinants
+at points.
 
 The stages that several checks read, the Hahn base polynomials among them,
 are memoised per context in one bounded store owned by this module.  Contexts
@@ -28,7 +32,7 @@ stays flat however many configs one process verifies.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -46,9 +50,11 @@ from .hahn import hahn_operator
 from .ladder import (
     CLEARING_BLOCKS,
     falling_block,
+    falling_roots,
     ladder_operator,
     ratio_product_value,
     rising_block,
+    rising_roots,
     series_ratio,
     series_shift,
 )
@@ -222,8 +228,7 @@ def context_from_quartet(
 
 def reflect(poly: Polynomial, shift: Rational | int) -> Polynomial:
     """p(x) -> p(-(x + shift + 1)); an involution fixing theta when shift = a+b."""
-    shift = as_rational(shift)
-    return poly.compose(Polynomial((-shift - 1, -1)))
+    return poly.reflect_argument().shift_argument(as_rational(shift) + 1)
 
 
 def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
@@ -416,24 +421,37 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
 
 
 @_stage
-def normalizer(ctx: ConstructionContext) -> Polynomial:
-    """The divisor of the cleared determinant: a Pochhammer-product normaliser
-    times the triangular product of shifted eigenvalue steps (half-integer
-    shifts)."""
+def normalizer_factors(ctx: ConstructionContext) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The normaliser as (leading constant, roots with multiplicity).
+
+    It is a Pochhammer-product normaliser times the triangular product of
+    shifted eigenvalue steps (half-integer shifts), so every factor is linear.
+    """
     p, m = ctx.params, ctx.m
-    acc = Polynomial.one()
+    lead = Fraction(-1 if (m * (m - 1) // 2) % 2 else 1)
+    roots: list[Fraction] = []
     for which in (1, 2):
         users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
         for i in range(1, users):
-            acc = acc * rising_block(which, users - i, users - m - i, p)
-            acc = acc * falling_block(which, users - i, -1, p)
+            roots += rising_roots(which, users - i, users - m - i, p)
+            roots += falling_roots(which, users - i, -1, p)
+            if (users - i) % 2:
+                lead = -lead
     sigma = series_shift(p)
+    slope = sigma.coefficient(1)
+    root = -sigma.coefficient(0) / slope
     for outer in range(1, m):
         for inner in range(1, outer + 1):
-            acc = acc * sigma.shift_argument(Fraction(inner + outer + 1, 2) - m)
-    if (m * (m - 1) // 2) % 2:
-        acc = -acc
-    return acc
+            roots.append(root - (Fraction(inner + outer + 1, 2) - m))
+            lead *= slope
+    return lead, tuple(roots)
+
+
+@_stage
+def normalizer(ctx: ConstructionContext) -> Polynomial:
+    """The divisor of the cleared determinant, built from :func:`normalizer_factors`."""
+    lead, roots = normalizer_factors(ctx)
+    return Polynomial.from_roots(roots) * lead
 
 
 @_stage
@@ -505,36 +523,44 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
     Assembled from the minors of the cached cleared matrix, each evaluated at
-    x + j by shifting the minor once (det A(x + j) = (det A)(x + j)).  The
-    terms are summed as reduced (numerator, denominator) pairs, and the sum
+    x + j by shifting the minor once (det A(x + j) = (det A)(x + j)).  Term j
+    is +-numer_j / normalizer(x + j), and normalizer(x + j) = lead * N_j with
+    N_j the monic product over the normaliser's roots shifted by -j.  With L
+    the lcm of N_1..N_m (the union of their root multisets), each L / N_j is
+    the product of the leftover linear factors, so the sum is
+    (sum_j +-numer_j * L / N_j) / (lead * L) and no gcd is taken.  The sum
     must collapse to a polynomial, which is one of the structural hypotheses
-    of the construction; a denominator left over raises NonExactDivision.
+    of the construction: the division by L must be exact, and a remainder
+    raises NonExactDivision naming the degree of the reduced denominator.
     """
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
     half = Fraction(-(m - 1), 2)
-    divisor_base = normalizer(ctx)
-    acc_numer, acc_denom = Polynomial.zero(), Polynomial.one()
+    lead, roots = normalizer_factors(ctx)
+    shifted = [Counter(r - j for r in roots) for j in range(1, m + 1)]
+    common = Counter()
+    for multiset in shifted:
+        common |= multiset
+    total = Polynomial.zero()
     rows_kept = [entries for r, entries in enumerate(cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
         minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
-        numer = (
+        term = (
             sigma.shift_argument(half + j)
             * ctx.prefactor.shift_argument(j)
             * _mixing_prefactor(ctx, row, j)
             * minor.shift_argument(j)
+            * Polynomial.from_roots((common - shifted[j - 1]).elements())
         )
-        numer, denom = lowest_terms(numer, divisor_base.shift_argument(j))
-        if (row + 1 + j) % 2:
-            numer = -numer
-        acc_numer, acc_denom = lowest_terms(
-            acc_numer * denom + numer * acc_denom, acc_denom * denom
-        )
-    if acc_denom.degree > 0:
+        total = total - term if (row + 1 + j) % 2 else total + term
+    denominator = Polynomial.from_roots(common.elements())
+    quotient, remainder = total.divmod(denominator)
+    if not remainder.is_zero:
+        _, reduced = lowest_terms(total, denominator)
         raise NonExactDivision(
-            f"denominator of degree {acc_denom.degree} does not cancel", remainder=acc_denom
+            f"denominator of degree {reduced.degree} does not cancel", remainder=reduced
         )
-    return acc_numer
+    return quotient / lead
 
 
 def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:

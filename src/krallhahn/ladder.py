@@ -103,14 +103,25 @@ def _falling_offset(which: int, length: int, p: HahnParams) -> Fraction:
     raise ValueError(f"which must be 1 or 2, got {which}")
 
 
+def rising_roots(which: int, length: int, shift: Rational | int, p: HahnParams) -> list[Fraction]:
+    """Roots of :func:`rising_block`, which is monic."""
+    start = as_rational(shift) + _rising_offset(which, length, p)
+    return [-(start + t) for t in range(length)]
+
+
+def falling_roots(which: int, length: int, shift: Rational | int, p: HahnParams) -> list[Fraction]:
+    """Roots of :func:`falling_block`, whose leading coefficient is (-1)^length."""
+    start = as_rational(shift) + _falling_offset(which, length, p)
+    return [-(start + t) for t in range(length)]
+
+
 def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
     """Numerator clearing factor: a length-j Pochhammer block at x + shift.
 
     which = 1 gives (y - j + b + 1)_j and which = 2 gives (y - j - N)_j,
     both with y = x + shift.
     """
-    x = Polynomial.variable() + as_rational(shift)
-    return pochhammer(x + _rising_offset(which, length, p), length)
+    return Polynomial.from_roots(rising_roots(which, length, shift, p))
 
 
 def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
@@ -119,8 +130,7 @@ def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams)
     which = 1 gives (-1)^j (y - j + a + 1)_j and which = 2 gives
     (-1)^j (y - j + a + b + N + 2)_j, both with y = x + shift.
     """
-    x = Polynomial.variable() + as_rational(shift)
-    block = pochhammer(x + _falling_offset(which, length, p), length)
+    block = Polynomial.from_roots(falling_roots(which, length, shift, p))
     return -block if length % 2 else block
 
 

@@ -7,11 +7,12 @@ use of how the q_n were built, so it can confirm (or refute) the existence
 of an operator of a given order independently of the determinantal
 construction.
 
-The equations are built as integer rows: each q_n is cleared to integer
-coefficients once and shifted by an integer Taylor shift, and each row is
-divided by its content.  :func:`~krallhahn.matrices.solve_linear_system`
-certifies its verdicts modulo word-size primes and falls back to exact
-Gauss-Jordan elimination where that cannot decide.
+The equations are built as integer rows: each q_n's integer numerators
+(over its one denominator) are read from the polynomial and shifted by an
+integer Taylor shift, and each row is divided by its content.
+:func:`~krallhahn.matrices.solve_linear_system` certifies its verdicts modulo
+word-size primes and falls back to exact Gauss-Jordan elimination where that
+cannot decide.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from .diffops import DifferenceOperator
 from .errors import InsufficientData
-from .matrices import clear_denominators, solve_linear_system
+from .matrices import solve_linear_system
 from .polynomials import Polynomial, taylor_shift
 from .rationals import Rational
 
@@ -44,7 +45,7 @@ def _integer_rows(
     rows: list[list[int]] = []
     rhs: list[int] = []
     for qn, lam in zip(qs, lambdas):
-        cleared = clear_denominators(qn.coeffs)
+        cleared, _ = qn.integer_parts
         lam = Fraction(lam)
         shifted = [[lam.denominator * c for c in taylor_shift(cleared, l)] for l in offsets]
         for power in range(qn.degree + degree_cap + 1):

@@ -1,16 +1,28 @@
 """Dense univariate polynomials over the rationals.
 
-A :class:`Polynomial` is an immutable tuple of ``Fraction`` coefficients in
-increasing degree order with no trailing zeros; the zero polynomial is the
-empty tuple and reports degree ``-1``.  All arithmetic is exact.  No floating
-point enters anywhere.  The few rational functions the construction needs
-(ladder ratios, recurrence coefficients, the mixing sums) are plain
+A :class:`Polynomial` stores a tuple of ``int`` numerators, constant term
+first and with no trailing zeros, over one ``int`` denominator > 0.  The form
+is canonical: the gcd of the numerators and the denominator is 1, and the
+zero polynomial is ``((), 1)``.  Equal polynomials therefore have equal parts,
+and ``==`` and ``hash`` read the parts.
+
+Sums scale both sides to the lcm of the denominators, products are integer
+convolutions, evaluation is integer Horner, :meth:`Polynomial.shift_argument`
+is an integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
+and division is integer pseudo-division.  Each result is made canonical once.
+``Fraction`` appears only at the edges: the constructors take ``int`` or
+``Fraction`` coefficients, and ``coefficient``, ``leading_coefficient``,
+``coeffs``, iteration, evaluation and the string forms give ``Fraction``
+values.  No floating point enters anywhere.  The few rational functions the
+construction needs (ladder ratios, recurrence coefficients) are plain
 (numerator, denominator) pairs reduced by :func:`lowest_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
@@ -26,13 +38,14 @@ def _frac(value: Scalar) -> Fraction:
 class Polynomial:
     """Univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in cs))
+        canonical = _make([c.numerator * (den // c.denominator) for c in cs], den)
+        self._numerators = canonical._numerators
+        self._denominator = canonical._denominator
 
     # -- construction helpers ------------------------------------------------
 
@@ -58,28 +71,56 @@ class Polynomial:
         c = _frac(coeff)
         if c == 0:
             return _ZERO
-        return cls((0,) * degree + (c,))
+        return _wrap((0,) * degree + (c.numerator,), c.denominator)
+
+    @classmethod
+    def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
+        """The monic product of (x - r) over the roots, with multiplicity."""
+        nums, den = [1], 1
+        for r in roots:
+            r = _frac(r)
+            p, q = r.numerator, r.denominator
+            # times (q x - p) / q
+            nums = [-p * nums[0]] + [
+                q * prev - p * cur for prev, cur in zip(nums, nums[1:])
+            ] + [q * nums[-1]]
+            den *= q
+        return _make(nums, den)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
+        return len(self._numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._numerators
+
+    @property
+    def integer_parts(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator): the polynomial is sum_k numerators[k] x^k / denominator.
+
+        The denominator is the lcm of the reduced coefficients' denominators.
+        """
+        return self._numerators, self._denominator
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, constant term first; built on each access."""
+        den = self._denominator
+        return tuple(Fraction(c, den) for c in self._numerators)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self._numerators:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self._numerators[-1], self._denominator)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._numerators):
+            return Fraction(self._numerators[k], self._denominator)
         return Fraction(0)
 
     # -- arithmetic ----------------------------------------------------------
@@ -88,18 +129,29 @@ class Polynomial:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, da = self._numerators, self._denominator
+        b, db = other._numerators, other._denominator
+        if not b:
+            return self
+        if not a:
+            return other
+        if da != db:
+            den = lcm(da, db)
+            if den != da:
+                a = [c * (den // da) for c in a]
+            if den != db:
+                b = [c * (den // db) for c in b]
+            da = den
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        out = list(map(add, a, b))
+        out += a[len(b):]
+        return _make(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _wrap(tuple(-c for c in self._numerators), self._denominator)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = _promote(other)
@@ -111,23 +163,17 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
+        if isinstance(other, Polynomial):
+            a, b = self._numerators, other._numerators
+            if not a or not b:
                 return _ZERO
-            return Polynomial(tuple(c * a for a in self.coeffs))
-        if not isinstance(other, Polynomial):
+            return _make(_convolve(a, b), self._denominator * other._denominator)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return _ZERO
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(out)
+        p, q = other.numerator, other.denominator
+        if q == 1 and p == 1:
+            return self
+        return _make([c * p for c in self._numerators], self._denominator * q)
 
     __rmul__ = __mul__
 
@@ -151,21 +197,22 @@ class Polynomial:
         """
         if isinstance(other, Polynomial):
             return self.divide_exact(other)
-        c = _frac(other)
-        return Polynomial(tuple(a / c for a in self.coeffs))
+        return self * (1 / _frac(other))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
+        other = _promote(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (
+            self._numerators == other._numerators
+            and self._denominator == other._denominator
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._numerators, self._denominator))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._numerators)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
@@ -173,51 +220,101 @@ class Polynomial:
     # -- evaluation and substitution ------------------------------------------
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
-        x = _frac(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at p/q as sum_k c_k p^k q^(n-k) / (denominator q^n), by Horner."""
+        nums = self._numerators
+        if not nums:
+            return Fraction(0)
+        if not isinstance(point, (int, Fraction)):
+            point = Fraction(point)
+        p, q = point.numerator, point.denominator
+        acc, qk = nums[-1], 1
+        for c in nums[-2::-1]:
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self._denominator * qk)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(x)), by Horner over polynomials."""
         acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
+        for c in reversed(self._numerators):
+            acc = acc * inner + c
+        return acc * Fraction(1, self._denominator)
 
     def shift_argument(self, c: Scalar) -> "Polynomial":
-        """p(x + c) for a rational shift c, by a Taylor shift."""
-        c = _frac(c)
-        if c == 0 or self.is_zero:
+        """p(x + c) for a rational shift c, by an integer Taylor shift.
+
+        For c = p/q, q^n f(y/q) has integer coefficients; it is shifted by p
+        and then y = q x is put back, so the loop sees integers only.
+        """
+        nums = self._numerators
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if not c or len(nums) < 2:
             return self
-        return Polynomial(taylor_shift(self.coeffs, c))
+        p, q = c.numerator, c.denominator
+        if q == 1:
+            # a unimodular change of variable: content and degree stay
+            return _wrap(tuple(taylor_shift(nums, p)), self._denominator)
+        n = len(nums) - 1
+        powers = [1]
+        for _ in range(n):
+            powers.append(powers[-1] * q)
+        shifted = taylor_shift([v * powers[n - k] for k, v in enumerate(nums)], p)
+        return _make(
+            [v * powers[k] for k, v in enumerate(shifted)], self._denominator * powers[n]
+        )
 
     def reflect_argument(self) -> "Polynomial":
         """p(-x)."""
-        return Polynomial(tuple(-c if k & 1 else c for k, c in enumerate(self.coeffs)))
+        return _wrap(
+            tuple(-c if k & 1 else c for k, c in enumerate(self._numerators)),
+            self._denominator,
+        )
 
     # -- division ------------------------------------------------------------
 
     def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if divisor.is_zero:
+        """Quotient and remainder, by integer pseudo-division.
+
+        Before a step cancels the remainder's top coefficient, the remainder
+        and the quotient so far are scaled by s = |lead / gcd(lead, top)|, so
+        the step subtracts an integer multiple of the divisor.  With S the
+        product of the scales, S A = Q B + R on the numerators A and B, and
+        S > 0 keeps the denominators positive.
+        """
+        b = divisor._numerators
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < divisor.degree:
+        a = self._numerators
+        if len(a) < len(b):
             return _ZERO, self
-        rem = list(self.coeffs)
-        dcoeffs = divisor.coeffs
-        dlead = dcoeffs[-1]
-        dn = len(dcoeffs)
-        quo = [Fraction(0)] * (len(rem) - dn + 1)
+        rem = list(a)
+        lead, nb = b[-1], len(b)
+        quo = [0] * (len(a) - nb + 1)
+        scale = 1
         for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + dn - 1] / dlead
-            if c == 0:
+            top = rem[k + nb - 1]
+            if not top:
                 continue
-            quo[k] = c
-            for i, d in enumerate(dcoeffs):
-                rem[k + i] -= c * d
-        return Polynomial(quo), Polynomial(rem)
+            g = gcd(top, lead)
+            if lead < 0:
+                g = -g
+            s, t = lead // g, top // g
+            if s != 1:
+                scale *= s
+                for i in range(k + nb - 1):
+                    rem[i] *= s
+                for i in range(k + 1, len(quo)):
+                    quo[i] *= s
+            quo[k] = t
+            for i in range(nb - 1):
+                rem[k + i] -= t * b[i]
+            rem[k + nb - 1] = 0
+        den = self._denominator * scale
+        return (
+            _make([v * divisor._denominator for v in quo], den),
+            _make(rem[: nb - 1], den),
+        )
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
         """Quotient when the division is exact; raises otherwise."""
@@ -229,9 +326,12 @@ class Polynomial:
         return quo
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        nums = self._numerators
+        if not nums:
             return self
-        return self / self.leading_coefficient
+        if nums[-1] < 0:
+            nums = [-c for c in nums]
+        return _make(nums, nums[-1])
 
     # -- serialisation ---------------------------------------------------------
 
@@ -246,9 +346,10 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts: list[str] = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = format_rational(abs(c))
@@ -267,17 +368,59 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-_ZERO = Polynomial.__new__(Polynomial)
-object.__setattr__(_ZERO, "coeffs", ())
-_ONE = Polynomial((1,))
-_X = Polynomial((0, 1))
+def _wrap(nums: tuple[int, ...], den: int) -> Polynomial:
+    """A polynomial from parts that are already canonical."""
+    poly = object.__new__(Polynomial)
+    poly._numerators = nums
+    poly._denominator = den
+    return poly
+
+
+def _make(nums: Sequence[int], den: int) -> Polynomial:
+    """The canonical polynomial with these numerators over a denominator > 0."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    if not end:
+        return _ZERO
+    if end != len(nums):
+        nums = nums[:end]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return _wrap(tuple(nums), den)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of two nonempty integer coefficient sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    if lb == 1:
+        c = b[0]
+        return [c * v for v in a]
+    rb = b[::-1]
+    out = []
+    for k in range(la + lb - 1):
+        lo = k - lb + 1 if k >= lb else 0
+        hi = k + 1 if k < la else la
+        start = lb - 1 - k + lo
+        out.append(sum(map(mul, a[lo:hi], rb[start : start + hi - lo])))
+    return out
+
+
+_ZERO = _wrap((), 1)
+_ONE = _wrap((1,), 1)
+_X = _wrap((0, 1), 1)
 
 
 def _promote(value: "Polynomial | Scalar") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
+        return _wrap((value.numerator,), value.denominator) if value else _ZERO
     return NotImplemented
 
 

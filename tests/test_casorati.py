@@ -1,12 +1,13 @@
 """The determinantal construction engine."""
 
+import random
 from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from krallhahn import casorati, verify
+from krallhahn import casorati, polynomials, verify
 from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
@@ -115,6 +116,15 @@ class TestReflectionAndTheta:
         p = X**3 - 2 * X + 1
         shift = desk_params.a + desk_params.b
         assert reflect(reflect(p, shift), shift) == p
+
+    def test_reflect_matches_horner_composition(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            poly = Polynomial([
+                Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rng.randint(0, 9))
+            ])
+            shift = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            assert reflect(poly, shift) == poly.compose(Polynomial((-shift - 1, -1)))
 
     def test_eigenvalue_poly_is_reflection_invariant(self, desk_params):
         s = desk_params.a + desk_params.b
@@ -303,6 +313,45 @@ ROUTE_CONFIGS = {
 }
 
 
+def block_normalizer(ctx):
+    """The normaliser as a product of block and step polynomials, the reference
+    for the root-multiset route."""
+    p, m = ctx.params, ctx.m
+    acc = Polynomial.one()
+    for which in (1, 2):
+        users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
+        for i in range(1, users):
+            acc = acc * rising_block(which, users - i, users - m - i, p)
+            acc = acc * falling_block(which, users - i, -1, p)
+    sigma = series_shift(p)
+    for outer in range(1, m):
+        for inner in range(1, outer + 1):
+            acc = acc * sigma.shift_argument(Fraction(inner + outer + 1, 2) - m)
+    return -acc if (m * (m - 1) // 2) % 2 else acc
+
+
+def pair_route_mixing(ctx, row):
+    """The mixing polynomial summed as reduced pairs: lowest_terms per term and
+    per partial sum, the reference for the gcd-free route."""
+    p, m = ctx.params, ctx.m
+    sigma = series_shift(p)
+    half = Fraction(-(m - 1), 2)
+    divisor_base = block_normalizer(ctx)
+    acc = ZERO
+    rows_kept = [entries for r, entries in enumerate(casorati.cleared_matrix(ctx)) if r != row]
+    for j in range(1, m + 1):
+        minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
+        numer = (
+            sigma.shift_argument(half + j)
+            * ctx.prefactor.shift_argument(j)
+            * casorati._mixing_prefactor(ctx, row, j)
+            * minor.shift_argument(j)
+        )
+        term = lowest_terms(numer, divisor_base.shift_argument(j))
+        acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
+    return as_polynomial(acc)
+
+
 class TestDeterminantRoutes:
     @pytest.mark.parametrize("name", ROUTE_CONFIGS)
     def test_pointwise_route_matches_rational_route(self, name):
@@ -444,6 +493,22 @@ class TestDifferenceIdentities:
         for ctx in contexts:
             for row in range(ctx.m):
                 assert mixing_polynomial(ctx, row) == reference(ctx, row)
+
+    @pytest.mark.parametrize("name", ROUTE_CONFIGS)
+    def test_gcd_free_mixing_matches_pair_route(self, name, monkeypatch):
+        """Every row against the pair route, with no gcd on the gcd-free route."""
+        ctx = build_run(ROUTE_CONFIGS[name]).ctx
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+
+        def no_gcd(*args):
+            raise AssertionError("gcd on the success path")
+
+        monkeypatch.setattr(casorati, "lowest_terms", no_gcd)
+        monkeypatch.setattr(polynomials, "poly_gcd", no_gcd)
+        mixing = [mixing_polynomial(ctx, row) for row in range(ctx.m)]
+        monkeypatch.undo()
+        assert normalizer(ctx) == block_normalizer(ctx)
+        assert mixing == [pair_route_mixing(ctx, row) for row in range(ctx.m)]
 
     def test_uncancelled_mixing_denominator_raises(self, monkeypatch):
         """One mixing term times (x + 1/3) leaves a denominator the sum cannot cancel."""
