@@ -33,7 +33,7 @@ stays flat however many configs one process verifies.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import wraps
 from math import comb
@@ -75,6 +75,16 @@ class ConstructionContext:
     prefactor: Polynomial
     quartet: SetQuartet | None = None
     pads: tuple[int, int, int] | None = None
+
+    def __post_init__(self) -> None:
+        # The stage store looks the context up on every stage call; hashing it
+        # once spares re-hashing the parameters and every row polynomial.
+        # The cached value is not a field, so equality ignores it.
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

@@ -106,6 +106,14 @@ class Polynomial:
         """
         return self._numerators, self._denominator
 
+    @classmethod
+    def from_integer_parts(cls, numerators: Sequence[int], denominator: int) -> "Polynomial":
+        """The polynomial sum_k numerators[k] x^k / denominator; the inverse of
+        :attr:`integer_parts` for any parts with a positive denominator."""
+        if denominator <= 0:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        return _make(list(numerators), denominator)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients, constant term first; built on each access."""

@@ -608,6 +608,29 @@ class TestStageStore:
         for row in range(first.m):
             assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
 
+    def test_repeated_stage_calls_do_not_rehash_the_context(self, monkeypatch):
+        ctx = build_run(builtin_config("four-roots")).ctx
+        for stage in self.STAGES:
+            stage(ctx)
+        for row in range(ctx.m):
+            mixing_polynomial(ctx, row)
+        calls = []
+        plain_hash = Polynomial.__hash__
+
+        def counting_hash(poly):
+            calls.append(poly)
+            return plain_hash(poly)
+
+        monkeypatch.setattr(Polynomial, "__hash__", counting_hash)
+        for _ in range(3):
+            for stage in self.STAGES:
+                stage(ctx)
+            for row in range(ctx.m):
+                mixing_polynomial(ctx, row)
+        assert calls == []
+        # an equal context built by a separate call still hashes equal
+        assert hash(build_run(builtin_config("four-roots")).ctx) == hash(ctx)
+
     def test_base_polynomials_are_built_once(self):
         first = build_run(builtin_config("four-roots")).ctx
         second = build_run(builtin_config("four-roots")).ctx

@@ -1,8 +1,18 @@
-"""Discrete measures, Christoffel transforms, and the Gram-Schmidt oracle."""
+"""Discrete measures, Christoffel transforms, and the Gram-Schmidt oracle.
+
+The integer route of :mod:`krallhahn.measures` is compared with two test-only
+references: the ``Fraction`` value/dot route it replaced (values, weighted
+dot products, the Gram table and Gram-Schmidt, all on ``Fraction`` values),
+and the projection through polynomial products.  Both integrate with
+:func:`_fraction_integrate`, the sum of mass * p(point) over the atoms, so
+neither depends on the route under test.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krallhahn.casorati import krall_polynomial
 from krallhahn.config import BUILTIN_CONFIGS, builtin_config, config_from_dict
@@ -96,7 +106,55 @@ def test_orthogonality_table():
             assert value != 0
 
 
-# -- the evaluation-domain routes against polynomial products -------------------
+# -- test-only references: Fraction values and polynomial products ------------
+
+
+def _fraction_integrate(measure, p):
+    """The sum of mass * p(point) over the atoms, in Fraction arithmetic."""
+    return sum((m * p(pt) for pt, m in measure.atoms.items()), Fraction(0))
+
+
+def _fraction_values(measure, p):
+    return tuple(p(pt) for pt in measure.support)
+
+
+def _fraction_dot(measure, u, v):
+    masses = [measure.mass(pt) for pt in measure.support]
+    return sum((m * x * y for m, x, y in zip(masses, u, v)), Fraction(0))
+
+
+def _fraction_table(measure, polys):
+    """The Gram table on Fraction value vectors, each polynomial evaluated once."""
+    values = [_fraction_values(measure, p) for p in polys]
+    return {
+        (i, j): _fraction_dot(measure, values[i], values[j])
+        for i in range(len(values))
+        for j in range(i, len(values))
+    }
+
+
+def _fraction_gram_schmidt(measure, up_to):
+    """The naive projection on Fraction value vectors: x^k reduced against
+    every earlier g_j with <x^k, g_j> / <g_j, g_j>, values updated alongside."""
+    points = measure.support
+    power = tuple(Fraction(1) for _ in points)
+    basis, basis_values, norms = [], [], []
+    for k in range(up_to + 1):
+        if k:
+            power = tuple(v * x for v, x in zip(power, points))
+        candidate, values = Polynomial.monomial(k), power
+        for p, p_values, norm in zip(basis, basis_values, norms):
+            coeff = _fraction_dot(measure, power, p_values) / norm
+            if coeff != 0:
+                candidate = candidate - coeff * p
+                values = tuple(v - coeff * w for v, w in zip(values, p_values))
+        norm = _fraction_dot(measure, values, values)
+        if norm == 0 and k < up_to:
+            raise DegenerateMoments(k)
+        basis.append(candidate)
+        basis_values.append(values)
+        norms.append(norm)
+    return basis
 
 
 def _reference_gram_schmidt(measure, up_to):
@@ -106,10 +164,10 @@ def _reference_gram_schmidt(measure, up_to):
     for k in range(up_to + 1):
         candidate = Polynomial.monomial(k)
         for p, norm in zip(basis, norms):
-            coeff = measure.integrate(candidate * p) / norm
+            coeff = _fraction_integrate(measure, candidate * p) / norm
             if coeff != 0:
                 candidate = candidate - coeff * p
-        norm = measure.integrate(candidate * candidate)
+        norm = _fraction_integrate(measure, candidate * candidate)
         if norm == 0 and k < up_to:
             raise DegenerateMoments(k)
         basis.append(candidate)
@@ -129,19 +187,32 @@ SIGNED_POLYS = [Polynomial.one(), X - HALF, (X + 1) ** 3, Polynomial((Fraction(2
 @pytest.fixture(scope="module")
 def families():
     """(measure, polynomials, n_max) for the four builtin configs, one family
-    template and a signed measure at rational points."""
+    template, a signed measure at rational points, and the inner measure of
+    one config per family benchmark template."""
     cases = {}
-    for name in BUILTIN_CONFIGS:
-        run = build_run(builtin_config(name))
+
+    def add(name, cfg):
+        run = build_run(cfg)
         qs = [krall_polynomial(run.ctx, n) for n in range(run.n_max + 1)]
         cases[name] = (run.inner_measure, qs, run.n_max)
-    run = build_run(config_from_dict(dict(FAMILY_TEMPLATE)))
-    qs = [krall_polynomial(run.ctx, n) for n in range(run.n_max + 1)]
-    cases["F4=[1,2] N=17"] = (run.inner_measure, qs, run.n_max)
+
+    for name in BUILTIN_CONFIGS:
+        add(name, builtin_config(name))
+    add("F4=[1,2] N=17", config_from_dict(dict(FAMILY_TEMPLATE)))
     cases["signed"] = (SIGNED, SIGNED_POLYS, SIGNED.size - 1)
+    for name, (F, N) in BENCH_FAMILY_TEMPLATES.items():
+        add(name, config_from_dict({"a": "8/5", "b": "9/4", "N": N, "F": F,
+                                    "path": "corollary"}))
     return cases
 
 
+# the family benchmark's templates: (F, N), corollary path
+BENCH_FAMILY_TEMPLATES = {
+    "family F4=[1] N=16": ([[], [], [], [1]], 16),
+    "family F3=[2] N=16": ([[], [], [2], []], 16),
+    "family F4=[2] N=16": ([[], [], [], [2]], 16),
+    "family F4=[1,2] N=17": ([[], [], [], [1, 2]], 17),
+}
 CASES = [*BUILTIN_CONFIGS, "F4=[1,2] N=17", "signed"]
 
 
@@ -159,7 +230,7 @@ def test_inner_products_match_integrated_products(families, name):
     assert list(table) == [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
     for (i, j), value in table.items():
         if j - i <= 2:
-            reference = measure.integrate(polys[i] * polys[j])
+            reference = _fraction_integrate(measure, polys[i] * polys[j])
             assert value == reference
             assert measure.inner_product(polys[i], polys[j]) == reference
 
@@ -186,3 +257,98 @@ def test_gram_schmidt_exhausted_support_matches_reference(families, name):
         with pytest.raises(DegenerateMoments) as err:
             route(measure, size + 1)
         assert err.value.index == size
+
+
+# -- the integer route against the Fraction value/dot route ---------------------
+
+
+ALL_CASES = [*CASES, *BENCH_FAMILY_TEMPLATES]
+
+
+def _assert_same_polynomials(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+        assert g.integer_parts == e.integer_parts
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_table_matches_fraction_route(families, name):
+    measure, polys, _ = families[name]
+    assert orthogonality_table(measure, polys) == _fraction_table(measure, polys)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_gram_schmidt_matches_fraction_route(families, name):
+    measure, _, n_max = families[name]
+    _assert_same_polynomials(gram_schmidt(measure, n_max), _fraction_gram_schmidt(measure, n_max))
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_integrals_and_values_match_fraction_route(families, name):
+    measure, polys, _ = families[name]
+    assert measure.moments(3) == [_fraction_integrate(measure, X**k) for k in range(4)]
+    for p in (polys[0], polys[-1], X - HALF):
+        assert measure.integrate(p) == _fraction_integrate(measure, p)
+        assert measure.values(p) == _fraction_values(measure, p)
+    u, v = _fraction_values(measure, polys[-1]), _fraction_values(measure, X - HALF)
+    assert measure.dot(u, v) == _fraction_dot(measure, u, v)
+    assert measure.inner_product(polys[-1], X - HALF) == _fraction_dot(measure, u, v)
+
+
+def test_integer_form():
+    form = SIGNED.integer_form
+    assert form is SIGNED.integer_form
+    assert form.point_denominator == 6 and form.mass_denominator == 63
+    assert [Fraction(p, 6) for p in form.points] == SIGNED.support
+    assert [Fraction(m, 63) for m in form.masses] == [SIGNED.mass(pt) for pt in SIGNED.support]
+    # a Hahn-derived support is integral
+    measure = DiscreteMeasure({0: HALF, 1: Fraction(1, 3), 2: 1})
+    assert measure.integer_form == ((0, 1, 2), 1, (3, 2, 6), 6)
+    assert DiscreteMeasure({}).integer_form == ((), 1, (), 1)
+
+
+def test_build_run_leaves_the_integer_form_underived():
+    # construct and oracle runs build measures but never pair on them
+    run = build_run(builtin_config("four-roots"))
+    assert run.inner_measure._integer_form is None
+    assert run.measure._integer_form is None
+
+
+# -- property tests on random measures -------------------------------------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_MEASURES = st.dictionaries(
+    _RATIONALS,
+    st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 20))),
+    max_size=8,
+).map(DiscreteMeasure)
+_POLYNOMIALS = st.lists(
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)), max_size=9
+).map(Polynomial)
+_PROPERTY = settings(max_examples=100, deadline=None, database=None)
+
+
+@_PROPERTY
+@given(_MEASURES, st.lists(_POLYNOMIALS, min_size=1, max_size=4))
+def test_random_integrals_and_tables_match_fraction_route(measure, polys):
+    for p in polys:
+        assert measure.integrate(p) == _fraction_integrate(measure, p)
+        assert measure.values(p) == _fraction_values(measure, p)
+    assert measure.inner_product(polys[0], polys[-1]) == _fraction_dot(
+        measure, _fraction_values(measure, polys[0]), _fraction_values(measure, polys[-1])
+    )
+    assert orthogonality_table(measure, polys) == _fraction_table(measure, polys)
+
+
+@_PROPERTY
+@given(_MEASURES, st.integers(0, 10))
+def test_random_gram_schmidt_matches_fraction_route(measure, up_to):
+    try:
+        expected = _fraction_gram_schmidt(measure, up_to)
+    except DegenerateMoments as err:
+        with pytest.raises(DegenerateMoments) as got:
+            gram_schmidt(measure, up_to)
+        assert got.value.index == err.index
+        return
+    _assert_same_polynomials(gram_schmidt(measure, up_to), expected)

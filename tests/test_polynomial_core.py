@@ -190,6 +190,17 @@ class TestAgainstFractionReference:
             assert den == lcm(1, *(c.denominator for c in ref.coeffs))
             assert list(nums) == [c.numerator * (den // c.denominator) for c in ref.coeffs]
 
+    def test_from_integer_parts_inverts_integer_parts(self):
+        for core, ref in cases(2):
+            nums, den = core.integer_parts
+            assert Polynomial.from_integer_parts(nums, den).integer_parts == (nums, den)
+            # unreduced parts with trailing zeros come back canonical
+            scaled = Polynomial.from_integer_parts([6 * c for c in nums] + [0, 0], 6 * den)
+            check(scaled, ref)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                Polynomial.from_integer_parts([1, 2], bad)
+
     def test_add_sub_mul(self):
         for (f, rf), (g, rg) in pairs(3):
             check(f + g, rf + rg)
