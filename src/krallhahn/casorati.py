@@ -102,13 +102,6 @@ class ConstructionContext:
             out.append(slope * degree + intercept)
         return tuple(out)
 
-    def root_polynomial(self) -> Polynomial:
-        acc = Polynomial.one()
-        x = Polynomial.variable()
-        for root in self.spectral_roots:
-            acc = acc * (x - root)
-        return acc
-
     @property
     def orthogonality_range(self) -> int:
         """Largest degree with guaranteed nonzero norm: N + m3 + m4."""

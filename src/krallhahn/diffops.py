@@ -141,23 +141,6 @@ class DifferenceOperator:
 
     # -- serialisation -----------------------------------------------------------
 
-    def to_records(self) -> list[dict]:
-        return [
-            {"offset": l, "coefficient": c.to_strings()}
-            for l, c in sorted(self.terms.items())
-        ]
-
-    @classmethod
-    def from_records(cls, records) -> "DifferenceOperator":
-        return cls(
-            {
-                int(rec["offset"]): Polynomial(
-                    tuple(as_rational(s) for s in rec["coefficient"])
-                )
-                for rec in records
-            }
-        )
-
     def __repr__(self) -> str:
         if not self.terms:
             return "DifferenceOperator(0)"

@@ -1,35 +1,36 @@
 """Exact determinants and exact linear solving.
 
-:func:`poly_det` is the one determinant routine for exact entries: the same
-code runs on polynomial entries and on ``Fraction`` scalars, because it uses
-only ring operations and exact division.  Small matrices go through cofactor
-expansion, each minor computed once; anything larger uses the Bareiss
-fraction-free scheme (Bareiss, 1968), whose interior divisions are exact.  No
-determinant here works over rational functions: the construction clears row
-denominators first, and its cross-check compares scalar determinants at
+One fraction-free forward elimination (Bareiss, 1968), :func:`_eliminate`,
+does every exact elimination here.  It runs on polynomial entries, on
+``Fraction`` scalars and on integers alike, because it uses only ring
+operations and one exact division per update; rows are swapped to find a
+pivot and columns without one are skipped.
+
+:func:`poly_det` reads the determinant off that elimination at every size.
+No determinant here works over rational functions: the construction clears
+row denominators first, and its cross-check compares scalar determinants at
 points.
 
 :func:`solve_linear_system` backs the operator-existence probe.  Its verdicts
 rest on one of two things.  Either a minor that is nonzero modulo a word-size
 prime (so nonzero over the rationals) certifies full column rank, and with it
 nullity 0 or, when b is a pivot too, inconsistency; a solution found modulo
-further primes is then accepted only after exact substitution.  Or exact
-Gauss-Jordan elimination over the rationals decides, which happens when the
-system is rank-deficient modulo the first prime or its solution needs more
-primes than the fixed tuple holds.
+further primes is then accepted only after exact substitution.  Or the same
+fraction-free elimination, run on the integer rows [A | b] and followed by
+back-substitution, decides; that happens when the system is rank-deficient
+modulo the first prime or its solution needs more primes than the fixed tuple
+holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, isqrt, lcm
-from operator import mul
-from typing import Sequence
+from math import gcd, isqrt
+from operator import floordiv, mul, truediv
+from typing import Callable, Sequence
 
 from .polynomials import Polynomial
-
-_COFACTOR_LIMIT = 5  # cofactor expansion up to this size, Bareiss beyond
+from .rationals import clear_denominators
 
 
 def _square_size(rows: Sequence[Sequence]) -> int:
@@ -54,60 +55,54 @@ def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomia
     polynomial = any(isinstance(e, Polynomial) for row in rows for e in row)
     lift = _as_polynomial if polynomial else Fraction
     entries = [[lift(e) for e in row] for row in rows]
-    if n <= _COFACTOR_LIMIT:
-        return _cofactor_det(entries)
-    return _bareiss_det(entries)
+    pivots, sign = _eliminate(entries, n, truediv)
+    if len(pivots) < n:
+        return 0 * entries[0][0]  # a column without a pivot: the zero of the ring
+    det = entries[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 def _as_polynomial(entry: Polynomial | Fraction | int) -> Polynomial:
     return entry if isinstance(entry, Polynomial) else Polynomial.constant(entry)
 
 
-def _cofactor_det(rows):
-    """Laplace expansion along the top row, with every minor computed once.
+def _eliminate(rows: list[list], width: int, divide: Callable) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of the first ``width`` columns, in place.
 
-    ``minors[cols]`` is the determinant of the bottom ``len(cols)`` rows
-    restricted to the columns ``cols``; each pass expands the row above.
+    Returns the pivot columns, in order, and the sign of the row permutation.
+    Pivot k sits in row k.  Each step swaps up the first row with a nonzero
+    entry in the column (a column with none is skipped), then replaces every
+    entry right of the column in each row below by
+    (pivot * entry - lead * pivot_entry) / previous_pivot.  By Sylvester's
+    identity that is a minor of the original matrix, so ``divide`` (exact
+    division in the entries' ring) never leaves a remainder, and the pivot of
+    row k is the minor on the first k + 1 pivot rows and columns.  Entries
+    left of a row's pivot are not cleared; nothing reads them.
     """
-    n = len(rows)
-    zero = 0 * rows[0][0]  # the zero of the entries' ring
-    minors = {(j,): entry for j, entry in enumerate(rows[-1])}
-    for i in range(n - 2, -1, -1):
-        row = rows[i]
-        expanded = {}
-        for cols in combinations(range(n), n - i):
-            acc = zero
-            for pos, j in enumerate(cols):
-                if row[j]:
-                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
-                    acc = acc - term if pos % 2 else acc + term
-            expanded[cols] = acc
-        minors = expanded
-    return minors[tuple(range(n))]
-
-
-def _bareiss_det(rows):
-    n = len(rows)
-    m = [list(row) for row in rows]
+    pivots: list[int] = []
     sign = 1
     prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]  # a zero column below the diagonal: the zero pivot
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                step = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = step if prev is None else step / prev  # exact division
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        pivot, tail = pivot_row[c], pivot_row[c + 1 :]
+        for row in rows[r + 1 :]:
+            lead = row[c]
+            step = [pivot * v - lead * t for v, t in zip(row[c + 1 :], tail)]
+            row[c + 1 :] = step if prev is None else [divide(v, prev) for v in step]
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+        pivots.append(c)
+    return pivots, sign
 
 
 # The 12 largest primes below 2**62.  The first gives the rank profile.  Their
@@ -139,38 +134,29 @@ def solve_linear_system(
     rational reconstruction (Wang, 1981).  A candidate is accepted only when it
     satisfies that subsystem exactly, and it is then substituted exactly into
     every other row to decide consistency.  A system that is rank-deficient mod
-    p, or whose solution needs more primes than ``_PRIMES`` holds, is solved by
-    exact Gauss-Jordan elimination over the rationals instead; that is the only
-    route that runs for nullity > 0.
+    p, or whose solution needs more primes than ``_PRIMES`` holds, is solved
+    exactly by :func:`_exact_solve` instead; that is the only route that runs
+    for nullity > 0.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length does not match row count")
     ncols = len(rows[0]) if rows else 0
-    aug = [clear_denominators([*row, b]) for row, b in zip(rows, rhs)]
+    aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
     pivots = _echelon_mod(aug, _PRIMES[0])
     if not _full_column_rank(pivots, ncols):
-        return _gauss_jordan(rows, rhs)
+        return _exact_solve(aug, ncols)
     if len(pivots) > ncols:
         return None  # b is a pivot too: rank [A | b] = ncols + 1
     square = [aug[source] for _, source, _ in pivots]
     solved = _multimodular_solve(square, _back_substitute(pivots, _PRIMES[0]))
     if solved is None:
-        return _gauss_jordan(rows, rhs)
+        return _exact_solve(aug, ncols)
     numerators, denominator = solved
     chosen = {source for _, source, _ in pivots}
     for i, row in enumerate(aug):
         if i not in chosen and _residual(row, numerators, denominator):
             return None
     return [Fraction(v, denominator) for v in numerators], 0
-
-
-def clear_denominators(values: Sequence) -> list[int]:
-    """The values scaled by the lcm of their denominators, as Python ints."""
-    if all(type(v) is int for v in values):
-        return values
-    fractions = [Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions]
 
 
 def _echelon_mod(aug: list[list[int]], p: int) -> list[tuple[int, int, list[int]]]:
@@ -263,8 +249,7 @@ def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | N
         if value is None:
             return None
         values.append(value)
-    denominator = lcm(*(v.denominator for v in values))
-    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+    return clear_denominators(values)
 
 
 def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
@@ -288,41 +273,20 @@ def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
     return sum(map(mul, row, numerators)) - row[-1] * denominator
 
 
-def _gauss_jordan(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> tuple[list[Fraction], int] | None:
-    """Solve A x = b by Gauss-Jordan elimination over the rationals.
+def _exact_solve(aug: list[list[int]], ncols: int) -> tuple[list[Fraction], int] | None:
+    """Solve the integer rows [A | b] by :func:`_eliminate`, in place, and
+    back-substitution.
 
-    Same contract as :func:`solve_linear_system`, at any nullity.
+    Same contract as :func:`solve_linear_system`, at any nullity: the free
+    variables are 0, so each pivot variable is read off its pivot row from
+    the pivots to its right.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][ncols]
-    return solution, ncols - len(pivots)
+    pivots, _ = _eliminate(aug, ncols + 1, floordiv)
+    if pivots and pivots[-1] == ncols:
+        return None  # b is a pivot: rank [A | b] > rank A
+    x = [Fraction(0)] * ncols
+    for k in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[k], aug[k]
+        known = sum(row[j] * x[j] for j in pivots[k + 1 :])
+        x[c] = (row[ncols] - known) / Fraction(row[c])
+    return x, ncols - len(pivots)

@@ -19,12 +19,13 @@ formed only once per result.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateMoments
 from .polynomials import Polynomial, Scalar
+from .rationals import clear_denominators
 
 
 class IntegerForm(NamedTuple):
@@ -42,12 +43,9 @@ class IntegerForm(NamedTuple):
 
     @classmethod
     def of(cls, points: Sequence[Fraction], masses: Sequence[Fraction]) -> "IntegerForm":
-        e = lcm(1, *(pt.denominator for pt in points))
-        d = lcm(1, *(m.denominator for m in masses))
-        return cls(
-            tuple(pt.numerator * (e // pt.denominator) for pt in points), e,
-            tuple(m.numerator * (d // m.denominator) for m in masses), d,
-        )
+        integer_points, e = clear_denominators(points)
+        integer_masses, d = clear_denominators(masses)
+        return cls(tuple(integer_points), e, tuple(integer_masses), d)
 
     def evaluate(self, p: Polynomial) -> tuple[list[int], int]:
         """(V, s): p's value at support point i is V[i] / s, with s = d e^n."""
@@ -113,22 +111,10 @@ class DiscreteMeasure:
     def mass(self, point: Scalar) -> Fraction:
         return self.atoms.get(Fraction(point), Fraction(0))
 
-    def total_mass(self) -> Fraction:
-        return sum(self.atoms.values(), Fraction(0))
-
     def integrate(self, p: Polynomial) -> Fraction:
         form = self.integer_form
         values, scale = form.evaluate(p)
         return Fraction(sum(map(mul, form.masses, values)), form.mass_denominator * scale)
-
-    def values(self, p: Polynomial) -> tuple[Fraction, ...]:
-        """The value vector of p: its value at each support point, in support order."""
-        values, scale = self.integer_form.evaluate(p)
-        return tuple(Fraction(v, scale) for v in values)
-
-    def dot(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        """Weighted dot product of two value vectors: the sum of mass * u * v."""
-        return self.integer_form.pair(*_clear(u), *_clear(v))
 
     def inner_product(self, p: Polynomial, q: Polynomial) -> Fraction:
         form = self.integer_form
@@ -161,13 +147,6 @@ class DiscreteMeasure:
     def __repr__(self) -> str:
         inner = ", ".join(f"{pt}: {m}" for pt, m in sorted(self.atoms.items()))
         return f"DiscreteMeasure({{{inner}}})"
-
-
-def _clear(vector: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(integers, denominator) with vector[i] = integers[i] / denominator."""
-    fracs = [Fraction(x) for x in vector]
-    den = lcm(1, *(x.denominator for x in fracs))
-    return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
 def christoffel(measure: DiscreteMeasure, factor: Polynomial) -> DiscreteMeasure:

@@ -11,8 +11,8 @@ The equations are built as integer rows: each q_n's integer numerators
 (over its one denominator) are read from the polynomial and shifted by an
 integer Taylor shift, and each row is divided by its content.
 :func:`~krallhahn.matrices.solve_linear_system` certifies its verdicts modulo
-word-size primes and falls back to exact Gauss-Jordan elimination where that
-cannot decide.
+word-size primes and falls back to exact fraction-free elimination of the
+integer rows where that cannot decide.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def operator_solution_space(
     certifies nullity 0, and a right-hand side that is a pivot there as well
     certifies inconsistency.  A solution found modulo primes counts only after
     exact substitution into every equation.  A system that is rank-deficient
-    modulo the prime, so every nullity > 0, is decided by exact Gauss-Jordan
-    elimination.
+    modulo the prime, so every nullity > 0, is decided by exact fraction-free
+    elimination of the integer rows and back-substitution.
     """
     if len(qs) != len(lambdas):
         raise ValueError("need one eigenvalue per polynomial")

@@ -26,7 +26,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
-from .rationals import as_rational, format_rational
+from .rationals import clear_denominators, format_rational
 
 Scalar = Union[int, Fraction]
 
@@ -41,9 +41,7 @@ class Polynomial:
     __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(1, *(c.denominator for c in cs))
-        canonical = _make([c.numerator * (den // c.denominator) for c in cs], den)
+        canonical = _make(*clear_denominators(tuple(coeffs)))
         self._numerators = canonical._numerators
         self._denominator = canonical._denominator
 
@@ -347,10 +345,6 @@ class Polynomial:
         """Coefficient list, constant term first, as ``"p/q"`` strings."""
         return [format_rational(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(tuple(as_rational(s) for s in items))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -473,33 +467,16 @@ def lowest_terms(numer: Polynomial, denom: Polynomial) -> tuple[Polynomial, Poly
     return numer, denom
 
 
-def pochhammer(base, length: int):
-    """Rising factorial base*(base+1)*...*(base+length-1).
-
-    Works the same for Fraction or Polynomial arguments and returns 1 of the
-    matching kind when ``length`` is 0.
-    """
+def pochhammer(base: Fraction | int, length: int) -> Fraction:
+    """Rising factorial base*(base+1)*...*(base+length-1); 1 when ``length`` is 0."""
     if length < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    if isinstance(base, int):
-        base = Fraction(base)
-    if isinstance(base, Fraction):
-        acc = Fraction(1)
-    elif isinstance(base, Polynomial):
-        acc = Polynomial.one()
-    else:
+    if not isinstance(base, (int, Fraction)):
         raise TypeError(f"unsupported pochhammer base {type(base).__name__}")
+    acc = Fraction(1)
     for i in range(length):
         acc = acc * (base + i)
     return acc
-
-
-def falling_factorial(base, length: int):
-    """base*(base-1)*...*(base-length+1)."""
-    if isinstance(base, int):
-        base = Fraction(base)
-    acc = pochhammer(-base, length)
-    return acc if length % 2 == 0 else -acc
 
 
 def antidifference(p: Polynomial) -> Polynomial:

@@ -9,6 +9,8 @@ strings like ``"-3/4"`` or ``"8"``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 Rational = Fraction
 
@@ -44,3 +46,17 @@ def format_rational(value: Fraction) -> str:
 def is_integer_at_most(value: Fraction, bound: int) -> bool:
     """True when ``value`` is an integer less than or equal to ``bound``."""
     return value.denominator == 1 and value.numerator <= bound
+
+
+def clear_denominators(values: Sequence) -> tuple[Sequence[int], int]:
+    """(numerators, denominator) with values[i] = numerators[i] / denominator.
+
+    The denominator is the lcm of the reduced denominators, so it is 1 for
+    integers, and those come back as the same sequence, unconverted.  Entries
+    that are neither ``int`` nor ``Fraction`` are read through ``Fraction``.
+    """
+    if all(type(v) is int for v in values):
+        return values, 1
+    rationals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(1, *(v.denominator for v in rationals))
+    return [v.numerator * (den // v.denominator) for v in rationals], den

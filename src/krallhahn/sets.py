@@ -77,14 +77,6 @@ class SetQuartet:
     def maxima(self) -> tuple[int, int, int, int]:
         return tuple(set_max(s) for s in self.sets)  # type: ignore[return-value]
 
-    @property
-    def cardinalities(self) -> tuple[int, int, int, int]:
-        return tuple(len(s) for s in self.sets)  # type: ignore[return-value]
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.sets)
-
     def reversal(self) -> "SetQuartet":
         """Replace each of the first three sets F by {max F - f + 1 : f in F}.
 

@@ -56,7 +56,7 @@ from .measures import (
 )
 from .oracle import operator_solution_space
 from .rationals import format_rational
-from .sets import SetQuartet, corollary_halfwidth, default_pads, theorem_halfwidth
+from .sets import SetQuartet, corollary_halfwidth, theorem_halfwidth
 
 
 @dataclass
@@ -120,21 +120,18 @@ def build_run(cfg: ConstructionConfig) -> RunData:
     try:
         outer = HahnParams(cfg.a, cfg.b, cfg.N)
         if cfg.path == "theorem":
-            pads = cfg.pads if cfg.pads is not None else default_pads(cfg.quartet)
-            ctx = context_from_quartet(outer, cfg.quartet, pads)
-            inner_measure = transformed_hahn_weight(outer, cfg.quartet, pads)
-            measure = inner_measure
+            ctx = context_from_quartet(outer, cfg.quartet, cfg.pads)
             shift = 0
-            r_sets = theorem_halfwidth(cfg.quartet, pads)
+            r_sets = theorem_halfwidth(cfg.quartet, ctx.pads)
         else:
             red = corollary_reduction(outer, cfg.quartet)
             ctx = context_from_quartet(red.params, red.quartet, red.pads)
-            inner_measure = transformed_hahn_weight(red.params, red.quartet, red.pads)
-            measure = inner_measure.translate(red.shift)
             shift = red.shift
             r_sets = corollary_halfwidth(cfg.quartet)
+        inner_measure = transformed_hahn_weight(ctx.params, ctx.quartet, ctx.pads)
     except KrallHahnError as exc:
         raise ConfigInvalid(str(exc)) from exc
+    measure = inner_measure.translate(shift) if shift else inner_measure
     n_default = ctx.orthogonality_range
     n_max = min(cfg.n_max, n_default) if cfg.n_max is not None else n_default
     return RunData(
@@ -295,15 +292,7 @@ def _check_support(run: RunData) -> tuple[bool, dict]:
     ctx = run.ctx
     counts = ctx.block_counts
     expected_size = ctx.params.N + counts[2] + counts[3] + 1
-    if cfg.path == "theorem":
-        pads = cfg.pads if cfg.pads is not None else default_pads(cfg.quartet)
-        expected = transformed_support(run.outer, cfg.quartet, pads)
-    else:
-        red = corollary_reduction(run.outer, cfg.quartet)
-        expected = [
-            point + red.shift
-            for point in transformed_support(red.params, red.quartet, red.pads)
-        ]
+    expected = [pt + run.shift for pt in transformed_support(ctx.params, ctx.quartet, ctx.pads)]
     actual = sorted(run.measure.support)
     witness = {
         "size": run.measure.size,

@@ -175,7 +175,6 @@ class TestSingleRootContext:
         assert ctx.m == 1
         assert ctx.block_counts == (0, 0, 0, 1)
         assert ctx.spectral_roots == (Fraction(2),)
-        assert ctx.root_polynomial() == X - 2
         assert ctx.orthogonality_range == 9
 
     def test_frozen_core(self, single_root_ctx):

@@ -99,9 +99,3 @@ def test_operator_polynomial_horner():
     assert operator_polynomial(p, d) == expected
     assert operator_polynomial(Polynomial.zero(), d).is_zero
     assert operator_polynomial(Polynomial.one(), d) == DifferenceOperator.identity()
-
-
-def test_records_round_trip():
-    op = DifferenceOperator({-1: X - Fraction(1, 2), 2: 3 * X**2})
-    assert DifferenceOperator.from_records(op.to_records()) == op
-    assert op.to_records()[0]["offset"] == -1

@@ -92,7 +92,10 @@ def _reference_hahn(n, p):
             / (outer * pochhammer(a + 1, j) * factorial(n - j) * factorial(j))
         )
         if coeff != 0:
-            acc = acc + coeff * pochhammer(minus_x, j)
+            rising = Polynomial.one()
+            for i in range(j):
+                rising = rising * (minus_x + i)
+            acc = acc + coeff * rising
     return acc
 
 

@@ -5,16 +5,88 @@ from fractions import Fraction
 
 import pytest
 
+from itertools import combinations
+
 from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
     poly_det,
     solve_linear_system,
 )
-from krallhahn.matrices import _PRIMES, _bareiss_det, _cofactor_det, _gauss_jordan
+from krallhahn.matrices import _PRIMES
 from krallhahn.polynomials import Polynomial
+from krallhahn.rationals import clear_denominators
 
 X = Polynomial.variable()
+
+
+def _cofactor_det(rows):
+    """Reference determinant: Laplace expansion along the top row, with every
+    minor computed once; the empty matrix has determinant ``Polynomial.one()``.
+
+    ``minors[cols]`` is the determinant of the bottom ``len(cols)`` rows
+    restricted to the columns ``cols``; each pass expands the row above.
+    """
+    n = len(rows)
+    if n == 0:
+        return Polynomial.one()
+    zero = 0 * rows[0][0]  # the zero of the entries' ring
+    minors = {(j,): entry for j, entry in enumerate(rows[-1])}
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        expanded = {}
+        for cols in combinations(range(n), n - i):
+            acc = zero
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
+                    acc = acc - term if pos % 2 else acc + term
+            expanded[cols] = acc
+        minors = expanded
+    return minors[tuple(range(n))]
+
+
+def _gauss_jordan(rows, rhs):
+    """Reference solver: Gauss-Jordan elimination over the rationals, with the
+    contract of :func:`solve_linear_system` (free variables pinned to 0)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if aug[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for row_idx, col in enumerate(pivots):
+        solution[col] = aug[row_idx][ncols]
+    return solution, ncols - len(pivots)
+
+
+def _exact_solve(rows, rhs):
+    """The exact fallback on its own, whatever the modular route would decide."""
+    ncols = len(rows[0]) if rows else 0
+    aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
+    return matrices._exact_solve(aug, ncols)
 
 
 def _sarrus(m):
@@ -71,32 +143,60 @@ def test_poly_det_equal_rows_vanishes():
     assert poly_det([row, row, [1, X, Polynomial.one()]]).is_zero
 
 
-def test_bareiss_agrees_with_cofactor():
-    """Fraction-free elimination against plain expansion on seeded matrices.
-
-    Sizes straddle the internal dispatch threshold so poly_det exercises
-    the Bareiss branch at 6x6 (including a singular instance), once with
-    polynomial entries and once with Fraction entries.
-    """
-    rng = random.Random(7)
-
+def _random_entries(rng):
     def rand_poly():
         return Polynomial([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))])
 
     def rand_fraction():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
-    for rand_entry, zero in ((rand_poly, Polynomial.zero()), (rand_fraction, Fraction(0))):
-        for n in (4, 6):
+    return ((rand_poly, Polynomial, Polynomial.zero(), Polynomial.one()),
+            (rand_fraction, Fraction, Fraction(0), Fraction(1)))
+
+
+def test_bareiss_agrees_with_cofactor():
+    """The fraction-free elimination against plain expansion on seeded matrices
+    of sizes 0-7, once with polynomial entries and once with Fraction entries,
+    including singular instances."""
+    rng = random.Random(7)
+    for rand_entry, kind, _, _ in _random_entries(rng):
+        for n in range(8):
             rows = [[rand_entry() for _ in range(n)] for _ in range(n)]
             expected = _cofactor_det(rows)
-            assert type(expected) is type(zero) and expected != zero
-            assert _bareiss_det([r[:] for r in rows]) == expected
-            assert poly_det(rows) == expected
-        singular = [[rand_entry() for _ in range(6)] for _ in range(5)]
-        singular.append(list(singular[0]))  # duplicate row
-        assert _cofactor_det(singular) == zero
-        assert poly_det(singular) == zero
+            got = poly_det(rows)
+            assert got == expected, (kind, n)
+            assert type(got) is (Polynomial if n == 0 else kind)
+        for n in (3, 6):
+            singular = [[rand_entry() for _ in range(n)] for _ in range(n - 1)]
+            singular.append(list(singular[0]))  # duplicate row
+            assert _cofactor_det(singular) == 0
+            got = poly_det(singular)
+            assert got == 0 and type(got) is kind
+
+
+def test_poly_det_row_swaps_zero_columns_and_result_type():
+    rng = random.Random(3)
+    for rand_entry, kind, zero, one in _random_entries(rng):
+        for n in (2, 3, 5):
+            rows = [[rand_entry() for _ in range(n)] for _ in range(n)]
+            rows[0][0] = zero  # the first pivot needs a row swap
+            rows[-1][0] = rows[-1][0] or one
+            assert poly_det(rows) == _cofactor_det(rows), (kind, n)
+            # the first column is zero in every row but the last: the swap crosses rows
+            swapped = [[zero, *row[1:]] for row in rows[:-1]] + [rows[-1]]
+            assert poly_det(swapped) == _cofactor_det(swapped)
+            for col in (0, n - 1):
+                blank = [row[:col] + [zero] + row[col + 1 :] for row in rows]
+                got = poly_det(blank)
+                assert got == 0 and type(got) is kind
+    # an exact permutation: the sign of each swap counts
+    perm = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert poly_det(perm) == -1
+    assert poly_det([[0, 1], [1, 0]]) == -1
+    assert poly_det([[0, X], [X + 1, 2]]) == -X * (X + 1)
+    # int entries are read as Fraction, scalars among polynomials as constants
+    assert type(poly_det([[1, 2], [3, 4]])) is Fraction
+    assert poly_det([[1, 2], [3, X]]) == X - 6
 
 
 def test_solve_unique():
@@ -130,7 +230,7 @@ def test_solve_shape_mismatch():
         solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
 
 
-# -- the certified modular route against the Gauss-Jordan reference ----------
+# -- the certified modular route and the exact fallback against Gauss-Jordan --
 
 
 def _is_prime(n):
@@ -163,19 +263,20 @@ def test_primes_are_distinct_word_size_primes():
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Counts Gauss-Jordan fallbacks and modular eliminations per solve."""
-    calls = {"gauss_jordan": 0, "echelon": 0}
+    """Counts exact fallbacks and modular eliminations per solve."""
+    calls = {"fallback": 0, "echelon": 0}
     echelon = matrices._echelon_mod
+    exact_solve = matrices._exact_solve
 
-    def gauss_jordan(rows, rhs):
-        calls["gauss_jordan"] += 1
-        return _gauss_jordan(rows, rhs)
+    def fallback(aug, ncols):
+        calls["fallback"] += 1
+        return exact_solve(aug, ncols)
 
     def counted_echelon(aug, p):
         calls["echelon"] += 1
         return echelon(aug, p)
 
-    monkeypatch.setattr(matrices, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(matrices, "_exact_solve", fallback)
     monkeypatch.setattr(matrices, "_echelon_mod", counted_echelon)
     return calls
 
@@ -190,7 +291,7 @@ def test_full_rank_consistent_is_solved_modularly(routes):
     x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(6)]
     rows, rhs = _system([[rng.randint(-9, 9) for _ in range(6)] for _ in range(9)], x)
     assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
-    assert routes["gauss_jordan"] == 0
+    assert routes["fallback"] == 0
 
 
 def test_b_as_pivot_certifies_inconsistency(routes, monkeypatch):
@@ -201,7 +302,7 @@ def test_b_as_pivot_certifies_inconsistency(routes, monkeypatch):
     )
     assert solve_linear_system(rows, rhs) is None
     assert _gauss_jordan(rows, rhs) is None
-    assert routes == {"gauss_jordan": 0, "echelon": 1}
+    assert routes == {"fallback": 0, "echelon": 1}
 
 
 def test_inconsistency_hidden_mod_p_is_found_by_substitution(routes):
@@ -209,7 +310,7 @@ def test_inconsistency_hidden_mod_p_is_found_by_substitution(routes):
     rows, rhs = [[1], [1]], [0, _PRIMES[0]]
     assert solve_linear_system(rows, rhs) is None
     assert _gauss_jordan(rows, rhs) is None
-    assert routes["gauss_jordan"] == 0
+    assert routes["fallback"] == 0
 
 
 def test_positive_nullity_goes_to_gauss_jordan(routes):
@@ -218,7 +319,7 @@ def test_positive_nullity_goes_to_gauss_jordan(routes):
     expected = _gauss_jordan(rows, rhs)
     assert expected[1] == 1
     assert solve_linear_system(rows, rhs) == expected
-    assert routes["gauss_jordan"] == 1
+    assert routes["fallback"] == 1
 
 
 def test_singular_mod_the_first_prime_goes_to_gauss_jordan(routes):
@@ -228,14 +329,14 @@ def test_singular_mod_the_first_prime_goes_to_gauss_jordan(routes):
     expected = _gauss_jordan(rows, rhs)
     assert expected == ([Fraction(-2, p), Fraction(3)], 0)
     assert solve_linear_system(rows, rhs) == expected
-    assert routes["gauss_jordan"] == 1
+    assert routes["fallback"] == 1
 
 
 def test_solution_needing_several_primes(routes):
     x = [Fraction(3**100, 7**40), Fraction(-(5**60), 11**30)]
     rows, rhs = _system([[1, 2], [3, 5], [2, -7]], x)
     assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
-    assert routes["gauss_jordan"] == 0
+    assert routes["fallback"] == 0
     assert routes["echelon"] >= 5  # the first prime alone reconstructs 30 bits
 
 
@@ -243,14 +344,14 @@ def test_prime_dividing_the_minor_is_skipped(routes):
     rows, rhs = [[_PRIMES[1], 0], [0, 1]], [1, 1]
     solved = solve_linear_system(rows, rhs)
     assert solved == ([Fraction(1, _PRIMES[1]), Fraction(1)], 0)
-    assert routes["gauss_jordan"] == 0
+    assert routes["fallback"] == 0
 
 
 def test_solution_too_large_for_the_primes(routes):
     x = [Fraction(3**500, 7**300), Fraction(1, 2)]
     rows, rhs = _system([[1, 1], [1, -1]], x)
     assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
-    assert routes["gauss_jordan"] == 1
+    assert routes["fallback"] == 1
     assert routes["echelon"] == len(_PRIMES)  # the full system once, then each further prime
 
 
@@ -268,4 +369,29 @@ def test_random_systems_match_gauss_jordan():
         else:
             x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)]
             rhs = _system(rows, x)[1]
-        assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs), trial
+        expected = _gauss_jordan(rows, rhs)
+        assert solve_linear_system(rows, rhs) == expected, trial
+        assert _exact_solve(rows, rhs) == expected, trial
+
+
+@pytest.mark.parametrize(
+    "rows,rhs",
+    [
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [6, 12, 2]),  # rank-deficient, consistent
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [6, 11, 2]),  # rank-deficient, inconsistent
+        ([[0, 1, 2], [0, 3, 4]], [5, 6]),  # a zero column: its variable is free
+        ([[1, 0, 2], [3, 0, 4], [5, 0, 6]], [1, 1, 1]),  # a zero column, inconsistent
+        ([[0, 0], [0, 0]], [0, 0]),  # the zero matrix
+        ([[0, 0], [0, 0]], [0, 1]),
+        ([[1, 1], [1, -1], [2, 0], [3, 1], [0, 2]], [3, 1, 4, 7, 2]),  # tall, consistent
+        ([[1, 1], [1, -1], [2, 0], [3, 1], [0, 2]], [3, 1, 4, 7, 3]),  # tall, inconsistent
+        ([[0, 2, 1], [0, 0, 0], [3, 1, 0], [6, 2, 0]], [1, 0, 2, 4]),  # swaps past zero rows
+        ([[Fraction(1, 2), Fraction(2, 3)], [Fraction(3, 4), 1]], [1, Fraction(3, 2)]),
+    ],
+)
+def test_exact_fallback_matches_gauss_jordan(routes, rows, rhs):
+    expected = _gauss_jordan(rows, rhs)
+    assert _exact_solve(rows, rhs) == expected
+    assert solve_linear_system(rows, rhs) == expected
+    if expected is not None and expected[1] > 0:
+        assert routes["fallback"] == 2  # the direct call and the solver's own

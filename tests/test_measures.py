@@ -37,7 +37,6 @@ def test_zero_masses_dropped():
     assert mu.support == [0, 2]
     assert mu.size == 2
     assert mu.mass(1) == 0
-    assert mu.total_mass() == Fraction(3, 2)
 
 
 def test_integration():
@@ -51,7 +50,7 @@ def test_translate_and_scale():
     mu = DiscreteMeasure({0: 1, 2: 3})
     assert mu.translate(HALF).support == [HALF, Fraction(5, 2)]
     assert mu.translate(1).translate(-1) == mu
-    assert mu.scale(2).total_mass() == 8
+    assert mu.scale(2) == DiscreteMeasure({0: 2, 2: 6})
     assert mu.scale(0).size == 0
 
 
@@ -235,12 +234,6 @@ def test_inner_products_match_integrated_products(families, name):
             assert measure.inner_product(polys[i], polys[j]) == reference
 
 
-def test_values_are_in_support_order():
-    assert SIGNED.values(X) == tuple(SIGNED.support)
-    assert SIGNED.values(X * X - 1) == tuple(pt * pt - 1 for pt in SIGNED.support)
-    assert SIGNED.dot(SIGNED.values(Polynomial.one()), SIGNED.values(X)) == SIGNED.integrate(X)
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_gram_schmidt_matches_product_projection(families, name):
     measure, _, n_max = families[name]
@@ -290,9 +283,7 @@ def test_integrals_and_values_match_fraction_route(families, name):
     assert measure.moments(3) == [_fraction_integrate(measure, X**k) for k in range(4)]
     for p in (polys[0], polys[-1], X - HALF):
         assert measure.integrate(p) == _fraction_integrate(measure, p)
-        assert measure.values(p) == _fraction_values(measure, p)
     u, v = _fraction_values(measure, polys[-1]), _fraction_values(measure, X - HALF)
-    assert measure.dot(u, v) == _fraction_dot(measure, u, v)
     assert measure.inner_product(polys[-1], X - HALF) == _fraction_dot(measure, u, v)
 
 
@@ -334,7 +325,6 @@ _PROPERTY = settings(max_examples=100, deadline=None, database=None)
 def test_random_integrals_and_tables_match_fraction_route(measure, polys):
     for p in polys:
         assert measure.integrate(p) == _fraction_integrate(measure, p)
-        assert measure.values(p) == _fraction_values(measure, p)
     assert measure.inner_product(polys[0], polys[-1]) == _fraction_dot(
         measure, _fraction_values(measure, polys[0]), _fraction_values(measure, polys[-1])
     )
