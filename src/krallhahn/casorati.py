@@ -11,23 +11,28 @@ invariant prefactor.  From those this module builds, all exactly:
 
 Every determinant here goes through the one exact routine
 :func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and
-its minors (the mixing polynomials) on polynomial entries, the minors of the
-bordered polynomials on ``Fraction`` entries.  Every quantity the theory
-claims is polynomial is produced by exact division, so a failed cancellation
-surfaces as an error instead of an approximation.  The normaliser is a
-product of known linear factors, kept as a leading constant and a root
-multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
-terms over L, the lcm of the m shifted root multisets, so each term is
-multiplied by the leftover linear factors and no gcd is taken; the sum makes
-one exact division by L, and a remainder raises.  The cross-check of the
-cleared determinant, :func:`casorati_rational`, compares scalar determinants
-at points.
+its minors (the mixing polynomials) on polynomial entries, and each q_n as
+one bordered determinant: the raw Casorati rows (:func:`casorati_rows`,
+running products of the series ratios times the row values, no clearing
+block) above a border of alternating Hahn polynomials.  Every quantity the
+theory claims is polynomial is produced by exact division, so a failed
+cancellation surfaces as an error instead of an approximation.  The
+normaliser is a product of known linear factors, kept as a leading constant
+and a root multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial`
+puts its m terms over L, the lcm of the m shifted root multisets, so each
+term is multiplied by the leftover linear factors and no gcd is taken; the
+sum makes one exact division by L, and a remainder raises.  The cross-check
+of the cleared determinant, :func:`casorati_rational`, takes determinants of
+the same raw rows at points.  The Omega scan and the leading-coefficient
+gate read the cleared route (:func:`casorati_value`), so they do not compare
+the raw rows with themselves.
 
-The stages that several checks read, the Hahn base polynomials among them,
-are memoised per context in one bounded store owned by this module.  Contexts
-are matched by equality, so equal contexts built by separate calls share
-their results; only the few most recently used contexts are kept, so memory
-stays flat however many configs one process verifies.
+The stages that several checks read, the series ratios, the raw rows and the
+Hahn base polynomials among them, are memoised per context in one bounded
+store owned by this module.  Contexts are matched by equality, so equal
+contexts built by separate calls share their results; only the few most
+recently used contexts are kept, so memory stays flat however many configs
+one process verifies.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .ladder import (
     falling_block,
     falling_roots,
     ladder_operator,
-    ratio_product_value,
+    ratio_products,
     rising_block,
     rising_roots,
     series_ratio,
@@ -337,13 +342,35 @@ def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
     return casorati_cleared(ctx)(point) / denom
 
 
+@_stage
+def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomial], ...]:
+    """Each row's series ratio, as a reduced (numerator, denominator) pair."""
+    return tuple(series_ratio(kind, ctx.params) for kind in ctx.row_kinds)
+
+
+@_stage
+def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The raw Casorati rows at the integer t: m rows of m + 1 entries.
+
+    Row r, column c is ratio_r(t - c) ... ratio_r(t - m + 1) * Y_r(theta_{t-c}),
+    from the definition, with no clearing block.  Columns 1..m are the
+    Casorati matrix at t; column 0 borders it for q_t.  A ratio pole at one of
+    t - m + 1, ..., t raises ParameterSingularity.
+    """
+    p, m = ctx.params, ctx.m
+    rows = []
+    for ratio, poly in zip(series_ratios(ctx), ctx.row_polys):
+        products = ratio_products(ratio, range(t - m + 1, t + 1))
+        rows.append(tuple(products[m - c] * poly(p.eigenvalue(t - c)) for c in range(m + 1)))
+    return tuple(rows)
+
+
 def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     """Raw (uncleared) determinant values at t = 0, 1, ..., the cross-check route.
 
-    Each entry is built from its definition: row r, column c is the product of
-    the row's series ratio at t - i for i = c..m-1, times the row polynomial
-    at theta(t - c).  No clearing block is used, so the route is independent
-    of the clearing algebra.  Points where a ratio has a pole are skipped.
+    Each value is the determinant of columns 1..m of :func:`casorati_rows`,
+    whose entries use no clearing block, so the route is independent of the
+    clearing algebra.  Points where the rows hit a ratio pole are skipped.
 
     With den_r the reduced denominator of row r's ratio, D = prod_r prod_{i=1}^{m-1}
     den_r(x - i) clears every row, and D * clearing_factor * R and
@@ -352,11 +379,10 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     proves clearing_factor * R = casorati_cleared: a nonzero polynomial of
     degree B has at most B roots.
     """
-    p, m = ctx.params, ctx.m
-    ratios = {kind: series_ratio(kind, p) for kind in set(ctx.row_kinds)}
+    m = ctx.m
     raw_degree = denominator_degree = 0
-    for kind, u in zip(ctx.row_kinds, ctx.row_degrees):
-        dn, dd = (part.degree for part in ratios[kind])
+    for (numer, denom), u in zip(series_ratios(ctx), ctx.row_degrees):
+        dn, dd = numer.degree, denom.degree
         raw_degree += max((m - c) * dn + (c - 1) * dd for c in range(1, m + 1)) + 2 * u
         denominator_degree += (m - 1) * dd
     bound = max(
@@ -366,20 +392,12 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     values: dict[int, Fraction] = {}
     t = 0
     while len(values) <= bound:
-        rows = []
         try:
-            for kind, poly in zip(ctx.row_kinds, ctx.row_polys):
-                numer, denom = ratios[kind]
-                running = Fraction(1)
-                entries = [poly(p.eigenvalue(t - m))]
-                for col in range(m - 1, 0, -1):
-                    running *= numer(t - col) / denom(t - col)
-                    entries.append(running * poly(p.eigenvalue(t - col)))
-                rows.append(entries[::-1])
-        except ZeroDivisionError:
-            pass  # a ratio has a pole at t - col: D(t) = 0
+            rows = casorati_rows(ctx, t)
+        except ParameterSingularity:
+            pass  # a ratio pole at t - i with i < m: D(t) = 0 or a row is undefined
         else:
-            values[t] = poly_det(rows) if rows else Fraction(1)
+            values[t] = poly_det([row[1:] for row in rows]) if rows else Fraction(1)
         t += 1
     return values
 
@@ -396,28 +414,20 @@ def base_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
 def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     """Degree-n member of the constructed family (bordered determinant).
 
-    Expansion along the first row: the alternating signs there cancel the
-    cofactor signs, leaving sum_k h_{n-k} * minor_k with minor_0 equal to the
-    Casorati determinant at n.  Each minor is the scalar determinant of the
-    kept columns, passed as rows (a transpose has the same determinant).
+    The m raw Casorati rows at n, bordered below by (h_n, -h_{n-1}, ...,
+    (-1)^m h_{n-m}) with h_k = 0 for k < 0.  Expanding along the border, the
+    cofactor signs (-1)^(m+k) cancel the border's alternation up to (-1)^m, so
+    (-1)^m times the determinant is sum_k h_{n-k} * minor_k, where minor_k
+    drops column k and minor_0 is the Casorati determinant at n.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    p, m = ctx.params, ctx.m
-    # column col: the ratio-product-weighted row values at degree n - col
-    columns = [
-        [ratio_product_value(kind, n - col, m - col, p) * poly(p.eigenvalue(n - col))
-         for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
-        for col in range(m + 1)
-    ]
-    acc = Polynomial.zero()
-    for k in range(m + 1):
-        if n - k < 0:
-            break
-        minor = poly_det([columns[c] for c in range(m + 1) if c != k])
-        if minor != 0:
-            acc = acc + minor * base_polynomial(ctx, n - k)
-    return acc
+    border = [Polynomial.zero()] * (ctx.m + 1)
+    for k in range(min(ctx.m, n) + 1):
+        h = base_polynomial(ctx, n - k)
+        border[k] = -h if k % 2 else h
+    q = poly_det([*casorati_rows(ctx, n), border])
+    return -q if ctx.m % 2 else q
 
 
 # -- normalisers and the spectral data ------------------------------------------------

@@ -3,20 +3,22 @@
 Each kind is defined by a ratio sequence (a rational function of the degree,
 kept as a reduced (numerator, denominator) pair) and the common shift
 sequence -(2n + a + b - 1); the operator acts on the basis by a triangular
-series whose coefficients are products of consecutive ratios.  Partial
-products of the ratios have Pochhammer closed forms whose numerator and
-denominator blocks are the clearing factors used everywhere in the
+series whose coefficients are products of consecutive ratios.  At integer
+points those products are running products (:func:`ratio_products`); as
+polynomials in the degree they have Pochhammer closed forms whose numerator
+and denominator blocks are the clearing factors used everywhere in the
 determinant machinery.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
 from .hahn import HahnParams
-from .polynomials import Polynomial, lowest_terms, pochhammer
+from .polynomials import Polynomial, lowest_terms
 from .rationals import Rational, as_rational
 
 KINDS = (1, 2, 3, 4)
@@ -58,24 +60,35 @@ def ladder_operator(kind: int, p: HahnParams) -> DifferenceOperator:
     raise ValueError(f"kind must be 1..4, got {kind}")
 
 
+def ratio_products(ratio: tuple[Polynomial, Polynomial], points: Iterable[int]) -> list[Fraction]:
+    """Partial products of a ratio along integer points.
+
+    Entry k is ratio(t_1) ratio(t_2) ... ratio(t_k) for the points t_1, t_2,
+    ... in order, so entry 0 is 1.  A pole of the reduced ratio at any point
+    raises ParameterSingularity, even where a zero at another point would
+    cancel it in the closed form :func:`ratio_product`.
+    """
+    numer, denom = ratio
+    out = [Fraction(1)]
+    for t in points:
+        d = denom(t)
+        if not d:
+            raise ParameterSingularity(f"ladder ratio has a pole at degree {t}")
+        out.append(out[-1] * numer(t) / d)
+    return out
+
+
 def series_coefficients(kind: int, n: int, p: HahnParams) -> list[Fraction]:
     """Coefficients of h_n, h_{n-1}, ..., h_0 in the series expansion.
 
     The image of h_n under the ladder operator is
     -shift(n+1)/2 * h_n  +  sum_j (-1)^{j+1} shift(n-j+1) ratio(n)...ratio(n-j+1) h_{n-j}.
     """
-    numer, denom = series_ratio(kind, p)
     shift = series_shift(p)
+    products = ratio_products(series_ratio(kind, p), range(n, 0, -1))
     out = [-shift(n + 1) / 2]
-    running = Fraction(1)
     for j in range(1, n + 1):
-        try:
-            running *= numer(n - j + 1) / denom(n - j + 1)
-        except ZeroDivisionError as exc:
-            raise ParameterSingularity(
-                f"ladder ratio of kind {kind} has a pole at degree {n - j + 1}"
-            ) from exc
-        term = shift(n - j + 1) * running
+        term = shift(n - j + 1) * products[j]
         out.append(term if j % 2 else -term)
     return out
 
@@ -150,29 +163,3 @@ def ratio_product(kind: int, length: int, p: HahnParams) -> tuple[Polynomial, Po
         numer = numer * rising_block(which, length, 0, p)
         denom = denom * falling_block(which, length, 0, p)
     return lowest_terms(numer, denom)
-
-
-def ratio_product_value(kind: int, base: Rational | int, length: int, p: HahnParams) -> Fraction:
-    """Exact value of the partial product at a rational base point.
-
-    The clearing blocks are evaluated as scalars.  Only where the block in the
-    denominator vanishes at the point, a zero the closed form may cancel, is
-    the closed form built and evaluated instead.
-    """
-    if kind not in CLEARING_BLOCKS:
-        raise ValueError(f"kind must be 1..4, got {kind}")
-    base = as_rational(base)
-    span = abs(length)
-    at = base if length >= 0 else base - length
-    numer = denom = Fraction(1)
-    for which in CLEARING_BLOCKS[kind]:
-        numer *= pochhammer(at + _rising_offset(which, span, p), span)
-        denom *= pochhammer(at + _falling_offset(which, span, p), span)
-    if span % 2 and len(CLEARING_BLOCKS[kind]) % 2:
-        denom = -denom
-    if length < 0:
-        numer, denom = denom, numer
-    if denom:
-        return numer / denom
-    numer, denom = ratio_product(kind, length, p)
-    return numer(base) / denom(base)

@@ -1,8 +1,8 @@
 """Exact determinants and exact linear solving.
 
 One fraction-free forward elimination (Bareiss, 1968), :func:`_eliminate`,
-does every exact elimination here.  It runs on polynomial entries, on
-``Fraction`` scalars and on integers alike, because it uses only ring
+does every exact elimination here.  It runs on polynomials, ``Fraction``
+scalars, integers or polynomials beside scalars, because it uses only ring
 operations and one exact division per update; rows are swapped to find a
 pivot and columns without one are skipped.
 
@@ -52,14 +52,14 @@ def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomia
     n = _square_size(rows)
     if n == 0:
         return Polynomial.one()
-    polynomial = any(isinstance(e, Polynomial) for row in rows for e in row)
-    lift = _as_polynomial if polynomial else Fraction
-    entries = [[lift(e) for e in row] for row in rows]
+    # Scalars stay Fraction beside polynomials: every entry a polynomial pivot
+    # updates becomes a polynomial, so no scalar is divided by a polynomial.
+    entries = [[e if isinstance(e, Polynomial) else Fraction(e) for e in row] for row in rows]
     pivots, sign = _eliminate(entries, n, truediv)
-    if len(pivots) < n:
-        return 0 * entries[0][0]  # a column without a pivot: the zero of the ring
-    det = entries[n - 1][n - 1]
-    return det if sign == 1 else -det
+    det = entries[n - 1][n - 1] if len(pivots) == n else Fraction(0)
+    det = det if sign == 1 else -det
+    polynomial = any(isinstance(e, Polynomial) for row in rows for e in row)
+    return _as_polynomial(det) if polynomial else det
 
 
 def _as_polynomial(entry: Polynomial | Fraction | int) -> Polynomial:

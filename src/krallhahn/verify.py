@@ -34,6 +34,7 @@ from .casorati import (
     mixing_polynomial,
     operator_halfwidth,
     reflect,
+    series_ratios,
     spectral_increment,
     spectral_polynomial,
 )
@@ -47,7 +48,7 @@ from .hahn import (
     transformed_hahn_weight,
     transformed_support,
 )
-from .ladder import ratio_product_value, series_ratio, series_shift
+from .ladder import ratio_products, series_ratio, series_shift
 from .measures import (
     DiscreteMeasure,
     gram_schmidt,
@@ -351,11 +352,15 @@ def check_foeq(
             }
         denominators.append(pprime * start_value)
 
+    # xi_n = ratio(0) ... ratio(n), and the products ratio(-1) ... ratio(-k),
+    # k < m, that the negative range and the boundary divide by
+    forward = [ratio_products(ratio, range(n_top + 1)) for ratio in series_ratios(ctx)]
+    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in series_ratios(ctx)]
+
     def ratio_sum(n: int) -> Fraction:
         total = Fraction(0)
         for i in range(m):
-            xi = ratio_product_value(ctx.row_kinds[i], n, n + 1, p)
-            total += xi * ctx.row_polys[i](p.eigenvalue(n)) / denominators[i]
+            total += forward[i][n + 1] * ctx.row_polys[i](p.eigenvalue(n)) / denominators[i]
         return total
 
     constant = None
@@ -385,14 +390,12 @@ def check_foeq(
     for n in range(1 - m, 0):
         total = Fraction(0)
         for i in range(m):
-            xi = ratio_product_value(ctx.row_kinds[i], -1, -n - 1, p)
-            total += ctx.row_polys[i](p.eigenvalue(n)) / (denominators[i] * xi)
+            total += ctx.row_polys[i](p.eigenvalue(n)) / (denominators[i] * backward[i][-n - 1])
         if total != 0:
             negative_failures.append({"n": n, "sum": format_rational(total)})
     boundary = Fraction(0)
     for i in range(m):
-        xi = ratio_product_value(ctx.row_kinds[i], -1, m - 1, p)
-        boundary += ctx.row_polys[i](p.eigenvalue(-m)) / (denominators[i] * xi)
+        boundary += ctx.row_polys[i](p.eigenvalue(-m)) / (denominators[i] * backward[i][m - 1])
     witness = {
         "constant": format_rational(constant) if constant is not None else None,
         "fitted_at": fit_at,
@@ -423,15 +426,22 @@ def _check_oracle(run: RunData) -> tuple[bool, dict]:
         2 * r, max((c.degree for c in constructed.terms.values()), default=0)
     )
     lam = eigenvalue_polynomial(ctx)
-    top = 2 * r + 1
-    qs = [krall_polynomial(ctx, n) for n in range(top + 1)]
-    lambdas = [Fraction(lam(n)) for n in range(top + 1)]
+    # the first 2r + 2 degrees where Omega is nonzero; where it vanishes q_n
+    # drops degree.  Omega has at most deg C zeros, so the scan ends.
+    fed, skipped = [], []
+    for n in range(2 * r + 2 + max(casorati_cleared(ctx).degree, 0)):
+        if len(fed) == 2 * r + 2:
+            break
+        (fed if casorati_value(ctx, n) else skipped).append(n)
+    qs = [krall_polynomial(ctx, n) for n in fed]
+    lambdas = [Fraction(lam(n)) for n in fed]
     found, nullity = operator_solution_space(qs, lambdas, r, cap)
     agrees = found == constructed
     witness = {
         "halfwidth": r,
         "degree_cap": cap,
-        "fed_degrees": top,
+        "fed_degrees": fed[-1] if fed else None,
+        "skipped_degrees": skipped,
         "solvable": found is not None,
         "nullity": nullity,
         "agrees_with_construction": agrees,

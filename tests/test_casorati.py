@@ -380,10 +380,18 @@ class TestDeterminantRoutes:
 
     def test_poles_are_skipped(self):
         # kind 4's ratio -(n + b)/(n + a) has its pole at n = 2 when a = -2;
-        # with m = 2 only column 1 reads a ratio, at t - 1, so t = 3 is skipped
+        # with m = 2 the rows at t read the ratio at t and t - 1, so t = 2 and
+        # t = 3 are skipped
         ctx = context_from_degrees(HahnParams(-2, Fraction(1, 2), 1), ((), (), (), (0, 1)))
         values = casorati_rational(ctx)
-        assert 3 not in values and 0 in values
+        assert [t for t in range(max(values)) if t not in values] == [2, 3]
+        assert pointwise_dual_route(ctx)
+
+    def test_pole_in_the_bordered_rows_raises(self):
+        # the same pole at n = 2; q_2's rows read the ratio at 2 and 1
+        ctx = context_from_degrees(HahnParams(-2, -3, 1), ((), (), (), (0, 1)))
+        with pytest.raises(ParameterSingularity):
+            krall_polynomial(ctx, 2)
         assert pointwise_dual_route(ctx)
 
     @pytest.mark.parametrize("corrupt", ["cleared_entry", "clearing_factor"])
@@ -577,6 +585,7 @@ class TestBorderedFamily:
 class TestStageStore:
     STAGES = (
         casorati.cleared_matrix,
+        casorati.series_ratios,
         casorati_cleared,
         clearing_factor,
         normalizer,
@@ -606,6 +615,7 @@ class TestStageStore:
             assert stage(first) is stage(second)
         for row in range(first.m):
             assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
+        assert casorati.casorati_rows(first, 3) is casorati.casorati_rows(second, 3)
 
     def test_repeated_stage_calls_do_not_rehash_the_context(self, monkeypatch):
         ctx = build_run(builtin_config("four-roots")).ctx

@@ -6,13 +6,12 @@ import pytest
 
 from krallhahn.errors import ParameterSingularity
 from krallhahn.hahn import HahnParams, hahn_polynomial
-from krallhahn import ladder
 from krallhahn.ladder import (
     KINDS,
     falling_block,
     ladder_operator,
     ratio_product,
-    ratio_product_value,
+    ratio_products,
     rising_block,
     series_coefficients,
     series_ratio,
@@ -79,44 +78,63 @@ def test_ratio_product_matches_explicit_product(kind, desk_params):
         assert ratio_product(kind, length, desk_params) == explicit
 
 
+def closed_form_products(kind, points, p):
+    """ratio_products along a unit-step range, read off the closed form."""
+    out = []
+    for k in range(len(points) + 1):
+        base = points.start if points.step < 0 else points.start + k - 1
+        numer, denom = ratio_product(kind, k, p)
+        out.append(numer(base) / denom(base))
+    return out
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_ratio_product_negative_length(kind, desk_params):
-    # xi_{n,i} = 1 / xi_{n-i,-i} for i < 0; integer points avoid the kind-4
-    # pole at n = -a
-    for i in (-1, -2, -3):
+    # length -i gives 1 / (ratio(n + i) ... ratio(n + 1)); integer points
+    # avoid the kind-4 pole at n = -a
+    ratio = series_ratio(kind, desk_params)
+    for i in (1, 2, 3):
+        numer, denom = ratio_product(kind, -i, desk_params)
         for n in (-1, -2, -5):
-            lhs = ratio_product_value(kind, n, i, desk_params)
-            rhs = ratio_product_value(kind, n - i, -i, desk_params)
-            assert lhs * rhs == 1
+            product = ratio_products(ratio, range(n + i, n, -1))[-1]
+            assert numer(n) / denom(n) * product == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_ratio_product_value_matches_closed_form(kind, monkeypatch):
-    """Scalar blocks against evaluating the closed form, at half-integer points.
+def test_ratio_product_value_matches_closed_form(kind):
+    """Running products against the closed form, in both directions.
 
-    With a = b the factor (n + b) / (n + a) of kinds 2 and 4 cancels, so their
-    blocks vanish together at points where the closed form has no pole: there
-    the value must come from the closed form.  Where the closed form keeps a
-    pole, both routes raise.
+    The second set has a + b + N + 1 = 8, so kinds 1 and 2 have a pole at
+    n = -8: a range through it raises, and the products before it still
+    match.  With a = b the factor (n + b) / (n + a) of kinds 2 and 4 cancels
+    in the reduced ratio, so kind 4 has no pole there.
     """
-    fallbacks = []
-    closed_form = ladder.ratio_product
-    monkeypatch.setattr(
-        ladder, "ratio_product", lambda *args: fallbacks.append(args) or closed_form(*args)
-    )
-    points = [Fraction(k, 2) for k in range(-12, 17)]
+    poles_met = 0
     for p in (HahnParams(Fraction(1, 2), Fraction(1, 3), 8), HahnParams(Fraction(1, 2), Fraction(1, 2), 6)):
-        for length in range(-4, 7):
-            numer, denom = closed_form(kind, length, p)
-            for base in points:
-                try:
-                    expected = numer(base) / denom(base)
-                except ZeroDivisionError:
-                    with pytest.raises(ZeroDivisionError):
-                        ratio_product_value(kind, base, length, p)
-                    continue
-                assert ratio_product_value(kind, base, length, p) == expected, (p, length, base)
-    assert fallbacks or kind in (1, 3)
+        ratio = series_ratio(kind, p)
+        for start in range(-12, 17):
+            for points in (range(start, start + 6), range(start, start - 6, -1)):
+                poles = [i for i, t in enumerate(points) if ratio[1](t) == 0]
+                if poles:
+                    poles_met += 1
+                    with pytest.raises(ParameterSingularity):
+                        ratio_products(ratio, points)
+                    points = points[: poles[0]]
+                assert ratio_products(ratio, points) == closed_form_products(kind, points, p)
+    assert bool(poles_met) == (kind in (1, 2))
+
+
+def test_ratio_products_raise_at_a_pole():
+    # kind 4 ratio -(n + b) / (n + a) with b = a + 1 = -2: ratio(3) has a pole
+    # and ratio(2) a zero.  The closed form cancels them across the two steps;
+    # the running product raises at the pole.
+    p = HahnParams(Fraction(-3), Fraction(-2), 1)
+    numer, denom = ratio_product(4, 2, p)
+    assert numer(3) / denom(3) == -1
+    for points in (range(3, 1, -1), range(2, 4), range(0, 5)):
+        with pytest.raises(ParameterSingularity):
+            ratio_products(series_ratio(4, p), points)
+    assert ratio_products(series_ratio(4, p), range(4, 7)) == closed_form_products(4, range(4, 7), p)
 
 
 def test_blocks_are_shifted_pochhammers(desk_params):

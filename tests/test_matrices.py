@@ -117,7 +117,7 @@ def test_numeric_vandermonde():
     rows = [[Fraction(v) ** k for k in range(3)] for v in nodes]
     det = poly_det(rows)
     assert isinstance(det, Fraction) and det == 2
-    # scalar entries among polynomials are read as constant polynomials
+    # scalar entries among polynomials give a polynomial
     det = poly_det([[Polynomial.constant(row[0]), *row[1:]] for row in rows])
     assert det == Polynomial.constant(2)
 
@@ -174,6 +174,26 @@ def test_bareiss_agrees_with_cofactor():
             assert got == 0 and type(got) is kind
 
 
+def test_poly_det_scalar_rows_above_a_polynomial_row():
+    """Fraction rows above one polynomial row, the shape of the bordered family.
+
+    The scalars are eliminated as Fraction; where a column of the scalar rows
+    is zero, the polynomial row is swapped up as the pivot.
+    """
+    rng = random.Random(11)
+    (rand_poly, *_), (rand_fraction, *_) = _random_entries(rng)
+    for n in (1, 2, 4, 6):
+        scalars = [[rand_fraction() for _ in range(n)] for _ in range(n - 1)]
+        border = [rand_poly() for _ in range(n)]
+        for col in (None, 0, n - 1):
+            rows = [
+                [Fraction(0) if c == col else v for c, v in enumerate(row)] for row in scalars
+            ]
+            rows.append(border)
+            got = poly_det(rows)
+            assert got == _cofactor_det(rows) and type(got) is Polynomial, (n, col)
+
+
 def test_poly_det_row_swaps_zero_columns_and_result_type():
     rng = random.Random(3)
     for rand_entry, kind, zero, one in _random_entries(rng):
@@ -194,7 +214,7 @@ def test_poly_det_row_swaps_zero_columns_and_result_type():
     assert poly_det(perm) == -1
     assert poly_det([[0, 1], [1, 0]]) == -1
     assert poly_det([[0, X], [X + 1, 2]]) == -X * (X + 1)
-    # int entries are read as Fraction, scalars among polynomials as constants
+    # int entries are read as Fraction; scalars among polynomials give a polynomial
     assert type(poly_det([[1, 2], [3, 4]])) is Fraction
     assert poly_det([[1, 2], [3, X]]) == X - 6
 

@@ -12,9 +12,9 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
-from krallhahn.casorati import context_from_degrees
+from krallhahn.casorati import casorati_value, context_from_degrees
 from krallhahn.diffops import DifferenceOperator
-from krallhahn.ladder import ratio_product
+from krallhahn.ladder import KINDS, ratio_product, series_ratio
 from krallhahn.errors import ConfigInvalid
 from krallhahn.hahn import HahnParams, hahn_weight
 from krallhahn.polynomials import Polynomial
@@ -118,6 +118,33 @@ def test_oracle_fails_when_a_narrower_operator_exists(monkeypatch):
     assert check.witness["lower_probe"].startswith("solvable")
 
 
+def test_oracle_feeds_past_the_forced_zeros_of_omega():
+    """F1=[4], N=8, theorem path: Omega vanishes on 10..15, inside 0..2r+1 = 0..11.
+
+    Fed those degrees, the probe was underdetermined (nullity 11) and failed.
+    """
+    cfg = config_from_dict(
+        {"a": "1/2", "b": "1/3", "N": 8, "F": [[4], [], [], []], "path": "theorem",
+         "checks": ["oracle"]}
+    )
+    check = run_config(cfg).checks[0]
+    assert check.passed
+    assert check.witness["skipped_degrees"] == list(range(10, 16))
+    assert check.witness["fed_degrees"] == 17 and check.witness["nullity"] == 0
+
+
+@pytest.mark.parametrize("name, zeros", [("four-roots", [8]), ("single-root", [])])
+def test_oracle_skips_exactly_the_zeros_of_omega(name, zeros):
+    cfg = config_from_dict({**BUILTIN_CONFIGS[name], "checks": ["oracle"]})
+    check = run_config(cfg).checks[0]
+    assert check.passed
+    top = check.witness["fed_degrees"]
+    ctx = build_run(cfg).ctx
+    assert [n for n in range(top + 1) if casorati_value(ctx, n) == 0] == zeros
+    assert check.witness["skipped_degrees"] == zeros
+    assert top + 1 - len(zeros) == 2 * check.witness["halfwidth"] + 2
+
+
 def test_orthogonality_fails_for_a_non_orthogonal_member(monkeypatch):
     """q_3 plus a multiple of q_1 breaks both the Gram table and Gram-Schmidt."""
     import krallhahn.verify as verify
@@ -213,11 +240,18 @@ def test_check_foeq_matches_closed_form_route(cfg, monkeypatch):
     run = build_run(cfg)
     scalar = check_foeq(run.ctx, run.inner_measure)
     assert scalar[0]
-    def closed_form_value(kind, base, length, p):
-        numer, denom = ratio_product(kind, length, p)
-        return numer(base) / denom(base)
+    p = run.ctx.params
+    kinds = {series_ratio(kind, p): kind for kind in KINDS}
 
-    monkeypatch.setattr(verify, "ratio_product_value", closed_form_value)
+    def closed_form_products(ratio, points):
+        out = []
+        for k in range(len(points) + 1):
+            base = points.start if points.step < 0 else points.start + k - 1
+            numer, denom = ratio_product(kinds[ratio], k, p)
+            out.append(numer(base) / denom(base))
+        return out
+
+    monkeypatch.setattr(verify, "ratio_products", closed_form_products)
     assert check_foeq(run.ctx, run.inner_measure) == scalar
 
 
