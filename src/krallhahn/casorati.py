@@ -10,29 +10,29 @@ invariant prefactor.  From those this module builds, all exactly:
 * the higher-order difference operator the new family satisfies.
 
 Every determinant here goes through the one exact routine
-:func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and
-its minors (the mixing polynomials) on polynomial entries, and each q_n as
-one bordered determinant: the raw Casorati rows (:func:`casorati_rows`,
-running products of the series ratios times the row values, no clearing
-block) above a border of alternating Hahn polynomials.  Every quantity the
-theory claims is polynomial is produced by exact division, so a failed
-cancellation surfaces as an error instead of an approximation.  The
+:func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and its
+minors (the mixing polynomials) on polynomial entries, and each q_n as one
+bordered determinant: the raw Casorati rows (:func:`casorati_rows`, running
+products of the series ratios times the row values, no clearing block, rebuilt
+at each point read) above a border of alternating Hahn polynomials.  Every
+quantity the theory claims is polynomial is produced by exact division, so a
+failed cancellation surfaces as an error instead of an approximation.  The
 normaliser is a product of known linear factors, kept as a leading constant
 and a root multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial`
-puts its m terms over L, the lcm of the m shifted root multisets, so each
-term is multiplied by the leftover linear factors and no gcd is taken; the
-sum makes one exact division by L, and a remainder raises.  The cross-check
-of the cleared determinant, :func:`casorati_rational`, takes determinants of
-the same raw rows at points.  The Omega scan and the leading-coefficient
-gate read the cleared route (:func:`casorati_value`), so they do not compare
-the raw rows with themselves.
+puts its m terms over L, the lcm of the m shifted root multisets, so each term
+is multiplied by the leftover linear factors and no gcd is taken; the sum
+makes one exact division by L, and a remainder raises.  The cross-check of the
+cleared determinant, :func:`casorati_rational`, takes determinants of the same
+raw rows at points.  The Omega scan and the leading-coefficient gate read the
+cleared route (:func:`casorati_value`), so they do not compare the raw rows
+with themselves.  Symbols in theta come from base-theta digits
+(:func:`theta_substitute`).
 
-The stages that several checks read, the series ratios, the raw rows and the
-Hahn base polynomials among them, are memoised per context in one bounded
-store owned by this module.  Contexts are matched by equality, so equal
-contexts built by separate calls share their results; only the few most
-recently used contexts are kept, so memory stays flat however many configs
-one process verifies.
+The stages that several checks read, the series ratios and the Hahn base
+polynomials among them, are memoised per context in one bounded store owned by
+this module.  Contexts are matched by equality, so equal contexts built by
+separate calls share their results; only the few most recently used contexts
+are kept, so memory stays flat however many configs one process verifies.
 """
 
 from __future__ import annotations
@@ -242,28 +242,20 @@ def reflect(poly: Polynomial, shift: Rational | int) -> Polynomial:
 def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
     """Rewrite a reflection-invariant polynomial as a polynomial in theta_x.
 
-    theta_x = x(x + a + b + 1).  Works by peeling leading terms; a polynomial
-    that is not invariant under the reflection has no such form and raises.
+    theta_x = x(x + a + b + 1).  The base-theta digits come from repeated
+    division by theta.  theta is invariant under x -> -(x + a + b + 1) and a
+    linear digit is not, so a nonconstant digit means no such form: it raises.
     """
-    ab_sum = as_rational(ab_sum)
-    if reflect(poly, ab_sum) != poly:
-        raise NotThetaRepresentable(
-            "polynomial is not invariant under x -> -(x + a + b + 1)"
-        )
-    theta = Polynomial((0, ab_sum + 1, 1))
-    out: dict[int, Fraction] = {}
-    residual = poly
-    while residual.degree > 0:
-        if residual.degree % 2:
-            raise NotThetaRepresentable("invariant polynomial with odd-degree residual")
-        k = residual.degree // 2
-        c = residual.leading_coefficient
-        out[k] = c
-        residual = residual - c * theta**k
-    if not residual.is_zero:
-        out[0] = residual.coefficient(0)
-    coeffs = [out.get(k, Fraction(0)) for k in range(max(out, default=0) + 1)]
-    return Polynomial(coeffs)
+    theta = Polynomial((0, as_rational(ab_sum) + 1, 1))
+    digits = []
+    while not poly.is_zero:
+        poly, digit = poly.divmod(theta)
+        if digit.degree > 0:
+            raise NotThetaRepresentable(
+                "polynomial is not invariant under x -> -(x + a + b + 1)"
+            )
+        digits.append(digit.coefficient(0))
+    return Polynomial(digits)
 
 
 # -- the stage store --------------------------------------------------------------
@@ -348,7 +340,6 @@ def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomia
     return tuple(series_ratio(kind, ctx.params) for kind in ctx.row_kinds)
 
 
-@_stage
 def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[Fraction, ...], ...]:
     """The raw Casorati rows at the integer t: m rows of m + 1 entries.
 
@@ -358,10 +349,11 @@ def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[Fraction, ...
     t - m + 1, ..., t raises ParameterSingularity.
     """
     p, m = ctx.params, ctx.m
+    thetas = [p.eigenvalue(t - c) for c in range(m + 1)]
     rows = []
     for ratio, poly in zip(series_ratios(ctx), ctx.row_polys):
         products = ratio_products(ratio, range(t - m + 1, t + 1))
-        rows.append(tuple(products[m - c] * poly(p.eigenvalue(t - c)) for c in range(m + 1)))
+        rows.append(tuple(products[m - c] * poly(theta) for c, theta in enumerate(thetas)))
     return tuple(rows)
 
 

@@ -4,7 +4,8 @@ The Hahn polynomials are built straight from their defining sum, so the
 three-term recurrence and the second-order eigenvalue equation remain
 independent checks of the same family.  Weights are stored with the constant
 N! * Gamma(a+1) * Gamma(b+1) divided out, which keeps every mass rational;
-all weight comparisons in this package are up to a global constant anyway.
+all weight comparisons in this package are up to a global constant anyway,
+and the masses are stepped by their one-step ratio (Koekoek et al., 9.5).
 """
 
 from __future__ import annotations
@@ -145,14 +146,17 @@ def hahn_recurrence(n: int, p: HahnParams) -> tuple[Fraction, Fraction, Fraction
 
 
 def hahn_weight(p: HahnParams) -> DiscreteMeasure:
-    """Weight on {0, ..., N} modulo the global constant N! Gamma(a+1) Gamma(b+1)."""
-    masses = {}
-    for x in range(p.N + 1):
-        masses[Fraction(x)] = (
-            pochhammer(p.a + 1, x)
-            * pochhammer(p.b + 1, p.N - x)
-            / (factorial(x) * factorial(p.N - x))
-        )
+    """Weight on {0, ..., N} modulo the global constant N! Gamma(a+1) Gamma(b+1).
+
+    w(x) = (a+1)_x (b+1)_{N-x} / (x! (N-x)!), from w(0) and the step
+    w(x+1) / w(x) = (x+a+1)(N-x) / ((x+1)(N-x+b)), nonzero by the exclusions.
+    """
+    a, b, N = p.a, p.b, p.N
+    mass = pochhammer(b + 1, N) / factorial(N)
+    masses = {Fraction(0): mass}
+    for x in range(N):
+        mass = mass * ((x + a + 1) * (N - x) / ((x + 1) * (N - x + b)))
+        masses[Fraction(x + 1)] = mass
     return DiscreteMeasure(masses)
 
 
@@ -334,7 +338,7 @@ def corollary_reduction(p: HahnParams, quartet: SetQuartet) -> CorollaryReductio
 
     Validates the stronger parameter constraints this reduction needs: a, b,
     a+b off the negative integers, and two positive-integer exclusions tied
-    to the set maxima.
+    to the set maxima, and a reduced N = N - max F3 - max F4 - 2 of at least 1.
     """
     for name, value in (("a", p.a), ("b", p.b), ("a+b", p.a + p.b)):
         if value.denominator == 1 and value.numerator <= -1:
@@ -356,6 +360,11 @@ def corollary_reduction(p: HahnParams, quartet: SetQuartet) -> CorollaryReductio
                 "b plus the first/third set maxima plus 1 is the nonnegative "
                 f"integer {format_rational(probe)}"
             )
+    if p.N - f3m - f4m - 2 < 1:
+        raise ParameterSingularity(
+            f"the corollary path needs N >= max F3 + max F4 + 3 = {f3m + f4m + 3} "
+            f"(max of an empty set is -1), got N = {p.N}"
+        )
     inner = HahnParams(
         p.a + f2m + f4m + 2,
         p.b + f1m + f3m + 2,

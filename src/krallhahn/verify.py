@@ -48,7 +48,7 @@ from .hahn import (
     transformed_hahn_weight,
     transformed_support,
 )
-from .ladder import ratio_products, series_ratio, series_shift
+from .ladder import ratio_products, series_shift
 from .measures import (
     DiscreteMeasure,
     gram_schmidt,
@@ -329,8 +329,9 @@ def check_foeq(
         r for r in (p.N + 1, -p.a, -p.b, -(p.a + p.b + p.N + 1))
         if Fraction(r).denominator == 1 and r <= 0
     ]
-    for kind in sorted(set(ctx.row_kinds)):
-        bad = [r for r in candidates for poly in series_ratio(kind, p) if poly(r) == 0]
+    ratios = series_ratios(ctx)
+    for kind, ratio in sorted(dict(zip(ctx.row_kinds, ratios)).items()):
+        bad = [r for r in candidates for poly in ratio if poly(r) == 0]
         if bad:
             return False, {
                 "precondition": f"ratio sequence of kind {kind} vanishes or blows "
@@ -352,15 +353,17 @@ def check_foeq(
             }
         denominators.append(pprime * start_value)
 
-    # xi_n = ratio(0) ... ratio(n), and the products ratio(-1) ... ratio(-k),
-    # k < m, that the negative range and the boundary divide by
-    forward = [ratio_products(ratio, range(n_top + 1)) for ratio in series_ratios(ctx)]
-    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in series_ratios(ctx)]
+    # xi_i(n) = ratio(0) ... ratio(n) for n >= -1, and 1 / (ratio(-1) ...
+    # ratio(n + 1)) below, down to the boundary n = -m
+    forward = [ratio_products(ratio, range(n_top + 1)) for ratio in ratios]
+    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in ratios]
 
     def ratio_sum(n: int) -> Fraction:
+        theta = p.eigenvalue(n)
         total = Fraction(0)
         for i in range(m):
-            total += forward[i][n + 1] * ctx.row_polys[i](p.eigenvalue(n)) / denominators[i]
+            xi = forward[i][n + 1] if n >= -1 else 1 / backward[i][-n - 1]
+            total += xi * ctx.row_polys[i](theta) / denominators[i]
         return total
 
     constant = None
@@ -388,14 +391,10 @@ def check_foeq(
             )
     negative_failures = []
     for n in range(1 - m, 0):
-        total = Fraction(0)
-        for i in range(m):
-            total += ctx.row_polys[i](p.eigenvalue(n)) / (denominators[i] * backward[i][-n - 1])
+        total = ratio_sum(n)
         if total != 0:
             negative_failures.append({"n": n, "sum": format_rational(total)})
-    boundary = Fraction(0)
-    for i in range(m):
-        boundary += ctx.row_polys[i](p.eigenvalue(-m)) / (denominators[i] * backward[i][m - 1])
+    boundary = ratio_sum(-m)
     witness = {
         "constant": format_rational(constant) if constant is not None else None,
         "fitted_at": fit_at,

@@ -202,6 +202,23 @@ class TestSingleRootContext:
         assert operator_halfwidth(single_root_ctx) == 2
         assert krall_operator(single_root_ctx).genre == (-2, 2)
 
+    def test_invariant_prefactor(self, desk_params):
+        # x(x + a + b - m) is fixed by x -> -(x + a + b - m); its degree 2
+        # widens the operator by one step on each side
+        p = desk_params
+        ctx = context_from_quartet(
+            p, SetQuartet.of((), (), (), (1,)), (1, 1, 1),
+            prefactor=X * (X + p.a + p.b - 1),
+        )
+        assert ctx.m == 1
+        op = krall_operator(ctx)
+        assert op.genre == (-3, 3)
+        lam = eigenvalue_polynomial(ctx)
+        for n in range(8):
+            qn = krall_polynomial(ctx, n)
+            assert qn.degree == n
+            assert op.apply(qn) == Fraction(lam(n)) * qn
+
 
 # -- the rational-function reference routes ----------------------------------------
 # Elements of Q(x) are reduced (numerator, denominator) pairs.
@@ -546,6 +563,59 @@ class TestDifferenceIdentities:
             assert lhs == inc + inc.shift_argument(ctx.m)
 
 
+def peeling_theta_substitute(poly, ab_sum):
+    """The theta expansion by a reflection check and peeling of leading terms
+    with fresh theta powers, the reference for the digit route."""
+    if reflect(poly, ab_sum) != poly:
+        raise NotThetaRepresentable("polynomial is not invariant")
+    theta = Polynomial((0, Fraction(ab_sum) + 1, 1))
+    out = {}
+    residual = poly
+    while residual.degree > 0:
+        if residual.degree % 2:
+            raise NotThetaRepresentable("invariant polynomial with odd-degree residual")
+        k = residual.degree // 2
+        out[k] = residual.leading_coefficient
+        residual = residual - out[k] * theta**k
+    if not residual.is_zero:
+        out[0] = residual.coefficient(0)
+    return Polynomial([out.get(k, 0) for k in range(max(out, default=0) + 1)])
+
+
+def theta_inputs(ctx):
+    """The polynomials the construction expands in theta: the spectral sum and
+    each mixing polynomial divided by the shifted step."""
+    p = ctx.params
+    theta = p.eigenvalue_poly()
+    spectral = 2 * eigenvalue_polynomial(ctx)
+    for row in range(ctx.m):
+        spectral = spectral + ctx.row_polys[row].compose(theta) * mixing_polynomial(ctx, row)
+    sigma_next = series_shift(p).shift_argument(1)
+    return [spectral] + [
+        mixing_polynomial(ctx, row).divide_exact(sigma_next) for row in range(ctx.m)
+    ]
+
+
+class TestThetaRoutes:
+    @pytest.mark.parametrize("name", ROUTE_CONFIGS)
+    def test_digits_match_peeling(self, name):
+        ctx = build_run(ROUTE_CONFIGS[name]).ctx
+        s = ctx.params.a + ctx.params.b
+        inputs = theta_inputs(ctx)
+        assert len(inputs) == ctx.m + 1
+        for poly in inputs:
+            assert theta_substitute(poly, s) == peeling_theta_substitute(poly, s)
+        assert theta_substitute(inputs[0], s) == spectral_polynomial(ctx)
+
+    @pytest.mark.parametrize("poly", [X**3 - 2 * X + 1, X * X + X], ids=["odd", "not-invariant"])
+    def test_both_routes_reject(self, poly, desk_params):
+        s = desk_params.a + desk_params.b
+        assert s != 0
+        for route in (theta_substitute, peeling_theta_substitute):
+            with pytest.raises(NotThetaRepresentable):
+                route(poly, s)
+
+
 def test_reference_rational_det():
     one = Polynomial.one()
     rows = [
@@ -615,7 +685,7 @@ class TestStageStore:
             assert stage(first) is stage(second)
         for row in range(first.m):
             assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
-        assert casorati.casorati_rows(first, 3) is casorati.casorati_rows(second, 3)
+        assert casorati.casorati_rows(first, 3) == casorati.casorati_rows(second, 3)
 
     def test_repeated_stage_calls_do_not_rehash_the_context(self, monkeypatch):
         ctx = build_run(builtin_config("four-roots")).ctx

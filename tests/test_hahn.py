@@ -176,6 +176,34 @@ def test_weight_masses(desk_params):
         assert w.mass(x) == expected
 
 
+def per_atom_hahn_weight(p):
+    """Each mass from two Pochhammer products and two factorials, the reference
+    for the one-step ratio route."""
+    return {
+        Fraction(x): pochhammer(p.a + 1, x)
+        * pochhammer(p.b + 1, p.N - x)
+        / (factorial(x) * factorial(p.N - x))
+        for x in range(p.N + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "a, b, N",
+    [
+        (Fraction(-7, 2), Fraction(9, 4), 40),
+        (Fraction(-13, 2), Fraction(1, 3), 4),
+        (Fraction(5), Fraction(-1, 2), 6),
+        (Fraction(0), Fraction(0), 5),
+        (Fraction(1, 2), Fraction(1, 3), 8),
+        (Fraction(-1, 3), Fraction(-11, 2), 9),
+        (Fraction(3), Fraction(2), 1),
+    ],
+)
+def test_weight_matches_per_atom_reference(a, b, N):
+    p = HahnParams(a, b, N)
+    assert hahn_weight(p).atoms == per_atom_hahn_weight(p)
+
+
 class TestDualFamily:
     def test_degree_and_leading(self):
         alpha, beta, gamma = Fraction(1, 2), Fraction(1, 3), Fraction(8)
@@ -313,3 +341,19 @@ class TestCorollaryReduction:
             HahnParams(Fraction(1, 2), Fraction(1, 3), 8),
             SetQuartet.of((1,), (1,), (), ()),
         )
+
+    def test_reduced_n_must_be_positive(self):
+        # the reduced N = N - max F3 - max F4 - 2 must be at least 1
+        cases = (
+            (Fraction(1, 2), Fraction(1, 3), 8, (7,), 9),
+            (Fraction(1, 2), Fraction(-1, 3), 3, (2,), 4),
+        )
+        for a, b, N, fourth, bound in cases:
+            with pytest.raises(
+                ParameterSingularity,
+                match=rf"the corollary path needs N >= max F3 \+ max F4 \+ 3 = {bound} "
+                rf"\(max of an empty set is -1\), got N = {N}$",
+            ):
+                corollary_reduction(HahnParams(a, b, N), SetQuartet.of((), (), (), fourth))
+            red = corollary_reduction(HahnParams(a, b, bound), SetQuartet.of((), (), (), fourth))
+            assert red.params.N == 1

@@ -82,6 +82,14 @@ def test_build_run_rejects_bad_parameters():
         build_run(cfg)
 
 
+def test_build_run_names_the_corollary_bound_on_n():
+    cfg = config_from_dict({"a": "1/2", "b": "1/3", "N": 8, "F": [[], [], [], [7]]})
+    with pytest.raises(
+        ConfigInvalid, match=r"the corollary path needs N >= max F3 \+ max F4 \+ 3 = 9 "
+    ):
+        build_run(cfg)
+
+
 def test_run_config_report_shape():
     report = run_config(builtin_config("classical"))
     assert report.passed
