@@ -507,10 +507,6 @@ def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
     return antidifference(spectral_increment(ctx))
 
 
-def eigenvalue(ctx: ConstructionContext, n: int) -> Fraction:
-    return eigenvalue_polynomial(ctx)(n)
-
-
 # -- the mixing polynomials ------------------------------------------------------------
 
 

@@ -74,12 +74,13 @@ def operator_solution_space(
     Returns (operator, nullity) where the operator is one exact solution
     (None if the system is inconsistent) and nullity counts the remaining
     degrees of freedom.  Nullity zero certifies uniqueness within the probed
-    half-width and coefficient-degree cap.  Full column rank modulo a prime
-    certifies nullity 0, and a right-hand side that is a pivot there as well
-    certifies inconsistency.  A solution found modulo primes counts only after
-    exact substitution into every equation.  A system that is rank-deficient
-    modulo the prime, so every nullity > 0, is decided by exact fraction-free
-    elimination of the integer rows and back-substitution.
+    half-width and coefficient-degree cap, and so within any narrower one,
+    whose solutions padded with zeros solve this system.  Full column rank
+    modulo a prime certifies nullity 0, and a right-hand side that is a pivot
+    there as well certifies inconsistency.  A solution found modulo primes
+    counts only after exact substitution into every equation.  A system that is
+    rank-deficient modulo the prime, so every nullity > 0, is decided by exact
+    fraction-free elimination of the integer rows and back-substitution.
     """
     if len(qs) != len(lambdas):
         raise ValueError("need one eigenvalue per polynomial")

@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from krallhahn.config import (
     BUILTIN_CONFIGS,
@@ -17,8 +20,15 @@ from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, ratio_product, series_ratio
 from krallhahn.errors import ConfigInvalid
 from krallhahn.hahn import HahnParams, hahn_weight
+from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
-from krallhahn.sets import SetQuartet
+from krallhahn.sets import (
+    SetQuartet,
+    corollary_halfwidth,
+    default_pads,
+    theorem_halfwidth,
+    transform_quartet,
+)
 from krallhahn.verify import (
     build_run,
     check_foeq,
@@ -102,28 +112,165 @@ def test_run_config_report_shape():
     assert payload["summary"]["passed"] is True
 
 
-def test_oracle_fails_when_a_narrower_operator_exists(monkeypatch):
-    """A solvable probe one half-width below r fails the oracle check."""
-    import krallhahn.verify as verify
-
-    solve = verify.operator_solution_space
-    cfg = config_from_dict({**BUILTIN_CONFIGS["single-root"], "checks": ["oracle"]})
-    report = run_config(cfg)
-    assert report.passed
-    assert report.checks[0].witness["lower_probe"] == "unsolvable"
-    r = report.checks[0].witness["halfwidth"]
-
-    def narrower_solvable(qs, lambdas, halfwidth, degree_cap):
-        found, nullity = solve(qs, lambdas, halfwidth, degree_cap)
-        if halfwidth == r - 1:
-            return DifferenceOperator({0: Polynomial.one()}), 0
-        return found, nullity
-
-    monkeypatch.setattr(verify, "operator_solution_space", narrower_solvable)
-    check = run_config(cfg).checks[0]
+def test_oracle_fails_when_a_narrower_operator_exists():
+    """Probed one half-width above the construction, the unique solution is the
+    constructed operator, which has half-width r: a narrower operator exists."""
+    check, _ = _oracle_with_spy(BUILTIN_CONFIGS["single-root"], bump=1)
     assert not check.passed
     assert check.witness["agrees_with_construction"] and check.witness["nullity"] == 0
-    assert check.witness["lower_probe"].startswith("solvable")
+    assert check.witness["lower_probe"] == "solvable with degree cap 4"
+
+
+def _solve_lower_probe(qs, lambdas, r):
+    """Reference: the second solve, at half-width r - 1, that the check used to make."""
+    lower_cap = max(2 * (r - 1), 0)
+    lower, _ = operator_solution_space(qs, lambdas, r - 1, lower_cap)
+    return f"solvable with degree cap {lower_cap}" if lower is not None else "unsolvable"
+
+
+def _oracle_with_spy(cfg, bump=0, solve=operator_solution_space):
+    """Run only ``oracle``, its half-width raised by ``bump``; return the check
+    and the arguments of every solve it made."""
+    import krallhahn.verify as verify
+
+    calls = []
+    halfwidth = verify.operator_halfwidth
+
+    def spy(qs, lambdas, r, cap):
+        calls.append((qs, lambdas, r, cap))
+        return solve(qs, lambdas, r, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "operator_solution_space", spy)
+        mp.setattr(verify, "operator_halfwidth", lambda ctx: halfwidth(ctx) + bump)
+        check = run_config(config_from_dict({**cfg, "checks": ["oracle"]})).checks[0]
+    return check, calls
+
+
+def _assert_matches_second_solve(cfg, bump):
+    check, calls = _oracle_with_spy(cfg, bump)
+    assert len(calls) == 1
+    qs, lambdas, r, _ = calls[0]
+    witness = check.witness
+    if witness["nullity"]:
+        assert not check.passed and witness["lower_probe"].startswith("undecided")
+        return check
+    lower = _solve_lower_probe(qs, lambdas, r)
+    assert witness["lower_probe"] == lower
+    assert check.passed == (
+        witness["solvable"] and witness["agrees_with_construction"] and lower == "unsolvable"
+    )
+    return check
+
+
+_ORACLE_TEMPLATES = {
+    "F4=[2]": ([[], [], [], [2]], "corollary"),
+    "F4=[1,3]": ([[], [], [], [1, 3]], "corollary"),
+    "F1=[2]": ([[2], [], [], []], "theorem"),
+}
+_DIFFERENTIAL_CASES = {
+    **BUILTIN_CONFIGS,
+    **{
+        name: {"a": "7/3", "b": "11/5", "N": 8, "F": F, "path": path}
+        for name, (F, path) in _ORACLE_TEMPLATES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("bump", [0, 1])
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_CASES))
+def test_oracle_lower_probe_matches_second_solve(name, bump):
+    """One solve at r gives the verdict and witness the r - 1 solve gave."""
+    check = _assert_matches_second_solve(_DIFFERENTIAL_CASES[name], bump)
+    r = check.witness["halfwidth"]
+    expected = f"solvable with degree cap {2 * (r - 1)}" if bump else "unsolvable"
+    assert check.witness["lower_probe"] == expected
+    assert check.passed == (not bump)
+
+
+def _small_quartets():
+    """(path, F, r, least N) with sets inside {1, 2, 3}, m <= 4, r <= 4 and N <= 8."""
+    subsets = [list(c) for k in range(3) for c in combinations(range(1, 4), k)]
+    out = []
+    for F in product(subsets, repeat=4):
+        quartet = SetQuartet.of(*F)
+        pads = default_pads(quartet)
+        least = max(F[2], default=-1) + max(F[3], default=-1) + 3
+        for path, rows, r, low in (
+            ("theorem", quartet, theorem_halfwidth(quartet, pads), 2),
+            ("corollary", quartet.reversal(), corollary_halfwidth(quartet), least),
+        ):
+            if sum(map(len, transform_quartet(rows, pads))) <= 4 and r <= 4 and low <= 8:
+                out.append((path, list(F), r, low))
+    return out
+
+
+_SMALL_QUARTETS = _small_quartets()
+# a and b in (-1, 5), never integers, with denominators at most 4
+_NON_INTEGERS = sorted(
+    {Fraction(n, d) for d in (2, 3, 4) for n in range(1 - d, 5 * d) if n % d}
+)
+
+
+@st.composite
+def _small_oracle_runs(draw):
+    """A small config and a half-width bump that keeps the probe at most 4 wide."""
+    path, F, r, low = draw(st.sampled_from(_SMALL_QUARTETS))
+    cfg = {
+        "a": str(draw(st.sampled_from(_NON_INTEGERS))),
+        "b": str(draw(st.sampled_from(_NON_INTEGERS))),
+        "N": draw(st.integers(low, 8)),
+        "F": F,
+        "path": path,
+    }
+    return cfg, draw(st.integers(0, min(1, 4 - r)))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(_small_oracle_runs())
+def test_oracle_lower_probe_matches_second_solve_on_random_configs(case):
+    cfg, bump = case
+    try:
+        build_run(config_from_dict(cfg))
+    except ConfigInvalid:
+        reject()
+    _assert_matches_second_solve(cfg, bump)
+
+
+def test_oracle_solves_once():
+    _, calls = _oracle_with_spy(BUILTIN_CONFIGS["four-roots"])
+    assert len(calls) == 1
+
+
+def test_oracle_with_nullity_leaves_the_narrower_question_undecided():
+    def underdetermined(qs, lambdas, r, cap):
+        found, _ = operator_solution_space(qs, lambdas, r, cap)
+        return found, 2
+
+    check, calls = _oracle_with_spy(BUILTIN_CONFIGS["single-root"], solve=underdetermined)
+    assert len(calls) == 1
+    assert not check.passed and check.witness["agrees_with_construction"]
+    assert check.witness["lower_probe"] == "undecided: nullity 2"
+
+
+def test_oracle_unique_solution_with_outer_shifts_has_no_narrower_operator():
+    """A unique solution with a +-r term rules out a narrower one at any degree."""
+
+    def outer_shifts(qs, lambdas, r, cap):
+        return DifferenceOperator({-r: Polynomial.one(), r: Polynomial.one()}), 0
+
+    check, _ = _oracle_with_spy(BUILTIN_CONFIGS["single-root"], solve=outer_shifts)
+    assert not check.passed and not check.witness["agrees_with_construction"]
+    assert check.witness["lower_probe"] == "unsolvable"
+
+
+def test_oracle_unsolvable_probe_has_no_narrower_operator():
+    check, calls = _oracle_with_spy(
+        BUILTIN_CONFIGS["single-root"], solve=lambda *args: (None, 0)
+    )
+    assert len(calls) == 1
+    assert not check.passed and not check.witness["solvable"]
+    assert check.witness["lower_probe"] == "unsolvable"
 
 
 def test_oracle_feeds_past_the_forced_zeros_of_omega():
