@@ -2,7 +2,8 @@
 
 The Hahn polynomials are built straight from their defining sum, so the
 three-term recurrence and the second-order eigenvalue equation remain
-independent checks of the same family.  Weights are stored with the constant
+independent checks of the same family; the sums (and the dual Hahn ones) are
+expanded by integer Horner in Newton form.  Weights are stored with the constant
 N! * Gamma(a+1) * Gamma(b+1) divided out, which keeps every mass rational;
 all weight comparisons in this package are up to a global constant anyway,
 and the masses are stepped by their one-step ratio (Koekoek et al., 9.5).
@@ -17,7 +18,7 @@ from math import factorial
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
 from .measures import DiscreteMeasure, christoffel
-from .polynomials import Polynomial, lowest_terms, pochhammer
+from .polynomials import Polynomial, lowest_terms, newton_form, pochhammer
 from .rationals import Rational, as_rational, format_rational
 from .sets import SetQuartet, default_pads, set_max
 
@@ -80,19 +81,16 @@ def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
         tail.append(tail[-1] * (N - n + 1 + k))
     low = Fraction(1)
     high = pochhammer(a + b + 1, n)
-    acc = Polynomial.zero()
-    rising = Polynomial.one()  # (-x)_j, one linear factor per term
+    coeffs = []  # on (-x)_j = (-1)^j prod_{i<j} (x - i)
     for j in range(n + 1):
         if j:
-            rising = rising * Polynomial((j - 1, -1))
             low *= a + j
             high *= a + b + n + j
         if low == 0:
             raise ParameterSingularity(f"(a+1)_{j} vanishes for a = {format_rational(a)}")
         coeff = tail[n - j] * high / (outer * low * factorial(n - j) * factorial(j))
-        if coeff != 0:
-            acc = acc + coeff * rising
-    return acc
+        coeffs.append(-coeff if j % 2 else coeff)
+    return newton_form(coeffs, range(n))
 
 
 def hahn_leading_coefficient(n: int, p: HahnParams) -> Fraction:
@@ -134,6 +132,9 @@ def hahn_recurrence_functions(p: HahnParams) -> tuple[tuple[Polynomial, Polynomi
 
 def hahn_recurrence(n: int, p: HahnParams) -> tuple[Fraction, Fraction, Fraction]:
     """(A(n), B(n), C(n)) evaluated at integer degree n."""
+    if n == 0:  # the reduced forms cancel a factor that is 0/0 here at a + b = 0 or 1
+        s = p.a + p.b
+        return Fraction(0), p.N * (p.a + 1) / (s + 2), -p.b * (p.N + 1) / (s + 1)
     try:
         return tuple(  # type: ignore[return-value]
             numer(n) / denom(n) for numer, denom in hahn_recurrence_functions(p)
@@ -175,22 +176,19 @@ def dual_hahn_polynomial(
         raise ParameterSingularity(
             f"dual family needs alpha not in -1,-2,...; got {format_rational(alpha)}"
         )
-    x = Polynomial.variable()
     s = alpha + beta + 1
-    acc = Polynomial.zero()
-    lattice = Polynomial.one()  # prod_{i<j} (x - i(i + alpha + beta + 1))
+    # Term j is (-1)^j (-n)_j (-gamma+j)_{n-j} / ((alpha+1)_j j!) on prod_{i<j} (x - i(i+s));
+    # (-1)^j (-n)_j / j! = C(n, j) is stepped up, (-gamma+j)_{n-j} down.
+    upper = [Fraction(1)]  # upper[k] = (-gamma+n-k)_k
+    for k in range(n):
+        upper.append(upper[-1] * (n - 1 - k - gamma))
+    head = Fraction(1)
+    coeffs = []
     for j in range(n + 1):
-        num = (
-            pochhammer(Fraction(-n), j)
-            * pochhammer(-gamma + j, n - j)
-            / (pochhammer(alpha + 1, j) * factorial(j))
-        )
-        if j % 2:
-            num = -num
-        if num != 0:
-            acc = acc + num * lattice
-        lattice = lattice * (x - j * (j + s))
-    return acc
+        if j:
+            head = head * (n - j + 1) / (j * (alpha + j))
+        coeffs.append(head * upper[n - j])
+    return newton_form(coeffs, [j * (j + s) for j in range(n)])
 
 
 def dual_hahn_leading_coefficient(n: int, alpha: Rational | int) -> Fraction:
@@ -255,17 +253,13 @@ def companion_eigencoefficients(kind: int, p: HahnParams) -> tuple[Fraction, Fra
 
 def factored_hahn_weight(p: HahnParams, quartet: SetQuartet) -> DiscreteMeasure:
     """Christoffel transform of the Hahn weight by the quartet's factor polynomial."""
-    x = Polynomial.variable()
-    factor = Polynomial.one()
-    for f in quartet.first:
-        factor = factor * (p.b + p.N + 1 + f - x)
-    for f in quartet.second:
-        factor = factor * (x + p.a + 1 + f)
-    for f in quartet.third:
-        factor = factor * (p.N - f - x)
-    for f in quartet.fourth:
-        factor = factor * (x - f)
-    return christoffel(hahn_weight(p), factor)
+    f1, f2, f3, f4 = quartet.sets
+    # prod (b+N+1+f - x) prod (x + a+1+f) prod (N-f - x) prod (x - f)
+    factor = Polynomial.from_roots(
+        [p.b + p.N + 1 + f for f in f1] + [-p.a - 1 - f for f in f2]
+        + [p.N - f for f in f3] + list(f4)
+    )
+    return christoffel(hahn_weight(p), factor * (-1) ** (len(f1) + len(f3)))
 
 
 def transformed_parameters(
@@ -293,17 +287,13 @@ def transformed_hahn_weight(
     shifted = transformed_parameters(p, quartet, pads)
     f4m = set_max(quartet.fourth)
     base = hahn_weight(shifted).translate(Fraction(-f4m - 1))
-    x = Polynomial.variable()
-    factor = Polynomial.one()
-    for f in quartet.first:
-        factor = factor * (p.b + p.N + 1 - f - x)
-    for f in quartet.second:
-        factor = factor * (x + p.a + 1 - f)
-    for f in quartet.third:
-        factor = factor * (p.N + f - x)
-    for f in quartet.fourth:
-        factor = factor * (x + f4m + 1 - f)
-    return christoffel(base, factor)
+    f1, f2, f3, f4 = quartet.sets
+    # prod (b+N+1-f - x) prod (x + a+1-f) prod (N+f - x) prod (x + max F4+1-f)
+    factor = Polynomial.from_roots(
+        [p.b + p.N + 1 - f for f in f1] + [f - p.a - 1 for f in f2]
+        + [p.N + f for f in f3] + [f - f4m - 1 for f in f4]
+    )
+    return christoffel(base, factor * (-1) ** (len(f1) + len(f3)))
 
 
 def transformed_support(p: HahnParams, quartet: SetQuartet, pads: tuple[int, int, int]) -> list[Fraction]:

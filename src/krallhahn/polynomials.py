@@ -9,7 +9,8 @@ and ``==`` and ``hash`` read the parts.
 Sums scale both sides to the lcm of the denominators, products are integer
 convolutions, evaluation is integer Horner, :meth:`Polynomial.shift_argument`
 is an integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
-and division is integer pseudo-division.  Each result is made canonical once.
+Newton-form sums are integer Horner (:func:`newton_form`), and division is
+integer pseudo-division.  Each result is made canonical once.
 ``Fraction`` appears only at the edges: the constructors take ``int`` or
 ``Fraction`` coefficients, and ``coefficient``, ``leading_coefficient``,
 ``coeffs``, iteration, evaluation and the string forms give ``Fraction``
@@ -74,16 +75,8 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
         """The monic product of (x - r) over the roots, with multiplicity."""
-        nums, den = [1], 1
-        for r in roots:
-            r = _frac(r)
-            p, q = r.numerator, r.denominator
-            # times (q x - p) / q
-            nums = [-p * nums[0]] + [
-                q * prev - p * cur for prev, cur in zip(nums, nums[1:])
-            ] + [q * nums[-1]]
-            den *= q
-        return _make(nums, den)
+        roots = list(roots)
+        return newton_form([0] * len(roots) + [1], roots)
 
     # -- basic queries -------------------------------------------------------
 
@@ -393,6 +386,24 @@ def _make(nums: Sequence[int], den: int) -> Polynomial:
             nums = [c // g for c in nums]
             den //= g
     return _wrap(tuple(nums), den)
+
+
+def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial:
+    """sum_j coeffs[j] prod_{i<j} (x - nodes[i]) for nonempty coeffs, by Horner.
+
+    With coeffs[j] = c_j / d and the first n = len(coeffs) - 1 nodes p_i / q,
+    this is sum_j c_j q^(n-j) prod_{i<j} (q x - p_i) / (d q^n): integers only.
+    """
+    n = len(coeffs) - 1
+    nums, den = clear_denominators(coeffs)
+    tops, q = clear_denominators(nodes[:n])
+    acc, scale = [nums[n]], 1
+    for j in range(n - 1, -1, -1):
+        p, scale = tops[j], scale * q
+        acc = [nums[j] * scale - p * acc[0]] + [
+            q * prev - p * cur for prev, cur in zip(acc, acc[1:])
+        ] + [q * acc[-1]]
+    return _make(acc, den * scale)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

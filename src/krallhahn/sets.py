@@ -123,9 +123,7 @@ def theorem_halfwidth(quartet: SetQuartet, pads: tuple[int, int, int]) -> int:
 
 def corollary_halfwidth(quartet: SetQuartet) -> int:
     """Half the order of the operator attached to the Christoffel factor."""
-    r = sum(sum(s) for s in quartet.sets)
-    r -= sum(comb(len(s), 2) for s in quartet.sets)
-    return r + 1
+    return degree_sum_halfwidth(quartet.sets)
 
 
 def degree_sum_halfwidth(row_degrees: tuple[tuple[int, ...], ...]) -> int:

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .casorati import (
@@ -320,9 +319,11 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
     m = ctx.m
     if m == 0:
         return True, {"note": "no determinant rows; criteria are vacuous"}
-    # every root of a ratio is a root of one of its defining linear factors
+    # every root of a ratio is a root of one of its linear factors in n; only
+    # n + a, n + b and n + a + b + N + 1 can vanish at a nonpositive integer,
+    # at -a, -b and -(a + b + N + 1), since n - N - 1 vanishes at N + 1 >= 2
     candidates = [
-        r for r in (p.N + 1, -p.a, -p.b, -(p.a + p.b + p.N + 1))
+        r for r in (-p.a, -p.b, -(p.a + p.b + p.N + 1))
         if Fraction(r).denominator == 1 and r <= 0
     ]
     ratios = series_ratios(ctx)
@@ -555,15 +556,11 @@ def enumerate_root_couples(
             ratio = proportionality_constant(candidate, target)
             if ratio is None or ratio * ratio != 1:
                 continue
-            halfwidth = (
-                sum(third) + sum(fourth)
-                - comb(len(third), 2) - comb(len(fourth), 2) + 1
-            )
             couples.append(
                 {
                     "F3": list(third),
                     "F4": list(fourth),
-                    "r": halfwidth,
+                    "r": corollary_halfwidth(quartet),
                     "sign": int(ratio),
                     "within_half": max(third, default=-1) < Fraction(N, 2)
                     and max(fourth, default=-1) < Fraction(N, 2),

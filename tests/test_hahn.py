@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from krallhahn.config import BUILTIN_CONFIGS, builtin_config
 from krallhahn.errors import ParameterSingularity
 from krallhahn.hahn import (
     HahnParams,
@@ -22,12 +23,13 @@ from krallhahn.hahn import (
     hahn_recurrence_functions,
     hahn_weight,
     transformed_hahn_weight,
+    transformed_parameters,
     transformed_support,
 )
 from krallhahn.ladder import series_ratio
-from krallhahn.measures import gram_schmidt
+from krallhahn.measures import christoffel, gram_schmidt
 from krallhahn.polynomials import Polynomial, lowest_terms, pochhammer
-from krallhahn.sets import SetQuartet
+from krallhahn.sets import SetQuartet, default_pads, set_max
 
 
 def ratio_replacement(kind, p):
@@ -100,12 +102,20 @@ def _reference_hahn(n, p):
 
 
 @pytest.mark.parametrize(
-    "a,b,N", [(Fraction(7, 3), Fraction(11, 5), 17), (Fraction(1, 2), Fraction(1, 3), 8)]
+    "a,b,N",
+    [
+        (Fraction(7, 3), Fraction(11, 5), 17),
+        (Fraction(1, 2), Fraction(1, 3), 8),
+        (Fraction(1, 2), Fraction(-1, 2), 6),
+        (Fraction(-7, 2), Fraction(9, 4), 40),
+        (Fraction(0), Fraction(0), 5),
+        (Fraction(2), Fraction(3), 10),
+    ],
 )
 def test_sum_matches_reference(a, b, N):
-    # degrees above N (second set) have zero terms the running product skips over
+    # above N the low-j coefficients vanish: (N-n+1)_{n-j} passes through 0
     p = HahnParams(a, b, N)
-    for n in range(13):
+    for n in range(N + 7):
         assert hahn_polynomial(n, p) == _reference_hahn(n, p)
 
 
@@ -133,20 +143,23 @@ def test_eigen_identity(a, b, N):
         assert op.apply(hn) == p.eigenvalue(n) * hn
 
 
-@pytest.mark.parametrize("a,b,N", TRIPLES)
+@pytest.mark.parametrize(
+    "a,b,N",
+    # a + b = 0 and a + b = 1 make a factor of the reduced B and A 0/0 at n = 0
+    TRIPLES + [(Fraction(1, 2), Fraction(-1, 2), 6), (Fraction(1, 2), Fraction(1, 2), 6)],
+)
 def test_three_term_recurrence(a, b, N):
     # x h_n = A(n+1) h_{n+1} + B(n) h_n + C(n) h_{n-1}
     p = HahnParams(a, b, N)
     x = Polynomial.variable()
-    for n in range(1, 7):
+    assert hahn_recurrence(0, p)[0] == 0
+    for n in range(7):
         A1 = hahn_recurrence(n + 1, p)[0]
         _, B, C = hahn_recurrence(n, p)
         lhs = x * hahn_polynomial(n, p)
-        rhs = (
-            A1 * hahn_polynomial(n + 1, p)
-            + B * hahn_polynomial(n, p)
-            + C * hahn_polynomial(n - 1, p)
-        )
+        rhs = A1 * hahn_polynomial(n + 1, p) + B * hahn_polynomial(n, p)
+        if n:
+            rhs = rhs + C * hahn_polynomial(n - 1, p)
         assert lhs == rhs
 
 
@@ -204,7 +217,39 @@ def test_weight_matches_per_atom_reference(a, b, N):
     assert hahn_weight(p).atoms == per_atom_hahn_weight(p)
 
 
+def _reference_dual_hahn(n, alpha, beta, gamma):
+    """The defining dual sum with every Pochhammer factor recomputed per term."""
+    x = Polynomial.variable()
+    s = alpha + beta + 1
+    acc = Polynomial.zero()
+    lattice = Polynomial.one()  # prod_{i<j} (x - i(i + alpha + beta + 1))
+    for j in range(n + 1):
+        num = (
+            pochhammer(Fraction(-n), j)
+            * pochhammer(-gamma + j, n - j)
+            / (pochhammer(alpha + 1, j) * factorial(j))
+        )
+        acc = acc + (-num if j % 2 else num) * lattice
+        lattice = lattice * (x - j * (j + s))
+    return acc
+
+
 class TestDualFamily:
+    @pytest.mark.parametrize(
+        "alpha,beta,gamma",
+        [
+            (Fraction(1, 2), Fraction(1, 3), Fraction(8)),
+            (Fraction(-1, 2), Fraction(5, 3), Fraction(7, 2)),
+            # an integer gamma below n gives zero upper products (-gamma+j)_{n-j}
+            (Fraction(3), Fraction(-7, 3), Fraction(-10)),
+        ],
+    )
+    def test_sum_matches_reference(self, alpha, beta, gamma):
+        for n in range(12):
+            assert dual_hahn_polynomial(n, alpha, beta, gamma) == _reference_dual_hahn(
+                n, alpha, beta, gamma
+            )
+
     def test_degree_and_leading(self):
         alpha, beta, gamma = Fraction(1, 2), Fraction(1, 3), Fraction(8)
         for n in range(5):
@@ -269,7 +314,54 @@ class TestCompanions:
             companion_eigencoefficients(5, desk_params)
 
 
+def _reference_factored_weight(p, quartet):
+    """The Christoffel factor multiplied up one linear factor at a time."""
+    x = Polynomial.variable()
+    factor = Polynomial.one()
+    for f in quartet.first:
+        factor = factor * (p.b + p.N + 1 + f - x)
+    for f in quartet.second:
+        factor = factor * (x + p.a + 1 + f)
+    for f in quartet.third:
+        factor = factor * (p.N - f - x)
+    for f in quartet.fourth:
+        factor = factor * (x - f)
+    return christoffel(hahn_weight(p), factor)
+
+
+def _reference_transformed_weight(p, quartet, pads):
+    """The shifted, translated base weight times its factor, built the same way."""
+    f4m = set_max(quartet.fourth)
+    base = hahn_weight(transformed_parameters(p, quartet, pads)).translate(Fraction(-f4m - 1))
+    x = Polynomial.variable()
+    factor = Polynomial.one()
+    for f in quartet.first:
+        factor = factor * (p.b + p.N + 1 - f - x)
+    for f in quartet.second:
+        factor = factor * (x + p.a + 1 - f)
+    for f in quartet.third:
+        factor = factor * (p.N + f - x)
+    for f in quartet.fourth:
+        factor = factor * (x + f4m + 1 - f)
+    return christoffel(base, factor)
+
+
 class TestTransformedWeights:
+    @pytest.mark.parametrize(
+        "quartet",
+        [builtin_config(name).quartet for name in BUILTIN_CONFIGS]
+        # two elements in every set, and an odd |F1| + |F3| for the sign
+        + [SetQuartet.of((1, 3), (2, 4), (1, 2), (2, 3)), SetQuartet.of((2,), (1, 3), (), (1,))],
+    )
+    def test_weights_match_reference(self, desk_params, quartet):
+        pads = default_pads(quartet)
+        assert factored_hahn_weight(desk_params, quartet) == _reference_factored_weight(
+            desk_params, quartet
+        )
+        assert transformed_hahn_weight(
+            desk_params, quartet, pads
+        ) == _reference_transformed_weight(desk_params, quartet, pads)
+
     def test_factored_weight_is_christoffel(self, desk_params):
         p = desk_params
         q = SetQuartet.of((), (), (), (2,))

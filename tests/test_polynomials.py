@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krallhahn.errors import NonExactDivision
 from krallhahn.polynomials import (
     Polynomial,
     antidifference,
     lowest_terms,
+    newton_form,
     pochhammer,
     poly_gcd,
     taylor_shift,
@@ -138,6 +141,47 @@ def test_pochhammer():
         pochhammer(X, 2)
     with pytest.raises(ValueError):
         pochhammer(Fraction(1), -1)
+
+
+def _reference_from_roots(roots):
+    """One integer product per root: times (q x - p) / q for the root p/q."""
+    nums, den = [1], 1
+    for r in roots:
+        p, q = Fraction(r).numerator, Fraction(r).denominator
+        nums = [-p * nums[0]] + [
+            q * prev - p * cur for prev, cur in zip(nums, nums[1:])
+        ] + [q * nums[-1]]
+        den *= q
+    return Polynomial.from_integer_parts(nums, den)
+
+
+@pytest.mark.parametrize(
+    "roots", [[], [1], [Fraction(1, 2), Fraction(-3, 4), 5], [Fraction(2, 3)] * 4]
+)
+def test_from_roots_matches_per_root_loop(roots):
+    assert Polynomial.from_roots(roots) == _reference_from_roots(roots)
+    assert Polynomial.from_roots(iter(roots)) == _reference_from_roots(roots)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# coefficients c_0..c_n and at least the n nodes the sum reads
+_NEWTON_DATA = st.lists(_RATIONALS, min_size=1, max_size=8).flatmap(
+    lambda cs: st.tuples(
+        st.just(cs), st.lists(_RATIONALS, min_size=len(cs) - 1, max_size=len(cs) + 1)
+    )
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_NEWTON_DATA, _RATIONALS)
+def test_newton_form_matches_fraction_sum(data, t):
+    coeffs, nodes = data
+    expected, product = Fraction(0), Fraction(1)
+    for j, c in enumerate(coeffs):
+        expected += c * product
+        if j < len(coeffs) - 1:
+            product *= t - nodes[j]
+    assert newton_form(coeffs, nodes)(t) == expected
 
 
 def test_antidifference_telescopes():
