@@ -75,7 +75,6 @@ class ConstructionContext:
 
     params: HahnParams
     row_kinds: tuple[int, ...]
-    row_degrees: tuple[int, ...]
     row_polys: tuple[Polynomial, ...]
     prefactor: Polynomial
     quartet: SetQuartet | None = None
@@ -94,6 +93,10 @@ class ConstructionContext:
     @property
     def m(self) -> int:
         return len(self.row_kinds)
+
+    @property
+    def row_degrees(self) -> tuple[int, ...]:
+        return tuple(p.degree for p in self.row_polys)
 
     @property
     def block_counts(self) -> tuple[int, int, int, int]:
@@ -162,7 +165,6 @@ def context_from_degrees(
     ctx = ConstructionContext(
         params=params,
         row_kinds=tuple(kinds),
-        row_degrees=tuple(degrees),
         row_polys=row_polys,
         prefactor=prefactor,
         quartet=quartet,

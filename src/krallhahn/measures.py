@@ -5,50 +5,76 @@ classical positivity range still give valid orthogonality functionals), and
 families are routinely stored modulo a global nonzero constant, so comparisons
 up to constant and up to sign are first-class operations.
 
-Inner products are taken in the evaluation domain on integers.  A measure
-derives its integer form once (:attr:`DiscreteMeasure.integer_form`): the
-support points as integers P_i over one point denominator e, and the masses
-as integers M_i over one mass denominator D.  A polynomial sum_k c_k x^k / d
-of degree n has the integer value vector V_i = sum_k c_k P_i^k e^(n-k), by
-integer Horner, and its value at point i is V_i / (d e^n).  Integrals, the
-Gram table, Gram-Schmidt and the criteria moments are integer dot products of
-(M o V) with value vectors, never polynomial products, and a ``Fraction`` is
-formed only once per result.
+A :class:`DiscreteMeasure` stores integers only: its support points P_i in
+increasing order over one point denominator e, and its masses M_i over one
+mass denominator D.  The form is canonical (zero masses dropped, e, D > 0,
+each side divided by its gcd), so ``==`` and ``hash`` read the parts;
+``atoms``, ``support`` and ``mass`` are ``Fraction`` views built on request.
+
+Translation, scaling, Christoffel transforms and proportionality work on the
+parts.  A polynomial sum_k c_k x^k / d of degree n has the integer value
+vector V_i = sum_k c_k P_i^k e^(n-k), by integer Horner, and its value at
+point i is V_i / (d e^n).  Integrals, the Gram table, Gram-Schmidt and the
+criteria moments are integer dot products of (M o V) with value vectors,
+never polynomial products, and a ``Fraction`` is formed only once per result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegenerateMoments
 from .polynomials import Polynomial, Scalar
-from .rationals import clear_denominators
+from .rationals import clear_denominators, exact_rational
 
 
-class IntegerForm(NamedTuple):
-    """A measure's atoms as integers over two common denominators.
+class DiscreteMeasure:
+    """Finite atom -> mass map: the atom at points[i] / point_denominator, in
+    increasing order, has mass masses[i] / mass_denominator; none is zero."""
 
-    The atom at points[i] / point_denominator has mass
-    masses[i] / mass_denominator, in support order; both denominators are
-    positive and are the lcm of the reduced ones.
-    """
+    __slots__ = ("points", "point_denominator", "masses", "mass_denominator")
 
-    points: tuple[int, ...]
-    point_denominator: int
-    masses: tuple[int, ...]
-    mass_denominator: int
+    def __init__(self, atoms: Mapping[Scalar, Scalar]) -> None:
+        cleaned = {exact_rational(pt): exact_rational(m) for pt, m in atoms.items()}
+        support = sorted(cleaned)
+        masses = [cleaned[pt] for pt in support]
+        canonical = _measure(*clear_denominators(support), *clear_denominators(masses))
+        self.points, self.point_denominator, self.masses, self.mass_denominator = canonical.parts
 
-    @classmethod
-    def of(cls, points: Sequence[Fraction], masses: Sequence[Fraction]) -> "IntegerForm":
-        integer_points, e = clear_denominators(points)
-        integer_masses, d = clear_denominators(masses)
-        return cls(tuple(integer_points), e, tuple(integer_masses), d)
+    @property
+    def parts(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+        """(points, point_denominator, masses, mass_denominator)."""
+        return self.points, self.point_denominator, self.masses, self.mass_denominator
+
+    @property
+    def support(self) -> list[Fraction]:
+        """The support points in increasing order; built on each access."""
+        e = self.point_denominator
+        return [Fraction(p, e) for p in self.points]
+
+    @property
+    def atoms(self) -> dict[Fraction, Fraction]:
+        """point -> mass in increasing order of the points; built on each access."""
+        d = self.mass_denominator
+        return {pt: Fraction(m, d) for pt, m in zip(self.support, self.masses)}
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
+
+    def mass(self, point: Scalar) -> Fraction:
+        target = exact_rational(point) * self.point_denominator
+        i = bisect_left(self.points, target)
+        if i < len(self.points) and self.points[i] == target:
+            return Fraction(self.masses[i], self.mass_denominator)
+        return Fraction(0)
 
     def evaluate(self, p: Polynomial) -> tuple[list[int], int]:
-        """(V, s): p's value at support point i is V[i] / s, with s = d e^n."""
+        """(V, s): p's value at support point i is V[i] / s, with s = d e^n > 0."""
         nums, den = p.integer_parts
         if not nums:
             return [0] * len(self.points), 1
@@ -70,83 +96,56 @@ class IntegerForm(NamedTuple):
         """M o V: the integer value vector times the integer masses."""
         return list(map(mul, self.masses, values))
 
-    def pair(self, u: Sequence[int], su: int, v: Sequence[int], sv: int) -> Fraction:
-        """The weighted dot product of the value vectors u / su and v / sv."""
-        return Fraction(sum(map(mul, self.weighted(u), v)), self.mass_denominator * su * sv)
-
-
-class DiscreteMeasure:
-    """Finite atom -> mass map; zero-mass atoms are dropped on construction."""
-
-    __slots__ = ("atoms", "_points", "_integer_form")
-
-    def __init__(self, atoms: Mapping[Scalar, Scalar]) -> None:
-        cleaned: dict[Fraction, Fraction] = {}
-        for point, mass in atoms.items():
-            mass = Fraction(mass)
-            if mass != 0:
-                cleaned[Fraction(point)] = mass
-        object.__setattr__(self, "atoms", cleaned)
-        object.__setattr__(self, "_points", tuple(sorted(cleaned)))
-        object.__setattr__(self, "_integer_form", None)
-
-    @property
-    def support(self) -> list[Fraction]:
-        return list(self._points)
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def integer_form(self) -> IntegerForm:
-        """The atoms as integers over one point and one mass denominator,
-        derived on first use and kept by the measure."""
-        form = self._integer_form
-        if form is None:
-            form = IntegerForm.of(self._points, [self.atoms[pt] for pt in self._points])
-            object.__setattr__(self, "_integer_form", form)
-        return form
-
-    def mass(self, point: Scalar) -> Fraction:
-        return self.atoms.get(Fraction(point), Fraction(0))
-
     def integrate(self, p: Polynomial) -> Fraction:
-        form = self.integer_form
-        values, scale = form.evaluate(p)
-        return Fraction(sum(map(mul, form.masses, values)), form.mass_denominator * scale)
+        values, scale = self.evaluate(p)
+        return Fraction(sum(map(mul, self.masses, values)), self.mass_denominator * scale)
 
     def inner_product(self, p: Polynomial, q: Polynomial) -> Fraction:
-        form = self.integer_form
-        return form.pair(*form.evaluate(p), *form.evaluate(q))
+        (u, su), (v, sv) = self.evaluate(p), self.evaluate(q)
+        return Fraction(sum(map(mul, self.weighted(u), v)), self.mass_denominator * su * sv)
 
     def moments(self, up_to: int) -> list[Fraction]:
         """Power moments of degree 0..up_to."""
-        out = []
-        for k in range(up_to + 1):
-            out.append(self.integrate(Polynomial.monomial(k)))
-        return out
+        return [self.integrate(Polynomial.monomial(k)) for k in range(up_to + 1)]
 
     def translate(self, offset: Scalar) -> "DiscreteMeasure":
         """Push every atom from pt to pt + offset."""
-        c = Fraction(offset)
-        return DiscreteMeasure({pt + c: m for pt, m in self.atoms.items()})
+        c = exact_rational(offset)
+        q, e = c.denominator, self.point_denominator
+        shift = c.numerator * e
+        points = [pt * q + shift for pt in self.points]
+        return _measure(points, e * q, self.masses, self.mass_denominator)
 
     def scale(self, factor: Scalar) -> "DiscreteMeasure":
-        f = Fraction(factor)
-        return DiscreteMeasure({pt: f * m for pt, m in self.atoms.items()})
+        f = exact_rational(factor)
+        masses = [m * f.numerator for m in self.masses]
+        return _measure(self.points, self.point_denominator, masses,
+                        self.mass_denominator * f.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        return self.atoms == other.atoms
+        return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.atoms.items())))
+        return hash(self.parts)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{pt}: {m}" for pt, m in sorted(self.atoms.items()))
+        inner = ", ".join(f"{pt}: {m}" for pt, m in self.atoms.items())
         return f"DiscreteMeasure({{{inner}}})"
+
+
+def _measure(points: Sequence[int], e: int, masses: Sequence[int], d: int) -> DiscreteMeasure:
+    """The canonical measure with atoms points[i] / e of mass masses[i] / d,
+    for increasing points and e, d > 0."""
+    if 0 in masses:
+        kept = [i for i, m in enumerate(masses) if m]
+        points, masses = [points[i] for i in kept], [masses[i] for i in kept]
+    g, h = gcd(e, *points), gcd(d, *masses)
+    measure = object.__new__(DiscreteMeasure)
+    measure.points, measure.point_denominator = tuple(p // g for p in points), e // g
+    measure.masses, measure.mass_denominator = tuple(m // h for m in masses), d // h
+    return measure
 
 
 def christoffel(measure: DiscreteMeasure, factor: Polynomial) -> DiscreteMeasure:
@@ -154,7 +153,9 @@ def christoffel(measure: DiscreteMeasure, factor: Polynomial) -> DiscreteMeasure
 
     Atoms where the factor vanishes disappear from the support.
     """
-    return DiscreteMeasure({pt: m * factor(pt) for pt, m in measure.atoms.items()})
+    values, scale = measure.evaluate(factor)
+    return _measure(measure.points, measure.point_denominator,
+                    measure.weighted(values), measure.mass_denominator * scale)
 
 
 def proportionality_constant(
@@ -162,18 +163,17 @@ def proportionality_constant(
 ) -> Fraction | None:
     """The constant c with left = c * right, or ``None`` when there is none.
 
-    Zero measures are proportional only to each other (with c = 1).
+    Zero measures are proportional only to each other (with c = 1); others
+    when their points agree and every L_i R_0 equals L_0 R_i.
     """
-    if not right.atoms:
-        return Fraction(1) if not left.atoms else None
-    if set(left.atoms) != set(right.atoms):
+    if left.points != right.points or left.point_denominator != right.point_denominator:
         return None
-    pt = next(iter(right.atoms))
-    c = left.atoms[pt] / right.atoms[pt]
-    for point, mass in right.atoms.items():
-        if left.atoms[point] != c * mass:
-            return None
-    return c
+    if not right.masses:
+        return Fraction(1)
+    l0, r0 = left.masses[0], right.masses[0]
+    if any(l * r0 != l0 * r for l, r in zip(left.masses, right.masses)):
+        return None
+    return Fraction(l0 * right.mass_denominator, r0 * left.mass_denominator)
 
 
 def equal_up_to_sign(left: DiscreteMeasure, right: DiscreteMeasure) -> bool:
@@ -196,8 +196,7 @@ def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
     and t are divided by their common gcd after it, keeping t positive, so no
     polynomial product and no ``Fraction`` is ever formed.
     """
-    form = measure.integer_form
-    points, e = form.points, form.point_denominator
+    points, e = measure.points, measure.point_denominator
     power = [1] * len(points)  # P_i^k: the value vector of x^k
     basis: list[Polynomial] = []
     # per earlier g_j: (C_j, W_j, M o W_j, N_j), with <g_j, g_j> = N_j / (D t_j^2 e^(2j))
@@ -230,7 +229,7 @@ def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
                 coeffs = [c // g for c in coeffs]
                 values = [v // g for v in values]
                 den //= g
-        weighted = form.weighted(values)
+        weighted = measure.weighted(values)
         norm = sum(map(mul, values, weighted))
         if norm == 0 and k < up_to:
             raise DegenerateMoments(k)
@@ -248,12 +247,11 @@ def orthogonality_table(
     vector V_i over its scale s_i; entry (i, j) is the integer dot product of
     (M o V_i) with V_j over D s_i s_j, one ``Fraction`` per entry.
     """
-    form = measure.integer_form
-    evaluated = [form.evaluate(p) for p in polys]
+    evaluated = [measure.evaluate(p) for p in polys]
     table: dict[tuple[int, int], Fraction] = {}
     for i, (u, su) in enumerate(evaluated):
-        weighted = form.weighted(u)
-        scale = form.mass_denominator * su
+        weighted = measure.weighted(u)
+        scale = measure.mass_denominator * su
         for j in range(i, len(evaluated)):
             v, sv = evaluated[j]
             table[(i, j)] = Fraction(sum(map(mul, weighted, v)), scale * sv)

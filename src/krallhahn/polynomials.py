@@ -14,9 +14,10 @@ integer pseudo-division.  Each result is made canonical once.
 ``Fraction`` appears only at the edges: the constructors take ``int`` or
 ``Fraction`` coefficients, and ``coefficient``, ``leading_coefficient``,
 ``coeffs``, iteration, evaluation and the string forms give ``Fraction``
-values.  No floating point enters anywhere.  The few rational functions the
-construction needs (ladder ratios, recurrence coefficients) are plain
-(numerator, denominator) pairs reduced by :func:`lowest_terms`.
+values.  No floating point enters anywhere: a ``float`` argument raises
+``TypeError``.  The few rational functions the construction needs (ladder
+ratios, recurrence coefficients) are plain (numerator, denominator) pairs
+reduced by :func:`lowest_terms`.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
-from .rationals import clear_denominators, format_rational
+from .rationals import clear_denominators, exact_rational, format_rational
 
 Scalar = Union[int, Fraction]
-
-
-def _frac(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Polynomial:
@@ -67,7 +64,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        c = _frac(coeff)
+        c = exact_rational(coeff)
         if c == 0:
             return _ZERO
         return _wrap((0,) * degree + (c.numerator,), c.denominator)
@@ -196,7 +193,7 @@ class Polynomial:
         """
         if isinstance(other, Polynomial):
             return self.divide_exact(other)
-        return self * (1 / _frac(other))
+        return self * (1 / exact_rational(other))
 
     def __eq__(self, other: object) -> bool:
         other = _promote(other)
@@ -224,7 +221,7 @@ class Polynomial:
         if not nums:
             return Fraction(0)
         if not isinstance(point, (int, Fraction)):
-            point = Fraction(point)
+            point = exact_rational(point)
         p, q = point.numerator, point.denominator
         acc, qk = nums[-1], 1
         for c in nums[-2::-1]:
@@ -247,7 +244,7 @@ class Polynomial:
         """
         nums = self._numerators
         if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+            c = exact_rational(c)
         if not c or len(nums) < 2:
             return self
         p, q = c.numerator, c.denominator

@@ -36,6 +36,16 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def exact_rational(value) -> Fraction:
+    """``Fraction(value)``, except that a float raises ``TypeError``: a float
+    holds a binary fraction, not the rational it was written as."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact rational; use an int, Fraction or 'p/q'")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p"`` or ``"p/q"`` in lowest terms."""
     if value.denominator == 1:
@@ -53,10 +63,11 @@ def clear_denominators(values: Sequence) -> tuple[Sequence[int], int]:
 
     The denominator is the lcm of the reduced denominators, so it is 1 for
     integers, and those come back as the same sequence, unconverted.  Entries
-    that are neither ``int`` nor ``Fraction`` are read through ``Fraction``.
+    that are neither ``int`` nor ``Fraction`` are read through
+    :func:`exact_rational`, so a float raises ``TypeError``.
     """
     if all(type(v) is int for v in values):
         return values, 1
-    rationals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    rationals = [v if isinstance(v, (int, Fraction)) else exact_rational(v) for v in values]
     den = lcm(1, *(v.denominator for v in rationals))
     return [v.numerator * (den // v.denominator) for v in rationals], den

@@ -106,7 +106,6 @@ class RunData:
     inner_measure: DiscreteMeasure
     shift: int
     n_max: int
-    scan_max: int
     r_from_sets: int
 
 
@@ -142,7 +141,6 @@ def build_run(cfg: ConstructionConfig) -> RunData:
         inner_measure=inner_measure,
         shift=shift,
         n_max=n_max,
-        scan_max=n_default + 1,
         r_from_sets=r_sets,
     )
 
@@ -152,14 +150,14 @@ def build_run(cfg: ConstructionConfig) -> RunData:
 
 def _check_omega(run: RunData) -> tuple[bool, dict]:
     ctx = run.ctx
-    zeros = [n for n in range(run.scan_max + 1) if casorati_value(ctx, n) == 0]
-    witness = {"scanned_up_to": run.scan_max, "zeros": zeros}
+    scan_max = ctx.orthogonality_range + 1
+    zeros = [n for n in range(scan_max + 1) if casorati_value(ctx, n) == 0]
+    witness = {"scanned_up_to": scan_max, "zeros": zeros}
     ok = not zeros
-    counts = ctx.block_counts
     if ctx.quartet is not None and (ctx.quartet.first or ctx.quartet.second):
         # with rows from the first two blocks, the determinant must vanish on a
         # known finite range above the scan window
-        lo = ctx.params.N + counts[2] + counts[3] + 2
+        lo = ctx.orthogonality_range + 2
         hi = ctx.params.N + ctx.m
         forced = [n for n in range(lo, hi + 1)]
         missing = [n for n in forced if casorati_value(ctx, n) != 0]
@@ -290,8 +288,7 @@ def _check_orthogonality(run: RunData) -> tuple[bool, dict]:
 def _check_support(run: RunData) -> tuple[bool, dict]:
     cfg = run.config
     ctx = run.ctx
-    counts = ctx.block_counts
-    expected_size = ctx.params.N + counts[2] + counts[3] + 1
+    expected_size = ctx.orthogonality_range + 1
     expected = [pt + run.shift for pt in transformed_support(ctx.params, ctx.quartet, ctx.pads)]
     actual = sorted(run.measure.support)
     witness = {

@@ -1,14 +1,17 @@
 """Discrete measures, Christoffel transforms, and the Gram-Schmidt oracle.
 
-The integer route of :mod:`krallhahn.measures` is compared with two test-only
-references: the ``Fraction`` value/dot route it replaced (values, weighted
-dot products, the Gram table and Gram-Schmidt, all on ``Fraction`` values),
-and the projection through polynomial products.  Both integrate with
-:func:`_fraction_integrate`, the sum of mass * p(point) over the atoms, so
-neither depends on the route under test.
+The integer route of :mod:`krallhahn.measures` is compared with three
+test-only references: the ``Fraction`` value/dot route it replaced (values,
+weighted dot products, the Gram table and Gram-Schmidt, all on ``Fraction``
+values), the projection through polynomial products, and the ``Fraction``
+atom dicts the measure stored before its integer parts (construction,
+translation, scaling, Christoffel transforms, equality and proportionality).
+The first two integrate with :func:`_fraction_integrate`, the sum of
+mass * p(point) over the atoms, so neither depends on the route under test.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,7 @@ def test_translate_and_scale():
     mu = DiscreteMeasure({0: 1, 2: 3})
     assert mu.translate(HALF).support == [HALF, Fraction(5, 2)]
     assert mu.translate(1).translate(-1) == mu
+    assert mu.translate(HALF).translate(-HALF) == mu
     assert mu.scale(2) == DiscreteMeasure({0: 2, 2: 6})
     assert mu.scale(0).size == 0
 
@@ -288,32 +292,40 @@ def test_integrals_and_values_match_fraction_route(families, name):
 
 
 def test_integer_form():
-    form = SIGNED.integer_form
-    assert form is SIGNED.integer_form
-    assert form.point_denominator == 6 and form.mass_denominator == 63
-    assert [Fraction(p, 6) for p in form.points] == SIGNED.support
-    assert [Fraction(m, 63) for m in form.masses] == [SIGNED.mass(pt) for pt in SIGNED.support]
+    assert SIGNED.point_denominator == 6 and SIGNED.mass_denominator == 63
+    assert [Fraction(p, 6) for p in SIGNED.points] == SIGNED.support
+    assert [Fraction(m, 63) for m in SIGNED.masses] == [SIGNED.mass(pt) for pt in SIGNED.support]
     # a Hahn-derived support is integral
     measure = DiscreteMeasure({0: HALF, 1: Fraction(1, 3), 2: 1})
-    assert measure.integer_form == ((0, 1, 2), 1, (3, 2, 6), 6)
-    assert DiscreteMeasure({}).integer_form == ((), 1, (), 1)
+    assert measure.parts == ((0, 1, 2), 1, (3, 2, 6), 6)
+    assert DiscreteMeasure({}).parts == ((), 1, (), 1)
 
 
-def test_build_run_leaves_the_integer_form_underived():
-    # construct and oracle runs build measures but never pair on them
-    run = build_run(builtin_config("four-roots"))
-    assert run.inner_measure._integer_form is None
-    assert run.measure._integer_form is None
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: DiscreteMeasure({0.1: 1}),
+        lambda: DiscreteMeasure({0: 0.1}),
+        lambda: SIGNED.translate(0.1),
+        lambda: SIGNED.scale(0.1),
+        lambda: SIGNED.mass(0.1),
+    ],
+    ids=["point", "mass", "translate", "scale", "mass lookup"],
+)
+def test_floats_are_rejected(entry):
+    with pytest.raises(TypeError, match="0.1"):
+        entry()
 
 
 # -- property tests on random measures -------------------------------------------
 
 _RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-_MEASURES = st.dictionaries(
+_ATOMS = st.dictionaries(
     _RATIONALS,
     st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 20))),
     max_size=8,
-).map(DiscreteMeasure)
+)
+_MEASURES = _ATOMS.map(DiscreteMeasure)
 _POLYNOMIALS = st.lists(
     st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)), max_size=9
 ).map(Polynomial)
@@ -342,3 +354,109 @@ def test_random_gram_schmidt_matches_fraction_route(measure, up_to):
         assert got.value.index == err.index
         return
     _assert_same_polynomials(gram_schmidt(measure, up_to), expected)
+
+
+# -- the integer parts against the Fraction atom dicts ----------------------------
+
+
+def _dict_measure(atoms):
+    """The atom dict the measure stored: zero masses dropped."""
+    cleaned = {}
+    for point, mass in atoms.items():
+        mass = Fraction(mass)
+        if mass != 0:
+            cleaned[Fraction(point)] = mass
+    return cleaned
+
+
+def _dict_translate(atoms, offset):
+    c = Fraction(offset)
+    return _dict_measure({pt + c: m for pt, m in atoms.items()})
+
+
+def _dict_scale(atoms, factor):
+    f = Fraction(factor)
+    return _dict_measure({pt: f * m for pt, m in atoms.items()})
+
+
+def _dict_christoffel(atoms, factor):
+    return _dict_measure({pt: m * factor(pt) for pt, m in atoms.items()})
+
+
+def _dict_proportionality_constant(left, right):
+    if not right:
+        return Fraction(1) if not left else None
+    if set(left) != set(right):
+        return None
+    pt = next(iter(right))
+    c = left[pt] / right[pt]
+    for point, mass in right.items():
+        if left[point] != c * mass:
+            return None
+    return c
+
+
+def _assert_holds(measure, atoms, probe):
+    """The measure carries exactly these atoms, in canonical parts."""
+    assert measure.atoms == atoms
+    assert list(measure.atoms) == measure.support == sorted(atoms)
+    assert measure.size == len(atoms)
+    assert measure.mass(probe) == atoms.get(probe, 0)
+    points, e, masses, d = measure.parts
+    assert e > 0 and d > 0 and 0 not in masses
+    assert gcd(e, *points) == 1 and gcd(d, *masses) == 1
+    rebuilt = DiscreteMeasure(atoms)
+    assert measure == rebuilt and hash(measure) == hash(rebuilt)
+
+
+_OFFSETS = st.one_of(st.integers(-7, 7), _RATIONALS)
+_FACTORS = st.one_of(st.just(0), st.integers(-5, 5), _RATIONALS)
+_DIFFERENTIAL = settings(max_examples=30, deadline=None, database=None)
+
+
+@_DIFFERENTIAL
+@given(_ATOMS, _OFFSETS, _FACTORS, _RATIONALS)
+def test_random_translate_and_scale_match_dict_reference(atoms, offset, factor, probe):
+    measure, reference = DiscreteMeasure(atoms), _dict_measure(atoms)
+    _assert_holds(measure, reference, probe)
+    moved, scaled = measure.translate(offset), measure.scale(factor)
+    _assert_holds(moved, _dict_translate(reference, offset), probe)
+    _assert_holds(scaled, _dict_scale(reference, factor), probe)
+    _assert_holds(moved.scale(factor), _dict_scale(_dict_translate(reference, offset), factor),
+                  probe)
+
+
+@_DIFFERENTIAL
+@given(_ATOMS, st.lists(st.integers(0, 7), max_size=3), _POLYNOMIALS, _RATIONALS)
+def test_random_christoffel_matches_dict_reference(atoms, killed, other, probe):
+    # roots on atoms make the factor vanish there; `other` brings rational
+    # coefficients and, when it is zero, the zero measure
+    reference = _dict_measure(atoms)
+    support = sorted(reference)
+    roots = [support[i % len(support)] for i in killed] if support else []
+    for factor in (Polynomial.from_roots(roots), Polynomial.from_roots(roots) * other, other):
+        _assert_holds(christoffel(DiscreteMeasure(atoms), factor),
+                      _dict_christoffel(reference, factor), probe)
+
+
+@_DIFFERENTIAL
+@given(_ATOMS, _ATOMS, _FACTORS, _OFFSETS)
+def test_random_equality_and_proportionality_match_dict_reference(left, right, factor, offset):
+    reference = _dict_measure(left)
+    pairs = [
+        (left, right),
+        (left, dict(reversed(list(left.items())))),
+        (left, _dict_scale(reference, factor)),
+        (left, _dict_translate(reference, offset)),
+        # the same support with masses that are proportional only for one atom
+        (left, {pt: m * (i + 1) for i, (pt, m) in enumerate(reference.items())}),
+    ]
+    for a, b in pairs:
+        ref_a, ref_b = _dict_measure(a), _dict_measure(b)
+        mu, nu = DiscreteMeasure(a), DiscreteMeasure(b)
+        assert (mu == nu) == (ref_a == ref_b)
+        if ref_a == ref_b:
+            assert hash(mu) == hash(nu)
+        expected = _dict_proportionality_constant(ref_a, ref_b)
+        assert proportionality_constant(mu, nu) == expected
+        assert equal_up_to_sign(mu, nu) == (expected in (1, -1))

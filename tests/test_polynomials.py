@@ -46,6 +46,26 @@ def test_clear_denominators():
     assert clear_denominators((Fraction(4, 2), True)) == ([2, 1], 1)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: clear_denominators([Fraction(1, 2), 0.1]),
+        lambda: Polynomial([0.1]),
+        lambda: Polynomial.monomial(2, 0.1),
+        lambda: X / 0.1,
+        lambda: X(0.1),
+        lambda: X.shift_argument(0.1),
+        lambda: newton_form([1, 1], [0.1]),
+    ],
+    ids=["clear_denominators", "constructor", "monomial", "scalar division", "evaluation",
+         "shift_argument", "newton_form"],
+)
+def test_floats_are_rejected(entry):
+    # Fraction(0.1) would silently store the binary fraction 3602879701896397 / 2^55
+    with pytest.raises(TypeError, match="0.1"):
+        entry()
+
+
 def test_construction_trims_trailing_zeros():
     p = Polynomial([1, 2, 0, 0])
     assert p.degree == 1
