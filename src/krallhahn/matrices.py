@@ -11,15 +11,18 @@ No determinant here works over rational functions: the construction clears
 row denominators first, and its cross-check compares scalar determinants at
 points.
 
-:func:`solve_linear_system` backs the operator-existence probe.  Its verdicts
-rest on one of two things.  Either a minor that is nonzero modulo a word-size
-prime (so nonzero over the rationals) certifies full column rank, and with it
-nullity 0 or, when b is a pivot too, inconsistency; a solution found modulo
-further primes is then accepted only after exact substitution.  Or the same
-fraction-free elimination, run on the integer rows [A | b] and followed by
+:func:`_exact_solve` solves the operator-existence probe's small system at
+each point, and :func:`solve_linear_system` backs only that probe's global
+fallback, taken when too few points have a unique solution.  The verdicts of
+:func:`solve_linear_system` rest on one of two things.  Either a minor that
+is nonzero modulo a word-size prime (so nonzero over the rationals)
+certifies full column rank, and with it nullity 0 or, when b is a pivot too,
+inconsistency; a solution found modulo further primes is then accepted only
+after exact substitution.  Or :func:`_exact_solve`, the same fraction-free
+elimination run on the integer rows [A | b] and followed by integer
 back-substitution, decides; that happens when the system is rank-deficient
-modulo the first prime or its solution needs more primes than the fixed tuple
-holds.
+modulo the first prime or its solution needs more primes than the fixed
+tuple holds.
 """
 
 from __future__ import annotations
@@ -275,18 +278,20 @@ def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
 
 def _exact_solve(aug: list[list[int]], ncols: int) -> tuple[list[Fraction], int] | None:
     """Solve the integer rows [A | b] by :func:`_eliminate`, in place, and
-    back-substitution.
+    fraction-free back-substitution.
 
     Same contract as :func:`solve_linear_system`, at any nullity: the free
-    variables are 0, so each pivot variable is read off its pivot row from
-    the pivots to its right.
+    variables are 0.  The last pivot is the minor on the pivot rows and
+    columns, so by Cramer's rule y = det * x is an integer vector, and each
+    pivot row gives y at its pivot column by one exact integer division.
     """
     pivots, _ = _eliminate(aug, ncols + 1, floordiv)
     if pivots and pivots[-1] == ncols:
         return None  # b is a pivot: rank [A | b] > rank A
-    x = [Fraction(0)] * ncols
+    det = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
     for k in range(len(pivots) - 1, -1, -1):
         c, row = pivots[k], aug[k]
-        known = sum(row[j] * x[j] for j in pivots[k + 1 :])
-        x[c] = (row[ncols] - known) / Fraction(row[c])
-    return x, ncols - len(pivots)
+        known = sum(row[j] * y[j] for j in pivots[k + 1 :])
+        y[c] = (det * row[ncols] - known) // row[c]
+    return [Fraction(v, det) for v in y], ncols - len(pivots)

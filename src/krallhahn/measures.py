@@ -114,7 +114,9 @@ class DiscreteMeasure:
         q, e = c.denominator, self.point_denominator
         shift = c.numerator * e
         points = [pt * q + shift for pt in self.points]
-        return _measure(points, e * q, self.masses, self.mass_denominator)
+        g = gcd(e * q, *points)
+        # the masses do not move, so they stay canonical as they are
+        return _wrap(tuple(p // g for p in points), e * q // g, self.masses, self.mass_denominator)
 
     def scale(self, factor: Scalar) -> "DiscreteMeasure":
         f = exact_rational(factor)
@@ -142,9 +144,14 @@ def _measure(points: Sequence[int], e: int, masses: Sequence[int], d: int) -> Di
         kept = [i for i, m in enumerate(masses) if m]
         points, masses = [points[i] for i in kept], [masses[i] for i in kept]
     g, h = gcd(e, *points), gcd(d, *masses)
+    return _wrap(tuple(p // g for p in points), e // g, tuple(m // h for m in masses), d // h)
+
+
+def _wrap(points: tuple[int, ...], e: int, masses: tuple[int, ...], d: int) -> DiscreteMeasure:
+    """A measure from parts that are already canonical."""
     measure = object.__new__(DiscreteMeasure)
-    measure.points, measure.point_denominator = tuple(p // g for p in points), e // g
-    measure.masses, measure.mass_denominator = tuple(m // h for m in masses), d // h
+    measure.points, measure.point_denominator = points, e
+    measure.masses, measure.mass_denominator = masses, d
     return measure
 
 

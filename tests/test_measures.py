@@ -58,6 +58,14 @@ def test_translate_and_scale():
     assert mu.scale(0).size == 0
 
 
+@pytest.mark.parametrize("offset", [0, 3, -HALF, Fraction(7, 3)])
+def test_translate_keeps_the_canonical_masses(offset):
+    mu = DiscreteMeasure({Fraction(1, 4): Fraction(2, 9), 1: Fraction(-4, 3), 5: 6})
+    moved = mu.translate(offset)
+    assert moved.masses == mu.masses and moved.mass_denominator == mu.mass_denominator
+    assert moved == DiscreteMeasure({pt + offset: m for pt, m in mu.atoms.items()})
+
+
 def test_christoffel_kills_root_atoms():
     mu = DiscreteMeasure({0: 1, 1: 1, 2: 1})
     nu = christoffel(mu, X - 1)

@@ -1,9 +1,18 @@
-"""Independent eigen-operator search by exact linear algebra."""
+"""Independent eigen-operator search by exact linear algebra.
 
+The pointwise route of :func:`operator_solution_space` is compared with the
+global system it falls back on, :func:`krallhahn.oracle._solve_globally`,
+called directly; and its integer divided differences with the ``Fraction``
+ones.
+"""
+
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+
+import krallhahn.oracle as oracle
 
 from krallhahn.casorati import (
     eigenvalue_polynomial,
@@ -14,9 +23,15 @@ from krallhahn.casorati import (
 from krallhahn.config import BUILTIN_CONFIGS, builtin_config, config_from_dict
 from krallhahn.errors import InsufficientData
 from krallhahn.hahn import HahnParams, hahn_operator, hahn_polynomial
-from krallhahn.oracle import _integer_rows, operator_solution_space
-from krallhahn.polynomials import Polynomial
-from krallhahn.verify import build_run
+from krallhahn.oracle import (
+    _divided_differences,
+    _integer_rows,
+    _pointwise_nodes,
+    _solve_globally,
+    operator_solution_space,
+)
+from krallhahn.polynomials import Polynomial, newton_form
+from krallhahn.verify import build_run, run_config
 
 
 @pytest.fixture
@@ -43,14 +58,65 @@ def test_insufficient_data(classical_data):
     assert op is not None and nullity == 0
 
 
-def test_inconsistent_system_returns_none(classical_data):
+@pytest.fixture
+def global_route(monkeypatch):
+    """Counts the calls of the global solve that the pointwise route falls back on."""
+    calls = []
+    solve = oracle.solve_linear_system
+
+    def spy(rows, rhs):
+        calls.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(oracle, "solve_linear_system", spy)
+    return calls
+
+
+def test_inconsistent_system_returns_none(classical_data, global_route):
     qs, lams = classical_data
     # corrupt one eigenvalue: no second-order operator fits any more
     bad = list(lams)
     bad[2] += 1
-    op, nullity = operator_solution_space(qs, bad, 1, 2)
-    assert op is None
-    assert nullity == 0
+    assert _pointwise_nodes(qs, bad, 1, 2) is None
+    assert operator_solution_space(qs, bad, 1, 2) == (None, 0)
+    assert global_route == []
+
+
+def test_interpolant_failing_the_exact_check_returns_none(classical_data, global_route):
+    """The classical operator has quadratic coefficients.  Under a cap of 1
+    every point still has its unique values, but the line through two of
+    them is no operator."""
+    qs, lams = classical_data
+    assert len(_pointwise_nodes(qs, lams, 1, 1)) == 2
+    assert operator_solution_space(qs, lams, 1, 1) == (None, 0)
+    assert global_route == []
+    assert _solve_globally(qs, lams, 1, 1) == (None, 0)
+
+
+def test_singular_point_is_skipped(global_route):
+    """For a = b the Hahn family is symmetric about N / 2: q_n(N - x) =
+    (-1)^n q_n(x).  At x = 3 = N / 2 every odd degree gives a row (u, 0, -u),
+    so with one even degree fed the system there has rank 2 and no node."""
+    params = HahnParams(HALF, HALF, 6)
+    fed = (0, 1, 3, 5)
+    qs = [hahn_polynomial(n, params) for n in fed]
+    lams = [params.eigenvalue(n) for n in fed]
+    assert [x for x, _ in _pointwise_nodes(qs, lams, 1, 4)] == [0, 1, 2, 4, 5]
+    found = operator_solution_space(qs, lams, 1, 4)
+    assert global_route == []
+    assert found == _solve_globally(qs, lams, 1, 4) == (hahn_operator(params), 0)
+
+
+def test_every_point_singular_falls_back_to_the_global_solve(desk_params, global_route):
+    """Two polynomials give two equations in three values at each point: no node.
+    The 15 global equations still pin the classical operator down."""
+    fed = (4, 5)
+    qs = [hahn_polynomial(n, desk_params) for n in fed]
+    lams = [desk_params.eigenvalue(n) for n in fed]
+    assert _pointwise_nodes(qs, lams, 1, 2) == []
+    found = operator_solution_space(qs, lams, 1, 2)
+    assert global_route == [15]
+    assert found == (hahn_operator(desk_params), 0)
 
 
 def test_wider_probe_still_unique(classical_data, desk_params):
@@ -61,6 +127,71 @@ def test_wider_probe_still_unique(classical_data, desk_params):
     op, nullity = operator_solution_space(qs, lams, 2, 2)
     assert nullity == 0
     assert op == hahn_operator(desk_params)
+
+
+HALF = Fraction(1, 2)
+
+
+def _oracle_inputs(cfg):
+    """The (qs, lambdas, halfwidth, cap) that the ``oracle`` check solves for."""
+    import krallhahn.verify as verify
+
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return operator_solution_space(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "operator_solution_space", record)
+        run_config(config_from_dict({**cfg, "checks": ["oracle"]}))
+    (args,) = calls
+    return args
+
+
+# the four builtin configs and the oracle benchmark's three templates
+_ORACLE_CASES = {
+    **BUILTIN_CONFIGS,
+    **{
+        name: {"a": "7/3", "b": "11/5", "N": 8, "F": F, "path": path}
+        for name, F, path in (
+            ("F4=[2]", [[], [], [], [2]], "corollary"),
+            ("F4=[1,3]", [[], [], [], [1, 3]], "corollary"),
+            ("F1=[2]", [[2], [], [], []], "theorem"),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_pointwise_matches_global_route(name, global_route):
+    qs, lambdas, r, cap = _oracle_inputs(_ORACLE_CASES[name])
+    found = operator_solution_space(qs, lambdas, r, cap)
+    assert global_route == []
+    assert found == _solve_globally(qs, lambdas, r, cap)
+    assert found[0] is not None and found[1] == 0
+
+
+def _fraction_divided_differences(nodes, values):
+    coeffs = [Fraction(v) for v in values]
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - k])
+    return coeffs
+
+
+def test_integer_divided_differences_match_fraction_ones():
+    rng = random.Random(16)
+    for trial in range(60):
+        count = rng.randint(1, 9)
+        # increasing integer nodes, consecutive in every third trial
+        nodes = list(range(count)) if trial % 3 == 0 else sorted(rng.sample(range(-6, 14), count))
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in nodes]
+        coeffs = _divided_differences(nodes, values)
+        assert coeffs == _fraction_divided_differences(nodes, values), trial
+        interpolant = newton_form(coeffs, nodes)
+        assert interpolant.degree < count
+        assert [interpolant(x) for x in nodes] == values, trial
 
 
 def test_validation():

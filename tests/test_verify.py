@@ -20,7 +20,7 @@ from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, ratio_product, series_ratio
 from krallhahn.errors import ConfigInvalid
 from krallhahn.hahn import HahnParams, hahn_weight
-from krallhahn.oracle import operator_solution_space
+from krallhahn.oracle import _solve_globally, operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.sets import (
     SetQuartet,
@@ -150,6 +150,8 @@ def _oracle_with_spy(cfg, bump=0, solve=operator_solution_space):
 def _assert_matches_second_solve(cfg, bump):
     check, calls = _oracle_with_spy(cfg, bump)
     assert len(calls) == 1
+    # the pointwise route gives what the global system, solved directly, gives
+    assert operator_solution_space(*calls[0]) == _solve_globally(*calls[0])
     qs, lambdas, r, _ = calls[0]
     witness = check.witness
     if witness["nullity"]:
