@@ -9,23 +9,26 @@ invariant prefactor.  From those this module builds, all exactly:
 * the eigenvalue polynomial and the spectral polynomial,
 * the higher-order difference operator the new family satisfies.
 
-Every determinant here goes through the one exact routine
+The polynomial determinants here go through the one exact routine
 :func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and its
-minors (the mixing polynomials) on polynomial entries, and each q_n as one
-bordered determinant: the raw Casorati rows (:func:`casorati_rows`, running
-products of the series ratios times the row values, no clearing block, rebuilt
-at each point read) above a border of alternating Hahn polynomials.  Every
-quantity the theory claims is polynomial is produced by exact division, so a
-failed cancellation surfaces as an error instead of an approximation.  The
-normaliser is a product of known linear factors, kept as a leading constant
-and a root multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial`
-puts its m terms over L, the lcm of the m shifted root multisets, so each term
-is multiplied by the leftover linear factors and no gcd is taken; the sum
-makes one exact division by L, and a remainder raises.  The cross-check of the
-cleared determinant, :func:`casorati_rational`, takes determinants of the same
-raw rows at points.  The Omega scan and the leading-coefficient gate read the
-cleared route (:func:`casorati_value`), so they do not compare the raw rows
-with themselves.  Symbols in theta come from base-theta digits
+minors (the mixing polynomials).  The scalar ones are integer fraction-free
+determinants (:func:`~krallhahn.matrices.integer_det`) of the raw Casorati
+rows (:func:`casorati_rows`: running products of the series ratios times the
+row values, no clearing block, rebuilt at each point read), kept as integers
+over one denominator per point.  Each q_n is the sum of the m + 1 maximal
+minors of those rows against alternating Hahn polynomials, which is the
+bordered determinant expanded along its border.  Every quantity the theory
+claims is polynomial is produced by exact division, so a failed cancellation
+surfaces as an error instead of an approximation.  The normaliser is a
+product of known linear factors, kept as a leading constant and a root
+multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
+terms over L, the lcm of the m shifted root multisets, so each term is
+multiplied by the leftover linear factors and no gcd is taken; the sum makes
+one exact division by L, and a remainder raises.  The cross-check of the
+cleared determinant, :func:`casorati_rational`, takes integer determinants of
+the same raw rows at points.  The Omega scan and the leading-coefficient gate
+read the cleared route (:func:`casorati_value`), so they do not compare the
+raw rows with themselves.  Symbols in theta come from base-theta digits
 (:func:`theta_substitute`).
 
 The stages that several checks read, the series ratios and the Hahn base
@@ -41,7 +44,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import wraps
-from math import comb
+from math import comb, lcm
 
 from .diffops import DifferenceOperator, operator_polynomial
 from .errors import (
@@ -57,14 +60,13 @@ from .ladder import (
     falling_block,
     falling_roots,
     ladder_operator,
-    ratio_products,
     rising_block,
     rising_roots,
     series_ratio,
     series_shift,
 )
-from .matrices import poly_det
-from .polynomials import Polynomial, antidifference, lowest_terms
+from .matrices import integer_det, poly_det
+from .polynomials import Polynomial, antidifference, horner, lowest_terms
 from .rationals import Rational, as_rational, format_rational, is_integer_at_most
 from .sets import SetQuartet, default_pads, transform_quartet
 
@@ -342,34 +344,61 @@ def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomia
     return tuple(series_ratio(kind, ctx.params) for kind in ctx.row_kinds)
 
 
-def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The raw Casorati rows at the integer t: m rows of m + 1 entries.
+def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The raw Casorati rows at the integer t: m integer rows of m + 1 entries
+    and one denominator D(t).
 
     Row r, column c is ratio_r(t - c) ... ratio_r(t - m + 1) * Y_r(theta_{t-c}),
     from the definition, with no clearing block.  Columns 1..m are the
-    Casorati matrix at t; column 0 borders it for q_t.  A ratio pole at one of
-    t - m + 1, ..., t raises ParameterSingularity.
+    Casorati matrix at t; column 0 borders it for q_t.  Row r is returned as
+    integers over its own denominator d_r, and D(t) is the product of the d_r,
+    so a determinant of the integer rows over D(t) is the determinant of the
+    rational rows.  With ratio_r = numer / denom on the points s_i = t - m + 1
+    + i, entry c is the prefix product of numer(s_i) for i < m - c times the
+    suffix product of denom(s_i) for i >= m - c, times Y_r(theta_{t-c}), and
+    d_r holds every denom(s_i).  theta_x = x (x Q + P) / Q with a + b + 1 =
+    P / Q, so Y_r(theta) is a homogeneous integer Horner sum over Q^deg Y_r.
+    A ratio pole at one of t - m + 1, ..., t raises ParameterSingularity.
     """
-    p, m = ctx.params, ctx.m
-    thetas = [p.eigenvalue(t - c) for c in range(m + 1)]
+    m = ctx.m
+    shift = ctx.params.a + ctx.params.b + 1
+    P, Q = shift.numerator, shift.denominator
+    points = range(t - m + 1, t + 1)
+    thetas = [(t - c) * ((t - c) * Q + P) for c in range(m + 1)]
     rows = []
-    for ratio, poly in zip(series_ratios(ctx), ctx.row_polys):
-        products = ratio_products(ratio, range(t - m + 1, t + 1))
-        rows.append(tuple(products[m - c] * poly(theta) for c, theta in enumerate(thetas)))
-    return tuple(rows)
+    denominator = 1
+    for (numer, denom), poly in zip(series_ratios(ctx), ctx.row_polys):
+        (numer_nums, numer_den), (denom_nums, denom_den) = numer.integer_parts, denom.integer_parts
+        tops = [horner(numer_nums, s) * denom_den for s in points]
+        bottoms = [horner(denom_nums, s) * numer_den for s in points]
+        if not all(bottoms):
+            pole = points[bottoms.index(0)]
+            raise ParameterSingularity(f"ladder ratio has a pole at degree {pole}")
+        poly_nums, poly_den = poly.integer_parts
+        prefix, suffix = [1], [1]
+        for top, bottom in zip(tops, reversed(bottoms)):
+            prefix.append(prefix[-1] * top)
+            suffix.append(suffix[-1] * bottom)
+        rows.append(tuple(
+            prefix[m - c] * suffix[c] * horner(poly_nums, theta, Q)
+            for c, theta in enumerate(thetas)
+        ))
+        denominator *= suffix[m] * poly_den * Q ** poly.degree
+    return tuple(rows), denominator
 
 
 def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     """Raw (uncleared) determinant values at t = 0, 1, ..., the cross-check route.
 
-    Each value is the determinant of columns 1..m of :func:`casorati_rows`,
-    whose entries use no clearing block, so the route is independent of the
-    clearing algebra.  Points where the rows hit a ratio pole are skipped.
+    Each value is the integer determinant of columns 1..m of
+    :func:`casorati_rows` over its denominator D(t).  The rows use no clearing
+    block, so the route is independent of the clearing algebra.  Points where
+    the rows hit a ratio pole are skipped.
 
-    With den_r the reduced denominator of row r's ratio, D = prod_r prod_{i=1}^{m-1}
-    den_r(x - i) clears every row, and D * clearing_factor * R and
-    D * casorati_cleared are polynomials of degree at most B, computed below.
-    D is nonzero at every point kept, so agreement at the B + 1 points returned
+    With den_r the reduced denominator of row r's ratio, E = prod_r prod_{i=1}^{m-1}
+    den_r(x - i) clears every row, and E * clearing_factor * R and
+    E * casorati_cleared are polynomials of degree at most B, computed below.
+    E is nonzero at every point kept, so agreement at the B + 1 points returned
     proves clearing_factor * R = casorati_cleared: a nonzero polynomial of
     degree B has at most B roots.
     """
@@ -387,11 +416,11 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     t = 0
     while len(values) <= bound:
         try:
-            rows = casorati_rows(ctx, t)
+            rows, denominator = casorati_rows(ctx, t)
         except ParameterSingularity:
-            pass  # a ratio pole at t - i with i < m: D(t) = 0 or a row is undefined
+            pass  # a ratio pole at t - i with i < m: E(t) = 0 or column 0 is undefined
         else:
-            values[t] = poly_det([row[1:] for row in rows]) if rows else Fraction(1)
+            values[t] = Fraction(integer_det([row[1:] for row in rows]), denominator)
         t += 1
     return values
 
@@ -412,16 +441,26 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     (-1)^m h_{n-m}) with h_k = 0 for k < 0.  Expanding along the border, the
     cofactor signs (-1)^(m+k) cancel the border's alternation up to (-1)^m, so
     (-1)^m times the determinant is sum_k h_{n-k} * minor_k, where minor_k
-    drops column k and minor_0 is the Casorati determinant at n.
+    drops column k and minor_0 is the Casorati determinant at n.  Each minor_k
+    is an integer determinant of the rows of :func:`casorati_rows` over their
+    denominator D(n), and the h_{n-k} are put over the lcm of their
+    denominators, so q_n is one integer sum over one denominator.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    border = [Polynomial.zero()] * (ctx.m + 1)
-    for k in range(min(ctx.m, n) + 1):
-        h = base_polynomial(ctx, n - k)
-        border[k] = -h if k % 2 else h
-    q = poly_det([*casorati_rows(ctx, n), border])
-    return -q if ctx.m % 2 else q
+    rows, denominator = casorati_rows(ctx, n)
+    parts = [base_polynomial(ctx, n - k).integer_parts for k in range(min(ctx.m, n) + 1)]
+    common = lcm(*(den for _, den in parts))
+    acc = [0] * (n + 1)
+    for k, (nums, den) in enumerate(parts):
+        minor = integer_det([row[:k] + row[k + 1 :] for row in rows])
+        if minor:
+            scale = minor * (common // den)
+            for i, c in enumerate(nums):
+                acc[i] += scale * c
+    if denominator < 0:
+        acc, denominator = [-c for c in acc], -denominator
+    return Polynomial.from_integer_parts(acc, common * denominator)
 
 
 # -- normalisers and the spectral data ------------------------------------------------

@@ -6,10 +6,11 @@ scalars, integers or polynomials beside scalars, because it uses only ring
 operations and one exact division per update; rows are swapped to find a
 pivot and columns without one are skipped.
 
-:func:`poly_det` reads the determinant off that elimination at every size.
+:func:`poly_det` reads the determinant off that elimination at every size,
+and :func:`integer_det` does the same on integers with exact integer division.
 No determinant here works over rational functions: the construction clears
-row denominators first, and its cross-check compares scalar determinants at
-points.
+row denominators first, and its cross-check and the family q_n take integer
+determinants of rows kept over one denominator per point.
 
 :func:`_exact_solve` solves the operator-existence probe's small system at
 each point, and :func:`solve_linear_system` backs only that probe's global
@@ -63,6 +64,19 @@ def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomia
     det = det if sign == 1 else -det
     polynomial = any(isinstance(e, Polynomial) for row in rows for e in row)
     return _as_polynomial(det) if polynomial else det
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by :func:`_eliminate` with exact
+    integer division; the empty matrix has determinant 1."""
+    n = _square_size(rows)
+    if n == 0:
+        return 1
+    entries = [list(row) for row in rows]
+    pivots, sign = _eliminate(entries, n, floordiv)
+    if len(pivots) < n:
+        return 0
+    return entries[n - 1][n - 1] * sign
 
 
 def _as_polynomial(entry: Polynomial | Fraction | int) -> Polynomial:

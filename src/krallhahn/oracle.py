@@ -36,7 +36,7 @@ from typing import Sequence
 from .diffops import DifferenceOperator
 from .errors import InsufficientData
 from .matrices import _exact_solve, solve_linear_system
-from .polynomials import Polynomial, newton_form, taylor_shift
+from .polynomials import Polynomial, horner, newton_form, taylor_shift
 from .rationals import Rational, clear_denominators
 
 # points scanned for nodes, per node needed, before the global fallback
@@ -146,7 +146,7 @@ def _pointwise_nodes(
     for x in range(_POINT_BUDGET * (degree_cap + 1)):
         while len(values) < x + width:
             y = len(values) - halfwidth
-            values.append([_horner(nums, y) for nums in numerators])
+            values.append([horner(nums, y) for nums in numerators])
         window = values[x : x + width]
         centre = window[halfwidth]
         aug = [
@@ -169,13 +169,6 @@ def _primitive(row: list[int]) -> list[int]:
     integers small."""
     content = gcd(*row)
     return [v // content for v in row] if content > 1 else row
-
-
-def _horner(numerators: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(numerators):
-        acc = acc * x + c
-    return acc
 
 
 def _divided_differences(nodes: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:

@@ -7,8 +7,9 @@ zero polynomial is ``((), 1)``.  Equal polynomials therefore have equal parts,
 and ``==`` and ``hash`` read the parts.
 
 Sums scale both sides to the lcm of the denominators, products are integer
-convolutions, evaluation is integer Horner, :meth:`Polynomial.shift_argument`
-is an integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
+convolutions, evaluation is homogeneous integer Horner (on bare integer
+numerators too, by :func:`horner`), :meth:`Polynomial.shift_argument` is an
+integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
 Newton-form sums are integer Horner (:func:`newton_form`), and division is
 integer pseudo-division.  Each result is made canonical once.
 ``Fraction`` appears only at the edges: the constructors take ``int`` or
@@ -383,6 +384,16 @@ def _make(nums: Sequence[int], den: int) -> Polynomial:
             nums = [c // g for c in nums]
             den //= g
     return _wrap(tuple(nums), den)
+
+
+def horner(numerators: Sequence[int], p: int, q: int = 1) -> int:
+    """sum_k numerators[k] p^k q^(d-k) with d = len(numerators) - 1: q^d times
+    the polynomial with these integer numerators at p/q, on integers."""
+    acc, qk = 0, 1
+    for c in reversed(numerators):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial:

@@ -49,6 +49,7 @@ from krallhahn.ladder import (
     CLEARING_BLOCKS,
     falling_block,
     ratio_product,
+    ratio_products,
     rising_block,
     series_shift,
 )
@@ -652,6 +653,70 @@ class TestBorderedFamily:
             assert op.apply(qn) == Fraction(lam(n)) * qn
 
 
+def reference_casorati_rows(ctx, t):
+    """The raw rows as Fraction products, ratio_products times Y_r(theta): the
+    reference for the integer rows."""
+    p, m = ctx.params, ctx.m
+    thetas = [p.eigenvalue(t - c) for c in range(m + 1)]
+    rows = []
+    for ratio, poly in zip(casorati.series_ratios(ctx), ctx.row_polys):
+        products = ratio_products(ratio, range(t - m + 1, t + 1))
+        rows.append([products[m - c] * poly(theta) for c, theta in enumerate(thetas)])
+    return rows
+
+
+def reference_krall_polynomial(ctx, n):
+    """q_n as one bordered poly_det over the reference rows."""
+    border = [Polynomial.zero()] * (ctx.m + 1)
+    for k in range(min(ctx.m, n) + 1):
+        h = hahn_polynomial(n - k, ctx.params)
+        border[k] = -h if k % 2 else h
+    q = poly_det([*reference_casorati_rows(ctx, n), border])
+    return -q if ctx.m % 2 else q
+
+
+# every route config, plus one m = 5 context on the theorem path
+DIFFERENTIAL_CONFIGS = {
+    **ROUTE_CONFIGS,
+    "F1=3-theorem-N8": config_from_dict(
+        {"a": "1/2", "b": "1/3", "N": 8, "F": [[3], [], [], []], "path": "theorem"}
+    ),
+}
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
+    def test_integer_rows_match_fraction_rows(self, name):
+        """Each integer row is its reference row times one rational d_r, and
+        the product of the d_r is the returned denominator."""
+        run = build_run(DIFFERENTIAL_CONFIGS[name])
+        ctx = run.ctx
+        for t in range(run.n_max + 1):
+            rows, denominator = casorati.casorati_rows(ctx, t)
+            reference = reference_casorati_rows(ctx, t)
+            assert len(rows) == ctx.m and all(len(row) == ctx.m + 1 for row in rows)
+            product = Fraction(1)
+            for row, ref in zip(rows, reference):
+                assert all(type(v) is int for v in row)
+                c = next(c for c, v in enumerate(ref) if v)
+                scale = Fraction(row[c]) / ref[c]
+                assert list(row) == [scale * v for v in ref]
+                product *= scale
+            assert product == denominator
+            assert krall_polynomial(ctx, t) == reference_krall_polynomial(ctx, t)
+        for t, v in casorati_rational(ctx).items():
+            assert v == poly_det([row[1:] for row in reference_casorati_rows(ctx, t)])
+
+    def test_classical_context_has_no_rows(self):
+        run = build_run(builtin_config("classical"))
+        ctx = run.ctx
+        assert ctx.m == 0 and casorati.casorati_rows(ctx, 3) == ((), 1)
+        values = casorati_rational(ctx)
+        assert values and all(type(v) is Fraction and v == 1 for v in values.values())
+        for n in range(run.n_max + 1):
+            assert krall_polynomial(ctx, n) == hahn_polynomial(n, ctx.params)
+
+
 class TestStageStore:
     STAGES = (
         casorati.cleared_matrix,
@@ -685,7 +750,9 @@ class TestStageStore:
             assert stage(first) is stage(second)
         for row in range(first.m):
             assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
-        assert casorati.casorati_rows(first, 3) == casorati.casorati_rows(second, 3)
+        rows, denominator = casorati.casorati_rows(first, 3)
+        assert len(rows) == first.m and denominator
+        assert (rows, denominator) == casorati.casorati_rows(second, 3)
 
     def test_repeated_stage_calls_do_not_rehash_the_context(self, monkeypatch):
         ctx = build_run(builtin_config("four-roots")).ctx

@@ -10,6 +10,7 @@ from itertools import combinations
 from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
+    integer_det,
     poly_det,
     solve_linear_system,
 )
@@ -172,6 +173,24 @@ def test_bareiss_agrees_with_cofactor():
             assert _cofactor_det(singular) == 0
             got = poly_det(singular)
             assert got == 0 and type(got) is kind
+
+
+def test_integer_det_agrees_with_cofactor():
+    """Integer entries, exact floor division: sizes 0-7, a zero first pivot, a
+    duplicate row and a zero column, each against plain expansion."""
+    rng = random.Random(5)
+    for n in range(8):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            rows[0][0] = 0
+        got = integer_det(rows)
+        assert type(got) is int and got == _cofactor_det(rows), n
+    rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
+    assert integer_det([*rows, rows[1]]) == 0
+    assert integer_det([row[:2] + [0] + row[3:] for row in rows + [rows[0]]]) == 0
+    assert integer_det([]) == 1 and integer_det([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError):
+        integer_det([[1, 2], [3]])
 
 
 def test_poly_det_scalar_rows_above_a_polynomial_row():

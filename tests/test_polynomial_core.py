@@ -15,7 +15,7 @@ from math import gcd, lcm
 import pytest
 
 from krallhahn.errors import NonExactDivision
-from krallhahn.polynomials import Polynomial, antidifference
+from krallhahn.polynomials import Polynomial, antidifference, horner
 
 
 class FractionPolynomial:
@@ -259,6 +259,9 @@ class TestAgainstFractionReference:
             for t in points:
                 value = core(t)
                 assert type(value) is Fraction and value == ref(t)
+                nums, den = core.integer_parts
+                scale = den * t.denominator ** max(core.degree, 0)
+                assert horner(nums, t.numerator, t.denominator) == ref(t) * scale
 
     def test_monic_compose_reflect_antidifference(self):
         for (f, rf), (g, rg) in pairs(9, count=20):
