@@ -1,13 +1,13 @@
 """Exact determinants and exact linear solving.
 
 One fraction-free forward elimination (Bareiss, 1968), :func:`_eliminate`,
-does every exact elimination here.  It runs on polynomials, ``Fraction``
-scalars, integers or polynomials beside scalars, because it uses only ring
-operations and one exact division per update; rows are swapped to find a
-pivot and columns without one are skipped.
+does every exact elimination here.  It runs on two rings, polynomials and
+integers, because it uses only ring operations and one exact division per
+update; rows are swapped to find a pivot and columns without one are skipped.
 
-:func:`poly_det` reads the determinant off that elimination at every size,
-and :func:`integer_det` does the same on integers with exact integer division.
+:func:`poly_det` reads the determinant of a polynomial matrix off that
+elimination at every size, and :func:`integer_det` does the same on integers
+with exact integer division.
 No determinant here works over rational functions: the construction clears
 row denominators first, and its cross-check and the family q_n take integer
 determinants of rows kept over one denominator per point.
@@ -46,24 +46,20 @@ def _square_size(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial | Fraction:
-    """Determinant of a square matrix of polynomials or of rational scalars.
-
-    If any entry is a :class:`Polynomial` the result is one; otherwise the
-    entries are read as ``Fraction`` and so is the result.  The empty matrix
-    has determinant ``Polynomial.one()``.
+def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:
+    """Determinant of a square polynomial matrix; a scalar entry is read as a
+    constant polynomial.  The empty matrix has determinant ``Polynomial.one()``.
     """
     n = _square_size(rows)
     if n == 0:
         return Polynomial.one()
-    # Scalars stay Fraction beside polynomials: every entry a polynomial pivot
-    # updates becomes a polynomial, so no scalar is divided by a polynomial.
-    entries = [[e if isinstance(e, Polynomial) else Fraction(e) for e in row] for row in rows]
+    entries = [
+        [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows
+    ]
     pivots, sign = _eliminate(entries, n, truediv)
-    det = entries[n - 1][n - 1] if len(pivots) == n else Fraction(0)
-    det = det if sign == 1 else -det
-    polynomial = any(isinstance(e, Polynomial) for row in rows for e in row)
-    return _as_polynomial(det) if polynomial else det
+    if len(pivots) < n:
+        return Polynomial.zero()
+    return entries[n - 1][n - 1] * sign
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -79,10 +75,6 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return entries[n - 1][n - 1] * sign
 
 
-def _as_polynomial(entry: Polynomial | Fraction | int) -> Polynomial:
-    return entry if isinstance(entry, Polynomial) else Polynomial.constant(entry)
-
-
 def _eliminate(rows: list[list], width: int, divide: Callable) -> tuple[list[int], int]:
     """Fraction-free forward elimination of the first ``width`` columns, in place.
 
@@ -92,9 +84,10 @@ def _eliminate(rows: list[list], width: int, divide: Callable) -> tuple[list[int
     entry right of the column in each row below by
     (pivot * entry - lead * pivot_entry) / previous_pivot.  By Sylvester's
     identity that is a minor of the original matrix, so ``divide`` (exact
-    division in the entries' ring) never leaves a remainder, and the pivot of
-    row k is the minor on the first k + 1 pivot rows and columns.  Entries
-    left of a row's pivot are not cleared; nothing reads them.
+    division in the entries' ring, polynomials or integers) never leaves a
+    remainder, and the pivot of row k is the minor on the first k + 1 pivot
+    rows and columns.  Entries left of a row's pivot are not cleared; nothing
+    reads them.
     """
     pivots: list[int] = []
     sign = 1

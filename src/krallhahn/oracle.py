@@ -69,10 +69,7 @@ def _integer_rows(
                 for d in range(max(0, power - qn.degree), min(power, degree_cap) + 1):
                     row[col * width + d] = q_shift[power - d]
             target = lam.numerator * cleared[power] if power <= qn.degree else 0
-            content = gcd(*row, target)
-            if content > 1:
-                row = [v // content for v in row]
-                target //= content
+            *row, target = _primitive([*row, target])
             rows.append(row)
             rhs.append(target)
     return rows, rhs

@@ -311,25 +311,24 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
     the weighted moments of the base family to match the alternating ratio
     sums for 0 <= n <= N, the negative-index sums to vanish, and the
     boundary sum to be nonzero.
+
+    Precondition: each reduced series ratio is finite and nonzero at the
+    nonpositive points the sums read, t = 1 - m, ..., 0.  The point 0 starts
+    every forward product, and the negative and boundary sums invert the
+    backward products over t = -1, ..., 1 - m.  A forward pole at t >= 1
+    raises ParameterSingularity from ``ratio_products``.
     """
     p = ctx.params
     m = ctx.m
     if m == 0:
         return True, {"note": "no determinant rows; criteria are vacuous"}
-    # every root of a ratio is a root of one of its linear factors in n; only
-    # n + a, n + b and n + a + b + N + 1 can vanish at a nonpositive integer,
-    # at -a, -b and -(a + b + N + 1), since n - N - 1 vanishes at N + 1 >= 2
-    candidates = [
-        r for r in (-p.a, -p.b, -(p.a + p.b + p.N + 1))
-        if Fraction(r).denominator == 1 and r <= 0
-    ]
     ratios = series_ratios(ctx)
     for kind, ratio in sorted(dict(zip(ctx.row_kinds, ratios)).items()):
-        bad = [r for r in candidates for poly in ratio if poly(r) == 0]
+        bad = [t for t in range(1 - m, 1) if not all(poly(t) for poly in ratio)]
         if bad:
             return False, {
                 "precondition": f"ratio sequence of kind {kind} vanishes or blows "
-                f"up at nonpositive integer(s) {sorted(set(int(r) for r in bad))}"
+                f"up at nonpositive integer(s) {bad}"
             }
     roots = ctx.spectral_roots
     theta_start = p.eigenvalue(-1)

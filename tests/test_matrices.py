@@ -117,7 +117,7 @@ def test_numeric_vandermonde():
     nodes = [1, 2, 3]
     rows = [[Fraction(v) ** k for k in range(3)] for v in nodes]
     det = poly_det(rows)
-    assert isinstance(det, Fraction) and det == 2
+    assert isinstance(det, Polynomial) and det == 2
     # scalar entries among polynomials give a polynomial
     det = poly_det([[Polynomial.constant(row[0]), *row[1:]] for row in rows])
     assert det == Polynomial.constant(2)
@@ -166,13 +166,13 @@ def test_bareiss_agrees_with_cofactor():
             expected = _cofactor_det(rows)
             got = poly_det(rows)
             assert got == expected, (kind, n)
-            assert type(got) is (Polynomial if n == 0 else kind)
+            assert type(got) is Polynomial
         for n in (3, 6):
             singular = [[rand_entry() for _ in range(n)] for _ in range(n - 1)]
             singular.append(list(singular[0]))  # duplicate row
             assert _cofactor_det(singular) == 0
             got = poly_det(singular)
-            assert got == 0 and type(got) is kind
+            assert got == 0 and type(got) is Polynomial
 
 
 def test_integer_det_agrees_with_cofactor():
@@ -196,8 +196,8 @@ def test_integer_det_agrees_with_cofactor():
 def test_poly_det_scalar_rows_above_a_polynomial_row():
     """Fraction rows above one polynomial row, the shape of the bordered family.
 
-    The scalars are eliminated as Fraction; where a column of the scalar rows
-    is zero, the polynomial row is swapped up as the pivot.
+    The scalars are eliminated as constant polynomials; where a column of the
+    scalar rows is zero, the polynomial row is swapped up as the pivot.
     """
     rng = random.Random(11)
     (rand_poly, *_), (rand_fraction, *_) = _random_entries(rng)
@@ -227,14 +227,14 @@ def test_poly_det_row_swaps_zero_columns_and_result_type():
             for col in (0, n - 1):
                 blank = [row[:col] + [zero] + row[col + 1 :] for row in rows]
                 got = poly_det(blank)
-                assert got == 0 and type(got) is kind
+                assert got == 0 and type(got) is Polynomial
     # an exact permutation: the sign of each swap counts
     perm = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert poly_det(perm) == -1
     assert poly_det([[0, 1], [1, 0]]) == -1
     assert poly_det([[0, X], [X + 1, 2]]) == -X * (X + 1)
-    # int entries are read as Fraction; scalars among polynomials give a polynomial
-    assert type(poly_det([[1, 2], [3, 4]])) is Fraction
+    # scalar entries are read as constant polynomials, mixed or not
+    assert type(poly_det([[1, 2], [3, 4]])) is Polynomial
     assert poly_det([[1, 2], [3, X]]) == X - 6
 
 

@@ -363,22 +363,43 @@ def test_check_foeq_vacuous_without_rows():
 @pytest.mark.parametrize(
     "a, b, degree_sets, bad",
     [
-        (1, Fraction(1, 3), ((), (), (), (1,)), [-1]),
+        (1, Fraction(1, 3), ((), (), (), (1,)), None),  # m = 1 never reads the pole at -1
         (1, 1, ((), (), (), (1,)), None),  # a = b: the kind-4 ratio is -1
         (Fraction(1, 2), 0, ((), (1,), (), ()), [0]),
-        (2, 2, ((), (1,), (), ()), [-11]),  # (n + 2) cancels, -(a+b+N+1) stays
+        (2, 2, ((), (1,), (), ()), None),  # m = 1 never reads the pole at -11
         (Fraction(1, 2), Fraction(1, 3), ((1,), (), (), ()), None),
+        (1, Fraction(1, 3), ((), (), (), (1, 2)), [-1]),  # m = 2 inverts ratio(-1): a pole
+        (Fraction(1, 2), 1, ((), (), (), (1, 2)), [-1]),  # m = 2 inverts ratio(-1): a zero
     ],
 )
 def test_check_foeq_ratio_precondition(a, b, degree_sets, bad):
-    """Nonpositive-integer zeros and poles of the reduced ratio fail the criteria."""
+    """Zeros and poles of the reduced ratio at the points the sums read,
+    t = 1 - m, ..., 0, fail the criteria; those elsewhere do not."""
     p = HahnParams(a, b, 6)
-    ctx = context_from_degrees(p, degree_sets, row_polys=(Polynomial((3, 1)),))
+    m = sum(map(len, degree_sets))
+    row_polys = (Polynomial((3, 1)), Polynomial((1, 0, 1)))[:m]
+    ctx = context_from_degrees(p, degree_sets, row_polys=row_polys)
     _, witness = check_foeq(ctx, hahn_weight(p))
     if bad is None:
         assert "precondition" not in witness
     else:
         assert witness["precondition"].endswith(f"nonpositive integer(s) {bad}")
+
+
+@pytest.mark.parametrize(
+    "a, b, F, path",
+    [
+        ("5/2", "7/2", [[1], [], [], []], "theorem"),
+        ("-3/2", "2", [[], [], [], [1]], "theorem"),
+        ("11/2", "1/2", [[], [1], [], []], "corollary"),
+        ("-3/2", "4", [[], [], [], [1]], "corollary"),
+    ],
+)
+def test_criteria_ignore_ratio_roots_the_sums_never_read(a, b, F, path):
+    """Each config has a ratio zero or pole at a nonpositive integer below 1 - m."""
+    cfg = config_from_dict({"a": a, "b": b, "N": 8, "F": F, "path": path, "checks": ["criteria"]})
+    check = run_config(cfg).checks[0]
+    assert check.passed, check.witness
 
 
 @pytest.mark.parametrize(
