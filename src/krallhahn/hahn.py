@@ -2,18 +2,20 @@
 
 The Hahn polynomials are built straight from their defining sum, so the
 three-term recurrence and the second-order eigenvalue equation remain
-independent checks of the same family; the sums (and the dual Hahn ones) are
-expanded by integer Horner in Newton form.  Weights are stored with the constant
-N! * Gamma(a+1) * Gamma(b+1) divided out, which keeps every mass rational;
-all weight comparisons in this package are up to a global constant anyway,
-and the masses are stepped by their one-step ratio (Koekoek et al., 9.5).
+independent checks of the same family.  The coefficients of a Hahn sum are
+integers over one denominator, stepped by integer running products, and the
+sums (and the dual Hahn ones) are expanded by integer Horner in Newton form.
+Weights are stored with the constant N! * Gamma(a+1) * Gamma(b+1) divided
+out, which keeps every mass rational; all weight comparisons in this package
+are up to a global constant anyway, and the masses are stepped by their
+one-step ratio (Koekoek et al., 9.5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
@@ -64,33 +66,46 @@ class HahnParams:
 
 
 def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
-    """Degree-n Hahn polynomial from the defining hypergeometric-type sum."""
+    """Degree-n Hahn polynomial from the defining hypergeometric-type sum.
+
+    Term j is (N-n+1)_{n-j} (a+b+1)_{n+j} / ((2+a+b+N)_n (a+1)_j (n-j)! j!)
+    on (-x)_j.  With a+b+1 = P/Q and a+1 = p/q, so that 2+a+b+N = (P + (N+1)Q)/Q,
+    every term is an integer over the one denominator
+    Q^n n! prod_{i<n} (P + (N+1+i)Q) prod_{i<n} (p + iq):
+    C(n, j) prod_{i<n+j} (P + iQ) q^j times (N-n+1)_{n-j} prod_{j<=i<n} (p + iq) Q^(n-j).
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a, b, N = p.a, p.b, p.N
-    outer = pochhammer(2 + a + b + N, n)
+    a, N = p.a, p.N
+    s = a + p.b + 1
+    P, Q = s.numerator, s.denominator
+    outer = prod(P + (N + 1 + i) * Q for i in range(n))
     if outer == 0:
         raise ParameterSingularity(
-            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(a + b)}, N = {N}"
+            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(s - 1)}, N = {N}"
         )
-    # The scalar factors of term j are (a+1)_j, (a+b+1)_{n+j} and
-    # (N-n+1)_{n-j}; each is carried by multiplying in one factor at a time,
-    # so a vanishing factor keeps its product zero.
-    tail = [Fraction(1)]  # tail[k] = (N-n+1)_k
-    for k in range(n):
-        tail.append(tail[-1] * (N - n + 1 + k))
-    low = Fraction(1)
-    high = pochhammer(a + b + 1, n)
+    q = a.denominator
+    low = [a.numerator + (1 + i) * q for i in range(n)]  # (a+1)_j = prod(low[:j]) / q^j
+    if 0 in low:
+        raise ParameterSingularity(
+            f"(a+1)_{low.index(0) + 1} vanishes for a = {format_rational(a)}"
+        )
+    den = Q**n * factorial(n) * outer * prod(low)
+    # the factors of term j that fall with j, stepped down from j = n; the sign
+    # of the denominator starts the product, so that the denominator is positive
+    falling = [1 if den > 0 else -1]
+    for j in range(n - 1, -1, -1):
+        falling.append(falling[-1] * (N - j) * low[j] * Q)
+    falling.reverse()
+    rising = prod(P + i * Q for i in range(n))
     coeffs = []  # on (-x)_j = (-1)^j prod_{i<j} (x - i)
     for j in range(n + 1):
         if j:
-            low *= a + j
-            high *= a + b + n + j
-        if low == 0:
-            raise ParameterSingularity(f"(a+1)_{j} vanishes for a = {format_rational(a)}")
-        coeff = tail[n - j] * high / (outer * low * factorial(n - j) * factorial(j))
-        coeffs.append(-coeff if j % 2 else coeff)
-    return newton_form(coeffs, range(n))
+            rising *= (P + (n + j - 1) * Q) * q
+        term = comb(n, j) * rising * falling[j]
+        coeffs.append(-term if j % 2 else term)
+    numerators, _ = newton_form(coeffs, range(n)).integer_parts
+    return Polynomial.from_integer_parts(numerators, abs(den))
 
 
 def hahn_leading_coefficient(n: int, p: HahnParams) -> Fraction:

@@ -487,15 +487,20 @@ def lowest_terms(numer: Polynomial, denom: Polynomial) -> tuple[Polynomial, Poly
 
 
 def pochhammer(base: Fraction | int, length: int) -> Fraction:
-    """Rising factorial base*(base+1)*...*(base+length-1); 1 when ``length`` is 0."""
+    """Rising factorial base*(base+1)*...*(base+length-1); 1 when ``length`` is 0.
+
+    With base = p/q the factors are the integers p + iq, and their product
+    becomes a ``Fraction`` once, over q^length.
+    """
     if length < 0:
         raise ValueError("pochhammer length must be nonnegative")
     if not isinstance(base, (int, Fraction)):
         raise TypeError(f"unsupported pochhammer base {type(base).__name__}")
-    acc = Fraction(1)
+    p, q = base.numerator, base.denominator
+    acc = 1
     for i in range(length):
-        acc = acc * (base + i)
-    return acc
+        acc *= p + i * q
+    return Fraction(acc, q**length)
 
 
 def antidifference(p: Polynomial) -> Polynomial:

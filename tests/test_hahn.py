@@ -82,22 +82,21 @@ def test_degree_and_leading_coefficient(a, b, N):
 
 
 def _reference_hahn(n, p):
-    """The defining sum with (-x)_j rebuilt from scratch for every j."""
+    """The defining sum term by term in Fractions, with (-x)_j carried from j - 1."""
     a, b, N = p.a, p.b, p.N
     outer = pochhammer(2 + a + b + N, n)
     minus_x = Polynomial((0, -1))
     acc = Polynomial.zero()
+    rising = Polynomial.one()  # (-x)_j
     for j in range(n + 1):
+        if j:
+            rising = rising * (minus_x + j - 1)
         coeff = (
             pochhammer(Fraction(N - n + 1), n - j)
             * pochhammer(a + b + 1, j + n)
             / (outer * pochhammer(a + 1, j) * factorial(n - j) * factorial(j))
         )
-        if coeff != 0:
-            rising = Polynomial.one()
-            for i in range(j):
-                rising = rising * (minus_x + i)
-            acc = acc + coeff * rising
+        acc = acc + coeff * rising
     return acc
 
 
@@ -110,13 +109,41 @@ def _reference_hahn(n, p):
         (Fraction(-7, 2), Fraction(9, 4), 40),
         (Fraction(0), Fraction(0), 5),
         (Fraction(2), Fraction(3), 10),
+        # (a+b+1)_{n+j} = (-9)_{n+j} vanishes from n + j = 10 on, so h_5 has
+        # degree 4; (2+a+b+N)_n = (-5)_n vanishes from n = 6 on
+        (Fraction(-11, 2), Fraction(-9, 2), 3),
     ],
 )
 def test_sum_matches_reference(a, b, N):
     # above N the low-j coefficients vanish: (N-n+1)_{n-j} passes through 0
     p = HahnParams(a, b, N)
     for n in range(N + 7):
-        assert hahn_polynomial(n, p) == _reference_hahn(n, p)
+        if pochhammer(2 + a + b + N, n) == 0:  # no sum: test_singular_degrees_raise
+            break
+        hn = hahn_polynomial(n, p)
+        assert hn == _reference_hahn(n, p)
+        assert hn.degree == (4 if a + b == -10 and n == 5 else n)
+
+
+@pytest.mark.parametrize(
+    "a,b,N,first,message",
+    [
+        # a + b = -2N - 3: 2+a+b+N = -N-1, so (2+a+b+N)_n = 0 from n = N + 2
+        (Fraction(-15, 2), Fraction(-3, 2), 3, 5, "(2+a+b+N)_{n} vanishes for a+b = -9, N = 3"),
+        (Fraction(-11, 2), Fraction(-9, 2), 3, 6, "(2+a+b+N)_{n} vanishes for a+b = -10, N = 3"),
+        # a = -(N+1): (a+1)_j = 0 from j = N + 1, which degree n >= N + 1 reaches
+        (Fraction(-5), Fraction(1, 3), 4, 5, "(a+1)_5 vanishes for a = -5"),
+        (Fraction(-9), Fraction(7, 2), 8, 9, "(a+1)_9 vanishes for a = -9"),
+    ],
+)
+def test_singular_degrees_raise(a, b, N, first, message):
+    p = HahnParams(a, b, N)
+    for n in range(first):
+        hahn_polynomial(n, p)
+    for n in range(first, N + 7):
+        with pytest.raises(ParameterSingularity) as caught:
+            hahn_polynomial(n, p)
+        assert str(caught.value) == message.format(n=n)
 
 
 @pytest.mark.parametrize("a,b,N", TRIPLES)

@@ -163,6 +163,27 @@ def test_pochhammer():
         pochhammer(Fraction(1), -1)
 
 
+
+@pytest.mark.parametrize(
+    "base",
+    [Fraction(3, 2), Fraction(-7, 3), Fraction(22, 7), 5, 0, -4, Fraction(-6), Fraction(-13, 5)],
+)
+def test_pochhammer_matches_fraction_product(base):
+    # -4 and -6 cross 0 from length 5 and 7 on
+    acc = Fraction(1)
+    for length in range(10):
+        value = pochhammer(base, length)
+        assert type(value) is Fraction and value == acc
+        acc *= base + length
+
+
+@pytest.mark.parametrize("base", [1.5, 2.0, "3", None])
+def test_pochhammer_rejects_inexact_bases(base):
+    with pytest.raises(TypeError):
+        pochhammer(base, 2)
+    with pytest.raises(TypeError):
+        pochhammer(base, 0)
+
 def _reference_from_roots(roots):
     """One integer product per root: times (q x - p) / q for the root p/q."""
     nums, den = [1], 1
