@@ -561,6 +561,28 @@ def _mixing_prefactor(ctx: ConstructionContext, row: int, j: int) -> Polynomial:
 
 
 @_stage
+def _mixing_factors(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], Polynomial]:
+    """The row-independent parts of every mixing polynomial: for j = 1..m,
+    sigma(x + half + j) * prefactor(x + j) * L / N_j, and L itself (see
+    :func:`mixing_polynomial`)."""
+    p, m = ctx.params, ctx.m
+    sigma = series_shift(p)
+    half = Fraction(-(m - 1), 2)
+    _, roots = normalizer_factors(ctx)
+    shifted = [Counter(r - j for r in roots) for j in range(1, m + 1)]
+    common = Counter()
+    for multiset in shifted:
+        common |= multiset
+    factors = tuple(
+        sigma.shift_argument(half + j)
+        * ctx.prefactor.shift_argument(j)
+        * Polynomial.from_roots((common - shifted[j - 1]).elements())
+        for j in range(1, m + 1)
+    )
+    return factors, Polynomial.from_roots(common.elements())
+
+
+@_stage
 def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
@@ -570,32 +592,22 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     N_j the monic product over the normaliser's roots shifted by -j.  With L
     the lcm of N_1..N_m (the union of their root multisets), each L / N_j is
     the product of the leftover linear factors, so the sum is
-    (sum_j +-numer_j * L / N_j) / (lead * L) and no gcd is taken.  The sum
-    must collapse to a polynomial, which is one of the structural hypotheses
-    of the construction: the division by L must be exact, and a remainder
-    raises NonExactDivision naming the degree of the reduced denominator.
+    (sum_j +-numer_j * L / N_j) / (lead * L) and no gcd is taken.  The
+    factors shared by every row come from :func:`_mixing_factors`, once per
+    context.  The sum must collapse to a polynomial, which is one of the
+    structural hypotheses of the construction: the division by L must be
+    exact, and a remainder raises NonExactDivision naming the degree of the
+    reduced denominator.
     """
-    p, m = ctx.params, ctx.m
-    sigma = series_shift(p)
-    half = Fraction(-(m - 1), 2)
-    lead, roots = normalizer_factors(ctx)
-    shifted = [Counter(r - j for r in roots) for j in range(1, m + 1)]
-    common = Counter()
-    for multiset in shifted:
-        common |= multiset
+    m = ctx.m
+    lead, _ = normalizer_factors(ctx)
+    factors, denominator = _mixing_factors(ctx)
     total = Polynomial.zero()
     rows_kept = [entries for r, entries in enumerate(cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
         minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
-        term = (
-            sigma.shift_argument(half + j)
-            * ctx.prefactor.shift_argument(j)
-            * _mixing_prefactor(ctx, row, j)
-            * minor.shift_argument(j)
-            * Polynomial.from_roots((common - shifted[j - 1]).elements())
-        )
+        term = factors[j - 1] * _mixing_prefactor(ctx, row, j) * minor.shift_argument(j)
         total = total - term if (row + 1 + j) % 2 else total + term
-    denominator = Polynomial.from_roots(common.elements())
     quotient, remainder = total.divmod(denominator)
     if not remainder.is_zero:
         _, reduced = lowest_terms(total, denominator)

@@ -3,16 +3,21 @@
 An operator is a finite sum of shift terms h_l(x) * S_l where S_l moves the
 argument by the integer l, i.e. (S_l f)(x) = f(x + l).  Acting on polynomials
 this stays exact.  Composition follows from S_l h(x) = h(x + l) S_l.
+
+Whether D f = lambda f is decided by :func:`eigen_certificate` from values
+at integer points, on integers; :meth:`DifferenceOperator.apply` builds the
+polynomial D f and is the slow reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Iterable, Mapping
 
 from .errors import ZeroOperatorError
-from .polynomials import Polynomial, Scalar
-from .rationals import as_rational
+from .polynomials import Polynomial, Scalar, horner
+from .rationals import Rational, as_rational, exact_rational
 
 
 class DifferenceOperator:
@@ -126,6 +131,8 @@ class DifferenceOperator:
         return DifferenceOperator(out)
 
     def apply(self, f: Polynomial) -> Polynomial:
+        """D f as a polynomial, one Taylor shift and one product per term; see
+        :func:`eigen_certificate` to decide D f = lambda f without building it."""
         acc = Polynomial.zero()
         for l, h in self.terms.items():
             acc = acc + h * f.shift_argument(l)
@@ -154,3 +161,44 @@ def operator_polynomial(poly: Polynomial, base: DifferenceOperator) -> Differenc
     for c in reversed(poly.coeffs):
         acc = acc.compose(base) + DifferenceOperator.identity().scale(c)
     return acc
+
+
+def eigen_certificate(
+    op: DifferenceOperator, pairs: Iterable[tuple[Polynomial, Rational]]
+) -> list[bool]:
+    """For each (f, lambda), whether op.apply(f) == lambda * f.
+
+    The residual sum_l h_l(x) f(x + l) - lambda f(x) has degree at most
+    d = deg f + max_l deg h_l, and a nonzero polynomial of degree d has at
+    most d roots, so it is zero iff it vanishes at x = 0..d.  With every h_l
+    = H_l / L over the lcm L of their denominators, f = F / e and lambda =
+    num / den, the residual vanishes at x iff
+    den * sum_l H_l(x) F(x + l) == num * L * F(x), on integers: each H_l is
+    evaluated once per point for all pairs, and each F once per point from
+    min(lo, 0) to d + max(hi, 0), with (lo, hi) the genre.  The zero operator
+    has no terms, so its sum is 0 and the residual is -lambda f.  A float
+    lambda raises ``TypeError``.
+    """
+    pairs = [(f.integer_parts[0], exact_rational(lam)) for f, lam in pairs]
+    common = lcm(*(h.integer_parts[1] for h in op.terms.values()))
+    lo, hi = min((0, *op.terms)), max((0, *op.terms))
+    coeff_degree = max((h.degree for h in op.terms.values()), default=0)
+    points = max((len(nums) + coeff_degree for nums, _ in pairs), default=0)
+    terms = []  # (l - lo, [H_l(x) for x in 0..points - 1])
+    for l, h in op.terms.items():
+        nums, den = h.integer_parts
+        scaled = [c * (common // den) for c in nums]
+        terms.append((l - lo, [horner(scaled, x) for x in range(points)]))
+    verdicts = []
+    for nums, lam in pairs:
+        last = len(nums) - 1 + coeff_degree
+        at = [horner(nums, y) for y in range(lo, last + hi + 1)]  # at[y - lo] = F(y)
+        scale = lam.numerator * common
+        verdicts.append(
+            all(
+                lam.denominator * sum(values[x] * at[x + k] for k, values in terms)
+                == scale * at[x - lo]
+                for x in range(last + 1)
+            )
+        )
+    return verdicts

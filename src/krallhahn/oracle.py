@@ -14,7 +14,9 @@ whatever its coefficient degrees, solves every such system, so an
 inconsistent point rules all of them out.  Where the system has full column
 rank, h(x) is unique, and degree_cap + 1 such nodes fix every solution with
 coefficient degrees <= degree_cap: it is the interpolant of the node values,
-which is accepted only if it satisfies D(q_n) = lambda_n q_n exactly.  When
+which is accepted only if the certificate holds: D(q_n) = lambda_n q_n,
+decided exactly at integer points by
+:func:`~krallhahn.diffops.eigen_certificate`.  When
 the fed degrees are 0..2r + 1 their span holds every polynomial of degree
 <= 2r + 1, so no point is singular; a gap in the degrees can make one, and
 such a point is skipped.
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .diffops import DifferenceOperator
+from .diffops import DifferenceOperator, eigen_certificate
 from .errors import InsufficientData
 from .matrices import _exact_solve, solve_linear_system
 from .polynomials import Polynomial, horner, newton_form, taylor_shift
@@ -90,7 +92,7 @@ def operator_solution_space(
     so within any narrower one, whose solutions padded with zeros solve this
     probe.  An inconsistent pointwise system gives (None, 0); degree_cap + 1
     points with a unique solution give the interpolant and nullity 0 if it
-    passes the exact check, else (None, 0).  Only the global fallback, taken
+    passes the certificate, else (None, 0).  Only the global fallback, taken
     when too few such points turn up, can report nullity > 0.
     """
     if len(qs) != len(lambdas):
@@ -116,7 +118,7 @@ def operator_solution_space(
             for col, l in enumerate(range(-halfwidth, halfwidth + 1))
         }
     )
-    if all(found.apply(q) == q * Fraction(lam) for q, lam in zip(qs, lambdas)):
+    if all(eigen_certificate(found, zip(qs, lambdas))):
         return found, 0
     return None, 0
 

@@ -390,6 +390,10 @@ def horner(numerators: Sequence[int], p: int, q: int = 1) -> int:
     """sum_k numerators[k] p^k q^(d-k) with d = len(numerators) - 1: q^d times
     the polynomial with these integer numerators at p/q, on integers."""
     acc, qk = 0, 1
+    if q == 1:  # the plain value at an integer: no powers of q to carry
+        for c in reversed(numerators):
+            acc = acc * p + c
+        return acc
     for c in reversed(numerators):
         acc = acc * p + c * qk
         qk *= q

@@ -38,6 +38,7 @@ from .casorati import (
     spectral_polynomial,
 )
 from .config import ConstructionConfig
+from .diffops import eigen_certificate
 from .errors import ConfigInvalid, DegenerateMoments, KrallHahnError
 from .hahn import (
     HahnParams,
@@ -236,21 +237,30 @@ def _check_genre(run: RunData) -> tuple[bool, dict]:
 
 
 def _check_eigen(run: RunData) -> tuple[bool, dict]:
+    """Each q_n has degree n and the closed-form leading coefficient, and
+    D q_n = lambda_n q_n; the q_n that pass both gates go to one
+    :func:`eigen_certificate` call, and the failures are listed in n order."""
     ctx = run.ctx
     op = krall_operator(ctx)
     lam = eigenvalue_polynomial(ctx)
     failures = []
+    gated = []
     for n in range(run.n_max + 1):
         qn = krall_polynomial(ctx, n)
         expected_lc = casorati_value(ctx, n) * hahn_leading_coefficient(n, ctx.params)
         if qn.degree != n:
             failures.append({"n": n, "reason": f"degree {qn.degree}"})
-            continue
-        if qn.leading_coefficient != expected_lc:
+        elif qn.leading_coefficient != expected_lc:
             failures.append({"n": n, "reason": "leading coefficient mismatch"})
-            continue
-        if op.apply(qn) != Fraction(lam(n)) * qn:
-            failures.append({"n": n, "reason": "eigen-equation residual nonzero"})
+        else:
+            gated.append((n, qn))
+    holds = eigen_certificate(op, [(qn, lam(n)) for n, qn in gated])
+    failures += [
+        {"n": n, "reason": "eigen-equation residual nonzero"}
+        for (n, _), ok in zip(gated, holds)
+        if not ok
+    ]
+    failures.sort(key=lambda failure: failure["n"])
     witness = {
         "n_max": run.n_max,
         "eigenvalues": [format_rational(lam(n)) for n in range(run.n_max + 1)],

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from krallhahn.diffops import DifferenceOperator, operator_polynomial
+from krallhahn.diffops import DifferenceOperator, eigen_certificate, operator_polynomial
 from krallhahn.errors import ZeroOperatorError
+from krallhahn.hahn import HahnParams, hahn_operator, hahn_polynomial
 from krallhahn.polynomials import Polynomial
 
 X = Polynomial.variable()
@@ -99,3 +100,80 @@ def test_operator_polynomial_horner():
     assert operator_polynomial(p, d) == expected
     assert operator_polynomial(Polynomial.zero(), d).is_zero
     assert operator_polynomial(Polynomial.one(), d) == DifferenceOperator.identity()
+
+
+def _random_rational(rng, size=3):
+    return Fraction(rng.randint(-size, size), rng.randint(1, 4))
+
+
+def _eigenpair(rng):
+    """A true eigenpair: a Hahn polynomial under the Hahn operator, carried
+    through a random operator polynomial P (eigenvalue P(lambda_n)) and a
+    translation by c (eigenfunction f(x - c))."""
+    params = HahnParams(
+        Fraction(rng.randint(1, 9), rng.randint(2, 5)),
+        Fraction(rng.randint(1, 9), rng.randint(2, 5)),
+        rng.randint(3, 7),
+    )
+    n = rng.randint(0, params.N)
+    poly = Polynomial([_random_rational(rng) for _ in range(rng.randint(1, 3))])
+    c = rng.choice((0, 1, -2, Fraction(1, 2)))
+    op = operator_polynomial(poly, hahn_operator(params)).translate(c)
+    return op, hahn_polynomial(n, params).shift_argument(-c), poly(params.eigenvalue(n))
+
+
+def test_eigen_certificate_matches_apply_on_seeded_cases():
+    """The certificate against the reference op.apply(f) == lambda f: random
+    operators with offsets -3..3 and Fraction coefficients, lambda with a
+    denominator, f = 0, the zero operator, true eigenpairs, and true pairs
+    broken by c x^k on one coefficient or by a changed eigenvalue."""
+    rng = random.Random(23)
+    verdicts = []
+    for trial in range(60):
+        kind = trial % 4
+        if kind == 0:
+            op = DifferenceOperator(
+                {rng.randint(-3, 3): Polynomial([_random_rational(rng) for _ in range(3)])
+                 for _ in range(rng.randint(0, 3))}
+            )
+            pairs = [(_random_poly(rng), _random_rational(rng)) for _ in range(2)]
+            pairs.append((Polynomial.zero(), _random_rational(rng)))
+            pairs.append((_random_poly(rng), Fraction(0)))
+        else:
+            op, f, lam = _eigenpair(rng)
+            pairs = [(f, lam), (Polynomial.zero(), lam), (f, lam + Fraction(1, 7))]
+            if kind == 2:
+                offset = rng.choice(sorted(op.terms))
+                bump = Polynomial.monomial(rng.randint(0, 4), _random_rational(rng) or 1)
+                op = op + DifferenceOperator.shift(offset, bump)
+            elif kind == 3:
+                op = DifferenceOperator.zero()
+                pairs.append((f, Fraction(0)))
+        expected = [op.apply(f) == f * Fraction(lam) for f, lam in pairs]
+        assert eigen_certificate(op, pairs) == expected
+        verdicts += expected
+    assert 60 < verdicts.count(True) and 60 < verdicts.count(False)
+    assert eigen_certificate(_random_operator(rng), []) == []
+    with pytest.raises(TypeError):
+        eigen_certificate(DifferenceOperator.identity(), [(X, 0.5)])
+
+
+@pytest.mark.parametrize("k, top, s, lam", [
+    (1, 2, 0, Fraction(0)),
+    (3, 7, 0, Fraction(-5, 3)),
+    (4, 9, 2, Fraction(7, 2)),
+    (2, 6, 4, Fraction(1)),
+])
+def test_eigen_certificate_sees_a_residual_vanishing_at_all_but_the_last_point(k, top, s, lam):
+    """f = prod_{i<k} (x - i) and D = lambda + g S_{-s}, where g is the product
+    of (x - i) over the i < top that f(x - s) does not vanish at.  Then
+    D f - lambda f = prod_{i<top} (x - i): it has degree top = deg f + deg g
+    and vanishes at x = 0..top - 1, so only the last of the top + 1 points
+    sees it."""
+    f = Polynomial.from_roots(range(k))
+    g = Polynomial.from_roots(i for i in range(top) if not s <= i < s + k)
+    op = DifferenceOperator({-s: g}) + DifferenceOperator.identity() * lam
+    residual = op.apply(f) - f * lam
+    assert residual == Polynomial.from_roots(range(top))
+    assert eigen_certificate(op, [(f, lam), (f, lam)]) == [False, False]
+    assert eigen_certificate(op - DifferenceOperator.shift(-s, g), [(f, lam)]) == [True]

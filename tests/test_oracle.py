@@ -82,14 +82,27 @@ def test_inconsistent_system_returns_none(classical_data, global_route):
     assert global_route == []
 
 
-def test_interpolant_failing_the_exact_check_returns_none(classical_data, global_route):
+def test_interpolant_failing_the_exact_check_returns_none(
+    classical_data, global_route, monkeypatch
+):
     """The classical operator has quadratic coefficients.  Under a cap of 1
     every point still has its unique values, but the line through two of
-    them is no operator."""
+    them is no operator: the eigen certificate rejects it, as apply does."""
     qs, lams = classical_data
+    verdicts = []
+    certify = oracle.eigen_certificate
+
+    def spy(op, pairs):
+        pairs = list(pairs)
+        verdicts.append((certify(op, pairs), [op.apply(q) == q * lam for q, lam in pairs]))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(oracle, "eigen_certificate", spy)
     assert len(_pointwise_nodes(qs, lams, 1, 1)) == 2
     assert operator_solution_space(qs, lams, 1, 1) == (None, 0)
     assert global_route == []
+    ((found, reference),) = verdicts
+    assert found == reference and not all(found)
     assert _solve_globally(qs, lams, 1, 1) == (None, 0)
 
 

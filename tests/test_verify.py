@@ -15,11 +15,11 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
-from krallhahn.casorati import casorati_value, context_from_degrees
+from krallhahn.casorati import casorati_value, context_from_degrees, eigenvalue_polynomial
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, ratio_product, series_ratio
 from krallhahn.errors import ConfigInvalid
-from krallhahn.hahn import HahnParams, hahn_weight
+from krallhahn.hahn import HahnParams, hahn_leading_coefficient, hahn_weight
 from krallhahn.oracle import _solve_globally, operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.sets import (
@@ -320,6 +320,71 @@ def test_orthogonality_fails_for_a_non_orthogonal_member(monkeypatch):
     assert check.witness["nonorthogonal_pairs"] == [[1, 3]]
     assert 3 in check.witness["gram_schmidt_mismatches"]
     assert check.witness["zero_norms"] == []
+
+
+def _apply_route_failures(cfg, op, build):
+    """The eigen-equation failures by the reference route: each q_n through
+    the degree and leading-coefficient gates, then op.apply(q_n) == lambda_n q_n."""
+    run = build_run(cfg)
+    ctx = run.ctx
+    lam = eigenvalue_polynomial(ctx)
+    failures = []
+    for n in range(run.n_max + 1):
+        qn = build(ctx, n)
+        if qn.degree != n:
+            failures.append({"n": n, "reason": f"degree {qn.degree}"})
+        elif qn.leading_coefficient != casorati_value(ctx, n) * hahn_leading_coefficient(
+            n, ctx.params
+        ):
+            failures.append({"n": n, "reason": "leading coefficient mismatch"})
+        elif op.apply(qn) != Fraction(lam(n)) * qn:
+            failures.append({"n": n, "reason": "eigen-equation residual nonzero"})
+    return failures
+
+
+@pytest.mark.parametrize("name, bump, member", [
+    ("single-root", (1, 2, Fraction(1, 5)), None),
+    ("four-roots", (-2, 0, Fraction(-3, 7)), None),
+    ("single-root", None, "tilted"),
+    ("classical", (0, 3, Fraction(2)), "scaled"),
+])
+def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, member):
+    """c x^k added to the coefficient of one shift, or a member q_3 that is no
+    eigenfunction (q_3 + q_1 / 3) or fails the leading-coefficient gate (2 q_3):
+    the check fails, with the witness the reference apply route gives."""
+    import krallhahn.verify as verify
+
+    build_op, build_q = verify.krall_operator, verify.krall_polynomial
+    cfg = config_from_dict({**BUILTIN_CONFIGS[name], "checks": ["eigen-equation"]})
+    assert run_config(cfg).passed
+
+    def perturbed(ctx):
+        op = build_op(ctx)
+        if bump is None:
+            return op
+        offset, k, c = bump
+        return op + DifferenceOperator.shift(offset, Polynomial.monomial(k, c))
+
+    def changed(ctx, n):
+        q = build_q(ctx, n)
+        if n != 3 or member is None:
+            return q
+        return q + Fraction(1, 3) * build_q(ctx, 1) if member == "tilted" else 2 * q
+
+    monkeypatch.setattr(verify, "krall_operator", perturbed)
+    monkeypatch.setattr(verify, "krall_polynomial", changed)
+    check = run_config(cfg).checks[0]
+    expected = _apply_route_failures(cfg, perturbed(build_run(cfg).ctx), changed)
+    assert not check.passed
+    assert check.witness["failures"] == expected
+    reasons = {failure["n"]: failure["reason"] for failure in expected}
+    if member == "tilted":
+        assert expected == [{"n": 3, "reason": "eigen-equation residual nonzero"}]
+    else:
+        assert len(expected) == check.witness["n_max"] + 1
+        assert reasons.get(3) == (
+            "leading coefficient mismatch" if member else "eigen-equation residual nonzero"
+        )
 
 
 def test_run_config_criteria_constant_surfaces():
