@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb, lcm
 
-from .diffops import DifferenceOperator, operator_polynomial
+from .diffops import DifferenceOperator, operator_sum
 from .errors import (
     NonExactDivision,
     NotThetaRepresentable,
@@ -641,16 +641,23 @@ def spectral_polynomial(ctx: ConstructionContext) -> Polynomial:
 @_stage
 def krall_operator(ctx: ConstructionContext) -> DifferenceOperator:
     """The higher-order difference operator with the constructed family as
-    eigenfunctions (eigenvalues given by the eigenvalue polynomial)."""
+    eigenfunctions (eigenvalues given by the eigenvalue polynomial).
+
+    It is P(D) / 2 + sum_r M_r(D) o L_r o Y_r(D), with D the Hahn operator, P
+    the spectral polynomial, and for row r the mixing symbol M_r, the ladder
+    operator L_r of its kind and the row polynomial Y_r.  It is assembled on
+    integer value tables by :func:`~krallhahn.diffops.operator_sum`: each
+    coefficient is computed at x = 0..K-1 and interpolated once.  D's
+    coefficients have degree 2 and L_r's degree 1, and a product adds the
+    coefficient degrees, so every coefficient has degree at most
+    K - 1 = max(2 deg P, max_r 2(deg M_r + deg Y_r) + 1), and K values fix it.
+    """
     p = ctx.params
-    base = hahn_operator(p)
-    acc = operator_polynomial(spectral_polynomial(ctx), base) * Fraction(1, 2)
-    for row in range(ctx.m):
-        left = operator_polynomial(mixing_symbol(ctx, row), base)
-        middle = ladder_operator(ctx.row_kinds[row], p)
-        right = operator_polynomial(ctx.row_polys[row], base)
-        acc = acc + left.compose(middle).compose(right)
-    return acc
+    rows = [
+        (mixing_symbol(ctx, row), ladder_operator(kind, p), poly)
+        for row, (kind, poly) in enumerate(zip(ctx.row_kinds, ctx.row_polys))
+    ]
+    return operator_sum(hahn_operator(p), spectral_polynomial(ctx) * Fraction(1, 2), rows)
 
 
 def operator_halfwidth(ctx: ConstructionContext) -> int:

@@ -6,17 +6,23 @@ this stays exact.  Composition follows from S_l h(x) = h(x + l) S_l.
 
 Whether D f = lambda f is decided by :func:`eigen_certificate` from values
 at integer points, on integers; :meth:`DifferenceOperator.apply` builds the
-polynomial D f and is the slow reference.
+polynomial D f and is the slow reference.  Likewise
+:func:`operator_sum`, which assembles
+:func:`~krallhahn.casorati.krall_operator`, multiplies operators as integer
+value tables at points and interpolates once;
+:meth:`DifferenceOperator.compose` and :func:`operator_polynomial` build the
+products as polynomials and are its reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ZeroOperatorError
-from .polynomials import Polynomial, Scalar, horner
+from .polynomials import Polynomial, Scalar, horner, interpolate
 from .rationals import Rational, as_rational, exact_rational
 
 
@@ -163,6 +169,135 @@ def operator_polynomial(poly: Polynomial, base: DifferenceOperator) -> Differenc
     return acc
 
 
+def coefficient_values(
+    op: DifferenceOperator, points: Iterable[int]
+) -> tuple[dict[int, list[int]], int]:
+    """({l: [H_l(x) for x in points]}, L): every coefficient h_l = H_l / L at
+    the integer points, over L, the lcm of the coefficients' denominators."""
+    points = list(points)
+    common = lcm(*(h.integer_parts[1] for h in op.terms.values()))
+    values = {}
+    for l, h in op.terms.items():
+        nums, den = h.integer_parts
+        scaled = [c * (common // den) for c in nums]
+        values[l] = [horner(scaled, x) for x in points]
+    return values, common
+
+
+def _max_degree(op: DifferenceOperator) -> int:
+    return max((h.degree for h in op.terms.values()), default=-1)
+
+
+def _reach(op: DifferenceOperator) -> int:
+    return max((abs(l) for l in op.terms), default=0)
+
+
+def _sum_points(base: DifferenceOperator, head: Polynomial, rows) -> int:
+    """K for :func:`operator_sum`: one more than
+    max(e deg head, max_r e (deg M_r + deg Y_r) + f_r), with e and f_r the
+    largest coefficient degrees of base and L_r (e read as 0 for a zero base)."""
+    e = max(_max_degree(base), 0)
+    bound = max([e * head.degree] + [
+        e * (symbol.degree + poly.degree) + _max_degree(ladder) for symbol, ladder, poly in rows
+    ])
+    return max(bound, 0) + 1
+
+
+def _right_multiply(table: dict[int, list[int]], factor: dict[int, list[int]], window: int):
+    """The values of T o B at x = 0..K-1 from T's values there and B's at
+    x = -window..K-1+window: (T o B)_{j+k}(x) = sum_j T_j(x) b_k(x + j)."""
+    out: dict[int, list[int]] = {}
+    for j, left in table.items():
+        start = j + window
+        for k, right in factor.items():
+            terms = map(mul, left, right[start : start + len(left)])
+            acc = out.get(j + k)
+            out[j + k] = list(terms) if acc is None else list(map(add, acc, terms))
+    return out
+
+
+def _accumulate(acc: dict[int, list[int]], table: dict[int, list[int]], scale: int) -> None:
+    """acc += scale * table, shift by shift."""
+    for shift, values in table.items():
+        old = acc.get(shift)
+        if old is None:
+            acc[shift] = [scale * v for v in values]
+        else:
+            acc[shift] = [a + scale * v for a, v in zip(old, values)]
+
+
+def operator_sum(
+    base: DifferenceOperator,
+    head: Polynomial,
+    rows: Sequence[tuple[Polynomial, DifferenceOperator, Polynomial]],
+) -> DifferenceOperator:
+    """head(base) + sum_r M_r(base) o L_r o Y_r(base) for rows (M_r, L_r, Y_r),
+    assembled on integer value tables.
+
+    An operator is held as a table: for each shift l, the numerators of
+    h_l(x) at x = 0..K-1 over one denominator.  Products are right
+    multiplications by base or L_r (:func:`_right_multiply`), whose
+    coefficients are evaluated once (:func:`coefficient_values`) on the window
+    of points x + j the shifts reach.  With base = B / d, the powers
+    base^i = B^i / d^i are built once; a polynomial c(base) with integer parts
+    (c_i, e) is sum_i c_i d^(deg c - i) B^i over e d^(deg c), and the B^i of
+    Y_r(base) are repeated right multiplications of M_r(base) o L_r by base.
+    The tables are put over their lcm and each shift is interpolated once
+    (:func:`~krallhahn.polynomials.interpolate`).
+
+    A product adds the coefficient degrees: the S_{j+k} coefficient of T o B
+    is sum_j T_j(x) b_k(x + j).  With e and f_r the largest coefficient
+    degrees of base and L_r, base^i has degree at most e i, head(base) at
+    most e deg head, and M_r(base) o L_r o base^i with i <= deg Y_r at most
+    e (deg M_r + deg Y_r) + f_r.  K - 1 is the largest of these
+    (:func:`_sum_points`; a zero polynomial has degree -1 and adds nothing),
+    and a polynomial of degree below K is fixed by its values at K points,
+    so the result is exact.  :meth:`DifferenceOperator.compose` and
+    :func:`operator_polynomial` are the reference.
+    """
+    K = _sum_points(base, head, rows)
+    window = max([_reach(base) * head.degree, 0] + [
+        _reach(base) * (symbol.degree + poly.degree) + _reach(ladder)
+        for symbol, ladder, poly in rows
+    ])
+    points = range(-window, K + window)
+    values, d = coefficient_values(base, points)
+    powers = [{0: [1] * K}]
+    for _ in range(max([head.degree] + [symbol.degree for symbol, _, _ in rows])):
+        powers.append(_right_multiply(powers[-1], values, window))
+
+    def combine(poly: Polynomial, tables) -> tuple[dict[int, list[int]], int]:
+        """sum_i c_i d^(deg - i) tables[i] over e d^deg, for poly's integer
+        parts (c, e), with tables[i] = T B^i."""
+        nums, den = poly.integer_parts
+        top = len(nums) - 1
+        out: dict[int, list[int]] = {}
+        for i, (c, table) in enumerate(zip(nums, tables)):
+            if c:
+                _accumulate(out, table, c * d ** (top - i))
+        return out, den * d ** max(top, 0)
+
+    def right_powers(table):
+        while True:
+            yield table
+            table = _right_multiply(table, values, window)
+
+    terms = [combine(head, powers)]
+    ladders: dict[DifferenceOperator, tuple[dict[int, list[int]], int]] = {}
+    for symbol, ladder, poly in rows:
+        if ladder not in ladders:
+            ladders[ladder] = coefficient_values(ladder, points)
+        ladder_values, ladder_den = ladders[ladder]
+        left, left_den = combine(symbol, powers)
+        table, den = combine(poly, right_powers(_right_multiply(left, ladder_values, window)))
+        terms.append((table, left_den * ladder_den * den))
+    common = lcm(*(den for _, den in terms))
+    total: dict[int, list[int]] = {}
+    for table, den in terms:
+        _accumulate(total, table, common // den)
+    return DifferenceOperator({l: interpolate(row, common) for l, row in total.items()})
+
+
 def eigen_certificate(
     op: DifferenceOperator, pairs: Iterable[tuple[Polynomial, Rational]]
 ) -> list[bool]:
@@ -180,15 +315,11 @@ def eigen_certificate(
     lambda raises ``TypeError``.
     """
     pairs = [(f.integer_parts[0], exact_rational(lam)) for f, lam in pairs]
-    common = lcm(*(h.integer_parts[1] for h in op.terms.values()))
     lo, hi = min((0, *op.terms)), max((0, *op.terms))
     coeff_degree = max((h.degree for h in op.terms.values()), default=0)
     points = max((len(nums) + coeff_degree for nums, _ in pairs), default=0)
-    terms = []  # (l - lo, [H_l(x) for x in 0..points - 1])
-    for l, h in op.terms.items():
-        nums, den = h.integer_parts
-        scaled = [c * (common // den) for c in nums]
-        terms.append((l - lo, [horner(scaled, x) for x in range(points)]))
+    values, common = coefficient_values(op, range(points))
+    terms = [(l - lo, row) for l, row in values.items()]  # (l - lo, [H_l(x) for x in 0..points - 1])
     verdicts = []
     for nums, lam in pairs:
         last = len(nums) - 1 + coeff_degree

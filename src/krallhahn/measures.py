@@ -183,11 +183,6 @@ def proportionality_constant(
     return Fraction(l0 * right.mass_denominator, r0 * left.mass_denominator)
 
 
-def equal_up_to_sign(left: DiscreteMeasure, right: DiscreteMeasure) -> bool:
-    c = proportionality_constant(left, right)
-    return c is not None and (c == 1 or c == -1)
-
-
 def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
     """Monic orthogonal polynomials of degree 0..up_to by full projection.
 

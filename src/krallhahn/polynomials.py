@@ -332,10 +332,6 @@ class Polynomial:
 
     # -- serialisation ---------------------------------------------------------
 
-    def to_strings(self) -> list[str]:
-        """Coefficient list, constant term first, as ``"p/q"`` strings."""
-        return [format_rational(c) for c in self.coeffs]
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -416,6 +412,29 @@ def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial
             q * prev - p * cur for prev, cur in zip(acc, acc[1:])
         ] + [q * acc[-1]]
     return _make(acc, den * scale)
+
+
+def interpolate(values: Sequence[int], denominator: int = 1) -> Polynomial:
+    """The polynomial p of degree below K = len(values) >= 1 with
+    p(x) = values[x] / denominator at x = 0..K-1, for a denominator > 0.
+
+    Newton's forward form: p(x) = sum_j D_j prod_{i<j} (x - i) / j!, with D_j
+    the j-th integer forward difference of the values at 0.  Scaled by
+    (K-1)!/j!, the coefficients are integers over (K-1)! * denominator, so one
+    :func:`newton_form` call on integer nodes builds p with no ``Fraction``.
+    """
+    top = len(values) - 1
+    diffs, leading = list(values), []
+    while diffs:
+        leading.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    scale, coeffs = 1, [leading[top]]
+    for j in range(top - 1, -1, -1):
+        scale *= j + 1
+        coeffs.append(leading[j] * scale)
+    coeffs.reverse()  # coeffs[j] = leading[j] * top! / j!, and scale = top!
+    numerators, _ = newton_form(coeffs, range(top)).integer_parts
+    return Polynomial.from_integer_parts(numerators, scale * denominator)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

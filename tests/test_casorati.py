@@ -4,10 +4,11 @@ import random
 from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from krallhahn import casorati, polynomials, verify
+from krallhahn import casorati, diffops, polynomials, verify
 from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
@@ -32,7 +33,7 @@ from krallhahn.casorati import (
     theta_substitute,
 )
 from krallhahn.config import builtin_config, config_from_dict
-from krallhahn.diffops import DifferenceOperator
+from krallhahn.diffops import DifferenceOperator, operator_polynomial, operator_sum
 from krallhahn.errors import (
     NonExactDivision,
     NotThetaRepresentable,
@@ -48,6 +49,7 @@ from krallhahn.hahn import (
 from krallhahn.ladder import (
     CLEARING_BLOCKS,
     falling_block,
+    ladder_operator,
     ratio_product,
     ratio_products,
     rising_block,
@@ -715,6 +717,70 @@ class TestIntegerRows:
         assert values and all(type(v) is Fraction and v == 1 for v in values.values())
         for n in range(run.n_max + 1):
             assert krall_polynomial(ctx, n) == hahn_polynomial(n, ctx.params)
+
+
+def compose_operator(base, head, rows):
+    """head(base) + sum_r M_r(base) o L_r o Y_r(base) for rows (M_r, L_r, Y_r),
+    by operator_polynomial and compose: the reference for the table route."""
+    acc = operator_polynomial(head, base)
+    for symbol, ladder, poly in rows:
+        left = operator_polynomial(symbol, base).compose(ladder)
+        acc = acc + left.compose(operator_polynomial(poly, base))
+    return acc
+
+
+def _random_polynomial(rng, degree):
+    """Degree exactly ``degree`` (-1 gives zero), small rational coefficients."""
+    if degree < 0:
+        return Polynomial.zero()
+    lead = Fraction(rng.choice((-7, -2, 1, 3)), rng.randint(1, 5))
+    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)] + [lead])
+
+
+class TestTableOperator:
+    def _check(self, base, head, rows):
+        reference = compose_operator(base, head, rows)
+        assert operator_sum(base, head, rows) == reference
+        largest = max((c.degree for c in reference.terms.values()), default=-1)
+        assert diffops._sum_points(base, head, rows) - 1 >= largest
+
+    def test_matches_compose_on_random_data(self):
+        rng = random.Random(21)
+        poly = partial(_random_polynomial, rng)
+        p = HahnParams(Fraction(1, 2), Fraction(1, 3), 8)
+        D, L = hahn_operator(p), [ladder_operator(kind, p) for kind in (1, 2, 3, 4)]
+        # zero P, a zero M_r and a constant Y, for every ladder kind
+        self._check(D, Polynomial.zero(), [(poly(1), L[0], poly(0)), (Polynomial.zero(), L[1], poly(1)),
+                                           (poly(0), L[2], poly(0)), (poly(2), L[3], poly(1))])
+        for ladder in L:
+            self._check(D, poly(2), [(Polynomial.zero(), ladder, poly(2))])
+            self._check(D, poly(1), [(poly(1), ladder, Polynomial.constant(Fraction(-5, 3)))])
+        self._check(D, Polynomial.zero(), [])
+        for _ in range(6):
+            p = HahnParams(Fraction(rng.randint(1, 40), rng.choice((2, 3, 7))),
+                           Fraction(rng.randint(-40, 40), rng.choice((3, 5))), rng.randint(2, 12))
+            rows = [(poly(rng.randint(-1, 2)), ladder_operator(rng.randint(1, 4), p),
+                     poly(rng.randint(0, 2))) for _ in range(rng.randint(0, 3))]
+            self._check(hahn_operator(p), poly(rng.randint(-1, 3)), rows)
+        # a wider base with cubic coefficients, and a ladder reaching two steps
+        base = DifferenceOperator({l: poly(3) for l in (-2, -1, 1)})
+        self._check(base, poly(2), [(poly(1), DifferenceOperator({2: poly(1), 0: poly(2)}), poly(1))])
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
+    def test_matches_krall_operator(self, name):
+        ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
+        p, spectral = ctx.params, spectral_polynomial(ctx)
+        rows = [(mixing_symbol(ctx, row), ladder_operator(kind, p), poly)
+                for row, (kind, poly) in enumerate(zip(ctx.row_kinds, ctx.row_polys))]
+        head = spectral * Fraction(1, 2)
+        reference = compose_operator(hahn_operator(p), head, rows)
+        assert krall_operator(ctx) == reference
+        # K - 1 = max(2 deg P, max_r 2(deg M_r + deg Y_r) + 1) bounds every coefficient
+        points = diffops._sum_points(hahn_operator(p), head, rows)
+        assert points - 1 == max([2 * spectral.degree] + [
+            2 * (symbol.degree + poly.degree) + 1 for symbol, _, poly in rows
+        ])
+        assert points - 1 >= max(c.degree for c in reference.terms.values())
 
 
 class TestStageStore:

@@ -23,7 +23,6 @@ from krallhahn.errors import DegenerateMoments
 from krallhahn.measures import (
     DiscreteMeasure,
     christoffel,
-    equal_up_to_sign,
     gram_schmidt,
     orthogonality_table,
     proportionality_constant,
@@ -82,8 +81,8 @@ def test_proportionality():
     empty = DiscreteMeasure({})
     assert proportionality_constant(empty, empty) == 1
     assert proportionality_constant(mu, empty) is None
-    assert equal_up_to_sign(mu, mu.scale(-1))
-    assert not equal_up_to_sign(mu, mu.scale(2))
+    assert proportionality_constant(mu, mu.scale(-1)) == -1
+    assert proportionality_constant(mu, mu.scale(2)) == Fraction(1, 2)
 
 
 def test_gram_schmidt_two_point_measure():
@@ -467,4 +466,3 @@ def test_random_equality_and_proportionality_match_dict_reference(left, right, f
             assert hash(mu) == hash(nu)
         expected = _dict_proportionality_constant(ref_a, ref_b)
         assert proportionality_constant(mu, nu) == expected
-        assert equal_up_to_sign(mu, nu) == (expected in (1, -1))

@@ -11,6 +11,7 @@ from krallhahn.errors import NonExactDivision
 from krallhahn.polynomials import (
     Polynomial,
     antidifference,
+    interpolate,
     lowest_terms,
     newton_form,
     pochhammer,
@@ -225,6 +226,38 @@ def test_newton_form_matches_fraction_sum(data, t):
     assert newton_form(coeffs, nodes)(t) == expected
 
 
+def _lagrange(values, denominator):
+    """sum_i values[i] / denominator * prod_{k != i} (x - k) / (i - k), on
+    Fraction coefficient lists: the reference for :func:`interpolate`."""
+    total = [Fraction(0)] * len(values)
+    for i, v in enumerate(values):
+        basis = [Fraction(v, denominator)]
+        for k in range(len(values)):
+            if k != i:
+                shifted = [Fraction(0)] + basis  # x * basis
+                basis = [(s - k * b) / (i - k) for s, b in zip(shifted, basis + [0])]
+        total = [t + b for t, b in zip(total, basis)]
+    return Polynomial(total)
+
+
+def test_interpolate_matches_lagrange():
+    rng = random.Random(20)
+    cases = [([7], 1), ([-4], 9), ([0], 5), ([0] * 6, 7), ([-3, -8, -1, -20], 6)]
+    # a true degree below K - 1: a quadratic and a constant read at 7 points
+    cases += [([2 * x * x - 5 * x + 1 for x in range(7)], 3), ([-9] * 7, 12)]
+    for _ in range(30):
+        k = rng.randint(1, 10)
+        cases.append(([rng.randint(-10**6, 10**6) for _ in range(k)], rng.randint(1, 40)))
+    for values, denominator in cases:
+        poly = interpolate(values, denominator)
+        assert poly == _lagrange(values, denominator)
+        assert poly.degree < len(values)
+        assert [poly(x) for x in range(len(values))] == [Fraction(v, denominator) for v in values]
+    assert interpolate([2 * x * x - 5 * x + 1 for x in range(7)], 3).degree == 2
+    assert interpolate([0] * 6, 7).is_zero
+    assert interpolate([4, 4]) == Polynomial.constant(4)
+
+
 def test_antidifference_telescopes():
     for p in (X**2, X**3 - X, Polynomial.constant(7), 5 * X**4 - Fraction(1, 3) * X):
         q = antidifference(p)
@@ -233,11 +266,6 @@ def test_antidifference_telescopes():
     # partial sums: q(n) = sum_{k=0}^{n} p(k)
     q = antidifference(X**2)
     assert q(3) == 0 + 1 + 4 + 9
-
-
-def test_serialisation_round_trip():
-    p = Polynomial([Fraction(1, 3), -2, Fraction(7, 5)])
-    assert p.to_strings() == ["1/3", "-2", "7/5"]
 
 
 class TestRationalFunction:
