@@ -239,11 +239,12 @@ def operator_sum(
     multiplications by base or L_r (:func:`_right_multiply`), whose
     coefficients are evaluated once (:func:`coefficient_values`) on the window
     of points x + j the shifts reach.  With base = B / d, the powers
-    base^i = B^i / d^i are built once; a polynomial c(base) with integer parts
-    (c_i, e) is sum_i c_i d^(deg c - i) B^i over e d^(deg c), and the B^i of
-    Y_r(base) are repeated right multiplications of M_r(base) o L_r by base.
-    The tables are put over their lcm and each shift is interpolated once
-    (:func:`~krallhahn.polynomials.interpolate`).
+    base^i = B^i / d^i are built once; T o c(base), for c with integer parts
+    (c_i, q), is sum_i c_i d^(deg c - i) T B^i over q d^(deg c), and the
+    T B^i of Y_r(base) are repeated right multiplications of
+    T = M_r(base) o L_r by base.  The denominators are known before any table
+    is built, so every term is added into one table over their lcm, and each
+    shift is interpolated once (:func:`~krallhahn.polynomials.interpolate`).
 
     A product adds the coefficient degrees: the S_{j+k} coefficient of T o B
     is sum_j T_j(x) b_k(x + j).  With e and f_r the largest coefficient
@@ -262,39 +263,43 @@ def operator_sum(
     ])
     points = range(-window, K + window)
     values, d = coefficient_values(base, points)
-    powers = [{0: [1] * K}]
-    for _ in range(max([head.degree] + [symbol.degree for symbol, _, _ in rows])):
-        powers.append(_right_multiply(powers[-1], values, window))
+    ladders = [coefficient_values(ladder, points) for _, ladder, _ in rows]
 
-    def combine(poly: Polynomial, tables) -> tuple[dict[int, list[int]], int]:
-        """sum_i c_i d^(deg - i) tables[i] over e d^deg, for poly's integer
-        parts (c, e), with tables[i] = T B^i."""
+    def denominator(poly: Polynomial) -> int:
+        """q d^deg, for poly's integer parts (c, q)."""
         nums, den = poly.integer_parts
+        return den * d ** max(len(nums) - 1, 0)
+
+    dens = [denominator(head)] + [
+        denominator(symbol) * ladder_den * denominator(poly)
+        for (symbol, _, poly), (_, ladder_den) in zip(rows, ladders)
+    ]
+    common = lcm(*dens)
+
+    def add_polynomial(acc: dict[int, list[int]], poly: Polynomial, tables, scale: int) -> None:
+        """acc += scale * sum_i c_i d^(deg - i) tables[i], for poly's numerators
+        c and tables[i] = T B^i: scale * q d^deg times T o poly(base)."""
+        nums, _ = poly.integer_parts
         top = len(nums) - 1
-        out: dict[int, list[int]] = {}
         for i, (c, table) in enumerate(zip(nums, tables)):
             if c:
-                _accumulate(out, table, c * d ** (top - i))
-        return out, den * d ** max(top, 0)
+                _accumulate(acc, table, scale * c * d ** (top - i))
 
     def right_powers(table):
         while True:
             yield table
             table = _right_multiply(table, values, window)
 
-    terms = [combine(head, powers)]
-    ladders: dict[DifferenceOperator, tuple[dict[int, list[int]], int]] = {}
-    for symbol, ladder, poly in rows:
-        if ladder not in ladders:
-            ladders[ladder] = coefficient_values(ladder, points)
-        ladder_values, ladder_den = ladders[ladder]
-        left, left_den = combine(symbol, powers)
-        table, den = combine(poly, right_powers(_right_multiply(left, ladder_values, window)))
-        terms.append((table, left_den * ladder_den * den))
-    common = lcm(*(den for _, den in terms))
+    powers = [{0: [1] * K}]
+    for _ in range(max([head.degree] + [symbol.degree for symbol, _, _ in rows])):
+        powers.append(_right_multiply(powers[-1], values, window))
     total: dict[int, list[int]] = {}
-    for table, den in terms:
-        _accumulate(total, table, common // den)
+    add_polynomial(total, head, powers, common // dens[0])
+    for (symbol, _, poly), (ladder_values, _), den in zip(rows, ladders, dens[1:]):
+        left: dict[int, list[int]] = {}
+        add_polynomial(left, symbol, powers, 1)
+        product = _right_multiply(left, ladder_values, window)
+        add_polynomial(total, poly, right_powers(product), common // den)
     return DifferenceOperator({l: interpolate(row, common) for l, row in total.items()})
 
 
@@ -318,8 +323,8 @@ def eigen_certificate(
     lo, hi = min((0, *op.terms)), max((0, *op.terms))
     coeff_degree = max((h.degree for h in op.terms.values()), default=0)
     points = max((len(nums) + coeff_degree for nums, _ in pairs), default=0)
-    values, common = coefficient_values(op, range(points))
-    terms = [(l - lo, row) for l, row in values.items()]  # (l - lo, [H_l(x) for x in 0..points - 1])
+    values, common = coefficient_values(op, range(points))  # H_l at x = 0..points - 1
+    terms = [(l - lo, row) for l, row in values.items()]
     verdicts = []
     for nums, lam in pairs:
         last = len(nums) - 1 + coeff_degree
