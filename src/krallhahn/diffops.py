@@ -170,11 +170,10 @@ def operator_polynomial(poly: Polynomial, base: DifferenceOperator) -> Differenc
 
 
 def coefficient_values(
-    op: DifferenceOperator, points: Iterable[int]
+    op: DifferenceOperator, points: Sequence[int]
 ) -> tuple[dict[int, list[int]], int]:
     """({l: [H_l(x) for x in points]}, L): every coefficient h_l = H_l / L at
     the integer points, over L, the lcm of the coefficients' denominators."""
-    points = list(points)
     common = lcm(*(h.integer_parts[1] for h in op.terms.values()))
     values = {}
     for l, h in op.terms.items():
@@ -257,9 +256,15 @@ def operator_sum(
     :func:`operator_polynomial` are the reference.
     """
     K = _sum_points(base, head, rows)
-    window = max([_reach(base) * head.degree, 0] + [
-        _reach(base) * (symbol.degree + poly.degree) + _reach(ladder)
-        for symbol, ladder, poly in rows
+    reach = _reach(base)
+
+    def span(poly: Polynomial) -> int:
+        """A bound on the largest shift of poly(base)."""
+        return reach * max(poly.degree, 0)
+
+    # the largest shift of any table, so that every b_k(x + j) read is in the window
+    window = max([span(head)] + [
+        span(symbol) + _reach(ladder) + span(poly) for symbol, ladder, poly in rows
     ])
     points = range(-window, K + window)
     values, d = coefficient_values(base, points)

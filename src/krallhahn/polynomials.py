@@ -414,7 +414,7 @@ def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial
     return _make(acc, den * scale)
 
 
-def interpolate(values: Sequence[int], denominator: int = 1) -> Polynomial:
+def interpolate(values: Sequence[int], denominator: int) -> Polynomial:
     """The polynomial p of degree below K = len(values) >= 1 with
     p(x) = values[x] / denominator at x = 0..K-1, for a denominator > 0.
 

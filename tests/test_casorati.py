@@ -756,6 +756,7 @@ class TestTableOperator:
             self._check(D, poly(2), [(Polynomial.zero(), ladder, poly(2))])
             self._check(D, poly(1), [(poly(1), ladder, Polynomial.constant(Fraction(-5, 3)))])
         self._check(D, Polynomial.zero(), [])
+        self._check(D, poly(1), [(poly(3), L[0], Polynomial.zero())])
         for _ in range(6):
             p = HahnParams(Fraction(rng.randint(1, 40), rng.choice((2, 3, 7))),
                            Fraction(rng.randint(-40, 40), rng.choice((3, 5))), rng.randint(2, 12))
@@ -772,11 +773,11 @@ class TestTableOperator:
         p, spectral = ctx.params, spectral_polynomial(ctx)
         rows = [(mixing_symbol(ctx, row), ladder_operator(kind, p), poly)
                 for row, (kind, poly) in enumerate(zip(ctx.row_kinds, ctx.row_polys))]
-        head = spectral * Fraction(1, 2)
-        reference = compose_operator(hahn_operator(p), head, rows)
+        D, head = hahn_operator(p), spectral * Fraction(1, 2)
+        reference = compose_operator(D, head, rows)
         assert krall_operator(ctx) == reference
         # K - 1 = max(2 deg P, max_r 2(deg M_r + deg Y_r) + 1) bounds every coefficient
-        points = diffops._sum_points(hahn_operator(p), head, rows)
+        points = diffops._sum_points(D, head, rows)
         assert points - 1 == max([2 * spectral.degree] + [
             2 * (symbol.degree + poly.degree) + 1 for symbol, _, poly in rows
         ])

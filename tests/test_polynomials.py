@@ -255,7 +255,7 @@ def test_interpolate_matches_lagrange():
         assert [poly(x) for x in range(len(values))] == [Fraction(v, denominator) for v in values]
     assert interpolate([2 * x * x - 5 * x + 1 for x in range(7)], 3).degree == 2
     assert interpolate([0] * 6, 7).is_zero
-    assert interpolate([4, 4]) == Polynomial.constant(4)
+    assert interpolate([4, 4], 1) == Polynomial.constant(4)
 
 
 def test_antidifference_telescopes():
