@@ -8,7 +8,9 @@ exactness survives serialization:
 
 ``F`` lists the four root sets.  ``h`` (optional) gives the three block
 paddings of the direct construction; on the corollary path it is determined
-by ``F`` and may only be supplied redundantly.
+by ``F`` and may only be supplied redundantly.  ``name`` (optional) is a
+string that labels the report; when it is absent or null, a config file is
+named by its stem.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ def config_from_dict(data: dict, name: str = "") -> ConstructionConfig:
     n_max = data.get("n_max")
     if n_max is not None and (not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0):
         raise ConfigInvalid(f"field 'n_max' must be a nonnegative integer, got {n_max!r}")
+    label = data.get("name")
+    if label is None:
+        label = name
+    elif not isinstance(label, str):
+        raise ConfigInvalid(f"field 'name' must be a string, got {label!r}")
     if path == "corollary" and pads is not None:
         derived = default_pads(quartet)
         if pads != derived:
@@ -156,7 +163,7 @@ def config_from_dict(data: dict, name: str = "") -> ConstructionConfig:
         path=path,
         checks=tuple(checks),
         n_max=n_max,
-        name=str(data.get("name", name)),
+        name=label,
     )
 
 

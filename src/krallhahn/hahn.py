@@ -206,23 +206,6 @@ def dual_hahn_polynomial(
     return newton_form(coeffs, [j * (j + s) for j in range(n)])
 
 
-def dual_hahn_leading_coefficient(n: int, alpha: Rational | int) -> Fraction:
-    return 1 / pochhammer(as_rational(alpha) + 1, n)
-
-
-def duality_factor(n: int, x: int, p: HahnParams) -> Fraction:
-    """Constant linking R_x at theta_n with h_n at x (exact duality)."""
-    a, b, N = p.a, p.b, p.N
-    sign = -1 if n % 2 else 1
-    return (
-        sign
-        * factorial(n)
-        * pochhammer(Fraction(N) + a + b + 2, n)
-        * pochhammer(Fraction(-N), x)
-        / (pochhammer(a + b + 1, n) * pochhammer(Fraction(-N), n))
-    )
-
-
 # -- the four companion families -------------------------------------------------
 
 _COMPANION_SIGNS = {1: ("b", "a", 1), 2: ("a", "b", 1), 3: ("b", "a", -1), 4: ("a", "b", -1)}

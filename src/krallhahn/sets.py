@@ -121,13 +121,10 @@ def theorem_halfwidth(quartet: SetQuartet, pads: tuple[int, int, int]) -> int:
     return r + 1
 
 
-def corollary_halfwidth(quartet: SetQuartet) -> int:
-    """Half the order of the operator attached to the Christoffel factor."""
-    return degree_sum_halfwidth(quartet.sets)
-
-
 def degree_sum_halfwidth(row_degrees: tuple[tuple[int, ...], ...]) -> int:
-    """Same half-order computed from the transformed (row-degree) sets."""
+    """Half the order of the operator whose determinant rows have these degree
+    sets.  Read on a quartet's own sets, it is the half-width of the operator
+    attached to the Christoffel factor (the corollary path)."""
     r = sum(sum(s) for s in row_degrees)
     r -= sum(comb(len(s), 2) for s in row_degrees)
     return r + 1

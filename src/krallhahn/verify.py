@@ -57,7 +57,7 @@ from .measures import (
 )
 from .oracle import operator_solution_space
 from .rationals import format_rational
-from .sets import SetQuartet, corollary_halfwidth, theorem_halfwidth
+from .sets import SetQuartet, degree_sum_halfwidth, theorem_halfwidth
 
 
 @dataclass
@@ -127,7 +127,7 @@ def build_run(cfg: ConstructionConfig) -> RunData:
             red = corollary_reduction(outer, cfg.quartet)
             ctx = context_from_quartet(red.params, red.quartet, red.pads)
             shift = red.shift
-            r_sets = corollary_halfwidth(cfg.quartet)
+            r_sets = degree_sum_halfwidth(cfg.quartet.sets)
         inner_measure = transformed_hahn_weight(ctx.params, ctx.quartet, ctx.pads)
     except KrallHahnError as exc:
         raise ConfigInvalid(str(exc)) from exc
@@ -566,7 +566,7 @@ def enumerate_root_couples(
                 {
                     "F3": list(third),
                     "F4": list(fourth),
-                    "r": corollary_halfwidth(quartet),
+                    "r": degree_sum_halfwidth(quartet.sets),
                     "sign": int(ratio),
                     "within_half": max(third, default=-1) < Fraction(N, 2)
                     and max(fourth, default=-1) < Fraction(N, 2),

@@ -1,0 +1,700 @@
+"""The slow reference routes that the tests compare the package's fast paths with.
+
+Every fast path in ``krallhahn`` ships with a differential test against an
+independent route: the representation or algorithm it replaced, a closed
+form, or plain expansion.  Those routes live here, one per job, so a new fast
+path adds its reference to this module and its test imports it.  Nothing here
+is timed or shipped; each routine favours the obvious computation over speed.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import factorial, gcd, lcm
+
+from krallhahn import casorati
+from krallhahn.casorati import casorati_value, eigenvalue_polynomial, normalizer, reflect
+from krallhahn.diffops import operator_polynomial
+from krallhahn.errors import DegenerateMoments, NotThetaRepresentable
+from krallhahn.hahn import (
+    hahn_leading_coefficient,
+    hahn_polynomial,
+    hahn_weight,
+    transformed_parameters,
+)
+from krallhahn.ladder import (
+    CLEARING_BLOCKS,
+    falling_block,
+    ratio_product,
+    ratio_products,
+    rising_block,
+    series_shift,
+)
+from krallhahn.matrices import poly_det
+from krallhahn.measures import christoffel
+from krallhahn.oracle import operator_solution_space
+from krallhahn.polynomials import Polynomial, lowest_terms, pochhammer
+from krallhahn.rationals import as_rational
+from krallhahn.sets import set_max
+from krallhahn.verify import build_run
+
+# -- polynomials ---------------------------------------------------------------------
+
+
+class FractionPolynomial:
+    """Reference: exact polynomial arithmetic on a tuple of Fractions."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial(out)
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            return FractionPolynomial(Fraction(other) * c for c in self.coeffs)
+        if self.is_zero or other.is_zero:
+            return FractionPolynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def __truediv__(self, scalar):
+        return FractionPolynomial(c / Fraction(scalar) for c in self.coeffs)
+
+    def __call__(self, point):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * Fraction(point) + c
+        return acc
+
+    def compose(self, inner):
+        acc = FractionPolynomial()
+        for c in reversed(self.coeffs):
+            acc = acc * inner + FractionPolynomial((c,))
+        return acc
+
+    def shift_argument(self, c):
+        return self.compose(FractionPolynomial((c, 1)))
+
+    def reflect_argument(self):
+        return FractionPolynomial(-c if k & 1 else c for k, c in enumerate(self.coeffs))
+
+    def divmod(self, divisor):
+        if self.degree < divisor.degree:
+            return FractionPolynomial(), self
+        rem = list(self.coeffs)
+        dcoeffs = divisor.coeffs
+        dn = len(dcoeffs)
+        quo = [Fraction(0)] * (len(rem) - dn + 1)
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + dn - 1] / dcoeffs[-1]
+            quo[k] = c
+            for i, d in enumerate(dcoeffs):
+                rem[k + i] -= c * d
+        return FractionPolynomial(quo), FractionPolynomial(rem)
+
+    def monic(self):
+        return self / self.coeffs[-1] if self.coeffs else self
+
+
+def reference_antidifference(p):
+    """q with q(x) - q(x-1) = p(x) and q(-1) = 0, peeling the top coefficient."""
+    q = FractionPolynomial()
+    residual = p
+    while not residual.is_zero:
+        d = residual.degree
+        mono = FractionPolynomial([0] * (d + 1) + [residual.coeffs[-1] / (d + 1)])
+        q = q + mono
+        residual = residual - (mono - mono.shift_argument(-1))
+    return q - FractionPolynomial((q(-1),))
+
+
+def reference_from_roots(roots):
+    """One integer product per root: times (q x - p) / q for the root p/q."""
+    nums, den = [1], 1
+    for r in roots:
+        p, q = Fraction(r).numerator, Fraction(r).denominator
+        nums = [-p * nums[0]] + [
+            q * prev - p * cur for prev, cur in zip(nums, nums[1:])
+        ] + [q * nums[-1]]
+        den *= q
+    return Polynomial.from_integer_parts(nums, den)
+
+
+def lagrange(nodes, values):
+    """sum_i values[i] * prod_{k != i} (x - nodes[k]) / (nodes[i] - nodes[k]) on
+    distinct nodes, on Fraction coefficient lists.
+
+    The reference for :func:`krallhahn.polynomials.interpolate` (nodes
+    0..K-1) and for the oracle's divided differences (any increasing integer
+    nodes): the Newton form of those coefficients must be this polynomial.
+    """
+    total = [Fraction(0)] * len(values)
+    for i, v in enumerate(values):
+        basis = [Fraction(v)]
+        for k, node in enumerate(nodes):
+            if k != i:
+                times_x = [Fraction(0)] + basis
+                basis = [(s - node * b) / (nodes[i] - node) for s, b in zip(times_x, basis + [0])]
+        total = [t + b for t, b in zip(total, basis)]
+    return Polynomial(total)
+
+
+# -- matrices ------------------------------------------------------------------------
+
+
+def cofactor_det(rows):
+    """Reference determinant: Laplace expansion along the top row, with every
+    minor computed once; the empty matrix has determinant ``Polynomial.one()``.
+
+    ``minors[cols]`` is the determinant of the bottom ``len(cols)`` rows
+    restricted to the columns ``cols``; each pass expands the row above.
+    """
+    n = len(rows)
+    if n == 0:
+        return Polynomial.one()
+    zero = 0 * rows[0][0]  # the zero of the entries' ring
+    minors = {(j,): entry for j, entry in enumerate(rows[-1])}
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        expanded = {}
+        for cols in combinations(range(n), n - i):
+            acc = zero
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
+                    acc = acc - term if pos % 2 else acc + term
+            expanded[cols] = acc
+        minors = expanded
+    return minors[tuple(range(n))]
+
+
+def gauss_jordan(rows, rhs):
+    """Reference solver: Gauss-Jordan elimination over the rationals, with the
+    contract of :func:`solve_linear_system` (free variables pinned to 0)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if aug[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for row_idx, col in enumerate(pivots):
+        solution[col] = aug[row_idx][ncols]
+    return solution, ncols - len(pivots)
+
+
+def sarrus(m):
+    # independent 3x3 oracle
+    return (
+        m[0][0] * m[1][1] * m[2][2]
+        + m[0][1] * m[1][2] * m[2][0]
+        + m[0][2] * m[1][0] * m[2][1]
+        - m[0][2] * m[1][1] * m[2][0]
+        - m[0][0] * m[1][2] * m[2][1]
+        - m[0][1] * m[1][0] * m[2][2]
+    )
+
+
+# -- measures: Fraction values, polynomial products and atom dicts ---------------------
+
+
+def fraction_integrate(measure, p):
+    """The sum of mass * p(point) over the atoms, in Fraction arithmetic."""
+    return sum((m * p(pt) for pt, m in measure.atoms.items()), Fraction(0))
+
+
+def fraction_values(measure, p):
+    return tuple(p(pt) for pt in measure.support)
+
+
+def fraction_dot(measure, u, v):
+    masses = [measure.mass(pt) for pt in measure.support]
+    return sum((m * x * y for m, x, y in zip(masses, u, v)), Fraction(0))
+
+
+def fraction_table(measure, polys):
+    """The Gram table on Fraction value vectors, each polynomial evaluated once."""
+    values = [fraction_values(measure, p) for p in polys]
+    return {
+        (i, j): fraction_dot(measure, values[i], values[j])
+        for i in range(len(values))
+        for j in range(i, len(values))
+    }
+
+
+def reference_gram_schmidt(measure, up_to):
+    """The projection through polynomial products: x^k reduced against every
+    earlier polynomial, each pairing integrated as a product polynomial."""
+    basis, norms = [], []
+    for k in range(up_to + 1):
+        candidate = Polynomial.monomial(k)
+        for p, norm in zip(basis, norms):
+            coeff = fraction_integrate(measure, candidate * p) / norm
+            if coeff != 0:
+                candidate = candidate - coeff * p
+        norm = fraction_integrate(measure, candidate * candidate)
+        if norm == 0 and k < up_to:
+            raise DegenerateMoments(k)
+        basis.append(candidate)
+        norms.append(norm)
+    return basis
+
+
+def dict_measure(atoms):
+    """The atom dict the measure stored: zero masses dropped."""
+    cleaned = {}
+    for point, mass in atoms.items():
+        mass = Fraction(mass)
+        if mass != 0:
+            cleaned[Fraction(point)] = mass
+    return cleaned
+
+
+def dict_translate(atoms, offset):
+    c = Fraction(offset)
+    return dict_measure({pt + c: m for pt, m in atoms.items()})
+
+
+def dict_scale(atoms, factor):
+    f = Fraction(factor)
+    return dict_measure({pt: f * m for pt, m in atoms.items()})
+
+
+def dict_christoffel(atoms, factor):
+    return dict_measure({pt: m * factor(pt) for pt, m in atoms.items()})
+
+
+def dict_proportionality_constant(left, right):
+    if not right:
+        return Fraction(1) if not left else None
+    if set(left) != set(right):
+        return None
+    pt = next(iter(right))
+    c = left[pt] / right[pt]
+    for point, mass in right.items():
+        if left[point] != c * mass:
+            return None
+    return c
+
+
+# -- the classical family --------------------------------------------------------------
+
+
+def reference_hahn(n, p):
+    """The defining sum term by term in Fractions, with (-x)_j carried from j - 1."""
+    a, b, N = p.a, p.b, p.N
+    outer = pochhammer(2 + a + b + N, n)
+    minus_x = Polynomial((0, -1))
+    acc = Polynomial.zero()
+    rising = Polynomial.one()  # (-x)_j
+    for j in range(n + 1):
+        if j:
+            rising = rising * (minus_x + j - 1)
+        coeff = (
+            pochhammer(Fraction(N - n + 1), n - j)
+            * pochhammer(a + b + 1, j + n)
+            / (outer * pochhammer(a + 1, j) * factorial(n - j) * factorial(j))
+        )
+        acc = acc + coeff * rising
+    return acc
+
+
+def per_atom_hahn_weight(p):
+    """Each mass from two Pochhammer products and two factorials, the reference
+    for the one-step ratio route."""
+    return {
+        Fraction(x): pochhammer(p.a + 1, x)
+        * pochhammer(p.b + 1, p.N - x)
+        / (factorial(x) * factorial(p.N - x))
+        for x in range(p.N + 1)
+    }
+
+
+def reference_dual_hahn(n, alpha, beta, gamma):
+    """The defining dual sum with every Pochhammer factor recomputed per term."""
+    x = Polynomial.variable()
+    s = alpha + beta + 1
+    acc = Polynomial.zero()
+    lattice = Polynomial.one()  # prod_{i<j} (x - i(i + alpha + beta + 1))
+    for j in range(n + 1):
+        num = (
+            pochhammer(Fraction(-n), j)
+            * pochhammer(-gamma + j, n - j)
+            / (pochhammer(alpha + 1, j) * factorial(j))
+        )
+        acc = acc + (-num if j % 2 else num) * lattice
+        lattice = lattice * (x - j * (j + s))
+    return acc
+
+
+def dual_hahn_leading_coefficient(n, alpha):
+    """The closed form 1 / (alpha + 1)_n of R_n's leading coefficient."""
+    return 1 / pochhammer(as_rational(alpha) + 1, n)
+
+
+def duality_factor(n, x, p):
+    """Constant linking R_x at theta_n with h_n at x (exact duality)."""
+    a, b, N = p.a, p.b, p.N
+    sign = -1 if n % 2 else 1
+    return (
+        sign
+        * factorial(n)
+        * pochhammer(Fraction(N) + a + b + 2, n)
+        * pochhammer(Fraction(-N), x)
+        / (pochhammer(a + b + 1, n) * pochhammer(Fraction(-N), n))
+    )
+
+
+def reference_factored_weight(p, quartet):
+    """The Christoffel factor multiplied up one linear factor at a time."""
+    x = Polynomial.variable()
+    factor = Polynomial.one()
+    for f in quartet.first:
+        factor = factor * (p.b + p.N + 1 + f - x)
+    for f in quartet.second:
+        factor = factor * (x + p.a + 1 + f)
+    for f in quartet.third:
+        factor = factor * (p.N - f - x)
+    for f in quartet.fourth:
+        factor = factor * (x - f)
+    return christoffel(hahn_weight(p), factor)
+
+
+def reference_transformed_weight(p, quartet, pads):
+    """The shifted, translated base weight times its factor, built the same way."""
+    f4m = set_max(quartet.fourth)
+    base = hahn_weight(transformed_parameters(p, quartet, pads)).translate(Fraction(-f4m - 1))
+    x = Polynomial.variable()
+    factor = Polynomial.one()
+    for f in quartet.first:
+        factor = factor * (p.b + p.N + 1 - f - x)
+    for f in quartet.second:
+        factor = factor * (x + p.a + 1 - f)
+    for f in quartet.third:
+        factor = factor * (p.N + f - x)
+    for f in quartet.fourth:
+        factor = factor * (x + f4m + 1 - f)
+    return christoffel(base, factor)
+
+
+# -- ladder ratio products -------------------------------------------------------------
+
+
+def closed_form_product_values(kind, points, p):
+    """ratio_products along a unit-step range, read off the closed form."""
+    out = []
+    for k in range(len(points) + 1):
+        base = points.start if points.step < 0 else points.start + k - 1
+        numer, denom = ratio_product(kind, k, p)
+        out.append(numer(base) / denom(base))
+    return out
+
+
+# -- the determinant engine over Q(x) ----------------------------------------------------
+# Elements of Q(x) are reduced (numerator, denominator) pairs.
+
+ONE = (Polynomial.one(), Polynomial.one())
+ZERO = (Polynomial.zero(), Polynomial.one())
+
+
+def mul(f, g):
+    return lowest_terms(f[0] * g[0], f[1] * g[1])
+
+
+def add(f, g):
+    return lowest_terms(f[0] * g[1] + g[0] * f[1], f[1] * g[1])
+
+
+def neg(f):
+    return -f[0], f[1]
+
+
+def shifted(f, c):
+    return f[0].shift_argument(c), f[1].shift_argument(c)
+
+
+def value(f, t):
+    return f[0](t) / f[1](t)
+
+
+def as_polynomial(f):
+    assert f[1] == 1, f"denominator of degree {f[1].degree} does not cancel"
+    return f[0]
+
+
+def rational_det(rows):
+    """Cofactor determinant over Q(x), the reference for the pointwise route."""
+    if not rows:
+        return ONE
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = ZERO
+    for j, top in enumerate(rows[0]):
+        if not top[0].is_zero:
+            term = mul(top, rational_det([row[:j] + row[j + 1 :] for row in rows[1:]]))
+            acc = add(acc, neg(term) if j % 2 else term)
+    return acc
+
+
+def closed_form_products_by_kind(ctx):
+    """Per row kind, the closed-form ratio products of lengths 0..m."""
+    return {
+        kind: tuple(ratio_product(kind, length, ctx.params) for length in range(ctx.m + 1))
+        for kind in set(ctx.row_kinds)
+    }
+
+
+def rational_casorati(ctx):
+    """The raw determinant over Q(x), from the closed-form ratio products."""
+    m, p = ctx.m, ctx.params
+    products = closed_form_products_by_kind(ctx)
+    return rational_det([
+        [
+            mul(
+                shifted(products[kind][m - col], -col),
+                (poly.compose(p.eigenvalue_poly(shift=-col)), Polynomial.one()),
+            )
+            for col in range(1, m + 1)
+        ]
+        for kind, poly in zip(ctx.row_kinds, ctx.row_polys)
+    ])
+
+
+def closed_form_krall_polynomial(ctx, n):
+    """The bordered polynomial with its columns from the closed-form products."""
+    p, m = ctx.params, ctx.m
+    products = closed_form_products_by_kind(ctx)
+    columns = [
+        [value(products[kind][m - col], n - col) * poly(p.eigenvalue(n - col))
+         for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
+        for col in range(m + 1)
+    ]
+    acc = Polynomial.zero()
+    for k in range(min(m, n) + 1):
+        minor = poly_det([columns[c] for c in range(m + 1) if c != k])
+        acc = acc + minor * hahn_polynomial(n - k, p)
+    return acc
+
+
+def block_normalizer(ctx):
+    """The normaliser as a product of block and step polynomials, the reference
+    for the root-multiset route."""
+    p, m = ctx.params, ctx.m
+    acc = Polynomial.one()
+    for which in (1, 2):
+        users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
+        for i in range(1, users):
+            acc = acc * rising_block(which, users - i, users - m - i, p)
+            acc = acc * falling_block(which, users - i, -1, p)
+    sigma = series_shift(p)
+    for outer in range(1, m):
+        for inner in range(1, outer + 1):
+            acc = acc * sigma.shift_argument(Fraction(inner + outer + 1, 2) - m)
+    return -acc if (m * (m - 1) // 2) % 2 else acc
+
+
+def pair_route_mixing(ctx, row):
+    """The mixing polynomial summed as reduced pairs: lowest_terms per term and
+    per partial sum, the reference for the gcd-free route."""
+    p, m = ctx.params, ctx.m
+    sigma = series_shift(p)
+    half = Fraction(-(m - 1), 2)
+    divisor_base = block_normalizer(ctx)
+    acc = ZERO
+    rows_kept = [entries for r, entries in enumerate(casorati.cleared_matrix(ctx)) if r != row]
+    for j in range(1, m + 1):
+        minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
+        numer = (
+            sigma.shift_argument(half + j)
+            * ctx.prefactor.shift_argument(j)
+            * casorati._mixing_prefactor(ctx, row, j)
+            * minor.shift_argument(j)
+        )
+        term = lowest_terms(numer, divisor_base.shift_argument(j))
+        acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
+    return as_polynomial(acc)
+
+
+def shifted_entry_mixing(ctx, row):
+    """The mixing polynomial with every minor entry rebuilt and shifted, the
+    reference for the minors of the cached matrix shifted once."""
+    p, m = ctx.params, ctx.m
+    sigma = series_shift(p)
+    half = Fraction(-(m - 1), 2)
+    divisor_base = normalizer(ctx)
+    acc = ZERO
+    rows_kept = [r for r in range(m) if r != row]
+    for j in range(1, m + 1):
+        minor = poly_det([
+            [casorati._cleared_entry(ctx, r, c).shift_argument(j)
+             for c in range(1, m + 1) if c != j]
+            for r in rows_kept
+        ])
+        numer = (
+            sigma.shift_argument(half + j)
+            * ctx.prefactor.shift_argument(j)
+            * casorati._mixing_prefactor(ctx, row, j)
+            * minor
+        )
+        term = lowest_terms(numer, divisor_base.shift_argument(j))
+        acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
+    return as_polynomial(acc)
+
+
+def peeling_theta_substitute(poly, ab_sum):
+    """The theta expansion by a reflection check and peeling of leading terms
+    with fresh theta powers, the reference for the digit route."""
+    if reflect(poly, ab_sum) != poly:
+        raise NotThetaRepresentable("polynomial is not invariant")
+    theta = Polynomial((0, Fraction(ab_sum) + 1, 1))
+    out = {}
+    residual = poly
+    while residual.degree > 0:
+        if residual.degree % 2:
+            raise NotThetaRepresentable("invariant polynomial with odd-degree residual")
+        k = residual.degree // 2
+        out[k] = residual.leading_coefficient
+        residual = residual - out[k] * theta**k
+    if not residual.is_zero:
+        out[0] = residual.coefficient(0)
+    return Polynomial([out.get(k, 0) for k in range(max(out, default=0) + 1)])
+
+
+def reference_casorati_rows(ctx, t):
+    """The raw rows as Fraction products, ratio_products times Y_r(theta): the
+    reference for the integer rows."""
+    p, m = ctx.params, ctx.m
+    thetas = [p.eigenvalue(t - c) for c in range(m + 1)]
+    rows = []
+    for ratio, poly in zip(casorati.series_ratios(ctx), ctx.row_polys):
+        products = ratio_products(ratio, range(t - m + 1, t + 1))
+        rows.append([products[m - c] * poly(theta) for c, theta in enumerate(thetas)])
+    return rows
+
+
+def reference_krall_polynomial(ctx, n):
+    """q_n as one bordered poly_det over the reference rows."""
+    border = [Polynomial.zero()] * (ctx.m + 1)
+    for k in range(min(ctx.m, n) + 1):
+        h = hahn_polynomial(n - k, ctx.params)
+        border[k] = -h if k % 2 else h
+    q = poly_det([*reference_casorati_rows(ctx, n), border])
+    return -q if ctx.m % 2 else q
+
+
+def compose_operator(base, head, rows):
+    """head(base) + sum_r M_r(base) o L_r o Y_r(base) for rows (M_r, L_r, Y_r),
+    by operator_polynomial and compose: the reference for the table route."""
+    acc = operator_polynomial(head, base)
+    for symbol, ladder, poly in rows:
+        left = operator_polynomial(symbol, base).compose(ladder)
+        acc = acc + left.compose(operator_polynomial(poly, base))
+    return acc
+
+
+# -- the oracle --------------------------------------------------------------------------
+
+
+def fraction_rows(qs, lambdas, halfwidth, degree_cap):
+    """The equation rows over the rationals, built from shifted polynomials."""
+    offsets = range(-halfwidth, halfwidth + 1)
+    width = degree_cap + 1
+    rows, rhs = [], []
+    for qn, lam in zip(qs, lambdas):
+        shifted = {l: qn.shift_argument(l) for l in offsets}
+        target = Fraction(lam) * qn
+        for power in range(qn.degree + degree_cap + 1):
+            row = [Fraction(0)] * ((2 * halfwidth + 1) * width)
+            for col, l in enumerate(offsets):
+                q_shift = shifted[l]
+                for d in range(width):
+                    if 0 <= power - d <= q_shift.degree:
+                        row[col * width + d] = q_shift.coefficient(power - d)
+            rows.append(row)
+            rhs.append(target.coefficient(power))
+    return rows, rhs
+
+
+def primitive_row(row):
+    """A rational row scaled by a positive factor to coprime integers."""
+    scale = lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (scale // v.denominator) for v in row]
+    content = gcd(*ints)
+    return [v // content for v in ints] if content else ints
+
+
+# -- the verification checks --------------------------------------------------------------
+
+
+def apply_route_failures(cfg, op, build):
+    """The eigen-equation failures by the reference route: each q_n through
+    the degree and leading-coefficient gates, then op.apply(q_n) == lambda_n q_n."""
+    run = build_run(cfg)
+    ctx = run.ctx
+    lam = eigenvalue_polynomial(ctx)
+    failures = []
+    for n in range(run.n_max + 1):
+        qn = build(ctx, n)
+        if qn.degree != n:
+            failures.append({"n": n, "reason": f"degree {qn.degree}"})
+        elif qn.leading_coefficient != casorati_value(ctx, n) * hahn_leading_coefficient(
+            n, ctx.params
+        ):
+            failures.append({"n": n, "reason": "leading coefficient mismatch"})
+        elif op.apply(qn) != Fraction(lam(n)) * qn:
+            failures.append({"n": n, "reason": "eigen-equation residual nonzero"})
+    return failures
+
+
+def solve_lower_probe(qs, lambdas, r):
+    """Reference: the second solve, at half-width r - 1, that the check used to make."""
+    lower_cap = max(2 * (r - 1), 0)
+    lower, _ = operator_solution_space(qs, lambdas, r - 1, lower_cap)
+    return f"solvable with degree cap {lower_cap}" if lower is not None else "unsolvable"

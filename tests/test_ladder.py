@@ -19,6 +19,8 @@ from krallhahn.ladder import (
 )
 from krallhahn.polynomials import Polynomial, lowest_terms
 
+from reference import closed_form_product_values
+
 X = Polynomial.variable()
 
 
@@ -78,16 +80,6 @@ def test_ratio_product_matches_explicit_product(kind, desk_params):
         assert ratio_product(kind, length, desk_params) == explicit
 
 
-def closed_form_products(kind, points, p):
-    """ratio_products along a unit-step range, read off the closed form."""
-    out = []
-    for k in range(len(points) + 1):
-        base = points.start if points.step < 0 else points.start + k - 1
-        numer, denom = ratio_product(kind, k, p)
-        out.append(numer(base) / denom(base))
-    return out
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_ratio_product_negative_length(kind, desk_params):
     # length -i gives 1 / (ratio(n + i) ... ratio(n + 1)); integer points
@@ -120,7 +112,8 @@ def test_ratio_product_value_matches_closed_form(kind):
                     with pytest.raises(ParameterSingularity):
                         ratio_products(ratio, points)
                     points = points[: poles[0]]
-                assert ratio_products(ratio, points) == closed_form_products(kind, points, p)
+                expected = closed_form_product_values(kind, points, p)
+                assert ratio_products(ratio, points) == expected
     assert bool(poles_met) == (kind in (1, 2))
 
 
@@ -134,7 +127,8 @@ def test_ratio_products_raise_at_a_pole():
     for points in (range(3, 1, -1), range(2, 4), range(0, 5)):
         with pytest.raises(ParameterSingularity):
             ratio_products(series_ratio(4, p), points)
-    assert ratio_products(series_ratio(4, p), range(4, 7)) == closed_form_products(4, range(4, 7), p)
+    expected = closed_form_product_values(4, range(4, 7), p)
+    assert ratio_products(series_ratio(4, p), range(4, 7)) == expected
 
 
 def test_blocks_are_shifted_pochhammers(desk_params):

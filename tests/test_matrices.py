@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from itertools import combinations
-
 from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
@@ -18,69 +16,9 @@ from krallhahn.matrices import _PRIMES
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import clear_denominators
 
+from reference import cofactor_det, gauss_jordan, sarrus
+
 X = Polynomial.variable()
-
-
-def _cofactor_det(rows):
-    """Reference determinant: Laplace expansion along the top row, with every
-    minor computed once; the empty matrix has determinant ``Polynomial.one()``.
-
-    ``minors[cols]`` is the determinant of the bottom ``len(cols)`` rows
-    restricted to the columns ``cols``; each pass expands the row above.
-    """
-    n = len(rows)
-    if n == 0:
-        return Polynomial.one()
-    zero = 0 * rows[0][0]  # the zero of the entries' ring
-    minors = {(j,): entry for j, entry in enumerate(rows[-1])}
-    for i in range(n - 2, -1, -1):
-        row = rows[i]
-        expanded = {}
-        for cols in combinations(range(n), n - i):
-            acc = zero
-            for pos, j in enumerate(cols):
-                if row[j]:
-                    term = row[j] * minors[cols[:pos] + cols[pos + 1 :]]
-                    acc = acc - term if pos % 2 else acc + term
-            expanded[cols] = acc
-        minors = expanded
-    return minors[tuple(range(n))]
-
-
-def _gauss_jordan(rows, rhs):
-    """Reference solver: Gauss-Jordan elimination over the rationals, with the
-    contract of :func:`solve_linear_system` (free variables pinned to 0)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][ncols]
-    return solution, ncols - len(pivots)
 
 
 def _exact_solve(rows, rhs):
@@ -88,18 +26,6 @@ def _exact_solve(rows, rhs):
     ncols = len(rows[0]) if rows else 0
     aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
     return matrices._exact_solve(aug, ncols)
-
-
-def _sarrus(m):
-    # independent 3x3 oracle
-    return (
-        m[0][0] * m[1][1] * m[2][2]
-        + m[0][1] * m[1][2] * m[2][0]
-        + m[0][2] * m[1][0] * m[2][1]
-        - m[0][2] * m[1][1] * m[2][0]
-        - m[0][0] * m[1][2] * m[2][1]
-        - m[0][1] * m[1][0] * m[2][2]
-    )
 
 
 def test_matrix_shape_checks():
@@ -136,7 +62,7 @@ def test_poly_det_3x3_against_sarrus():
         [X**2, Polynomial.one(), X - 3],
         [Polynomial.constant(Fraction(1, 2)), X, X**2 + 1],
     ]
-    assert poly_det(rows) == _sarrus(rows)
+    assert poly_det(rows) == sarrus(rows)
 
 
 def test_poly_det_equal_rows_vanishes():
@@ -163,14 +89,14 @@ def test_bareiss_agrees_with_cofactor():
     for rand_entry, kind, _, _ in _random_entries(rng):
         for n in range(8):
             rows = [[rand_entry() for _ in range(n)] for _ in range(n)]
-            expected = _cofactor_det(rows)
+            expected = cofactor_det(rows)
             got = poly_det(rows)
             assert got == expected, (kind, n)
             assert type(got) is Polynomial
         for n in (3, 6):
             singular = [[rand_entry() for _ in range(n)] for _ in range(n - 1)]
             singular.append(list(singular[0]))  # duplicate row
-            assert _cofactor_det(singular) == 0
+            assert cofactor_det(singular) == 0
             got = poly_det(singular)
             assert got == 0 and type(got) is Polynomial
 
@@ -184,7 +110,7 @@ def test_integer_det_agrees_with_cofactor():
         if n > 1:
             rows[0][0] = 0
         got = integer_det(rows)
-        assert type(got) is int and got == _cofactor_det(rows), n
+        assert type(got) is int and got == cofactor_det(rows), n
     rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
     assert integer_det([*rows, rows[1]]) == 0
     assert integer_det([row[:2] + [0] + row[3:] for row in rows + [rows[0]]]) == 0
@@ -210,7 +136,7 @@ def test_poly_det_scalar_rows_above_a_polynomial_row():
             ]
             rows.append(border)
             got = poly_det(rows)
-            assert got == _cofactor_det(rows) and type(got) is Polynomial, (n, col)
+            assert got == cofactor_det(rows) and type(got) is Polynomial, (n, col)
 
 
 def test_poly_det_row_swaps_zero_columns_and_result_type():
@@ -220,10 +146,10 @@ def test_poly_det_row_swaps_zero_columns_and_result_type():
             rows = [[rand_entry() for _ in range(n)] for _ in range(n)]
             rows[0][0] = zero  # the first pivot needs a row swap
             rows[-1][0] = rows[-1][0] or one
-            assert poly_det(rows) == _cofactor_det(rows), (kind, n)
+            assert poly_det(rows) == cofactor_det(rows), (kind, n)
             # the first column is zero in every row but the last: the swap crosses rows
             swapped = [[zero, *row[1:]] for row in rows[:-1]] + [rows[-1]]
-            assert poly_det(swapped) == _cofactor_det(swapped)
+            assert poly_det(swapped) == cofactor_det(swapped)
             for col in (0, n - 1):
                 blank = [row[:col] + [zero] + row[col + 1 :] for row in rows]
                 got = poly_det(blank)
@@ -329,7 +255,7 @@ def test_full_rank_consistent_is_solved_modularly(routes):
     rng = random.Random(11)
     x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(6)]
     rows, rhs = _system([[rng.randint(-9, 9) for _ in range(6)] for _ in range(9)], x)
-    assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
+    assert solve_linear_system(rows, rhs) == gauss_jordan(rows, rhs) == (x, 0)
     assert routes["fallback"] == 0
 
 
@@ -340,7 +266,7 @@ def test_b_as_pivot_certifies_inconsistency(routes, monkeypatch):
         matrices, "_multimodular_solve", lambda *args: pytest.fail("solved, not certified")
     )
     assert solve_linear_system(rows, rhs) is None
-    assert _gauss_jordan(rows, rhs) is None
+    assert gauss_jordan(rows, rhs) is None
     assert routes == {"fallback": 0, "echelon": 1}
 
 
@@ -348,14 +274,14 @@ def test_inconsistency_hidden_mod_p_is_found_by_substitution(routes):
     # b = (0, p) lies in the image of A mod p but not over the rationals
     rows, rhs = [[1], [1]], [0, _PRIMES[0]]
     assert solve_linear_system(rows, rhs) is None
-    assert _gauss_jordan(rows, rhs) is None
+    assert gauss_jordan(rows, rhs) is None
     assert routes["fallback"] == 0
 
 
 def test_positive_nullity_goes_to_gauss_jordan(routes):
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     rhs = [6, 12, 2]
-    expected = _gauss_jordan(rows, rhs)
+    expected = gauss_jordan(rows, rhs)
     assert expected[1] == 1
     assert solve_linear_system(rows, rhs) == expected
     assert routes["fallback"] == 1
@@ -365,7 +291,7 @@ def test_singular_mod_the_first_prime_goes_to_gauss_jordan(routes):
     p = _PRIMES[0]
     rows = [[p, 1], [2 * p, 3]]  # det = p, zero mod p
     rhs = [1, 5]
-    expected = _gauss_jordan(rows, rhs)
+    expected = gauss_jordan(rows, rhs)
     assert expected == ([Fraction(-2, p), Fraction(3)], 0)
     assert solve_linear_system(rows, rhs) == expected
     assert routes["fallback"] == 1
@@ -374,7 +300,7 @@ def test_singular_mod_the_first_prime_goes_to_gauss_jordan(routes):
 def test_solution_needing_several_primes(routes):
     x = [Fraction(3**100, 7**40), Fraction(-(5**60), 11**30)]
     rows, rhs = _system([[1, 2], [3, 5], [2, -7]], x)
-    assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
+    assert solve_linear_system(rows, rhs) == gauss_jordan(rows, rhs) == (x, 0)
     assert routes["fallback"] == 0
     assert routes["echelon"] >= 5  # the first prime alone reconstructs 30 bits
 
@@ -389,7 +315,7 @@ def test_prime_dividing_the_minor_is_skipped(routes):
 def test_solution_too_large_for_the_primes(routes):
     x = [Fraction(3**500, 7**300), Fraction(1, 2)]
     rows, rhs = _system([[1, 1], [1, -1]], x)
-    assert solve_linear_system(rows, rhs) == _gauss_jordan(rows, rhs) == (x, 0)
+    assert solve_linear_system(rows, rhs) == gauss_jordan(rows, rhs) == (x, 0)
     assert routes["fallback"] == 1
     assert routes["echelon"] == len(_PRIMES)  # the full system once, then each further prime
 
@@ -408,7 +334,7 @@ def test_random_systems_match_gauss_jordan():
         else:
             x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)]
             rhs = _system(rows, x)[1]
-        expected = _gauss_jordan(rows, rhs)
+        expected = gauss_jordan(rows, rhs)
         assert solve_linear_system(rows, rhs) == expected, trial
         assert _exact_solve(rows, rhs) == expected, trial
 
@@ -429,7 +355,7 @@ def test_random_systems_match_gauss_jordan():
     ],
 )
 def test_exact_fallback_matches_gauss_jordan(routes, rows, rhs):
-    expected = _gauss_jordan(rows, rhs)
+    expected = gauss_jordan(rows, rhs)
     assert _exact_solve(rows, rhs) == expected
     assert solve_linear_system(rows, rhs) == expected
     if expected is not None and expected[1] > 0:

@@ -1,13 +1,14 @@
 """Discrete measures, Christoffel transforms, and the Gram-Schmidt oracle.
 
-The integer route of :mod:`krallhahn.measures` is compared with three
-test-only references: the ``Fraction`` value/dot route it replaced (values,
-weighted dot products, the Gram table and Gram-Schmidt, all on ``Fraction``
-values), the projection through polynomial products, and the ``Fraction``
-atom dicts the measure stored before its integer parts (construction,
-translation, scaling, Christoffel transforms, equality and proportionality).
-The first two integrate with :func:`_fraction_integrate`, the sum of
-mass * p(point) over the atoms, so neither depends on the route under test.
+The integer route of :mod:`krallhahn.measures` is compared with test-only
+references from ``reference``: the ``Fraction`` value/dot route it replaced
+(values, weighted dot products and the Gram table, all on ``Fraction``
+values), Gram-Schmidt as the projection through polynomial products, and the
+``Fraction`` atom dicts the measure stored before its integer parts
+(construction, translation, scaling, Christoffel transforms, equality and
+proportionality).  The projection and the inner-product checks integrate
+with ``fraction_integrate``, the sum of mass * p(point) over the atoms, so
+no reference depends on the route under test.
 """
 
 from fractions import Fraction
@@ -29,6 +30,19 @@ from krallhahn.measures import (
 )
 from krallhahn.polynomials import Polynomial
 from krallhahn.verify import build_run
+
+from reference import (
+    dict_christoffel,
+    dict_measure,
+    dict_proportionality_constant,
+    dict_scale,
+    dict_translate,
+    fraction_dot,
+    fraction_integrate,
+    fraction_table,
+    fraction_values,
+    reference_gram_schmidt,
+)
 
 X = Polynomial.variable()
 HALF = Fraction(1, 2)
@@ -116,75 +130,6 @@ def test_orthogonality_table():
             assert value != 0
 
 
-# -- test-only references: Fraction values and polynomial products ------------
-
-
-def _fraction_integrate(measure, p):
-    """The sum of mass * p(point) over the atoms, in Fraction arithmetic."""
-    return sum((m * p(pt) for pt, m in measure.atoms.items()), Fraction(0))
-
-
-def _fraction_values(measure, p):
-    return tuple(p(pt) for pt in measure.support)
-
-
-def _fraction_dot(measure, u, v):
-    masses = [measure.mass(pt) for pt in measure.support]
-    return sum((m * x * y for m, x, y in zip(masses, u, v)), Fraction(0))
-
-
-def _fraction_table(measure, polys):
-    """The Gram table on Fraction value vectors, each polynomial evaluated once."""
-    values = [_fraction_values(measure, p) for p in polys]
-    return {
-        (i, j): _fraction_dot(measure, values[i], values[j])
-        for i in range(len(values))
-        for j in range(i, len(values))
-    }
-
-
-def _fraction_gram_schmidt(measure, up_to):
-    """The naive projection on Fraction value vectors: x^k reduced against
-    every earlier g_j with <x^k, g_j> / <g_j, g_j>, values updated alongside."""
-    points = measure.support
-    power = tuple(Fraction(1) for _ in points)
-    basis, basis_values, norms = [], [], []
-    for k in range(up_to + 1):
-        if k:
-            power = tuple(v * x for v, x in zip(power, points))
-        candidate, values = Polynomial.monomial(k), power
-        for p, p_values, norm in zip(basis, basis_values, norms):
-            coeff = _fraction_dot(measure, power, p_values) / norm
-            if coeff != 0:
-                candidate = candidate - coeff * p
-                values = tuple(v - coeff * w for v, w in zip(values, p_values))
-        norm = _fraction_dot(measure, values, values)
-        if norm == 0 and k < up_to:
-            raise DegenerateMoments(k)
-        basis.append(candidate)
-        basis_values.append(values)
-        norms.append(norm)
-    return basis
-
-
-def _reference_gram_schmidt(measure, up_to):
-    """The projection through polynomial products: x^k reduced against every
-    earlier polynomial, each pairing integrated as a product polynomial."""
-    basis, norms = [], []
-    for k in range(up_to + 1):
-        candidate = Polynomial.monomial(k)
-        for p, norm in zip(basis, norms):
-            coeff = _fraction_integrate(measure, candidate * p) / norm
-            if coeff != 0:
-                candidate = candidate - coeff * p
-        norm = _fraction_integrate(measure, candidate * candidate)
-        if norm == 0 and k < up_to:
-            raise DegenerateMoments(k)
-        basis.append(candidate)
-        norms.append(norm)
-    return basis
-
-
 FAMILY_TEMPLATE = {
     "a": "7/3", "b": "11/5", "N": 17, "F": [[], [], [], [1, 2]], "path": "corollary",
 }
@@ -240,15 +185,9 @@ def test_inner_products_match_integrated_products(families, name):
     assert list(table) == [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
     for (i, j), value in table.items():
         if j - i <= 2:
-            reference = _fraction_integrate(measure, polys[i] * polys[j])
+            reference = fraction_integrate(measure, polys[i] * polys[j])
             assert value == reference
             assert measure.inner_product(polys[i], polys[j]) == reference
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_gram_schmidt_matches_product_projection(families, name):
-    measure, _, n_max = families[name]
-    assert gram_schmidt(measure, n_max) == _reference_gram_schmidt(measure, n_max)
 
 
 @pytest.mark.parametrize("name", ["single-root", "signed"])
@@ -256,14 +195,14 @@ def test_gram_schmidt_exhausted_support_matches_reference(families, name):
     measure = families[name][0]
     size = measure.size
     # degree == support size: the last polynomial has norm zero
-    assert gram_schmidt(measure, size) == _reference_gram_schmidt(measure, size)
-    for route in (gram_schmidt, _reference_gram_schmidt):
+    assert gram_schmidt(measure, size) == reference_gram_schmidt(measure, size)
+    for route in (gram_schmidt, reference_gram_schmidt):
         with pytest.raises(DegenerateMoments) as err:
             route(measure, size + 1)
         assert err.value.index == size
 
 
-# -- the integer route against the Fraction value/dot route ---------------------
+# -- the integer route against the Fraction references -----------------------------
 
 
 ALL_CASES = [*CASES, *BENCH_FAMILY_TEMPLATES]
@@ -279,23 +218,25 @@ def _assert_same_polynomials(got, expected):
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_table_matches_fraction_route(families, name):
     measure, polys, _ = families[name]
-    assert orthogonality_table(measure, polys) == _fraction_table(measure, polys)
+    assert orthogonality_table(measure, polys) == fraction_table(measure, polys)
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_gram_schmidt_matches_fraction_route(families, name):
     measure, _, n_max = families[name]
-    _assert_same_polynomials(gram_schmidt(measure, n_max), _fraction_gram_schmidt(measure, n_max))
+    _assert_same_polynomials(
+        gram_schmidt(measure, n_max), reference_gram_schmidt(measure, n_max)
+    )
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_integrals_and_values_match_fraction_route(families, name):
     measure, polys, _ = families[name]
-    assert measure.moments(3) == [_fraction_integrate(measure, X**k) for k in range(4)]
+    assert measure.moments(3) == [fraction_integrate(measure, X**k) for k in range(4)]
     for p in (polys[0], polys[-1], X - HALF):
-        assert measure.integrate(p) == _fraction_integrate(measure, p)
-    u, v = _fraction_values(measure, polys[-1]), _fraction_values(measure, X - HALF)
-    assert measure.inner_product(polys[-1], X - HALF) == _fraction_dot(measure, u, v)
+        assert measure.integrate(p) == fraction_integrate(measure, p)
+    u, v = fraction_values(measure, polys[-1]), fraction_values(measure, X - HALF)
+    assert measure.inner_product(polys[-1], X - HALF) == fraction_dot(measure, u, v)
 
 
 def test_integer_form():
@@ -343,18 +284,18 @@ _PROPERTY = settings(max_examples=100, deadline=None, database=None)
 @given(_MEASURES, st.lists(_POLYNOMIALS, min_size=1, max_size=4))
 def test_random_integrals_and_tables_match_fraction_route(measure, polys):
     for p in polys:
-        assert measure.integrate(p) == _fraction_integrate(measure, p)
-    assert measure.inner_product(polys[0], polys[-1]) == _fraction_dot(
-        measure, _fraction_values(measure, polys[0]), _fraction_values(measure, polys[-1])
+        assert measure.integrate(p) == fraction_integrate(measure, p)
+    assert measure.inner_product(polys[0], polys[-1]) == fraction_dot(
+        measure, fraction_values(measure, polys[0]), fraction_values(measure, polys[-1])
     )
-    assert orthogonality_table(measure, polys) == _fraction_table(measure, polys)
+    assert orthogonality_table(measure, polys) == fraction_table(measure, polys)
 
 
 @_PROPERTY
 @given(_MEASURES, st.integers(0, 10))
 def test_random_gram_schmidt_matches_fraction_route(measure, up_to):
     try:
-        expected = _fraction_gram_schmidt(measure, up_to)
+        expected = reference_gram_schmidt(measure, up_to)
     except DegenerateMoments as err:
         with pytest.raises(DegenerateMoments) as got:
             gram_schmidt(measure, up_to)
@@ -364,43 +305,6 @@ def test_random_gram_schmidt_matches_fraction_route(measure, up_to):
 
 
 # -- the integer parts against the Fraction atom dicts ----------------------------
-
-
-def _dict_measure(atoms):
-    """The atom dict the measure stored: zero masses dropped."""
-    cleaned = {}
-    for point, mass in atoms.items():
-        mass = Fraction(mass)
-        if mass != 0:
-            cleaned[Fraction(point)] = mass
-    return cleaned
-
-
-def _dict_translate(atoms, offset):
-    c = Fraction(offset)
-    return _dict_measure({pt + c: m for pt, m in atoms.items()})
-
-
-def _dict_scale(atoms, factor):
-    f = Fraction(factor)
-    return _dict_measure({pt: f * m for pt, m in atoms.items()})
-
-
-def _dict_christoffel(atoms, factor):
-    return _dict_measure({pt: m * factor(pt) for pt, m in atoms.items()})
-
-
-def _dict_proportionality_constant(left, right):
-    if not right:
-        return Fraction(1) if not left else None
-    if set(left) != set(right):
-        return None
-    pt = next(iter(right))
-    c = left[pt] / right[pt]
-    for point, mass in right.items():
-        if left[point] != c * mass:
-            return None
-    return c
 
 
 def _assert_holds(measure, atoms, probe):
@@ -424,12 +328,12 @@ _DIFFERENTIAL = settings(max_examples=30, deadline=None, database=None)
 @_DIFFERENTIAL
 @given(_ATOMS, _OFFSETS, _FACTORS, _RATIONALS)
 def test_random_translate_and_scale_match_dict_reference(atoms, offset, factor, probe):
-    measure, reference = DiscreteMeasure(atoms), _dict_measure(atoms)
+    measure, reference = DiscreteMeasure(atoms), dict_measure(atoms)
     _assert_holds(measure, reference, probe)
     moved, scaled = measure.translate(offset), measure.scale(factor)
-    _assert_holds(moved, _dict_translate(reference, offset), probe)
-    _assert_holds(scaled, _dict_scale(reference, factor), probe)
-    _assert_holds(moved.scale(factor), _dict_scale(_dict_translate(reference, offset), factor),
+    _assert_holds(moved, dict_translate(reference, offset), probe)
+    _assert_holds(scaled, dict_scale(reference, factor), probe)
+    _assert_holds(moved.scale(factor), dict_scale(dict_translate(reference, offset), factor),
                   probe)
 
 
@@ -438,31 +342,31 @@ def test_random_translate_and_scale_match_dict_reference(atoms, offset, factor, 
 def test_random_christoffel_matches_dict_reference(atoms, killed, other, probe):
     # roots on atoms make the factor vanish there; `other` brings rational
     # coefficients and, when it is zero, the zero measure
-    reference = _dict_measure(atoms)
+    reference = dict_measure(atoms)
     support = sorted(reference)
     roots = [support[i % len(support)] for i in killed] if support else []
     for factor in (Polynomial.from_roots(roots), Polynomial.from_roots(roots) * other, other):
         _assert_holds(christoffel(DiscreteMeasure(atoms), factor),
-                      _dict_christoffel(reference, factor), probe)
+                      dict_christoffel(reference, factor), probe)
 
 
 @_DIFFERENTIAL
 @given(_ATOMS, _ATOMS, _FACTORS, _OFFSETS)
 def test_random_equality_and_proportionality_match_dict_reference(left, right, factor, offset):
-    reference = _dict_measure(left)
+    reference = dict_measure(left)
     pairs = [
         (left, right),
         (left, dict(reversed(list(left.items())))),
-        (left, _dict_scale(reference, factor)),
-        (left, _dict_translate(reference, offset)),
+        (left, dict_scale(reference, factor)),
+        (left, dict_translate(reference, offset)),
         # the same support with masses that are proportional only for one atom
         (left, {pt: m * (i + 1) for i, (pt, m) in enumerate(reference.items())}),
     ]
     for a, b in pairs:
-        ref_a, ref_b = _dict_measure(a), _dict_measure(b)
+        ref_a, ref_b = dict_measure(a), dict_measure(b)
         mu, nu = DiscreteMeasure(a), DiscreteMeasure(b)
         assert (mu == nu) == (ref_a == ref_b)
         if ref_a == ref_b:
             assert hash(mu) == hash(nu)
-        expected = _dict_proportionality_constant(ref_a, ref_b)
+        expected = dict_proportionality_constant(ref_a, ref_b)
         assert proportionality_constant(mu, nu) == expected

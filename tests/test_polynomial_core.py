@@ -1,11 +1,11 @@
 """The integer-content polynomial core against a Fraction-tuple reference.
 
-``FractionPolynomial`` is the representation the core replaced: a tuple of
-``Fraction`` coefficients with every operation done coefficient by coefficient
-over the rationals (shifts by Horner composition).  The core must give the
-same coefficients for every operation, on seeded random inputs that include
-the zero polynomial, constants, negative coefficients and denominators above
-2^200, and every result must be in canonical form.
+``reference.FractionPolynomial`` is the representation the core replaced: a
+tuple of ``Fraction`` coefficients with every operation done coefficient by
+coefficient over the rationals (shifts by Horner composition).  The core must
+give the same coefficients for every operation, on seeded random inputs that
+include the zero polynomial, constants, negative coefficients and denominators
+above 2^200, and every result must be in canonical form.
 """
 
 import random
@@ -17,99 +17,7 @@ import pytest
 from krallhahn.errors import NonExactDivision
 from krallhahn.polynomials import Polynomial, antidifference, horner
 
-
-class FractionPolynomial:
-    """Reference: exact polynomial arithmetic on a tuple of Fractions."""
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return FractionPolynomial(out)
-
-    def __neg__(self):
-        return FractionPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, FractionPolynomial):
-            return FractionPolynomial(Fraction(other) * c for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return FractionPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FractionPolynomial(out)
-
-    def __truediv__(self, scalar):
-        return FractionPolynomial(c / Fraction(scalar) for c in self.coeffs)
-
-    def __call__(self, point):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(point) + c
-        return acc
-
-    def compose(self, inner):
-        acc = FractionPolynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + FractionPolynomial((c,))
-        return acc
-
-    def shift_argument(self, c):
-        return self.compose(FractionPolynomial((c, 1)))
-
-    def reflect_argument(self):
-        return FractionPolynomial(-c if k & 1 else c for k, c in enumerate(self.coeffs))
-
-    def divmod(self, divisor):
-        if self.degree < divisor.degree:
-            return FractionPolynomial(), self
-        rem = list(self.coeffs)
-        dcoeffs = divisor.coeffs
-        dn = len(dcoeffs)
-        quo = [Fraction(0)] * (len(rem) - dn + 1)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + dn - 1] / dcoeffs[-1]
-            quo[k] = c
-            for i, d in enumerate(dcoeffs):
-                rem[k + i] -= c * d
-        return FractionPolynomial(quo), FractionPolynomial(rem)
-
-    def monic(self):
-        return self / self.coeffs[-1] if self.coeffs else self
-
-
-def reference_antidifference(p):
-    """q with q(x) - q(x-1) = p(x) and q(-1) = 0, peeling the top coefficient."""
-    q = FractionPolynomial()
-    residual = p
-    while not residual.is_zero:
-        d = residual.degree
-        mono = FractionPolynomial([0] * (d + 1) + [residual.coeffs[-1] / (d + 1)])
-        q = q + mono
-        residual = residual - (mono - mono.shift_argument(-1))
-    return q - FractionPolynomial((q(-1),))
+from reference import FractionPolynomial, reference_antidifference
 
 
 def assert_canonical(p):

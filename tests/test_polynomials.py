@@ -25,6 +25,8 @@ from krallhahn.rationals import (
     is_integer_at_most,
 )
 
+from reference import lagrange, reference_from_roots
+
 X = Polynomial.variable()
 
 
@@ -185,24 +187,13 @@ def test_pochhammer_rejects_inexact_bases(base):
     with pytest.raises(TypeError):
         pochhammer(base, 0)
 
-def _reference_from_roots(roots):
-    """One integer product per root: times (q x - p) / q for the root p/q."""
-    nums, den = [1], 1
-    for r in roots:
-        p, q = Fraction(r).numerator, Fraction(r).denominator
-        nums = [-p * nums[0]] + [
-            q * prev - p * cur for prev, cur in zip(nums, nums[1:])
-        ] + [q * nums[-1]]
-        den *= q
-    return Polynomial.from_integer_parts(nums, den)
-
 
 @pytest.mark.parametrize(
     "roots", [[], [1], [Fraction(1, 2), Fraction(-3, 4), 5], [Fraction(2, 3)] * 4]
 )
 def test_from_roots_matches_per_root_loop(roots):
-    assert Polynomial.from_roots(roots) == _reference_from_roots(roots)
-    assert Polynomial.from_roots(iter(roots)) == _reference_from_roots(roots)
+    assert Polynomial.from_roots(roots) == reference_from_roots(roots)
+    assert Polynomial.from_roots(iter(roots)) == reference_from_roots(roots)
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -226,20 +217,6 @@ def test_newton_form_matches_fraction_sum(data, t):
     assert newton_form(coeffs, nodes)(t) == expected
 
 
-def _lagrange(values, denominator):
-    """sum_i values[i] / denominator * prod_{k != i} (x - k) / (i - k), on
-    Fraction coefficient lists: the reference for :func:`interpolate`."""
-    total = [Fraction(0)] * len(values)
-    for i, v in enumerate(values):
-        basis = [Fraction(v, denominator)]
-        for k in range(len(values)):
-            if k != i:
-                shifted = [Fraction(0)] + basis  # x * basis
-                basis = [(s - k * b) / (i - k) for s, b in zip(shifted, basis + [0])]
-        total = [t + b for t, b in zip(total, basis)]
-    return Polynomial(total)
-
-
 def test_interpolate_matches_lagrange():
     rng = random.Random(20)
     cases = [([7], 1), ([-4], 9), ([0], 5), ([0] * 6, 7), ([-3, -8, -1, -20], 6)]
@@ -250,9 +227,10 @@ def test_interpolate_matches_lagrange():
         cases.append(([rng.randint(-10**6, 10**6) for _ in range(k)], rng.randint(1, 40)))
     for values, denominator in cases:
         poly = interpolate(values, denominator)
-        assert poly == _lagrange(values, denominator)
+        expected = [Fraction(v, denominator) for v in values]
+        assert poly == lagrange(range(len(values)), expected)
         assert poly.degree < len(values)
-        assert [poly(x) for x in range(len(values))] == [Fraction(v, denominator) for v in values]
+        assert [poly(x) for x in range(len(values))] == expected
     assert interpolate([2 * x * x - 5 * x + 1 for x in range(7)], 3).degree == 2
     assert interpolate([0] * 6, 7).is_zero
     assert interpolate([4, 4], 1) == Polynomial.constant(4)

@@ -6,7 +6,6 @@ import pytest
 
 from krallhahn.sets import (
     SetQuartet,
-    corollary_halfwidth,
     default_pads,
     degree_sum_halfwidth,
     involution,
@@ -119,12 +118,12 @@ def test_halfwidth_formulas_agree():
     ]
     for q in quartets:
         pads = default_pads(q)
-        assert corollary_halfwidth(q) == theorem_halfwidth(q.reversal(), pads)
+        assert degree_sum_halfwidth(q.sets) == theorem_halfwidth(q.reversal(), pads)
         rows = transform_quartet(q.reversal(), pads)
-        assert degree_sum_halfwidth(rows) == corollary_halfwidth(q)
+        assert degree_sum_halfwidth(rows) == degree_sum_halfwidth(q.sets)
 
 
 def test_halfwidth_values():
-    assert corollary_halfwidth(SetQuartet.of((), (), (), (1,))) == 2
-    assert corollary_halfwidth(SetQuartet.of((1,), (1,), (1,), (1,))) == 5
+    assert degree_sum_halfwidth(SetQuartet.of((), (), (), (1,)).sets) == 2
+    assert degree_sum_halfwidth(SetQuartet.of((1,), (1,), (1,), (1,)).sets) == 5
     assert theorem_halfwidth(SetQuartet.of(), (1, 1, 1)) == 1

@@ -15,17 +15,17 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
-from krallhahn.casorati import casorati_value, context_from_degrees, eigenvalue_polynomial
+from krallhahn.casorati import casorati_value, context_from_degrees
 from krallhahn.diffops import DifferenceOperator
-from krallhahn.ladder import KINDS, ratio_product, series_ratio
+from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid
-from krallhahn.hahn import HahnParams, hahn_leading_coefficient, hahn_weight
+from krallhahn.hahn import HahnParams, hahn_weight
 from krallhahn.oracle import _solve_globally, operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.sets import (
     SetQuartet,
-    corollary_halfwidth,
     default_pads,
+    degree_sum_halfwidth,
     theorem_halfwidth,
     transform_quartet,
 )
@@ -36,6 +36,8 @@ from krallhahn.verify import (
     run_config,
     run_many,
 )
+
+from reference import apply_route_failures, closed_form_product_values, solve_lower_probe
 
 
 def _scrub(payload):
@@ -121,13 +123,6 @@ def test_oracle_fails_when_a_narrower_operator_exists():
     assert check.witness["lower_probe"] == "solvable with degree cap 4"
 
 
-def _solve_lower_probe(qs, lambdas, r):
-    """Reference: the second solve, at half-width r - 1, that the check used to make."""
-    lower_cap = max(2 * (r - 1), 0)
-    lower, _ = operator_solution_space(qs, lambdas, r - 1, lower_cap)
-    return f"solvable with degree cap {lower_cap}" if lower is not None else "unsolvable"
-
-
 def _oracle_with_spy(cfg, bump=0, solve=operator_solution_space):
     """Run only ``oracle``, its half-width raised by ``bump``; return the check
     and the arguments of every solve it made."""
@@ -157,7 +152,7 @@ def _assert_matches_second_solve(cfg, bump):
     if witness["nullity"]:
         assert not check.passed and witness["lower_probe"].startswith("undecided")
         return check
-    lower = _solve_lower_probe(qs, lambdas, r)
+    lower = solve_lower_probe(qs, lambdas, r)
     assert witness["lower_probe"] == lower
     assert check.passed == (
         witness["solvable"] and witness["agrees_with_construction"] and lower == "unsolvable"
@@ -200,7 +195,7 @@ def _small_quartets():
         least = max(F[2], default=-1) + max(F[3], default=-1) + 3
         for path, rows, r, low in (
             ("theorem", quartet, theorem_halfwidth(quartet, pads), 2),
-            ("corollary", quartet.reversal(), corollary_halfwidth(quartet), least),
+            ("corollary", quartet.reversal(), degree_sum_halfwidth(quartet.sets), least),
         ):
             if sum(map(len, transform_quartet(rows, pads))) <= 4 and r <= 4 and low <= 8:
                 out.append((path, list(F), r, low))
@@ -322,26 +317,6 @@ def test_orthogonality_fails_for_a_non_orthogonal_member(monkeypatch):
     assert check.witness["zero_norms"] == []
 
 
-def _apply_route_failures(cfg, op, build):
-    """The eigen-equation failures by the reference route: each q_n through
-    the degree and leading-coefficient gates, then op.apply(q_n) == lambda_n q_n."""
-    run = build_run(cfg)
-    ctx = run.ctx
-    lam = eigenvalue_polynomial(ctx)
-    failures = []
-    for n in range(run.n_max + 1):
-        qn = build(ctx, n)
-        if qn.degree != n:
-            failures.append({"n": n, "reason": f"degree {qn.degree}"})
-        elif qn.leading_coefficient != casorati_value(ctx, n) * hahn_leading_coefficient(
-            n, ctx.params
-        ):
-            failures.append({"n": n, "reason": "leading coefficient mismatch"})
-        elif op.apply(qn) != Fraction(lam(n)) * qn:
-            failures.append({"n": n, "reason": "eigen-equation residual nonzero"})
-    return failures
-
-
 @pytest.mark.parametrize("name, bump, member", [
     ("single-root", (1, 2, Fraction(1, 5)), None),
     ("four-roots", (-2, 0, Fraction(-3, 7)), None),
@@ -374,7 +349,7 @@ def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, 
     monkeypatch.setattr(verify, "krall_operator", perturbed)
     monkeypatch.setattr(verify, "krall_polynomial", changed)
     check = run_config(cfg).checks[0]
-    expected = _apply_route_failures(cfg, perturbed(build_run(cfg).ctx), changed)
+    expected = apply_route_failures(cfg, perturbed(build_run(cfg).ctx), changed)
     assert not check.passed
     assert check.witness["failures"] == expected
     reasons = {failure["n"]: failure["reason"] for failure in expected}
@@ -414,6 +389,24 @@ def test_run_many_process_pool_matches_serial():
     pooled = run_many(configs, workers=2)
     assert [r.config for r in pooled] == configs
     assert [_scrub(r.to_json_dict()) for r in pooled] == [
+        _scrub(r.to_json_dict()) for r in serial
+    ]
+
+
+def test_run_many_honours_the_workers_variable(monkeypatch):
+    """KH_WORKERS=1 caps the default worker count: two configs run serially,
+    with no process pool, and give the reports of workers=1."""
+    import krallhahn.verify as verify
+
+    configs = [builtin_config("classical"), builtin_config("single-root")]
+    serial = run_many(configs, workers=1)
+    monkeypatch.setattr(
+        verify, "ProcessPoolExecutor", lambda *args, **kw: pytest.fail("a process pool was built")
+    )
+    monkeypatch.setenv("KH_WORKERS", "1")
+    reports = run_many(configs)
+    assert [r.config for r in reports] == configs
+    assert [_scrub(r.to_json_dict()) for r in reports] == [
         _scrub(r.to_json_dict()) for r in serial
     ]
 
@@ -486,15 +479,11 @@ def test_check_foeq_matches_closed_form_route(cfg, monkeypatch):
     p = run.ctx.params
     kinds = {series_ratio(kind, p): kind for kind in KINDS}
 
-    def closed_form_products(ratio, points):
-        out = []
-        for k in range(len(points) + 1):
-            base = points.start if points.step < 0 else points.start + k - 1
-            numer, denom = ratio_product(kinds[ratio], k, p)
-            out.append(numer(base) / denom(base))
-        return out
-
-    monkeypatch.setattr(verify, "ratio_products", closed_form_products)
+    monkeypatch.setattr(
+        verify,
+        "ratio_products",
+        lambda ratio, points: closed_form_product_values(kinds[ratio], points, p),
+    )
     assert check_foeq(run.ctx, run.inner_measure) == scalar
 
 
