@@ -29,6 +29,7 @@ from krallhahn.sets import SetQuartet, default_pads
 
 from reference import (
     dual_hahn_leading_coefficient,
+    duality_factor,
     per_atom_hahn_weight,
     reference_dual_hahn,
     reference_factored_weight,
@@ -245,6 +246,20 @@ class TestDualFamily:
     def test_alpha_exclusion(self):
         with pytest.raises(ParameterSingularity):
             dual_hahn_polynomial(2, Fraction(-1), Fraction(1, 2), Fraction(5))
+
+    def test_duality_grid(self):
+        """R_x evaluated at theta_n equals the duality constant times h_n(x).
+
+        Acceptance criterion 6 covers a = 1/2, b = 1/3, N = 9; this grid takes
+        a negative b and an odd N over the whole support.
+        """
+        p = HahnParams(Fraction(5, 2), Fraction(-2, 3), 7)
+        for n in range(p.N + 1):
+            for x in range(p.N + 1):
+                rx = dual_hahn_polynomial(x, p.a, p.b, p.N)
+                assert rx(p.eigenvalue(n)) == duality_factor(n, x, p) * hahn_polynomial(
+                    n, p
+                )(x)
 
 
 class TestCompanions:

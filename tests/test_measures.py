@@ -190,6 +190,21 @@ def test_inner_products_match_integrated_products(families, name):
             assert measure.inner_product(polys[i], polys[j]) == reference
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_gram_schmidt_matches_product_projection(families, name):
+    # one projection step per degree, on the route's own lower polynomials:
+    # with g_0 = 1 this fixes every g_k by induction
+    measure, _, n_max = families[name]
+    basis = gram_schmidt(measure, n_max)
+    assert len(basis) == n_max + 1 and basis[0] == Polynomial.one()
+    for k in range(1, n_max + 1):
+        projection = X**k
+        for g in basis[:k]:
+            ratio = fraction_integrate(measure, X**k * g) / fraction_integrate(measure, g * g)
+            projection -= ratio * g
+        assert basis[k] == projection
+
+
 @pytest.mark.parametrize("name", ["single-root", "signed"])
 def test_gram_schmidt_exhausted_support_matches_reference(families, name):
     measure = families[name][0]
