@@ -10,21 +10,17 @@ as runnable configurations.
 """
 
 from .casorati import (
-    ConstructionContext,
     casorati_value,
-    context_from_degrees,
-    context_from_quartet,
     core_determinant,
     eigenvalue_polynomial,
     krall_operator,
     krall_polynomial,
     mixing_polynomial,
     operator_halfwidth,
-    reflect,
     spectral_polynomial,
-    theta_substitute,
 )
 from .config import ConstructionConfig, builtin_config, config_from_dict, config_from_file
+from .context import ConstructionContext, context_from_degrees, context_from_quartet
 from .diffops import DifferenceOperator, operator_polynomial
 from .errors import (
     ConfigInvalid,
@@ -46,6 +42,8 @@ from .hahn import (
     hahn_operator,
     hahn_polynomial,
     hahn_weight,
+    reflect,
+    theta_substitute,
     transformed_hahn_weight,
 )
 from .ladder import ladder_operator, series_coefficients

@@ -1,35 +1,37 @@
 """Casorati-determinant construction of bispectral Krall-Hahn families.
 
-A construction context fixes Hahn parameters, one ladder kind per determinant
-row, a polynomial per row (in the eigenvalue variable), and an optional
-invariant prefactor.  From those this module builds, all exactly:
+A construction context (:mod:`krallhahn.context`) fixes Hahn parameters, one
+ladder kind per determinant row, a polynomial per row (in the eigenvalue
+variable), and an optional invariant prefactor.  From those this module
+builds, all exactly:
 
 * the Casorati determinant in denominator-cleared form and its values,
 * the new orthogonal polynomials (bordered determinants),
 * the eigenvalue polynomial and the spectral polynomial,
 * the higher-order difference operator the new family satisfies.
 
-The polynomial determinants here go through the one exact routine
-:func:`~krallhahn.matrices.poly_det`: the cleared Casorati determinant and its
-minors (the mixing polynomials).  The scalar ones are integer fraction-free
+The cleared Casorati matrix is built from clearing blocks and Y_r(theta),
+each once per context; its determinant and cofactors (the mixing minors) come
+from integer point values (:class:`~krallhahn.matrices.PointAdjugate`), on
+degree bounds read off the entries, not off :func:`core_degree`, which the
+degree check compares.  The scalar determinants are integer fraction-free
 determinants (:func:`~krallhahn.matrices.integer_det`) of the raw Casorati
 rows (:func:`casorati_rows`: running products of the series ratios times the
-row values, no clearing block, rebuilt at each point read), kept as integers
-over one denominator per point.  Each q_n is the sum of the m + 1 maximal
-minors of those rows against alternating Hahn polynomials, which is the
-bordered determinant expanded along its border.  Every quantity the theory
-claims is polynomial is produced by exact division, so a failed cancellation
-surfaces as an error instead of an approximation.  The normaliser is a
-product of known linear factors, kept as a leading constant and a root
-multiset (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
-terms over L, the lcm of the m shifted root multisets, so each term is
-multiplied by the leftover linear factors and no gcd is taken; the sum makes
-one exact division by L, and a remainder raises.  The cross-check of the
-cleared determinant, :func:`casorati_rational`, takes integer determinants of
-the same raw rows at points.  The Omega scan and the leading-coefficient gate
-read the cleared route (:func:`casorati_value`), so they do not compare the
-raw rows with themselves.  Symbols in theta come from base-theta digits
-(:func:`theta_substitute`).
+row values, no clearing block, rebuilt from point values computed once per
+context), kept as integers over one denominator per point.
+Each q_n is the sum of the m + 1 maximal minors of those rows against
+alternating Hahn polynomials, which is the bordered determinant expanded along
+its border.  Every quantity the theory claims is polynomial is produced by
+exact division, so a failed cancellation surfaces as an error instead of an
+approximation.  The normaliser is a product of known linear factors, kept as a
+leading constant and a root multiset (:func:`normalizer_factors`).
+:func:`mixing_polynomial` puts its m terms over L, the lcm of the m shifted
+root multisets, so each term is multiplied by the leftover linear factors and
+no gcd is taken; the sum makes one exact division by L, and a remainder
+raises.  The cross-check of the cleared determinant, :func:`casorati_rational`,
+takes integer determinants of the raw rows at points.  The Omega scan and the
+leading-coefficient gate read the cleared route (:func:`casorati_value`), so
+they do not compare the raw rows with themselves.
 
 The stages that several checks read, the series ratios and the Hahn base
 polynomials among them, are memoised per context in one bounded store owned by
@@ -41,20 +43,18 @@ are kept, so memory stays flat however many configs one process verifies.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import wraps
 from math import comb, lcm
 
-from .diffops import DifferenceOperator, operator_sum
-from .errors import (
-    NonExactDivision,
-    NotThetaRepresentable,
-    ParameterSingularity,
-    ResonantParameters,
+from .context import (  # noqa: F401  (the constructors are also read through this module)
+    ConstructionContext,
+    context_from_degrees,
+    context_from_quartet,
 )
-from .hahn import HahnParams, companion_eigencoefficients, companion_polynomial, hahn_polynomial
-from .hahn import hahn_operator
+from .diffops import DifferenceOperator, operator_sum
+from .errors import NonExactDivision, ParameterSingularity
+from .hahn import hahn_operator, hahn_polynomial, reflect, theta_substitute  # noqa: F401
 from .ladder import (
     CLEARING_BLOCKS,
     falling_block,
@@ -65,201 +65,9 @@ from .ladder import (
     series_ratio,
     series_shift,
 )
-from .matrices import integer_det, poly_det
+from .matrices import PointAdjugate, integer_det
 from .polynomials import Polynomial, antidifference, horner, lowest_terms
-from .rationals import Rational, as_rational, format_rational, is_integer_at_most
-from .sets import SetQuartet, default_pads, transform_quartet
-
-
-@dataclass(frozen=True)
-class ConstructionContext:
-    """Validated input data for one determinantal construction."""
-
-    params: HahnParams
-    row_kinds: tuple[int, ...]
-    row_polys: tuple[Polynomial, ...]
-    prefactor: Polynomial
-    quartet: SetQuartet | None = None
-    pads: tuple[int, int, int] | None = None
-
-    def __post_init__(self) -> None:
-        # The stage store looks the context up on every stage call; hashing it
-        # once spares re-hashing the parameters and every row polynomial.
-        # The cached value is not a field, so equality ignores it.
-        values = tuple(getattr(self, f.name) for f in fields(self))
-        object.__setattr__(self, "_hash", hash(values))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def m(self) -> int:
-        return len(self.row_kinds)
-
-    @property
-    def row_degrees(self) -> tuple[int, ...]:
-        return tuple(p.degree for p in self.row_polys)
-
-    @property
-    def block_counts(self) -> tuple[int, int, int, int]:
-        return tuple(self.row_kinds.count(k) for k in (1, 2, 3, 4))  # type: ignore[return-value]
-
-    @property
-    def spectral_roots(self) -> tuple[Fraction, ...]:
-        out = []
-        for kind, degree in zip(self.row_kinds, self.row_degrees):
-            slope, intercept = companion_eigencoefficients(kind, self.params)
-            out.append(slope * degree + intercept)
-        return tuple(out)
-
-    @property
-    def orthogonality_range(self) -> int:
-        """Largest degree with guaranteed nonzero norm: N + m3 + m4."""
-        counts = self.block_counts
-        return self.params.N + counts[2] + counts[3]
-
-
-def context_from_degrees(
-    params: HahnParams,
-    degree_sets: tuple[tuple[int, ...], ...],
-    row_polys: tuple[Polynomial, ...] | None = None,
-    prefactor: Polynomial | None = None,
-    quartet: SetQuartet | None = None,
-    pads: tuple[int, int, int] | None = None,
-) -> ConstructionContext:
-    """Build and validate a context from four row-degree sets.
-
-    ``row_polys`` defaults to the companion dual-Hahn polynomials of the
-    listed degrees, which is the choice that makes the constructed family
-    orthogonal.  Arbitrary polynomials of the same degrees are accepted.
-    """
-    if len(degree_sets) != 4:
-        raise ValueError("expected four degree sets")
-    kinds: list[int] = []
-    degrees: list[int] = []
-    for kind, dset in enumerate(degree_sets, start=1):
-        previous = -1
-        for u in dset:
-            u = int(u)
-            if u < 0:
-                raise ValueError(f"row degree must be nonnegative, got {u}")
-            if u <= previous:
-                raise ValueError(f"degrees within a block must increase, got {dset}")
-            previous = u
-            kinds.append(kind)
-            degrees.append(u)
-    if row_polys is None:
-        row_polys = tuple(
-            companion_polynomial(kind, degree, params)
-            for kind, degree in zip(kinds, degrees)
-        )
-    else:
-        row_polys = tuple(row_polys)
-        if len(row_polys) != len(kinds):
-            raise ValueError(f"expected {len(kinds)} row polynomials, got {len(row_polys)}")
-        for poly, degree in zip(row_polys, degrees):
-            if poly.degree != degree:
-                raise ValueError(
-                    f"row polynomial degree {poly.degree} does not match listed degree {degree}"
-                )
-    if prefactor is None:
-        prefactor = Polynomial.one()
-    ctx = ConstructionContext(
-        params=params,
-        row_kinds=tuple(kinds),
-        row_polys=row_polys,
-        prefactor=prefactor,
-        quartet=quartet,
-        pads=pads,
-    )
-    roots = ctx.spectral_roots
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if roots[i] == roots[j]:
-                raise ResonantParameters(
-                    f"rows {i} and {j} (kinds {kinds[i]},{kinds[j]}, degrees "
-                    f"{degrees[i]},{degrees[j]}) share the spectral root "
-                    f"{format_rational(roots[i])}"
-                )
-    if prefactor.degree > 0:
-        shift = params.a + params.b - ctx.m - 1
-        if reflect(prefactor, shift) != prefactor:
-            raise ValueError("prefactor is not invariant under the construction reflection")
-    return ctx
-
-
-def context_from_quartet(
-    params: HahnParams,
-    quartet: SetQuartet,
-    pads: tuple[int, int, int] | None = None,
-    row_polys: tuple[Polynomial, ...] | None = None,
-    prefactor: Polynomial | None = None,
-) -> ConstructionContext:
-    """Context for the direct construction driven by a set quartet.
-
-    Validates the parameter bounds the orthogonality statement needs: two
-    integrality exclusions on a, b and a + b, plus positive-integer
-    exclusions when certain sets are nonempty.
-    """
-    if pads is None:
-        pads = default_pads(quartet)
-    if len(pads) != 3 or any(h < 1 for h in pads):
-        raise ValueError(f"pads must be three integers >= 1, got {pads}")
-    f1m, f2m, f3m, f4m = quartet.maxima
-    checks = [
-        ("a", params.a, f2m + f4m + pads[1]),
-        ("b", params.b, f1m + f3m + pads[0] + pads[2] - 1),
-        ("a+b", params.a + params.b, f1m + f2m + f3m + f4m + sum(pads)),
-    ]
-    for name, value, bound in checks:
-        if is_integer_at_most(value, bound):
-            raise ParameterSingularity(
-                f"{name} = {format_rational(value)} is an integer <= {bound}"
-            )
-    if quartet.second or quartet.fourth:
-        if params.a.denominator == 1 and params.a.numerator >= 1:
-            raise ParameterSingularity(
-                f"a = {format_rational(params.a)} is a positive integer but the "
-                "second or fourth set is nonempty"
-            )
-    if quartet.first or quartet.third:
-        if params.b.denominator == 1 and params.b.numerator >= 1:
-            raise ParameterSingularity(
-                f"b = {format_rational(params.b)} is a positive integer but the "
-                "first or third set is nonempty"
-            )
-    degree_sets = transform_quartet(quartet, pads)
-    return context_from_degrees(
-        params, degree_sets, row_polys=row_polys, prefactor=prefactor,
-        quartet=quartet, pads=pads,
-    )
-
-
-# -- reflection and eigenvalue-variable substitution --------------------------------
-
-
-def reflect(poly: Polynomial, shift: Rational | int) -> Polynomial:
-    """p(x) -> p(-(x + shift + 1)); an involution fixing theta when shift = a+b."""
-    return poly.reflect_argument().shift_argument(as_rational(shift) + 1)
-
-
-def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
-    """Rewrite a reflection-invariant polynomial as a polynomial in theta_x.
-
-    theta_x = x(x + a + b + 1).  The base-theta digits come from repeated
-    division by theta.  theta is invariant under x -> -(x + a + b + 1) and a
-    linear digit is not, so a nonconstant digit means no such form: it raises.
-    """
-    theta = Polynomial((0, as_rational(ab_sum) + 1, 1))
-    digits = []
-    while not poly.is_zero:
-        poly, digit = poly.divmod(theta)
-        if digit.degree > 0:
-            raise NotThetaRepresentable(
-                "polynomial is not invariant under x -> -(x + a + b + 1)"
-            )
-        digits.append(digit.coefficient(0))
-    return Polynomial(digits)
+from .rationals import Rational, as_rational, format_rational
 
 
 # -- the stage store --------------------------------------------------------------
@@ -293,12 +101,25 @@ def _stage(fn):
 # -- the cleared Casorati determinant ----------------------------------------------
 
 
+@_stage
+def _block(ctx: ConstructionContext, block, which: int, length: int, shift: int) -> Polynomial:
+    """``block(which, length, shift)``, a rising or falling clearing block, once per context."""
+    return block(which, length, shift, ctx.params)
+
+
+@_stage
+def _row_theta(ctx: ConstructionContext, row: int) -> Polynomial:
+    """Y_row(theta_x), once per context."""
+    return ctx.row_polys[row].compose(ctx.params.eigenvalue_poly())
+
+
 def _cleared_entry(ctx: ConstructionContext, row: int, col: int) -> Polynomial:
     """Row `row`, column `col` (1-based col) of the denominator-cleared matrix."""
-    p, m = ctx.params, ctx.m
-    value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
+    m = ctx.m
+    value = _row_theta(ctx, row).shift_argument(-col)
     for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-        value = value * rising_block(which, m - col, -col, p) * falling_block(which, col - 1, -1, p)
+        value = value * _block(ctx, rising_block, which, m - col, -col)
+        value = value * _block(ctx, falling_block, which, col - 1, -1)
     return value
 
 
@@ -312,9 +133,15 @@ def cleared_matrix(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], ..
 
 
 @_stage
+def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
+    """The cleared matrix's determinant and cofactors from integer point values."""
+    return PointAdjugate(cleared_matrix(ctx))
+
+
+@_stage
 def casorati_cleared(ctx: ConstructionContext) -> Polynomial:
     """Determinant with all row denominators multiplied away."""
-    return poly_det(cleared_matrix(ctx))
+    return _cleared_adjugate(ctx).det()
 
 
 @_stage
@@ -323,7 +150,7 @@ def clearing_factor(ctx: ConstructionContext) -> Polynomial:
     acc = Polynomial.one()
     for kind in ctx.row_kinds:
         for which in CLEARING_BLOCKS[kind]:
-            acc = acc * falling_block(which, ctx.m - 1, -1, ctx.params)
+            acc = acc * _block(ctx, falling_block, which, ctx.m - 1, -1)
     return acc
 
 
@@ -344,6 +171,67 @@ def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomia
     return tuple(series_ratio(kind, ctx.params) for kind in ctx.row_kinds)
 
 
+class _RawPoints:
+    """The raw route's integers for one context, each computed once: the
+    point values s -> :meth:`point` and t -> (minor_0(t), D(t)), which
+    :func:`casorati_rational` writes and :func:`krall_polynomial` reads.
+    With a + b + 1 = P / Q, ``dens[r]`` is Y_r's denominator times Q^deg Y_r.
+    """
+
+    def __init__(self, ctx: ConstructionContext) -> None:
+        shift = ctx.params.a + ctx.params.b + 1
+        self.m, self.P, self.Q = ctx.m, shift.numerator, shift.denominator
+        self.parts = []
+        for (numer, denom), poly in zip(series_ratios(ctx), ctx.row_polys):
+            (tn, td), (bn, bd) = numer.integer_parts, denom.integer_parts
+            self.parts.append(([c * bd for c in tn], [c * td for c in bn], poly.integer_parts[0]))
+        self.dens = [y.integer_parts[1] * self.Q**y.degree for y in ctx.row_polys]
+        self.values: dict[int, tuple] = {}
+        self.minors: dict[int, tuple[int, int]] = {}
+
+    def point(self, s: int) -> tuple[int, ...]:
+        """At s, over the m rows in turn: the ratios' numerators, their
+        denominators (each over one denominator), and Y_r(theta_s) Q^deg Y_r
+        with theta_s = s (s Q + P) / Q."""
+        theta = s * (s * self.Q + self.P)
+        return (
+            *(horner(tops, s) for tops, _, _ in self.parts),
+            *(horner(bottoms, s) for _, bottoms, _ in self.parts),
+            *(horner(ys, theta, self.Q) for _, _, ys in self.parts),
+        )
+
+    def rows(self, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """:func:`casorati_rows` at t."""
+        m, memo = self.m, self.values
+        values = []
+        for s in range(t - m, t + 1):  # values[k] is at s = t - m + k
+            if s not in memo:
+                memo[s] = self.point(s)
+            values.append(memo[s])
+        rows = []
+        denominator = 1
+        for r, den in enumerate(self.dens):
+            bottoms = [v[m + r] for v in values[1:]]
+            if not all(bottoms):
+                raise ParameterSingularity(
+                    f"ladder ratio has a pole at degree {t - m + 1 + bottoms.index(0)}"
+                )
+            prefix, suffix = [1], [1]
+            for v, bottom in zip(values[1:], reversed(bottoms)):
+                prefix.append(prefix[-1] * v[r])
+                suffix.append(suffix[-1] * bottom)
+            y = 2 * m + r
+            rows.append(tuple(prefix[m - c] * suffix[c] * values[m - c][y] for c in range(m + 1)))
+            denominator *= suffix[m] * den
+        return tuple(rows), denominator
+
+
+@_stage
+def _raw_memo(ctx: ConstructionContext) -> _RawPoints:
+    """The context's :class:`_RawPoints`."""
+    return _RawPoints(ctx)
+
+
 def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The raw Casorati rows at the integer t: m integer rows of m + 1 entries
     and one denominator D(t).
@@ -356,35 +244,11 @@ def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ..
     rational rows.  With ratio_r = numer / denom on the points s_i = t - m + 1
     + i, entry c is the prefix product of numer(s_i) for i < m - c times the
     suffix product of denom(s_i) for i >= m - c, times Y_r(theta_{t-c}), and
-    d_r holds every denom(s_i).  theta_x = x (x Q + P) / Q with a + b + 1 =
-    P / Q, so Y_r(theta) is a homogeneous integer Horner sum over Q^deg Y_r.
-    A ratio pole at one of t - m + 1, ..., t raises ParameterSingularity.
+    d_r holds every denom(s_i).  The values at each point are computed once per
+    context (:class:`_RawPoints`).  A ratio pole at one of t - m + 1, ..., t
+    raises ParameterSingularity.
     """
-    m = ctx.m
-    shift = ctx.params.a + ctx.params.b + 1
-    P, Q = shift.numerator, shift.denominator
-    points = range(t - m + 1, t + 1)
-    thetas = [(t - c) * ((t - c) * Q + P) for c in range(m + 1)]
-    rows = []
-    denominator = 1
-    for (numer, denom), poly in zip(series_ratios(ctx), ctx.row_polys):
-        (numer_nums, numer_den), (denom_nums, denom_den) = numer.integer_parts, denom.integer_parts
-        tops = [horner(numer_nums, s) * denom_den for s in points]
-        bottoms = [horner(denom_nums, s) * numer_den for s in points]
-        if not all(bottoms):
-            pole = points[bottoms.index(0)]
-            raise ParameterSingularity(f"ladder ratio has a pole at degree {pole}")
-        poly_nums, poly_den = poly.integer_parts
-        prefix, suffix = [1], [1]
-        for top, bottom in zip(tops, reversed(bottoms)):
-            prefix.append(prefix[-1] * top)
-            suffix.append(suffix[-1] * bottom)
-        rows.append(tuple(
-            prefix[m - c] * suffix[c] * horner(poly_nums, theta, Q)
-            for c, theta in enumerate(thetas)
-        ))
-        denominator *= suffix[m] * poly_den * Q ** poly.degree
-    return tuple(rows), denominator
+    return _raw_memo(ctx).rows(t)
 
 
 def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
@@ -412,15 +276,17 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
         clearing_factor(ctx).degree + raw_degree,
         denominator_degree + casorati_cleared(ctx).degree,
     )
+    raw = _raw_memo(ctx)
     values: dict[int, Fraction] = {}
     t = 0
     while len(values) <= bound:
         try:
-            rows, denominator = casorati_rows(ctx, t)
+            if t not in raw.minors:
+                rows, denominator = raw.rows(t)
+                raw.minors[t] = integer_det([row[1:] for row in rows]), denominator
+            values[t] = Fraction(*raw.minors[t])
         except ParameterSingularity:
             pass  # a ratio pole at t - i with i < m: E(t) = 0 or column 0 is undefined
-        else:
-            values[t] = Fraction(integer_det([row[1:] for row in rows]), denominator)
         t += 1
     return values
 
@@ -448,12 +314,17 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    rows, denominator = casorati_rows(ctx, n)
+    raw = _raw_memo(ctx)
+    rows, denominator = raw.rows(n)
+    known = raw.minors.get(n)
     parts = [base_polynomial(ctx, n - k).integer_parts for k in range(min(ctx.m, n) + 1)]
     common = lcm(*(den for _, den in parts))
     acc = [0] * (n + 1)
     for k, (nums, den) in enumerate(parts):
-        minor = integer_det([row[:k] + row[k + 1 :] for row in rows])
+        if known and not k:
+            minor = known[0]
+        else:
+            minor = integer_det([row[:k] + row[k + 1 :] for row in rows])
         if minor:
             scale = minor * (common // den)
             for i, c in enumerate(nums):
@@ -553,17 +424,19 @@ def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
 
 def _mixing_prefactor(ctx: ConstructionContext, row: int, j: int) -> Polynomial:
     """Clearing factor for the j-th term of one mixing polynomial."""
-    p, m = ctx.params, ctx.m
+    m = ctx.m
     acc = Polynomial.one()
     for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-        acc = acc * rising_block(which, m - j, 0, p) * falling_block(which, j - 1, j - 1, p)
+        acc = acc * _block(ctx, rising_block, which, m - j, 0)
+        acc = acc * _block(ctx, falling_block, which, j - 1, j - 1)
     return acc
 
 
 @_stage
-def _mixing_factors(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], Polynomial]:
-    """The row-independent parts of every mixing polynomial: for j = 1..m,
-    sigma(x + half + j) * prefactor(x + j) * L / N_j, and L itself (see
+def _mixing_factors(ctx: ConstructionContext) -> tuple[dict[int, list[Polynomial]], Polynomial]:
+    """The parts of the mixing polynomials that do not depend on the minors:
+    per row kind, for j = 1..m, sigma(x + half + j) * prefactor(x + j) * L / N_j
+    times the kind's :func:`_mixing_prefactor`, and L itself (see
     :func:`mixing_polynomial`)."""
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
@@ -573,41 +446,38 @@ def _mixing_factors(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], P
     common = Counter()
     for multiset in shifted:
         common |= multiset
-    factors = tuple(
-        sigma.shift_argument(half + j)
-        * ctx.prefactor.shift_argument(j)
-        * Polynomial.from_roots((common - shifted[j - 1]).elements())
-        for j in range(1, m + 1)
-    )
-    return factors, Polynomial.from_roots(common.elements())
+    weights = {kind: [] for kind in ctx.row_kinds}
+    for j in range(1, m + 1):
+        factor = sigma.shift_argument(half + j) * ctx.prefactor.shift_argument(j)
+        factor = factor * Polynomial.from_roots((common - shifted[j - 1]).elements())
+        for kind, terms in weights.items():
+            terms.append(factor * _mixing_prefactor(ctx, ctx.row_kinds.index(kind), j))
+    return weights, Polynomial.from_roots(common.elements())
 
 
 @_stage
 def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
-    Assembled from the minors of the cached cleared matrix, each evaluated at
-    x + j by shifting the minor once (det A(x + j) = (det A)(x + j)).  Term j
-    is +-numer_j / normalizer(x + j), and normalizer(x + j) = lead * N_j with
+    Term j reads the cofactor (row, j - 1) of the cleared matrix, whose sign
+    is the term's, shifted once to x + j; it is interpolated only here.  It is
+    +-numer_j / normalizer(x + j), and normalizer(x + j) = lead * N_j with
     N_j the monic product over the normaliser's roots shifted by -j.  With L
     the lcm of N_1..N_m (the union of their root multisets), each L / N_j is
     the product of the leftover linear factors, so the sum is
     (sum_j +-numer_j * L / N_j) / (lead * L) and no gcd is taken.  The
-    factors shared by every row come from :func:`_mixing_factors`, once per
-    context.  The sum must collapse to a polynomial, which is one of the
-    structural hypotheses of the construction: the division by L must be
+    factors shared by the rows of one kind come from :func:`_mixing_factors`,
+    once per context.  The sum must collapse to a polynomial, which is one of
+    the structural hypotheses of the construction: the division by L must be
     exact, and a remainder raises NonExactDivision naming the degree of the
     reduced denominator.
     """
-    m = ctx.m
     lead, _ = normalizer_factors(ctx)
-    factors, denominator = _mixing_factors(ctx)
+    weights, denominator = _mixing_factors(ctx)
+    adjugate = _cleared_adjugate(ctx)
     total = Polynomial.zero()
-    rows_kept = [entries for r, entries in enumerate(cleared_matrix(ctx)) if r != row]
-    for j in range(1, m + 1):
-        minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
-        term = factors[j - 1] * _mixing_prefactor(ctx, row, j) * minor.shift_argument(j)
-        total = total - term if (row + 1 + j) % 2 else total + term
+    for j, weight in enumerate(weights[ctx.row_kinds[row]], 1):
+        total = total + weight * adjugate.cofactor(row, j - 1).shift_argument(j)
     quotient, remainder = total.divmod(denominator)
     if not remainder.is_zero:
         _, reduced = lowest_terms(total, denominator)
@@ -630,12 +500,10 @@ def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:
 @_stage
 def spectral_polynomial(ctx: ConstructionContext) -> Polynomial:
     """P with P(theta_x) = 2 lambda(x) + sum over rows of Y(theta_x) M(x)."""
-    p = ctx.params
-    theta = p.eigenvalue_poly()
     acc = 2 * eigenvalue_polynomial(ctx)
     for row in range(ctx.m):
-        acc = acc + ctx.row_polys[row].compose(theta) * mixing_polynomial(ctx, row)
-    return theta_substitute(acc, p.a + p.b)
+        acc = acc + _row_theta(ctx, row) * mixing_polynomial(ctx, row)
+    return theta_substitute(acc, ctx.params.a + ctx.params.b)
 
 
 @_stage

@@ -134,11 +134,13 @@ def config_from_dict(data: dict, name: str = "") -> ConstructionConfig:
     checks = data.get("checks", ["all"])
     if not isinstance(checks, list) or not checks:
         raise ConfigInvalid("field 'checks' must be a nonempty list of check names")
-    for check in checks:
+    for i, check in enumerate(checks):
         if check != "all" and check not in CHECK_NAMES:
             raise ConfigInvalid(
                 f"unknown check {check!r}; valid names: {('all',) + CHECK_NAMES}"
             )
+        if check in checks[:i]:
+            raise ConfigInvalid(f"field 'checks' names {check!r} twice")
     n_max = data.get("n_max")
     if n_max is not None and (not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0):
         raise ConfigInvalid(f"field 'n_max' must be a nonnegative integer, got {n_max!r}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .diffops import DifferenceOperator
-from .errors import ParameterSingularity
+from .errors import NotThetaRepresentable, ParameterSingularity
 from .measures import DiscreteMeasure, christoffel
 from .polynomials import Polynomial, lowest_terms, newton_form, pochhammer
 from .rationals import Rational, as_rational, format_rational
@@ -63,6 +63,30 @@ class HahnParams:
         """theta_{x+shift} as a polynomial in x."""
         base = Polynomial((0, self.a + self.b + 1, 1))
         return base.shift_argument(shift)
+
+
+def reflect(poly: Polynomial, shift: Rational | int) -> Polynomial:
+    """p(x) -> p(-(x + shift + 1)); an involution fixing theta when shift = a+b."""
+    return poly.reflect_argument().shift_argument(as_rational(shift) + 1)
+
+
+def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
+    """Rewrite a reflection-invariant polynomial as a polynomial in theta_x.
+
+    theta_x = x(x + a + b + 1).  The base-theta digits come from repeated
+    division by theta.  theta is invariant under x -> -(x + a + b + 1) and a
+    linear digit is not, so a nonconstant digit means no such form: it raises.
+    """
+    theta = Polynomial((0, as_rational(ab_sum) + 1, 1))
+    digits = []
+    while not poly.is_zero:
+        poly, digit = poly.divmod(theta)
+        if digit.degree > 0:
+            raise NotThetaRepresentable(
+                "polynomial is not invariant under x -> -(x + a + b + 1)"
+            )
+        digits.append(digit.coefficient(0))
+    return Polynomial(digits)
 
 
 def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:

@@ -7,8 +7,11 @@ update; rows are swapped to find a pivot and columns without one are skipped.
 
 :func:`poly_det` reads the determinant of a polynomial matrix off that
 elimination at every size, and :func:`integer_det` does the same on integers
-with exact integer division.
-No determinant here works over rational functions: the construction clears
+with exact integer division.  :class:`PointAdjugate` interpolates the
+determinant and cofactors of a polynomial matrix from :func:`integer_adjugate`
+at integer points (von zur Gathen and Gerhard, Modern Computer Algebra, ch.
+5); the construction uses it, and :func:`poly_det` is its test reference.  No
+determinant here works over rational functions: the construction clears
 row denominators first, and its cross-check and the family q_n take integer
 determinants of rows kept over one denominator per point.
 
@@ -29,11 +32,11 @@ tuple holds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 from operator import floordiv, mul, truediv
 from typing import Callable, Sequence
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, horner, interpolate
 from .rationals import clear_denominators
 
 
@@ -73,6 +76,88 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     if len(pivots) < n:
         return 0
     return entries[n - 1][n - 1] * sign
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a square integer matrix, adj A[c][r] = (-1)^(r+c) minor(r, c).
+
+    :func:`_eliminate` on [A | I], then integer back-substitution for
+    det A * A^-1 (Cramer's rule: every division is exact); where det A = 0,
+    each minor by :func:`integer_det`.
+    """
+    n = _square_size(rows)
+    aug = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
+    pivots, sign = _eliminate(aug, n, floordiv)
+    if len(pivots) < n:
+        return 0, [
+            [(-1) ** (r + c) * integer_det(
+                [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
+            ) for r in range(n)]
+            for c in range(n)
+        ]
+    det = sign * aug[n - 1][n - 1] if n else 1
+    adj: list[list[int]] = [[]] * n
+    for k in range(n - 1, -1, -1):
+        row = aug[k]
+        acc = [det * v for v in row[n:]]
+        for i in range(k + 1, n):
+            if row[i]:
+                acc = [a - row[i] * b for a, b in zip(acc, adj[i])]
+        adj[k] = [a // row[k] for a in acc]
+    return det, adj
+
+
+class PointAdjugate:
+    """det A and the cofactors (r, c), adj A[c][r], of a square polynomial
+    matrix A from integer values at x = 0..K-1.
+
+    Row i is scaled to integers by d_i, its entries' lcm denominator.  Each
+    polynomial is interpolated from its first :meth:`degree_bound` + 1 values
+    when asked for.  With e_i = max(max_c deg A[i][c], 0), K - 1 = sum_i e_i;
+    no cofactor bound exceeds K - 1 - min_i e_i, and the points past that get
+    the determinant alone.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[Polynomial]]) -> None:
+        _square_size(rows)
+        self.dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
+        self.degrees = [[e.degree for e in row] for row in rows]
+        scaled = [
+            [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
+            for den, row in zip(self.dens, rows)
+        ]
+        tops = [max(*row, 0) for row in self.degrees]
+        reach = sum(tops) - min(tops, default=0)
+        # dets[x], and values[r][c][x] = adj A[c][r] for x <= reach
+        self.dets: list[int] = []
+        self.values: list[list[list[int]]] = [[[] for _ in rows] for _ in rows]
+        for x in range(sum(tops) + 1):
+            point = [[horner(nums, x) for nums in row] for row in scaled]
+            if x > reach:
+                self.dets.append(integer_det(point))
+                continue
+            det, adj = integer_adjugate(point)
+            self.dets.append(det)
+            for c, column in enumerate(adj):
+                for r, value in enumerate(column):
+                    self.values[r][c].append(value)
+
+    def degree_bound(self, row: int | None = None, col: int | None = None) -> int:
+        """sum_{i != row} max_{c != col} deg A[i][c]: with no arguments a bound
+        on deg det A, else on the cofactor's degree (-1 or less: it is 0)."""
+        return sum(
+            max((d for c, d in enumerate(degs) if c != col), default=-1)
+            for i, degs in enumerate(self.degrees)
+            if i != row
+        )
+
+    def det(self) -> Polynomial:
+        count = max(self.degree_bound(), 0) + 1
+        return interpolate(self.dets[:count], prod(self.dens))
+
+    def cofactor(self, row: int, col: int) -> Polynomial:
+        count = max(self.degree_bound(row, col), 0) + 1
+        return interpolate(self.values[row][col][:count], prod(self.dens) // self.dens[row])
 
 
 def _eliminate(rows: list[list], width: int, divide: Callable) -> tuple[list[int], int]:

@@ -17,13 +17,11 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .casorati import (
-    ConstructionContext,
     base_polynomial,
     casorati_cleared,
     casorati_rational,
     casorati_value,
     clearing_factor,
-    context_from_quartet,
     core_degree,
     core_determinant,
     core_leading_coefficient,
@@ -32,12 +30,12 @@ from .casorati import (
     krall_polynomial,
     mixing_polynomial,
     operator_halfwidth,
-    reflect,
     series_ratios,
     spectral_increment,
     spectral_polynomial,
 )
 from .config import ConstructionConfig
+from .context import ConstructionContext, context_from_quartet
 from .diffops import eigen_certificate
 from .errors import ConfigInvalid, DegenerateMoments, KrallHahnError
 from .hahn import (
@@ -45,6 +43,7 @@ from .hahn import (
     corollary_reduction,
     factored_hahn_weight,
     hahn_leading_coefficient,
+    reflect,
     transformed_hahn_weight,
     transformed_support,
 )
@@ -517,12 +516,16 @@ def run_many(
 ) -> list[VerificationReport]:
     """Run several configs, in parallel processes when allowed.
 
-    ``workers`` defaults to the KH_WORKERS environment variable; a cap of 1
-    (or a single config) runs serially in-process.
+    ``workers`` defaults to the KH_WORKERS environment variable, a positive
+    integer in ASCII digits; unset or empty means one worker per CPU, and any
+    other value raises ConfigInvalid.  A cap of 1 (or a single config) runs
+    serially in-process.
     """
     if workers is None:
         raw = os.environ.get("KH_WORKERS", "")
-        workers = int(raw) if raw.isdigit() and int(raw) > 0 else (os.cpu_count() or 1)
+        if raw and not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+            raise ConfigInvalid(f"KH_WORKERS must be a positive integer, got {raw!r}")
+        workers = int(raw) if raw else (os.cpu_count() or 1)
     workers = min(workers, len(configs))
     if workers <= 1 or len(configs) <= 1:
         return [run_config(cfg) for cfg in configs]

@@ -1,7 +1,7 @@
 """The determinantal construction engine."""
 
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -540,6 +540,97 @@ class TestIntegerRows:
         assert values and all(type(v) is Fraction and v == 1 for v in values.values())
         for n in range(run.n_max + 1):
             assert krall_polynomial(ctx, n) == hahn_polynomial(n, ctx.params)
+
+
+def _signed_minor(matrix, r, c):
+    minor = poly_det([row[:c] + row[c + 1 :] for i, row in enumerate(matrix) if i != r])
+    return -minor if (r + c) % 2 else minor
+
+
+class TestPointRoute:
+    """The cleared determinant and its cofactors from integer point values
+    (matrices.PointAdjugate) against the polynomial poly_det route."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
+    def test_cleared_route_matches_poly_det(self, name):
+        """casorati_cleared and every cofactor equal poly_det's, no degree bound
+        is below the reference degree, and every mixing row equals the
+        poly_det pair route."""
+        ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
+        matrix = casorati.cleared_matrix(ctx)
+        adjugate = casorati._cleared_adjugate(ctx)
+        det = poly_det(matrix)
+        assert casorati_cleared(ctx) == det and adjugate.degree_bound() >= det.degree
+        for r in range(ctx.m):
+            for c in range(ctx.m):
+                expected = _signed_minor(matrix, r, c)
+                assert adjugate.cofactor(r, c) == expected, (r, c)
+                assert adjugate.degree_bound(r, c) >= expected.degree
+        mixing = [mixing_polynomial(ctx, r) for r in range(ctx.m)]
+        assert mixing == [pair_route_mixing(ctx, r) for r in range(ctx.m)]
+
+    @pytest.mark.parametrize("name", ["four-roots", "F1=2-theorem", "F1=3-theorem-N8"])
+    def test_singular_points_take_the_direct_minors(self, name):
+        """Where the cleared determinant vanishes at a point that a cofactor
+        reads, the stored adjugate is still every cofactor's value there, over
+        its row scale."""
+        ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
+        matrix = casorati.cleared_matrix(ctx)
+        adjugate = casorati._cleared_adjugate(ctx)
+        singular = [x for x, det in enumerate(adjugate.dets) if det == 0]
+        assert all(casorati_cleared(ctx)(x) == 0 for x in singular)
+        singular = [x for x in singular if x < len(adjugate.values[0][0])]
+        assert singular
+        total = 1
+        for den in adjugate.dens:
+            total *= den
+        for r in range(ctx.m):
+            for c in range(ctx.m):
+                cofactor = _signed_minor(matrix, r, c)
+                for x in singular:
+                    value = adjugate.values[r][c][x]
+                    assert value == cofactor(x) * (total // adjugate.dens[r]), (x, r, c)
+                assert adjugate.cofactor(r, c) == cofactor
+
+    def test_zero_entry(self, monkeypatch):
+        """A cleared matrix with one entry zero: the point route still equals poly_det."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        entry = casorati._cleared_entry
+        def zeroed(ctx, row, col):
+            return Polynomial.zero() if (row, col) == (1, 2) else entry(ctx, row, col)
+
+        monkeypatch.setattr(casorati, "_cleared_entry", zeroed)
+        ctx = build_run(builtin_config("four-roots")).ctx
+        matrix = casorati.cleared_matrix(ctx)
+        assert matrix[1][1].is_zero
+        assert casorati_cleared(ctx) == poly_det(matrix)
+        adjugate = casorati._cleared_adjugate(ctx)
+        for r in range(ctx.m):
+            for c in range(ctx.m):
+                assert adjugate.cofactor(r, c) == _signed_minor(matrix, r, c)
+
+    def test_raw_points_are_evaluated_once_per_context(self, monkeypatch):
+        """casorati_rational and krall_polynomial share the raw route's point
+        values: each point is evaluated once, and q_n, which reads minor_0 from
+        the values casorati_rational left, equals the reference."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        calls = Counter()
+        point = casorati._RawPoints.point
+
+        def counting(raw, s):
+            calls[s] += 1
+            return point(raw, s)
+
+        monkeypatch.setattr(casorati._RawPoints, "point", counting)
+        run = build_run(ROUTE_CONFIGS["F1234=1-corollary"])
+        ctx = run.ctx
+        for _ in range(2):
+            values = casorati_rational(ctx)
+            qs = [krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
+        assert max(values) > run.n_max
+        assert sorted(calls) == list(range(-ctx.m, max(values) + 1))
+        assert set(calls.values()) == {1}
+        assert qs == [reference_krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
 
 
 def _random_polynomial(rng, degree):

@@ -69,6 +69,7 @@ class TestConfigParsing:
             ({"F": [[], [], [], "12"]}, "field 'F'"),
             ({"a": "1e3"}, "exponent"),
             ({"b": "2E-1"}, "field 'b'.*exponent"),
+            ({"checks": ["genre", "genre"]}, "field 'checks' names 'genre' twice"),
         ],
     )
     def test_rejections(self, overrides, fragment):

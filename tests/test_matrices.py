@@ -8,6 +8,8 @@ import pytest
 from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
+    PointAdjugate,
+    integer_adjugate,
     integer_det,
     poly_det,
     solve_linear_system,
@@ -117,6 +119,72 @@ def test_integer_det_agrees_with_cofactor():
     assert integer_det([]) == 1 and integer_det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
         integer_det([[1, 2], [3]])
+
+
+def _minor(rows, r, c):
+    return [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
+
+
+def _cofactor(rows, r, c):
+    minor = cofactor_det(_minor(rows, r, c)) if len(rows) > 1 else 1
+    return -minor if (r + c) % 2 else minor
+
+
+def test_integer_adjugate_matches_cofactor_minors():
+    """det A and adj A[c][r] = (-1)^(r+c) minor(r, c) against plain expansion on
+    seeded integer matrices of sizes 1-6: full rank with a zero first pivot,
+    rank n - 1 (one row the sum of two others: the adjugate has rank 1) and
+    rank n - 2 (the adjugate is 0); the singular ones take the direct minors."""
+    rng = random.Random(11)
+    assert integer_adjugate([]) == (1, [])
+    for n in range(1, 7):
+        for shape in ("full", "rank n-1", "rank n-2"):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+            if shape == "rank n-1" and n > 2:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            if shape == "rank n-2" and n > 3:
+                rows[-1], rows[-2] = list(rows[0]), [2 * v for v in rows[1]]
+            det, adj = integer_adjugate(rows)
+            assert det == cofactor_det(rows), (n, shape)
+            assert adj == [[_cofactor(rows, r, c) for r in range(n)] for c in range(n)]
+            if shape != "full" and n > 3:
+                assert det == 0
+                assert any(map(any, adj)) == (shape == "rank n-1"), (n, shape)
+
+
+def test_point_adjugate_matches_cofactor_route():
+    """det and every cofactor of seeded polynomial matrices against plain
+    expansion, and every degree bound at least the reference degree.  The
+    matrices have sizes 0-5, rational coefficients, zero entries and rows of
+    unequal degree; one has a zero row, and one has row 0 times (x - 1), so
+    its determinant vanishes at x = 1 and the direct minors are taken there."""
+    rng = random.Random(13)
+
+    def entry():
+        if rng.random() < 0.2:
+            return Polynomial.zero()
+        size = rng.randint(1, 4)
+        return Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)])
+
+    cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in range(6) for _ in range(3)]
+    zero_row = [[entry() for _ in range(4)] for _ in range(4)]
+    zero_row[2] = [Polynomial.zero()] * 4
+    vanishing = [[entry() + X for _ in range(4)] for _ in range(4)]
+    vanishing[0] = [(X - 1) * e for e in vanishing[0]]
+    for rows in [*cases, zero_row, vanishing]:
+        n = len(rows)
+        adjugate = PointAdjugate(rows)
+        det = cofactor_det(rows)
+        assert adjugate.det() == det, rows
+        assert adjugate.degree_bound() >= det.degree
+        for r in range(n):
+            for c in range(n):
+                expected = _cofactor(rows, r, c) * Polynomial.one()
+                assert adjugate.cofactor(r, c) == expected, (rows, r, c)
+                assert adjugate.degree_bound(r, c) >= expected.degree
+    assert PointAdjugate(vanishing).dets[1] == 0
+    assert PointAdjugate(vanishing).cofactor(0, 0)(1) != 0
 
 
 def test_poly_det_scalar_rows_above_a_polynomial_row():

@@ -411,6 +411,56 @@ def test_run_many_honours_the_workers_variable(monkeypatch):
     ]
 
 
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    built: list = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "raw,pool",
+    [(None, "cpus"), ("", "cpus"), ("2", 2), ("02", 2), ("1", None), ("0", "raise"),
+     ("-1", "raise"), ("abc", "raise"), (" 1", "raise"), ("1.5", "raise"), ("\uff12", "raise")],
+)
+def test_workers_variable_is_a_positive_integer_or_unset(raw, pool, monkeypatch, tmp_path):
+    """KH_WORKERS unset or empty gives one worker per CPU (4 here, capped at
+    the 3 configs), digits cap the pool, and any other value is a config
+    error (exit 2) before any pool is built."""
+    import krallhahn.verify as verify
+    from krallhahn.cli import main
+
+    monkeypatch.setattr(_PoolSpy, "built", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    if raw is None:
+        monkeypatch.delenv("KH_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("KH_WORKERS", raw)
+    configs = [builtin_config("classical")] * 3
+    if pool == "raise":
+        with pytest.raises(ConfigInvalid, match="KH_WORKERS"):
+            run_many(configs)
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(configs[0].to_dict()))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert _PoolSpy.built == []
+        return
+    assert all(r.passed for r in run_many(configs))
+    assert _PoolSpy.built == ([] if pool is None else [3 if pool == "cpus" else pool])
+
+
 def test_check_foeq_vacuous_without_rows():
     run = build_run(builtin_config("classical"))
     ok, witness = check_foeq(run.ctx, run.inner_measure)
