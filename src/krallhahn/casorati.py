@@ -24,14 +24,19 @@ alternating Hahn polynomials, which is the bordered determinant expanded along
 its border.  Every quantity the theory claims is polynomial is produced by
 exact division, so a failed cancellation surfaces as an error instead of an
 approximation.  The normaliser is a product of known linear factors, kept as a
-leading constant and a root multiset (:func:`normalizer_factors`).
+leading constant and a multiset of integer root numerators over one
+denominator Q per context (:func:`normalizer_factors`).
 :func:`mixing_polynomial` puts its m terms over L, the lcm of the m shifted
 root multisets, so each term is multiplied by the leftover linear factors and
-no gcd is taken; the sum makes one exact division by L, and a remainder
-raises.  The cross-check of the cleared determinant, :func:`casorati_rational`,
-takes integer determinants of the raw rows at points.  The Omega scan and the
-leading-coefficient gate read the cleared route (:func:`casorati_value`), so
-they do not compare the raw rows with themselves.
+no gcd is taken.  The weights' linear factors have roots over Q too, so the
+linear factors G shared by L and every weight of a row kind are dropped from
+both before each product is expanded on integers.  The sum makes one exact
+division by L' = L / G (the same rational function, so the same reduced
+denominator), and a remainder raises.  The cross-check of the cleared
+determinant, :func:`casorati_rational`, takes integer determinants of the raw
+rows at points.  The Omega scan and the leading-coefficient gate read the
+cleared route (:func:`casorati_value`, by integer Horner), so they do not
+compare the raw rows with themselves.
 
 The stages that several checks read, the series ratios and the Hahn base
 polynomials among them, are memoised per context in one bounded store owned by
@@ -60,14 +65,15 @@ from .ladder import (
     falling_block,
     falling_roots,
     ladder_operator,
+    mixing_prefactor_roots,
     rising_block,
     rising_roots,
     series_ratio,
     series_shift,
 )
 from .matrices import PointAdjugate, integer_det
-from .polynomials import Polynomial, antidifference, horner, lowest_terms
-from .rationals import Rational, as_rational, format_rational
+from .polynomials import Polynomial, antidifference, horner, lowest_terms, quotient_at
+from .rationals import Rational
 
 
 # -- the stage store --------------------------------------------------------------
@@ -155,14 +161,12 @@ def clearing_factor(ctx: ConstructionContext) -> Polynomial:
 
 
 def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
-    """Exact value of the (uncleared) Casorati determinant at a point."""
-    point = as_rational(point)
-    denom = clearing_factor(ctx)(point)
-    if denom == 0:
-        raise ParameterSingularity(
-            f"clearing factor vanishes at {format_rational(point)}"
-        )
-    return casorati_cleared(ctx)(point) / denom
+    """Exact value of the (uncleared) Casorati determinant at a point, by
+    integer Horner (:func:`~krallhahn.polynomials.quotient_at`)."""
+    try:
+        return quotient_at(casorati_cleared(ctx), clearing_factor(ctx), point)
+    except ZeroDivisionError:
+        raise ParameterSingularity(f"clearing factor vanishes at {point}") from None
 
 
 @_stage
@@ -338,37 +342,39 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
 
 
 @_stage
-def normalizer_factors(ctx: ConstructionContext) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """The normaliser as (leading constant, roots with multiplicity).
+def normalizer_factors(ctx: ConstructionContext) -> tuple[int, tuple[int, ...], int]:
+    """The normaliser as (leading constant, root numerators with multiplicity,
+    their denominator Q).
 
     It is a Pochhammer-product normaliser times the triangular product of
-    shifted eigenvalue steps (half-integer shifts), so every factor is linear.
+    shifted eigenvalue steps sigma(x + c) = -2 (x + c - r0), r0 = (1 - a - b) / 2,
+    so every factor is linear.  Q = 2 lcm(den a, den b) also clears every root
+    that :func:`_mixing_factors` reads.
     """
     p, m = ctx.params, ctx.m
-    lead = Fraction(-1 if (m * (m - 1) // 2) % 2 else 1)
-    roots: list[Fraction] = []
+    q = 2 * lcm(p.a.denominator, p.b.denominator)
+    lead = -1 if (m * (m - 1) // 2) % 2 else 1
+    roots: list[int] = []
     for which in (1, 2):
         users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
         for i in range(1, users):
-            roots += rising_roots(which, users - i, users - m - i, p)
-            roots += falling_roots(which, users - i, -1, p)
+            roots += rising_roots(which, users - i, users - m - i, p, q)
+            roots += falling_roots(which, users - i, -1, p, q)
             if (users - i) % 2:
                 lead = -lead
-    sigma = series_shift(p)
-    slope = sigma.coefficient(1)
-    root = -sigma.coefficient(0) / slope
+    r0 = ((1 - p.a - p.b) / 2 * q).numerator
     for outer in range(1, m):
         for inner in range(1, outer + 1):
-            roots.append(root - (Fraction(inner + outer + 1, 2) - m))
-            lead *= slope
-    return lead, tuple(roots)
+            roots.append(r0 - (inner + outer + 1 - 2 * m) * q // 2)
+            lead *= -2
+    return lead, tuple(roots), q
 
 
 @_stage
 def normalizer(ctx: ConstructionContext) -> Polynomial:
     """The divisor of the cleared determinant, built from :func:`normalizer_factors`."""
-    lead, roots = normalizer_factors(ctx)
-    return Polynomial.from_roots(roots) * lead
+    lead, roots, q = normalizer_factors(ctx)
+    return Polynomial.from_integer_roots(roots, q) * lead
 
 
 @_stage
@@ -422,37 +428,40 @@ def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
 # -- the mixing polynomials ------------------------------------------------------------
 
 
-def _mixing_prefactor(ctx: ConstructionContext, row: int, j: int) -> Polynomial:
-    """Clearing factor for the j-th term of one mixing polynomial."""
-    m = ctx.m
-    acc = Polynomial.one()
-    for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-        acc = acc * _block(ctx, rising_block, which, m - j, 0)
-        acc = acc * _block(ctx, falling_block, which, j - 1, j - 1)
-    return acc
-
-
 @_stage
-def _mixing_factors(ctx: ConstructionContext) -> tuple[dict[int, list[Polynomial]], Polynomial]:
-    """The parts of the mixing polynomials that do not depend on the minors:
-    per row kind, for j = 1..m, sigma(x + half + j) * prefactor(x + j) * L / N_j
-    times the kind's :func:`_mixing_prefactor`, and L itself (see
-    :func:`mixing_polynomial`)."""
+def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[Polynomial], Polynomial]]:
+    """Per row kind, the weights of the mixing terms j = 1..m and the divisor
+    L' (see :func:`mixing_polynomial`).  Weight j is sigma(x + half + j) *
+    prefactor(x + j) * L / N_j times the kind's clearing blocks rising(m - j, 0)
+    and falling(j - 1, j - 1), held as a constant, the invariant prefactor and
+    a multiset R_j of root numerators over Q; G is L's multiset meet every R_j."""
     p, m = ctx.params, ctx.m
-    sigma = series_shift(p)
-    half = Fraction(-(m - 1), 2)
-    _, roots = normalizer_factors(ctx)
-    shifted = [Counter(r - j for r in roots) for j in range(1, m + 1)]
+    _, roots, q = normalizer_factors(ctx)
+    shifted = [Counter(r - j * q for r in roots) for j in range(1, m + 1)]
     common = Counter()
     for multiset in shifted:
         common |= multiset
-    weights = {kind: [] for kind in ctx.row_kinds}
-    for j in range(1, m + 1):
-        factor = sigma.shift_argument(half + j) * ctx.prefactor.shift_argument(j)
-        factor = factor * Polynomial.from_roots((common - shifted[j - 1]).elements())
-        for kind, terms in weights.items():
-            terms.append(factor * _mixing_prefactor(ctx, ctx.row_kinds.index(kind), j))
-    return weights, Polynomial.from_roots(common.elements())
+    # sigma(x + half + j) = -2 (x - r0 + half + j), with half = -(m - 1) / 2
+    r0 = ((1 - p.a - p.b) / 2 * q).numerator + (m - 1) * q // 2
+    factors = {}
+    for kind in dict.fromkeys(ctx.row_kinds):
+        multisets = []
+        for j in range(1, m + 1):
+            multiset = common - shifted[j - 1]
+            multiset[r0 - j * q] += 1
+            multiset.update(mixing_prefactor_roots(kind, m, j, p, q))
+            multisets.append(multiset)
+        shared = common.copy()
+        for multiset in multisets:
+            shared &= multiset
+        weights = [
+            ctx.prefactor.shift_argument(j)
+            * Polynomial.from_integer_roots((multiset - shared).elements(), q)
+            * (2 if (j - 1) * len(CLEARING_BLOCKS[kind]) % 2 else -2)
+            for j, multiset in enumerate(multisets, 1)
+        ]
+        factors[kind] = weights, Polynomial.from_integer_roots((common - shared).elements(), q)
+    return factors
 
 
 @_stage
@@ -463,20 +472,19 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     is the term's, shifted once to x + j; it is interpolated only here.  It is
     +-numer_j / normalizer(x + j), and normalizer(x + j) = lead * N_j with
     N_j the monic product over the normaliser's roots shifted by -j.  With L
-    the lcm of N_1..N_m (the union of their root multisets), each L / N_j is
-    the product of the leftover linear factors, so the sum is
-    (sum_j +-numer_j * L / N_j) / (lead * L) and no gcd is taken.  The
-    factors shared by the rows of one kind come from :func:`_mixing_factors`,
-    once per context.  The sum must collapse to a polynomial, which is one of
-    the structural hypotheses of the construction: the division by L must be
-    exact, and a remainder raises NonExactDivision naming the degree of the
-    reduced denominator.
+    the lcm of N_1..N_m, each L / N_j is a product of leftover linear factors,
+    so no gcd is taken: the sum is (sum_j +-numer_j * L / N_j) / (lead * L),
+    and the linear factors G shared by L and every weight are divided out of
+    both (:func:`_mixing_factors`).  The sum must collapse to a polynomial, one
+    of the structural hypotheses of the construction: the division by L / G
+    must be exact, and a remainder raises NonExactDivision naming the degree
+    of the reduced denominator.
     """
-    lead, _ = normalizer_factors(ctx)
-    weights, denominator = _mixing_factors(ctx)
+    lead, _, _ = normalizer_factors(ctx)
+    weights, denominator = _mixing_factors(ctx)[ctx.row_kinds[row]]
     adjugate = _cleared_adjugate(ctx)
     total = Polynomial.zero()
-    for j, weight in enumerate(weights[ctx.row_kinds[row]], 1):
+    for j, weight in enumerate(weights, 1):
         total = total + weight * adjugate.cofactor(row, j - 1).shift_argument(j)
     quotient, remainder = total.divmod(denominator)
     if not remainder.is_zero:

@@ -100,20 +100,8 @@ def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a, N = p.a, p.N
-    s = a + p.b + 1
-    P, Q = s.numerator, s.denominator
-    outer = prod(P + (N + 1 + i) * Q for i in range(n))
-    if outer == 0:
-        raise ParameterSingularity(
-            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(s - 1)}, N = {N}"
-        )
-    q = a.denominator
-    low = [a.numerator + (1 + i) * q for i in range(n)]  # (a+1)_j = prod(low[:j]) / q^j
-    if 0 in low:
-        raise ParameterSingularity(
-            f"(a+1)_{low.index(0) + 1} vanishes for a = {format_rational(a)}"
-        )
+    P, Q, q, outer, low = _hahn_factors(n, p)
+    N = p.N
     den = Q**n * factorial(n) * outer * prod(low)
     # the factors of term j that fall with j, stepped down from j = n; the sign
     # of the denominator starts the product, so that the denominator is positive
@@ -132,15 +120,34 @@ def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
     return Polynomial.from_integer_parts(numerators, abs(den))
 
 
+def _hahn_factors(n: int, p: HahnParams) -> tuple[int, int, int, int, list[int]]:
+    """(P, Q, q, outer, low) with a+b+1 = P/Q and a+1 = p/q: (2+a+b+N)_n is
+    outer / Q^n and (a+1)_j is prod(low[:j]) / q^j.  Where either Pochhammer
+    vanishes the Hahn polynomial is undefined: that raises ParameterSingularity."""
+    a, N = p.a, p.N
+    s = a + p.b + 1
+    P, Q = s.numerator, s.denominator
+    outer = prod(P + (N + 1 + i) * Q for i in range(n))
+    if outer == 0:
+        raise ParameterSingularity(
+            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(s - 1)}, N = {N}"
+        )
+    q = a.denominator
+    low = [a.numerator + (1 + i) * q for i in range(n)]
+    if 0 in low:
+        raise ParameterSingularity(
+            f"(a+1)_{low.index(0) + 1} vanishes for a = {format_rational(a)}"
+        )
+    return P, Q, q, outer, low
+
+
 def hahn_leading_coefficient(n: int, p: HahnParams) -> Fraction:
-    """Leading coefficient of the degree-n Hahn polynomial."""
-    a, b = p.a, p.b
-    sign = -1 if n % 2 else 1
-    return (
-        sign
-        * pochhammer(a + b + 1, 2 * n)
-        / (pochhammer(2 + a + b + p.N, n) * pochhammer(a + 1, n) * factorial(n))
-    )
+    """Leading coefficient of the degree-n Hahn polynomial,
+    (-1)^n (a+b+1)_{2n} / ((2+a+b+N)_n (a+1)_n n!), as one ``Fraction`` of the
+    integer factors that :func:`hahn_polynomial` reads."""
+    P, Q, q, outer, low = _hahn_factors(n, p)
+    top = prod(P + i * Q for i in range(2 * n)) * q**n
+    return Fraction(-top if n % 2 else top, Q**n * outer * prod(low) * factorial(n))
 
 
 def hahn_operator(p: HahnParams) -> DifferenceOperator:
@@ -192,10 +199,13 @@ def hahn_weight(p: HahnParams) -> DiscreteMeasure:
     w(x+1) / w(x) = (x+a+1)(N-x) / ((x+1)(N-x+b)), nonzero by the exclusions.
     """
     a, b, N = p.a, p.b, p.N
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     mass = pochhammer(b + 1, N) / factorial(N)
     masses = {Fraction(0): mass}
     for x in range(N):
-        mass = mass * ((x + a + 1) * (N - x) / ((x + 1) * (N - x + b)))
+        # the step with a = pa/qa and b = pb/qb, as one reduced integer ratio
+        step = Fraction(((x + 1) * qa + pa) * (N - x) * qb, (x + 1) * ((N - x) * qb + pb) * qa)
+        mass = mass * step
         masses[Fraction(x + 1)] = mass
     return DiscreteMeasure(masses)
 

@@ -116,16 +116,38 @@ def _falling_offset(which: int, length: int, p: HahnParams) -> Fraction:
     raise ValueError(f"which must be 1 or 2, got {which}")
 
 
-def rising_roots(which: int, length: int, shift: Rational | int, p: HahnParams) -> list[Fraction]:
-    """Roots of :func:`rising_block`, which is monic."""
-    start = as_rational(shift) + _rising_offset(which, length, p)
-    return [-(start + t) for t in range(length)]
+def _block_roots(start: Fraction, length: int, q: int) -> list[int]:
+    """The roots -(start + t), t < length, as integer numerators over q, a
+    multiple of start's denominator."""
+    top = (start * q).numerator
+    return [-(top + t * q) for t in range(length)]
 
 
-def falling_roots(which: int, length: int, shift: Rational | int, p: HahnParams) -> list[Fraction]:
-    """Roots of :func:`falling_block`, whose leading coefficient is (-1)^length."""
-    start = as_rational(shift) + _falling_offset(which, length, p)
-    return [-(start + t) for t in range(length)]
+def _block_polynomial(start: Fraction, length: int) -> Polynomial:
+    """The monic product of (x + start + t), t < length."""
+    q = start.denominator
+    return Polynomial.from_integer_roots(_block_roots(start, length, q), q)
+
+
+def rising_roots(which: int, length: int, shift: Rational | int, p: HahnParams, q: int) -> list[int]:
+    """Roots of :func:`rising_block`, which is monic, as integer numerators over q."""
+    return _block_roots(as_rational(shift) + _rising_offset(which, length, p), length, q)
+
+
+def falling_roots(which: int, length: int, shift: Rational | int, p: HahnParams, q: int) -> list[int]:
+    """Roots of :func:`falling_block`, whose leading coefficient is (-1)^length,
+    as integer numerators over q."""
+    return _block_roots(as_rational(shift) + _falling_offset(which, length, p), length, q)
+
+
+def mixing_prefactor_roots(kind: int, m: int, j: int, p: HahnParams, q: int) -> list[int]:
+    """Roots, as integer numerators over q, of the clearing factor of the j-th
+    of m mixing terms of a row of this kind: per clearing block, rising(m - j, 0)
+    times falling(j - 1, j - 1), so its leading coefficient is (-1)^(j-1) per block."""
+    roots = []
+    for which in CLEARING_BLOCKS[kind]:
+        roots += rising_roots(which, m - j, 0, p, q) + falling_roots(which, j - 1, j - 1, p, q)
+    return roots
 
 
 def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
@@ -134,7 +156,7 @@ def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) 
     which = 1 gives (y - j + b + 1)_j and which = 2 gives (y - j - N)_j,
     both with y = x + shift.
     """
-    return Polynomial.from_roots(rising_roots(which, length, shift, p))
+    return _block_polynomial(as_rational(shift) + _rising_offset(which, length, p), length)
 
 
 def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
@@ -143,7 +165,7 @@ def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams)
     which = 1 gives (-1)^j (y - j + a + 1)_j and which = 2 gives
     (-1)^j (y - j + a + b + N + 2)_j, both with y = x + shift.
     """
-    block = Polynomial.from_roots(falling_roots(which, length, shift, p))
+    block = _block_polynomial(as_rational(shift) + _falling_offset(which, length, p), length)
     return -block if length % 2 else block
 
 

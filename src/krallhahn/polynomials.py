@@ -73,8 +73,19 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
         """The monic product of (x - r) over the roots, with multiplicity."""
-        roots = list(roots)
-        return newton_form([0] * len(roots) + [1], roots)
+        return cls.from_integer_roots(*clear_denominators(list(roots)))
+
+    @classmethod
+    def from_integer_roots(cls, numerators: Iterable[int], denominator: int) -> "Polynomial":
+        """The monic product of (x - p / denominator) over the integers p, with
+        multiplicity: prod (denominator x - p) over denominator^k, expanded on
+        integers, for a denominator > 0."""
+        acc, q, k = [1], denominator, 0
+        for p in numerators:
+            middle = [q * prev - p * cur for prev, cur in zip(acc, acc[1:])]
+            acc = [-p * acc[0], *middle, q * acc[-1]]
+            k += 1
+        return _make(acc, q**k)
 
     # -- basic queries -------------------------------------------------------
 
@@ -223,12 +234,8 @@ class Polynomial:
             return Fraction(0)
         if not isinstance(point, (int, Fraction)):
             point = exact_rational(point)
-        p, q = point.numerator, point.denominator
-        acc, qk = nums[-1], 1
-        for c in nums[-2::-1]:
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, self._denominator * qk)
+        q = point.denominator
+        return Fraction(horner(nums, point.numerator, q), self._denominator * q ** (len(nums) - 1))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(x)), by Horner over polynomials."""
@@ -394,6 +401,18 @@ def horner(numerators: Sequence[int], p: int, q: int = 1) -> int:
         acc = acc * p + c * qk
         qk *= q
     return acc
+
+
+def quotient_at(numer: Polynomial, denom: Polynomial, point: Scalar) -> Fraction:
+    """numer(point) / denom(point) as one ``Fraction``: at p/q, homogeneous
+    integer Horner gives q^d times each polynomial's numerators at p/q.  A zero
+    denominator raises ``ZeroDivisionError``."""
+    if type(point) is not int:
+        point = exact_rational(point)
+    p, q = point.numerator, point.denominator
+    (nn, nd), (dn, dd) = numer.integer_parts, denom.integer_parts
+    top = horner(nn, p, q) * dd * q ** max(len(dn) - len(nn), 0)
+    return Fraction(top, horner(dn, p, q) * nd * q ** max(len(nn) - len(dn), 0))
 
 
 def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial:

@@ -55,6 +55,7 @@ from .measures import (
     proportionality_constant,
 )
 from .oracle import operator_solution_space
+from .polynomials import horner
 from .rationals import format_rational
 from .sets import SetQuartet, degree_sum_halfwidth, theorem_halfwidth
 
@@ -174,9 +175,10 @@ def _check_hypotheses(run: RunData) -> tuple[bool, dict]:
     inc = spectral_increment(ctx)
     lam = eigenvalue_polynomial(ctx)
     ok_lambda = lam(Fraction(-1)) == 0 and lam - lam.shift_argument(-1) == inc
-    cleared, clearing = casorati_cleared(ctx), clearing_factor(ctx)
-    dual_route = all(
-        value * clearing(t) == cleared(t) for t, value in casorati_rational(ctx).items()
+    (cn, cd), (fn, fd) = casorati_cleared(ctx).integer_parts, clearing_factor(ctx).integer_parts
+    dual_route = all(  # value * clearing(t) == cleared(t), cross-multiplied on integers
+        v.numerator * horner(fn, t) * cd == horner(cn, t) * v.denominator * fd
+        for t, v in casorati_rational(ctx).items()
     )
     transport = reflect(inc, p.a + p.b - 1) == -inc.shift_argument(ctx.m)
     sigma_next = series_shift(p).shift_argument(1)

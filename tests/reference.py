@@ -7,16 +7,16 @@ path adds its reference to this module and its test imports it.  Nothing here
 is timed or shipped; each routine favours the obvious computation over speed.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
 from krallhahn import casorati
-from krallhahn.casorati import casorati_value, eigenvalue_polynomial, normalizer, reflect
+from krallhahn.casorati import eigenvalue_polynomial, normalizer, reflect
 from krallhahn.diffops import operator_polynomial
-from krallhahn.errors import DegenerateMoments, NotThetaRepresentable
+from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
-    hahn_leading_coefficient,
     hahn_polynomial,
     hahn_weight,
     transformed_parameters,
@@ -357,6 +357,18 @@ def per_atom_hahn_weight(p):
     }
 
 
+def pochhammer_hahn_leading_coefficient(n, p):
+    """(-1)^n (a+b+1)_{2n} / ((2+a+b+N)_n (a+1)_n n!) from three Pochhammer
+    products, the reference for the integer-product route."""
+    a, b = p.a, p.b
+    sign = -1 if n % 2 else 1
+    return (
+        sign
+        * pochhammer(a + b + 1, 2 * n)
+        / (pochhammer(2 + a + b + p.N, n) * pochhammer(a + 1, n) * factorial(n))
+    )
+
+
 def reference_dual_hahn(n, alpha, beta, gamma):
     """The defining dual sum with every Pochhammer factor recomputed per term."""
     x = Polynomial.variable()
@@ -540,6 +552,48 @@ def block_normalizer(ctx):
     return -acc if (m * (m - 1) // 2) % 2 else acc
 
 
+def fraction_casorati_value(ctx, point):
+    """The cleared determinant over the clearing factor, each evaluated as a
+    ``Fraction``: the reference for the integer Horner route."""
+    point = Fraction(point)
+    denom = casorati.clearing_factor(ctx)(point)
+    if denom == 0:
+        raise ParameterSingularity(f"clearing factor vanishes at {point}")
+    return casorati.casorati_cleared(ctx)(point) / denom
+
+
+def block_mixing_prefactor(ctx, row, j):
+    """The clearing factor of a mixing polynomial's j-th term, as products of
+    rising and falling clearing blocks."""
+    acc = Polynomial.one()
+    for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
+        acc = acc * rising_block(which, ctx.m - j, 0, ctx.params)
+        acc = acc * falling_block(which, j - 1, j - 1, ctx.params)
+    return acc
+
+
+def polynomial_mixing_factors(ctx):
+    """Per row kind, the mixing weights over the full L, and L: multisets of
+    ``Fraction`` roots and chains of polynomial products, the reference for
+    the integer root-multiset route.  Weight j is sigma(x + half + j) *
+    prefactor(x + j) * L / N_j times the kind's block prefactor."""
+    p, m = ctx.params, ctx.m
+    sigma = series_shift(p)
+    half = Fraction(-(m - 1), 2)
+    _, roots, q = casorati.normalizer_factors(ctx)
+    shifted = [Counter(Fraction(r, q) - j for r in roots) for j in range(1, m + 1)]
+    common = Counter()
+    for multiset in shifted:
+        common |= multiset
+    weights = {kind: [] for kind in ctx.row_kinds}
+    for j in range(1, m + 1):
+        factor = sigma.shift_argument(half + j) * ctx.prefactor.shift_argument(j)
+        factor = factor * reference_from_roots((common - shifted[j - 1]).elements())
+        for kind, terms in weights.items():
+            terms.append(factor * block_mixing_prefactor(ctx, ctx.row_kinds.index(kind), j))
+    return weights, reference_from_roots(common.elements())
+
+
 def pair_route_mixing(ctx, row):
     """The mixing polynomial summed as reduced pairs: lowest_terms per term and
     per partial sum, the reference for the gcd-free route."""
@@ -554,7 +608,7 @@ def pair_route_mixing(ctx, row):
         numer = (
             sigma.shift_argument(half + j)
             * ctx.prefactor.shift_argument(j)
-            * casorati._mixing_prefactor(ctx, row, j)
+            * block_mixing_prefactor(ctx, row, j)
             * minor.shift_argument(j)
         )
         term = lowest_terms(numer, divisor_base.shift_argument(j))
@@ -580,7 +634,7 @@ def shifted_entry_mixing(ctx, row):
         numer = (
             sigma.shift_argument(half + j)
             * ctx.prefactor.shift_argument(j)
-            * casorati._mixing_prefactor(ctx, row, j)
+            * block_mixing_prefactor(ctx, row, j)
             * minor
         )
         term = lowest_terms(numer, divisor_base.shift_argument(j))
@@ -684,9 +738,9 @@ def apply_route_failures(cfg, op, build):
         qn = build(ctx, n)
         if qn.degree != n:
             failures.append({"n": n, "reason": f"degree {qn.degree}"})
-        elif qn.leading_coefficient != casorati_value(ctx, n) * hahn_leading_coefficient(
-            n, ctx.params
-        ):
+        elif qn.leading_coefficient != fraction_casorati_value(
+            ctx, n
+        ) * pochhammer_hahn_leading_coefficient(n, ctx.params):
             failures.append({"n": n, "reason": "leading coefficient mismatch"})
         elif op.apply(qn) != Fraction(lam(n)) * qn:
             failures.append({"n": n, "reason": "eigen-equation residual nonzero"})

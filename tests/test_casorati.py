@@ -64,7 +64,9 @@ from reference import (
     block_normalizer,
     closed_form_krall_polynomial,
     compose_operator,
+    fraction_casorati_value,
     pair_route_mixing,
+    polynomial_mixing_factors,
     peeling_theta_substitute,
     rational_casorati,
     rational_det,
@@ -186,6 +188,13 @@ class TestEmptyQuartet:
             assert krall_polynomial(ctx, n) == hahn_polynomial(n, desk_params)
 
 
+def invariant_prefactor_ctx(p):
+    """The single-root context times the invariant prefactor x(x + a + b - 1)."""
+    return context_from_quartet(
+        p, SetQuartet.of((), (), (), (1,)), (1, 1, 1), prefactor=X * (X + p.a + p.b - 1)
+    )
+
+
 class TestSingleRootContext:
     def test_shape(self, single_root_ctx):
         ctx = single_root_ctx
@@ -222,11 +231,7 @@ class TestSingleRootContext:
     def test_invariant_prefactor(self, desk_params):
         # x(x + a + b - m) is fixed by x -> -(x + a + b - m); its degree 2
         # widens the operator by one step on each side
-        p = desk_params
-        ctx = context_from_quartet(
-            p, SetQuartet.of((), (), (), (1,)), (1, 1, 1),
-            prefactor=X * (X + p.a + p.b - 1),
-        )
+        ctx = invariant_prefactor_ctx(desk_params)
         assert ctx.m == 1
         op = krall_operator(ctx)
         assert op.genre == (-3, 3)
@@ -238,7 +243,8 @@ class TestSingleRootContext:
 
 
 def pointwise_dual_route(ctx):
-    """The hypotheses check's comparison, reading stages through the module."""
+    """The hypotheses check's comparison in ``Fraction`` values, reading stages
+    through the module."""
     cleared, clearing = casorati.casorati_cleared(ctx), casorati.clearing_factor(ctx)
     return all(
         value * clearing(t) == cleared(t) for t, value in casorati_rational(ctx).items()
@@ -406,13 +412,15 @@ class TestDifferenceIdentities:
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         cfg = replace(builtin_config("four-roots"), checks=("hypotheses",))
         ctx = build_run(cfg).ctx
-        prefactor = casorati._mixing_prefactor
+        factors = casorati._mixing_factors
 
-        def skewed(ctx, row, j):
-            factor = prefactor(ctx, row, j)
-            return factor * (X + Fraction(1, 3)) if j == 1 else factor
+        def skewed(ctx):  # each row kind's j = 1 weight times (x + 1/3)
+            return {
+                kind: ([weights[0] * (X + Fraction(1, 3)), *weights[1:]], divisor)
+                for kind, (weights, divisor) in factors(ctx).items()
+            }
 
-        monkeypatch.setattr(casorati, "_mixing_prefactor", skewed)
+        monkeypatch.setattr(casorati, "_mixing_factors", skewed)
         message = "denominator of degree 2 does not cancel"
         with pytest.raises(NonExactDivision, match=message) as err:
             mixing_polynomial(ctx, 0)
@@ -540,6 +548,62 @@ class TestIntegerRows:
         assert values and all(type(v) is Fraction and v == 1 for v in values.values())
         for n in range(run.n_max + 1):
             assert krall_polynomial(ctx, n) == hahn_polynomial(n, ctx.params)
+
+
+def _differential_context(name):
+    """A differential config's context, or the invariant-prefactor context."""
+    if name == "invariant-prefactor":
+        return invariant_prefactor_ctx(HahnParams(Fraction(1, 2), Fraction(1, 3), 8))
+    return build_run(DIFFERENTIAL_CONFIGS[name]).ctx
+
+
+class TestIntegerScalars:
+    """The mixing weights from integer root multisets and the Casorati values by
+    integer Horner, each against the route it replaced."""
+
+    # deg G, the linear factors shared by L and every weight, per row kind
+    SHARED_DEGREES = {
+        "four-roots": {1: 10, 2: 16, 3: 4, 4: 10},
+        "F123=1-theorem": {1: 7, 2: 7, 3: 3},
+        "F1=3-theorem-N8": {1: 13},
+    }
+
+    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, "invariant-prefactor"])
+    def test_mixing_weights_match_polynomial_route(self, name):
+        """w_j L' = w'_j L for every kind and j, with w_j and L from the
+        ``Fraction``-root polynomial route; L' divides L, and the shared
+        factors G = L / L' are the expected ones."""
+        ctx = _differential_context(name)
+        reference, full = polynomial_mixing_factors(ctx)
+        factors = casorati._mixing_factors(ctx)
+        assert list(factors) == list(dict.fromkeys(ctx.row_kinds))
+        shared = {}
+        for kind, (weights, divisor) in factors.items():
+            assert len(weights) == ctx.m
+            for weight, expected in zip(weights, reference[kind]):
+                assert weight * full == expected * divisor
+            assert full.divmod(divisor)[1].is_zero
+            shared[kind] = full.degree - divisor.degree
+        assert shared == self.SHARED_DEGREES.get(name, shared)
+        if ctx.m > 1:
+            assert all(shared.values())
+
+    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, "invariant-prefactor"])
+    def test_casorati_value_matches_fraction_route(self, name):
+        """At integer and rational points, including the poles of the
+        clearing factor, the Horner value equals the ``Fraction`` one or both
+        raise."""
+        ctx = _differential_context(name)
+        points = [*range(-3, 12), Fraction(-3, 2), Fraction(1, 2), Fraction(-7, 3), Fraction(22, 5)]
+        for point in points:
+            try:
+                expected = fraction_casorati_value(ctx, point)
+            except ParameterSingularity:
+                with pytest.raises(ParameterSingularity):
+                    casorati_value(ctx, point)
+            else:
+                value = casorati_value(ctx, point)
+                assert type(value) is Fraction and value == expected, point
 
 
 def _signed_minor(matrix, r, c):

@@ -1,5 +1,6 @@
 """The classical family: weights, recurrence, duality, companions, reductions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from reference import (
     dual_hahn_leading_coefficient,
     duality_factor,
     per_atom_hahn_weight,
+    pochhammer_hahn_leading_coefficient,
     reference_dual_hahn,
     reference_factored_weight,
     reference_hahn,
@@ -85,6 +87,56 @@ def test_degree_and_leading_coefficient(a, b, N):
         hn = hahn_polynomial(n, p)
         assert hn.degree == n
         assert hn.leading_coefficient == hahn_leading_coefficient(n, p)
+
+
+def random_params(rng, count):
+    """``count`` valid HahnParams with a and b drawn from p/q, |p| <= 30 and
+    q <= 6, and N <= 20: negative a and b, integers among them, included."""
+    out = []
+    while len(out) < count:
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        b = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        try:
+            out.append(HahnParams(a, b, rng.randint(1, 20)))
+        except ParameterSingularity:
+            pass
+    return out
+
+
+def test_leading_coefficient_matches_pochhammer_route():
+    """The integer products equal the Pochhammer closed form on a seeded grid,
+    and raise ParameterSingularity exactly where a denominator Pochhammer
+    vanishes and the closed form divides by zero."""
+    singular = 0
+    for p in random_params(random.Random(24), 60):
+        for n in range(12):
+            try:
+                expected = pochhammer_hahn_leading_coefficient(n, p)
+            except ZeroDivisionError:
+                singular += 1
+                with pytest.raises(ParameterSingularity, match="vanishes"):
+                    hahn_leading_coefficient(n, p)
+            else:
+                assert hahn_leading_coefficient(n, p) == expected
+    assert singular
+
+
+@pytest.mark.parametrize(
+    "a, b, pochhammer_name",
+    [
+        # (a+1)_10 = (-9)_10 vanishes; the closed form divides -1 by 0
+        (Fraction(-10), Fraction(1, 3), r"\(a\+1\)_10"),
+        # (2+a+b+N)_10 = (-8)_10 and (a+b+1)_20 both vanish: 0 / 0
+        (Fraction(-19), Fraction(1), r"\(2\+a\+b\+N\)_10"),
+    ],
+)
+def test_leading_coefficient_names_the_vanishing_pochhammer(a, b, pochhammer_name):
+    p = HahnParams(a, b, 8)
+    with pytest.raises(ZeroDivisionError):
+        pochhammer_hahn_leading_coefficient(10, p)
+    for build in (hahn_leading_coefficient, hahn_polynomial):
+        with pytest.raises(ParameterSingularity, match=pochhammer_name + " vanishes"):
+            build(10, p)
 
 
 @pytest.mark.parametrize(
@@ -218,6 +270,14 @@ def test_weight_masses(desk_params):
 def test_weight_matches_per_atom_reference(a, b, N):
     p = HahnParams(a, b, N)
     assert hahn_weight(p).atoms == per_atom_hahn_weight(p)
+
+
+def test_weight_matches_per_atom_reference_on_a_seeded_grid():
+    grid = random_params(random.Random(7), 40)
+    assert any(p.a < 0 for p in grid) and any(p.b < 0 for p in grid)
+    assert any(p.a < 0 and p.b < 0 for p in grid)
+    for p in grid:
+        assert hahn_weight(p).atoms == per_atom_hahn_weight(p)
 
 
 class TestDualFamily:
