@@ -6,20 +6,17 @@ use of how the q_n were built, so it can confirm (or refute) the existence
 of an operator of a given order independently of the determinantal
 construction.
 
-The search runs point by point.  At an integer x the equations read
-sum_l h_l(x) q_n(x + l) = lambda_n q_n(x): one integer row per fed q_n in
-the 2r + 1 values h_l(x), solved exactly by
-:func:`~krallhahn.matrices._exact_solve`.  Any operator of half-width r,
-whatever its coefficient degrees, solves every such system, so an
-inconsistent point rules all of them out.  Where the system has full column
-rank, h(x) is unique, and degree_cap + 1 such nodes fix every solution with
-coefficient degrees <= degree_cap: it is the interpolant of the node values,
-which is accepted only if the certificate holds: D(q_n) = lambda_n q_n,
-decided exactly at integer points by
-:func:`~krallhahn.diffops.eigen_certificate`.  When
-the fed degrees are 0..2r + 1 their span holds every polynomial of degree
-<= 2r + 1, so no point is singular; a gap in the degrees can make one, and
-such a point is skipped.
+The search runs point by point.  At an integer x the equations
+sum_l h_l(x) q_n(x + l) = lambda_n q_n(x), one per fed q_n, are read in the
+forward-difference basis about x - r, where sorted by degree they are
+triangular up to the gaps in the fed degrees (:func:`_difference_solve`).
+Any operator of half-width r solves every such system, so an inconsistent
+point rules all of them out.  Where h(x) is unique, degree_cap + 1 such
+nodes fix every solution with coefficient degrees <= degree_cap: the
+interpolant of the node values, accepted only if
+:func:`~krallhahn.diffops.eigen_certificate` decides D(q_n) = lambda_n q_n
+exactly.  With fed degrees 0..2r + 1 every point fixes each g_i by a
+division; a degree gap can make a point singular, and it is skipped.
 
 If fewer than degree_cap + 1 nodes turn up among the first
 ``_POINT_BUDGET * (degree_cap + 1)`` points, the probe falls back to one
@@ -32,14 +29,15 @@ solves it; only this route can report nullity > 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .diffops import DifferenceOperator, eigen_certificate
 from .errors import InsufficientData
 from .matrices import _exact_solve, solve_linear_system
 from .polynomials import Polynomial, horner, newton_form, taylor_shift
-from .rationals import Rational, clear_denominators
+from .rationals import Rational, clear_denominators, exact_rational
 
 # points scanned for nodes, per node needed, before the global fallback
 _POINT_BUDGET = 2
@@ -63,7 +61,6 @@ def _integer_rows(
     rhs: list[int] = []
     for qn, lam in zip(qs, lambdas):
         cleared, _ = qn.integer_parts
-        lam = Fraction(lam)
         shifted = [[lam.denominator * c for c in taylor_shift(cleared, l)] for l in offsets]
         for power in range(qn.degree + degree_cap + 1):
             row = [0] * (len(offsets) * width)
@@ -93,8 +90,11 @@ def operator_solution_space(
     probe.  An inconsistent pointwise system gives (None, 0); degree_cap + 1
     points with a unique solution give the interpolant and nullity 0 if it
     passes the certificate, else (None, 0).  Only the global fallback, taken
-    when too few such points turn up, can report nullity > 0.
+    when too few such points turn up, can report nullity > 0.  Each
+    eigenvalue is read by :func:`~krallhahn.rationals.exact_rational`, so a
+    float raises ``TypeError``.
     """
+    lambdas = [exact_rational(lam) for lam in lambdas]
     if len(qs) != len(lambdas):
         raise ValueError("need one eigenvalue per polynomial")
     if halfwidth < 0 or degree_cap < 0:
@@ -132,35 +132,77 @@ def _pointwise_nodes(
     """The points x = 0, 1, ... where h(x) is unique, with h(x), up to
     degree_cap + 1 of them; None at the first inconsistent point.
 
-    At most ``_POINT_BUDGET * (degree_cap + 1)`` points are scanned.  The row
-    of q_n = Q_n / d_n at x is [den(lambda_n) Q_n(x + l) for l] + [num(lambda_n)
-    Q_n(x)], its equation times d_n den(lambda_n).  Each Q_n is evaluated once
-    per point, by integer Horner, as the scan reaches it.
+    At most ``_POINT_BUDGET * (degree_cap + 1)`` points are scanned.  Each
+    Q_n = d_n q_n keeps its differences Delta^i Q_n(x - r), advanced to x + 1
+    by additions.  The unknowns g of :func:`_difference_solve` have generating
+    function sum_i g_i t^i = sum_j h_(j-r) (1 + t)^j, so h is g Taylor-shifted
+    by -1: h_(j-r) = sum_(i>=j) (-1)^(i-j) C(i, j) g_i.
     """
     width = 2 * halfwidth + 1
-    numerators = [q.integer_parts[0] for q in qs]
-    scales = [(Fraction(lam).denominator, Fraction(lam).numerator) for lam in lambdas]
-    values: list[list[int]] = []  # values[i]: every Q_n at the point i - halfwidth
+    rows = []
+    for q, lam in sorted(zip(qs, lambdas), key=lambda pair: pair[0].degree):
+        nums = q.integer_parts[0]
+        diffs = [horner(nums, y) for y in range(-halfwidth, len(nums) - halfwidth)]
+        for i in range(1, len(diffs)):
+            for j in range(len(diffs) - 1, i - 1, -1):
+                diffs[j] -= diffs[j - 1]
+        rows.append((min(q.degree, 2 * halfwidth), lam.denominator, lam.numerator, diffs))
+    centre = [comb(halfwidth, i) for i in range(halfwidth + 1)]  # Q(x) from Q(x - r)
     nodes = []
     for x in range(_POINT_BUDGET * (degree_cap + 1)):
-        while len(values) < x + width:
-            y = len(values) - halfwidth
-            values.append([horner(nums, y) for nums in numerators])
-        window = values[x : x + width]
-        centre = window[halfwidth]
-        aug = [
-            _primitive([den * column[n] for column in window] + [num * centre[n]])
-            for n, (den, num) in enumerate(scales)
-        ]
-        solved = _exact_solve(aug, width)
+        solved = _difference_solve(rows, width, centre)
         if solved is None:
             return None
-        h, nullity = solved
-        if not nullity:
-            nodes.append((x, h))
+        g, scale = solved
+        if len(g) == width:
+            nodes.append((x, [Fraction(v, scale) for v in taylor_shift(g, -1)]))
             if len(nodes) > degree_cap:
                 break
+        for *_, diffs in rows:
+            for i in range(len(diffs) - 1):
+                diffs[i] += diffs[i + 1]
     return nodes
+
+
+def _difference_solve(rows: list, width: int, centre: list[int]) -> tuple[list[int], int] | None:
+    """(G, s) with g_i = G_i / s = sum_l C(l + r, i) h_l(x); None if the rows
+    are inconsistent, and fewer than ``width`` values if g is not unique.
+
+    Row (k, den, num, Delta Q) is q_n's equation times d_n den(lambda_n):
+    den sum_(i<=k) Delta^i Q(x - r) g_i = num Q(x).  With g_0..g_(t-1) known,
+    a row of k = t and Delta^t Q != 0 fixes g_t by one exact division, and one
+    of k < t is a consistency check.  From the first row that does neither (a
+    gap in the fed degrees, or a zero pivot at k = 2r), the rows are one dense
+    system in g_t.., solved by :func:`~krallhahn.matrices._exact_solve`.
+    """
+    g, scale = [], 1
+
+    def rhs(den, num, diffs):  # scale times the right-hand side, g_0..g_(t-1) substituted
+        return num * scale * sum(map(mul, centre, diffs)) - den * sum(map(mul, g, diffs))
+
+    for at, (top, den, num, diffs) in enumerate(rows):
+        t = len(g)
+        if top < t:
+            if rhs(den, num, diffs):
+                return None
+        elif top == t and diffs[t]:
+            pivot, b = den * diffs[t], rhs(den, num, diffs)
+            c = gcd(b, pivot)
+            g = [v * (pivot // c) for v in g] + [b // c]
+            scale *= pivot // c
+        else:
+            aug = [
+                _primitive([den * scale * v for v in (d + [0] * width)[t:width]] + [rhs(den, num, d)])
+                for _, den, num, d in rows[at:]
+            ]
+            solved = _exact_solve(aug, width - t)
+            if solved is None:
+                return None
+            if solved[1]:
+                return [], 1
+            nums, scale = clear_denominators([Fraction(v, scale) for v in g] + solved[0])
+            return list(nums), scale
+    return g, scale
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -29,10 +29,10 @@ from krallhahn.ladder import (
     rising_block,
     series_shift,
 )
-from krallhahn.matrices import poly_det
+from krallhahn.matrices import _exact_solve, poly_det
 from krallhahn.measures import christoffel
-from krallhahn.oracle import operator_solution_space
-from krallhahn.polynomials import Polynomial, lowest_terms, pochhammer
+from krallhahn.oracle import _POINT_BUDGET, _primitive, operator_solution_space
+from krallhahn.polynomials import Polynomial, horner, lowest_terms, pochhammer
 from krallhahn.rationals import as_rational
 from krallhahn.sets import set_max
 from krallhahn.verify import build_run
@@ -714,6 +714,41 @@ def fraction_rows(qs, lambdas, halfwidth, degree_cap):
             rows.append(row)
             rhs.append(target.coefficient(power))
     return rows, rhs
+
+
+def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
+    """Reference: the nodes of ``oracle._pointwise_nodes`` by one Bareiss
+    solve per point in the values h_l(x) themselves.
+
+    At most ``_POINT_BUDGET * (degree_cap + 1)`` points are scanned.  The row
+    of q_n = Q_n / d_n at x is [den(lambda_n) Q_n(x + l) for l] + [num(lambda_n)
+    Q_n(x)], its equation times d_n den(lambda_n).  Each Q_n is evaluated once
+    per point, by integer Horner, as the scan reaches it.
+    """
+    width = 2 * halfwidth + 1
+    numerators = [q.integer_parts[0] for q in qs]
+    scales = [(Fraction(lam).denominator, Fraction(lam).numerator) for lam in lambdas]
+    values: list[list[int]] = []  # values[i]: every Q_n at the point i - halfwidth
+    nodes = []
+    for x in range(_POINT_BUDGET * (degree_cap + 1)):
+        while len(values) < x + width:
+            y = len(values) - halfwidth
+            values.append([horner(nums, y) for nums in numerators])
+        window = values[x : x + width]
+        centre = window[halfwidth]
+        aug = [
+            _primitive([den * column[n] for column in window] + [num * centre[n]])
+            for n, (den, num) in enumerate(scales)
+        ]
+        solved = _exact_solve(aug, width)
+        if solved is None:
+            return None
+        h, nullity = solved
+        if not nullity:
+            nodes.append((x, h))
+            if len(nodes) > degree_cap:
+                break
+    return nodes
 
 
 def primitive_row(row):

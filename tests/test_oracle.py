@@ -2,10 +2,15 @@
 
 The pointwise route of :func:`operator_solution_space` is compared with the
 global system it falls back on, :func:`krallhahn.oracle._solve_globally`,
-called directly; and its integer divided differences, through their Newton
-form, with the ``Fraction`` Lagrange interpolant on the same nodes.
+called directly.  Its per-point solves in the forward-difference basis are
+compared with one Bareiss solve per point in the values h_l(x) themselves
+(``reference.window_pointwise_nodes``), node list for node list, on the
+oracle check's probes and seeded perturbations of them; and its integer
+divided differences, through their Newton form, with the ``Fraction``
+Lagrange interpolant on the same nodes.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -32,7 +37,7 @@ from krallhahn.oracle import (
 from krallhahn.polynomials import Polynomial, newton_form
 from krallhahn.verify import build_run, run_config
 
-from reference import fraction_rows, lagrange, primitive_row
+from reference import fraction_rows, lagrange, primitive_row, window_pointwise_nodes
 
 
 @pytest.fixture
@@ -177,13 +182,88 @@ _ORACLE_CASES = {
 }
 
 
+@functools.cache
+def _case_inputs(name):
+    return _oracle_inputs(_ORACLE_CASES[name])
+
+
 @pytest.mark.parametrize("name", list(_ORACLE_CASES))
 def test_pointwise_matches_global_route(name, global_route):
-    qs, lambdas, r, cap = _oracle_inputs(_ORACLE_CASES[name])
+    qs, lambdas, r, cap = _case_inputs(name)
     found = operator_solution_space(qs, lambdas, r, cap)
     assert global_route == []
     assert found == _solve_globally(qs, lambdas, r, cap)
     assert found[0] is not None and found[1] == 0
+
+
+def _perturbations(qs, lambdas, r, cap, rng):
+    """Five seeded variants of one probe: a corrupted eigenvalue, a dropped
+    q_n, shuffled rows, half-width r +- 1 and a changed degree cap."""
+    k = rng.randrange(len(qs))
+    bad = list(lambdas)
+    bad[k] += Fraction(rng.randint(1, 9), rng.randint(1, 5))
+    pairs = list(zip(qs, lambdas))
+    rng.shuffle(pairs)
+    yield qs, bad, r, cap
+    yield qs[:k] + qs[k + 1 :], lambdas[:k] + lambdas[k + 1 :], r, cap
+    yield [q for q, _ in pairs], [lam for _, lam in pairs], r, cap
+    yield qs, lambdas, r + rng.choice((-1, 1)) if r else 1, cap
+    yield qs, lambdas, r, max(0, cap + rng.choice((-3, -2, -1, 1, 2)))
+
+
+@pytest.fixture
+def residual_solves(monkeypatch):
+    """Counts the dense solves at degree gaps and zero pivots."""
+    calls = []
+    solve = oracle._exact_solve
+
+    def spy(aug, ncols):
+        calls.append(ncols)
+        return solve(aug, ncols)
+
+    monkeypatch.setattr(oracle, "_exact_solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_difference_basis_matches_window_solves(name, residual_solves):
+    """The same node list, points and h values, as one Bareiss solve per
+    point in h itself, on the probe and ten seeded perturbations of it."""
+    probe = _case_inputs(name)
+    assert len(_pointwise_nodes(*probe)) == probe[3] + 1
+    # four-roots skips degree 8, so its rows past the gap form a dense system
+    assert bool(residual_solves) == (name == "four-roots")
+    rng = random.Random(f"window:{name}")
+    variants = [*_perturbations(*probe, rng), *_perturbations(*probe, rng)]
+    for args in [probe, *variants]:
+        assert _pointwise_nodes(*args) == window_pointwise_nodes(*args), args[2:]
+
+
+def test_zero_pivots_match_window_solves(desk_params, residual_solves):
+    """Symmetric Hahn data (a = b) has Delta^2r Q_n = 0 at the centre for
+    odd n > 2r: a zero pivot at a full top index, and a dense solve there."""
+    symmetric = HahnParams(HALF, HALF, 6)
+    for params, fed in ((symmetric, (0, 1, 3, 5)), (symmetric, range(7)), (desk_params, range(6))):
+        qs = [hahn_polynomial(n, params) for n in fed]
+        lams = [params.eigenvalue(n) for n in fed]
+        for r, cap in ((1, 2), (1, 4), (2, 4), (3, 6)):
+            assert _pointwise_nodes(qs, lams, r, cap) == window_pointwise_nodes(qs, lams, r, cap)
+    assert residual_solves
+
+
+def test_float_eigenvalues_raise_on_both_routes(global_route):
+    """A float holds a binary fraction, not the rational it was written as:
+    on either route it raises before any solve, as eigen_certificate does."""
+    params = HahnParams(HALF, Fraction(1, 3), 6)
+    for fed, calls in (((0, 1, 2, 3, 4), []), ((4, 5), [15])):
+        qs = [hahn_polynomial(n, params) for n in fed]
+        lams = [params.eigenvalue(n) for n in fed]
+        with pytest.raises(TypeError, match="float"):
+            operator_solution_space(qs, [float(lam) for lam in lams], 1, 2)
+        assert global_route == []
+        assert operator_solution_space(qs, lams, 1, 2) == (hahn_operator(params), 0)
+        assert global_route == calls
+        global_route.clear()
 
 
 def test_integer_divided_differences_match_fraction_ones():
