@@ -13,7 +13,7 @@ triangular up to the gaps in the fed degrees (:func:`_difference_solve`).
 Any operator of half-width r solves every such system, so an inconsistent
 point rules all of them out.  Where h(x) is unique, degree_cap + 1 such
 nodes fix every solution with coefficient degrees <= degree_cap: the
-interpolant of the node values, accepted only if
+interpolant of the node values, integers over one denominator, accepted if
 :func:`~krallhahn.diffops.eigen_certificate` decides D(q_n) = lambda_n q_n
 exactly.  With fed degrees 0..2r + 1 every point fixes each g_i by a
 division; a degree gap can make a point singular, and it is skipped.
@@ -36,7 +36,7 @@ from typing import Sequence
 from .diffops import DifferenceOperator, eigen_certificate
 from .errors import InsufficientData
 from .matrices import _exact_solve, solve_linear_system
-from .polynomials import Polynomial, horner, newton_form, taylor_shift
+from .polynomials import Polynomial, horner, interpolate, taylor_shift
 from .rationals import Rational, clear_denominators, exact_rational
 
 # points scanned for nodes, per node needed, before the global fallback
@@ -112,9 +112,11 @@ def operator_solution_space(
     if len(nodes) <= degree_cap:
         return _solve_globally(qs, lambdas, halfwidth, degree_cap)
     points = [x for x, _ in nodes]
+    common = lcm(*(scale for _, (_, scale) in nodes))
+    rows = [[v * (common // scale) for v in h] for _, (h, scale) in nodes]
     found = DifferenceOperator(
         {
-            l: newton_form(_divided_differences(points, [h[col] for _, h in nodes]), points)
+            l: interpolate([row[col] for row in rows], common, points)
             for col, l in enumerate(range(-halfwidth, halfwidth + 1))
         }
     )
@@ -128,9 +130,10 @@ def _pointwise_nodes(
     lambdas: Sequence[Rational],
     halfwidth: int,
     degree_cap: int,
-) -> list[tuple[int, list[Fraction]]] | None:
-    """The points x = 0, 1, ... where h(x) is unique, with h(x), up to
-    degree_cap + 1 of them; None at the first inconsistent point.
+) -> list[tuple[int, tuple[list[int], int]]] | None:
+    """The points x = 0, 1, ... where h(x) is unique, with h(x) as integers
+    over one denominator (of either sign), up to degree_cap + 1 of them; None
+    at the first inconsistent point.
 
     At most ``_POINT_BUDGET * (degree_cap + 1)`` points are scanned.  Each
     Q_n = d_n q_n keeps its differences Delta^i Q_n(x - r), advanced to x + 1
@@ -155,7 +158,7 @@ def _pointwise_nodes(
             return None
         g, scale = solved
         if len(g) == width:
-            nodes.append((x, [Fraction(v, scale) for v in taylor_shift(g, -1)]))
+            nodes.append((x, (taylor_shift(g, -1), scale)))
             if len(nodes) > degree_cap:
                 break
         for *_, diffs in rows:
@@ -210,26 +213,6 @@ def _primitive(row: list[int]) -> list[int]:
     integers small."""
     content = gcd(*row)
     return [v // content for v in row] if content > 1 else row
-
-
-def _divided_differences(nodes: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
-    """The Newton coefficients f[x_0], f[x_0, x_1], ... of the interpolant.
-
-    Each level of the table is kept as integers over one denominator: level 0
-    is the values over the lcm L of their denominators, and level k scales
-    each difference by the lcm of the level's node gaps over its own gap, so
-    no entry leaves the integers.  On consecutive nodes every gap at level k
-    is k, and level k sits over L k!.
-    """
-    table, den = clear_denominators(values)
-    coeffs = [Fraction(table[0], den)]
-    for k in range(1, len(nodes)):
-        gaps = [nodes[i] - nodes[i - k] for i in range(k, len(nodes))]
-        step = lcm(*gaps)
-        table = [(b - a) * (step // g) for a, b, g in zip(table, table[1:], gaps)]
-        den *= step
-        coeffs.append(Fraction(table[0], den))
-    return coeffs
 
 
 def _solve_globally(

@@ -11,7 +11,9 @@ convolutions, evaluation is homogeneous integer Horner (on bare integer
 numerators too, by :func:`horner`), :meth:`Polynomial.shift_argument` is an
 integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
 Newton-form sums are integer Horner (:func:`newton_form`), and division is
-integer pseudo-division.  Each result is made canonical once.
+integer pseudo-division.  :func:`interpolate` is the one route from integer
+values at integer nodes back to a polynomial, :func:`antidifference` among
+its callers.  Each result is made canonical once.
 ``Fraction`` appears only at the edges: the constructors take ``int`` or
 ``Fraction`` coefficients, and ``coefficient``, ``leading_coefficient``,
 ``coeffs``, iteration, evaluation and the string forms give ``Fraction``
@@ -24,6 +26,7 @@ reduced by :func:`lowest_terms`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
@@ -433,26 +436,40 @@ def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial
     return _make(acc, den * scale)
 
 
-def interpolate(values: Sequence[int], denominator: int) -> Polynomial:
+def interpolate(
+    values: Sequence[int], denominator: int, nodes: Sequence[int] | None = None
+) -> Polynomial:
     """The polynomial p of degree below K = len(values) >= 1 with
-    p(x) = values[x] / denominator at x = 0..K-1, for a denominator > 0.
+    p(nodes[i]) = values[i] / denominator, for a denominator > 0 and
+    increasing integer nodes, by default 0..K-1.
 
-    Newton's forward form: p(x) = sum_j D_j prod_{i<j} (x - i) / j!, with D_j
-    the j-th integer forward difference of the values at 0.  Scaled by
-    (K-1)!/j!, the coefficients are integers over (K-1)! * denominator, so one
-    :func:`newton_form` call on integer nodes builds p with no ``Fraction``.
+    Newton's form by integer divided differences: level k of the table is kept
+    over s_1 ... s_k, with s_k the lcm of the level's gaps, so each difference
+    is scaled by s_k / gap.  On consecutive nodes (last - first = K - 1) every
+    gap at level k is k: plain differences, and s_k = k.  Scaled by
+    s_(j+1) ... s_(K-1), the coefficients are integers over s_1 ... s_(K-1)
+    times the denominator, so one :func:`newton_form` call builds p.
     """
     top = len(values) - 1
-    diffs, leading = list(values), []
-    while diffs:
-        leading.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    nodes = range(top + 1) if nodes is None else nodes
+    diffs, leading, steps = list(values), [values[0]], range(1, top + 1)
+    if nodes[top] - nodes[0] == top:
+        for _ in steps:
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            leading.append(diffs[0])
+    else:
+        steps = []
+        for k in range(1, top + 1):
+            gaps = [b - a for a, b in zip(nodes, nodes[k:])]
+            steps.append(lcm(*gaps))
+            diffs = [(b - a) * (steps[-1] // g) for a, b, g in zip(diffs, diffs[1:], gaps)]
+            leading.append(diffs[0])
     scale, coeffs = 1, [leading[top]]
     for j in range(top - 1, -1, -1):
-        scale *= j + 1
+        scale *= steps[j]
         coeffs.append(leading[j] * scale)
-    coeffs.reverse()  # coeffs[j] = leading[j] * top! / j!, and scale = top!
-    numerators, _ = newton_form(coeffs, range(top)).integer_parts
+    coeffs.reverse()  # coeffs[j] = leading[j] * s_(j+1) ... s_top, and scale = s_1 ... s_top
+    numerators, _ = newton_form(coeffs, nodes).integer_parts
     return Polynomial.from_integer_parts(numerators, scale * denominator)
 
 
@@ -546,16 +563,8 @@ def pochhammer(base: Fraction | int, length: int) -> Fraction:
 
 
 def antidifference(p: Polynomial) -> Polynomial:
-    """The polynomial q with q(x) - q(x-1) = p(x) and q(-1) = 0.
-
-    Peel the top coefficient each round: the difference of c*x^(d+1) has
-    degree d with leading coefficient c*(d+1), so the residual degree drops.
-    """
-    q = Polynomial.zero()
-    residual = p
-    while not residual.is_zero:
-        d = residual.degree
-        mono = Polynomial.monomial(d + 1, residual.leading_coefficient / (d + 1))
-        q = q + mono
-        residual = residual - (mono - mono.shift_argument(-1))
-    return q - Polynomial.constant(q(Fraction(-1)))
+    """The polynomial q with q(x) - q(x-1) = p(x) and q(-1) = 0: q(x) is the
+    partial sum p(0) + ... + p(x), of degree deg p + 1, so it is interpolated
+    from those sums at x = 0..deg p + 1, on p's integer numerators."""
+    nums, den = p.integer_parts
+    return interpolate(list(accumulate(horner(nums, x) for x in range(len(nums) + 1))), den)

@@ -150,9 +150,9 @@ def lagrange(nodes, values):
     """sum_i values[i] * prod_{k != i} (x - nodes[k]) / (nodes[i] - nodes[k]) on
     distinct nodes, on Fraction coefficient lists.
 
-    The reference for :func:`krallhahn.polynomials.interpolate` (nodes
-    0..K-1) and for the oracle's divided differences (any increasing integer
-    nodes): the Newton form of those coefficients must be this polynomial.
+    The reference for :func:`krallhahn.polynomials.interpolate`, on its
+    default nodes 0..K-1 and on any increasing integer nodes, consecutive or
+    not: the interpolant of the same values must be this polynomial.
     """
     total = [Fraction(0)] * len(values)
     for i, v in enumerate(values):
@@ -749,6 +749,15 @@ def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
             if len(nodes) > degree_cap:
                 break
     return nodes
+
+
+def fraction_nodes(nodes):
+    """The nodes of ``oracle._pointwise_nodes``, each (x, (numerators,
+    denominator)), as (x, h) with h a list of ``Fraction`` values, the form of
+    :func:`window_pointwise_nodes`; None stays None."""
+    if nodes is None:
+        return None
+    return [(x, [Fraction(v, den) for v in nums]) for x, (nums, den) in nodes]
 
 
 def primitive_row(row):

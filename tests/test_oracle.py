@@ -5,9 +5,11 @@ global system it falls back on, :func:`krallhahn.oracle._solve_globally`,
 called directly.  Its per-point solves in the forward-difference basis are
 compared with one Bareiss solve per point in the values h_l(x) themselves
 (``reference.window_pointwise_nodes``), node list for node list, on the
-oracle check's probes and seeded perturbations of them; and its integer
-divided differences, through their Newton form, with the ``Fraction``
-Lagrange interpolant on the same nodes.
+oracle check's probes and seeded perturbations of them, with each node's
+integers over one denominator read as ``Fraction`` values
+(``reference.fraction_nodes``); and the interpolant that it builds on those
+nodes, :func:`krallhahn.polynomials.interpolate` on increasing integer nodes,
+with the ``Fraction`` Lagrange interpolant on the same nodes.
 """
 
 import functools
@@ -28,16 +30,22 @@ from krallhahn.config import BUILTIN_CONFIGS, builtin_config, config_from_dict
 from krallhahn.errors import InsufficientData
 from krallhahn.hahn import HahnParams, hahn_operator, hahn_polynomial
 from krallhahn.oracle import (
-    _divided_differences,
     _integer_rows,
     _pointwise_nodes,
     _solve_globally,
     operator_solution_space,
 )
-from krallhahn.polynomials import Polynomial, newton_form
+from krallhahn.polynomials import Polynomial, interpolate
+from krallhahn.rationals import clear_denominators
 from krallhahn.verify import build_run, run_config
 
-from reference import fraction_rows, lagrange, primitive_row, window_pointwise_nodes
+from reference import (
+    fraction_nodes,
+    fraction_rows,
+    lagrange,
+    primitive_row,
+    window_pointwise_nodes,
+)
 
 
 @pytest.fixture
@@ -236,7 +244,7 @@ def test_difference_basis_matches_window_solves(name, residual_solves):
     rng = random.Random(f"window:{name}")
     variants = [*_perturbations(*probe, rng), *_perturbations(*probe, rng)]
     for args in [probe, *variants]:
-        assert _pointwise_nodes(*args) == window_pointwise_nodes(*args), args[2:]
+        assert fraction_nodes(_pointwise_nodes(*args)) == window_pointwise_nodes(*args), args[2:]
 
 
 def test_zero_pivots_match_window_solves(desk_params, residual_solves):
@@ -247,7 +255,8 @@ def test_zero_pivots_match_window_solves(desk_params, residual_solves):
         qs = [hahn_polynomial(n, params) for n in fed]
         lams = [params.eigenvalue(n) for n in fed]
         for r, cap in ((1, 2), (1, 4), (2, 4), (3, 6)):
-            assert _pointwise_nodes(qs, lams, r, cap) == window_pointwise_nodes(qs, lams, r, cap)
+            nodes = fraction_nodes(_pointwise_nodes(qs, lams, r, cap))
+            assert nodes == window_pointwise_nodes(qs, lams, r, cap)
     assert residual_solves
 
 
@@ -273,9 +282,7 @@ def test_integer_divided_differences_match_fraction_ones():
         # increasing integer nodes, consecutive in every third trial
         nodes = list(range(count)) if trial % 3 == 0 else sorted(rng.sample(range(-6, 14), count))
         values = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in nodes]
-        coeffs = _divided_differences(nodes, values)
-        assert len(coeffs) == count
-        interpolant = newton_form(coeffs, nodes)
+        interpolant = interpolate(*clear_denominators(values), nodes)
         assert interpolant == lagrange(nodes, values), trial
         assert interpolant.degree < count
         assert [interpolant(x) for x in nodes] == values, trial

@@ -178,6 +178,9 @@ class TestAgainstFractionReference:
             if g.degree <= 3:
                 check(f.compose(g), rf.compose(rg))
             check(antidifference(f), reference_antidifference(rf))
+        # one degree far above the random cases' 9, with rational coefficients
+        coeffs = random_coeffs(random.Random(174), 24)
+        check(antidifference(Polynomial(coeffs)), reference_antidifference(FractionPolynomial(coeffs)))
 
     def test_from_roots(self):
         rng = random.Random(10)

@@ -225,12 +225,22 @@ def test_interpolate_matches_lagrange():
     for _ in range(30):
         k = rng.randint(1, 10)
         cases.append(([rng.randint(-10**6, 10**6) for _ in range(k)], rng.randint(1, 40)))
-    for values, denominator in cases:
-        poly = interpolate(values, denominator)
+    cases = [(values, denominator, None) for values, denominator in cases]  # nodes 0..K-1
+    # a single node, a consecutive run that starts above 0, and gapped increasing nodes
+    cases += [([5], 3, [7]), ([-2], 1, [-4]), ([3, -1, 4, 1, -5], 2, range(6, 11))]
+    gapped = [0, 1, 2, 4, 5]
+    cases += [([1, 0, 2], 5, [-3, 0, 4]), ([2 * x * x - 5 for x in gapped], 1, gapped)]
+    for _ in range(30):
+        nodes = sorted(rng.sample(range(-20, 40), rng.randint(2, 9)))
+        values = [rng.randint(-10**6, 10**6) for _ in nodes]
+        cases.append((values, rng.randint(1, 40), nodes))
+    for values, denominator, nodes in cases:
+        poly = interpolate(values, denominator, nodes)
+        nodes = range(len(values)) if nodes is None else nodes
         expected = [Fraction(v, denominator) for v in values]
-        assert poly == lagrange(range(len(values)), expected)
+        assert poly == lagrange(nodes, expected)
         assert poly.degree < len(values)
-        assert [poly(x) for x in range(len(values))] == expected
+        assert [poly(x) for x in nodes] == expected
     assert interpolate([2 * x * x - 5 * x + 1 for x in range(7)], 3).degree == 2
     assert interpolate([0] * 6, 7).is_zero
     assert interpolate([4, 4], 1) == Polynomial.constant(4)
