@@ -1,40 +1,38 @@
-"""Exact determinants and exact linear solving.
+"""Exact determinants and exact linear solving, on the integers.
 
 One fraction-free forward elimination (Bareiss, 1968), :func:`_eliminate`,
-does every exact elimination here.  It runs on two rings, polynomials and
-integers, because it uses only ring operations and one exact division per
+does every exact elimination here, with one exact integer division per
 update; rows are swapped to find a pivot and columns without one are skipped.
+One back-substitution, :func:`_cramer`, reads det * X off an eliminated
+[A | B] by Cramer's rule.
 
-:func:`poly_det` reads the determinant of a polynomial matrix off that
-elimination at every size, and :func:`integer_det` does the same on integers
-with exact integer division.  :class:`PointAdjugate` interpolates the
-determinant and cofactors of a polynomial matrix from :func:`integer_adjugate`
-at integer points (von zur Gathen and Gerhard, Modern Computer Algebra, ch.
-5); the construction uses it, and :func:`poly_det` is its test reference.  No
-determinant here works over rational functions: the construction clears
+:func:`integer_det` reads the determinant off the elimination, and
+:func:`integer_adjugate` det A and adj A off [A | I].  :class:`PointAdjugate`
+interpolates the determinant and cofactors of a polynomial matrix from
+:func:`integer_adjugate` at integer points (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 5), and :func:`poly_det` is its determinant.  Nothing
+here eliminates polynomials or rational functions: the construction clears
 row denominators first, and its cross-check and the family q_n take integer
 determinants of rows kept over one denominator per point.
 
-:func:`_exact_solve` solves the operator-existence probe's small system at
-each point, and :func:`solve_linear_system` backs only that probe's global
-fallback, taken when too few points have a unique solution.  The verdicts of
-:func:`solve_linear_system` rest on one of two things.  Either a minor that
-is nonzero modulo a word-size prime (so nonzero over the rationals)
-certifies full column rank, and with it nullity 0 or, when b is a pivot too,
-inconsistency; a solution found modulo further primes is then accepted only
-after exact substitution.  Or :func:`_exact_solve`, the same fraction-free
-elimination run on the integer rows [A | b] and followed by integer
-back-substitution, decides; that happens when the system is rank-deficient
-modulo the first prime or its solution needs more primes than the fixed
-tuple holds.
+:func:`_exact_solve` solves integer rows [A | b] as integer numerators over
+one denominator: the oracle's residual systems at each point, and the fallback
+of :func:`solve_linear_system`, which backs only the oracle's global system and
+builds its ``Fraction`` values at one exit.  Its verdicts rest on one of two
+things.  Either a minor that is nonzero modulo a word-size prime (so nonzero
+over the rationals) certifies full column rank, and with it nullity 0 or,
+when b is a pivot too, inconsistency; a solution found modulo further primes
+is then accepted only after exact substitution.  Or :func:`_exact_solve`
+decides, when the system is rank-deficient modulo the first prime or its
+solution needs more primes than the fixed tuple holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import floordiv, mul, truediv
-from typing import Callable, Sequence
+from operator import mul
+from typing import Sequence
 
 from .polynomials import Polynomial, horner, interpolate
 from .rationals import clear_denominators
@@ -49,30 +47,14 @@ def _square_size(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:
-    """Determinant of a square polynomial matrix; a scalar entry is read as a
-    constant polynomial.  The empty matrix has determinant ``Polynomial.one()``.
-    """
-    n = _square_size(rows)
-    if n == 0:
-        return Polynomial.one()
-    entries = [
-        [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows
-    ]
-    pivots, sign = _eliminate(entries, n, truediv)
-    if len(pivots) < n:
-        return Polynomial.zero()
-    return entries[n - 1][n - 1] * sign
-
-
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by :func:`_eliminate` with exact
-    integer division; the empty matrix has determinant 1."""
+    """Determinant of a square integer matrix, by :func:`_eliminate`; the empty
+    matrix has determinant 1."""
     n = _square_size(rows)
     if n == 0:
         return 1
     entries = [list(row) for row in rows]
-    pivots, sign = _eliminate(entries, n, floordiv)
+    pivots, sign = _eliminate(entries, n)
     if len(pivots) < n:
         return 0
     return entries[n - 1][n - 1] * sign
@@ -81,13 +63,12 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(det A, adj A) of a square integer matrix, adj A[c][r] = (-1)^(r+c) minor(r, c).
 
-    :func:`_eliminate` on [A | I], then integer back-substitution for
-    det A * A^-1 (Cramer's rule: every division is exact); where det A = 0,
-    each minor by :func:`integer_det`.
+    :func:`_eliminate` on [A | I], then :func:`_cramer` for det A * A^-1;
+    where det A = 0, each minor by :func:`integer_det`.
     """
     n = _square_size(rows)
     aug = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
-    pivots, sign = _eliminate(aug, n, floordiv)
+    pivots, sign = _eliminate(aug, n)
     if len(pivots) < n:
         return 0, [
             [(-1) ** (r + c) * integer_det(
@@ -96,15 +77,7 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]
             for c in range(n)
         ]
     det = sign * aug[n - 1][n - 1] if n else 1
-    adj: list[list[int]] = [[]] * n
-    for k in range(n - 1, -1, -1):
-        row = aug[k]
-        acc = [det * v for v in row[n:]]
-        for i in range(k + 1, n):
-            if row[i]:
-                acc = [a - row[i] * b for a, b in zip(acc, adj[i])]
-        adj[k] = [a // row[k] for a in acc]
-    return det, adj
+    return det, _cramer(aug, pivots, n, n, det)
 
 
 class PointAdjugate:
@@ -160,19 +133,27 @@ class PointAdjugate:
         return interpolate(self.values[row][col][:count], prod(self.dens) // self.dens[row])
 
 
-def _eliminate(rows: list[list], width: int, divide: Callable) -> tuple[list[int], int]:
-    """Fraction-free forward elimination of the first ``width`` columns, in place.
+def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:
+    """:meth:`PointAdjugate.det` of a square matrix, a scalar entry read as a
+    constant polynomial; the empty matrix gives ``Polynomial.one()``."""
+    return PointAdjugate(
+        [[e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows]
+    ).det()
+
+
+def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of the first ``width`` columns of
+    integer rows, in place.
 
     Returns the pivot columns, in order, and the sign of the row permutation.
     Pivot k sits in row k.  Each step swaps up the first row with a nonzero
     entry in the column (a column with none is skipped), then replaces every
     entry right of the column in each row below by
-    (pivot * entry - lead * pivot_entry) / previous_pivot.  By Sylvester's
-    identity that is a minor of the original matrix, so ``divide`` (exact
-    division in the entries' ring, polynomials or integers) never leaves a
-    remainder, and the pivot of row k is the minor on the first k + 1 pivot
-    rows and columns.  Entries left of a row's pivot are not cleared; nothing
-    reads them.
+    (pivot * entry - lead * pivot_entry) // previous_pivot.  By Sylvester's
+    identity that is a minor of the original matrix, so the division never
+    leaves a remainder, and the pivot of row k is the minor on the first
+    k + 1 pivot rows and columns.  Entries left of a row's pivot are not
+    cleared; nothing reads them.
     """
     pivots: list[int] = []
     sign = 1
@@ -194,10 +175,30 @@ def _eliminate(rows: list[list], width: int, divide: Callable) -> tuple[list[int
         for row in rows[r + 1 :]:
             lead = row[c]
             step = [pivot * v - lead * t for v, t in zip(row[c + 1 :], tail)]
-            row[c + 1 :] = step if prev is None else [divide(v, prev) for v in step]
+            row[c + 1 :] = step if prev is None else [v // prev for v in step]
         prev = pivot
         pivots.append(c)
     return pivots, sign
+
+
+def _cramer(
+    aug: list[list[int]], pivots: list[int], ncols: int, width: int, det: int
+) -> list[list[int]]:
+    """det * X for the rows [A | B] after :func:`_eliminate`, B of ``width``
+    columns, det the last pivot or its negative.  That pivot is the minor on
+    the pivot rows and columns, so by Cramer's rule each pivot row fixes the
+    row of det * X at its pivot column by one exact division; a column without
+    a pivot keeps a zero row.
+    """
+    x = [[0] * width] * ncols  # rows are replaced, never changed in place
+    for k in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[k], aug[k]
+        acc = [det * v for v in row[ncols : ncols + width]]
+        for j in pivots[k + 1 :]:
+            if row[j]:
+                acc = [a - row[j] * b for a, b in zip(acc, x[j])]
+        x[c] = [a // row[c] for a in acc]
+    return x
 
 
 # The 12 largest primes below 2**62.  The first gives the rank profile.  Their
@@ -238,20 +239,23 @@ def solve_linear_system(
     ncols = len(rows[0]) if rows else 0
     aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
     pivots = _echelon_mod(aug, _PRIMES[0])
-    if not _full_column_rank(pivots, ncols):
-        return _exact_solve(aug, ncols)
-    if len(pivots) > ncols:
-        return None  # b is a pivot too: rank [A | b] = ncols + 1
-    square = [aug[source] for _, source, _ in pivots]
-    solved = _multimodular_solve(square, _back_substitute(pivots, _PRIMES[0]))
-    if solved is None:
-        return _exact_solve(aug, ncols)
-    numerators, denominator = solved
-    chosen = {source for _, source, _ in pivots}
-    for i, row in enumerate(aug):
-        if i not in chosen and _residual(row, numerators, denominator):
+    solved = None
+    if _full_column_rank(pivots, ncols):
+        if len(pivots) > ncols:
+            return None  # b is a pivot too: rank [A | b] = ncols + 1
+        square = [aug[source] for _, source, _ in pivots]
+        solved = _multimodular_solve(square, _back_substitute(pivots, _PRIMES[0]))
+    if solved is not None:
+        chosen = {source for _, source, _ in pivots}
+        if any(_residual(row, *solved) for i, row in enumerate(aug) if i not in chosen):
             return None
-    return [Fraction(v, denominator) for v in numerators], 0
+        solved = (*solved, 0)
+    else:
+        solved = _exact_solve(aug, ncols)
+    if solved is None:
+        return None
+    numerators, denominator, nullity = solved
+    return [Fraction(v, denominator) for v in numerators], nullity
 
 
 def _echelon_mod(aug: list[list[int]], p: int) -> list[tuple[int, int, list[int]]]:
@@ -368,22 +372,16 @@ def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
     return sum(map(mul, row, numerators)) - row[-1] * denominator
 
 
-def _exact_solve(aug: list[list[int]], ncols: int) -> tuple[list[Fraction], int] | None:
-    """Solve the integer rows [A | b] by :func:`_eliminate`, in place, and
-    fraction-free back-substitution.
+def _exact_solve(aug: list[list[int]], ncols: int) -> tuple[list[int], int, int] | None:
+    """``(numerators, denominator, nullity)`` for the integer rows [A | b], by
+    :func:`_eliminate` (in place) and :func:`_cramer`; None if inconsistent.
 
-    Same contract as :func:`solve_linear_system`, at any nullity: the free
-    variables are 0.  The last pivot is the minor on the pivot rows and
-    columns, so by Cramer's rule y = det * x is an integer vector, and each
-    pivot row gives y at its pivot column by one exact integer division.
+    x = numerators / denominator with the free variables 0, and the
+    denominator is the last pivot (1 if none), which may be negative.
     """
-    pivots, _ = _eliminate(aug, ncols + 1, floordiv)
+    pivots, _ = _eliminate(aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None  # b is a pivot: rank [A | b] > rank A
     det = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
-    y = [0] * ncols
-    for k in range(len(pivots) - 1, -1, -1):
-        c, row = pivots[k], aug[k]
-        known = sum(row[j] * y[j] for j in pivots[k + 1 :])
-        y[c] = (det * row[ncols] - known) // row[c]
-    return [Fraction(v, det) for v in y], ncols - len(pivots)
+    numerators = [y for (y,) in _cramer(aug, pivots, ncols, 1, det)]
+    return numerators, det, ncols - len(pivots)

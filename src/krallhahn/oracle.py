@@ -28,7 +28,6 @@ solves it; only this route can report nullity > 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -37,7 +36,7 @@ from .diffops import DifferenceOperator, eigen_certificate
 from .errors import InsufficientData
 from .matrices import _exact_solve, solve_linear_system
 from .polynomials import Polynomial, horner, interpolate, taylor_shift
-from .rationals import Rational, clear_denominators, exact_rational
+from .rationals import Rational, exact_rational
 
 # points scanned for nodes, per node needed, before the global fallback
 _POINT_BUDGET = 2
@@ -176,7 +175,8 @@ def _difference_solve(rows: list, width: int, centre: list[int]) -> tuple[list[i
     a row of k = t and Delta^t Q != 0 fixes g_t by one exact division, and one
     of k < t is a consistency check.  From the first row that does neither (a
     gap in the fed degrees, or a zero pivot at k = 2r), the rows are one dense
-    system in g_t.., solved by :func:`~krallhahn.matrices._exact_solve`.
+    system in g_t.., solved by :func:`~krallhahn.matrices._exact_solve` over
+    its last pivot; g and that part go over the lcm of s and the pivot.
     """
     g, scale = [], 1
 
@@ -201,10 +201,11 @@ def _difference_solve(rows: list, width: int, centre: list[int]) -> tuple[list[i
             solved = _exact_solve(aug, width - t)
             if solved is None:
                 return None
-            if solved[1]:
+            y, det, nullity = solved
+            if nullity:
                 return [], 1
-            nums, scale = clear_denominators([Fraction(v, scale) for v in g] + solved[0])
-            return list(nums), scale
+            common = lcm(scale, det)
+            return [v * (common // scale) for v in g] + [v * (common // det) for v in y], common
     return g, scale
 
 

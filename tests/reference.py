@@ -29,7 +29,7 @@ from krallhahn.ladder import (
     rising_block,
     series_shift,
 )
-from krallhahn.matrices import _exact_solve, poly_det
+from krallhahn.matrices import _exact_solve
 from krallhahn.measures import christoffel
 from krallhahn.oracle import _POINT_BUDGET, _primitive, operator_solution_space
 from krallhahn.polynomials import Polynomial, horner, lowest_terms, pochhammer
@@ -530,7 +530,7 @@ def closed_form_krall_polynomial(ctx, n):
     ]
     acc = Polynomial.zero()
     for k in range(min(m, n) + 1):
-        minor = poly_det([columns[c] for c in range(m + 1) if c != k])
+        minor = cofactor_det([columns[c] for c in range(m + 1) if c != k])
         acc = acc + minor * hahn_polynomial(n - k, p)
     return acc
 
@@ -604,7 +604,7 @@ def pair_route_mixing(ctx, row):
     acc = ZERO
     rows_kept = [entries for r, entries in enumerate(casorati.cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
-        minor = poly_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
+        minor = cofactor_det([entries[: j - 1] + entries[j:] for entries in rows_kept])
         numer = (
             sigma.shift_argument(half + j)
             * ctx.prefactor.shift_argument(j)
@@ -626,7 +626,7 @@ def shifted_entry_mixing(ctx, row):
     acc = ZERO
     rows_kept = [r for r in range(m) if r != row]
     for j in range(1, m + 1):
-        minor = poly_det([
+        minor = cofactor_det([
             [casorati._cleared_entry(ctx, r, c).shift_argument(j)
              for c in range(1, m + 1) if c != j]
             for r in rows_kept
@@ -674,12 +674,12 @@ def reference_casorati_rows(ctx, t):
 
 
 def reference_krall_polynomial(ctx, n):
-    """q_n as one bordered poly_det over the reference rows."""
+    """q_n as one bordered cofactor_det over the reference rows."""
     border = [Polynomial.zero()] * (ctx.m + 1)
     for k in range(min(ctx.m, n) + 1):
         h = hahn_polynomial(n - k, ctx.params)
         border[k] = -h if k % 2 else h
-    q = poly_det([*reference_casorati_rows(ctx, n), border])
+    q = cofactor_det([*reference_casorati_rows(ctx, n), border])
     return -q if ctx.m % 2 else q
 
 
@@ -743,9 +743,9 @@ def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
         solved = _exact_solve(aug, width)
         if solved is None:
             return None
-        h, nullity = solved
+        h, den, nullity = solved
         if not nullity:
-            nodes.append((x, h))
+            nodes.append((x, [Fraction(v, den) for v in h]))
             if len(nodes) > degree_cap:
                 break
     return nodes

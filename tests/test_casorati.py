@@ -53,7 +53,6 @@ from krallhahn.ladder import (
     rising_block,
     series_shift,
 )
-from krallhahn.matrices import poly_det
 from krallhahn.polynomials import Polynomial, lowest_terms
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
@@ -63,6 +62,7 @@ from reference import (
     add,
     block_normalizer,
     closed_form_krall_polynomial,
+    cofactor_det,
     compose_operator,
     fraction_casorati_value,
     pair_route_mixing,
@@ -538,7 +538,7 @@ class TestIntegerRows:
             assert product == denominator
             assert krall_polynomial(ctx, t) == reference_krall_polynomial(ctx, t)
         for t, v in casorati_rational(ctx).items():
-            assert v == poly_det([row[1:] for row in reference_casorati_rows(ctx, t)])
+            assert v == cofactor_det([row[1:] for row in reference_casorati_rows(ctx, t)])
 
     def test_classical_context_has_no_rows(self):
         run = build_run(builtin_config("classical"))
@@ -607,23 +607,23 @@ class TestIntegerScalars:
 
 
 def _signed_minor(matrix, r, c):
-    minor = poly_det([row[:c] + row[c + 1 :] for i, row in enumerate(matrix) if i != r])
+    minor = cofactor_det([row[:c] + row[c + 1 :] for i, row in enumerate(matrix) if i != r])
     return -minor if (r + c) % 2 else minor
 
 
 class TestPointRoute:
     """The cleared determinant and its cofactors from integer point values
-    (matrices.PointAdjugate) against the polynomial poly_det route."""
+    (matrices.PointAdjugate) against cofactor expansion (reference.cofactor_det)."""
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
     def test_cleared_route_matches_poly_det(self, name):
-        """casorati_cleared and every cofactor equal poly_det's, no degree bound
+        """casorati_cleared and every cofactor equal cofactor_det's, no degree bound
         is below the reference degree, and every mixing row equals the
-        poly_det pair route."""
+        cofactor_det pair route."""
         ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
         matrix = casorati.cleared_matrix(ctx)
         adjugate = casorati._cleared_adjugate(ctx)
-        det = poly_det(matrix)
+        det = cofactor_det(matrix)
         assert casorati_cleared(ctx) == det and adjugate.degree_bound() >= det.degree
         for r in range(ctx.m):
             for c in range(ctx.m):
@@ -657,7 +657,7 @@ class TestPointRoute:
                 assert adjugate.cofactor(r, c) == cofactor
 
     def test_zero_entry(self, monkeypatch):
-        """A cleared matrix with one entry zero: the point route still equals poly_det."""
+        """A cleared matrix with one entry zero: the point route still equals cofactor_det."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         entry = casorati._cleared_entry
         def zeroed(ctx, row, col):
@@ -667,7 +667,7 @@ class TestPointRoute:
         ctx = build_run(builtin_config("four-roots")).ctx
         matrix = casorati.cleared_matrix(ctx)
         assert matrix[1][1].is_zero
-        assert casorati_cleared(ctx) == poly_det(matrix)
+        assert casorati_cleared(ctx) == cofactor_det(matrix)
         adjugate = casorati._cleared_adjugate(ctx)
         for r in range(ctx.m):
             for c in range(ctx.m):

@@ -27,7 +27,11 @@ def _exact_solve(rows, rhs):
     """The exact fallback on its own, whatever the modular route would decide."""
     ncols = len(rows[0]) if rows else 0
     aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
-    return matrices._exact_solve(aug, ncols)
+    solved = matrices._exact_solve(aug, ncols)
+    if solved is None:
+        return None
+    numerators, denominator, nullity = solved
+    return [Fraction(v, denominator) for v in numerators], nullity
 
 
 def test_matrix_shape_checks():
@@ -420,6 +424,7 @@ def test_random_systems_match_gauss_jordan():
         ([[1, 1], [1, -1], [2, 0], [3, 1], [0, 2]], [3, 1, 4, 7, 3]),  # tall, inconsistent
         ([[0, 2, 1], [0, 0, 0], [3, 1, 0], [6, 2, 0]], [1, 0, 2, 4]),  # swaps past zero rows
         ([[Fraction(1, 2), Fraction(2, 3)], [Fraction(3, 4), 1]], [1, Fraction(3, 2)]),
+        ([[1, 2], [3, 4]], [1, 1]),  # pivots 1 and -2: a negative denominator
     ],
 )
 def test_exact_fallback_matches_gauss_jordan(routes, rows, rhs):
