@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import index
 
 from .errors import ParameterSingularity, ResonantParameters
 from .hahn import HahnParams, companion_eigencoefficients, companion_polynomial, reflect
@@ -81,7 +82,7 @@ def context_from_degrees(
     for kind, dset in enumerate(degree_sets, start=1):
         previous = -1
         for u in dset:
-            u = int(u)
+            u = index(u)
             if u < 0:
                 raise ValueError(f"row degree must be nonnegative, got {u}")
             if u <= previous:

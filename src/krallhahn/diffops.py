@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ZeroOperatorError
 from .polynomials import Polynomial, Scalar, horner, interpolate
-from .rationals import Rational, as_rational, exact_rational
+from .rationals import Rational, as_rational
 
 
 class DifferenceOperator:
@@ -38,7 +38,7 @@ class DifferenceOperator:
             if not isinstance(coeff, Polynomial):
                 coeff = Polynomial.constant(coeff)
             if not coeff.is_zero:
-                cleaned[int(offset)] = coeff
+                cleaned[index(offset)] = coeff
         object.__setattr__(self, "terms", cleaned)
 
     # -- constructors ----------------------------------------------------------
@@ -324,7 +324,7 @@ def eigen_certificate(
     has no terms, so its sum is 0 and the residual is -lambda f.  A float
     lambda raises ``TypeError``.
     """
-    pairs = [(f.integer_parts[0], exact_rational(lam)) for f, lam in pairs]
+    pairs = [(f.integer_parts[0], as_rational(lam)) for f, lam in pairs]
     lo, hi = min((0, *op.terms)), max((0, *op.terms))
     coeff_degree = max((h.degree for h in op.terms.values()), default=0)
     points = max((len(nums) + coeff_degree for nums, _ in pairs), default=0)

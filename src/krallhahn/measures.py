@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .errors import DegenerateMoments
 from .polynomials import Polynomial, Scalar
-from .rationals import clear_denominators, exact_rational
+from .rationals import as_rational, clear_denominators
 
 
 class DiscreteMeasure:
@@ -39,7 +39,7 @@ class DiscreteMeasure:
     __slots__ = ("points", "point_denominator", "masses", "mass_denominator")
 
     def __init__(self, atoms: Mapping[Scalar, Scalar]) -> None:
-        cleaned = {exact_rational(pt): exact_rational(m) for pt, m in atoms.items()}
+        cleaned = {as_rational(pt): as_rational(m) for pt, m in atoms.items()}
         support = sorted(cleaned)
         masses = [cleaned[pt] for pt in support]
         canonical = _measure(*clear_denominators(support), *clear_denominators(masses))
@@ -67,7 +67,7 @@ class DiscreteMeasure:
         return len(self.points)
 
     def mass(self, point: Scalar) -> Fraction:
-        target = exact_rational(point) * self.point_denominator
+        target = as_rational(point) * self.point_denominator
         i = bisect_left(self.points, target)
         if i < len(self.points) and self.points[i] == target:
             return Fraction(self.masses[i], self.mass_denominator)
@@ -110,7 +110,7 @@ class DiscreteMeasure:
 
     def translate(self, offset: Scalar) -> "DiscreteMeasure":
         """Push every atom from pt to pt + offset."""
-        c = exact_rational(offset)
+        c = as_rational(offset)
         q, e = c.denominator, self.point_denominator
         shift = c.numerator * e
         points = [pt * q + shift for pt in self.points]
@@ -119,7 +119,7 @@ class DiscreteMeasure:
         return _wrap(tuple(p // g for p in points), e * q // g, self.masses, self.mass_denominator)
 
     def scale(self, factor: Scalar) -> "DiscreteMeasure":
-        f = exact_rational(factor)
+        f = as_rational(factor)
         masses = [m * f.numerator for m in self.masses]
         return _measure(self.points, self.point_denominator, masses,
                         self.mass_denominator * f.denominator)

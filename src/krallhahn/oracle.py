@@ -36,7 +36,7 @@ from .diffops import DifferenceOperator, eigen_certificate
 from .errors import InsufficientData
 from .matrices import _exact_solve, solve_linear_system
 from .polynomials import Polynomial, horner, interpolate, taylor_shift
-from .rationals import Rational, exact_rational
+from .rationals import Rational, as_rational
 
 # points scanned for nodes, per node needed, before the global fallback
 _POINT_BUDGET = 2
@@ -90,10 +90,10 @@ def operator_solution_space(
     points with a unique solution give the interpolant and nullity 0 if it
     passes the certificate, else (None, 0).  Only the global fallback, taken
     when too few such points turn up, can report nullity > 0.  Each
-    eigenvalue is read by :func:`~krallhahn.rationals.exact_rational`, so a
+    eigenvalue is read by :func:`~krallhahn.rationals.as_rational`, so a
     float raises ``TypeError``.
     """
-    lambdas = [exact_rational(lam) for lam in lambdas]
+    lambdas = [as_rational(lam) for lam in lambdas]
     if len(qs) != len(lambdas):
         raise ValueError("need one eigenvalue per polynomial")
     if halfwidth < 0 or degree_cap < 0:

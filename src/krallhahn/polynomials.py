@@ -10,17 +10,16 @@ Sums scale both sides to the lcm of the denominators, products are integer
 convolutions, evaluation is homogeneous integer Horner (on bare integer
 numerators too, by :func:`horner`), :meth:`Polynomial.shift_argument` is an
 integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
-Newton-form sums are integer Horner (:func:`newton_form`), and division is
-integer pseudo-division.  :func:`interpolate` is the one route from integer
-values at integer nodes back to a polynomial, :func:`antidifference` among
-its callers.  Each result is made canonical once.
-``Fraction`` appears only at the edges: the constructors take ``int`` or
-``Fraction`` coefficients, and ``coefficient``, ``leading_coefficient``,
-``coeffs``, iteration, evaluation and the string forms give ``Fraction``
-values.  No floating point enters anywhere: a ``float`` argument raises
-``TypeError``.  The few rational functions the construction needs (ladder
-ratios, recurrence coefficients) are plain (numerator, denominator) pairs
-reduced by :func:`lowest_terms`.
+Newton-form sums are integer Horner (:func:`newton_form`), and ``divmod`` is
+integer pseudo-division (``/`` divides by a scalar only).  :func:`interpolate`
+is the one route from integer values at integer nodes back to a polynomial,
+:func:`antidifference` among its callers.  Each result is made canonical once.
+``Fraction`` appears only at the edges: scalars are read by
+:func:`~krallhahn.rationals.as_rational`, so a ``float`` raises ``TypeError``,
+and ``coefficient``, ``leading_coefficient``, ``coeffs``, iteration,
+evaluation and the string forms give ``Fraction`` values.  The few rational
+functions the construction needs (ladder ratios, recurrence coefficients) are
+plain (numerator, denominator) pairs reduced by :func:`lowest_terms`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
-from .rationals import clear_denominators, exact_rational, format_rational
+from .rationals import as_rational, clear_denominators, format_rational
 
 Scalar = Union[int, Fraction]
 
@@ -68,7 +67,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        c = exact_rational(coeff)
+        c = as_rational(coeff)
         if c == 0:
             return _ZERO
         return _wrap((0,) * degree + (c.numerator,), c.denominator)
@@ -200,15 +199,10 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __truediv__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        """Division by a scalar, or the exact quotient by a polynomial.
-
-        A polynomial divisor that leaves a remainder raises
-        :class:`NonExactDivision`.
-        """
-        if isinstance(other, Polynomial):
-            return self.divide_exact(other)
-        return self * (1 / exact_rational(other))
+    def __truediv__(self, other: Scalar) -> "Polynomial":
+        """Division by a scalar; the exact quotient by a polynomial is
+        :meth:`divide_exact`."""
+        return self * (1 / as_rational(other))
 
     def __eq__(self, other: object) -> bool:
         other = _promote(other)
@@ -236,7 +230,7 @@ class Polynomial:
         if not nums:
             return Fraction(0)
         if not isinstance(point, (int, Fraction)):
-            point = exact_rational(point)
+            point = as_rational(point)
         q = point.denominator
         return Fraction(horner(nums, point.numerator, q), self._denominator * q ** (len(nums) - 1))
 
@@ -255,7 +249,7 @@ class Polynomial:
         """
         nums = self._numerators
         if not isinstance(c, (int, Fraction)):
-            c = exact_rational(c)
+            c = as_rational(c)
         if not c or len(nums) < 2:
             return self
         p, q = c.numerator, c.denominator
@@ -411,7 +405,7 @@ def quotient_at(numer: Polynomial, denom: Polynomial, point: Scalar) -> Fraction
     integer Horner gives q^d times each polynomial's numerators at p/q.  A zero
     denominator raises ``ZeroDivisionError``."""
     if type(point) is not int:
-        point = exact_rational(point)
+        point = as_rational(point)
     p, q = point.numerator, point.denominator
     (nn, nd), (dn, dd) = numer.integer_parts, denom.integer_parts
     top = horner(nn, p, q) * dd * q ** max(len(dn) - len(nn), 0)

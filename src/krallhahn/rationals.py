@@ -4,6 +4,9 @@ Everything in this package computes over the rationals; ``fractions.Fraction``
 already provides normalised arbitrary-precision arithmetic, so it is used
 directly as the scalar type.  Reports and config files carry rationals as
 strings like ``"-3/4"`` or ``"8"``.
+
+:func:`as_rational` is the package's one reader of rational inputs, and
+``operator.index`` its one reader of integer inputs: neither takes a float.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or ``"p/q"`` string to a Fraction.
+    """Coerce a Fraction, a non-bool int, or a ``"p/q"`` string to a Fraction;
+    anything else raises ``TypeError``.
 
     Exponent notation (``"1e3"``) is rejected: ``Fraction`` would expand a
     large exponent into an integer of that many digits.
@@ -33,17 +37,9 @@ def as_rational(value: RationalLike) -> Fraction:
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation is not accepted in {value!r}")
         return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def exact_rational(value) -> Fraction:
-    """``Fraction(value)``, except that a float raises ``TypeError``: a float
-    holds a binary fraction, not the rational it was written as."""
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not an exact rational; use an int, Fraction or 'p/q'")
-    return Fraction(value)
+    raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
 def format_rational(value: Fraction) -> str:
@@ -64,10 +60,10 @@ def clear_denominators(values: Sequence) -> tuple[Sequence[int], int]:
     The denominator is the lcm of the reduced denominators, so it is 1 for
     integers, and those come back as the same sequence, unconverted.  Entries
     that are neither ``int`` nor ``Fraction`` are read through
-    :func:`exact_rational`, so a float raises ``TypeError``.
+    :func:`as_rational`, so a float raises ``TypeError``.
     """
     if all(type(v) is int for v in values):
         return values, 1
-    rationals = [v if isinstance(v, (int, Fraction)) else exact_rational(v) for v in values]
+    rationals = [v if isinstance(v, (int, Fraction)) else as_rational(v) for v in values]
     den = lcm(1, *(v.denominator for v in rationals))
     return [v.numerator * (den // v.denominator) for v in rationals], den

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Iterable, Sequence
 
 
 def _normalize(fset: Iterable[int]) -> tuple[int, ...]:
-    items = sorted(set(int(f) for f in fset))
+    items = sorted(set(map(index, fset)))
     if items and items[0] < 1:
         raise ValueError(f"set elements must be positive integers, got {items[0]}")
     return tuple(items)

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .casorati import (
@@ -550,7 +551,7 @@ def enumerate_root_couples(
     2^k assignments and verifying each measure identity exactly yields every
     representation together with its operator half-width.
     """
-    roots = sorted(set(int(r) for r in roots))
+    roots = sorted(set(map(index, roots)))
     if not roots:
         raise ValueError("need at least one root")
     if roots[0] < 1 or roots[-1] > N - 1:

@@ -1,6 +1,7 @@
 """Shared fixtures and the acceptance verdict reporter."""
 
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from krallhahn.hahn import HahnParams
 
 _CRITERION = re.compile(r"::test_criterion_(\d+)\b")
+
+# far above the slowest test (under a second): a test that runs this long is hung
+_TIME_LIMIT_S = 60
 
 
 def pytest_runtest_logreport(report):
@@ -25,3 +29,18 @@ def pytest_runtest_logreport(report):
 def desk_params():
     """The small parameter triple used throughout: a=1/2, b=1/3, N=8."""
     return HahnParams(Fraction(1, 2), Fraction(1, 3), 8)
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past the time limit with a ``TimeoutError`` and its
+    traceback, so that a hang fails one test and the suite goes on."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _TIME_LIMIT_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

@@ -56,10 +56,13 @@ def test_numeric_vandermonde():
 
 
 def test_polynomial_division_is_exact():
-    assert (X**2 - 1) / (X + 1) == X - 1
+    assert (X**2 - 1).divide_exact(X + 1) == X - 1
     with pytest.raises(NonExactDivision):
-        (X**2 + 1) / (X + 1)
+        (X**2 + 1).divide_exact(X + 1)
     assert (2 * X) / 2 == X
+    # ``/`` divides by scalars only
+    with pytest.raises(TypeError):
+        (X**2 - 1) / (X + 1)
 
 
 def test_poly_det_3x3_against_sarrus():

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krallhahn.context import context_from_degrees
+from krallhahn.diffops import DifferenceOperator, eigen_certificate
 from krallhahn.errors import NonExactDivision
+from krallhahn.hahn import HahnParams
+from krallhahn.measures import DiscreteMeasure
+from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import (
     Polynomial,
     antidifference,
@@ -24,6 +29,8 @@ from krallhahn.rationals import (
     format_rational,
     is_integer_at_most,
 )
+from krallhahn.sets import SetQuartet
+from krallhahn.verify import enumerate_root_couples
 
 from reference import lagrange, reference_from_roots
 
@@ -66,6 +73,44 @@ def test_clear_denominators():
 def test_floats_are_rejected(entry):
     # Fraction(0.1) would silently store the binary fraction 3602879701896397 / 2^55
     with pytest.raises(TypeError, match="0.1"):
+        entry()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: SetQuartet.of((), (), (), (1.7,)),
+        lambda: context_from_degrees(HahnParams(Fraction(1, 2), Fraction(1, 3), 8),
+                                     ((1.7,), (), (), ())),
+        lambda: DifferenceOperator({1.7: X}),
+        lambda: enumerate_root_couples(8, [1.7]),
+    ],
+    ids=["set element", "row degree", "shift offset", "root"],
+)
+def test_integer_inputs_are_not_truncated(entry):
+    # int(1.7) would silently read 1 and build a different family
+    with pytest.raises(TypeError):
+        entry()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: Polynomial(["1e400"]),
+        lambda: Polynomial.constant("1e400"),
+        lambda: Polynomial.monomial(2, "1e400"),
+        lambda: X("1e400"),
+        lambda: X.shift_argument("1e400"),
+        lambda: DiscreteMeasure({0: "1e400"}),
+        lambda: eigen_certificate(DifferenceOperator.identity(), [(X, "1e400")]),
+        lambda: operator_solution_space([X], ["1e400"], 1, 2),
+    ],
+    ids=["constructor", "constant", "monomial", "evaluation", "shift_argument",
+         "measure", "eigen_certificate", "operator_solution_space"],
+)
+def test_exponent_notation_is_rejected(entry):
+    # Fraction("1e400") would expand the exponent into a 400-digit integer
+    with pytest.raises(ValueError, match="exponent notation"):
         entry()
 
 
