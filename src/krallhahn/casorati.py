@@ -14,18 +14,19 @@ The cleared Casorati matrix is built from clearing blocks and Y_r(theta),
 each once per context; its determinant and cofactors (the mixing minors) come
 from integer point values (:class:`~krallhahn.matrices.PointAdjugate`), on
 degree bounds read off the entries, not off :func:`core_degree`, which the
-degree check compares.  The scalar determinants are integer fraction-free
-determinants (:func:`~krallhahn.matrices.integer_det`) of the raw Casorati
-rows (:func:`casorati_rows`: running products of the series ratios times the
-row values, no clearing block, rebuilt from point values computed once per
-context), kept as integers over one denominator per point.
-Each q_n is the sum of the m + 1 maximal minors of those rows against
-alternating Hahn polynomials, which is the bordered determinant expanded along
-its border.  Every quantity the theory claims is polynomial is produced by
-exact division, so a failed cancellation surfaces as an error instead of an
-approximation.  The normaliser is a product of known linear factors, kept as a
-leading constant and a multiset of integer root numerators over one
-denominator Q per context (:func:`normalizer_factors`).
+degree check compares.  The raw Casorati rows (:func:`casorati_rows`: running
+products of the series ratios times the row values, no clearing block, from
+point values computed once per context, kept as integers over one denominator
+per point) are built for a range of t at once, one list of integers per entry
+(a lane per t), and one fraction-free pass on them
+(:func:`~krallhahn.matrices.lane_bareiss`) gives all m + 1 maximal minors at
+every t of the range into a table per context.  Each q_n is the sum of those
+minors against alternating Hahn polynomials, which is the bordered
+determinant expanded along its border.  Every quantity the theory claims is
+polynomial is produced by exact division, so a failed cancellation surfaces as
+an error instead of an approximation.  The normaliser is a product of known
+linear factors, kept as a leading constant and a multiset of integer root
+numerators over one denominator Q per context (:func:`normalizer_factors`).
 :func:`mixing_polynomial` puts its m terms over L, the lcm of the m shifted
 root multisets, so each term is multiplied by the leftover linear factors and
 no gcd is taken.  The weights' linear factors have roots over Q too, so the
@@ -33,10 +34,10 @@ linear factors G shared by L and every weight of a row kind are dropped from
 both before each product is expanded on integers.  The sum makes one exact
 division by L' = L / G (the same rational function, so the same reduced
 denominator), and a remainder raises.  The cross-check of the cleared
-determinant, :func:`casorati_rational`, takes integer determinants of the raw
-rows at points.  The Omega scan and the leading-coefficient gate read the
-cleared route (:func:`casorati_value`, by integer Horner), so they do not
-compare the raw rows with themselves.
+determinant, :func:`casorati_rational`, reads minor_0, the raw rows'
+determinant, from the same table.  The Omega scan and the leading-coefficient
+gate read the cleared route (:func:`casorati_value`, by integer Horner), so
+they do not compare the raw rows with themselves.
 
 The stages that several checks read, the series ratios and the Hahn base
 polynomials among them, are memoised per context in one bounded store owned by
@@ -50,7 +51,9 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import wraps
+from itertools import islice
 from math import comb, lcm
+from operator import mul
 
 from .context import (  # noqa: F401  (the constructors are also read through this module)
     ConstructionContext,
@@ -71,7 +74,7 @@ from .ladder import (
     series_ratio,
     series_shift,
 )
-from .matrices import PointAdjugate, integer_det
+from .matrices import LANES, PointAdjugate, integer_det, lane_bareiss
 from .polynomials import Polynomial, antidifference, horner, lowest_terms, quotient_at
 from .rationals import Rational
 
@@ -177,9 +180,14 @@ def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomia
 
 class _RawPoints:
     """The raw route's integers for one context, each computed once: the
-    point values s -> :meth:`point` and t -> (minor_0(t), D(t)), which
-    :func:`casorati_rational` writes and :func:`krall_polynomial` reads.
-    With a + b + 1 = P / Q, ``dens[r]`` is Y_r's denominator times Q^deg Y_r.
+    point values s -> :meth:`point` for s = -m, -m + 1, ..., and the table
+    t -> (minors, D(t)) for t = 0, 1, ..., None at a ratio pole, which
+    :func:`casorati_rational` and :func:`krall_polynomial` read.  minors[k]
+    is the integer maximal minor of :func:`casorati_rows` at t without column
+    k.  The table grows to what :func:`casorati_rational` reads and, for
+    :func:`krall_polynomial`, in blocks up to the Omega scan, t <= N + m3 +
+    m4 + 1; a degree past both is taken on its own and not kept.  With
+    a + b + 1 = P / Q, ``dens[r]`` is Y_r's denominator times Q^deg Y_r.
     """
 
     def __init__(self, ctx: ConstructionContext) -> None:
@@ -190,8 +198,9 @@ class _RawPoints:
             (tn, td), (bn, bd) = numer.integer_parts, denom.integer_parts
             self.parts.append(([c * bd for c in tn], [c * td for c in bn], poly.integer_parts[0]))
         self.dens = [y.integer_parts[1] * self.Q**y.degree for y in ctx.row_polys]
-        self.values: dict[int, tuple] = {}
-        self.minors: dict[int, tuple[int, int]] = {}
+        self.reach = ctx.orthogonality_range + 2
+        self.values: list[tuple[int, ...]] = []  # values[i] is at s = i - m
+        self.table: list[tuple[tuple[int, ...], int] | None] = []
 
     def point(self, s: int) -> tuple[int, ...]:
         """At s, over the m rows in turn: the ratios' numerators, their
@@ -204,30 +213,86 @@ class _RawPoints:
             *(horner(ys, theta, self.Q) for _, _, ys in self.parts),
         )
 
-    def rows(self, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """:func:`casorati_rows` at t."""
-        m, memo = self.m, self.values
-        values = []
-        for s in range(t - m, t + 1):  # values[k] is at s = t - m + k
-            if s not in memo:
-                memo[s] = self.point(s)
-            values.append(memo[s])
+    def lanes(self, ts: range, keep: bool) -> tuple[list[list[list[int]]], list[int]]:
+        """:func:`casorati_rows` at every t of ts at once: entry c of row r is
+        a list over ts, and so is D(t), 0 at a ratio pole.  The point values
+        kept are read, and with ``keep`` (ts extends the table) the new ones
+        are kept."""
+        m, count, known = self.m, len(ts), self.values
+        values = [
+            known[s + m] if 0 <= s + m < len(known) else self.point(s)
+            for s in range(ts.start - m, ts.stop)
+        ]  # values[l + k] is at s = t - m + k for t = ts[l]
+        if keep:
+            known += values[len(known) - ts.start :]
         rows = []
-        denominator = 1
+        denominator = [1] * count
         for r, den in enumerate(self.dens):
-            bottoms = [v[m + r] for v in values[1:]]
-            if not all(bottoms):
-                raise ParameterSingularity(
-                    f"ladder ratio has a pole at degree {t - m + 1 + bottoms.index(0)}"
+            tops, bottoms, ys = (
+                [v[r] for v in values], [v[m + r] for v in values], [v[2 * m + r] for v in values]
+            )
+            # prefix[i] = numer(t - m + 1) ... numer(t - m + i),
+            # suffix[c] = denom(t - c + 1) ... denom(t)
+            prefix, suffix = [[1] * count], [[1] * count]
+            for i in range(1, m + 1):
+                prefix.append(list(map(mul, prefix[-1], tops[i : i + count])))
+                suffix.append(list(map(mul, suffix[-1], bottoms[m - i + 1 : m - i + 1 + count])))
+            rows.append([
+                [a * b * y for a, b, y in zip(prefix[m - c], suffix[c], ys[m - c : m - c + count])]
+                for c in range(m + 1)
+            ])
+            denominator = [d * s * den for d, s in zip(denominator, suffix[m])]
+        return rows, denominator
+
+    def pole(self, t: int) -> ParameterSingularity:
+        """The error for a ratio pole in the rows at t: the first zero denominator,
+        row by row."""
+        m = self.m
+        s = next(s for r in range(m) for s in range(t - m + 1, t + 1) if not self.point(s)[m + r])
+        return ParameterSingularity(f"ladder ratio has a pole at degree {s}")
+
+    def entries(self, ts: range, keep: bool) -> list[tuple[tuple[int, ...], int] | None]:
+        """The table's entries at ts, one :func:`~krallhahn.matrices.lane_bareiss`
+        pass per block of ``LANES``.  On [A | b], with A columns 1..m and b
+        column 0, minor_0 = det A and minor_k = (-1)^(k-1) (det A x)_(k-1) by
+        Cramer's rule; where a pivot vanished, every minor is an
+        :func:`~krallhahn.matrices.integer_det` of the rows."""
+        m = self.m
+        out: list[tuple[tuple[int, ...], int] | None] = []
+        for lo in range(ts.start, ts.stop, LANES):
+            rows, denominator = self.lanes(range(lo, min(lo + LANES, ts.stop)), keep)
+            live = [i for i, d in enumerate(denominator) if d]
+            if len(live) < len(denominator):
+                rows = [[[col[i] for i in live] for col in row] for row in rows]
+            det, x, bad = lane_bareiss([[*row[1:], row[0]] for row in rows], 1, len(live))
+            minors = list(zip(det, *(
+                [-v if j % 2 else v for v in column] for j, (column,) in enumerate(x)
+            )))
+            for i in bad:
+                point = [[col[i] for col in row] for row in rows]
+                minors[i] = tuple(
+                    integer_det([row[:k] + row[k + 1 :] for row in point]) for k in range(m + 1)
                 )
-            prefix, suffix = [1], [1]
-            for v, bottom in zip(values[1:], reversed(bottoms)):
-                prefix.append(prefix[-1] * v[r])
-                suffix.append(suffix[-1] * bottom)
-            y = 2 * m + r
-            rows.append(tuple(prefix[m - c] * suffix[c] * values[m - c][y] for c in range(m + 1)))
-            denominator *= suffix[m] * den
-        return tuple(rows), denominator
+            block = [None] * len(denominator)
+            for i, entry in zip(live, minors):
+                block[i] = entry, denominator[i]
+            out += block
+        return out
+
+    def extend(self, stop: int) -> None:
+        """Grow the table to t < stop."""
+        if stop > len(self.table):
+            self.table += self.entries(range(len(self.table), stop), True)
+
+    def entry(self, t: int) -> tuple[tuple[int, ...], int]:
+        """(minors, D(t)) at t from the table; a ratio pole raises
+        ParameterSingularity."""
+        if len(self.table) <= t < self.reach:
+            self.extend(min(self.reach, max(t + 1, len(self.table) + LANES)))
+        (entry,) = self.table[t : t + 1] or self.entries(range(t, t + 1), False)
+        if entry is None:
+            raise self.pole(t)
+        return entry
 
 
 @_stage
@@ -252,16 +317,21 @@ def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ..
     context (:class:`_RawPoints`).  A ratio pole at one of t - m + 1, ..., t
     raises ParameterSingularity.
     """
-    return _raw_memo(ctx).rows(t)
+    raw = _raw_memo(ctx)
+    rows, (denominator,) = raw.lanes(range(t, t + 1), False)
+    if not denominator:
+        raise raw.pole(t)
+    return tuple(tuple(v for (v,) in row) for row in rows), denominator
 
 
 def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     """Raw (uncleared) determinant values at t = 0, 1, ..., the cross-check route.
 
-    Each value is the integer determinant of columns 1..m of
-    :func:`casorati_rows` over its denominator D(t).  The rows use no clearing
-    block, so the route is independent of the clearing algebra.  Points where
-    the rows hit a ratio pole are skipped.
+    Each value is minor_0 of :func:`casorati_rows`, the integer determinant of
+    columns 1..m, over its denominator D(t), read from the context's table of
+    minors (:class:`_RawPoints`).  The rows use no clearing block, so the route
+    is independent of the clearing algebra.  Points where the rows hit a ratio
+    pole are skipped.
 
     With den_r the reduced denominator of row r's ratio, E = prod_r prod_{i=1}^{m-1}
     den_r(x - i) clears every row, and E * clearing_factor * R and
@@ -281,18 +351,10 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
         denominator_degree + casorati_cleared(ctx).degree,
     )
     raw = _raw_memo(ctx)
-    values: dict[int, Fraction] = {}
-    t = 0
-    while len(values) <= bound:
-        try:
-            if t not in raw.minors:
-                rows, denominator = raw.rows(t)
-                raw.minors[t] = integer_det([row[1:] for row in rows]), denominator
-            values[t] = Fraction(*raw.minors[t])
-        except ParameterSingularity:
-            pass  # a ratio pole at t - i with i < m: E(t) = 0 or column 0 is undefined
-        t += 1
-    return values
+    while (missing := bound + 1 - (len(raw.table) - raw.table.count(None))) > 0:
+        raw.extend(len(raw.table) + missing)
+    kept = ((t, entry) for t, entry in enumerate(raw.table) if entry is not None)
+    return {t: Fraction(minors[0], den) for t, (minors, den) in islice(kept, bound + 1)}
 
 
 # -- the constructed orthogonal polynomials ------------------------------------------
@@ -311,24 +373,19 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     (-1)^m h_{n-m}) with h_k = 0 for k < 0.  Expanding along the border, the
     cofactor signs (-1)^(m+k) cancel the border's alternation up to (-1)^m, so
     (-1)^m times the determinant is sum_k h_{n-k} * minor_k, where minor_k
-    drops column k and minor_0 is the Casorati determinant at n.  Each minor_k
-    is an integer determinant of the rows of :func:`casorati_rows` over their
-    denominator D(n), and the h_{n-k} are put over the lcm of their
-    denominators, so q_n is one integer sum over one denominator.
+    drops column k and minor_0 is the Casorati determinant at n.  The minor_k
+    are the integer maximal minors of the rows of :func:`casorati_rows` over
+    their denominator D(n), read from the context's table (:class:`_RawPoints`),
+    and the h_{n-k} are put over the lcm of their denominators, so q_n is one
+    integer sum over one denominator.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    raw = _raw_memo(ctx)
-    rows, denominator = raw.rows(n)
-    known = raw.minors.get(n)
+    minors, denominator = _raw_memo(ctx).entry(n)
     parts = [base_polynomial(ctx, n - k).integer_parts for k in range(min(ctx.m, n) + 1)]
     common = lcm(*(den for _, den in parts))
     acc = [0] * (n + 1)
-    for k, (nums, den) in enumerate(parts):
-        if known and not k:
-            minor = known[0]
-        else:
-            minor = integer_det([row[:k] + row[k + 1 :] for row in rows])
+    for minor, (nums, den) in zip(minors, parts):
         if minor:
             scale = minor * (common // den)
             for i, c in enumerate(nums):

@@ -7,13 +7,18 @@ One back-substitution, :func:`_cramer`, reads det * X off an eliminated
 [A | B] by Cramer's rule.
 
 :func:`integer_det` reads the determinant off the elimination, and
-:func:`integer_adjugate` det A and adj A off [A | I].  :class:`PointAdjugate`
-interpolates the determinant and cofactors of a polynomial matrix from
-:func:`integer_adjugate` at integer points (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5), and :func:`poly_det` is its determinant.  Nothing
-here eliminates polynomials or rational functions: the construction clears
-row denominators first, and its cross-check and the family q_n take integer
-determinants of rows kept over one denominator per point.
+:func:`integer_adjugate` det A and adj A off [A | I].  :func:`lane_bareiss`
+runs the same elimination, without row swaps, and the same back-substitution
+on many matrices at once, each entry a list of integers with one per matrix (a
+lane, say a point); the lanes where a pivot vanished are taken again by
+:func:`integer_det` or :func:`integer_adjugate`, which are also its reference.
+:class:`PointAdjugate` interpolates the determinant and cofactors of a
+polynomial matrix from integer values at points, one lane pass per block of
+:data:`LANES` points (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 5), and :func:`poly_det` the determinant alone, from a determinant-only
+pass.  Nothing here eliminates polynomials or rational functions: the
+construction clears row denominators first, and its cross-check and the family
+q_n take lane passes on integer rows kept over one denominator per point.
 
 :func:`_exact_solve` solves integer rows [A | b] as integer numerators over
 one denominator: the oracle's residual systems at each point, and the fallback
@@ -80,40 +85,121 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]
     return det, _cramer(aug, pivots, n, n, det)
 
 
+# Points per lane pass: bounds the working set of the point routes at large m.
+LANES = 32
+
+
+def lane_bareiss(
+    rows: list[list[list[int]]], width: int, count: int
+) -> tuple[list[int], list[list[list[int]]], set[int]]:
+    """Fraction-free elimination of [A | B] on ``count`` lanes at once.
+
+    Each entry of the n rows is a list of ``count`` integers, one per lane
+    (say, per point), A of n columns and B of ``width``.  The steps of
+    :func:`_eliminate` run on every lane together, without row swaps, and
+    those of :func:`_cramer` follow.  Returns det A per lane, det A * X with
+    X = A^-1 B as ``x[k][j]``, row k and column j a list over the lanes, and
+    the lanes where a pivot vanished, whose results are meaningless: callers
+    take those lanes again by :func:`integer_det` or :func:`integer_adjugate`.
+    The rows are overwritten.
+    """
+    n = len(rows)
+    bad: set[int] = set()
+    det = [1] * count  # the previous pivot, and at the end the last one
+    for k in range(n):
+        pivot = rows[k][k]
+        if not all(pivot):
+            # 1 stands in for a zero pivot so that later divisions stay defined
+            bad.update(i for i, p in enumerate(pivot) if not p)
+            pivot = rows[k][k] = [p or 1 for p in pivot]
+        tail = rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [
+                [(p * v - l * t) // q for p, v, l, t, q in zip(pivot, vs, row[k], ts, det)]
+                for vs, ts in zip(row[k + 1 :], tail)
+            ]
+        det = pivot
+    x: list[list[list[int]]] = [[]] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        column = []
+        for j in range(width):
+            acc = [d * v for d, v in zip(det, row[n + j])]
+            for i in range(k + 1, n):
+                acc = [a - c * b for a, c, b in zip(acc, row[i], x[i][j])]
+            column.append([a // p for a, p in zip(acc, row[k])])
+        x[k] = column
+    return det, x, bad
+
+
+def _point_solves(
+    scaled: list[list[list[int]]], points: range, adjugate: bool
+) -> tuple[list[int], list[list[list[int]]]]:
+    """det A(x) at each point, and with ``adjugate`` adj A(x)[c][r] as
+    ``adj[c][r]``, a list over the points, for integer rows whose entries are
+    coefficient lists: one :func:`lane_bareiss` on [A | I] (or on A) per
+    block of :data:`LANES` points, and the lanes where a pivot vanished by
+    :func:`integer_adjugate` (or :func:`integer_det`)."""
+    n = len(scaled)
+    dets: list[int] = []
+    adj: list[list[list[int]]] = [[[] for _ in scaled] for _ in scaled] if adjugate else []
+    for lo in range(points.start, points.stop, LANES):
+        block = range(lo, min(lo + LANES, points.stop))
+        lanes = [[[horner(nums, x) for x in block] for nums in row] for row in scaled]
+        ones, zeros = [1] * len(block), [0] * len(block)
+        aug = [
+            [*row, *([ones if j == i else zeros for j in range(n)] if adjugate else ())]
+            for i, row in enumerate(lanes)
+        ]
+        det, x, bad = lane_bareiss(aug, n if adjugate else 0, len(block))
+        for i in bad:
+            point = [[col[i] for col in row] for row in lanes]
+            if adjugate:
+                det[i], cofactors = integer_adjugate(point)
+                for c, column in enumerate(cofactors):
+                    for r, value in enumerate(column):
+                        x[c][r][i] = value
+            else:
+                det[i] = integer_det(point)
+        dets += det
+        for c, column in enumerate(adj):
+            for r, values in enumerate(column):
+                values += x[c][r]
+    return dets, adj
+
+
+def _integer_rows(rows: Sequence[Sequence[Polynomial]]) -> tuple[list[int], list[list[list[int]]]]:
+    """Each row's lcm denominator d_i and its entries' numerators over d_i."""
+    dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
+    scaled = [
+        [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
+        for den, row in zip(dens, rows)
+    ]
+    return dens, scaled
+
+
 class PointAdjugate:
     """det A and the cofactors (r, c), adj A[c][r], of a square polynomial
     matrix A from integer values at x = 0..K-1.
 
-    Row i is scaled to integers by d_i, its entries' lcm denominator.  Each
-    polynomial is interpolated from its first :meth:`degree_bound` + 1 values
-    when asked for.  With e_i = max(max_c deg A[i][c], 0), K - 1 = sum_i e_i;
-    no cofactor bound exceeds K - 1 - min_i e_i, and the points past that get
-    the determinant alone.
+    Row i is scaled to integers by d_i, its entries' lcm denominator, and the
+    values come from :func:`_point_solves`.  Each polynomial is interpolated
+    from its first :meth:`degree_bound` + 1 values when asked for.  With
+    e_i = max(max_c deg A[i][c], 0), K - 1 = sum_i e_i; no cofactor bound
+    exceeds K - 1 - min_i e_i, and the points past that get the determinant
+    alone.
     """
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]) -> None:
         _square_size(rows)
-        self.dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
+        self.dens, scaled = _integer_rows(rows)
         self.degrees = [[e.degree for e in row] for row in rows]
-        scaled = [
-            [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
-            for den, row in zip(self.dens, rows)
-        ]
         tops = [max(*row, 0) for row in self.degrees]
         reach = sum(tops) - min(tops, default=0)
         # dets[x], and values[r][c][x] = adj A[c][r] for x <= reach
-        self.dets: list[int] = []
-        self.values: list[list[list[int]]] = [[[] for _ in rows] for _ in rows]
-        for x in range(sum(tops) + 1):
-            point = [[horner(nums, x) for nums in row] for row in scaled]
-            if x > reach:
-                self.dets.append(integer_det(point))
-                continue
-            det, adj = integer_adjugate(point)
-            self.dets.append(det)
-            for c, column in enumerate(adj):
-                for r, value in enumerate(column):
-                    self.values[r][c].append(value)
+        self.dets, adj = _point_solves(scaled, range(reach + 1), True)
+        self.values = [list(column) for column in zip(*adj)]
+        self.dets += _point_solves(scaled, range(reach + 1, sum(tops) + 1), False)[0]
 
     def degree_bound(self, row: int | None = None, col: int | None = None) -> int:
         """sum_{i != row} max_{c != col} deg A[i][c]: with no arguments a bound
@@ -134,11 +220,18 @@ class PointAdjugate:
 
 
 def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:
-    """:meth:`PointAdjugate.det` of a square matrix, a scalar entry read as a
-    constant polynomial; the empty matrix gives ``Polynomial.one()``."""
-    return PointAdjugate(
-        [[e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows]
-    ).det()
+    """The determinant of a square matrix, a scalar entry read as a constant
+    polynomial (the empty matrix gives ``Polynomial.one()``): its integer
+    values at x = 0..B from :func:`_point_solves`, B = sum_i max_c deg A[i][c],
+    interpolated."""
+    _square_size(rows)
+    rows = [
+        [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows
+    ]
+    dens, scaled = _integer_rows(rows)
+    bound = sum(max(e.degree for e in row) for row in rows)
+    dets, _ = _point_solves(scaled, range(max(bound, 0) + 1), False)
+    return interpolate(dets, prod(dens))
 
 
 def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:

@@ -675,8 +675,8 @@ class TestPointRoute:
 
     def test_raw_points_are_evaluated_once_per_context(self, monkeypatch):
         """casorati_rational and krall_polynomial share the raw route's point
-        values: each point is evaluated once, and q_n, which reads minor_0 from
-        the values casorati_rational left, equals the reference."""
+        values: each point is evaluated once, and q_n, which reads its minors
+        from the table casorati_rational left, equals the reference."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         calls = Counter()
         point = casorati._RawPoints.point
@@ -695,6 +695,62 @@ class TestPointRoute:
         assert sorted(calls) == list(range(-ctx.m, max(values) + 1))
         assert set(calls.values()) == {1}
         assert qs == [reference_krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
+
+
+# the contexts of test_poles_are_skipped and test_pole_in_the_bordered_rows_raises
+POLE_CONTEXTS = {
+    "pole-a": (HahnParams(-2, Fraction(1, 2), 1), ((), (), (), (0, 1))),
+    "pole-ab": (HahnParams(-2, -3, 1), ((), (), (), (0, 1))),
+}
+
+
+class TestMinorTable:
+    """The raw route's table of maximal minors, taken by lane_bareiss, against
+    cofactor expansion of the Fraction reference rows."""
+
+    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, *POLE_CONTEXTS])
+    def test_table_matches_cofactor_minors(self, name, monkeypatch):
+        """Every entry that casorati_rational leaves is None at a ratio pole and
+        otherwise holds each minor without column k over D(t).  On the theorem
+        path at m = 5 every minor vanishes at t = N + 2..N + m, where Omega
+        has its forced zeros and every lane takes the scalar minors."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        if name in POLE_CONTEXTS:
+            ctx = context_from_degrees(*POLE_CONTEXTS[name])
+        else:
+            ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
+        values = casorati_rational(ctx)
+        table = casorati._raw_memo(ctx).table
+        assert len(table) == max(values) + 1
+        for t, entry in enumerate(table):
+            try:
+                reference = reference_casorati_rows(ctx, t)
+            except ParameterSingularity:
+                assert entry is None and t not in values, t
+                continue
+            minors, denominator = entry
+            assert len(minors) == ctx.m + 1
+            for k, minor in enumerate(minors):
+                expected = cofactor_det([row[:k] + row[k + 1 :] for row in reference])
+                assert Fraction(minor, denominator) == expected, (t, k)
+        if name == "F1=3-theorem-N8":
+            forced = range(ctx.params.N + 2, ctx.params.N + ctx.m + 1)
+            assert forced.stop <= len(table)
+            assert not any(any(table[t][0]) for t in forced)
+
+    def test_degrees_past_the_table_are_taken_alone(self, monkeypatch):
+        """krall_polynomial grows the table in blocks up to the Omega scan,
+        t <= N + m3 + m4 + 1, and takes a degree past it on its own lanes: the
+        table and the point values kept keep their lengths."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(builtin_config("four-roots")).ctx
+        raw = casorati._raw_memo(ctx)
+        krall_polynomial(ctx, 0)
+        assert len(raw.table) == raw.reach == ctx.orthogonality_range + 2
+        lengths = len(raw.table), len(raw.values)
+        for n in (raw.reach, raw.reach + 1, raw.reach + 40):
+            assert krall_polynomial(ctx, n) == reference_krall_polynomial(ctx, n), n
+            assert (len(raw.table), len(raw.values)) == lengths
 
 
 def _random_polynomial(rng, degree):

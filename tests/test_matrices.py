@@ -11,6 +11,7 @@ from krallhahn.matrices import (
     PointAdjugate,
     integer_adjugate,
     integer_det,
+    lane_bareiss,
     poly_det,
     solve_linear_system,
 )
@@ -158,6 +159,56 @@ def test_integer_adjugate_matches_cofactor_minors():
             if shape != "full" and n > 3:
                 assert det == 0
                 assert any(map(any, adj)) == (shape == "rank n-1"), (n, shape)
+
+
+def test_lane_bareiss_matches_the_scalar_routes():
+    """lane_bareiss on seeded integer matrices, one per lane, against
+    integer_det, integer_adjugate and Cramer's rule lane by lane, for sizes 0,
+    1, 2 and 5 with B empty, one column and I.  The lanes hold singular
+    matrices and matrices whose leading 1 x 1 or 2 x 2 minor vanishes though
+    the determinant does not; the lanes reported are exactly those with a
+    vanishing leading minor, and every other lane agrees."""
+    rng = random.Random(29)
+    for n in (0, 1, 2, 5):
+        mats = []
+        for lane in range(16):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if lane % 4 == 1 and n > 1:  # singular
+                rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+            if lane % 4 == 2 and n:  # leading 1 x 1 minor zero
+                rows[0][0] = 0
+            if lane % 4 == 3 and n > 2:  # leading 2 x 2 minor zero
+                rows[1][:2] = [3 * v for v in rows[0][:2]]
+            mats.append(rows)
+        rhs = [[rng.randint(-9, 9) for _ in range(n)] for _ in mats]
+        leading_zero = {
+            i for i, rows in enumerate(mats)
+            if any(integer_det([row[:k] for row in rows[:k]]) == 0 for k in range(1, n + 1))
+        }
+        if n > 2:
+            assert any(integer_det(mats[i]) for i in leading_zero)
+            assert any(not integer_det(rows) for rows in mats)
+        for kind in ("none", "column", "identity"):
+            lanes = [
+                [[rows[r][c] for rows in mats] for c in range(n)]
+                + ([[v[r] for v in rhs]] if kind == "column" else [])
+                + ([[int(r == j)] * len(mats) for j in range(n)] if kind == "identity" else [])
+                for r in range(n)
+            ]
+            width = len(lanes[0]) - n if n else 0
+            det, x, bad = lane_bareiss(lanes, width, len(mats))
+            assert bad == leading_zero, (n, kind)
+            assert len(x) == n and all(len(column) == width for column in x)
+            for i, rows in enumerate(mats):
+                if i in bad:
+                    continue
+                assert det[i] == integer_det(rows), (n, kind, i)
+                if kind == "identity":
+                    assert [[v[i] for v in column] for column in x] == integer_adjugate(rows)[1]
+                elif kind == "column":
+                    for k in range(n):
+                        replaced = [row[:k] + [v] + row[k + 1 :] for row, v in zip(rows, rhs[i])]
+                        assert x[k][0][i] == integer_det(replaced), (n, i, k)
 
 
 def test_point_adjugate_matches_cofactor_route():
