@@ -1,24 +1,22 @@
 """Exact determinants and exact linear solving, on the integers.
 
 One fraction-free forward elimination (Bareiss, 1968), :func:`_eliminate`,
-does every exact elimination here, with one exact integer division per
-update; rows are swapped to find a pivot and columns without one are skipped.
-One back-substitution, :func:`_cramer`, reads det * X off an eliminated
-[A | B] by Cramer's rule.
-
-:func:`integer_det` reads the determinant off the elimination, and
-:func:`integer_adjugate` det A and adj A off [A | I].  :func:`lane_bareiss`
-runs the same elimination, without row swaps, and the same back-substitution
-on many matrices at once, each entry a list of integers with one per matrix (a
-lane, say a point); the lanes where a pivot vanished are taken again by
-:func:`integer_det` or :func:`integer_adjugate`, which are also its reference.
+and one Cramer back-substitution, :func:`_cramer`, do every exact elimination
+here, on rows whose entries are lists of integers, one per matrix (a lane, say
+a point); a lane with a zero pivot swaps up its own rows.
+:func:`lane_bareiss` composes them and reports the lanes where A is singular,
+whose determinant is exactly 0.  :func:`integer_dets` takes determinants of
+one size as the lanes of one pass, and :func:`integer_det`,
+:func:`integer_rank`, :func:`integer_adjugate` and :func:`_exact_solve` run
+the kernel on one lane.
 :class:`PointAdjugate` interpolates the determinant and cofactors of a
 polynomial matrix from integer values at points, one lane pass per block of
 :data:`LANES` points (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 5), and :func:`poly_det` the determinant alone, from a determinant-only
-pass.  Nothing here eliminates polynomials or rational functions: the
-construction clears row denominators first, and its cross-check and the family
-q_n take lane passes on integer rows kept over one denominator per point.
+ch. 5), and :func:`poly_det` the determinant alone; only a singular point's
+adjugate is taken again on its own.  Nothing here eliminates polynomials or
+rational functions: the construction clears row denominators first, and its
+cross-check and the family q_n take lane passes on integer rows kept over one
+denominator per point.
 
 :func:`_exact_solve` solves integer rows [A | b] as integer numerators over
 one denominator: the oracle's residual systems at each point, and the fallback
@@ -52,84 +50,144 @@ def _square_size(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by :func:`_eliminate`; the empty
-    matrix has determinant 1."""
-    n = _square_size(rows)
-    if n == 0:
-        return 1
-    entries = [list(row) for row in rows]
-    pivots, sign = _eliminate(entries, n)
-    if len(pivots) < n:
-        return 0
-    return entries[n - 1][n - 1] * sign
+def _eliminate(
+    rows: list[list[list[int]]], width: int, count: int
+) -> tuple[list[int], list[int], set[int]]:
+    """Fraction-free forward elimination of the first ``width`` columns of
+    rows whose entries are lists of ``count`` integers, one per lane.
 
-
-def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a square integer matrix, adj A[c][r] = (-1)^(r+c) minor(r, c).
-
-    :func:`_eliminate` on [A | I], then :func:`_cramer` for det A * A^-1;
-    where det A = 0, each minor by :func:`integer_det`.
+    Returns the pivot columns in order, each lane's sign of its row
+    permutation, and the lanes reported: those with no pivot in a column
+    where another lane has one (for a square A, the singular lanes), whose
+    results are meaningless.  Pivot k sits in row k.  A lane whose entry in
+    row k is zero swaps up its first row below with a nonzero entry; a column
+    where no lane has one is skipped, and a reported lane gets 1 for its
+    pivot, so that later divisions stay defined.  Then every entry right of
+    the column in each row below becomes
+    (pivot * entry - lead * pivot_entry) // previous_pivot.  By Sylvester's
+    identity that is a minor of the original matrix, so the division is
+    exact, and the pivot of row k is the minor on the first k + 1 pivot rows
+    and columns.  Entries left of a row's pivot are not cleared; nothing
+    reads them.  The rows are overwritten, but no entry list is changed in
+    place.
     """
-    n = _square_size(rows)
-    aug = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
-    pivots, sign = _eliminate(aug, n)
-    if len(pivots) < n:
-        return 0, [
-            [(-1) ** (r + c) * integer_det(
-                [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
-            ) for r in range(n)]
-            for c in range(n)
-        ]
-    det = sign * aug[n - 1][n - 1] if n else 1
-    return det, _cramer(aug, pivots, n, n, det)
+    pivots: list[int] = []
+    sign = [1] * count
+    reported: set[int] = set()
+    prev = [1] * count
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        if not all(rows[r][c]):
+            missing = set()
+            for lane in [lane for lane, v in enumerate(rows[r][c]) if not v]:
+                top, low = rows[r], next((row for row in rows[r + 1 :] if row[c][lane]), None)
+                if low is None:
+                    missing.add(lane)
+                    continue
+                for j in range(c, len(top)):
+                    top[j], low[j] = top[j][:], low[j][:]
+                    top[j][lane], low[j][lane] = low[j][lane], top[j][lane]
+                sign[lane] = -sign[lane]
+            if len(missing) == count:
+                continue
+            reported |= missing
+            rows[r][c] = [v or 1 for v in rows[r][c]]
+        pivot, tail = rows[r][c], rows[r][c + 1 :]
+        for row in rows[r + 1 :]:
+            row[c + 1 :] = [
+                [(p * v - l * t) // q for p, v, l, t, q in zip(pivot, vs, row[c], ts, prev)]
+                for vs, ts in zip(row[c + 1 :], tail)
+            ]
+        prev = pivot
+        pivots.append(c)
+    return pivots, sign, reported
 
 
-# Points per lane pass: bounds the working set of the point routes at large m.
-LANES = 32
+def _cramer(
+    rows: list[list[list[int]]], pivots: list[int], ncols: int, width: int, det: list[int]
+) -> list[list[list[int]]]:
+    """det * X for the rows [A | B] after :func:`_eliminate`, A of ``ncols``
+    columns and B of ``width``, as ``x[k][j]``, row k and column j a list over
+    the lanes; det per lane is the last pivot or its negative.  That pivot is
+    the minor on the pivot rows and columns, so by Cramer's rule each pivot
+    row fixes the row of det * X at its pivot column by one exact division; a
+    column without a pivot keeps a zero row.
+    """
+    x = [[[0] * len(det) for _ in range(width)] for _ in range(ncols)]
+    for k in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[k], rows[k]
+        acc = [[d * v for d, v in zip(det, vs)] for vs in row[ncols : ncols + width]]
+        for j in pivots[k + 1 :]:
+            acc = [[a - e * b for a, e, b in zip(sums, row[j], xs)] for sums, xs in zip(acc, x[j])]
+        x[c] = [[a // p for a, p in zip(sums, row[c])] for sums in acc]
+    return x
 
 
 def lane_bareiss(
     rows: list[list[list[int]]], width: int, count: int
 ) -> tuple[list[int], list[list[list[int]]], set[int]]:
-    """Fraction-free elimination of [A | B] on ``count`` lanes at once.
-
-    Each entry of the n rows is a list of ``count`` integers, one per lane
-    (say, per point), A of n columns and B of ``width``.  The steps of
-    :func:`_eliminate` run on every lane together, without row swaps, and
-    those of :func:`_cramer` follow.  Returns det A per lane, det A * X with
-    X = A^-1 B as ``x[k][j]``, row k and column j a list over the lanes, and
-    the lanes where a pivot vanished, whose results are meaningless: callers
-    take those lanes again by :func:`integer_det` or :func:`integer_adjugate`.
-    The rows are overwritten.
+    """det A and det A * X, X = A^-1 B, for the n rows [A | B] on ``count``
+    lanes at once, B of ``width`` columns: :func:`_eliminate`, then
+    :func:`_cramer`.  Returns det A per lane, det A * X as ``x[k][j]``, a list
+    over the lanes, and the lanes where A is singular: their det is 0 and
+    their X meaningless.  The rows are overwritten, their entry lists not.
     """
     n = len(rows)
-    bad: set[int] = set()
-    det = [1] * count  # the previous pivot, and at the end the last one
-    for k in range(n):
-        pivot = rows[k][k]
-        if not all(pivot):
-            # 1 stands in for a zero pivot so that later divisions stay defined
-            bad.update(i for i, p in enumerate(pivot) if not p)
-            pivot = rows[k][k] = [p or 1 for p in pivot]
-        tail = rows[k][k + 1 :]
-        for row in rows[k + 1 :]:
-            row[k + 1 :] = [
-                [(p * v - l * t) // q for p, v, l, t, q in zip(pivot, vs, row[k], ts, det)]
-                for vs, ts in zip(row[k + 1 :], tail)
-            ]
-        det = pivot
-    x: list[list[list[int]]] = [[]] * n
-    for k in range(n - 1, -1, -1):
-        row = rows[k]
-        column = []
-        for j in range(width):
-            acc = [d * v for d, v in zip(det, row[n + j])]
-            for i in range(k + 1, n):
-                acc = [a - c * b for a, c, b in zip(acc, row[i], x[i][j])]
-            column.append([a // p for a, p in zip(acc, row[k])])
-        x[k] = column
-    return det, x, bad
+    pivots, sign, singular = _eliminate(rows, n, count)
+    if len(pivots) < n:
+        singular = set(range(count))
+    last = rows[n - 1][n - 1] if n else [1] * count
+    det = [0 if i in singular else s * p for i, (s, p) in enumerate(zip(sign, last))]
+    return det, _cramer(rows, pivots, n, width, det), singular
+
+
+def integer_dets(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """Determinants of square integer matrices of one size, each on its own
+    lane of one :func:`lane_bareiss` pass; the empty matrix has determinant 1."""
+    if len({_square_size(rows) for rows in mats}) > 1:
+        raise ValueError("integer_dets needs matrices of one size")
+    lanes = [[list(entry) for entry in zip(*row)] for row in zip(*mats)]
+    return lane_bareiss(lanes, 0, len(mats))[0]
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by :func:`integer_dets`."""
+    (det,) = integer_dets([rows])
+    return det
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix: the pivot count of :func:`_eliminate` on one lane."""
+    lane = [[[v] for v in row] for row in rows]
+    return len(_eliminate(lane, len(rows[0]) if rows else 0, 1)[0])
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a square integer matrix, adj A[c][r] = (-1)^(r+c) minor(r, c).
+
+    :func:`_eliminate` on [A | I] on one lane, then :func:`_cramer` for
+    det A * A^-1.  Where det A = 0 the pivot count is the rank: below n - 1
+    every minor vanishes, and at n - 1 the minors are :func:`integer_dets`.
+    """
+    n = _square_size(rows)
+    aug = [[[v] for v in (*row, *[0] * i, 1, *[0] * (n - 1 - i))] for i, row in enumerate(rows)]
+    pivots, (sign,), _ = _eliminate(aug, n, 1)
+    if len(pivots) < n - 1:
+        return 0, [[0] * n for _ in range(n)]
+    if len(pivots) < n:
+        minors = integer_dets([
+            [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
+            for c in range(n) for r in range(n)
+        ])
+        return 0, [[(-1) ** (r + c) * minors[c * n + r] for r in range(n)] for c in range(n)]
+    det = sign * aug[n - 1][n - 1][0] if n else 1
+    return det, [[v for (v,) in column] for column in _cramer(aug, pivots, n, n, [det])]
+
+
+# Points per lane pass: bounds the working set of the point routes at large m.
+LANES = 32
 
 
 def _point_solves(
@@ -138,8 +196,8 @@ def _point_solves(
     """det A(x) at each point, and with ``adjugate`` adj A(x)[c][r] as
     ``adj[c][r]``, a list over the points, for integer rows whose entries are
     coefficient lists: one :func:`lane_bareiss` on [A | I] (or on A) per
-    block of :data:`LANES` points, and the lanes where a pivot vanished by
-    :func:`integer_adjugate` (or :func:`integer_det`)."""
+    block of :data:`LANES` points.  A singular point has det 0, and its
+    adjugate is taken again by :func:`integer_adjugate`."""
     n = len(scaled)
     dets: list[int] = []
     adj: list[list[list[int]]] = [[[] for _ in scaled] for _ in scaled] if adjugate else []
@@ -151,16 +209,12 @@ def _point_solves(
             [*row, *([ones if j == i else zeros for j in range(n)] if adjugate else ())]
             for i, row in enumerate(lanes)
         ]
-        det, x, bad = lane_bareiss(aug, n if adjugate else 0, len(block))
-        for i in bad:
-            point = [[col[i] for col in row] for row in lanes]
-            if adjugate:
-                det[i], cofactors = integer_adjugate(point)
-                for c, column in enumerate(cofactors):
-                    for r, value in enumerate(column):
-                        x[c][r][i] = value
-            else:
-                det[i] = integer_det(point)
+        det, x, singular = lane_bareiss(aug, n if adjugate else 0, len(block))
+        for i in singular if adjugate else ():
+            _, cofactors = integer_adjugate([[col[i] for col in row] for row in lanes])
+            for c, column in enumerate(cofactors):
+                for r, value in enumerate(column):
+                    x[c][r][i] = value
         dets += det
         for c, column in enumerate(adj):
             for r, values in enumerate(column):
@@ -232,66 +286,6 @@ def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomia
     bound = sum(max(e.degree for e in row) for row in rows)
     dets, _ = _point_solves(scaled, range(max(bound, 0) + 1), False)
     return interpolate(dets, prod(dens))
-
-
-def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:
-    """Fraction-free forward elimination of the first ``width`` columns of
-    integer rows, in place.
-
-    Returns the pivot columns, in order, and the sign of the row permutation.
-    Pivot k sits in row k.  Each step swaps up the first row with a nonzero
-    entry in the column (a column with none is skipped), then replaces every
-    entry right of the column in each row below by
-    (pivot * entry - lead * pivot_entry) // previous_pivot.  By Sylvester's
-    identity that is a minor of the original matrix, so the division never
-    leaves a remainder, and the pivot of row k is the minor on the first
-    k + 1 pivot rows and columns.  Entries left of a row's pivot are not
-    cleared; nothing reads them.
-    """
-    pivots: list[int] = []
-    sign = 1
-    prev = None
-    for c in range(width):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-            sign = -sign
-        pivot_row = rows[r]
-        pivot, tail = pivot_row[c], pivot_row[c + 1 :]
-        for row in rows[r + 1 :]:
-            lead = row[c]
-            step = [pivot * v - lead * t for v, t in zip(row[c + 1 :], tail)]
-            row[c + 1 :] = step if prev is None else [v // prev for v in step]
-        prev = pivot
-        pivots.append(c)
-    return pivots, sign
-
-
-def _cramer(
-    aug: list[list[int]], pivots: list[int], ncols: int, width: int, det: int
-) -> list[list[int]]:
-    """det * X for the rows [A | B] after :func:`_eliminate`, B of ``width``
-    columns, det the last pivot or its negative.  That pivot is the minor on
-    the pivot rows and columns, so by Cramer's rule each pivot row fixes the
-    row of det * X at its pivot column by one exact division; a column without
-    a pivot keeps a zero row.
-    """
-    x = [[0] * width] * ncols  # rows are replaced, never changed in place
-    for k in range(len(pivots) - 1, -1, -1):
-        c, row = pivots[k], aug[k]
-        acc = [det * v for v in row[ncols : ncols + width]]
-        for j in pivots[k + 1 :]:
-            if row[j]:
-                acc = [a - row[j] * b for a, b in zip(acc, x[j])]
-        x[c] = [a // row[c] for a in acc]
-    return x
 
 
 # The 12 largest primes below 2**62.  The first gives the rank profile.  Their
@@ -467,14 +461,15 @@ def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
 
 def _exact_solve(aug: list[list[int]], ncols: int) -> tuple[list[int], int, int] | None:
     """``(numerators, denominator, nullity)`` for the integer rows [A | b], by
-    :func:`_eliminate` (in place) and :func:`_cramer`; None if inconsistent.
+    :func:`_eliminate` and :func:`_cramer` on one lane; None if inconsistent.
 
     x = numerators / denominator with the free variables 0, and the
     denominator is the last pivot (1 if none), which may be negative.
     """
-    pivots, _ = _eliminate(aug, ncols + 1)
+    rows = [[[v] for v in row] for row in aug]
+    pivots, _, _ = _eliminate(rows, ncols + 1, 1)
     if pivots and pivots[-1] == ncols:
         return None  # b is a pivot: rank [A | b] > rank A
-    det = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
-    numerators = [y for (y,) in _cramer(aug, pivots, ncols, 1, det)]
-    return numerators, det, ncols - len(pivots)
+    det = rows[len(pivots) - 1][pivots[-1]] if pivots else [1]
+    numerators = [y for ((y,),) in _cramer(rows, pivots, ncols, 1, det)]
+    return numerators, det[0], ncols - len(pivots)

@@ -697,10 +697,13 @@ class TestPointRoute:
         assert qs == [reference_krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
 
 
-# the contexts of test_poles_are_skipped and test_pole_in_the_bordered_rows_raises
-POLE_CONTEXTS = {
+# the contexts of test_poles_are_skipped and test_pole_in_the_bordered_rows_raises,
+# and one of m = 3 whose Casorati matrix is singular at t = 0 while the bordered
+# rows there have rank m: minor_0 = 0, and minors 2 and 3 are not
+DEGREE_CONTEXTS = {
     "pole-a": (HahnParams(-2, Fraction(1, 2), 1), ((), (), (), (0, 1))),
     "pole-ab": (HahnParams(-2, -3, 1), ((), (), (), (0, 1))),
+    "rank-m": (HahnParams(Fraction(7, 3), Fraction(5, 3), 1), ((1,), (), (), (0, 1))),
 }
 
 
@@ -708,15 +711,16 @@ class TestMinorTable:
     """The raw route's table of maximal minors, taken by lane_bareiss, against
     cofactor expansion of the Fraction reference rows."""
 
-    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, *POLE_CONTEXTS])
+    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, *DEGREE_CONTEXTS])
     def test_table_matches_cofactor_minors(self, name, monkeypatch):
         """Every entry that casorati_rational leaves is None at a ratio pole and
         otherwise holds each minor without column k over D(t).  On the theorem
         path at m = 5 every minor vanishes at t = N + 2..N + m, where Omega
-        has its forced zeros and every lane takes the scalar minors."""
+        has its forced zeros and the bordered rows have rank below m; the
+        rank-m context has a singular lane whose other minors do not vanish."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
-        if name in POLE_CONTEXTS:
-            ctx = context_from_degrees(*POLE_CONTEXTS[name])
+        if name in DEGREE_CONTEXTS:
+            ctx = context_from_degrees(*DEGREE_CONTEXTS[name])
         else:
             ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
         values = casorati_rational(ctx)
@@ -737,6 +741,9 @@ class TestMinorTable:
             forced = range(ctx.params.N + 2, ctx.params.N + ctx.m + 1)
             assert forced.stop <= len(table)
             assert not any(any(table[t][0]) for t in forced)
+        if name == "rank-m":
+            (minors, _), *_ = table
+            assert minors[0] == 0 and any(minors)
 
     def test_degrees_past_the_table_are_taken_alone(self, monkeypatch):
         """krall_polynomial grows the table in blocks up to the Omega scan,

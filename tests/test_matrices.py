@@ -11,6 +11,7 @@ from krallhahn.matrices import (
     PointAdjugate,
     integer_adjugate,
     integer_det,
+    integer_dets,
     lane_bareiss,
     poly_det,
     solve_linear_system,
@@ -129,6 +130,25 @@ def test_integer_det_agrees_with_cofactor():
         integer_det([[1, 2], [3]])
 
 
+def test_integer_dets_take_one_lane_per_matrix():
+    """Seeded matrices of one size, some singular or with a zero leading
+    entry, against plain expansion; matrices of two sizes, or not square,
+    raise."""
+    rng = random.Random(7)
+    for n in (0, 1, 3, 4):
+        mats = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for _ in range(9)]
+        for k, rows in enumerate(mats):
+            if k % 3 == 1 and n:
+                rows[0][0] = 0
+            if k % 3 == 2 and n > 1:
+                rows[-1] = list(rows[0])
+        assert integer_dets(mats) == [cofactor_det(rows) for rows in mats], n
+    with pytest.raises(ValueError):
+        integer_dets([[[1]], [[1, 0], [0, 1]]])
+    with pytest.raises(ValueError):
+        integer_dets([[[1, 2]]])
+
+
 def _minor(rows, r, c):
     return [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
 
@@ -142,7 +162,7 @@ def test_integer_adjugate_matches_cofactor_minors():
     """det A and adj A[c][r] = (-1)^(r+c) minor(r, c) against plain expansion on
     seeded integer matrices of sizes 1-6: full rank with a zero first pivot,
     rank n - 1 (one row the sum of two others: the adjugate has rank 1) and
-    rank n - 2 (the adjugate is 0); the singular ones take the direct minors."""
+    rank n - 2 (the adjugate is 0, read off the pivot count)."""
     rng = random.Random(11)
     assert integer_adjugate([]) == (1, [])
     for n in range(1, 7):
@@ -162,12 +182,13 @@ def test_integer_adjugate_matches_cofactor_minors():
 
 
 def test_lane_bareiss_matches_the_scalar_routes():
-    """lane_bareiss on seeded integer matrices, one per lane, against
-    integer_det, integer_adjugate and Cramer's rule lane by lane, for sizes 0,
-    1, 2 and 5 with B empty, one column and I.  The lanes hold singular
-    matrices and matrices whose leading 1 x 1 or 2 x 2 minor vanishes though
-    the determinant does not; the lanes reported are exactly those with a
-    vanishing leading minor, and every other lane agrees."""
+    """lane_bareiss on seeded integer matrices, one per lane, against cofactor
+    expansion lane by lane (det A, det A * X by Cramer's rule, and the
+    cofactors), for sizes 0, 1, 2 and 5 with B empty, one column and I.  The
+    lanes hold singular matrices and matrices whose leading 1 x 1 or 2 x 2
+    minor vanishes though the determinant does not, where a lane swaps its own
+    rows; the lanes reported are exactly the singular ones, with det 0, every
+    other lane agrees, and the caller's entry lists are left as they were."""
     rng = random.Random(29)
     for n in (0, 1, 2, 5):
         mats = []
@@ -181,13 +202,14 @@ def test_lane_bareiss_matches_the_scalar_routes():
                 rows[1][:2] = [3 * v for v in rows[0][:2]]
             mats.append(rows)
         rhs = [[rng.randint(-9, 9) for _ in range(n)] for _ in mats]
+        dets = [cofactor_det(rows) for rows in mats]
+        singular = {i for i, det in enumerate(dets) if det == 0}
         leading_zero = {
             i for i, rows in enumerate(mats)
-            if any(integer_det([row[:k] for row in rows[:k]]) == 0 for k in range(1, n + 1))
+            if any(cofactor_det([row[:k] for row in rows[:k]]) == 0 for k in range(1, n + 1))
         }
         if n > 2:
-            assert any(integer_det(mats[i]) for i in leading_zero)
-            assert any(not integer_det(rows) for rows in mats)
+            assert leading_zero - singular and singular
         for kind in ("none", "column", "identity"):
             lanes = [
                 [[rows[r][c] for rows in mats] for c in range(n)]
@@ -195,20 +217,24 @@ def test_lane_bareiss_matches_the_scalar_routes():
                 + ([[int(r == j)] * len(mats) for j in range(n)] if kind == "identity" else [])
                 for r in range(n)
             ]
+            entries = [list(row) for row in lanes]
+            copies = [[list(entry) for entry in row] for row in lanes]
             width = len(lanes[0]) - n if n else 0
-            det, x, bad = lane_bareiss(lanes, width, len(mats))
-            assert bad == leading_zero, (n, kind)
+            det, x, reported = lane_bareiss(lanes, width, len(mats))
+            assert entries == copies, (n, kind)
+            assert reported == singular, (n, kind)
+            assert det == dets, (n, kind)
             assert len(x) == n and all(len(column) == width for column in x)
             for i, rows in enumerate(mats):
-                if i in bad:
+                if i in reported:
                     continue
-                assert det[i] == integer_det(rows), (n, kind, i)
                 if kind == "identity":
-                    assert [[v[i] for v in column] for column in x] == integer_adjugate(rows)[1]
+                    got = [[v[i] for v in column] for column in x]
+                    assert got == [[_cofactor(rows, r, c) for r in range(n)] for c in range(n)]
                 elif kind == "column":
                     for k in range(n):
                         replaced = [row[:k] + [v] + row[k + 1 :] for row, v in zip(rows, rhs[i])]
-                        assert x[k][0][i] == integer_det(replaced), (n, i, k)
+                        assert x[k][0][i] == cofactor_det(replaced), (n, i, k)
 
 
 def test_point_adjugate_matches_cofactor_route():
