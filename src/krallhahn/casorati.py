@@ -19,9 +19,9 @@ products of the series ratios times the row values, no clearing block, from
 point values computed once per context, kept as integers over one denominator
 per point) are built for a range of t at once, one list of integers per entry
 (a lane per t), and one fraction-free pass on them
-(:func:`~krallhahn.matrices.lane_bareiss`) gives all m + 1 maximal minors at
-every t of the range into a table per context (where the Casorati matrix is
-singular, the minors are taken again only if the bordered rows have rank m).
+(:func:`~krallhahn.matrices.lane_bareiss`, which gives det A and adj A b on
+every lane, singular or not) gives all m + 1 maximal minors at every t of the
+range into a table per context.
 Each q_n is the sum of those minors against alternating Hahn polynomials,
 which is the bordered determinant expanded along its border.  Every quantity the theory claims is
 polynomial is produced by exact division, so a failed cancellation surfaces as
@@ -75,7 +75,7 @@ from .ladder import (
     series_ratio,
     series_shift,
 )
-from .matrices import LANES, PointAdjugate, integer_dets, integer_rank, lane_bareiss
+from .matrices import LANES, PointAdjugate, lane_bareiss
 from .polynomials import Polynomial, antidifference, horner, lowest_terms, quotient_at
 from .rationals import Rational
 
@@ -255,26 +255,18 @@ class _RawPoints:
     def entries(self, ts: range, keep: bool) -> list[tuple[tuple[int, ...], int] | None]:
         """The table's entries at ts, one :func:`~krallhahn.matrices.lane_bareiss`
         pass per block of ``LANES``.  On [A | b], with A columns 1..m and b
-        column 0, minor_0 = det A and minor_k = (-1)^(k-1) (det A x)_(k-1) by
-        Cramer's rule.  Where A is singular, every minor vanishes if the rows
-        have rank below m (:func:`~krallhahn.matrices.integer_rank`), and the
-        m + 1 minors are otherwise one :func:`~krallhahn.matrices.integer_dets`."""
-        m = self.m
+        column 0, minor_0 = det A and minor_k = (-1)^(k-1) (adj A b)_(k-1) by
+        Cramer's identity, which holds on every lane, A singular or not."""
         out: list[tuple[tuple[int, ...], int] | None] = []
         for lo in range(ts.start, ts.stop, LANES):
             rows, denominator = self.lanes(range(lo, min(lo + LANES, ts.stop)), keep)
             live = [i for i, d in enumerate(denominator) if d]
             if len(live) < len(denominator):
                 rows = [[[col[i] for i in live] for col in row] for row in rows]
-            det, x, singular = lane_bareiss([[*row[1:], row[0]] for row in rows], 1, len(live))
-            minors = list(zip(det, *(
+            det, x = lane_bareiss([[*row[1:], row[0]] for row in rows], 1, len(live))
+            minors = zip(det, *(
                 [-v if j % 2 else v for v in column] for j, (column,) in enumerate(x)
-            )))
-            for i in singular:
-                point = [[col[i] for col in row] for row in rows]
-                minors[i] = (0,) * (m + 1) if integer_rank(point) < m else tuple(
-                    integer_dets([[row[:k] + row[k + 1 :] for row in point] for k in range(m + 1)])
-                )
+            ))
             block = [None] * len(denominator)
             for i, entry in zip(live, minors):
                 block[i] = entry, denominator[i]

@@ -4,19 +4,20 @@ One fraction-free forward elimination (Bareiss, 1968), :func:`_eliminate`,
 and one Cramer back-substitution, :func:`_cramer`, do every exact elimination
 here, on rows whose entries are lists of integers, one per matrix (a lane, say
 a point); a lane with a zero pivot swaps up its own rows.
-:func:`lane_bareiss` composes them and reports the lanes where A is singular,
-whose determinant is exactly 0.  :func:`integer_dets` takes determinants of
-one size as the lanes of one pass, and :func:`integer_det`,
-:func:`integer_rank`, :func:`integer_adjugate` and :func:`_exact_solve` run
-the kernel on one lane.
+:func:`lane_bareiss` composes them and is total: it gives det A and
+adj A * B on every lane, so no caller handles a singular lane.  By Cramer's
+identity, (adj A * B)[k][j] = det(A with column k replaced by B_j) for every
+A; a singular lane's [A | B] is eliminated again on its own, and its entries
+are 0 below rank n - 1 of A or rank n of [A | B], and otherwise one
+determinant pass.  :func:`integer_dets` takes determinants of one size as the
+lanes of one pass, and :func:`_exact_solve` runs the elimination on one lane.
 :class:`PointAdjugate` interpolates the determinant and cofactors of a
 polynomial matrix from integer values at points, one lane pass per block of
 :data:`LANES` points (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 5), and :func:`poly_det` the determinant alone; only a singular point's
-adjugate is taken again on its own.  Nothing here eliminates polynomials or
-rational functions: the construction clears row denominators first, and its
-cross-check and the family q_n take lane passes on integer rows kept over one
-denominator per point.
+ch. 5), and :func:`poly_det` the determinant alone.  Nothing here eliminates
+polynomials or rational functions: the construction clears row denominators
+first, and its cross-check and the family q_n take lane passes on integer rows
+kept over one denominator per point.
 
 :func:`_exact_solve` solves integer rows [A | b] as integer numerators over
 one denominator: the oracle's residual systems at each point, and the fallback
@@ -127,20 +128,41 @@ def _cramer(
 
 def lane_bareiss(
     rows: list[list[list[int]]], width: int, count: int
-) -> tuple[list[int], list[list[list[int]]], set[int]]:
-    """det A and det A * X, X = A^-1 B, for the n rows [A | B] on ``count``
-    lanes at once, B of ``width`` columns: :func:`_eliminate`, then
-    :func:`_cramer`.  Returns det A per lane, det A * X as ``x[k][j]``, a list
-    over the lanes, and the lanes where A is singular: their det is 0 and
-    their X meaningless.  The rows are overwritten, their entry lists not.
+) -> tuple[list[int], list[list[list[int]]]]:
+    """det A and adj A * B for the n rows [A | B] on ``count`` lanes at once,
+    B of ``width`` columns, as ``(det, x)``: det A per lane, and adj A * B as
+    ``x[k][j]``, a list over the lanes, which by Cramer's identity is
+    det(A with column k replaced by B_j) on every lane, singular or not.
+
+    :func:`_eliminate`, then :func:`_cramer`, whose det A * A^-1 B is adj A * B
+    where A is nonsingular.  Where A is singular, det A is 0, and with
+    ``width`` that lane's [A | B] is eliminated again on its own: adj A * B
+    is 0 if rank A < n - 1 or rank [A | B] < n, and otherwise its n * width
+    entries are one :func:`integer_dets` pass.  The rows are overwritten,
+    their entry lists not.
     """
     n = len(rows)
+    kept = [row[:] for row in rows] if width else []
     pivots, sign, singular = _eliminate(rows, n, count)
     if len(pivots) < n:
         singular = set(range(count))
     last = rows[n - 1][n - 1] if n else [1] * count
     det = [0 if i in singular else s * p for i, (s, p) in enumerate(zip(sign, last))]
-    return det, _cramer(rows, pivots, n, width, det), singular
+    x = _cramer(rows, pivots, n, width, det)
+    for i in singular if width else ():
+        point = [[entry[i] for entry in row] for row in kept]
+        own, _, _ = _eliminate([[[v] for v in row] for row in point], n + width, 1)
+        if sum(c < n for c in own) < n - 1 or len(own) < n:
+            values = [0] * (n * width)
+        else:
+            values = integer_dets([
+                [row[:k] + [row[n + j]] + row[k + 1 : n] for row in point]
+                for k in range(n) for j in range(width)
+            ])
+        for k, column in enumerate(x):
+            for j, lanes in enumerate(column):
+                lanes[i] = values[k * width + j]
+    return det, x
 
 
 def integer_dets(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
@@ -150,40 +172,6 @@ def integer_dets(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
         raise ValueError("integer_dets needs matrices of one size")
     lanes = [[list(entry) for entry in zip(*row)] for row in zip(*mats)]
     return lane_bareiss(lanes, 0, len(mats))[0]
-
-
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by :func:`integer_dets`."""
-    (det,) = integer_dets([rows])
-    return det
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix: the pivot count of :func:`_eliminate` on one lane."""
-    lane = [[[v] for v in row] for row in rows]
-    return len(_eliminate(lane, len(rows[0]) if rows else 0, 1)[0])
-
-
-def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a square integer matrix, adj A[c][r] = (-1)^(r+c) minor(r, c).
-
-    :func:`_eliminate` on [A | I] on one lane, then :func:`_cramer` for
-    det A * A^-1.  Where det A = 0 the pivot count is the rank: below n - 1
-    every minor vanishes, and at n - 1 the minors are :func:`integer_dets`.
-    """
-    n = _square_size(rows)
-    aug = [[[v] for v in (*row, *[0] * i, 1, *[0] * (n - 1 - i))] for i, row in enumerate(rows)]
-    pivots, (sign,), _ = _eliminate(aug, n, 1)
-    if len(pivots) < n - 1:
-        return 0, [[0] * n for _ in range(n)]
-    if len(pivots) < n:
-        minors = integer_dets([
-            [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
-            for c in range(n) for r in range(n)
-        ])
-        return 0, [[(-1) ** (r + c) * minors[c * n + r] for r in range(n)] for c in range(n)]
-    det = sign * aug[n - 1][n - 1][0] if n else 1
-    return det, [[v for (v,) in column] for column in _cramer(aug, pivots, n, n, [det])]
 
 
 # Points per lane pass: bounds the working set of the point routes at large m.
@@ -196,8 +184,8 @@ def _point_solves(
     """det A(x) at each point, and with ``adjugate`` adj A(x)[c][r] as
     ``adj[c][r]``, a list over the points, for integer rows whose entries are
     coefficient lists: one :func:`lane_bareiss` on [A | I] (or on A) per
-    block of :data:`LANES` points.  A singular point has det 0, and its
-    adjugate is taken again by :func:`integer_adjugate`."""
+    block of :data:`LANES` points; a singular point's det 0 and adjugate come
+    from the same pass."""
     n = len(scaled)
     dets: list[int] = []
     adj: list[list[list[int]]] = [[[] for _ in scaled] for _ in scaled] if adjugate else []
@@ -209,12 +197,7 @@ def _point_solves(
             [*row, *([ones if j == i else zeros for j in range(n)] if adjugate else ())]
             for i, row in enumerate(lanes)
         ]
-        det, x, singular = lane_bareiss(aug, n if adjugate else 0, len(block))
-        for i in singular if adjugate else ():
-            _, cofactors = integer_adjugate([[col[i] for col in row] for row in lanes])
-            for c, column in enumerate(cofactors):
-                for r, value in enumerate(column):
-                    x[c][r][i] = value
+        det, x = lane_bareiss(aug, n if adjugate else 0, len(block))
         dets += det
         for c, column in enumerate(adj):
             for r, values in enumerate(column):

@@ -9,8 +9,6 @@ from krallhahn import matrices
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
     PointAdjugate,
-    integer_adjugate,
-    integer_det,
     integer_dets,
     lane_bareiss,
     poly_det,
@@ -120,14 +118,14 @@ def test_integer_det_agrees_with_cofactor():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if n > 1:
             rows[0][0] = 0
-        got = integer_det(rows)
+        (got,) = integer_dets([rows])
         assert type(got) is int and got == cofactor_det(rows), n
     rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-    assert integer_det([*rows, rows[1]]) == 0
-    assert integer_det([row[:2] + [0] + row[3:] for row in rows + [rows[0]]]) == 0
-    assert integer_det([]) == 1 and integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_dets([[*rows, rows[1]]]) == [0]
+    assert integer_dets([[row[:2] + [0] + row[3:] for row in rows + [rows[0]]]]) == [0]
+    assert integer_dets([[]]) == [1] and integer_dets([[[0, 1], [1, 0]]]) == [-1]
     with pytest.raises(ValueError):
-        integer_det([[1, 2], [3]])
+        integer_dets([[[1, 2], [3]]])
 
 
 def test_integer_dets_take_one_lane_per_matrix():
@@ -158,13 +156,22 @@ def _cofactor(rows, r, c):
     return -minor if (r + c) % 2 else minor
 
 
+def _adjugate(rows):
+    """(det A, adj A) from lane_bareiss on [A | I] on one lane."""
+    n = len(rows)
+    lanes = [[[v] for v in (*row, *(int(i == j) for j in range(n)))] for i, row in enumerate(rows)]
+    (det,), x = lane_bareiss(lanes, n, 1)
+    return det, [[v for (v,) in column] for column in x]
+
+
 def test_integer_adjugate_matches_cofactor_minors():
     """det A and adj A[c][r] = (-1)^(r+c) minor(r, c) against plain expansion on
     seeded integer matrices of sizes 1-6: full rank with a zero first pivot,
     rank n - 1 (one row the sum of two others: the adjugate has rank 1) and
-    rank n - 2 (the adjugate is 0, read off the pivot count)."""
+    rank n - 2 (the adjugate is 0, read off the pivot count), each from a
+    one-lane lane_bareiss on [A | I]."""
     rng = random.Random(11)
-    assert integer_adjugate([]) == (1, [])
+    assert _adjugate([]) == (1, [])
     for n in range(1, 7):
         for shape in ("full", "rank n-1", "rank n-2"):
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -173,7 +180,7 @@ def test_integer_adjugate_matches_cofactor_minors():
                 rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
             if shape == "rank n-2" and n > 3:
                 rows[-1], rows[-2] = list(rows[0]), [2 * v for v in rows[1]]
-            det, adj = integer_adjugate(rows)
+            det, adj = _adjugate(rows)
             assert det == cofactor_det(rows), (n, shape)
             assert adj == [[_cofactor(rows, r, c) for r in range(n)] for c in range(n)]
             if shape != "full" and n > 3:
@@ -183,25 +190,34 @@ def test_integer_adjugate_matches_cofactor_minors():
 
 def test_lane_bareiss_matches_the_scalar_routes():
     """lane_bareiss on seeded integer matrices, one per lane, against cofactor
-    expansion lane by lane (det A, det A * X by Cramer's rule, and the
-    cofactors), for sizes 0, 1, 2 and 5 with B empty, one column and I.  The
-    lanes hold singular matrices and matrices whose leading 1 x 1 or 2 x 2
-    minor vanishes though the determinant does not, where a lane swaps its own
-    rows; the lanes reported are exactly the singular ones, with det 0, every
-    other lane agrees, and the caller's entry lists are left as they were."""
+    expansion lane by lane (det A, and adj A * B by Cramer's identity: the
+    cofactors for B = I, det(A with column k replaced by b) for one column),
+    for sizes 0, 1, 2 and 5 with B empty, one column and I.  The lanes hold
+    matrices whose leading 1 x 1 or 2 x 2 minor vanishes though the
+    determinant does not, where a lane swaps its own rows, and singular ones:
+    rank n - 1, rank n - 1 with b inside A's column space (adj A b = 0 though
+    adj A != 0), and rank n - 2 (adj A = 0).  Every lane agrees, singular or
+    not, and the caller's entry lists are left as they were."""
     rng = random.Random(29)
     for n in (0, 1, 2, 5):
-        mats = []
-        for lane in range(16):
+        mats, rhs = [], []
+        for lane in range(12):
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            if lane % 4 == 1 and n > 1:  # singular
-                rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
-            if lane % 4 == 2 and n:  # leading 1 x 1 minor zero
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            if lane % 6 == 1 and n > 1:  # rank n - 1
+                rows[-1] = [u - v for u, v in zip(rows[0], rows[1])]
+            if lane % 6 == 2 and n:  # leading 1 x 1 minor zero
                 rows[0][0] = 0
-            if lane % 4 == 3 and n > 2:  # leading 2 x 2 minor zero
+            if lane % 6 == 3 and n > 2:  # leading 2 x 2 minor zero
                 rows[1][:2] = [3 * v for v in rows[0][:2]]
+            if lane % 6 == 4 and n > 1:  # rank n - 1, b = A y
+                for row in rows:
+                    row[-1] = 2 * row[0]
+                b = [sum(u * v for u, v in zip(row, b)) for row in rows]
+            if lane % 6 == 5 and n > 3:  # rank n - 2
+                rows[-1], rows[-2] = list(rows[0]), list(rows[1])
             mats.append(rows)
-        rhs = [[rng.randint(-9, 9) for _ in range(n)] for _ in mats]
+            rhs.append(b)
         dets = [cofactor_det(rows) for rows in mats]
         singular = {i for i, det in enumerate(dets) if det == 0}
         leading_zero = {
@@ -209,7 +225,7 @@ def test_lane_bareiss_matches_the_scalar_routes():
             if any(cofactor_det([row[:k] for row in rows[:k]]) == 0 for k in range(1, n + 1))
         }
         if n > 2:
-            assert leading_zero - singular and singular
+            assert leading_zero - singular and {1, 4, 5} <= singular
         for kind in ("none", "column", "identity"):
             lanes = [
                 [[rows[r][c] for rows in mats] for c in range(n)]
@@ -220,21 +236,22 @@ def test_lane_bareiss_matches_the_scalar_routes():
             entries = [list(row) for row in lanes]
             copies = [[list(entry) for entry in row] for row in lanes]
             width = len(lanes[0]) - n if n else 0
-            det, x, reported = lane_bareiss(lanes, width, len(mats))
+            det, x = lane_bareiss(lanes, width, len(mats))
             assert entries == copies, (n, kind)
-            assert reported == singular, (n, kind)
             assert det == dets, (n, kind)
             assert len(x) == n and all(len(column) == width for column in x)
             for i, rows in enumerate(mats):
-                if i in reported:
-                    continue
                 if kind == "identity":
                     got = [[v[i] for v in column] for column in x]
                     assert got == [[_cofactor(rows, r, c) for r in range(n)] for c in range(n)]
+                    if n == 5:  # adj A = 0 only at rank n - 2
+                        assert any(map(any, got)) == (i % 6 != 5), i
                 elif kind == "column":
                     for k in range(n):
                         replaced = [row[:k] + [v] + row[k + 1 :] for row, v in zip(rows, rhs[i])]
                         assert x[k][0][i] == cofactor_det(replaced), (n, i, k)
+            if kind == "column" and n == 5:  # a rank n - 1 lane with adj A b != 0
+                assert any(x[k][0][i] for i in (1, 7) for k in range(n))
 
 
 def test_point_adjugate_matches_cofactor_route():
