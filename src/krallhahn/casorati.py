@@ -15,30 +15,28 @@ each once per context; its determinant and cofactors (the mixing minors) come
 from integer point values (:class:`~krallhahn.matrices.PointAdjugate`), on
 degree bounds read off the entries, not off :func:`core_degree`, which the
 degree check compares.  The raw Casorati rows (:func:`casorati_rows`: running
-products of the series ratios times the row values, no clearing block, from
-point values computed once per context, kept as integers over one denominator
-per point) are built for a range of t at once, one list of integers per entry
-(a lane per t), and one fraction-free pass on them
-(:func:`~krallhahn.matrices.lane_bareiss`, which gives det A and adj A b on
-every lane, singular or not) gives all m + 1 maximal minors at every t of the
-range into a table per context.
-Each q_n is the sum of those minors against alternating Hahn polynomials,
-which is the bordered determinant expanded along its border.  Every quantity the theory claims is
-polynomial is produced by exact division, so a failed cancellation surfaces as
-an error instead of an approximation.  The normaliser is a product of known
-linear factors, kept as a leading constant and a multiset of integer root
-numerators over one denominator Q per context (:func:`normalizer_factors`).
-:func:`mixing_polynomial` puts its m terms over L, the lcm of the m shifted
-root multisets, so each term is multiplied by the leftover linear factors and
-no gcd is taken.  The weights' linear factors have roots over Q too, so the
-linear factors G shared by L and every weight of a row kind are dropped from
-both before each product is expanded on integers.  The sum makes one exact
-division by L' = L / G (the same rational function, so the same reduced
-denominator), and a remainder raises.  The cross-check of the cleared
-determinant, :func:`casorati_rational`, reads minor_0, the raw rows'
-determinant, from the same table.  The Omega scan and the leading-coefficient
-gate read the cleared route (:func:`casorati_value`, by integer Horner), so
-they do not compare the raw rows with themselves.
+products of the series ratios times the row values, no clearing block, as
+integers over one denominator per point) are built for a range of t at once,
+a lane per t, and one :func:`~krallhahn.matrices.lane_bareiss` pass (det A and
+adj A b on every lane, singular or not) puts all m + 1 maximal minors at each
+t into a table per context.  Each q_n is the sum of those minors against
+alternating Hahn polynomials, the bordered determinant expanded along its
+border; minor_0 is the raw determinant that :func:`casorati_rational`, the
+cross-check of the cleared route, reads.  The Omega scan and the
+leading-coefficient gate read the cleared route (:func:`casorati_value`, by
+integer Horner), so they do not compare the raw rows with themselves.
+
+Every quantity the theory claims is polynomial comes from an exact division
+or a checked identity, so a failed cancellation surfaces as an error instead
+of an approximation.  The normaliser is a product of known linear factors: a
+leading constant and integer root numerators over one denominator Q per
+context (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
+terms over L, the lcm of the m shifted root multisets, so no gcd is taken, and
+drops the linear factors G that L and every weight of a row kind share.
+Nothing is expanded: the weights and L' = L / G are evaluated from their
+roots, the numerator is summed from cofactor values at x + j, the small
+quotient is interpolated from a few points, and quotient * L' = numerator is
+checked at every point.
 
 The stages that several checks read, the series ratios and the Hahn base
 polynomials among them, are memoised per context in one bounded store owned by
@@ -53,8 +51,8 @@ from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import wraps
 from itertools import islice
-from math import comb, lcm
-from operator import mul
+from math import comb, lcm, prod
+from operator import add, mul
 
 from .context import (  # noqa: F401  (the constructors are also read through this module)
     ConstructionContext,
@@ -76,8 +74,8 @@ from .ladder import (
     series_shift,
 )
 from .matrices import LANES, PointAdjugate, lane_bareiss
-from .polynomials import Polynomial, antidifference, horner, lowest_terms, quotient_at
-from .rationals import Rational
+from .polynomials import Polynomial, antidifference, horner, interpolate, lowest_terms, quotient_at
+from .rationals import Rational, clear_denominators
 
 
 # -- the stage store --------------------------------------------------------------
@@ -480,12 +478,12 @@ def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
 
 
 @_stage
-def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[Polynomial], Polynomial]]:
-    """Per row kind, the weights of the mixing terms j = 1..m and the divisor
-    L' (see :func:`mixing_polynomial`).  Weight j is sigma(x + half + j) *
-    prefactor(x + j) * L / N_j times the kind's clearing blocks rising(m - j, 0)
-    and falling(j - 1, j - 1), held as a constant, the invariant prefactor and
-    a multiset R_j of root numerators over Q; G is L's multiset meet every R_j."""
+def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[tuple], tuple[int, ...]]]:
+    """Per row kind, the weights of the mixing terms j = 1..m and the roots of
+    L' (see :func:`mixing_polynomial`), none expanded.  Weight j, sigma(x + half
+    + j) prefactor(x + j) L / N_j times the kind's blocks rising(m - j, 0) and
+    falling(j - 1, j - 1), is (prefactor(x + j), R_j - G, a constant), with R_j
+    its other roots over Q and G the meet of L and every R_j; L' is L - G."""
     p, m = ctx.params, ctx.m
     _, roots, q = normalizer_factors(ctx)
     shifted = [Counter(r - j * q for r in roots) for j in range(1, m + 1)]
@@ -494,56 +492,92 @@ def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[Polynomial
         common |= multiset
     # sigma(x + half + j) = -2 (x - r0 + half + j), with half = -(m - 1) / 2
     r0 = ((1 - p.a - p.b) / 2 * q).numerator + (m - 1) * q // 2
+    bases = [common - multiset for multiset in shifted]  # L / N_j
+    for j, base in enumerate(bases, 1):
+        base[r0 - j * q] += 1
     factors = {}
     for kind in dict.fromkeys(ctx.row_kinds):
-        multisets = []
-        for j in range(1, m + 1):
-            multiset = common - shifted[j - 1]
-            multiset[r0 - j * q] += 1
-            multiset.update(mixing_prefactor_roots(kind, m, j, p, q))
-            multisets.append(multiset)
+        multisets = [base.copy() for base in bases]
         shared = common.copy()
-        for multiset in multisets:
+        for multiset, extra in zip(multisets, mixing_prefactor_roots(kind, m, p, q)):
+            multiset.update(extra)
             shared &= multiset
-        weights = [
-            ctx.prefactor.shift_argument(j)
-            * Polynomial.from_integer_roots((multiset - shared).elements(), q)
-            * (2 if (j - 1) * len(CLEARING_BLOCKS[kind]) % 2 else -2)
+        factors[kind] = [
+            (ctx.prefactor.shift_argument(j), tuple((multiset - shared).elements()),
+             2 if (j - 1) * len(CLEARING_BLOCKS[kind]) % 2 else -2)
             for j, multiset in enumerate(multisets, 1)
-        ]
-        factors[kind] = weights, Polynomial.from_integer_roots((common - shared).elements(), q)
+        ], tuple((common - shared).elements())
     return factors
+
+
+def _linear_product(values: list[int], roots: tuple[int, ...], points: range) -> list[int]:
+    """values[i] * prod_r (points[i] - r), on integers."""
+    for r in roots:
+        values = list(map(mul, values, map(r.__rsub__, points)))
+    return values
+
+
+@_stage
+def _mixing_tables(ctx: ConstructionContext) -> dict[int, tuple[int, list, int, list, tuple]]:
+    """Per row kind, (K, W, s, V, R): weight j is W[j - 1][x] / s at x = 0..K-1
+    and L', of roots R, is V[x] / Q^deg L', from their linear factors.  K - 1,
+    the largest deg w_j + the bound on cofactor (row, j - 1), bounds the kind's
+    numerators.  The cleared adjugate is then taken, once, to every x + j read."""
+    adjugate = _cleared_adjugate(ctx)
+    _, _, q = normalizer_factors(ctx)
+    tables = {}
+    for kind, (weights, divisor) in _mixing_factors(ctx).items():
+        count = 1 + max(0, *(
+            prefactor.degree + len(roots) + adjugate.degree_bound(row, col)
+            for row in range(ctx.m) if ctx.row_kinds[row] == kind
+            for col, (prefactor, roots, _) in enumerate(weights)
+        ))
+        points = range(0, q * count, q)
+        scale = lcm(*(f.integer_parts[1] * q ** len(roots) for f, roots, _ in weights))
+        values = []
+        for prefactor, roots, constant in weights:
+            nums, den = prefactor.integer_parts
+            factor = constant * (scale // (den * q ** len(roots)))
+            start = [factor * horner(nums, x) for x in range(count)]
+            values.append(_linear_product(start, roots, points))
+        tables[kind] = count, values, scale, _linear_product([1] * count, divisor, points), divisor
+    adjugate.extend(max(count for count, *_ in tables.values()) + ctx.m)
+    return tables
 
 
 @_stage
 def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
-    Term j reads the cofactor (row, j - 1) of the cleared matrix, whose sign
-    is the term's, shifted once to x + j; it is interpolated only here.  It is
-    +-numer_j / normalizer(x + j), and normalizer(x + j) = lead * N_j with
-    N_j the monic product over the normaliser's roots shifted by -j.  With L
-    the lcm of N_1..N_m, each L / N_j is a product of leftover linear factors,
-    so no gcd is taken: the sum is (sum_j +-numer_j * L / N_j) / (lead * L),
-    and the linear factors G shared by L and every weight are divided out of
-    both (:func:`_mixing_factors`).  The sum must collapse to a polynomial, one
-    of the structural hypotheses of the construction: the division by L / G
-    must be exact, and a remainder raises NonExactDivision naming the degree
-    of the reduced denominator.
-    """
-    lead, _, _ = normalizer_factors(ctx)
-    weights, denominator = _mixing_factors(ctx)[ctx.row_kinds[row]]
+    Term j is the cofactor (row, j - 1) of the cleared matrix at x + j, signed
+    as the term, over normalizer(x + j) = lead * N_j, N_j monic.  Over L, the
+    lcm of the N_j, no gcd is taken, and the factors G shared by L and every
+    weight are dropped (:func:`_mixing_factors`).  n = sum_j w_j(x) cofactor(x
+    + j) is summed on integers at x = 0..K-1 (:func:`_mixing_tables`).  n / L'
+    must be a polynomial, a hypothesis of the construction: it is interpolated
+    at the first K - deg L' points where L' is nonzero, and quotient * L' = n
+    is then required at all K points.  Both sides have degree below K, so that
+    proves the division exact; a mismatch raises NonExactDivision naming the
+    degree of the reduced denominator."""
+    lead, _, q = normalizer_factors(ctx)
+    count, weights, scale, divisor, roots = _mixing_tables(ctx)[ctx.row_kinds[row]]
     adjugate = _cleared_adjugate(ctx)
-    total = Polynomial.zero()
-    for j, weight in enumerate(weights, 1):
-        total = total + weight * adjugate.cofactor(row, j - 1).shift_argument(j)
-    quotient, remainder = total.divmod(denominator)
-    if not remainder.is_zero:
-        _, reduced = lowest_terms(total, denominator)
+    numer = [0] * count
+    for j, (weight, values) in enumerate(zip(weights, adjugate.values[row]), 1):
+        numer = list(map(add, numer, map(mul, weight, values[j : j + count])))
+    scale *= prod(adjugate.dens) // adjugate.dens[row]  # n(x) = numer[x] / scale
+    power = q ** len(roots)  # L'(x) = divisor[x] / power
+    nodes = [x for x, d in enumerate(divisor) if d][: max(count - len(roots), 0)]
+    values = [Fraction(numer[x] * power, divisor[x] * scale * lead) for x in nodes]
+    quotient = interpolate(*clear_denominators(values), nodes) if nodes else Polynomial.zero()
+    nums, den = quotient.integer_parts
+    lhs, rhs = lead * scale, den * power
+    if any(horner(nums, x) * d * lhs != n * rhs for x, (n, d) in enumerate(zip(numer, divisor))):
+        _, reduced = lowest_terms(interpolate(numer, scale), Polynomial.from_integer_roots(roots, q))
         raise NonExactDivision(
             f"denominator of degree {reduced.degree} does not cancel", remainder=reduced
         )
-    return quotient / lead
+    return quotient
 
 
 def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:

@@ -140,14 +140,18 @@ def falling_roots(which: int, length: int, shift: Rational | int, p: HahnParams,
     return _block_roots(as_rational(shift) + _falling_offset(which, length, p), length, q)
 
 
-def mixing_prefactor_roots(kind: int, m: int, j: int, p: HahnParams, q: int) -> list[int]:
-    """Roots, as integer numerators over q, of the clearing factor of the j-th
-    of m mixing terms of a row of this kind: per clearing block, rising(m - j, 0)
-    times falling(j - 1, j - 1), so its leading coefficient is (-1)^(j-1) per block."""
-    roots = []
+def mixing_prefactor_roots(kind: int, m: int, p: HahnParams, q: int) -> list[list[int]]:
+    """Roots over q of the clearing factors of the mixing terms j = 1..m of a row
+    of this kind: per block, rising(m - j, 0) times falling(j - 1, j - 1), of
+    leading coefficient (-1)^(j-1).  Their roots are the last m - j of
+    rising(m - 1, 0)'s and the first j - 1 of falling(m - 1, m - 1)'s."""
+    terms: list[list[int]] = [[] for _ in range(m)]
     for which in CLEARING_BLOCKS[kind]:
-        roots += rising_roots(which, m - j, 0, p, q) + falling_roots(which, j - 1, j - 1, p, q)
-    return roots
+        rising = rising_roots(which, m - 1, 0, p, q)
+        falling = falling_roots(which, m - 1, m - 1, p, q)
+        for j, roots in enumerate(terms, 1):
+            roots += rising[j - 1 :] + falling[: j - 1]
+    return terms
 
 
 def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:

@@ -11,13 +11,13 @@ A; a singular lane's [A | B] is eliminated again on its own, and its entries
 are 0 below rank n - 1 of A or rank n of [A | B], and otherwise one
 determinant pass.  :func:`integer_dets` takes determinants of one size as the
 lanes of one pass, and :func:`_exact_solve` runs the elimination on one lane.
-:class:`PointAdjugate` interpolates the determinant and cofactors of a
-polynomial matrix from integer values at points, one lane pass per block of
-:data:`LANES` points (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 5), and :func:`poly_det` the determinant alone.  Nothing here eliminates
-polynomials or rational functions: the construction clears row denominators
-first, and its cross-check and the family q_n take lane passes on integer rows
-kept over one denominator per point.
+:class:`PointAdjugate` keeps the integer values of the determinant and the
+adjugate of a polynomial matrix at points, one lane pass per block of
+:data:`LANES` points, and interpolates the determinant alone (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 5), as :func:`poly_det` does.
+Nothing here eliminates polynomials or rational functions: the construction
+clears row denominators first, and its cross-check and the family q_n take
+lane passes on integer rows kept over one denominator per point.
 
 :func:`_exact_solve` solves integer rows [A | b] as integer numerators over
 one denominator: the oracle's residual systems at each point, and the fallback
@@ -216,27 +216,31 @@ def _integer_rows(rows: Sequence[Sequence[Polynomial]]) -> tuple[list[int], list
 
 
 class PointAdjugate:
-    """det A and the cofactors (r, c), adj A[c][r], of a square polynomial
-    matrix A from integer values at x = 0..K-1.
-
-    Row i is scaled to integers by d_i, its entries' lcm denominator, and the
-    values come from :func:`_point_solves`.  Each polynomial is interpolated
-    from its first :meth:`degree_bound` + 1 values when asked for.  With
-    e_i = max(max_c deg A[i][c], 0), K - 1 = sum_i e_i; no cofactor bound
-    exceeds K - 1 - min_i e_i, and the points past that get the determinant
-    alone.
-    """
+    """det A and adj A of a square polynomial matrix A at x = 0, 1, ...: with
+    row i scaled to integers by d_i, its entries' lcm denominator, ``dets[x]``
+    is prod_i d_i det A(x) and ``values[r][c][x]`` prod_{i != r} d_i times the
+    cofactor (r, c), from :func:`_point_solves`.  With e_i = max(max_c deg
+    A[i][c], 0), ``dets`` runs to K - 1 = sum_i e_i, and ``values`` to the
+    largest cofactor bound, K - 1 - min_i e_i, until :meth:`extend`."""
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]) -> None:
         _square_size(rows)
-        self.dens, scaled = _integer_rows(rows)
+        self.dens, self.scaled = _integer_rows(rows)
         self.degrees = [[e.degree for e in row] for row in rows]
         tops = [max(*row, 0) for row in self.degrees]
         reach = sum(tops) - min(tops, default=0)
-        # dets[x], and values[r][c][x] = adj A[c][r] for x <= reach
-        self.dets, adj = _point_solves(scaled, range(reach + 1), True)
+        self.dets, adj = _point_solves(self.scaled, range(reach + 1), True)
         self.values = [list(column) for column in zip(*adj)]
-        self.dets += _point_solves(scaled, range(reach + 1, sum(tops) + 1), False)[0]
+        self.dets += _point_solves(self.scaled, range(reach + 1, sum(tops) + 1), False)[0]
+
+    def extend(self, stop: int) -> None:
+        """Take ``values`` to every x < stop."""
+        start = len(self.values[0][0]) if self.values else stop
+        if stop > start:
+            _, adj = _point_solves(self.scaled, range(start, stop), True)
+            for values, column in zip(self.values, zip(*adj)):
+                for known, new in zip(values, column):
+                    known += new
 
     def degree_bound(self, row: int | None = None, col: int | None = None) -> int:
         """sum_{i != row} max_{c != col} deg A[i][c]: with no arguments a bound
@@ -250,10 +254,6 @@ class PointAdjugate:
     def det(self) -> Polynomial:
         count = max(self.degree_bound(), 0) + 1
         return interpolate(self.dets[:count], prod(self.dens))
-
-    def cofactor(self, row: int, col: int) -> Polynomial:
-        count = max(self.degree_bound(row, col), 0) + 1
-        return interpolate(self.values[row][col][:count], prod(self.dens) // self.dens[row])
 
 
 def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:

@@ -194,10 +194,10 @@ def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
     Each candidate is an integer coefficient list C and an integer value
     vector W over one shared integer denominator t: the candidate is C / t,
     and its value at support point i is W[i] / (t e^k).  Every pairing is an
-    integer dot product with the masses, each update is integer, and C, W
-    and t are divided by their common gcd after it, keeping t positive, so no
-    polynomial product and no ``Fraction`` is ever formed.
-    """
+    integer dot product with the masses and each update is integer, so no
+    polynomial product and no ``Fraction`` is ever formed.  After all k
+    projections, C, W and t are divided by gcd(t, C), keeping t positive: W's
+    entries are integer combinations of C, so that gcd divides them too."""
     points, e = measure.points, measure.point_denominator
     power = [1] * len(points)  # P_i^k: the value vector of x^k
     basis: list[Polynomial] = []
@@ -224,13 +224,13 @@ def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
             u *= ekj
             values = [v * b - u * w for v, w in zip(values, w_j)]
             den *= b
-            g = gcd(den, *coeffs, *values)
-            if den < 0:
-                g = -g
-            if g != 1:
-                coeffs = [c // g for c in coeffs]
-                values = [v // g for v in values]
-                den //= g
+        g = gcd(den, *coeffs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            coeffs = [c // g for c in coeffs]
+            values = [v // g for v in values]
+            den //= g
         weighted = measure.weighted(values)
         norm = sum(map(mul, values, weighted))
         if norm == 0 and k < up_to:

@@ -10,7 +10,7 @@ is timed or shipped; each routine favours the obvious computation over speed.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from krallhahn import casorati
 from krallhahn.casorati import eigenvalue_polynomial, normalizer, reflect
@@ -32,7 +32,7 @@ from krallhahn.ladder import (
 from krallhahn.matrices import _exact_solve
 from krallhahn.measures import christoffel
 from krallhahn.oracle import _POINT_BUDGET, _primitive, operator_solution_space
-from krallhahn.polynomials import Polynomial, horner, lowest_terms, pochhammer
+from krallhahn.polynomials import Polynomial, horner, interpolate, lowest_terms, pochhammer
 from krallhahn.rationals import as_rational
 from krallhahn.sets import set_max
 from krallhahn.verify import build_run
@@ -228,6 +228,16 @@ def gauss_jordan(rows, rhs):
     for row_idx, col in enumerate(pivots):
         solution[col] = aug[row_idx][ncols]
     return solution, ncols - len(pivots)
+
+
+def point_cofactor(adjugate, row, col):
+    """Cofactor (row, col) of a PointAdjugate's matrix, interpolated from the
+    adjugate's point values at its degree bound + 1 points, taken that far
+    first by ``extend``: the cofactor route the mixing polynomials replaced."""
+    count = max(adjugate.degree_bound(row, col), 0) + 1
+    adjugate.extend(count)
+    scale = prod(adjugate.dens) // adjugate.dens[row]
+    return interpolate(adjugate.values[row][col][:count], scale)
 
 
 def sarrus(m):

@@ -66,6 +66,7 @@ from reference import (
     compose_operator,
     fraction_casorati_value,
     pair_route_mixing,
+    point_cofactor,
     polynomial_mixing_factors,
     peeling_theta_substitute,
     rational_casorati,
@@ -266,6 +267,14 @@ ROUTE_CONFIGS = {
 }
 
 
+DIFFERENTIAL_CONFIGS = {
+    **ROUTE_CONFIGS,
+    "F1=3-theorem-N8": config_from_dict(
+        {"a": "1/2", "b": "1/3", "N": 8, "F": [[3], [], [], []], "path": "theorem"}
+    ),
+}
+
+
 class TestDeterminantRoutes:
     @pytest.mark.parametrize("name", ROUTE_CONFIGS)
     def test_pointwise_route_matches_rational_route(self, name):
@@ -391,10 +400,10 @@ class TestDifferenceIdentities:
             for row in range(ctx.m):
                 assert mixing_polynomial(ctx, row) == shifted_entry_mixing(ctx, row)
 
-    @pytest.mark.parametrize("name", ROUTE_CONFIGS)
+    @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
     def test_gcd_free_mixing_matches_pair_route(self, name, monkeypatch):
         """Every row against the pair route, with no gcd on the gcd-free route."""
-        ctx = build_run(ROUTE_CONFIGS[name]).ctx
+        ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
         monkeypatch.setattr(casorati, "_store", OrderedDict())
 
         def no_gcd(*args):
@@ -414,10 +423,10 @@ class TestDifferenceIdentities:
         ctx = build_run(cfg).ctx
         factors = casorati._mixing_factors
 
-        def skewed(ctx):  # each row kind's j = 1 weight times (x + 1/3)
+        def skewed(ctx):  # each row kind's j = 1 weight times (x + 1/3), in its prefactor
             return {
-                kind: ([weights[0] * (X + Fraction(1, 3)), *weights[1:]], divisor)
-                for kind, (weights, divisor) in factors(ctx).items()
+                kind: ([(prefactor * (X + Fraction(1, 3)), *rest), *others], divisor)
+                for kind, (((prefactor, *rest), *others), divisor) in factors(ctx).items()
             }
 
         monkeypatch.setattr(casorati, "_mixing_factors", skewed)
@@ -428,6 +437,22 @@ class TestDifferenceIdentities:
         check = verify.run_config(cfg).checks[0]
         assert not check.passed
         assert check.witness["error"] == f"NonExactDivision: {err.value}"
+
+    def test_mismatch_past_the_quotient_nodes_raises(self, monkeypatch):
+        """One cleared-adjugate value patched at the last point a numerator
+        reads, past the points the quotient is interpolated from: only the
+        identity at every point sees it, and the division is refused."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(builtin_config("four-roots")).ctx
+        row, m = 0, ctx.m
+        count, weights, _, divisor, roots = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
+        nodes = [x for x, d in enumerate(divisor) if d][: count - len(roots)]
+        assert len(nodes) == count - len(roots) > 0 and nodes[-1] < count - 1
+        assert weights[m - 1][count - 1]
+        casorati._cleared_adjugate(ctx).values[row][m - 1][count - 1 + m] += 1
+        with pytest.raises(NonExactDivision, match="does not cancel") as err:
+            mixing_polynomial(ctx, row)
+        assert err.value.remainder.degree > 0
 
     def test_spectral_difference(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):
@@ -509,14 +534,6 @@ class TestBorderedFamily:
 
 
 # every route config, plus one m = 5 context on the theorem path
-DIFFERENTIAL_CONFIGS = {
-    **ROUTE_CONFIGS,
-    "F1=3-theorem-N8": config_from_dict(
-        {"a": "1/2", "b": "1/3", "N": 8, "F": [[3], [], [], []], "path": "theorem"}
-    ),
-}
-
-
 class TestIntegerRows:
     @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
     def test_integer_rows_match_fraction_rows(self, name):
@@ -570,17 +587,21 @@ class TestIntegerScalars:
 
     @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, "invariant-prefactor"])
     def test_mixing_weights_match_polynomial_route(self, name):
-        """w_j L' = w'_j L for every kind and j, with w_j and L from the
-        ``Fraction``-root polynomial route; L' divides L, and the shared
-        factors G = L / L' are the expected ones."""
+        """w_j L' = w'_j L for every kind and j, with w'_j and L' expanded
+        here from the returned roots and w_j and L from the ``Fraction``-root
+        polynomial route; L' divides L, and the shared factors G = L / L' are
+        the expected ones."""
         ctx = _differential_context(name)
         reference, full = polynomial_mixing_factors(ctx)
         factors = casorati._mixing_factors(ctx)
+        _, _, q = casorati.normalizer_factors(ctx)
         assert list(factors) == list(dict.fromkeys(ctx.row_kinds))
         shared = {}
-        for kind, (weights, divisor) in factors.items():
+        for kind, (weights, roots) in factors.items():
+            divisor = Polynomial.from_integer_roots(roots, q)
             assert len(weights) == ctx.m
-            for weight, expected in zip(weights, reference[kind]):
+            for (prefactor, factor_roots, constant), expected in zip(weights, reference[kind]):
+                weight = prefactor * Polynomial.from_integer_roots(factor_roots, q) * constant
                 assert weight * full == expected * divisor
             assert full.divmod(divisor)[1].is_zero
             shared[kind] = full.degree - divisor.degree
@@ -628,7 +649,7 @@ class TestPointRoute:
         for r in range(ctx.m):
             for c in range(ctx.m):
                 expected = _signed_minor(matrix, r, c)
-                assert adjugate.cofactor(r, c) == expected, (r, c)
+                assert point_cofactor(adjugate, r, c) == expected, (r, c)
                 assert adjugate.degree_bound(r, c) >= expected.degree
         mixing = [mixing_polynomial(ctx, r) for r in range(ctx.m)]
         assert mixing == [pair_route_mixing(ctx, r) for r in range(ctx.m)]
@@ -654,7 +675,7 @@ class TestPointRoute:
                 for x in singular:
                     value = adjugate.values[r][c][x]
                     assert value == cofactor(x) * (total // adjugate.dens[r]), (x, r, c)
-                assert adjugate.cofactor(r, c) == cofactor
+                assert point_cofactor(adjugate, r, c) == cofactor
 
     def test_zero_entry(self, monkeypatch):
         """A cleared matrix with one entry zero: the point route still equals cofactor_det."""
@@ -671,7 +692,7 @@ class TestPointRoute:
         adjugate = casorati._cleared_adjugate(ctx)
         for r in range(ctx.m):
             for c in range(ctx.m):
-                assert adjugate.cofactor(r, c) == _signed_minor(matrix, r, c)
+                assert point_cofactor(adjugate, r, c) == _signed_minor(matrix, r, c)
 
     def test_raw_points_are_evaluated_once_per_context(self, monkeypatch):
         """casorati_rational and krall_polynomial share the raw route's point

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,7 +19,7 @@ from krallhahn.matrices import _PRIMES
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import clear_denominators
 
-from reference import cofactor_det, gauss_jordan, sarrus
+from reference import cofactor_det, gauss_jordan, point_cofactor, sarrus
 
 X = Polynomial.variable()
 
@@ -259,7 +260,9 @@ def test_point_adjugate_matches_cofactor_route():
     expansion, and every degree bound at least the reference degree.  The
     matrices have sizes 0-5, rational coefficients, zero entries and rows of
     unequal degree; one has a zero row, and one has row 0 times (x - 1), so
-    its determinant vanishes at x = 1 and the direct minors are taken there."""
+    its determinant vanishes at x = 1 and the direct minors are taken there.
+    ``extend`` takes every adjugate value three points further, and each
+    stored value is the cofactor's at its point, times its row scale."""
     rng = random.Random(13)
 
     def entry():
@@ -279,13 +282,17 @@ def test_point_adjugate_matches_cofactor_route():
         det = cofactor_det(rows)
         assert adjugate.det() == det, rows
         assert adjugate.degree_bound() >= det.degree
+        stop = len(adjugate.values[0][0]) + 3 if n else 0
+        adjugate.extend(stop)
         for r in range(n):
             for c in range(n):
                 expected = _cofactor(rows, r, c) * Polynomial.one()
-                assert adjugate.cofactor(r, c) == expected, (rows, r, c)
+                assert point_cofactor(adjugate, r, c) == expected, (rows, r, c)
                 assert adjugate.degree_bound(r, c) >= expected.degree
+                scale = prod(adjugate.dens) // adjugate.dens[r]
+                assert adjugate.values[r][c] == [expected(x) * scale for x in range(stop)]
     assert PointAdjugate(vanishing).dets[1] == 0
-    assert PointAdjugate(vanishing).cofactor(0, 0)(1) != 0
+    assert point_cofactor(PointAdjugate(vanishing), 0, 0)(1) != 0
 
 
 def test_poly_det_scalar_rows_above_a_polynomial_row():
