@@ -11,10 +11,11 @@ A; a singular lane's [A | B] is eliminated again on its own, and its entries
 are 0 below rank n - 1 of A or rank n of [A | B], and otherwise one
 determinant pass.  :func:`integer_dets` takes determinants of one size as the
 lanes of one pass, and :func:`_exact_solve` runs the elimination on one lane.
-:class:`PointAdjugate` keeps the integer values of the determinant and the
-adjugate of a polynomial matrix at points, one lane pass per block of
-:data:`LANES` points, and interpolates the determinant alone (von zur Gathen
-and Gerhard, Modern Computer Algebra, ch. 5), as :func:`poly_det` does.
+:class:`PointAdjugate` keeps one table of the integer values of the
+determinant and the adjugate of a polynomial matrix at x = 0, 1, ..., both
+from one lane pass on [A(x) | I] per block of :data:`LANES` points, and
+interpolates the determinant (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 5); :func:`poly_det` is that route on any square matrix.
 Nothing here eliminates polynomials or rational functions: the construction
 clears row denominators first, and its cross-check and the family q_n take
 lane passes on integer rows kept over one denominator per point.
@@ -178,69 +179,44 @@ def integer_dets(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
 LANES = 32
 
 
-def _point_solves(
-    scaled: list[list[list[int]]], points: range, adjugate: bool
-) -> tuple[list[int], list[list[list[int]]]]:
-    """det A(x) at each point, and with ``adjugate`` adj A(x)[c][r] as
-    ``adj[c][r]``, a list over the points, for integer rows whose entries are
-    coefficient lists: one :func:`lane_bareiss` on [A | I] (or on A) per
-    block of :data:`LANES` points; a singular point's det 0 and adjugate come
-    from the same pass."""
-    n = len(scaled)
-    dets: list[int] = []
-    adj: list[list[list[int]]] = [[[] for _ in scaled] for _ in scaled] if adjugate else []
-    for lo in range(points.start, points.stop, LANES):
-        block = range(lo, min(lo + LANES, points.stop))
-        lanes = [[[horner(nums, x) for x in block] for nums in row] for row in scaled]
-        ones, zeros = [1] * len(block), [0] * len(block)
-        aug = [
-            [*row, *([ones if j == i else zeros for j in range(n)] if adjugate else ())]
-            for i, row in enumerate(lanes)
-        ]
-        det, x = lane_bareiss(aug, n if adjugate else 0, len(block))
-        dets += det
-        for c, column in enumerate(adj):
-            for r, values in enumerate(column):
-                values += x[c][r]
-    return dets, adj
-
-
-def _integer_rows(rows: Sequence[Sequence[Polynomial]]) -> tuple[list[int], list[list[list[int]]]]:
-    """Each row's lcm denominator d_i and its entries' numerators over d_i."""
-    dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
-    scaled = [
-        [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
-        for den, row in zip(dens, rows)
-    ]
-    return dens, scaled
-
-
 class PointAdjugate:
-    """det A and adj A of a square polynomial matrix A at x = 0, 1, ...: with
-    row i scaled to integers by d_i, its entries' lcm denominator, ``dets[x]``
-    is prod_i d_i det A(x) and ``values[r][c][x]`` prod_{i != r} d_i times the
-    cofactor (r, c), from :func:`_point_solves`.  With e_i = max(max_c deg
-    A[i][c], 0), ``dets`` runs to K - 1 = sum_i e_i, and ``values`` to the
-    largest cofactor bound, K - 1 - min_i e_i, until :meth:`extend`."""
+    """det A and adj A of a square polynomial matrix A at x = 0, 1, ..., in
+    one table: with row i scaled to integers by d_i, its entries' lcm
+    denominator, ``dets[x]`` is prod_i d_i det A(x) and ``values[r][c][x]``
+    prod_{i != r} d_i times the cofactor (r, c).  Both always hold the same
+    points, and grow only by :meth:`extend`; the constructor takes them to the
+    determinant's degree bound."""
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]) -> None:
         _square_size(rows)
-        self.dens, self.scaled = _integer_rows(rows)
+        self.dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
+        self.scaled = [
+            [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
+            for den, row in zip(self.dens, rows)
+        ]
         self.degrees = [[e.degree for e in row] for row in rows]
-        tops = [max(*row, 0) for row in self.degrees]
-        reach = sum(tops) - min(tops, default=0)
-        self.dets, adj = _point_solves(self.scaled, range(reach + 1), True)
-        self.values = [list(column) for column in zip(*adj)]
-        self.dets += _point_solves(self.scaled, range(reach + 1, sum(tops) + 1), False)[0]
+        self.dets: list[int] = []
+        self.values: list[list[list[int]]] = [[[] for _ in rows] for _ in rows]
+        self.extend(max(self.degree_bound(), 0) + 1)
 
     def extend(self, stop: int) -> None:
-        """Take ``values`` to every x < stop."""
-        start = len(self.values[0][0]) if self.values else stop
-        if stop > start:
-            _, adj = _point_solves(self.scaled, range(start, stop), True)
-            for values, column in zip(self.values, zip(*adj)):
-                for known, new in zip(values, column):
-                    known += new
+        """Take ``dets`` and ``values`` to every x < stop: one
+        :func:`lane_bareiss` on [A(x) | I] per block of :data:`LANES` points,
+        which gives det A(x) and adj A(x) together, singular points included."""
+        n = len(self.scaled)
+        for lo in range(len(self.dets), stop, LANES):
+            block = range(lo, min(lo + LANES, stop))
+            ones, zeros = [1] * len(block), [0] * len(block)
+            aug = [
+                [*([horner(nums, x) for x in block] for nums in row),
+                 *(ones if j == i else zeros for j in range(n))]
+                for i, row in enumerate(self.scaled)
+            ]
+            det, adj = lane_bareiss(aug, n, len(block))
+            self.dets += det
+            for c, column in enumerate(adj):  # adj A[c][r] is the cofactor (r, c)
+                for r, lanes in enumerate(column):
+                    self.values[r][c] += lanes
 
     def degree_bound(self, row: int | None = None, col: int | None = None) -> int:
         """sum_{i != row} max_{c != col} deg A[i][c]: with no arguments a bound
@@ -258,17 +234,11 @@ class PointAdjugate:
 
 def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:
     """The determinant of a square matrix, a scalar entry read as a constant
-    polynomial (the empty matrix gives ``Polynomial.one()``): its integer
-    values at x = 0..B from :func:`_point_solves`, B = sum_i max_c deg A[i][c],
-    interpolated."""
-    _square_size(rows)
-    rows = [
+    polynomial (the empty matrix gives ``Polynomial.one()``), by
+    :meth:`PointAdjugate.det`."""
+    return PointAdjugate([
         [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows
-    ]
-    dens, scaled = _integer_rows(rows)
-    bound = sum(max(e.degree for e in row) for row in rows)
-    dets, _ = _point_solves(scaled, range(max(bound, 0) + 1), False)
-    return interpolate(dets, prod(dens))
+    ]).det()
 
 
 # The 12 largest primes below 2**62.  The first gives the rank profile.  Their

@@ -409,7 +409,7 @@ class TestDifferenceIdentities:
         def no_gcd(*args):
             raise AssertionError("gcd on the success path")
 
-        monkeypatch.setattr(casorati, "lowest_terms", no_gcd)
+        assert not hasattr(casorati, "lowest_terms")
         monkeypatch.setattr(polynomials, "poly_gcd", no_gcd)
         mixing = [mixing_polynomial(ctx, row) for row in range(ctx.m)]
         monkeypatch.undo()
@@ -453,6 +453,42 @@ class TestDifferenceIdentities:
         with pytest.raises(NonExactDivision, match="does not cancel") as err:
             mixing_polynomial(ctx, row)
         assert err.value.remainder.degree > 0
+
+    def test_reduced_denominator_matches_lowest_terms(self, monkeypatch):
+        """The patched four-roots row of the test above: the reduced
+        denominator, read off L''s roots, is the one Euclid over Q gives for
+        the numerator that the error path interpolates."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(builtin_config("four-roots")).ctx
+        row, m = 0, ctx.m
+        count, *_, roots = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
+        casorati._cleared_adjugate(ctx).values[row][m - 1][count - 1 + m] += 1
+        interpolated, interpolate = [], casorati.interpolate
+
+        def spy(*args):
+            interpolated.append(interpolate(*args))
+            return interpolated[-1]
+
+        monkeypatch.setattr(casorati, "interpolate", spy)
+        with pytest.raises(NonExactDivision) as err:
+            mixing_polynomial(ctx, row)
+        q = casorati.normalizer_factors(ctx)[2]
+        _, expected = lowest_terms(interpolated[-1], Polynomial.from_integer_roots(roots, q))
+        assert err.value.remainder == expected and expected.degree > 0
+        assert str(err.value) == f"denominator of degree {expected.degree} does not cancel"
+
+    def test_mismatch_at_five_rows_is_named_from_the_roots(self, monkeypatch):
+        """F1=[3], N=8 (m = 5), one value patched at the last point row 1
+        reads: the division is refused with the reduced denominator's degree,
+        well inside the time limit (Euclid over Q took minutes here)."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(DIFFERENTIAL_CONFIGS["F1=3-theorem-N8"]).ctx
+        row, m = 1, ctx.m
+        count, weights, *_ = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
+        assert m == 5 and weights[m - 1][count - 1]
+        casorati._cleared_adjugate(ctx).values[row][m - 1][count - 1 + m] += 1
+        with pytest.raises(NonExactDivision, match="denominator of degree 57 does not cancel"):
+            mixing_polynomial(ctx, row)
 
     def test_spectral_difference(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):

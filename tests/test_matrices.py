@@ -1,12 +1,14 @@
 """Determinants and exact linear solving."""
 
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from krallhahn import matrices
+from krallhahn import casorati, matrices
+from krallhahn.config import builtin_config
 from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import (
     PointAdjugate,
@@ -18,6 +20,7 @@ from krallhahn.matrices import (
 from krallhahn.matrices import _PRIMES
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import clear_denominators
+from krallhahn.verify import build_run
 
 from reference import cofactor_det, gauss_jordan, point_cofactor, sarrus
 
@@ -255,14 +258,10 @@ def test_lane_bareiss_matches_the_scalar_routes():
                 assert any(x[k][0][i] for i in (1, 7) for k in range(n))
 
 
-def test_point_adjugate_matches_cofactor_route():
-    """det and every cofactor of seeded polynomial matrices against plain
-    expansion, and every degree bound at least the reference degree.  The
-    matrices have sizes 0-5, rational coefficients, zero entries and rows of
-    unequal degree; one has a zero row, and one has row 0 times (x - 1), so
-    its determinant vanishes at x = 1 and the direct minors are taken there.
-    ``extend`` takes every adjugate value three points further, and each
-    stored value is the cofactor's at its point, times its row scale."""
+def _point_adjugate_cases():
+    """Seeded polynomial matrices of sizes 0-5 with rational coefficients, zero
+    entries and rows of unequal degree, then one with a zero row and one with
+    row 0 times (x - 1), whose determinant vanishes at x = 1."""
     rng = random.Random(13)
 
     def entry():
@@ -276,7 +275,20 @@ def test_point_adjugate_matches_cofactor_route():
     zero_row[2] = [Polynomial.zero()] * 4
     vanishing = [[entry() + X for _ in range(4)] for _ in range(4)]
     vanishing[0] = [(X - 1) * e for e in vanishing[0]]
-    for rows in [*cases, zero_row, vanishing]:
+    return [*cases, zero_row, vanishing]
+
+
+def test_point_adjugate_matches_cofactor_route():
+    """det and every cofactor of seeded polynomial matrices against plain
+    expansion, and every degree bound at least the reference degree.  The
+    matrices have sizes 0-5, rational coefficients, zero entries and rows of
+    unequal degree; one has a zero row, and one has row 0 times (x - 1), so
+    its determinant vanishes at x = 1 and the direct minors are taken there.
+    ``extend`` takes every adjugate value three points further, and each
+    stored value is the cofactor's at its point, times its row scale."""
+    cases = _point_adjugate_cases()
+    vanishing = cases[-1]
+    for rows in cases:
         n = len(rows)
         adjugate = PointAdjugate(rows)
         det = cofactor_det(rows)
@@ -293,6 +305,45 @@ def test_point_adjugate_matches_cofactor_route():
                 assert adjugate.values[r][c] == [expected(x) * scale for x in range(stop)]
     assert PointAdjugate(vanishing).dets[1] == 0
     assert point_cofactor(PointAdjugate(vanishing), 0, 0)(1) != 0
+
+
+def _assert_one_table(adjugate, calls):
+    """dets and every values[r][c] hold the same points, and each entry was
+    evaluated once per point."""
+    n, stop = len(adjugate.degrees), len(adjugate.dets)
+    assert all(len(values) == stop for column in adjugate.values for values in column)
+    assert len(calls) == n * n * stop
+
+
+def test_point_adjugate_takes_each_point_once(monkeypatch):
+    """det and adjugate come from one table: after the constructor and after
+    each ``extend``, ``dets`` and every ``values[r][c]`` have the same length,
+    and every entry is evaluated once per point, never again by a later pass.
+    The seeded matrices of the cofactor test, then the four-roots cleared
+    matrix taken to every point its mixing rows read."""
+    calls, horner = [], matrices.horner
+
+    def counted(*args):
+        calls.append(args)
+        return horner(*args)
+
+    monkeypatch.setattr(matrices, "horner", counted)
+    for rows in _point_adjugate_cases():
+        calls.clear()
+        adjugate = PointAdjugate(rows)
+        assert len(adjugate.dets) == max(adjugate.degree_bound(), 0) + 1
+        _assert_one_table(adjugate, calls)
+        for stop in (len(adjugate.dets) + 3, len(adjugate.dets) + 40, 2):
+            adjugate.extend(stop)
+            assert len(adjugate.dets) >= stop
+            _assert_one_table(adjugate, calls)
+    monkeypatch.setattr(casorati, "_store", OrderedDict())
+    calls.clear()
+    ctx = build_run(builtin_config("four-roots")).ctx
+    tables = casorati._mixing_tables(ctx)
+    adjugate = casorati._cleared_adjugate(ctx)
+    assert len(adjugate.dets) >= max(count for count, *_ in tables.values()) + ctx.m
+    _assert_one_table(adjugate, calls)
 
 
 def test_poly_det_scalar_rows_above_a_polynomial_row():
