@@ -15,7 +15,7 @@ from krallhahn.ladder import (
     series_ratio,
     series_shift,
 )
-from krallhahn.polynomials import Polynomial, lowest_terms
+from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import format_rational
 
 
@@ -45,8 +45,9 @@ def main() -> None:
         for i in (1, 2):
             product_numer = product_numer * numer.shift_argument(-i)
             product_denom = product_denom * denom.shift_argument(-i)
-        product = lowest_terms(product_numer, product_denom)
-        print(f"  three-step product closed form agrees: {ratio_product(kind, 3, p) == product}\n")
+        closed_numer, closed_denom = ratio_product(kind, 3, p)
+        agrees = product_numer * closed_denom == product_denom * closed_numer
+        print(f"  three-step product closed form agrees: {agrees}\n")
 
 
 if __name__ == "__main__":

@@ -74,7 +74,14 @@ from .ladder import (
     series_shift,
 )
 from .matrices import LANES, PointAdjugate, lane_bareiss
-from .polynomials import Polynomial, antidifference, horner, interpolate, quotient_at
+from .polynomials import (
+    Polynomial,
+    antidifference,
+    divide_out_roots,
+    horner,
+    interpolate,
+    quotient_at,
+)
 from .rationals import Rational, clear_denominators
 
 
@@ -559,7 +566,8 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     is then required at all K points.  Both sides have degree below K, so that
     proves the division exact.  A mismatch raises NonExactDivision naming the
     degree of the reduced denominator: n is interpolated, and each root of L'
-    where n vanishes is divided out of n; the roots left make it."""
+    where n vanishes is divided out of n (:func:`divide_out_roots`); the roots
+    left make it."""
     lead, _, q = normalizer_factors(ctx)
     count, weights, scale, divisor, roots = _mixing_tables(ctx)[ctx.row_kinds[row]]
     adjugate = _cleared_adjugate(ctx)
@@ -574,12 +582,7 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     nums, den = quotient.integer_parts
     lhs, rhs = lead * scale, den * power
     if any(horner(nums, x) * d * lhs != n * rhs for x, (n, d) in enumerate(zip(numer, divisor))):
-        n, kept = interpolate(numer, scale), []
-        for p in roots:  # n / L' in lowest terms: n drops each root of L' it shares
-            if horner(n.integer_parts[0], p, q):
-                kept.append(p)
-            else:
-                n = n.divide_exact(Polynomial.from_integer_roots((p,), q))
+        _, kept = divide_out_roots(interpolate(numer, scale), roots, q)
         reduced = Polynomial.from_integer_roots(kept, q)
         raise NonExactDivision(
             f"denominator of degree {reduced.degree} does not cancel", remainder=reduced

@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 from .diffops import DifferenceOperator
 from .errors import NotThetaRepresentable, ParameterSingularity
 from .measures import DiscreteMeasure, christoffel
-from .polynomials import Polynomial, lowest_terms, newton_form, pochhammer
+from .polynomials import Polynomial, divide_out_roots, newton_form, pochhammer
 from .rationals import Rational, as_rational, format_rational
 from .sets import SetQuartet, default_pads, set_max
 
@@ -161,19 +161,26 @@ def hahn_operator(p: HahnParams) -> DifferenceOperator:
 def hahn_recurrence_functions(p: HahnParams) -> tuple[tuple[Polynomial, Polynomial], ...]:
     """The three-term recurrence coefficients as rational functions of the degree.
 
-    Each is a reduced (numerator, denominator) pair.  Convention:
-    x h_n = A(n+1) h_{n+1} + B(n) h_n + C(n) h_{n-1}.
+    Each is a reduced (numerator, denominator) pair with monic denominator.
+    Convention: x h_n = A(n+1) h_{n+1} + B(n) h_n + C(n) h_{n-1}.  Each
+    denominator, a product of two factors 2n + s + k with s = a + b, is 4 times
+    the monic product over their roots -(s + k)/2, taken over q = 2 den(s).
     """
     a, b, N = p.a, p.b, p.N
     n = Polynomial.variable()
     s = a + b
-    A = lowest_terms(-(n * (n + a) * (n + s + N + 1)), (2 * n + s - 1) * (2 * n + s))
-    B = lowest_terms(
-        Polynomial.constant(N * (a + 1) * s) + n * (2 * N + b - a) * (n + s + 1),
-        (2 * n + s) * (2 * n + s + 2),
+    q = 2 * s.denominator
+
+    def over(numer: Polynomial, *ks: int) -> tuple[Polynomial, Polynomial]:
+        roots = [-s.numerator - k * s.denominator for k in ks]
+        numer, kept = divide_out_roots(numer, roots, q)
+        return numer / 4, Polynomial.from_integer_roots(kept, q)
+
+    return (
+        over(-(n * (n + a) * (n + s + N + 1)), -1, 0),
+        over(Polynomial.constant(N * (a + 1) * s) + n * (2 * N + b - a) * (n + s + 1), 0, 2),
+        over(-((n + s) * (n + b) * (N - n + 1)), 0, 1),
     )
-    C = lowest_terms(-((n + s) * (n + b) * (N - n + 1)), (2 * n + s) * (2 * n + s + 1))
-    return A, B, C
 
 
 def hahn_recurrence(n: int, p: HahnParams) -> tuple[Fraction, Fraction, Fraction]:

@@ -1,42 +1,33 @@
 """The four first-order ladder operators attached to the Hahn family.
 
-Each kind is defined by a ratio sequence (a rational function of the degree,
-kept as a reduced (numerator, denominator) pair) and the common shift
-sequence -(2n + a + b - 1); the operator acts on the basis by a triangular
-series whose coefficients are products of consecutive ratios.  At integer
-points those products are running products (:func:`ratio_products`); as
-polynomials in the degree they have Pochhammer closed forms whose numerator
-and denominator blocks are the clearing factors used everywhere in the
-determinant machinery.
+Each kind is defined by a ratio sequence and the common shift sequence
+-(2n + a + b - 1); the operator acts on the basis by a triangular series whose
+coefficients are products of consecutive ratios.  At integer points those
+products are running products (:func:`ratio_products`); as rational functions
+of the degree they have Pochhammer closed forms, built from the roots of the
+clearing blocks (:data:`CLEARING_BLOCKS`) and reduced by dividing out the
+roots shared; the ratio is the one-step product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .diffops import DifferenceOperator
 from .errors import ParameterSingularity
 from .hahn import HahnParams
-from .polynomials import Polynomial, lowest_terms
+from .polynomials import Polynomial, divide_out_roots
 from .rationals import Rational, as_rational
 
 KINDS = (1, 2, 3, 4)
 
 
 def series_ratio(kind: int, p: HahnParams) -> tuple[Polynomial, Polynomial]:
-    """The ratio sequence of one ladder kind: (numerator, denominator) in n."""
-    n = Polynomial.variable()
-    a, b, N = p.a, p.b, p.N
-    if kind == 1:
-        return lowest_terms(-(n - N - 1), n + a + b + N + 1)
-    if kind == 2:
-        return lowest_terms((n - N - 1) * (n + b), (n + a) * (n + a + b + N + 1))
-    if kind == 3:
-        return Polynomial.one(), Polynomial.one()
-    if kind == 4:
-        return lowest_terms(-(n + b), n + a)
-    raise ValueError(f"kind must be 1..4, got {kind}")
+    """The ratio sequence of one ladder kind: (numerator, denominator) in n,
+    the one-step :func:`ratio_product`."""
+    return ratio_product(kind, 1, p)
 
 
 def series_shift(p: HahnParams) -> Polynomial:
@@ -176,16 +167,21 @@ def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams)
 def ratio_product(kind: int, length: int, p: HahnParams) -> tuple[Polynomial, Polynomial]:
     """Product ratio(x) ratio(x-1) ... ratio(x-length+1) in closed form.
 
-    Returned as a reduced (numerator, denominator) pair.  length 0 gives 1;
-    negative length gives the reciprocal of the product based at x - length.
+    Per clearing block, rising_block(length, 0) over falling_block(length, 0),
+    from their roots over q = lcm(den a, den b), as a reduced pair with monic
+    denominator (:func:`~krallhahn.polynomials.divide_out_roots`).  length 0
+    gives 1; a negative length gives the reciprocal of the product based at
+    x - length, whose two root lists swap.
     """
     if kind not in CLEARING_BLOCKS:
         raise ValueError(f"kind must be 1..4, got {kind}")
+    blocks, steps = CLEARING_BLOCKS[kind], abs(length)
+    shift = steps if length < 0 else 0  # the product based at x - length
+    q = lcm(p.a.denominator, p.b.denominator)
+    rising = [t for which in blocks for t in rising_roots(which, steps, shift, p, q)]
+    falling = [t for which in blocks for t in falling_roots(which, steps, shift, p, q)]
     if length < 0:
-        numer, denom = ratio_product(kind, -length, p)
-        return lowest_terms(denom.shift_argument(-length), numer.shift_argument(-length))
-    numer = denom = Polynomial.one()
-    for which in CLEARING_BLOCKS[kind]:
-        numer = numer * rising_block(which, length, 0, p)
-        denom = denom * falling_block(which, length, 0, p)
-    return lowest_terms(numer, denom)
+        rising, falling = falling, rising
+    numer = Polynomial.from_integer_roots(rising, q)  # a falling block of odd length is negated
+    numer, kept = divide_out_roots(-numer if steps * len(blocks) % 2 else numer, falling, q)
+    return numer, Polynomial.from_integer_roots(kept, q)

@@ -18,8 +18,10 @@ is the one route from integer values at integer nodes back to a polynomial,
 :func:`~krallhahn.rationals.as_rational`, so a ``float`` raises ``TypeError``,
 and ``coefficient``, ``leading_coefficient``, ``coeffs``, iteration,
 evaluation and the string forms give ``Fraction`` values.  The few rational
-functions the construction needs (ladder ratios, recurrence coefficients) are
-plain (numerator, denominator) pairs reduced by :func:`lowest_terms`.
+functions the construction needs (ladder ratios, recurrence coefficients,
+the mixing quotient's error path) have denominators whose roots are known, so
+they are (numerator, denominator) pairs reduced by those roots
+(:func:`divide_out_roots`); no polynomial gcd is taken.
 """
 
 from __future__ import annotations
@@ -511,32 +513,22 @@ def taylor_shift(coeffs: Sequence, shift):
     return out
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (Euclid over the rationals)."""
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+def divide_out_roots(
+    numer: Polynomial, roots: Iterable[int], q: int
+) -> tuple[Polynomial, list[int]]:
+    """numer / prod (x - p/q) over the integers p in roots, in lowest terms.
 
-
-def lowest_terms(numer: Polynomial, denom: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """The quotient numer / denom as a coprime pair with monic denominator.
-
-    A zero numerator gives (0, 1).  The value at a point t is
-    numer(t) / denom(t); the parts are coprime, so a zero of the denominator
-    is a genuine pole and that division raises ``ZeroDivisionError``.
+    Each p, multiplicity counted, where numer(p/q) = 0 (integer Horner) is
+    divided out of numer, and the others are kept.  Returns (quotient, kept);
+    the reduced, monic denominator is ``Polynomial.from_integer_roots(kept, q)``.
     """
-    if denom.is_zero:
-        raise ZeroDivisionError("rational function with zero denominator")
-    if numer.is_zero:
-        return _ZERO, _ONE
-    g = poly_gcd(numer, denom)
-    if g.degree > 0:
-        numer = numer.divide_exact(g)
-        denom = denom.divide_exact(g)
-    lead = denom.leading_coefficient
-    if lead != 1:
-        numer, denom = numer / lead, denom / lead
-    return numer, denom
+    kept = []
+    for p in roots:
+        if horner(numer.integer_parts[0], p, q):
+            kept.append(p)
+        else:
+            numer = numer.divide_exact(Polynomial.from_integer_roots((p,), q))
+    return numer, kept
 
 
 def pochhammer(base: Fraction | int, length: int) -> Fraction:

@@ -7,6 +7,7 @@ path adds its reference to this module and its test imports it.  Nothing here
 is timed or shipped; each routine favours the obvious computation over speed.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -17,6 +18,7 @@ from krallhahn.casorati import eigenvalue_polynomial, normalizer, reflect
 from krallhahn.diffops import operator_polynomial
 from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
+    HahnParams,
     hahn_polynomial,
     hahn_weight,
     transformed_parameters,
@@ -32,7 +34,7 @@ from krallhahn.ladder import (
 from krallhahn.matrices import _exact_solve
 from krallhahn.measures import christoffel
 from krallhahn.oracle import _POINT_BUDGET, _primitive, operator_solution_space
-from krallhahn.polynomials import Polynomial, horner, interpolate, lowest_terms, pochhammer
+from krallhahn.polynomials import Polynomial, horner, interpolate, pochhammer
 from krallhahn.rationals import as_rational
 from krallhahn.sets import set_max
 from krallhahn.verify import build_run
@@ -164,6 +166,36 @@ def lagrange(nodes, values):
         total = [t + b for t, b in zip(total, basis)]
     return Polynomial(total)
 
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor, by Euclid over the rationals."""
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def lowest_terms(numer, denom):
+    """The quotient numer / denom as a coprime pair with monic denominator, by
+    Euclid's gcd: the reference for reducing by known roots
+    (:func:`krallhahn.polynomials.divide_out_roots`).
+
+    A zero numerator gives (0, 1).  The value at a point t is
+    numer(t) / denom(t); the parts are coprime, so a zero of the denominator
+    is a genuine pole and that division raises ``ZeroDivisionError``.
+    """
+    if denom.is_zero:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if numer.is_zero:
+        return Polynomial.zero(), Polynomial.one()
+    g = poly_gcd(numer, denom)
+    if g.degree > 0:
+        numer = numer.divide_exact(g)
+        denom = denom.divide_exact(g)
+    lead = denom.leading_coefficient
+    if lead != 1:
+        numer, denom = numer / lead, denom / lead
+    return numer, denom
 
 # -- matrices ------------------------------------------------------------------------
 
@@ -458,6 +490,72 @@ def closed_form_product_values(kind, points, p):
         out.append(numer(base) / denom(base))
     return out
 
+
+
+def euclid_grid():
+    """The parameter triples of the differential tests against Euclid's gcd.
+
+    Hand-picked: a = b, where kinds 2 and 4 cancel (n + b) / (n + a); a + b =
+    -2N - 2, where kinds 1 and 2 cancel (n - N - 1) / (n + a + b + N + 1);
+    a + b = 0 and 1, where the recurrence cancels a factor of n or 2n + s - 1;
+    the ladder pole cases; and a + b = -2N - 4.  Then 60 valid seeded random ones.
+    """
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    triples = [
+        (half, third, 8), (half, half, 6), (Fraction(7, 3), Fraction(7, 3), 8),
+        (third, third, 8), (2, 2, 5), (half, Fraction(-17, 2), 3), (3, -11, 3),
+        (half, -half, 4), (Fraction(2, 3), third, 4), (-2, half, 1), (-3, -2, 1),
+        (Fraction(-11, 2), Fraction(-9, 2), 3),
+    ]
+    grid = [HahnParams(Fraction(a), Fraction(b), N) for a, b, N in triples]
+    rng = random.Random(34)
+    while len(grid) < len(triples) + 60:
+        a, b = (Fraction(rng.randint(-24, 24), rng.randint(1, 6)) for _ in range(2))
+        try:
+            grid.append(HahnParams(a, b, rng.randint(1, 10)))
+        except ParameterSingularity:
+            pass
+    return grid
+
+
+def explicit_series_ratio(kind, p):
+    """Each kind's ratio written out by hand, reduced by Euclid's gcd."""
+    n = Polynomial.variable()
+    a, b, N = p.a, p.b, p.N
+    if kind == 1:
+        return lowest_terms(-(n - N - 1), n + a + b + N + 1)
+    if kind == 2:
+        return lowest_terms((n - N - 1) * (n + b), (n + a) * (n + a + b + N + 1))
+    if kind == 3:
+        return Polynomial.one(), Polynomial.one()
+    return lowest_terms(-(n + b), n + a)
+
+
+def block_ratio_product(kind, length, p):
+    """ratio_product from the expanded clearing blocks, reduced by Euclid's gcd;
+    a negative length is the reciprocal of the product based at x - length."""
+    if length < 0:
+        numer, denom = block_ratio_product(kind, -length, p)
+        return lowest_terms(denom.shift_argument(-length), numer.shift_argument(-length))
+    numer = denom = Polynomial.one()
+    for which in CLEARING_BLOCKS[kind]:
+        numer = numer * rising_block(which, length, 0, p)
+        denom = denom * falling_block(which, length, 0, p)
+    return lowest_terms(numer, denom)
+
+
+def euclid_recurrence_functions(p):
+    """hahn_recurrence_functions with expanded denominators, reduced by Euclid's gcd."""
+    a, b, N = p.a, p.b, p.N
+    n = Polynomial.variable()
+    s = a + b
+    A = lowest_terms(-(n * (n + a) * (n + s + N + 1)), (2 * n + s - 1) * (2 * n + s))
+    B = lowest_terms(
+        Polynomial.constant(N * (a + 1) * s) + n * (2 * N + b - a) * (n + s + 1),
+        (2 * n + s) * (2 * n + s + 2),
+    )
+    C = lowest_terms(-((n + s) * (n + b) * (N - n + 1)), (2 * n + s) * (2 * n + s + 1))
+    return A, B, C
 
 # -- the determinant engine over Q(x) ----------------------------------------------------
 # Elements of Q(x) are reduced (numerator, denominator) pairs.

@@ -1,5 +1,7 @@
 """The determinantal construction engine."""
 
+import importlib
+import pkgutil
 import random
 from collections import Counter, OrderedDict
 from dataclasses import replace
@@ -8,7 +10,8 @@ from functools import partial
 
 import pytest
 
-from krallhahn import casorati, diffops, polynomials, verify
+import krallhahn
+from krallhahn import casorati, diffops, verify
 from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
@@ -53,7 +56,7 @@ from krallhahn.ladder import (
     rising_block,
     series_shift,
 )
-from krallhahn.polynomials import Polynomial, lowest_terms
+from krallhahn.polynomials import Polynomial
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
 
@@ -65,6 +68,7 @@ from reference import (
     cofactor_det,
     compose_operator,
     fraction_casorati_value,
+    lowest_terms,
     pair_route_mixing,
     point_cofactor,
     polynomial_mixing_factors,
@@ -402,15 +406,19 @@ class TestDifferenceIdentities:
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
     def test_gcd_free_mixing_matches_pair_route(self, name, monkeypatch):
-        """Every row against the pair route, with no gcd on the gcd-free route."""
+        """Every row against the pair route; no krallhahn module defines a gcd
+        for the gcd-free route to take."""
         ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
         monkeypatch.setattr(casorati, "_store", OrderedDict())
-
-        def no_gcd(*args):
-            raise AssertionError("gcd on the success path")
-
-        assert not hasattr(casorati, "lowest_terms")
-        monkeypatch.setattr(polynomials, "poly_gcd", no_gcd)
+        modules = [
+            importlib.import_module(f"krallhahn.{info.name}")
+            for info in pkgutil.iter_modules(krallhahn.__path__)
+        ]
+        assert "krallhahn.polynomials" in [module.__name__ for module in modules]
+        assert not [
+            module.__name__ for module in modules
+            if hasattr(module, "poly_gcd") or hasattr(module, "lowest_terms")
+        ]
         mixing = [mixing_polynomial(ctx, row) for row in range(ctx.m)]
         monkeypatch.undo()
         assert normalizer(ctx) == block_normalizer(ctx)

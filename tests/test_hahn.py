@@ -25,12 +25,15 @@ from krallhahn.hahn import (
 )
 from krallhahn.ladder import series_ratio
 from krallhahn.measures import gram_schmidt
-from krallhahn.polynomials import Polynomial, lowest_terms, pochhammer
+from krallhahn.polynomials import Polynomial, pochhammer
 from krallhahn.sets import SetQuartet, default_pads
 
 from reference import (
     dual_hahn_leading_coefficient,
     duality_factor,
+    euclid_grid,
+    euclid_recurrence_functions,
+    lowest_terms,
     per_atom_hahn_weight,
     pochhammer_hahn_leading_coefficient,
     reference_dual_hahn,
@@ -227,6 +230,18 @@ def test_three_term_recurrence(a, b, N):
         if n:
             rhs = rhs + C * hahn_polynomial(n - 1, p)
         assert lhs == rhs
+
+
+def test_recurrence_functions_match_the_euclid_reference():
+    """The recurrence coefficients, reduced by their denominators' roots,
+    against the expanded denominators reduced by Euclid's gcd, on the grid of
+    the ladder ratios' test; some of its triples cancel a factor."""
+    cancelled = 0
+    for p in euclid_grid():
+        functions = hahn_recurrence_functions(p)
+        assert functions == euclid_recurrence_functions(p), p
+        cancelled += sum(denom.degree < 2 for _, denom in functions)
+    assert cancelled
 
 
 @pytest.mark.parametrize("a,b,N", TRIPLES)

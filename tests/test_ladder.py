@@ -7,6 +7,7 @@ import pytest
 from krallhahn.errors import ParameterSingularity
 from krallhahn.hahn import HahnParams, hahn_polynomial
 from krallhahn.ladder import (
+    CLEARING_BLOCKS,
     KINDS,
     falling_block,
     ladder_operator,
@@ -17,9 +18,15 @@ from krallhahn.ladder import (
     series_ratio,
     series_shift,
 )
-from krallhahn.polynomials import Polynomial, lowest_terms
+from krallhahn.polynomials import Polynomial
 
-from reference import closed_form_product_values
+from reference import (
+    block_ratio_product,
+    closed_form_product_values,
+    euclid_grid,
+    explicit_series_ratio,
+    lowest_terms,
+)
 
 X = Polynomial.variable()
 
@@ -78,6 +85,23 @@ def test_ratio_product_matches_explicit_product(kind, desk_params):
                 explicit[0] * numer.shift_argument(-j), explicit[1] * denom.shift_argument(-j)
             )
         assert ratio_product(kind, length, desk_params) == explicit
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ratios_match_the_euclid_reference(kind):
+    """series_ratio and ratio_product (lengths -4..5), from the blocks' roots,
+    against the expanded blocks reduced by Euclid's gcd, and the ratio against
+    the hand-written one, on a grid where a = b and a + b = -2N - 2 cancel
+    factors of every kind but 3."""
+    cancelled = 0
+    for p in euclid_grid():
+        ratio = series_ratio(kind, p)
+        assert ratio == block_ratio_product(kind, 1, p) == explicit_series_ratio(kind, p), p
+        cancelled += ratio[1].degree < len(CLEARING_BLOCKS[kind])
+        for length in range(-4, 6):
+            expected = block_ratio_product(kind, length, p)
+            assert ratio_product(kind, length, p) == expected, (p, length)
+    assert bool(cancelled) == (kind != 3)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic and rational functions in lowest terms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,10 @@ from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import (
     Polynomial,
     antidifference,
+    divide_out_roots,
     interpolate,
-    lowest_terms,
     newton_form,
     pochhammer,
-    poly_gcd,
     taylor_shift,
 )
 from krallhahn.rationals import (
@@ -32,7 +32,7 @@ from krallhahn.rationals import (
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import enumerate_root_couples
 
-from reference import lagrange, reference_from_roots
+from reference import lagrange, lowest_terms, poly_gcd, reference_from_roots
 
 X = Polynomial.variable()
 
@@ -299,6 +299,33 @@ def test_antidifference_telescopes():
     # partial sums: q(n) = sum_{k=0}^{n} p(k)
     q = antidifference(X**2)
     assert q(3) == 0 + 1 + 4 + 9
+
+
+def test_divide_out_roots_matches_lowest_terms():
+    """Reducing by the denominator's known roots against Euclid's gcd, on seeded
+    factored and unfactored numerators, roots shared with multiplicity (in the
+    roots, in the numerator, or both), and a zero numerator."""
+    rng = random.Random(34)
+    cases = [(Polynomial.zero(), [3, -1, 3], 2), (5 * X + 1, [], 1)]
+    for _ in range(60):
+        q = rng.choice((1, 2, 3, 6))
+        roots = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))]
+        shared = [p for p in roots if rng.random() < 0.6] * rng.randint(1, 2)
+        own = [rng.randint(-6, 6) for _ in range(rng.randint(0, 2))]
+        scale = Fraction(rng.randint(1, 9), rng.choice((1, -2, 7)))
+        numer = Polynomial.from_integer_roots(shared + own, q) * scale
+        if rng.random() < 0.5:  # a factor with no rational root, expanded
+            numer = numer * Polynomial([rng.randint(1, 9), rng.randint(-5, 5), rng.randint(1, 9)])
+        cases.append((numer, roots, q))
+    divided_twice = 0
+    for numer, roots, q in cases:
+        quotient, kept = divide_out_roots(numer, roots, q)
+        reduced = quotient, Polynomial.from_integer_roots(kept, q)
+        assert reduced == lowest_terms(numer, Polynomial.from_integer_roots(roots, q))
+        divided = Counter(roots) - Counter(kept)
+        divided_twice += any(count > 1 for count in divided.values())
+    assert cases[0][0].is_zero and divide_out_roots(*cases[0]) == (Polynomial.zero(), [])
+    assert divided_twice
 
 
 class TestRationalFunction:

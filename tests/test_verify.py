@@ -22,6 +22,7 @@ from krallhahn.errors import ConfigInvalid
 from krallhahn.hahn import HahnParams, hahn_weight
 from krallhahn.oracle import _solve_globally, operator_solution_space
 from krallhahn.polynomials import Polynomial
+from krallhahn.rationals import format_rational
 from krallhahn.sets import (
     SetQuartet,
     default_pads,
@@ -360,6 +361,57 @@ def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, 
         assert reasons.get(3) == (
             "leading coefficient mismatch" if member else "eigen-equation residual nonzero"
         )
+
+
+@pytest.mark.parametrize("check, other", [
+    ("omega-nonvanishing", "support"),
+    ("degree-leading", "genre"),
+    ("genre", "degree-leading"),
+    ("support", "genre"),
+    ("criteria", "support"),
+])
+def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
+    """One name that a check reads in verify is patched with a fault on the
+    four-roots config: that check fails and its witness names the fault, and
+    a second check, which does not read the name, still passes."""
+    import krallhahn.verify as verify
+
+    cfg = config_from_dict({**BUILTIN_CONFIGS["four-roots"], "checks": [check, other]})
+    assert run_config(cfg).passed
+    ctx = build_run(cfg).ctx
+    value, leading = verify.casorati_value, verify.core_leading_coefficient
+    operator, support = verify.krall_operator, verify.transformed_support
+    base = verify.base_polynomial
+    r = verify.operator_halfwidth(ctx)
+
+    def moved(*args):  # the first point of the support formula, one step down
+        first, *rest = support(*args)
+        return [first - 1, *rest]
+
+    faults = {
+        "omega-nonvanishing": ("casorati_value", lambda ctx, n: 0 if n == 1 else value(ctx, n)),
+        "degree-leading": ("core_leading_coefficient", lambda ctx: 2 * leading(ctx)),
+        "genre": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator.shift(r + 1)),
+        "support": ("transformed_support", moved),
+        "criteria": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
+    }
+    monkeypatch.setattr(verify, *faults[check])
+    failed, passed = run_config(cfg).checks
+    assert (failed.name, failed.passed, passed.name, passed.passed) == (check, False, other, True)
+    witness = failed.witness
+    if check == "omega-nonvanishing":
+        assert witness["zeros"] == [1]
+    elif check == "degree-leading":
+        assert witness["degree"] == witness["expected_degree"]
+        assert witness["leading"] == format_rational(leading(ctx))
+        assert witness["expected_leading"] == format_rational(2 * leading(ctx))
+    elif check == "genre":
+        assert witness["genre"] == [-r, r + 1] and witness["r_from_degrees"] == r
+    elif check == "support":
+        assert witness["size"] == witness["expected_size"]
+        assert witness["support_matches_formula"] is False
+    else:
+        assert [failure["n"] for failure in witness["moment_failures"]] == [2]
 
 
 def test_run_config_criteria_constant_surfaces():
