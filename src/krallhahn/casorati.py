@@ -180,8 +180,10 @@ def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
 
 @_stage
 def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomial], ...]:
-    """Each row's series ratio, as a reduced (numerator, denominator) pair."""
-    return tuple(series_ratio(kind, ctx.params) for kind in ctx.row_kinds)
+    """Each row's series ratio, as a reduced (numerator, denominator) pair,
+    reduced once per row kind."""
+    ratios = {kind: series_ratio(kind, ctx.params) for kind in dict.fromkeys(ctx.row_kinds)}
+    return tuple(ratios[kind] for kind in ctx.row_kinds)
 
 
 class _RawPoints:

@@ -5,8 +5,13 @@ argument by the integer l, i.e. (S_l f)(x) = f(x + l).  Acting on polynomials
 this stays exact.  Composition follows from S_l h(x) = h(x + l) S_l.
 
 Whether D f = lambda f is decided by :func:`eigen_certificate` from values
-at integer points, on integers; :meth:`DifferenceOperator.apply` builds the
-polynomial D f and is the slow reference.  Likewise
+at integer points, on integers, at as many points as the residual's degree
+needs: deg f + e + 1, with e the :func:`degree_excess` read off the shift
+moments sum_l l^j h_l, less the points a caller already knows to be zeros.
+An operator in the algebra of the paper maps each polynomial to one of no
+higher degree (e = 0), however large its coefficient degrees.
+:meth:`DifferenceOperator.apply` builds the polynomial D f and is the slow
+reference.  Likewise
 :func:`operator_sum`, which assembles
 :func:`~krallhahn.casorati.krall_operator`, multiplies operators as integer
 value tables at points and interpolates once;
@@ -17,6 +22,7 @@ products as polynomials and are its reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, filterfalse, islice
 from math import lcm
 from operator import add, index, mul
 from typing import Iterable, Mapping, Sequence
@@ -169,18 +175,53 @@ def operator_polynomial(poly: Polynomial, base: DifferenceOperator) -> Differenc
     return acc
 
 
+def _common_numerators(op: DifferenceOperator) -> tuple[dict[int, list[int]], int]:
+    """({l: numerators of H_l}, L): every coefficient h_l = H_l / L over L,
+    the lcm of the coefficients' denominators."""
+    common = lcm(*(h.integer_parts[1] for h in op.terms.values()))
+    numerators = {}
+    for l, h in op.terms.items():
+        nums, den = h.integer_parts
+        numerators[l] = [c * (common // den) for c in nums]
+    return numerators, common
+
+
 def coefficient_values(
     op: DifferenceOperator, points: Sequence[int]
 ) -> tuple[dict[int, list[int]], int]:
     """({l: [H_l(x) for x in points]}, L): every coefficient h_l = H_l / L at
     the integer points, over L, the lcm of the coefficients' denominators."""
-    common = lcm(*(h.integer_parts[1] for h in op.terms.values()))
-    values = {}
-    for l, h in op.terms.items():
-        nums, den = h.integer_parts
-        scaled = [c * (common // den) for c in nums]
-        values[l] = [horner(scaled, x) for x in points]
-    return values, common
+    numerators, common = _common_numerators(op)
+    return {l: [horner(nums, x) for x in points] for l, nums in numerators.items()}, common
+
+
+def degree_excess(op: DifferenceOperator) -> int:
+    """The least e >= 0 with deg op(f) <= deg f + e for every polynomial f.
+
+    With the shift moments M_j = sum_l l^j h_l, op(x^k) = sum_l h_l(x)
+    (x + l)^k = sum_(j<=k) C(k, j) x^(k-j) M_j(x), so e is the largest
+    i - j over nonzero [x^i] M_j with i > j, or 0 if there is none; it is
+    attained at f = x^j for the least j with [x^(j+e)] M_j nonzero.  An
+    operator with an eigenpolynomial of every degree has e = 0, however
+    large its coefficient degrees.  The moments are summed on the H_l of
+    :func:`coefficient_values`, over one denominator: for each i from the
+    largest coefficient degree down, the vector (l^j [x^i] H_l)_l is stepped
+    by one multiplication per j, up to the first nonzero sum, trying only
+    the j < i - e that would raise e.
+    """
+    numerators, _ = _common_numerators(op)
+    offsets = list(numerators)
+    excess = 0
+    for i in range(_max_degree(op), 0, -1):
+        if i <= excess:
+            break
+        moment = [nums[i] if i < len(nums) else 0 for nums in numerators.values()]
+        for j in range(i - excess):
+            if sum(moment):
+                excess = i - j
+                break
+            moment = list(map(mul, offsets, moment))
+    return excess
 
 
 def _max_degree(op: DifferenceOperator) -> int:
@@ -309,37 +350,44 @@ def operator_sum(
 
 
 def eigen_certificate(
-    op: DifferenceOperator, pairs: Iterable[tuple[Polynomial, Rational]]
+    op: DifferenceOperator,
+    pairs: Iterable[tuple[Polynomial, Rational]],
+    zeros: Iterable[int] = (),
 ) -> list[bool]:
     """For each (f, lambda), whether op.apply(f) == lambda * f.
 
     The residual sum_l h_l(x) f(x + l) - lambda f(x) has degree at most
-    d = deg f + max_l deg h_l, and a nonzero polynomial of degree d has at
-    most d roots, so it is zero iff it vanishes at x = 0..d.  With every h_l
-    = H_l / L over the lcm L of their denominators, f = F / e and lambda =
-    num / den, the residual vanishes at x iff
+    deg f + e, with e the :func:`degree_excess` of op, and a nonzero
+    polynomial of degree d has at most d roots.  ``zeros`` are distinct
+    integers where the caller already knows every pair's residual to vanish
+    (the oracle's nodes); a residual is then zero iff it also vanishes at
+    the first deg f + e + 1 - len(zeros) integers x >= 0 not in ``zeros``.
+    With every h_l = H_l / L over the lcm L of their denominators, f = F / c
+    and lambda = num / den, the residual vanishes at x iff
     den * sum_l H_l(x) F(x + l) == num * L * F(x), on integers: each H_l is
-    evaluated once per point for all pairs, and each F once per point from
-    min(lo, 0) to d + max(hi, 0), with (lo, hi) the genre.  The zero operator
+    evaluated once per point for all pairs, and each F once at each point
+    x + l that a tested x reads, l = 0 or a shift of op.  The zero operator
     has no terms, so its sum is 0 and the residual is -lambda f.  A float
     lambda raises ``TypeError``.
     """
     pairs = [(f.integer_parts[0], as_rational(lam)) for f, lam in pairs]
-    lo, hi = min((0, *op.terms)), max((0, *op.terms))
-    coeff_degree = max((h.degree for h in op.terms.values()), default=0)
-    points = max((len(nums) + coeff_degree for nums, _ in pairs), default=0)
-    values, common = coefficient_values(op, range(points))  # H_l at x = 0..points - 1
-    terms = [(l - lo, row) for l, row in values.items()]
+    known = set(zeros)
+    extra = degree_excess(op) - len(known)  # points needed beyond deg f + 1
+    needed = max((len(nums) + extra for nums, _ in pairs), default=0)
+    points = list(islice(filterfalse(known.__contains__, count()), max(needed, 0)))
+    values, common = coefficient_values(op, points)  # H_l at the points
+    shifts = {0, *op.terms}
+    terms = list(values.items())
     verdicts = []
     for nums, lam in pairs:
-        last = len(nums) - 1 + coeff_degree
-        at = [horner(nums, y) for y in range(lo, last + hi + 1)]  # at[y - lo] = F(y)
+        window = points[: max(len(nums) + extra, 0)]
+        at = {y: horner(nums, y) for y in {x + l for x in window for l in shifts}}
         scale = lam.numerator * common
         verdicts.append(
             all(
-                lam.denominator * sum(values[x] * at[x + k] for k, values in terms)
-                == scale * at[x - lo]
-                for x in range(last + 1)
+                lam.denominator * sum(row[i] * at[x + l] for l, row in terms)
+                == scale * at[x]
+                for i, x in enumerate(window)
             )
         )
     return verdicts

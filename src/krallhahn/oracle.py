@@ -15,8 +15,11 @@ point rules all of them out.  Where h(x) is unique, degree_cap + 1 such
 nodes fix every solution with coefficient degrees <= degree_cap: the
 interpolant of the node values, integers over one denominator, accepted if
 :func:`~krallhahn.diffops.eigen_certificate` decides D(q_n) = lambda_n q_n
-exactly.  With fed degrees 0..2r + 1 every point fixes each g_i by a
-division; a degree gap can make a point singular, and it is skipped.
+exactly.  The interpolant takes the node values exactly, and those solve
+every fed equation, so its residuals vanish at the nodes: the certificate
+is handed them as known zeros and tests only the points past them.  With
+fed degrees 0..2r + 1 every point fixes each g_i by a division; a degree
+gap can make a point singular, and it is skipped.
 
 If fewer than degree_cap + 1 nodes turn up among the first
 ``_POINT_BUDGET * (degree_cap + 1)`` points, the probe falls back to one
@@ -88,10 +91,15 @@ def operator_solution_space(
     so within any narrower one, whose solutions padded with zeros solve this
     probe.  An inconsistent pointwise system gives (None, 0); degree_cap + 1
     points with a unique solution give the interpolant and nullity 0 if it
-    passes the certificate, else (None, 0).  Only the global fallback, taken
-    when too few such points turn up, can report nullity > 0.  Each
-    eigenvalue is read by :func:`~krallhahn.rationals.as_rational`, so a
-    float raises ``TypeError``.
+    passes the certificate, else (None, 0).  The certificate is told that
+    every residual vanishes at those nodes: at a node h(x) solves every fed
+    equation, since :func:`_difference_solve` checks each row below the
+    unknown it reaches and its dense branch takes every remaining row, and
+    :func:`~krallhahn.polynomials.interpolate` reproduces the node values
+    exactly.  Only the global fallback, taken when too few such points turn
+    up, can report nullity > 0.  Each eigenvalue is read by
+    :func:`~krallhahn.rationals.as_rational`, so a float raises
+    ``TypeError``.
     """
     lambdas = [as_rational(lam) for lam in lambdas]
     if len(qs) != len(lambdas):
@@ -119,7 +127,7 @@ def operator_solution_space(
             for col, l in enumerate(range(-halfwidth, halfwidth + 1))
         }
     )
-    if all(eigen_certificate(found, zip(qs, lambdas))):
+    if all(eigen_certificate(found, zip(qs, lambdas), zeros=points)):
         return found, 0
     return None, 0
 

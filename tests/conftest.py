@@ -5,10 +5,17 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from krallhahn.hahn import HahnParams
 
 _CRITERION = re.compile(r"::test_criterion_(\d+)\b")
+
+# Every property test draws the same examples on every run (derandomize), keeps
+# no example database, and has no per-example deadline; each test sets only
+# its max_examples.
+settings.register_profile("krallhahn", derandomize=True, database=None, deadline=None)
+settings.load_profile("krallhahn")
 
 # far above the slowest test (under a second): a test that runs this long is hung
 _TIME_LIMIT_S = 60

@@ -15,7 +15,7 @@ from math import factorial, gcd, lcm, prod
 
 from krallhahn import casorati
 from krallhahn.casorati import eigenvalue_polynomial, normalizer, reflect
-from krallhahn.diffops import operator_polynomial
+from krallhahn.diffops import coefficient_values, operator_polynomial
 from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
     HahnParams,
@@ -799,6 +799,35 @@ def compose_operator(base, head, rows):
         left = operator_polynomial(symbol, base).compose(ladder)
         acc = acc + left.compose(operator_polynomial(poly, base))
     return acc
+
+
+# -- the eigen certificate ---------------------------------------------------------------
+
+
+def reference_eigen_certificate(op, pairs):
+    """For each (f, lambda), whether op.apply(f) == lambda * f, on the
+    coefficient-degree bound: the residual has degree at most
+    d = deg f + max_l deg h_l, so it is tested at every x = 0..d, with
+    (lo, hi) the genre widened to hold 0."""
+    pairs = [(f.integer_parts[0], as_rational(lam)) for f, lam in pairs]
+    lo, hi = min((0, *op.terms)), max((0, *op.terms))
+    coeff_degree = max((h.degree for h in op.terms.values()), default=0)
+    points = max((len(nums) + coeff_degree for nums, _ in pairs), default=0)
+    values, common = coefficient_values(op, range(points))  # H_l at x = 0..points - 1
+    terms = [(l - lo, row) for l, row in values.items()]
+    verdicts = []
+    for nums, lam in pairs:
+        last = len(nums) - 1 + coeff_degree
+        at = [horner(nums, y) for y in range(lo, last + hi + 1)]  # at[y - lo] = F(y)
+        scale = lam.numerator * common
+        verdicts.append(
+            all(
+                lam.denominator * sum(values[x] * at[x + k] for k, values in terms)
+                == scale * at[x - lo]
+                for x in range(last + 1)
+            )
+        )
+    return verdicts
 
 
 # -- the oracle --------------------------------------------------------------------------

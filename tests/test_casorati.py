@@ -11,7 +11,7 @@ from functools import partial
 import pytest
 
 import krallhahn
-from krallhahn import casorati, diffops, verify
+from krallhahn import casorati, diffops, ladder, verify
 from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
@@ -939,6 +939,26 @@ class TestStageStore:
         assert calls == []
         # an equal context built by a separate call still hashes equal
         assert hash(build_run(builtin_config("four-roots")).ctx) == hash(ctx)
+
+    @pytest.mark.parametrize("a, b, F", [
+        ("7/3", "7/3", [[], [2], [], []]),  # kinds (2, 2)
+        ("1/2", "1/3", [[2], [], [], [1]]),  # kinds (1, 1, 4)
+    ])
+    def test_series_ratios_reduce_once_per_row_kind(self, a, b, F, monkeypatch):
+        """Rows of one kind share one ratio_product reduction."""
+        ctx = build_run(config_from_dict({"a": a, "b": b, "N": 8, "F": F, "path": "theorem"})).ctx
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        kinds = []
+        reduce = ladder.ratio_product
+
+        def spy(kind, length, p):
+            kinds.append(kind)
+            return reduce(kind, length, p)
+
+        monkeypatch.setattr(ladder, "ratio_product", spy)
+        ratios = casorati.series_ratios(ctx)
+        assert kinds == list(dict.fromkeys(ctx.row_kinds)) and len(kinds) < ctx.m
+        assert ratios == tuple(reduce(kind, 1, ctx.params) for kind in ctx.row_kinds)
 
     def test_base_polynomials_are_built_once(self):
         first = build_run(builtin_config("four-roots")).ctx

@@ -292,7 +292,7 @@ _MEASURES = _ATOMS.map(DiscreteMeasure)
 _POLYNOMIALS = st.lists(
     st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)), max_size=9
 ).map(Polynomial)
-_PROPERTY = settings(max_examples=100, deadline=None, database=None)
+_PROPERTY = settings(max_examples=100)
 
 
 @_PROPERTY
@@ -337,7 +337,7 @@ def _assert_holds(measure, atoms, probe):
 
 _OFFSETS = st.one_of(st.integers(-7, 7), _RATIONALS)
 _FACTORS = st.one_of(st.just(0), st.integers(-5, 5), _RATIONALS)
-_DIFFERENTIAL = settings(max_examples=30, deadline=None, database=None)
+_DIFFERENTIAL = settings(max_examples=30)
 
 
 @_DIFFERENTIAL

@@ -106,9 +106,9 @@ def test_interpolant_failing_the_exact_check_returns_none(
     verdicts = []
     certify = oracle.eigen_certificate
 
-    def spy(op, pairs):
+    def spy(op, pairs, zeros=()):
         pairs = list(pairs)
-        verdicts.append((certify(op, pairs), [op.apply(q) == q * lam for q, lam in pairs]))
+        verdicts.append((certify(op, pairs, zeros), [op.apply(q) == q * lam for q, lam in pairs]))
         return verdicts[-1][0]
 
     monkeypatch.setattr(oracle, "eigen_certificate", spy)
@@ -118,6 +118,35 @@ def test_interpolant_failing_the_exact_check_returns_none(
     ((found, reference),) = verdicts
     assert found == reference and not all(found)
     assert _solve_globally(qs, lams, 1, 1) == (None, 0)
+
+
+@pytest.mark.parametrize("case", ["classical", "capped", "singular"])
+def test_certificate_is_told_exactly_the_nodes(case, desk_params, monkeypatch):
+    """The interpolant is certified past its nodes only: the zeros handed to
+    the certificate are the node points, and every fed residual vanishes at
+    each of them, for the classical operator, for the line through two nodes
+    under a cap of 1 that the certificate rejects, and with a singular point
+    (x = 3 for a = b, N = 6) skipped among the nodes."""
+    params = HahnParams(HALF, HALF, 6) if case == "singular" else desk_params
+    fed = (0, 1, 3, 5) if case == "singular" else range(5)
+    cap = {"classical": 2, "capped": 1, "singular": 4}[case]
+    qs = [hahn_polynomial(n, params) for n in fed]
+    lams = [params.eigenvalue(n) for n in fed]
+    calls = []
+    certify = oracle.eigen_certificate
+
+    def spy(op, pairs, zeros=()):
+        pairs, zeros = list(pairs), list(zeros)
+        calls.append(zeros)
+        for q, lam in pairs:
+            residual = op.apply(q) - q * lam
+            assert all(residual(x) == 0 for x in zeros)
+        return certify(op, pairs, zeros)
+
+    monkeypatch.setattr(oracle, "eigen_certificate", spy)
+    found, _ = operator_solution_space(qs, lams, 1, cap)
+    assert calls == [[x for x, _ in _pointwise_nodes(qs, lams, 1, cap)]]
+    assert (found is None) == (case == "capped")
 
 
 def test_singular_point_is_skipped(global_route):

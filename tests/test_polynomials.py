@@ -250,7 +250,7 @@ _NEWTON_DATA = st.lists(_RATIONALS, min_size=1, max_size=8).flatmap(
 )
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(_NEWTON_DATA, _RATIONALS)
 def test_newton_form_matches_fraction_sum(data, t):
     coeffs, nodes = data

@@ -224,7 +224,7 @@ def _small_oracle_runs(draw):
     return cfg, draw(st.integers(0, min(1, 4 - r)))
 
 
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(_small_oracle_runs())
 def test_oracle_lower_probe_matches_second_solve_on_random_configs(case):
     cfg, bump = case
