@@ -14,17 +14,25 @@ each side divided by its gcd), so ``==`` and ``hash`` read the parts;
 Translation, scaling, Christoffel transforms and proportionality work on the
 parts.  A polynomial sum_k c_k x^k / d of degree n has the integer value
 vector V_i = sum_k c_k P_i^k e^(n-k), by integer Horner, and its value at
-point i is V_i / (d e^n).  Integrals, the Gram table, Gram-Schmidt and the
-criteria moments are integer dot products of (M o V) with value vectors,
-never polynomial products, and a ``Fraction`` is formed only once per result.
+point i is V_i / (d e^n).  Integrals, inner products and the Gram table are
+integer dot products of (M o V) with value vectors, never polynomial
+products, and a ``Fraction`` is formed only once per result.
+
+Two routes avoid the value-vector loops.  :func:`orthogonality_certificate`
+decides a family's orthogonality, and reads its norms, off iterated partial
+sums of M o V on the lattice hull of the support: additions only.  The power
+moments and :func:`gram_schmidt` read the integer power sums sum_i M_i P_i^k,
+taken in one pass, so a Gram-Schmidt pairing is a short dot product of
+coefficients with a window of those sums.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from itertools import accumulate
+from math import factorial, gcd, lcm
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .errors import DegenerateMoments
@@ -104,9 +112,19 @@ class DiscreteMeasure:
         (u, su), (v, sv) = self.evaluate(p), self.evaluate(q)
         return Fraction(sum(map(mul, self.weighted(u), v)), self.mass_denominator * su * sv)
 
+    def power_sums(self, up_to: int) -> list[int]:
+        """sum_i M_i P_i^k for k = 0..up_to: the k-th moment is this over D e^k."""
+        sums, acc = [], list(self.masses)
+        for k in range(up_to + 1):
+            if k:
+                acc = list(map(mul, acc, self.points))
+            sums.append(sum(acc))
+        return sums
+
     def moments(self, up_to: int) -> list[Fraction]:
         """Power moments of degree 0..up_to."""
-        return [self.integrate(Polynomial.monomial(k)) for k in range(up_to + 1)]
+        d, e = self.mass_denominator, self.point_denominator
+        return [Fraction(m, d * e**k) for k, m in enumerate(self.power_sums(up_to))]
 
     def translate(self, offset: Scalar) -> "DiscreteMeasure":
         """Push every atom from pt to pt + offset."""
@@ -191,52 +209,49 @@ def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:
     oracle that the determinantal construction is compared against, so it
     must not share any machinery with it.
 
-    Each candidate is an integer coefficient list C and an integer value
-    vector W over one shared integer denominator t: the candidate is C / t,
-    and its value at support point i is W[i] / (t e^k).  Every pairing is an
-    integer dot product with the masses and each update is integer, so no
-    polynomial product and no ``Fraction`` is ever formed.  After all k
-    projections, C, W and t are divided by gcd(t, C), keeping t positive: W's
-    entries are integer combinations of C, so that gcd divides them too."""
-    points, e = measure.points, measure.point_denominator
-    power = [1] * len(points)  # P_i^k: the value vector of x^k
+    Every pairing is read off the integer power sums m_i = sum_x M_x P_x^i,
+    i < 2 up_to, taken in one pass over the support.  With g_j = C_j / t_j
+    (integer coefficients over t_j > 0, lowest terms),
+
+        <x^k, g_j> = sum_l C_j[l] e^(j-l) m_(k+l) / (D e^(k+j) t_j),
+
+    and <g_j, g_j> = <x^j, g_j>, since g_j is monic and orthogonal to every
+    lower degree.  So a pairing costs j + 1 integer products and no value
+    vector is kept.  The candidate x^k - sum_j c_j g_j is put over the lcm of
+    the reduced c_j / t_j's denominators, then divided by gcd(t, C).  A zero
+    norm below degree up_to raises DegenerateMoments; at up_to it is allowed.
+    """
+    e = measure.point_denominator
+    sums = measure.power_sums(2 * up_to - 1)
     basis: list[Polynomial] = []
-    # per earlier g_j: (C_j, W_j, M o W_j, N_j), with <g_j, g_j> = N_j / (D t_j^2 e^(2j))
-    done: list[tuple[list[int], list[int], list[int], int]] = []
+    # per earlier g_j: (C_j, E_j, t_j A_j), with E_j[l] = C_j[l] e^(j-l) and
+    # A_j = sum_l E_j[l] m_(j+l), so that <g_j, g_j> = A_j / (D e^(2j) t_j)
+    done: list[tuple[tuple[int, ...], list[int], int]] = []
     for k in range(up_to + 1):
-        if k:
-            power = list(map(mul, power, points))
-        coeffs, values, den = [0] * k + [1], power, 1
-        for j, (c_j, w_j, mw_j, norm_j) in enumerate(done):
-            # with a = sum_i M_i P_i^k W_j[i] and b = e^(k-j) N_j, the coefficient
-            # <x^k, g_j> / <g_j, g_j> is a t_j / b, so the update is
-            # C/t - (a t_j / b) C_j/t_j = (C b - a t C_j) / (t b)
-            a = sum(map(mul, power, mw_j))
+        # c_j / t_j = <x^k, g_j> / (<g_j, g_j> t_j) = A_kj / (e^(k-j) t_j A_j)
+        terms, t = [], 1
+        for j, (c_j, e_j, norm_j) in enumerate(done):
+            a = sum(map(mul, e_j, sums[k : k + j + 1]))
             if a == 0:
                 continue
-            ekj = e ** (k - j)
-            u, b = a * den, ekj * norm_j
-            g = gcd(u, b)
-            u, b = u // g, b // g
-            coeffs = [c * b for c in coeffs]
-            for i, c in enumerate(c_j):
-                coeffs[i] -= u * c
-            u *= ekj
-            values = [v * b - u * w for v, w in zip(values, w_j)]
-            den *= b
-        g = gcd(den, *coeffs)
-        if den < 0:
-            g = -g
-        if g != 1:
-            coeffs = [c // g for c in coeffs]
-            values = [v // g for v in values]
-            den //= g
-        weighted = measure.weighted(values)
-        norm = sum(map(mul, values, weighted))
-        if norm == 0 and k < up_to:
+            b = e ** (k - j) * norm_j
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            terms.append((a // g, b // g, c_j))
+            t = lcm(t, b // g)
+        coeffs = [0] * k + [t]
+        for a, b, c_j in terms:
+            f = a * (t // b)
+            coeffs[: len(c_j)] = map(sub, coeffs, map(f.__mul__, c_j))
+        g_k = Polynomial.from_integer_parts(coeffs, t)
+        basis.append(g_k)
+        if k == up_to:
+            break
+        c_k, t_k = g_k.integer_parts
+        e_k = c_k if e == 1 else [c * e ** (k - l) for l, c in enumerate(c_k)]
+        norm = sum(map(mul, e_k, sums[k : 2 * k + 1]))
+        if norm == 0:
             raise DegenerateMoments(k)
-        basis.append(Polynomial.from_integer_parts(coeffs, den))
-        done.append((coeffs, values, weighted, norm))
+        done.append((c_k, e_k, t_k * norm))
     return basis
 
 
@@ -258,3 +273,60 @@ def orthogonality_table(
             v, sv = evaluated[j]
             table[(i, j)] = Fraction(sum(map(mul, weighted, v)), scale * sv)
     return table
+
+
+def orthogonality_certificate(
+    measure: DiscreteMeasure, polys: Sequence[Polynomial]
+) -> tuple[list[Fraction], list[tuple[int, int]]]:
+    """(norms, nonorthogonal_pairs): the diagonal of the Gram table and the
+    pairs i < j, in the table's order, with <p_i, p_j> != 0.
+
+    Put u_j = M o V_j, the weighted integer values of p_j, on the integer
+    lattice hull of the points P_i, with 0 off the support (for e != 1 the
+    polynomial is read in P = e x).  Its iterated partial sums S^l, the first
+    being S^1(x) = sum_(y <= x) u_j(y), end at
+
+        S^l(end) = sum_P u_j(P) C(end - P + l - 1, l - 1),
+
+    and these binomials, for l = 1..j, span the polynomials of degree below j.
+    So p_j is orthogonal to p_0..p_(j-1) exactly when S^1(end) = ... =
+    S^j(end) = 0, and then, with s_j the scale of V_j,
+
+        <p_j, p_j> = lc(p_j) (-1)^j j! S^(j+1)(end) / (D s_j e^j).
+
+    That is j + 1 rounds of additions over the hull and one ``Fraction`` per
+    degree, exact on any lattice hull; time and memory grow with the hull's
+    length, which for a run's measure is its point range, the support plus the
+    points its F3 and F4 remove.  A degree j takes its pairs (i, j) and its
+    norm by dot products, as the table does, when its sums do not vanish, when
+    the support is empty, or when some p_i, i <= j, has degree other than i
+    (the spanning argument needs p_0..p_(j-1) to span the degrees below j).
+    """
+    points, e, d = measure.points, measure.point_denominator, measure.mass_denominator
+    # p_0..p_(j-1) span the degrees below j, and deg p_j = j, for every j < spanned
+    spanned = next((j for j, p in enumerate(polys) if p.degree != j), len(polys)) if points else 0
+    evaluated = [measure.evaluate(p) for p in polys]
+    norms: list[Fraction] = []
+    pairs: list[tuple[int, int]] = []
+    for j, (p, (values, scale)) in enumerate(zip(polys, evaluated)):
+        weighted = measure.weighted(values)
+        if j < spanned:
+            sums = [0] * (points[-1] - points[0] + 1)
+            for pt, w in zip(points, weighted):
+                sums[pt - points[0]] = w
+            for _ in range(j):
+                sums = list(accumulate(sums))
+                if sums[-1]:
+                    break
+            else:
+                # sum(S^j) over the hull is S^(j+1)(end)
+                top = (-1) ** j * factorial(j) * sum(sums)
+                norms.append(p.leading_coefficient * Fraction(top, d * scale * e**j))
+                continue
+        for i in range(j + 1):
+            u, su = evaluated[i]
+            value = Fraction(sum(map(mul, weighted, u)), d * scale * su)
+            if i < j and value != 0:
+                pairs.append((i, j))
+        norms.append(value)
+    return norms, sorted(pairs)

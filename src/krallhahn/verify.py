@@ -52,7 +52,7 @@ from .ladder import ratio_products, series_shift
 from .measures import (
     DiscreteMeasure,
     gram_schmidt,
-    orthogonality_table,
+    orthogonality_certificate,
     proportionality_constant,
 )
 from .oracle import operator_solution_space
@@ -274,10 +274,9 @@ def _check_eigen(run: RunData) -> tuple[bool, dict]:
 def _check_orthogonality(run: RunData) -> tuple[bool, dict]:
     ctx = run.ctx
     qs = [krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
-    table = orthogonality_table(run.inner_measure, qs)
-    norms = [table[(i, i)] for i in range(len(qs))]
+    norms, pairs = orthogonality_certificate(run.inner_measure, qs)
     zero_norms = [i for i, norm in enumerate(norms) if norm == 0]
-    cross_failures = [[i, j] for (i, j), value in table.items() if i < j and value != 0]
+    cross_failures = [list(pair) for pair in pairs]
     gs_mismatch = []
     try:
         monic = gram_schmidt(run.inner_measure, run.n_max)

@@ -329,6 +329,56 @@ def reference_gram_schmidt(measure, up_to):
     return basis
 
 
+def value_gram_schmidt(measure, up_to):
+    """The projection on integer value vectors, which the moment route replaced.
+
+    Each candidate is an integer coefficient list C and an integer value
+    vector W over one shared integer denominator t: the candidate is C / t,
+    and its value at support point i is W[i] / (t e^k).  Every pairing is an
+    integer dot product with the masses and each update is integer.  After
+    all k projections, C, W and t are divided by gcd(t, C), keeping t
+    positive."""
+    points, e = measure.points, measure.point_denominator
+    power = [1] * len(points)  # P_i^k: the value vector of x^k
+    basis = []
+    # per earlier g_j: (C_j, W_j, M o W_j, N_j), with <g_j, g_j> = N_j / (D t_j^2 e^(2j))
+    done = []
+    for k in range(up_to + 1):
+        if k:
+            power = [p * pt for p, pt in zip(power, points)]
+        coeffs, values, den = [0] * k + [1], power, 1
+        for j, (c_j, w_j, mw_j, norm_j) in enumerate(done):
+            # with a = sum_i M_i P_i^k W_j[i] and b = e^(k-j) N_j, the update is
+            # C/t - (a t_j / b) C_j/t_j = (C b - a t C_j) / (t b)
+            a = sum(p * w for p, w in zip(power, mw_j))
+            if a == 0:
+                continue
+            ekj = e ** (k - j)
+            u, b = a * den, ekj * norm_j
+            g = gcd(u, b)
+            u, b = u // g, b // g
+            coeffs = [c * b for c in coeffs]
+            for i, c in enumerate(c_j):
+                coeffs[i] -= u * c
+            u *= ekj
+            values = [v * b - u * w for v, w in zip(values, w_j)]
+            den *= b
+        g = gcd(den, *coeffs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            coeffs = [c // g for c in coeffs]
+            values = [v // g for v in values]
+            den //= g
+        weighted = measure.weighted(values)
+        norm = sum(v * w for v, w in zip(values, weighted))
+        if norm == 0 and k < up_to:
+            raise DegenerateMoments(k)
+        basis.append(Polynomial.from_integer_parts(coeffs, den))
+        done.append((coeffs, values, weighted, norm))
+    return basis
+
+
 def dict_measure(atoms):
     """The atom dict the measure stored: zero masses dropped."""
     cleaned = {}

@@ -3,12 +3,13 @@
 The integer route of :mod:`krallhahn.measures` is compared with test-only
 references from ``reference``: the ``Fraction`` value/dot route it replaced
 (values, weighted dot products and the Gram table, all on ``Fraction``
-values), Gram-Schmidt as the projection through polynomial products, and the
-``Fraction`` atom dicts the measure stored before its integer parts
-(construction, translation, scaling, Christoffel transforms, equality and
-proportionality).  The projection and the inner-product checks integrate
-with ``fraction_integrate``, the sum of mass * p(point) over the atoms, so
-no reference depends on the route under test.
+values), Gram-Schmidt as the projection through polynomial products and on
+integer value vectors, and the ``Fraction`` atom dicts the measure stored
+before its integer parts (construction, translation, scaling, Christoffel
+transforms, equality and proportionality).  The orthogonality certificate is
+compared with the Gram table it stands in for.  The projection and the
+inner-product checks integrate with ``fraction_integrate``, the sum of mass *
+p(point) over the atoms, so no reference depends on the route under test.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from krallhahn.measures import (
     DiscreteMeasure,
     christoffel,
     gram_schmidt,
+    orthogonality_certificate,
     orthogonality_table,
     proportionality_constant,
 )
@@ -42,6 +44,7 @@ from reference import (
     fraction_table,
     fraction_values,
     reference_gram_schmidt,
+    value_gram_schmidt,
 )
 
 X = Polynomial.variable()
@@ -280,6 +283,151 @@ def test_floats_are_rejected(entry):
         entry()
 
 
+# -- the certificate against the table, Gram-Schmidt against its references ---------
+
+# integer points with gaps at 3-4 and 7, points of step 1/2 (e = 2), and a hull of
+# 13 lattice points over a support of 6: all with signed masses
+GAPPED = DiscreteMeasure({0: 3, 1: Fraction(-1, 2), 2: 5, 5: 2, 6: Fraction(7, 3), 8: -4})
+HALF_STEP = DiscreteMeasure({Fraction(i, 2): Fraction(2 * i + 3, 5 - i) for i in range(-3, 5)})
+SPARSE = DiscreteMeasure({0: 1, 2: 3, 5: Fraction(-2, 3), 7: 4, 9: 1, 12: Fraction(5, 2)})
+SCALES = (Fraction(3), Fraction(-2, 5), Fraction(7, 4))
+
+
+def _scaled_basis(measure):
+    """The monic orthogonal basis, each member times a nonmonic constant."""
+    basis = gram_schmidt(measure, measure.size - 1)
+    return [SCALES[j % 3] * g for j, g in enumerate(basis)]
+
+
+def _tilted(polys):
+    """q_3 + q_1 / 3 and q_top - 2 q_0: two degrees fail, the rest still hold."""
+    tilted = list(polys)
+    tilted[3] = tilted[3] + Fraction(1, 3) * tilted[1]
+    tilted[-1] = tilted[-1] - 2 * tilted[0]
+    return tilted
+
+
+@pytest.fixture(scope="module")
+def differential(families):
+    cases = {name: families[name] for name in [*BUILTIN_CONFIGS, *BENCH_FAMILY_TEMPLATES]}
+    for name, cfg in (
+        ("N=50", {"a": "1/2", "b": "1/3", "N": 50, "F": [[], [], [], [1]]}),
+        # its Casorati determinant vanishes at n = 6, and deg q_6 = 5
+        ("omega-defect", {"a": "11/3", "b": "24/5", "N": 16, "F": [[], [], [1], []]}),
+    ):
+        run = build_run(config_from_dict({**cfg, "path": "corollary"}))
+        qs = [krall_polynomial(run.ctx, n) for n in range(run.n_max + 1)]
+        cases[name] = (run.inner_measure, qs, run.n_max)
+    for name, measure in (("gapped", GAPPED), ("half-step", HALF_STEP), ("sparse", SPARSE)):
+        cases[name] = (measure, _scaled_basis(measure), measure.size - 1)
+    return cases
+
+
+DIFFERENTIAL_CASES = [*BUILTIN_CONFIGS, *BENCH_FAMILY_TEMPLATES, "N=50", "omega-defect",
+                      "gapped", "half-step", "sparse"]
+
+
+def _table_verdict(measure, polys):
+    table = orthogonality_table(measure, polys)
+    norms = [table[(j, j)] for j in range(len(polys))]
+    return norms, [(i, j) for (i, j), value in table.items() if i < j and value != 0]
+
+
+def test_differential_measures_have_their_shapes(differential):
+    assert GAPPED.point_denominator == 1 and 3 not in GAPPED.points
+    assert HALF_STEP.point_denominator == 2
+    assert min(HALF_STEP.masses) < 0 < max(HALF_STEP.masses)
+    assert SPARSE.points[-1] - SPARSE.points[0] + 1 > 2 * SPARSE.size
+    polys = differential["omega-defect"][1]
+    assert [q.degree for q in polys] != list(range(len(polys)))
+    assert polys[6].degree == 5
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """A list that gains one entry per partial-sum round the certificate takes."""
+    import krallhahn.measures as measures
+
+    calls = []
+    accumulate = measures.accumulate
+    monkeypatch.setattr(measures, "accumulate", lambda sums: calls.append(1) or accumulate(sums))
+    return calls
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_certificate_matches_table(rounds, differential, name):
+    """The norms and the failing pairs equal the table's, for the family and
+    for a tilted one whose degrees 3 and top fail.  On the family every degree
+    j takes its j rounds of sums, up to the first degree defect (deg q_6 = 5
+    in the Omega-defect family), and none past it."""
+    measure, polys, _ = differential[name]
+    for family in (polys, _tilted(polys)):
+        expected = _table_verdict(measure, family)
+        rounds.clear()
+        assert orthogonality_certificate(measure, family) == expected
+        if family is polys:
+            summed = 6 if name == "omega-defect" else len(polys)
+            assert len(rounds) == summed * (summed - 1) // 2
+    assert (1, 3) in expected[1]
+    if name != "omega-defect":
+        assert _table_verdict(measure, polys)[1] == []
+
+
+def test_certificate_of_an_empty_measure_or_family():
+    assert orthogonality_certificate(DiscreteMeasure({}), [Polynomial.one()]) == ([0], [])
+    assert orthogonality_certificate(GAPPED, []) == ([], [])
+
+
+def _outcome(route, measure, up_to):
+    """The route's basis as integer parts, or the degree it found degenerate."""
+    try:
+        return [g.integer_parts for g in route(measure, up_to)]
+    except DegenerateMoments as err:
+        return err.index
+
+
+def test_certificate_reports_a_zero_norm():
+    """Masses -1/5, 1, 1 at 0, 1, 2 have m0 m2 = m1^2, so x - 5/3, orthogonal
+    to 1, has norm 0: the summed route reports it, as the table does."""
+    measure = DiscreteMeasure({0: Fraction(-1, 5), 1: 1, 2: 1})
+    family = gram_schmidt(measure, 1)
+    assert family[1] == X - Fraction(5, 3)
+    for polys in (family, [3 * family[0], -2 * family[1]]):
+        assert orthogonality_certificate(measure, polys) == _table_verdict(measure, polys)
+        assert orthogonality_certificate(measure, polys)[0][1] == 0
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_gram_schmidt_matches_value_and_product_routes(differential, name):
+    """Equal bases, or DegenerateMoments at the same degree: the Omega-defect
+    measure's moments are degenerate at degree 5."""
+    measure, _, n_max = differential[name]
+    got = _outcome(gram_schmidt, measure, n_max)
+    assert got == _outcome(value_gram_schmidt, measure, n_max)
+    assert (got == 5) == (name == "omega-defect")
+    if name != "N=50":  # the product route takes seconds there
+        assert got == _outcome(reference_gram_schmidt, measure, n_max)
+
+
+@pytest.mark.parametrize("name", ["single-root", "gapped", "half-step", "sparse"])
+def test_gram_schmidt_exhausted_support_matches_both_references(differential, name):
+    measure = differential[name][0]
+    size = measure.size
+    expected = value_gram_schmidt(measure, size)
+    _assert_same_polynomials(gram_schmidt(measure, size), expected)
+    _assert_same_polynomials(reference_gram_schmidt(measure, size), expected)
+    for route in (gram_schmidt, value_gram_schmidt, reference_gram_schmidt):
+        with pytest.raises(DegenerateMoments) as err:
+            route(measure, size + 1)
+        assert err.value.index == size
+
+
+def test_moments_read_the_power_sums():
+    assert HALF_STEP.power_sums(3)[0] == sum(HALF_STEP.masses)
+    assert HALF_STEP.power_sums(-1) == []
+    assert HALF_STEP.moments(4) == [fraction_integrate(HALF_STEP, X**k) for k in range(5)]
+
+
 # -- property tests on random measures -------------------------------------------
 
 _RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
@@ -317,6 +465,34 @@ def test_random_gram_schmidt_matches_fraction_route(measure, up_to):
         assert got.value.index == err.index
         return
     _assert_same_polynomials(gram_schmidt(measure, up_to), expected)
+
+
+_NONZERO = st.builds(Fraction, st.integers(1, 30), st.integers(1, 9)).flatmap(
+    lambda f: st.sampled_from((f, -f))
+)
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(1, 3),
+    st.integers(-6, 6),
+    st.lists(st.tuples(st.integers(0, 11), _NONZERO), min_size=1, max_size=9,
+             unique_by=lambda atom: atom[0]),
+    st.integers(0, 3),
+)
+def test_random_certificates_match_table(e, start, atoms, tilt):
+    """Lattice measures of step 1/e, dense or sparse, with a nonmonic basis,
+    one member tilted by a lower one; a degenerate measure's basis stops at
+    its first zero norm, which the certificate must report."""
+    measure = DiscreteMeasure({Fraction(start + i, e): mass for i, mass in atoms})
+    try:
+        basis = gram_schmidt(measure, measure.size - 1)
+    except DegenerateMoments as err:
+        basis = gram_schmidt(measure, err.index)
+    family = [SCALES[j % 3] * g for j, g in enumerate(basis)]
+    if 0 < tilt < len(family):
+        family[tilt] = family[tilt] + Fraction(1, 2) * family[tilt - 1]
+    assert orthogonality_certificate(measure, family) == _table_verdict(measure, family)
 
 
 # -- the integer parts against the Fraction atom dicts ----------------------------

@@ -38,16 +38,8 @@ from krallhahn.verify import (
     run_many,
 )
 
+from freeze_golden import scrub as _scrub
 from reference import apply_route_failures, closed_form_product_values, solve_lower_probe
-
-
-def _scrub(payload):
-    """Drop elapsed-time fields so reports can be compared exactly."""
-    if isinstance(payload, dict):
-        return {k: _scrub(v) for k, v in payload.items() if k != "elapsed"}
-    if isinstance(payload, list):
-        return [_scrub(v) for v in payload]
-    return payload
 
 
 def test_build_run_theorem_path():
@@ -369,6 +361,7 @@ def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, 
     ("genre", "degree-leading"),
     ("support", "genre"),
     ("criteria", "support"),
+    ("orthogonality", "support"),
 ])
 def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     """One name that a check reads in verify is patched with a fault on the
@@ -381,7 +374,7 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     ctx = build_run(cfg).ctx
     value, leading = verify.casorati_value, verify.core_leading_coefficient
     operator, support = verify.krall_operator, verify.transformed_support
-    base = verify.base_polynomial
+    base, member = verify.base_polynomial, verify.krall_polynomial
     r = verify.operator_halfwidth(ctx)
 
     def moved(*args):  # the first point of the support formula, one step down
@@ -394,6 +387,8 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
         "genre": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator.shift(r + 1)),
         "support": ("transformed_support", moved),
         "criteria": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
+        # q_2 and q_3 swapped: still pairwise orthogonal, but no longer of degree n
+        "orthogonality": ("krall_polynomial", lambda ctx, n: member(ctx, {2: 3, 3: 2}.get(n, n))),
     }
     monkeypatch.setattr(verify, *faults[check])
     failed, passed = run_config(cfg).checks
@@ -410,8 +405,45 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     elif check == "support":
         assert witness["size"] == witness["expected_size"]
         assert witness["support_matches_formula"] is False
-    else:
+    elif check == "criteria":
         assert [failure["n"] for failure in witness["moment_failures"]] == [2]
+    else:
+        assert witness["gram_schmidt_mismatches"] == [2, 3]
+        assert witness["nonorthogonal_pairs"] == [] and witness["zero_norms"] == []
+
+
+@pytest.mark.parametrize("term", ["nonorthogonal_pairs", "zero_norms"])
+def test_orthogonality_gate_terms_fail_on_their_own(monkeypatch, term):
+    """Gram-Schmidt is patched to agree with a faulty family, so that only one
+    gate term sees the fault: q_3 + q_1 / 3 leaves one nonorthogonal pair, and
+    q_top replaced by the product of (x - point) over the support leaves one
+    zero norm and every pair orthogonal.  Each alone fails the check."""
+    import krallhahn.verify as verify
+
+    cfg = config_from_dict({**BUILTIN_CONFIGS["four-roots"], "checks": ["orthogonality"]})
+    run = build_run(cfg)
+    top, member = run.n_max, verify.krall_polynomial
+
+    def faulty(ctx, n):
+        if term == "nonorthogonal_pairs" and n == 3:
+            return member(ctx, 3) + Fraction(1, 3) * member(ctx, 1)
+        if term == "zero_norms" and n == top:
+            return Polynomial.from_roots(run.inner_measure.support)
+        return member(ctx, n)
+
+    def agreeing(measure, up_to):
+        return [faulty(run.ctx, n).monic() for n in range(up_to + 1)]
+
+    monkeypatch.setattr(verify, "krall_polynomial", faulty)
+    monkeypatch.setattr(verify, "gram_schmidt", agreeing)
+    (check,) = run_config(cfg).checks
+    assert not check.passed
+    witness = check.witness
+    assert witness["gram_schmidt_mismatches"] == []
+    if term == "nonorthogonal_pairs":
+        assert witness["nonorthogonal_pairs"] == [[1, 3]] and witness["zero_norms"] == []
+    else:
+        assert witness["nonorthogonal_pairs"] == [] and witness["zero_norms"] == [top]
 
 
 def test_run_config_criteria_constant_surfaces():
