@@ -21,26 +21,18 @@ clears row denominators first, and its cross-check and the family q_n take
 lane passes on integer rows kept over one denominator per point.
 
 :func:`_exact_solve` solves integer rows [A | b] as integer numerators over
-one denominator: the oracle's residual systems at each point, and the fallback
-of :func:`solve_linear_system`, which backs only the oracle's global system and
-builds its ``Fraction`` values at one exit.  Its verdicts rest on one of two
-things.  Either a minor that is nonzero modulo a word-size prime (so nonzero
-over the rationals) certifies full column rank, and with it nullity 0 or,
-when b is a pivot too, inconsistency; a solution found modulo further primes
-is then accepted only after exact substitution.  Or :func:`_exact_solve`
-decides, when the system is rank-deficient modulo the first prime or its
-solution needs more primes than the fixed tuple holds.
+one denominator, with a kernel basis of A from the same pass: the oracle's
+residual systems at each point, and the one small system that couples the
+kernels of its singular points.  It is the only linear solver here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
-from operator import mul
+from math import lcm, prod
 from typing import Sequence
 
 from .polynomials import Polynomial, horner, interpolate
-from .rationals import clear_denominators
 
 
 def _square_size(rows: Sequence[Sequence]) -> int:
@@ -241,188 +233,34 @@ def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomia
     ]).det()
 
 
-# The 12 largest primes below 2**62.  The first gives the rank profile.  Their
-# product M bounds the modular route to solutions whose numerators and
-# denominators all stay below sqrt(M / 2), about 2**371.
-_PRIMES = (
-    4611686018427387847, 4611686018427387817, 4611686018427387787,
-    4611686018427387761, 4611686018427387751, 4611686018427387737,
-    4611686018427387733, 4611686018427387709, 4611686018427387701,
-    4611686018427387631, 4611686018427387617, 4611686018427387587,
-)
-
-
-def solve_linear_system(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> tuple[list[Fraction], int] | None:
-    """Solve A x = b exactly.
-
-    Returns ``(particular_solution, nullity)`` with free variables pinned to
-    zero, or ``None`` when the system is inconsistent.
-
-    Each row of [A | b] is scaled to integers and eliminated modulo the first
-    of ``_PRIMES``.  If A has full column rank mod p, one of its ncols x ncols
-    minors is nonzero mod p, hence nonzero over the rationals: that certifies
-    nullity 0.  If b is then a pivot mod p too, a minor of [A | b] of size
-    ncols + 1 is nonzero, so rank [A | b] > rank A certifies that the system is
-    unsolvable.  Otherwise the square subsystem on the pivot rows is solved
-    modulo further primes, combined by the Chinese remainder theorem and
-    rational reconstruction (Wang, 1981).  A candidate is accepted only when it
-    satisfies that subsystem exactly, and it is then substituted exactly into
-    every other row to decide consistency.  A system that is rank-deficient mod
-    p, or whose solution needs more primes than ``_PRIMES`` holds, is solved
-    exactly by :func:`_exact_solve` instead; that is the only route that runs
-    for nullity > 0.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length does not match row count")
-    ncols = len(rows[0]) if rows else 0
-    aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
-    pivots = _echelon_mod(aug, _PRIMES[0])
-    solved = None
-    if _full_column_rank(pivots, ncols):
-        if len(pivots) > ncols:
-            return None  # b is a pivot too: rank [A | b] = ncols + 1
-        square = [aug[source] for _, source, _ in pivots]
-        solved = _multimodular_solve(square, _back_substitute(pivots, _PRIMES[0]))
-    if solved is not None:
-        chosen = {source for _, source, _ in pivots}
-        if any(_residual(row, *solved) for i, row in enumerate(aug) if i not in chosen):
-            return None
-        solved = (*solved, 0)
-    else:
-        solved = _exact_solve(aug, ncols)
-    if solved is None:
-        return None
-    numerators, denominator, nullity = solved
-    return [Fraction(v, denominator) for v in numerators], nullity
-
-
-def _echelon_mod(aug: list[list[int]], p: int) -> list[tuple[int, int, list[int]]]:
-    """Forward elimination of integer rows modulo the prime p.
-
-    Returns the pivots in column order as ``(column, source, row)``: ``source``
-    indexes ``aug`` and ``row`` is that row's reduced tail from ``column`` on,
-    scaled to a leading 1.  Rows awaiting a pivot are reduced mod p once and
-    then only where an entry is read, so each update is one multiply-subtract.
-    """
-    pending = [(i, [v % p for v in row]) for i, row in enumerate(aug)]
-    width = len(aug[0]) if aug else 0
-    pivots = []
-    for c in range(width):
-        if not pending:
-            break
-        for k, (source, row) in enumerate(pending):
-            lead = row[c] % p
-            if lead:
-                break
-        else:
-            continue
-        del pending[k]
-        inv = pow(lead, -1, p)
-        tail = [v * inv % p for v in row[c:]]
-        for _, other in pending:
-            f = other[c] % p
-            if f:
-                other[c:] = [v - f * t for v, t in zip(other[c:], tail)]
-        pivots.append((c, source, tail))
-    return pivots
-
-
-def _full_column_rank(pivots: list[tuple[int, int, list[int]]], ncols: int) -> bool:
-    """Whether every one of the first ncols columns holds a pivot."""
-    return sum(c < ncols for c, _, _ in pivots) == ncols
-
-
-def _back_substitute(pivots: list[tuple[int, int, list[int]]], p: int) -> list[int]:
-    """Solution mod p of a system whose n pivots sit in columns 0..n-1."""
-    x: list[int] = []
-    for _, _, tail in reversed(pivots):
-        x.insert(0, (tail[-1] - sum(map(mul, tail[1:-1], x))) % p)
-    return x
-
-
-def _multimodular_solve(
-    square: list[list[int]], residues: list[int]
-) -> tuple[list[int], int] | None:
-    """Exact solution ``(numerators, denominator)`` of a nonsingular system.
-
-    ``square`` holds the integer rows [A | b] of a square A that is
-    nonsingular mod the first prime, and ``residues`` its solution mod that
-    prime.  Returns None when no candidate from the primes in ``_PRIMES``
-    satisfies the system exactly.
-    """
-    for residues, modulus in _crt_rounds(square, residues):
-        candidate = _reconstruct(residues, modulus)
-        if candidate is not None and not any(_residual(row, *candidate) for row in square):
-            return candidate
-    return None
-
-
-def _crt_rounds(square: list[list[int]], residues: list[int]):
-    """The solution modulo the first prime, then modulo each growing product.
-
-    A prime that divides det A is skipped.
-    """
-    modulus = _PRIMES[0]
-    yield residues, modulus
-    for p in _PRIMES[1:]:
-        pivots = _echelon_mod(square, p)
-        if not _full_column_rank(pivots, len(square)):
-            continue
-        inv = pow(modulus, -1, p)
-        residues = [
-            r + modulus * ((s - r) * inv % p)
-            for r, s in zip(residues, _back_substitute(pivots, p))
-        ]
-        modulus *= p
-        yield residues, modulus
-
-
-def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
-    """Rational reconstruction of every residue over one common denominator."""
-    bound = isqrt((modulus - 1) // 2)
-    values = []
-    for u in residues:
-        value = _rational_reconstruction(u, modulus, bound)
-        if value is None:
-            return None
-        values.append(value)
-    return clear_denominators(values)
-
-
-def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
-    """The a/b with a = b u mod ``modulus``, |a| <= bound and 0 < b <= bound.
-
-    Wang's half-extended Euclidean algorithm; None when no such fraction exists.
-    """
-    r0, r1 = modulus, u
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
-    """Row [a | b] at x = numerators / denominator: denominator * (a . x - b)."""
-    return sum(map(mul, row, numerators)) - row[-1] * denominator
-
-
-def _exact_solve(aug: list[list[int]], ncols: int) -> tuple[list[int], int, int] | None:
-    """``(numerators, denominator, nullity)`` for the integer rows [A | b], by
-    :func:`_eliminate` and :func:`_cramer` on one lane; None if inconsistent.
+def _exact_solve(
+    aug: list[list[int]], ncols: int
+) -> tuple[list[int], int, list[list[int]]] | None:
+    """``(numerators, denominator, kernel)`` for the integer rows [A | b], by
+    one :func:`_eliminate` and one :func:`_cramer` on one lane; None if
+    inconsistent.
 
     x = numerators / denominator with the free variables 0, and the
-    denominator is the last pivot (1 if none), which may be negative.
+    denominator det is the last pivot (1 if none), which may be negative.
+    :func:`_cramer` back-substitutes B = [b | the free columns of A], a free
+    column's entries left of a row's pivot read as 0 (they are not cleared),
+    so det * A_P^-1 B comes from the same pass.  Free column f gives one
+    kernel vector: det at f, -det * A_P^-1 A_f on the pivot columns and 0
+    elsewhere; the nullity is ``len(kernel)``.
     """
     rows = [[[v] for v in row] for row in aug]
     pivots, _, _ = _eliminate(rows, ncols + 1, 1)
     if pivots and pivots[-1] == ncols:
         return None  # b is a pivot: rank [A | b] > rank A
+    free = [f for f in range(ncols) if f not in pivots]
     det = rows[len(pivots) - 1][pivots[-1]] if pivots else [1]
-    numerators = [y for ((y,),) in _cramer(rows, pivots, ncols, 1, det)]
-    return numerators, det[0], ncols - len(pivots)
+    rows = [
+        row[: ncols + 1] + [row[f] if f > c else [0] for f in free] for row, c in zip(rows, pivots)
+    ]
+    x = [[v for (v,) in column] for column in _cramer(rows, pivots, ncols, 1 + len(free), det)]
+    kernel = []
+    for j, f in enumerate(free, 1):
+        vector = [-column[j] for column in x]
+        vector[f] = det[0]
+        kernel.append(vector)
+    return [column[0] for column in x], det[0], kernel

@@ -6,27 +6,26 @@ use of how the q_n were built, so it can confirm (or refute) the existence
 of an operator of a given order independently of the determinantal
 construction.
 
-The search runs point by point.  At an integer x the equations
-sum_l h_l(x) q_n(x + l) = lambda_n q_n(x), one per fed q_n, are read in the
-forward-difference basis about x - r, where sorted by degree they are
-triangular up to the gaps in the fed degrees (:func:`_difference_solve`).
-Any operator of half-width r solves every such system, so an inconsistent
-point rules all of them out.  Where h(x) is unique, degree_cap + 1 such
-nodes fix every solution with coefficient degrees <= degree_cap: the
-interpolant of the node values, integers over one denominator, accepted if
+The search runs point by point, at x = 0..degree_cap and nowhere else.  At
+an integer x the equations sum_l h_l(x) q_n(x + l) = lambda_n q_n(x), one
+per fed q_n, are read in the forward-difference basis about x - r, where
+sorted by degree they are triangular up to the gaps in the fed degrees
+(:func:`_difference_solve`).  Any operator of half-width r solves every such
+system, so an inconsistent point rules all of them out.  Each point gives
+its solution set: a particular h(x), integers over one denominator, and a
+kernel basis, empty where h(x) is unique.  An operator with coefficient
+degrees <= degree_cap is fixed by its values at those degree_cap + 1
+points, so the solutions are the interpolants of values in those sets whose
+residuals vanish.  A residual D(q_n) - lambda_n q_n has degree at most
+deg q_n + degree_cap and vanishes at 0..degree_cap by construction, so
+where some point is singular the conditions left are its values at the
+deg q_n points past them: one small exact system in one unknown per kernel
+vector (:func:`_coupling_rows`) decides solvability and the nullity.  With
+every point unique (fed degrees 0..2r + 1 fix each g_i by a division) there
+is nothing to couple.  The interpolant is accepted if
 :func:`~krallhahn.diffops.eigen_certificate` decides D(q_n) = lambda_n q_n
-exactly.  The interpolant takes the node values exactly, and those solve
-every fed equation, so its residuals vanish at the nodes: the certificate
-is handed them as known zeros and tests only the points past them.  With
-fed degrees 0..2r + 1 every point fixes each g_i by a division; a degree
-gap can make a point singular, and it is skipped.
-
-If fewer than degree_cap + 1 nodes turn up among the first
-``_POINT_BUDGET * (degree_cap + 1)`` points, the probe falls back to one
-global system in every coefficient of D, built as integer rows: each q_n's
-integer numerators are shifted by an integer Taylor shift, and each row is
-divided by its content.  :func:`~krallhahn.matrices.solve_linear_system`
-solves it; only this route can report nullity > 0.
+exactly; it is handed 0..degree_cap as known zeros and tests only the
+points past them.
 """
 
 from __future__ import annotations
@@ -37,43 +36,9 @@ from typing import Sequence
 
 from .diffops import DifferenceOperator, eigen_certificate
 from .errors import InsufficientData
-from .matrices import _exact_solve, solve_linear_system
+from .matrices import _exact_solve
 from .polynomials import Polynomial, horner, interpolate, taylor_shift
 from .rationals import Rational, as_rational
-
-# points scanned for nodes, per node needed, before the global fallback
-_POINT_BUDGET = 2
-
-
-def _integer_rows(
-    qs: Sequence[Polynomial],
-    lambdas: Sequence[Rational],
-    halfwidth: int,
-    degree_cap: int,
-) -> tuple[list[list[int]], list[int]]:
-    """One equation per coefficient of D(q_n) - lambda_n q_n, as primitive integer rows.
-
-    The unknowns are the coefficients of x^d (d <= degree_cap) in the operator
-    coefficient at each shift.  Each row is the rational equation times the
-    denominator of lambda_n and that of q_n, divided by its content.
-    """
-    offsets = range(-halfwidth, halfwidth + 1)
-    width = degree_cap + 1
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for qn, lam in zip(qs, lambdas):
-        cleared, _ = qn.integer_parts
-        shifted = [[lam.denominator * c for c in taylor_shift(cleared, l)] for l in offsets]
-        for power in range(qn.degree + degree_cap + 1):
-            row = [0] * (len(offsets) * width)
-            for col, q_shift in enumerate(shifted):
-                for d in range(max(0, power - qn.degree), min(power, degree_cap) + 1):
-                    row[col * width + d] = q_shift[power - d]
-            target = lam.numerator * cleared[power] if power <= qn.degree else 0
-            *row, target = _primitive([*row, target])
-            rows.append(row)
-            rhs.append(target)
-    return rows, rhs
 
 
 def operator_solution_space(
@@ -89,15 +54,17 @@ def operator_solution_space(
     counts the remaining degrees of freedom.  Nullity zero certifies
     uniqueness within the probed half-width and coefficient-degree cap, and
     so within any narrower one, whose solutions padded with zeros solve this
-    probe.  An inconsistent pointwise system gives (None, 0); degree_cap + 1
-    points with a unique solution give the interpolant and nullity 0 if it
-    passes the certificate, else (None, 0).  The certificate is told that
-    every residual vanishes at those nodes: at a node h(x) solves every fed
+    probe.  An inconsistent pointwise system, or coupling rows with no
+    solution, give (None, 0).  Otherwise the values at x = 0..degree_cap,
+    each point's particular solution plus the coupling's multiples of its
+    kernel vectors, are interpolated, and the interpolant is returned with
+    the coupling's nullity (0 if no point is singular) if it passes the
+    certificate, else (None, 0).  The certificate is told that every
+    residual vanishes at 0..degree_cap: there h(x) solves every fed
     equation, since :func:`_difference_solve` checks each row below the
     unknown it reaches and its dense branch takes every remaining row, and
-    :func:`~krallhahn.polynomials.interpolate` reproduces the node values
-    exactly.  Only the global fallback, taken when too few such points turn
-    up, can report nullity > 0.  Each eigenvalue is read by
+    :func:`~krallhahn.polynomials.interpolate` reproduces the values
+    exactly.  Each eigenvalue is read by
     :func:`~krallhahn.rationals.as_rational`, so a float raises
     ``TypeError``.
     """
@@ -113,23 +80,71 @@ def operator_solution_space(
             f"{equations} equations but at least {required} required to probe "
             f"halfwidth {halfwidth} with coefficient degrees up to {degree_cap}"
         )
-    nodes = _pointwise_nodes(qs, lambdas, halfwidth, degree_cap)
-    if nodes is None:
+    solutions = _pointwise_nodes(qs, lambdas, halfwidth, degree_cap)
+    if solutions is None:
         return None, 0
-    if len(nodes) <= degree_cap:
-        return _solve_globally(qs, lambdas, halfwidth, degree_cap)
-    points = [x for x, _ in nodes]
-    common = lcm(*(scale for _, (_, scale) in nodes))
-    rows = [[v * (common // scale) for v in h] for _, (h, scale) in nodes]
+    common = lcm(*(scale for _, scale, _ in solutions))
+    values = [[v * (common // scale) for v in h] for h, scale, _ in solutions]
+    kernels = [(x, vector) for x, (_, _, kernel) in enumerate(solutions) for vector in kernel]
+    nullity = 0
+    if kernels:
+        coupled = _exact_solve(_coupling_rows(qs, lambdas, values, common, kernels), len(kernels))
+        if coupled is None:
+            return None, 0
+        t, det, free = coupled
+        if det < 0:
+            t, det = [-v for v in t], -det
+        nullity = len(free)
+        values = [[det * v for v in row] for row in values]
+        for (x, vector), tk in zip(kernels, t):  # t_k K_k added at its own point
+            values[x] = [v + tk * k for v, k in zip(values[x], vector)]
+        common *= det
     found = DifferenceOperator(
         {
-            l: interpolate([row[col] for row in rows], common, points)
+            l: interpolate([row[col] for row in values], common)
             for col, l in enumerate(range(-halfwidth, halfwidth + 1))
         }
     )
-    if all(eigen_certificate(found, zip(qs, lambdas), zeros=points)):
-        return found, 0
+    if all(eigen_certificate(found, zip(qs, lambdas), zeros=range(degree_cap + 1))):
+        return found, nullity
     return None, 0
+
+
+def _coupling_rows(
+    qs: Sequence[Polynomial],
+    lambdas: Sequence[Rational],
+    values: list[list[int]],
+    common: int,
+    kernels: list[tuple[int, list[int]]],
+) -> list[list[int]]:
+    """Primitive integer rows [A | b] in one unknown t_k per kernel vector
+    K_k at its point x_k: h(x) = (values[x] + sum_(x_k = x) t_k K_k) / common
+    at x = 0..cap solves every pointwise system, and the rows hold exactly
+    when its interpolant's residuals vanish.
+
+    The Lagrange weights on 0..cap are the integers
+    L_x(y) = (-1)^(cap - x) C(y, x) C(y - x - 1, cap - x) for y > cap, so
+    common h_l(y) = sum_x L_x(y) (values[x][l] + ...).  One row per fed q_n
+    = Q_n / d_n and y = cap + 1..cap + deg q_n:
+    den(lambda_n) sum_l common h_l(y) Q_n(y + l) = num(lambda_n) common Q_n(y).
+    """
+    cap, r = len(values) - 1, len(values[0]) // 2
+    fed = [(q.integer_parts[0], q.degree, lam) for q, lam in zip(qs, lambdas)]
+    rows = []
+    for y in range(cap + 1, cap + 1 + max(degree for _, degree, _ in fed)):
+        weights = [
+            (-1) ** (cap - x) * comb(y, x) * comb(y - x - 1, cap - x) for x in range(cap + 1)
+        ]
+        particular = [sum(map(mul, weights, column)) for column in zip(*values)]  # common h_l(y)
+        for nums, degree, lam in fed:
+            if y > cap + degree:
+                continue
+            shifted = [horner(nums, y + l) for l in range(-r, r + 1)]
+            den, num = lam.denominator, lam.numerator
+            row = [den * weights[x] * sum(map(mul, k, shifted)) for x, k in kernels]
+            target = num * common * shifted[r] - den * sum(map(mul, particular, shifted))
+            rows.append(_primitive(row + [target]))
+    return rows
 
 
 def _pointwise_nodes(
@@ -137,16 +152,17 @@ def _pointwise_nodes(
     lambdas: Sequence[Rational],
     halfwidth: int,
     degree_cap: int,
-) -> list[tuple[int, tuple[list[int], int]]] | None:
-    """The points x = 0, 1, ... where h(x) is unique, with h(x) as integers
-    over one denominator (of either sign), up to degree_cap + 1 of them; None
-    at the first inconsistent point.
+) -> list[tuple[list[int], int, list[list[int]]]] | None:
+    """The solution set of the pointwise system at each x = 0..degree_cap,
+    as (H, s, kernel): the particular h(x) = H / s, integers over one
+    denominator (of either sign), and a basis of the kernel in h, empty
+    where h(x) is unique; None at the first inconsistent point.
 
-    At most ``_POINT_BUDGET * (degree_cap + 1)`` points are scanned.  Each
-    Q_n = d_n q_n keeps its differences Delta^i Q_n(x - r), advanced to x + 1
-    by additions.  The unknowns g of :func:`_difference_solve` have generating
-    function sum_i g_i t^i = sum_j h_(j-r) (1 + t)^j, so h is g Taylor-shifted
-    by -1: h_(j-r) = sum_(i>=j) (-1)^(i-j) C(i, j) g_i.
+    Each Q_n = d_n q_n keeps its differences Delta^i Q_n(x - r), advanced to
+    x + 1 by additions.  The unknowns g of :func:`_difference_solve` have
+    generating function sum_i g_i t^i = sum_j h_(j-r) (1 + t)^j, so h is g
+    Taylor-shifted by -1: h_(j-r) = sum_(i>=j) (-1)^(i-j) C(i, j) g_i, and so
+    is each kernel vector.
     """
     width = 2 * halfwidth + 1
     rows = []
@@ -158,25 +174,25 @@ def _pointwise_nodes(
                 diffs[j] -= diffs[j - 1]
         rows.append((min(q.degree, 2 * halfwidth), lam.denominator, lam.numerator, diffs))
     centre = [comb(halfwidth, i) for i in range(halfwidth + 1)]  # Q(x) from Q(x - r)
-    nodes = []
-    for x in range(_POINT_BUDGET * (degree_cap + 1)):
+    solutions = []
+    for _ in range(degree_cap + 1):
         solved = _difference_solve(rows, width, centre)
         if solved is None:
             return None
-        g, scale = solved
-        if len(g) == width:
-            nodes.append((x, (taylor_shift(g, -1), scale)))
-            if len(nodes) > degree_cap:
-                break
+        g, scale, kernel = solved
+        solutions.append((taylor_shift(g, -1), scale, [taylor_shift(k, -1) for k in kernel]))
         for *_, diffs in rows:
             for i in range(len(diffs) - 1):
                 diffs[i] += diffs[i + 1]
-    return nodes
+    return solutions
 
 
-def _difference_solve(rows: list, width: int, centre: list[int]) -> tuple[list[int], int] | None:
-    """(G, s) with g_i = G_i / s = sum_l C(l + r, i) h_l(x); None if the rows
-    are inconsistent, and fewer than ``width`` values if g is not unique.
+def _difference_solve(
+    rows: list, width: int, centre: list[int]
+) -> tuple[list[int], int, list[list[int]]] | None:
+    """(G, s, kernel) with g_i = G_i / s = sum_l C(l + r, i) h_l(x) one
+    solution and ``kernel`` a basis of the solutions of the homogeneous
+    rows; None if the rows are inconsistent.
 
     Row (k, den, num, Delta Q) is q_n's equation times d_n den(lambda_n):
     den sum_(i<=k) Delta^i Q(x - r) g_i = num Q(x).  With g_0..g_(t-1) known,
@@ -184,7 +200,10 @@ def _difference_solve(rows: list, width: int, centre: list[int]) -> tuple[list[i
     of k < t is a consistency check.  From the first row that does neither (a
     gap in the fed degrees, or a zero pivot at k = 2r), the rows are one dense
     system in g_t.., solved by :func:`~krallhahn.matrices._exact_solve` over
-    its last pivot; g and that part go over the lcm of s and the pivot.
+    its last pivot; g and that part go over the lcm of s and the pivot, and
+    its kernel, padded with zeros on g_0..g_(t-1), is the kernel.  If the
+    rows run out first, the unfixed g_t.. are 0 and their unit vectors are
+    the kernel.
     """
     g, scale = [], 1
 
@@ -209,12 +228,12 @@ def _difference_solve(rows: list, width: int, centre: list[int]) -> tuple[list[i
             solved = _exact_solve(aug, width - t)
             if solved is None:
                 return None
-            y, det, nullity = solved
-            if nullity:
-                return [], 1
+            y, det, kernel = solved
             common = lcm(scale, det)
-            return [v * (common // scale) for v in g] + [v * (common // det) for v in y], common
-    return g, scale
+            g = [v * (common // scale) for v in g] + [v * (common // det) for v in y]
+            return g, common, [[0] * t + k for k in kernel]
+    units = [[int(i == j) for i in range(width)] for j in range(len(g), width)]
+    return g + [0] * (width - len(g)), scale, units
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -222,28 +241,3 @@ def _primitive(row: list[int]) -> list[int]:
     integers small."""
     content = gcd(*row)
     return [v // content for v in row] if content > 1 else row
-
-
-def _solve_globally(
-    qs: Sequence[Polynomial],
-    lambdas: Sequence[Rational],
-    halfwidth: int,
-    degree_cap: int,
-) -> tuple[DifferenceOperator | None, int]:
-    """One system in every coefficient of D, by :func:`solve_linear_system`.
-
-    A rank profile modulo a prime certifies nullity 0 or inconsistency, a
-    solution found modulo primes counts only after exact substitution into
-    every equation, and a system rank-deficient modulo the prime is decided
-    by exact fraction-free elimination of the integer rows.
-    """
-    solved = solve_linear_system(*_integer_rows(qs, lambdas, halfwidth, degree_cap))
-    if solved is None:
-        return None, 0
-    solution, nullity = solved
-    width = degree_cap + 1
-    terms = {}
-    for col, l in enumerate(range(-halfwidth, halfwidth + 1)):
-        coeffs = solution[col * width : (col + 1) * width]
-        terms[l] = Polynomial(coeffs)
-    return DifferenceOperator(terms), nullity

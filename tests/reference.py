@@ -7,15 +7,18 @@ path adds its reference to this module and its test imports it.  Nothing here
 is timed or shipped; each routine favours the obvious computation over speed.
 """
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
+from operator import mul
+from typing import Sequence
 
 from krallhahn import casorati
 from krallhahn.casorati import eigenvalue_polynomial, normalizer, reflect
-from krallhahn.diffops import coefficient_values, operator_polynomial
+from krallhahn.diffops import DifferenceOperator, coefficient_values, operator_polynomial
 from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
     HahnParams,
@@ -33,9 +36,9 @@ from krallhahn.ladder import (
 )
 from krallhahn.matrices import _exact_solve
 from krallhahn.measures import christoffel
-from krallhahn.oracle import _POINT_BUDGET, _primitive, operator_solution_space
-from krallhahn.polynomials import Polynomial, horner, interpolate, pochhammer
-from krallhahn.rationals import as_rational
+from krallhahn.oracle import _primitive, operator_solution_space
+from krallhahn.polynomials import Polynomial, horner, interpolate, pochhammer, taylor_shift
+from krallhahn.rationals import Rational, as_rational, clear_denominators
 from krallhahn.sets import set_max
 from krallhahn.verify import build_run
 
@@ -282,6 +285,179 @@ def sarrus(m):
         - m[0][0] * m[1][2] * m[2][1]
         - m[0][1] * m[1][0] * m[2][2]
     )
+
+
+# -- the multimodular solver: the oracle's global system --------------------------------
+
+# The 12 largest primes below 2**62.  The first gives the rank profile.  Their
+# product M bounds the modular route to solutions whose numerators and
+# denominators all stay below sqrt(M / 2), about 2**371.
+_PRIMES = (
+    4611686018427387847, 4611686018427387817, 4611686018427387787,
+    4611686018427387761, 4611686018427387751, 4611686018427387737,
+    4611686018427387733, 4611686018427387709, 4611686018427387701,
+    4611686018427387631, 4611686018427387617, 4611686018427387587,
+)
+
+
+def solve_linear_system(
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> tuple[list[Fraction], int] | None:
+    """Solve A x = b exactly.
+
+    Returns ``(particular_solution, nullity)`` with free variables pinned to
+    zero, or ``None`` when the system is inconsistent.
+
+    Each row of [A | b] is scaled to integers and eliminated modulo the first
+    of ``_PRIMES``.  If A has full column rank mod p, one of its ncols x ncols
+    minors is nonzero mod p, hence nonzero over the rationals: that certifies
+    nullity 0.  If b is then a pivot mod p too, a minor of [A | b] of size
+    ncols + 1 is nonzero, so rank [A | b] > rank A certifies that the system is
+    unsolvable.  Otherwise the square subsystem on the pivot rows is solved
+    modulo further primes, combined by the Chinese remainder theorem and
+    rational reconstruction (Wang, 1981).  A candidate is accepted only when it
+    satisfies that subsystem exactly, and it is then substituted exactly into
+    every other row to decide consistency.  A system that is rank-deficient mod
+    p, or whose solution needs more primes than ``_PRIMES`` holds, is solved
+    exactly by :func:`_exact_solve` instead; that is the only route that runs
+    for nullity > 0.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("rhs length does not match row count")
+    ncols = len(rows[0]) if rows else 0
+    aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
+    pivots = _echelon_mod(aug, _PRIMES[0])
+    solved = None
+    if _full_column_rank(pivots, ncols):
+        if len(pivots) > ncols:
+            return None  # b is a pivot too: rank [A | b] = ncols + 1
+        square = [aug[source] for _, source, _ in pivots]
+        solved = _multimodular_solve(square, _back_substitute(pivots, _PRIMES[0]))
+    if solved is not None:
+        chosen = {source for _, source, _ in pivots}
+        if any(_residual(row, *solved) for i, row in enumerate(aug) if i not in chosen):
+            return None
+        solved = (*solved, [])
+    else:
+        solved = _exact_solve(aug, ncols)
+    if solved is None:
+        return None
+    numerators, denominator, kernel = solved
+    return [Fraction(v, denominator) for v in numerators], len(kernel)
+
+
+def _echelon_mod(aug: list[list[int]], p: int) -> list[tuple[int, int, list[int]]]:
+    """Forward elimination of integer rows modulo the prime p.
+
+    Returns the pivots in column order as ``(column, source, row)``: ``source``
+    indexes ``aug`` and ``row`` is that row's reduced tail from ``column`` on,
+    scaled to a leading 1.  Rows awaiting a pivot are reduced mod p once and
+    then only where an entry is read, so each update is one multiply-subtract.
+    """
+    pending = [(i, [v % p for v in row]) for i, row in enumerate(aug)]
+    width = len(aug[0]) if aug else 0
+    pivots = []
+    for c in range(width):
+        if not pending:
+            break
+        for k, (source, row) in enumerate(pending):
+            lead = row[c] % p
+            if lead:
+                break
+        else:
+            continue
+        del pending[k]
+        inv = pow(lead, -1, p)
+        tail = [v * inv % p for v in row[c:]]
+        for _, other in pending:
+            f = other[c] % p
+            if f:
+                other[c:] = [v - f * t for v, t in zip(other[c:], tail)]
+        pivots.append((c, source, tail))
+    return pivots
+
+
+def _full_column_rank(pivots: list[tuple[int, int, list[int]]], ncols: int) -> bool:
+    """Whether every one of the first ncols columns holds a pivot."""
+    return sum(c < ncols for c, _, _ in pivots) == ncols
+
+
+def _back_substitute(pivots: list[tuple[int, int, list[int]]], p: int) -> list[int]:
+    """Solution mod p of a system whose n pivots sit in columns 0..n-1."""
+    x: list[int] = []
+    for _, _, tail in reversed(pivots):
+        x.insert(0, (tail[-1] - sum(map(mul, tail[1:-1], x))) % p)
+    return x
+
+
+def _multimodular_solve(
+    square: list[list[int]], residues: list[int]
+) -> tuple[list[int], int] | None:
+    """Exact solution ``(numerators, denominator)`` of a nonsingular system.
+
+    ``square`` holds the integer rows [A | b] of a square A that is
+    nonsingular mod the first prime, and ``residues`` its solution mod that
+    prime.  Returns None when no candidate from the primes in ``_PRIMES``
+    satisfies the system exactly.
+    """
+    for residues, modulus in _crt_rounds(square, residues):
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None and not any(_residual(row, *candidate) for row in square):
+            return candidate
+    return None
+
+
+def _crt_rounds(square: list[list[int]], residues: list[int]):
+    """The solution modulo the first prime, then modulo each growing product.
+
+    A prime that divides det A is skipped.
+    """
+    modulus = _PRIMES[0]
+    yield residues, modulus
+    for p in _PRIMES[1:]:
+        pivots = _echelon_mod(square, p)
+        if not _full_column_rank(pivots, len(square)):
+            continue
+        inv = pow(modulus, -1, p)
+        residues = [
+            r + modulus * ((s - r) * inv % p)
+            for r, s in zip(residues, _back_substitute(pivots, p))
+        ]
+        modulus *= p
+        yield residues, modulus
+
+
+def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Rational reconstruction of every residue over one common denominator."""
+    bound = isqrt((modulus - 1) // 2)
+    values = []
+    for u in residues:
+        value = _rational_reconstruction(u, modulus, bound)
+        if value is None:
+            return None
+        values.append(value)
+    return clear_denominators(values)
+
+
+def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
+    """The a/b with a = b u mod ``modulus``, |a| <= bound and 0 < b <= bound.
+
+    Wang's half-extended Euclidean algorithm; None when no such fraction exists.
+    """
+    r0, r1 = modulus, u
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _residual(row: list[int], numerators: list[int], denominator: int) -> int:
+    """Row [a | b] at x = numerators / denominator: denominator * (a . x - b)."""
+    return sum(map(mul, row, numerators)) - row[-1] * denominator
 
 
 # -- measures: Fraction values, polynomial products and atom dicts ---------------------
@@ -614,7 +790,7 @@ ONE = (Polynomial.one(), Polynomial.one())
 ZERO = (Polynomial.zero(), Polynomial.one())
 
 
-def mul(f, g):
+def times(f, g):
     return lowest_terms(f[0] * g[0], f[1] * g[1])
 
 
@@ -648,7 +824,7 @@ def rational_det(rows):
     acc = ZERO
     for j, top in enumerate(rows[0]):
         if not top[0].is_zero:
-            term = mul(top, rational_det([row[:j] + row[j + 1 :] for row in rows[1:]]))
+            term = times(top, rational_det([row[:j] + row[j + 1 :] for row in rows[1:]]))
             acc = add(acc, neg(term) if j % 2 else term)
     return acc
 
@@ -667,7 +843,7 @@ def rational_casorati(ctx):
     products = closed_form_products_by_kind(ctx)
     return rational_det([
         [
-            mul(
+            times(
                 shifted(products[kind][m - col], -col),
                 (poly.compose(p.eigenvalue_poly(shift=-col)), Polynomial.one()),
             )
@@ -903,21 +1079,86 @@ def fraction_rows(qs, lambdas, halfwidth, degree_cap):
     return rows, rhs
 
 
-def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
-    """Reference: the nodes of ``oracle._pointwise_nodes`` by one Bareiss
-    solve per point in the values h_l(x) themselves.
+def _integer_rows(
+    qs: Sequence[Polynomial],
+    lambdas: Sequence[Rational],
+    halfwidth: int,
+    degree_cap: int,
+) -> tuple[list[list[int]], list[int]]:
+    """One equation per coefficient of D(q_n) - lambda_n q_n, as primitive integer rows.
 
-    At most ``_POINT_BUDGET * (degree_cap + 1)`` points are scanned.  The row
-    of q_n = Q_n / d_n at x is [den(lambda_n) Q_n(x + l) for l] + [num(lambda_n)
-    Q_n(x)], its equation times d_n den(lambda_n).  Each Q_n is evaluated once
-    per point, by integer Horner, as the scan reaches it.
+    The unknowns are the coefficients of x^d (d <= degree_cap) in the operator
+    coefficient at each shift.  Each row is the rational equation times the
+    denominator of lambda_n and that of q_n, divided by its content.
+    """
+    offsets = range(-halfwidth, halfwidth + 1)
+    width = degree_cap + 1
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for qn, lam in zip(qs, lambdas):
+        cleared, _ = qn.integer_parts
+        shifted = [[lam.denominator * c for c in taylor_shift(cleared, l)] for l in offsets]
+        for power in range(qn.degree + degree_cap + 1):
+            row = [0] * (len(offsets) * width)
+            for col, q_shift in enumerate(shifted):
+                for d in range(max(0, power - qn.degree), min(power, degree_cap) + 1):
+                    row[col * width + d] = q_shift[power - d]
+            target = lam.numerator * cleared[power] if power <= qn.degree else 0
+            *row, target = _primitive([*row, target])
+            rows.append(row)
+            rhs.append(target)
+    return rows, rhs
+
+
+def _solve_globally(
+    qs: Sequence[Polynomial],
+    lambdas: Sequence[Rational],
+    halfwidth: int,
+    degree_cap: int,
+) -> tuple[DifferenceOperator | None, int]:
+    """One system in every coefficient of D, by :func:`solve_linear_system`.
+
+    A rank profile modulo a prime certifies nullity 0 or inconsistency, a
+    solution found modulo primes counts only after exact substitution into
+    every equation, and a system rank-deficient modulo the prime is decided
+    by exact fraction-free elimination of the integer rows.
+    """
+    solved = solve_linear_system(*_integer_rows(qs, lambdas, halfwidth, degree_cap))
+    if solved is None:
+        return None, 0
+    solution, nullity = solved
+    width = degree_cap + 1
+    terms = {}
+    for col, l in enumerate(range(-halfwidth, halfwidth + 1)):
+        coeffs = solution[col * width : (col + 1) * width]
+        terms[l] = Polynomial(coeffs)
+    return DifferenceOperator(terms), nullity
+
+
+@functools.cache
+def cached_global_solve(qs, lambdas, halfwidth, degree_cap):
+    """:func:`_solve_globally` on tuples, once per probe: the oracle tests and
+    the verify tests compare the oracle check's probes with it."""
+    return _solve_globally(list(qs), list(lambdas), halfwidth, degree_cap)
+
+
+def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
+    """Reference: the solution set of the pointwise system at each
+    x = 0..degree_cap, by one Bareiss solve per point in the values h_l(x)
+    themselves, as (aug, h, kernel): the integer rows [A | b], a particular
+    h as ``Fraction`` values and a kernel basis; None at the first
+    inconsistent point.
+
+    The row of q_n = Q_n / d_n at x is [den(lambda_n) Q_n(x + l) for l] +
+    [num(lambda_n) Q_n(x)], its equation times d_n den(lambda_n).  Each Q_n
+    is evaluated once per point, by integer Horner, as the scan reaches it.
     """
     width = 2 * halfwidth + 1
     numerators = [q.integer_parts[0] for q in qs]
     scales = [(Fraction(lam).denominator, Fraction(lam).numerator) for lam in lambdas]
     values: list[list[int]] = []  # values[i]: every Q_n at the point i - halfwidth
-    nodes = []
-    for x in range(_POINT_BUDGET * (degree_cap + 1)):
+    sets = []
+    for x in range(degree_cap + 1):
         while len(values) < x + width:
             y = len(values) - halfwidth
             values.append([horner(nums, y) for nums in numerators])
@@ -930,21 +1171,9 @@ def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
         solved = _exact_solve(aug, width)
         if solved is None:
             return None
-        h, den, nullity = solved
-        if not nullity:
-            nodes.append((x, [Fraction(v, den) for v in h]))
-            if len(nodes) > degree_cap:
-                break
-    return nodes
-
-
-def fraction_nodes(nodes):
-    """The nodes of ``oracle._pointwise_nodes``, each (x, (numerators,
-    denominator)), as (x, h) with h a list of ``Fraction`` values, the form of
-    :func:`window_pointwise_nodes`; None stays None."""
-    if nodes is None:
-        return None
-    return [(x, [Fraction(v, den) for v in nums]) for x, (nums, den) in nodes]
+        h, den, kernel = solved
+        sets.append((aug, [Fraction(v, den) for v in h], kernel))
+    return sets
 
 
 def primitive_row(row):

@@ -7,35 +7,37 @@ from math import prod
 
 import pytest
 
+import reference
 from krallhahn import casorati, matrices
 from krallhahn.config import builtin_config
 from krallhahn.errors import NonExactDivision
-from krallhahn.matrices import (
-    PointAdjugate,
-    integer_dets,
-    lane_bareiss,
-    poly_det,
-    solve_linear_system,
-)
-from krallhahn.matrices import _PRIMES
+from krallhahn.matrices import PointAdjugate, integer_dets, lane_bareiss, poly_det
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import clear_denominators
 from krallhahn.verify import build_run
 
-from reference import cofactor_det, gauss_jordan, point_cofactor, sarrus
+from reference import (
+    _PRIMES,
+    cofactor_det,
+    gauss_jordan,
+    point_cofactor,
+    sarrus,
+    solve_linear_system,
+)
 
 X = Polynomial.variable()
 
 
 def _exact_solve(rows, rhs):
-    """The exact fallback on its own, whatever the modular route would decide."""
+    """The exact solve on its own, whatever the modular route would decide,
+    with the nullity read as the size of its kernel basis."""
     ncols = len(rows[0]) if rows else 0
     aug = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
     solved = matrices._exact_solve(aug, ncols)
     if solved is None:
         return None
-    numerators, denominator, nullity = solved
-    return [Fraction(v, denominator) for v in numerators], nullity
+    numerators, denominator, kernel = solved
+    return [Fraction(v, denominator) for v in numerators], len(kernel)
 
 
 def test_matrix_shape_checks():
@@ -422,7 +424,7 @@ def test_solve_shape_mismatch():
         solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
 
 
-# -- the certified modular route and the exact fallback against Gauss-Jordan --
+# -- the reference's certified modular route and the exact solve against Gauss-Jordan --
 
 
 def _is_prime(n):
@@ -457,7 +459,7 @@ def test_primes_are_distinct_word_size_primes():
 def routes(monkeypatch):
     """Counts exact fallbacks and modular eliminations per solve."""
     calls = {"fallback": 0, "echelon": 0}
-    echelon = matrices._echelon_mod
+    echelon = reference._echelon_mod
     exact_solve = matrices._exact_solve
 
     def fallback(aug, ncols):
@@ -469,7 +471,8 @@ def routes(monkeypatch):
         return echelon(aug, p)
 
     monkeypatch.setattr(matrices, "_exact_solve", fallback)
-    monkeypatch.setattr(matrices, "_echelon_mod", counted_echelon)
+    monkeypatch.setattr(reference, "_exact_solve", fallback)
+    monkeypatch.setattr(reference, "_echelon_mod", counted_echelon)
     return calls
 
 
@@ -490,7 +493,7 @@ def test_b_as_pivot_certifies_inconsistency(routes, monkeypatch):
     rows = [[1, 0], [0, 1], [1, 1]]
     rhs = [1, 1, 3]
     monkeypatch.setattr(
-        matrices, "_multimodular_solve", lambda *args: pytest.fail("solved, not certified")
+        reference, "_multimodular_solve", lambda *args: pytest.fail("solved, not certified")
     )
     assert solve_linear_system(rows, rhs) is None
     assert gauss_jordan(rows, rhs) is None
@@ -588,3 +591,26 @@ def test_exact_fallback_matches_gauss_jordan(routes, rows, rhs):
     assert solve_linear_system(rows, rhs) == expected
     if expected is not None and expected[1] > 0:
         assert routes["fallback"] == 2  # the direct call and the solver's own
+
+
+def test_exact_solve_kernel_is_a_basis_of_the_null_space():
+    """Each kernel vector is annihilated by A, the vectors are independent,
+    and there are as many as Gauss-Jordan's nullity; the particular solution
+    solves every row."""
+    rng = random.Random(29)
+    for trial in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        for row in rows[: trial % 3]:  # repeated columns and zero columns
+            row[-1] = row[0] if trial % 2 else 0
+        x = [rng.randint(-5, 5) for _ in range(ncols)]
+        aug = [row + [sum(a * v for a, v in zip(row, x))] for row in rows]
+        numerators, denominator, kernel = matrices._exact_solve(aug, ncols)
+        assert len(kernel) == gauss_jordan(rows, [b for *_, b in aug])[1], trial
+        for vector in kernel:
+            assert not any(sum(a * v for a, v in zip(row, vector)) for row in rows), trial
+        if kernel:  # independent: only t = 0 solves sum_k t_k K_k = 0
+            assert gauss_jordan([list(c) for c in zip(*kernel)], [0] * ncols)[1] == 0, trial
+        assert all(
+            sum(a * v for a, v in zip(row, numerators)) == b * denominator for *row, b in aug
+        ), trial

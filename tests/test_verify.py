@@ -20,7 +20,7 @@ from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid
 from krallhahn.hahn import HahnParams, hahn_weight
-from krallhahn.oracle import _solve_globally, operator_solution_space
+from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import format_rational
 from krallhahn.sets import (
@@ -39,7 +39,13 @@ from krallhahn.verify import (
 )
 
 from freeze_golden import scrub as _scrub
-from reference import apply_route_failures, closed_form_product_values, solve_lower_probe
+from reference import (
+    apply_route_failures,
+    cached_global_solve,
+    closed_form_product_values,
+    reference_eigen_certificate,
+    solve_lower_probe,
+)
 
 
 def test_build_run_theorem_path():
@@ -118,15 +124,15 @@ def test_oracle_fails_when_a_narrower_operator_exists():
 
 def _oracle_with_spy(cfg, bump=0, solve=operator_solution_space):
     """Run only ``oracle``, its half-width raised by ``bump``; return the check
-    and the arguments of every solve it made."""
+    and, for every solve it made, its arguments and its result."""
     import krallhahn.verify as verify
 
     calls = []
     halfwidth = verify.operator_halfwidth
 
     def spy(qs, lambdas, r, cap):
-        calls.append((qs, lambdas, r, cap))
-        return solve(qs, lambdas, r, cap)
+        calls.append(((qs, lambdas, r, cap), solve(qs, lambdas, r, cap)))
+        return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "operator_solution_space", spy)
@@ -138,9 +144,17 @@ def _oracle_with_spy(cfg, bump=0, solve=operator_solution_space):
 def _assert_matches_second_solve(cfg, bump):
     check, calls = _oracle_with_spy(cfg, bump)
     assert len(calls) == 1
-    # the pointwise route gives what the global system, solved directly, gives
-    assert operator_solution_space(*calls[0]) == _solve_globally(*calls[0])
-    qs, lambdas, r, _ = calls[0]
+    # the pointwise route gives what the global system, solved directly, gives:
+    # the same verdict and nullity, the same operator where it is unique, and
+    # one the reference certificate accepts where it is not
+    ((args, (found, nullity)),) = calls
+    qs, lambdas, r, cap = args
+    expected, expected_nullity = cached_global_solve(tuple(qs), tuple(lambdas), r, cap)
+    assert (found is not None, nullity) == (expected is not None, expected_nullity)
+    if not nullity:
+        assert found == expected
+    elif found is not None:
+        assert all(reference_eigen_certificate(found, zip(qs, lambdas)))
     witness = check.witness
     if witness["nullity"]:
         assert not check.passed and witness["lower_probe"].startswith("undecided")
@@ -362,6 +376,9 @@ def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, 
     ("support", "genre"),
     ("criteria", "support"),
     ("orthogonality", "support"),
+    ("oracle", "support"),
+    ("eigen-equation", "degree-leading"),
+    ("hypotheses", "genre"),
 ])
 def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     """One name that a check reads in verify is patched with a fault on the
@@ -375,7 +392,9 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     value, leading = verify.casorati_value, verify.core_leading_coefficient
     operator, support = verify.krall_operator, verify.transformed_support
     base, member = verify.base_polynomial, verify.krall_polynomial
+    hahn_leading, raw = verify.hahn_leading_coefficient, verify.casorati_rational
     r = verify.operator_halfwidth(ctx)
+    first = min(raw(ctx))
 
     def moved(*args):  # the first point of the support formula, one step down
         first, *rest = support(*args)
@@ -389,6 +408,17 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
         "criteria": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
         # q_2 and q_3 swapped: still pairwise orthogonal, but no longer of degree n
         "orthogonality": ("krall_polynomial", lambda ctx, n: member(ctx, {2: 3, 3: 2}.get(n, n))),
+        # the constructed operator plus the identity: the oracle still finds the true one
+        "oracle": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator.shift(0)),
+        "eigen-equation": (
+            "hahn_leading_coefficient",
+            lambda n, p: 2 * hahn_leading(n, p) if n == 2 else hahn_leading(n, p),
+        ),
+        # the raw determinant's first value, one more: the dual route disagrees there
+        "hypotheses": (
+            "casorati_rational",
+            lambda ctx: {t: v + 1 if t == first else v for t, v in raw(ctx).items()},
+        ),
     }
     monkeypatch.setattr(verify, *faults[check])
     failed, passed = run_config(cfg).checks
@@ -407,9 +437,18 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
         assert witness["support_matches_formula"] is False
     elif check == "criteria":
         assert [failure["n"] for failure in witness["moment_failures"]] == [2]
-    else:
+    elif check == "orthogonality":
         assert witness["gram_schmidt_mismatches"] == [2, 3]
         assert witness["nonorthogonal_pairs"] == [] and witness["zero_norms"] == []
+    elif check == "oracle":
+        assert witness["solvable"] and witness["nullity"] == 0
+        assert not witness["agrees_with_construction"]
+        assert witness["lower_probe"] == "unsolvable"
+    elif check == "eigen-equation":
+        assert witness["failures"] == [{"n": 2, "reason": "leading coefficient mismatch"}]
+    else:
+        flags = {key: value for key, value in witness.items() if isinstance(value, bool)}
+        assert [key for key, value in flags.items() if not value] == ["determinant_dual_route"]
 
 
 @pytest.mark.parametrize("term", ["nonorthogonal_pairs", "zero_norms"])
@@ -444,6 +483,42 @@ def test_orthogonality_gate_terms_fail_on_their_own(monkeypatch, term):
         assert witness["nonorthogonal_pairs"] == [[1, 3]] and witness["zero_norms"] == []
     else:
         assert witness["nonorthogonal_pairs"] == [] and witness["zero_norms"] == [top]
+
+
+@pytest.mark.parametrize("term", [
+    "lambda_pinned_at_minus_one",
+    "increment_transport",
+    "mixing_skew_and_divisible",
+    "spectral_difference_identity",
+])
+def test_hypotheses_gate_terms_fail_on_their_own(monkeypatch, term):
+    """A fault that only one gate term of ``hypotheses`` reads: lambda + 1,
+    the reflection moved at the increment's centre a + b - 1 only, a mixing
+    polynomial + 1, and the spectral polynomial + x.  Each alone fails the
+    check, and every other term still holds."""
+    import krallhahn.verify as verify
+
+    cfg = config_from_dict({**BUILTIN_CONFIGS["four-roots"], "checks": ["hypotheses"]})
+    p = build_run(cfg).ctx.params
+    lam, reflect = verify.eigenvalue_polynomial, verify.reflect
+    mixing, spectral = verify.mixing_polynomial, verify.spectral_polynomial
+    faults = {
+        "lambda_pinned_at_minus_one": ("eigenvalue_polynomial", lambda ctx: lam(ctx) + 1),
+        "increment_transport": (
+            "reflect",
+            lambda f, centre: reflect(f, centre) + (1 if centre == p.a + p.b - 1 else 0),
+        ),
+        "mixing_skew_and_divisible": ("mixing_polynomial", lambda ctx, row: mixing(ctx, row) + 1),
+        "spectral_difference_identity": (
+            "spectral_polynomial",
+            lambda ctx: spectral(ctx) + Polynomial.variable(),
+        ),
+    }
+    monkeypatch.setattr(verify, *faults[term])
+    (check,) = run_config(cfg).checks
+    flags = {key: value for key, value in check.witness.items() if isinstance(value, bool)}
+    assert not check.passed
+    assert [key for key, value in flags.items() if not value] == [term]
 
 
 def test_run_config_criteria_constant_surfaces():
