@@ -10,16 +10,20 @@ builds, all exactly:
 * the eigenvalue polynomial and the spectral polynomial,
 * the higher-order difference operator the new family satisfies.
 
-The cleared Casorati matrix is built from clearing blocks and Y_r(theta),
-each once per context; its determinant and cofactors (the mixing minors) come
-from integer point values (:class:`~krallhahn.matrices.PointAdjugate`), on
-degree bounds read off the entries, not off :func:`core_degree`, which the
-degree check compares.  The raw Casorati rows (:func:`casorati_rows`: running
-products of the series ratios times the row values, no clearing block, as
-integers over one denominator per point) are built for a range of t at once,
-a lane per t, and one :func:`~krallhahn.matrices.lane_bareiss` pass (det A and
-adj A b on every lane, singular or not) puts all m + 1 maximal minors at each
-t into a table per context.  Each q_n is the sum of those minors against
+The cleared Casorati matrix is built from Y_r(theta) and the column factors,
+each once per context: column c of a row is the kind's clearing blocks for c,
+expanded from :func:`~krallhahn.ladder.column_roots`, the root lists that also
+make up the clearing factor and the mixing weights.  Its determinant and
+cofactors (the mixing minors) come from integer point values
+(:class:`~krallhahn.matrices.PointAdjugate`), on degree bounds read off the
+entries, not off :func:`core_degree`, which the degree check compares.
+
+The raw Casorati rows (:func:`casorati_rows`: running products of the series
+ratios times the row values, no clearing block, as integers over one
+denominator per point) are built for a range of t at once, a lane per t, and
+one :func:`~krallhahn.matrices.lane_bareiss` pass (det A and adj A b on every
+lane, singular or not) puts all m + 1 maximal minors at each t into a table
+per context.  Each q_n is the sum of those minors against
 alternating Hahn polynomials, the bordered determinant expanded along its
 border; minor_0 is the raw determinant that :func:`casorati_rational`, the
 cross-check of the cleared route, reads.  The Omega scan and the
@@ -54,21 +58,15 @@ from itertools import islice
 from math import comb, lcm, prod
 from operator import add, mul
 
-from .context import (  # noqa: F401  (the constructors are also read through this module)
-    ConstructionContext,
-    context_from_degrees,
-    context_from_quartet,
-)
+from .context import ConstructionContext
 from .diffops import DifferenceOperator, operator_sum
 from .errors import NonExactDivision, ParameterSingularity
-from .hahn import hahn_operator, hahn_polynomial, reflect, theta_substitute  # noqa: F401
+from .hahn import hahn_operator, hahn_polynomial, theta_substitute
 from .ladder import (
     CLEARING_BLOCKS,
-    falling_block,
+    column_roots,
     falling_roots,
     ladder_operator,
-    mixing_prefactor_roots,
-    rising_block,
     rising_roots,
     series_ratio,
     series_shift,
@@ -117,25 +115,30 @@ def _stage(fn):
 
 
 @_stage
-def _block(ctx: ConstructionContext, block, which: int, length: int, shift: int) -> Polynomial:
-    """``block(which, length, shift)``, a rising or falling clearing block, once per context."""
-    return block(which, length, shift, ctx.params)
-
-
-@_stage
 def _row_theta(ctx: ConstructionContext, row: int) -> Polynomial:
     """Y_row(theta_x), once per context."""
     return ctx.row_polys[row].compose(ctx.params.eigenvalue_poly())
 
 
+@_stage
+def _column_factors(ctx: ConstructionContext, kind: int) -> tuple[Polynomial, ...]:
+    """The factors of columns c = 1..m in a row of this kind, once per context:
+    term c of :func:`~krallhahn.ladder.column_roots` read at x - c, per block
+    rising(m - c, -c) times falling(c - 1, -1), of sign (-1)^((c - 1) |blocks|),
+    over the one denominator Q of :func:`normalizer_factors`."""
+    _, _, q = normalizer_factors(ctx)
+    blocks = len(CLEARING_BLOCKS[kind])
+    factors = []
+    for c, roots in enumerate(column_roots(kind, ctx.m, ctx.params, q), 1):
+        factor = Polynomial.from_integer_roots([r + c * q for r in roots], q)
+        factors.append(-factor if (c - 1) * blocks % 2 else factor)
+    return tuple(factors)
+
+
 def _cleared_entry(ctx: ConstructionContext, row: int, col: int) -> Polynomial:
     """Row `row`, column `col` (1-based col) of the denominator-cleared matrix."""
-    m = ctx.m
-    value = _row_theta(ctx, row).shift_argument(-col)
-    for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-        value = value * _block(ctx, rising_block, which, m - col, -col)
-        value = value * _block(ctx, falling_block, which, col - 1, -1)
-    return value
+    factors = _column_factors(ctx, ctx.row_kinds[row])
+    return _row_theta(ctx, row).shift_argument(-col) * factors[col - 1]
 
 
 @_stage
@@ -161,12 +164,10 @@ def casorati_cleared(ctx: ConstructionContext) -> Polynomial:
 
 @_stage
 def clearing_factor(ctx: ConstructionContext) -> Polynomial:
-    """Product of the per-row denominators removed from the raw determinant."""
-    acc = Polynomial.one()
-    for kind in ctx.row_kinds:
-        for which in CLEARING_BLOCKS[kind]:
-            acc = acc * _block(ctx, falling_block, which, ctx.m - 1, -1)
-    return acc
+    """Product of the per-row denominators removed from the raw determinant:
+    each row's column-m factor, falling(m - 1, -1) per block."""
+    factors = (_column_factors(ctx, kind)[-1] for kind in ctx.row_kinds)
+    return prod(factors, start=Polynomial.one())
 
 
 def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
@@ -508,7 +509,7 @@ def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[tuple], tu
     for kind in dict.fromkeys(ctx.row_kinds):
         multisets = [base.copy() for base in bases]
         shared = common.copy()
-        for multiset, extra in zip(multisets, mixing_prefactor_roots(kind, m, p, q)):
+        for multiset, extra in zip(multisets, column_roots(kind, m, p, q)):
             multiset.update(extra)
             shared &= multiset
         factors[kind] = [

@@ -6,7 +6,12 @@ coefficients are products of consecutive ratios.  At integer points those
 products are running products (:func:`ratio_products`); as rational functions
 of the degree they have Pochhammer closed forms, built from the roots of the
 clearing blocks (:data:`CLEARING_BLOCKS`) and reduced by dividing out the
-roots shared; the ratio is the one-step product.
+roots shared; the ratio is the one-step product.  A clearing block has one
+form: its roots, as integer numerators over a given denominator
+(:func:`rising_roots`, :func:`falling_roots`), and a polynomial is expanded
+only from those roots.  :func:`column_roots` groups them per column of a row,
+for the cleared Casorati matrix, the clearing factor and the mixing weights
+alike.
 """
 
 from __future__ import annotations
@@ -114,61 +119,46 @@ def _block_roots(start: Fraction, length: int, q: int) -> list[int]:
     return [-(top + t * q) for t in range(length)]
 
 
-def _block_polynomial(start: Fraction, length: int) -> Polynomial:
-    """The monic product of (x + start + t), t < length."""
-    q = start.denominator
-    return Polynomial.from_integer_roots(_block_roots(start, length, q), q)
-
-
 def rising_roots(which: int, length: int, shift: Rational | int, p: HahnParams, q: int) -> list[int]:
-    """Roots of :func:`rising_block`, which is monic, as integer numerators over q."""
+    """Roots, as integer numerators over q, of the numerator clearing block
+    rising(length, shift), a monic Pochhammer block at y = x + shift: which = 1
+    gives (y - length + b + 1)_length and which = 2 gives (y - length - N)_length."""
     return _block_roots(as_rational(shift) + _rising_offset(which, length, p), length, q)
 
 
 def falling_roots(which: int, length: int, shift: Rational | int, p: HahnParams, q: int) -> list[int]:
-    """Roots of :func:`falling_block`, whose leading coefficient is (-1)^length,
-    as integer numerators over q."""
+    """Roots, as integer numerators over q, of the denominator clearing block
+    falling(length, shift), (-1)^length times a Pochhammer block at y = x +
+    shift: which = 1 gives (y - length + a + 1)_length and which = 2 gives
+    (y - length + a + b + N + 2)_length."""
     return _block_roots(as_rational(shift) + _falling_offset(which, length, p), length, q)
 
 
-def mixing_prefactor_roots(kind: int, m: int, p: HahnParams, q: int) -> list[list[int]]:
-    """Roots over q of the clearing factors of the mixing terms j = 1..m of a row
-    of this kind: per block, rising(m - j, 0) times falling(j - 1, j - 1), of
-    leading coefficient (-1)^(j-1).  Their roots are the last m - j of
-    rising(m - 1, 0)'s and the first j - 1 of falling(m - 1, m - 1)'s."""
+def column_roots(kind: int, m: int, p: HahnParams, q: int) -> list[list[int]]:
+    """Roots over q of the clearing factors of the columns c = 1..m of a row of
+    this kind: per block, rising(m - c, 0) times falling(c - 1, c - 1), of
+    leading coefficient (-1)^((c - 1) |blocks|).  Their roots are the last
+    m - c of rising(m - 1, 0)'s and the first c - 1 of falling(m - 1, m - 1)'s.
+
+    Read at x, term c clears the mixing term j = c.  Read at x - c (each root
+    plus c q), it is the factor of column c of the cleared Casorati matrix,
+    rising(m - c, -c) times falling(c - 1, -1); column m's, falling(m - 1, -1),
+    is the row's share of the clearing factor."""
     terms: list[list[int]] = [[] for _ in range(m)]
     for which in CLEARING_BLOCKS[kind]:
         rising = rising_roots(which, m - 1, 0, p, q)
         falling = falling_roots(which, m - 1, m - 1, p, q)
-        for j, roots in enumerate(terms, 1):
-            roots += rising[j - 1 :] + falling[: j - 1]
+        for c, roots in enumerate(terms, 1):
+            roots += rising[c - 1 :] + falling[: c - 1]
     return terms
-
-
-def rising_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
-    """Numerator clearing factor: a length-j Pochhammer block at x + shift.
-
-    which = 1 gives (y - j + b + 1)_j and which = 2 gives (y - j - N)_j,
-    both with y = x + shift.
-    """
-    return _block_polynomial(as_rational(shift) + _rising_offset(which, length, p), length)
-
-
-def falling_block(which: int, length: int, shift: Rational | int, p: HahnParams) -> Polynomial:
-    """Denominator clearing factor: (-1)^j times a Pochhammer block at x + shift.
-
-    which = 1 gives (-1)^j (y - j + a + 1)_j and which = 2 gives
-    (-1)^j (y - j + a + b + N + 2)_j, both with y = x + shift.
-    """
-    block = _block_polynomial(as_rational(shift) + _falling_offset(which, length, p), length)
-    return -block if length % 2 else block
 
 
 def ratio_product(kind: int, length: int, p: HahnParams) -> tuple[Polynomial, Polynomial]:
     """Product ratio(x) ratio(x-1) ... ratio(x-length+1) in closed form.
 
-    Per clearing block, rising_block(length, 0) over falling_block(length, 0),
-    from their roots over q = lcm(den a, den b), as a reduced pair with monic
+    Per clearing block, rising(length, 0) over falling(length, 0), from their
+    roots (:func:`rising_roots`, :func:`falling_roots`) over q = lcm(den a,
+    den b), with the sign (-1)^(length |blocks|), as a reduced pair with monic
     denominator (:func:`~krallhahn.polynomials.divide_out_roots`).  length 0
     gives 1; a negative length gives the reciprocal of the product based at
     x - length, whose two root lists swap.

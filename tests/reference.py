@@ -17,21 +17,20 @@ from operator import mul
 from typing import Sequence
 
 from krallhahn import casorati
-from krallhahn.casorati import eigenvalue_polynomial, normalizer, reflect
+from krallhahn.casorati import eigenvalue_polynomial, normalizer
 from krallhahn.diffops import DifferenceOperator, coefficient_values, operator_polynomial
 from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
     HahnParams,
     hahn_polynomial,
     hahn_weight,
+    reflect,
     transformed_parameters,
 )
 from krallhahn.ladder import (
     CLEARING_BLOCKS,
-    falling_block,
     ratio_product,
     ratio_products,
-    rising_block,
     series_shift,
 )
 from krallhahn.matrices import _exact_solve
@@ -231,10 +230,13 @@ def cofactor_det(rows):
 
 def gauss_jordan(rows, rhs):
     """Reference solver: Gauss-Jordan elimination over the rationals, with the
-    contract of :func:`solve_linear_system` (free variables pinned to 0)."""
+    contract of :func:`solve_linear_system` (free variables pinned to 0).
+    Each row is kept as a nonzero multiple of itself in coprime integers, so
+    a row operation is integer products and one gcd, not a ``Fraction`` per
+    entry; the pivots and the solution are those of the rational rows."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [primitive_row([*map(Fraction, row), Fraction(b)]) for row, b in zip(rows, rhs)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -246,12 +248,13 @@ def gauss_jordan(rows, rhs):
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
+        pivot = aug[r][c]
         for i in range(nrows):
             if i != r and aug[i][c] != 0:
                 factor = aug[i][c]
-                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
+                combined = [pivot * vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
+                content = gcd(*combined)
+                aug[i] = [v // content for v in combined] if content else combined
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -261,7 +264,7 @@ def gauss_jordan(rows, rhs):
             return None
     solution = [Fraction(0)] * ncols
     for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][ncols]
+        solution[col] = Fraction(aug[row_idx][ncols], aug[row_idx][col])
     return solution, ncols - len(pivots)
 
 
@@ -757,16 +760,83 @@ def explicit_series_ratio(kind, p):
     return lowest_terms(-(n + b), n + a)
 
 
+@functools.lru_cache(maxsize=None)
+def _descending_product(top, length):
+    """The product of (x + top - s), s = 1..length, one linear factor at a
+    time: each length is the one before times its last factor."""
+    if not length:
+        return Polynomial.one()
+    return _descending_product(top, length - 1) * Polynomial((top - length, 1))
+
+
+def explicit_rising_block(which, length, shift, p):
+    """rising(length, shift) as an explicit product: with y = x + shift,
+    (y - length + b + 1)_length for which = 1 and (y - length - N)_length for
+    which = 2, the reference for the blocks' root lists."""
+    offsets = {1: p.b + 1, 2: -p.N}
+    if which not in offsets:
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    return _descending_product(shift + offsets[which], length)
+
+
+def explicit_falling_block(which, length, shift, p):
+    """falling(length, shift) as an explicit product: with y = x + shift,
+    (-1)^length (y - length + a + 1)_length for which = 1 and
+    (-1)^length (y - length + a + b + N + 2)_length for which = 2."""
+    offsets = {1: p.a + 1, 2: p.a + p.b + p.N + 2}
+    if which not in offsets:
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    block = _descending_product(shift + offsets[which], length)
+    return -block if length % 2 else block
+
+
+def explicit_column_factors(ctx, kind):
+    """The factors of columns c = 1..m in a row of this kind, per block
+    rising(m - c, -c) times falling(c - 1, -1), from the explicit blocks."""
+    p, m = ctx.params, ctx.m
+    factors = []
+    for col in range(1, m + 1):
+        acc = Polynomial.one()
+        for which in CLEARING_BLOCKS[kind]:
+            acc = acc * explicit_rising_block(which, m - col, -col, p)
+            acc = acc * explicit_falling_block(which, col - 1, -1, p)
+        factors.append(acc)
+    return tuple(factors)
+
+
+def explicit_cleared_matrix(ctx):
+    """The cleared Casorati matrix: entry (r, c) is Y_r(theta_(x - c)) times
+    the explicit column factor of row r's kind."""
+    p = ctx.params
+    return tuple(
+        tuple(
+            poly.compose(p.eigenvalue_poly(shift=-col)) * factor
+            for col, factor in enumerate(explicit_column_factors(ctx, kind), 1)
+        )
+        for kind, poly in zip(ctx.row_kinds, ctx.row_polys)
+    )
+
+
+def explicit_clearing_factor(ctx):
+    """The clearing factor: falling(m - 1, -1) per block of every row, each an
+    explicit product."""
+    acc = Polynomial.one()
+    for kind in ctx.row_kinds:
+        for which in CLEARING_BLOCKS[kind]:
+            acc = acc * explicit_falling_block(which, ctx.m - 1, -1, ctx.params)
+    return acc
+
+
 def block_ratio_product(kind, length, p):
-    """ratio_product from the expanded clearing blocks, reduced by Euclid's gcd;
+    """ratio_product from the explicit clearing blocks, reduced by Euclid's gcd;
     a negative length is the reciprocal of the product based at x - length."""
     if length < 0:
         numer, denom = block_ratio_product(kind, -length, p)
         return lowest_terms(denom.shift_argument(-length), numer.shift_argument(-length))
     numer = denom = Polynomial.one()
     for which in CLEARING_BLOCKS[kind]:
-        numer = numer * rising_block(which, length, 0, p)
-        denom = denom * falling_block(which, length, 0, p)
+        numer = numer * explicit_rising_block(which, length, 0, p)
+        denom = denom * explicit_falling_block(which, length, 0, p)
     return lowest_terms(numer, denom)
 
 
@@ -870,15 +940,15 @@ def closed_form_krall_polynomial(ctx, n):
 
 
 def block_normalizer(ctx):
-    """The normaliser as a product of block and step polynomials, the reference
-    for the root-multiset route."""
+    """The normaliser as a product of explicit block and step polynomials, the
+    reference for the root-multiset route."""
     p, m = ctx.params, ctx.m
     acc = Polynomial.one()
     for which in (1, 2):
         users = sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)
         for i in range(1, users):
-            acc = acc * rising_block(which, users - i, users - m - i, p)
-            acc = acc * falling_block(which, users - i, -1, p)
+            acc = acc * explicit_rising_block(which, users - i, users - m - i, p)
+            acc = acc * explicit_falling_block(which, users - i, -1, p)
     sigma = series_shift(p)
     for outer in range(1, m):
         for inner in range(1, outer + 1):
@@ -898,11 +968,11 @@ def fraction_casorati_value(ctx, point):
 
 def block_mixing_prefactor(ctx, row, j):
     """The clearing factor of a mixing polynomial's j-th term, as products of
-    rising and falling clearing blocks."""
+    explicit rising and falling clearing blocks."""
     acc = Polynomial.one()
     for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-        acc = acc * rising_block(which, ctx.m - j, 0, ctx.params)
-        acc = acc * falling_block(which, j - 1, j - 1, ctx.params)
+        acc = acc * explicit_rising_block(which, ctx.m - j, 0, ctx.params)
+        acc = acc * explicit_falling_block(which, j - 1, j - 1, ctx.params)
     return acc
 
 
@@ -1144,10 +1214,11 @@ def cached_global_solve(qs, lambdas, halfwidth, degree_cap):
 
 def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
     """Reference: the solution set of the pointwise system at each
-    x = 0..degree_cap, by one Bareiss solve per point in the values h_l(x)
-    themselves, as (aug, h, kernel): the integer rows [A | b], a particular
-    h as ``Fraction`` values and a kernel basis; None at the first
-    inconsistent point.
+    x = 0..degree_cap, by one Gauss-Jordan solve (:func:`gauss_jordan`) per
+    point in the values h_l(x) themselves, as (aug, h, nullity): the integer
+    rows [A | b], a particular h as ``Fraction`` values and the dimension of
+    the kernel; None at the first inconsistent point.  No solver of the
+    package runs here, so the nullity is independent of the oracle's.
 
     The row of q_n = Q_n / d_n at x is [den(lambda_n) Q_n(x + l) for l] +
     [num(lambda_n) Q_n(x)], its equation times d_n den(lambda_n).  Each Q_n
@@ -1168,11 +1239,10 @@ def window_pointwise_nodes(qs, lambdas, halfwidth, degree_cap):
             _primitive([den * column[n] for column in window] + [num * centre[n]])
             for n, (den, num) in enumerate(scales)
         ]
-        solved = _exact_solve(aug, width)
+        solved = gauss_jordan([row[:-1] for row in aug], [row[-1] for row in aug])
         if solved is None:
             return None
-        h, den, kernel = solved
-        sets.append((aug, [Fraction(v, den) for v in h], kernel))
+        sets.append((aug, *solved))
     return sets
 
 

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from krallhahn.casorati import (
-    context_from_degrees,
     core_degree,
     core_determinant,
     core_leading_coefficient,
@@ -20,6 +19,7 @@ from krallhahn.casorati import (
     operator_halfwidth,
 )
 from krallhahn.config import builtin_config
+from krallhahn.context import context_from_degrees
 from krallhahn.hahn import (
     HahnParams,
     dual_hahn_polynomial,

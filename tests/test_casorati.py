@@ -18,8 +18,6 @@ from krallhahn.casorati import (
     casorati_rational,
     casorati_value,
     clearing_factor,
-    context_from_degrees,
-    context_from_quartet,
     core_degree,
     core_determinant,
     core_leading_coefficient,
@@ -30,12 +28,12 @@ from krallhahn.casorati import (
     mixing_symbol,
     normalizer,
     operator_halfwidth,
-    reflect,
     spectral_increment,
     spectral_polynomial,
     theta_substitute,
 )
 from krallhahn.config import builtin_config, config_from_dict
+from krallhahn.context import context_from_degrees, context_from_quartet
 from krallhahn.diffops import DifferenceOperator, operator_sum
 from krallhahn.errors import (
     NonExactDivision,
@@ -48,14 +46,9 @@ from krallhahn.hahn import (
     hahn_leading_coefficient,
     hahn_operator,
     hahn_polynomial,
+    reflect,
 )
-from krallhahn.ladder import (
-    CLEARING_BLOCKS,
-    falling_block,
-    ladder_operator,
-    rising_block,
-    series_shift,
-)
+from krallhahn.ladder import CLEARING_BLOCKS, KINDS, ladder_operator, series_shift
 from krallhahn.polynomials import Polynomial
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
@@ -67,6 +60,11 @@ from reference import (
     closed_form_krall_polynomial,
     cofactor_det,
     compose_operator,
+    explicit_cleared_matrix,
+    explicit_clearing_factor,
+    explicit_column_factors,
+    explicit_falling_block,
+    explicit_rising_block,
     fraction_casorati_value,
     lowest_terms,
     pair_route_mixing,
@@ -290,6 +288,19 @@ class TestDeterminantRoutes:
         assert pointwise_dual_route(ctx) == verdict
         assert verdict
 
+    @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
+    def test_column_factors_match_explicit_products(self, name):
+        """Every kind's column factors, the clearing factor and the cleared
+        matrix, from ladder's root lists, against the clearing blocks as
+        explicit products of linear factors.  The contexts have rows of all
+        four kinds (four-roots, F1234=1-corollary), m = 1 (single-root), m = 0
+        (classical) and forced zeros (F1=3-theorem-N8)."""
+        ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
+        for kind in KINDS:
+            assert casorati._column_factors(ctx, kind) == explicit_column_factors(ctx, kind)
+        assert clearing_factor(ctx) == explicit_clearing_factor(ctx)
+        assert casorati.cleared_matrix(ctx) == explicit_cleared_matrix(ctx)
+
     def test_point_count_is_the_degree_bound(self, four_root_ctx):
         """B + 1 points for the m = 4 context with one row of each kind, degree 1.
 
@@ -332,9 +343,8 @@ class TestDeterminantRoutes:
             def entry(ctx, row, col):
                 value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
                 for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-                    value = value * rising_block(which, m - col, -col, p) * falling_block(
-                        which, col, -1, p
-                    )
+                    value = value * explicit_rising_block(which, m - col, -col, p)
+                    value = value * explicit_falling_block(which, col, -1, p)
                 return value
 
             monkeypatch.setattr(casorati, "_cleared_entry", entry)
@@ -343,7 +353,7 @@ class TestDeterminantRoutes:
                 acc = Polynomial.one()
                 for kind in ctx.row_kinds:
                     for which in CLEARING_BLOCKS[kind]:
-                        acc = acc * falling_block(which, m, -1, p)
+                        acc = acc * explicit_falling_block(which, m, -1, p)
                 return acc
 
             monkeypatch.setattr(casorati, "clearing_factor", casorati._stage(factor))

@@ -9,11 +9,11 @@ from krallhahn.hahn import HahnParams, hahn_polynomial
 from krallhahn.ladder import (
     CLEARING_BLOCKS,
     KINDS,
-    falling_block,
+    falling_roots,
     ladder_operator,
     ratio_product,
     ratio_products,
-    rising_block,
+    rising_roots,
     series_coefficients,
     series_ratio,
     series_shift,
@@ -24,6 +24,8 @@ from reference import (
     block_ratio_product,
     closed_form_product_values,
     euclid_grid,
+    explicit_falling_block,
+    explicit_rising_block,
     explicit_series_ratio,
     lowest_terms,
 )
@@ -155,28 +157,48 @@ def test_ratio_products_raise_at_a_pole():
     assert ratio_products(series_ratio(4, p), range(4, 7)) == expected
 
 
+def _rising_block(which, length, shift, p, q):
+    return Polynomial.from_integer_roots(rising_roots(which, length, shift, p, q), q)
+
+
+def _falling_block(which, length, shift, p, q):
+    block = Polynomial.from_integer_roots(falling_roots(which, length, shift, p, q), q)
+    return -block if length % 2 else block
+
+
 def test_blocks_are_shifted_pochhammers(desk_params):
-    p = desk_params
+    """The blocks from their root lists against explicit products of linear
+    factors, by hand and from the reference, over one denominator that clears
+    every root."""
+    p, q = desk_params, 12
     y = X + Fraction(3, 2)
-    assert rising_block(1, 2, Fraction(3, 2), p) == (y - 2 + p.b + 1) * (y - 1 + p.b + 1)
-    assert rising_block(2, 1, Fraction(3, 2), p) == y - 1 - p.N
-    assert falling_block(1, 2, 0, p) == (X - 2 + p.a + 1) * (X - 1 + p.a + 1)
+    assert _rising_block(1, 2, Fraction(3, 2), p, q) == (y - 2 + p.b + 1) * (y - 1 + p.b + 1)
+    assert _rising_block(2, 1, Fraction(3, 2), p, q) == y - 1 - p.N
+    assert _falling_block(1, 2, 0, p, q) == (X - 2 + p.a + 1) * (X - 1 + p.a + 1)
     # odd length flips the sign
-    assert falling_block(2, 1, 0, p) == -(X - 1 + p.a + p.b + p.N + 2)
-    assert rising_block(1, 0, 0, p) == Polynomial.one()
+    assert _falling_block(2, 1, 0, p, q) == -(X - 1 + p.a + p.b + p.N + 2)
+    assert _rising_block(1, 0, 0, p, q) == Polynomial.one()
+    for which in (1, 2):
+        for length in range(5):
+            for shift in (0, -3, Fraction(3, 2)):
+                rising = explicit_rising_block(which, length, shift, p)
+                falling = explicit_falling_block(which, length, shift, p)
+                assert _rising_block(which, length, shift, p, q) == rising
+                assert _falling_block(which, length, shift, p, q) == falling
     with pytest.raises(ValueError):
-        rising_block(3, 1, 0, p)
+        rising_roots(3, 1, 0, p, q)
+    with pytest.raises(ValueError):
+        falling_roots(3, 1, 0, p, q)
 
 
 def test_block_product_law(desk_params):
-    """Adjacent blocks merge: a block of length i+j splits at the seam."""
-    p = desk_params
+    """Adjacent blocks merge: a block of length i+j splits at the seam, as
+    root multisets."""
+    p, q = desk_params, 6
     for which in (1, 2):
         for i in (1, 2):
             for j in (1, 3):
-                merged = falling_block(which, i + j, 0, p)
-                split = falling_block(which, j, 0, p) * falling_block(which, i, -j, p)
-                assert merged == split
-                merged_r = rising_block(which, i + j, 0, p)
-                split_r = rising_block(which, j, 0, p) * rising_block(which, i, -j, p)
-                assert merged_r == split_r
+                for roots in (falling_roots, rising_roots):
+                    merged = roots(which, i + j, 0, p, q)
+                    split = roots(which, j, 0, p, q) + roots(which, i, -j, p, q)
+                    assert sorted(merged) == sorted(split)

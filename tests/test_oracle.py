@@ -4,8 +4,8 @@
 coefficient of the operator, ``reference._solve_globally``: the same
 solvability and nullity, the same operator where it is unique, and an
 operator that the certificate accepts where it is not.  Its per-point solves
-in the forward-difference basis are compared with one Bareiss solve per point
-in the values h_l(x) themselves (``reference.window_pointwise_nodes``),
+in the forward-difference basis are compared with one Gauss-Jordan solve per
+point in the values h_l(x) themselves (``reference.window_pointwise_nodes``),
 solution set for solution set, on the oracle check's probes and seeded
 perturbations of them; and the interpolant that it builds,
 :func:`krallhahn.polynomials.interpolate` on increasing integer nodes, with
@@ -272,15 +272,15 @@ def residual_solves(monkeypatch):
 def _assert_same_solution_sets(args):
     """Each point's solution set, from the difference basis and from the
     window solve in h: the particular solves every window row, each kernel
-    vector is annihilated, the kernel vectors are independent, and the
-    kernel dimensions are equal."""
+    vector is annihilated, the kernel vectors are independent, and there are
+    as many as the window's nullity by Gauss-Jordan."""
     found, expected = _pointwise_nodes(*args), window_pointwise_nodes(*args)
     assert (found is None) == (expected is None), args[2:]
-    for (h, scale, kernel), (aug, _, basis) in zip(found or [], expected or []):
+    for (h, scale, kernel), (aug, _, nullity) in zip(found or [], expected or []):
         for *row, b in aug:
             assert sum(map(mul, row, h)) == b * scale, args[2:]
             assert not any(sum(map(mul, row, k)) for k in kernel), args[2:]
-        assert len(kernel) == len(basis), args[2:]
+        assert len(kernel) == nullity, args[2:]
         if kernel:  # independent: only t = 0 solves sum_k t_k K_k = 0
             assert gauss_jordan([list(col) for col in zip(*kernel)], [0] * len(h))[1] == 0
     assert len(found or []) == len(expected or [])
@@ -288,8 +288,8 @@ def _assert_same_solution_sets(args):
 
 @pytest.mark.parametrize("name", list(_ORACLE_CASES))
 def test_difference_basis_matches_window_solves(name, residual_solves):
-    """The same solution set at each point, as one Bareiss solve per point
-    in h itself, on the probe and ten seeded perturbations of it."""
+    """The same solution set at each point, as one Gauss-Jordan solve per
+    point in h itself, on the probe and ten seeded perturbations of it."""
     probe = _case_inputs(name)
     assert _kernel_sizes(*probe) == [0] * (probe[3] + 1)
     # four-roots skips degree 8, so its rows past the gap form a dense system

@@ -15,7 +15,8 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
-from krallhahn.casorati import casorati_value, context_from_degrees
+from krallhahn.casorati import casorati_value
+from krallhahn.context import context_from_degrees
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid
