@@ -22,8 +22,8 @@ Two routes avoid the value-vector loops.  :func:`orthogonality_certificate`
 decides a family's orthogonality, and reads its norms, off iterated partial
 sums of M o V on the lattice hull of the support: additions only.  The power
 moments and :func:`gram_schmidt` read the integer power sums sum_i M_i P_i^k,
-taken in one pass, so a Gram-Schmidt pairing is a short dot product of
-coefficients with a window of those sums.
+taken in one pass, so a Gram-Schmidt pairing, or a base moment of the
+``criteria`` check, is a short dot product of coefficients with those sums.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class DiscreteMeasure:
         return Fraction(sum(map(mul, self.weighted(u), v)), self.mass_denominator * su * sv)
 
     def power_sums(self, up_to: int) -> list[int]:
-        """sum_i M_i P_i^k for k = 0..up_to: the k-th moment is this over D e^k."""
+        """sum_i M_i P_i^k for k = 0..up_to: the k-th moment is this over D e^k.
+        :func:`gram_schmidt` and the ``criteria`` check read their moments here."""
         sums, acc = [], list(self.masses)
         for k in range(up_to + 1):
             if k:

@@ -13,8 +13,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import index
+from itertools import accumulate, combinations
+from math import prod
+from operator import index, mul
 from typing import Callable, Iterable, Sequence
 
 from .casorati import (
@@ -38,7 +39,7 @@ from .casorati import (
 from .config import ConstructionConfig
 from .context import ConstructionContext, context_from_quartet
 from .diffops import eigen_certificate
-from .errors import ConfigInvalid, DegenerateMoments, KrallHahnError
+from .errors import ConfigInvalid, DegenerateMoments, KrallHahnError, ParameterSingularity
 from .hahn import (
     HahnParams,
     corollary_reduction,
@@ -323,11 +324,16 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
     sums for 0 <= n <= N, the negative-index sums to vanish, and the
     boundary sum to be nonzero.
 
+    Degrees 0..N run on integers: each moment is a dot product of h_n's integer
+    coefficients with the measure's power sums, each ratio sum is one integer
+    over one denominator, and the degrees past the fit are cross-multiplied.
+
     Precondition: each reduced series ratio is finite and nonzero at the
     nonpositive points the sums read, t = 1 - m, ..., 0.  The point 0 starts
     every forward product, and the negative and boundary sums invert the
     backward products over t = -1, ..., 1 - m.  A forward pole at t >= 1
-    raises ParameterSingularity from ``ratio_products``.
+    raises ParameterSingularity: each row's ratio denominator is evaluated at
+    0..N, in row order, and the first zero names the pole.
     """
     p = ctx.params
     m = ctx.m
@@ -343,62 +349,66 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
             }
     roots = ctx.spectral_roots
     theta_start = p.eigenvalue(-1)
-    denominators = []
-    for i in range(m):
-        pprime = Fraction(1)
-        for j in range(m):
-            if j != i:
-                pprime *= roots[i] - roots[j]
-        start_value = ctx.row_polys[i](theta_start)
+    denominators = []  # p'(root_i) Y_i(theta_start), p the monic polynomial with the roots
+    for i, y in enumerate(ctx.row_polys):
+        start_value = y(theta_start)
         if start_value == 0:
             return False, {
                 "precondition": f"row {i} polynomial vanishes at the starting "
                 "eigenvalue; the criteria sums are undefined"
             }
-        denominators.append(pprime * start_value)
+        denominators.append(prod(roots[i] - r for r in roots[:i] + roots[i + 1 :]) * start_value)
 
-    # xi_i(n) = ratio(0) ... ratio(n) for n >= -1, and 1 / (ratio(-1) ...
-    # ratio(n + 1)) below, down to the boundary n = -m
-    forward = [ratio_products(ratio, range(p.N + 1)) for ratio in ratios]
-    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in ratios]
+    # per row, xs[n] / zs[n] = ratio(0) ... ratio(n) / (denominators[i] yd Q^deg) for
+    # Y_i = sum_k ys[k] x^k / yd: times horner(ys, n (n Q + P), Q), it is row i's term at n
+    P, Q = (p.a + p.b + 1).as_integer_ratio()
+    degrees, rows = range(p.N + 1), []
+    for (numer, denom), y, den in zip(ratios, ctx.row_polys, denominators):
+        (tn, td), (bn, bd), (ys, yd) = numer.integer_parts, denom.integer_parts, y.integer_parts
+        bottoms = [horner(bn, t) * td for t in degrees]
+        if 0 in bottoms:
+            raise ParameterSingularity(f"ladder ratio has a pole at degree {bottoms.index(0)}")
+        fn, fd = (1 / (den * yd * Q**y.degree)).as_integer_ratio()
+        xs = [x * fn for x in accumulate((horner(tn, t) * bd for t in degrees), mul)]
+        rows.append((xs, [z * fd for z in accumulate(bottoms, mul)], ys))
+    # the moment of h_n = sum_k c_k x^k / c is sum_k c_k S_k e^(n - k) / (c D e^n)
+    sums, e, d = measure.power_sums(p.N), measure.point_denominator, measure.mass_denominator
+    powers = [e**k for k in degrees]
 
-    def ratio_sum(n: int) -> Fraction:
-        theta = p.eigenvalue(n)
-        total = Fraction(0)
-        for i in range(m):
-            xi = forward[i][n + 1] if n >= -1 else 1 / backward[i][-n - 1]
-            total += xi * ctx.row_polys[i](theta) / denominators[i]
-        return total
-
-    constant = None
-    fit_at = None
+    constant = fit_at = None
     failures = []
-    for n in range(p.N + 1):
-        lhs = measure.integrate(base_polynomial(ctx, n))
-        rhs = ratio_sum(n) * (-1 if n % 2 else 1)
+    for n in degrees:
+        # lhs / lhs_den is the moment, rhs / rhs_den (-1)^n times the ratio sum
+        nums, c = base_polynomial(ctx, n).integer_parts
+        lhs, lhs_den = sum(map(mul, map(mul, nums, sums), powers[n::-1])), c * d * powers[n]
+        theta, rhs, rhs_den = n * (n * Q + P), 0, 1
+        for xs, zs, ys in rows:
+            rhs, rhs_den = rhs * zs[n] + xs[n] * horner(ys, theta, Q) * rhs_den, rhs_den * zs[n]
+        rhs = -rhs if n % 2 else rhs
         if constant is None:
-            if rhs != 0:
-                constant = lhs / rhs
-                fit_at = n
+            if rhs:
+                constant, fit_at = Fraction(lhs * rhs_den, lhs_den * rhs), n
                 if constant == 0:
                     failures.append({"n": n, "reason": "fitted constant is zero"})
                     break
-            elif lhs != 0:
+            elif lhs:
                 failures.append({"n": n, "reason": "moment nonzero but sum zero"})
-        elif lhs != constant * rhs:
-            failures.append(
-                {
-                    "n": n,
-                    "moment": format_rational(lhs),
-                    "scaled_sum": format_rational(constant * rhs),
-                }
-            )
-    negative_failures = []
-    for n in range(1 - m, 0):
-        total = ratio_sum(n)
-        if total != 0:
-            negative_failures.append({"n": n, "sum": format_rational(total)})
-    boundary = ratio_sum(-m)
+        elif lhs * rhs_den * constant.denominator != constant.numerator * rhs * lhs_den:
+            failures.append({
+                "n": n,
+                "moment": format_rational(Fraction(lhs, lhs_den)),
+                "scaled_sum": format_rational(constant * Fraction(rhs, rhs_den)),
+            })
+    # 1 / xi_i(n) = ratio(-1) ... ratio(n + 1) for the sums at n = -m, ..., -1
+    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in ratios]
+    boundary, *below = (
+        sum(y(p.eigenvalue(n)) / (products[-n - 1] * den)
+            for y, products, den in zip(ctx.row_polys, backward, denominators))
+        for n in range(-m, 0)
+    )
+    negative_failures = [
+        {"n": n, "sum": format_rational(total)} for n, total in enumerate(below, 1 - m) if total
+    ]
     witness = {
         "constant": format_rational(constant) if constant is not None else None,
         "fitted_at": fit_at,
@@ -408,12 +418,7 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
         "negative_failures": negative_failures,
         "boundary_sum": format_rational(boundary),
     }
-    ok = (
-        constant is not None
-        and not failures
-        and not negative_failures
-        and boundary != 0
-    )
+    ok = constant is not None and not failures and not negative_failures and boundary != 0
     return ok, witness
 
 

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from krallhahn import casorati
-from krallhahn.casorati import eigenvalue_polynomial, normalizer
+from krallhahn.casorati import base_polynomial, eigenvalue_polynomial, normalizer, series_ratios
 from krallhahn.diffops import DifferenceOperator, coefficient_values, operator_polynomial
 from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
@@ -37,7 +37,7 @@ from krallhahn.matrices import _exact_solve
 from krallhahn.measures import christoffel
 from krallhahn.oracle import _primitive, operator_solution_space
 from krallhahn.polynomials import Polynomial, horner, interpolate, pochhammer, taylor_shift
-from krallhahn.rationals import Rational, as_rational, clear_denominators
+from krallhahn.rationals import Rational, as_rational, clear_denominators, format_rational
 from krallhahn.sets import set_max
 from krallhahn.verify import build_run
 
@@ -1282,3 +1282,96 @@ def solve_lower_probe(qs, lambdas, r):
     lower_cap = max(2 * (r - 1), 0)
     lower, _ = operator_solution_space(qs, lambdas, r - 1, lower_cap)
     return f"solvable with degree cap {lower_cap}" if lower is not None else "unsolvable"
+
+
+def fraction_check_foeq(ctx, measure):
+    """The criteria check on Fraction arithmetic: each moment integrated over
+    the support, the forward ratio products as Fraction running products, and
+    every ratio sum and comparison in Fractions.  A forward pole raises
+    ParameterSingularity from ``ratio_products``."""
+    p = ctx.params
+    m = ctx.m
+    if m == 0:
+        return True, {"note": "no determinant rows; criteria are vacuous"}
+    ratios = series_ratios(ctx)
+    for kind, ratio in sorted(dict(zip(ctx.row_kinds, ratios)).items()):
+        bad = [t for t in range(1 - m, 1) if not all(poly(t) for poly in ratio)]
+        if bad:
+            return False, {
+                "precondition": f"ratio sequence of kind {kind} vanishes or blows "
+                f"up at nonpositive integer(s) {bad}"
+            }
+    roots = ctx.spectral_roots
+    theta_start = p.eigenvalue(-1)
+    denominators = []
+    for i in range(m):
+        pprime = Fraction(1)
+        for j in range(m):
+            if j != i:
+                pprime *= roots[i] - roots[j]
+        start_value = ctx.row_polys[i](theta_start)
+        if start_value == 0:
+            return False, {
+                "precondition": f"row {i} polynomial vanishes at the starting "
+                "eigenvalue; the criteria sums are undefined"
+            }
+        denominators.append(pprime * start_value)
+
+    # xi_i(n) = ratio(0) ... ratio(n) for n >= -1, and 1 / (ratio(-1) ...
+    # ratio(n + 1)) below, down to the boundary n = -m
+    forward = [ratio_products(ratio, range(p.N + 1)) for ratio in ratios]
+    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in ratios]
+
+    def ratio_sum(n: int) -> Fraction:
+        theta = p.eigenvalue(n)
+        total = Fraction(0)
+        for i in range(m):
+            xi = forward[i][n + 1] if n >= -1 else 1 / backward[i][-n - 1]
+            total += xi * ctx.row_polys[i](theta) / denominators[i]
+        return total
+
+    constant = None
+    fit_at = None
+    failures = []
+    for n in range(p.N + 1):
+        lhs = measure.integrate(base_polynomial(ctx, n))
+        rhs = ratio_sum(n) * (-1 if n % 2 else 1)
+        if constant is None:
+            if rhs != 0:
+                constant = lhs / rhs
+                fit_at = n
+                if constant == 0:
+                    failures.append({"n": n, "reason": "fitted constant is zero"})
+                    break
+            elif lhs != 0:
+                failures.append({"n": n, "reason": "moment nonzero but sum zero"})
+        elif lhs != constant * rhs:
+            failures.append(
+                {
+                    "n": n,
+                    "moment": format_rational(lhs),
+                    "scaled_sum": format_rational(constant * rhs),
+                }
+            )
+    negative_failures = []
+    for n in range(1 - m, 0):
+        total = ratio_sum(n)
+        if total != 0:
+            negative_failures.append({"n": n, "sum": format_rational(total)})
+    boundary = ratio_sum(-m)
+    witness = {
+        "constant": format_rational(constant) if constant is not None else None,
+        "fitted_at": fit_at,
+        "checked_up_to": p.N,
+        "moment_failures": failures,
+        "negative_range": [1 - m, -1],
+        "negative_failures": negative_failures,
+        "boundary_sum": format_rational(boundary),
+    }
+    ok = (
+        constant is not None
+        and not failures
+        and not negative_failures
+        and boundary != 0
+    )
+    return ok, witness

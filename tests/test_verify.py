@@ -15,11 +15,11 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
-from krallhahn.casorati import casorati_value
+from krallhahn.casorati import casorati_value, series_ratios
 from krallhahn.context import context_from_degrees
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
-from krallhahn.errors import ConfigInvalid
+from krallhahn.errors import ConfigInvalid, KrallHahnError, ParameterSingularity
 from krallhahn.hahn import HahnParams, hahn_weight
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
@@ -40,10 +40,12 @@ from krallhahn.verify import (
 )
 
 from freeze_golden import scrub as _scrub
+import reference
 from reference import (
     apply_route_failures,
     cached_global_solve,
     closed_form_product_values,
+    fraction_check_foeq,
     reference_eigen_certificate,
     solve_lower_probe,
 )
@@ -628,26 +630,30 @@ def test_check_foeq_vacuous_without_rows():
     assert "vacuous" in witness["note"]
 
 
-@pytest.mark.parametrize(
-    "a, b, degree_sets, bad",
-    [
-        (1, Fraction(1, 3), ((), (), (), (1,)), None),  # m = 1 never reads the pole at -1
-        (1, 1, ((), (), (), (1,)), None),  # a = b: the kind-4 ratio is -1
-        (Fraction(1, 2), 0, ((), (1,), (), ()), [0]),
-        (2, 2, ((), (1,), (), ()), None),  # m = 1 never reads the pole at -11
-        (Fraction(1, 2), Fraction(1, 3), ((1,), (), (), ()), None),
-        (1, Fraction(1, 3), ((), (), (), (1, 2)), [-1]),  # m = 2 inverts ratio(-1): a pole
-        (Fraction(1, 2), 1, ((), (), (), (1, 2)), [-1]),  # m = 2 inverts ratio(-1): a zero
-    ],
-)
-def test_check_foeq_ratio_precondition(a, b, degree_sets, bad):
-    """Zeros and poles of the reduced ratio at the points the sums read,
-    t = 1 - m, ..., 0, fail the criteria; those elsewhere do not."""
+PRECONDITION_CASES = [
+    (1, Fraction(1, 3), ((), (), (), (1,)), None),  # m = 1 never reads the pole at -1
+    (1, 1, ((), (), (), (1,)), None),  # a = b: the kind-4 ratio is -1
+    (Fraction(1, 2), 0, ((), (1,), (), ()), [0]),
+    (2, 2, ((), (1,), (), ()), None),  # m = 1 never reads the pole at -11
+    (Fraction(1, 2), Fraction(1, 3), ((1,), (), (), ()), None),
+    (1, Fraction(1, 3), ((), (), (), (1, 2)), [-1]),  # m = 2 inverts ratio(-1): a pole
+    (Fraction(1, 2), 1, ((), (), (), (1, 2)), [-1]),  # m = 2 inverts ratio(-1): a zero
+]
+
+
+def _precondition_inputs(a, b, degree_sets):
+    """A context with the given rows, of fixed polynomials, and its Hahn weight."""
     p = HahnParams(a, b, 6)
     m = sum(map(len, degree_sets))
     row_polys = (Polynomial((3, 1)), Polynomial((1, 0, 1)))[:m]
-    ctx = context_from_degrees(p, degree_sets, row_polys=row_polys)
-    _, witness = check_foeq(ctx, hahn_weight(p))
+    return context_from_degrees(p, degree_sets, row_polys=row_polys), hahn_weight(p)
+
+
+@pytest.mark.parametrize("a, b, degree_sets, bad", PRECONDITION_CASES)
+def test_check_foeq_ratio_precondition(a, b, degree_sets, bad):
+    """Zeros and poles of the reduced ratio at the points the sums read,
+    t = 1 - m, ..., 0, fail the criteria; those elsewhere do not."""
+    _, witness = check_foeq(*_precondition_inputs(a, b, degree_sets))
     if bad is None:
         assert "precondition" not in witness
     else:
@@ -681,20 +687,152 @@ def test_criteria_ignore_ratio_roots_the_sums_never_read(a, b, F, path):
     ids=["four-roots", "F4=[1,2],N=17"],
 )
 def test_check_foeq_matches_closed_form_route(cfg, monkeypatch):
-    import krallhahn.verify as verify
-
+    """The integer route equals the Fraction reference fed every ratio product,
+    forward and backward, from the closed form."""
     run = build_run(cfg)
-    scalar = check_foeq(run.ctx, run.inner_measure)
-    assert scalar[0]
+    integer = check_foeq(run.ctx, run.inner_measure)
+    assert integer[0]
     p = run.ctx.params
     kinds = {series_ratio(kind, p): kind for kind in KINDS}
 
     monkeypatch.setattr(
-        verify,
+        reference,
         "ratio_products",
         lambda ratio, points: closed_form_product_values(kinds[ratio], points, p),
     )
-    assert check_foeq(run.ctx, run.inner_measure) == scalar
+    assert fraction_check_foeq(run.ctx, run.inner_measure) == integer
+
+
+def _outcome(check, *args):
+    """A check's (ok, witness), or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except KrallHahnError as exc:
+        return type(exc), str(exc)
+
+
+def _criteria_inputs(case):
+    """(ctx, measure) for a differential case: a builtin name or a config dict,
+    one of those with a translation of the inner measure, or the index of a
+    precondition context."""
+    if isinstance(case, int):
+        return _precondition_inputs(*PRECONDITION_CASES[case][:3])
+    case, offset = case if isinstance(case, tuple) else (case, 0)
+    run = build_run(config_from_dict(case) if isinstance(case, dict) else builtin_config(case))
+    return run.ctx, run.inner_measure.translate(offset)
+
+
+CRITERIA_CASES = {
+    **{name: name for name in BUILTIN_CONFIGS},
+    # the first op of each family template in the benchmark's seed-0 stream
+    **{
+        f"family-F={F}": {"a": a, "b": b, "N": N, "F": F, "path": "corollary"}
+        for a, b, N, F in (
+            ("3/2", "13/3", 16, [[], [], [], [1]]),
+            ("5/2", "10/3", 16, [[], [], [2], []]),
+            ("3/2", "5/3", 16, [[], [], [], [2]]),
+            ("7/2", "14/3", 17, [[], [], [], [1, 2]]),
+        )
+    },
+    "F4=[1]-N50": {"a": "1/2", "b": "1/3", "N": 50, "F": [[], [], [], [1]], "path": "corollary"},
+    # the config of tests/golden/configs/omega-defect.json: Omega vanishes at n = 6
+    "omega-defect": {
+        "a": "11/3", "b": "24/5", "N": 16, "F": [[], [], [1], []], "path": "corollary"
+    },
+    # point denominator e = 2: the moments move, and both routes fail
+    "four-roots-translated-1/2": ("four-roots", Fraction(1, 2)),
+    **{f"precondition-{i}": i for i in range(len(PRECONDITION_CASES))},
+}
+
+
+@pytest.mark.parametrize("case", CRITERIA_CASES.values(), ids=CRITERIA_CASES.keys())
+def test_integer_criteria_match_fraction_route(case):
+    """The integer route and the Fraction reference give the same (ok, witness),
+    or raise the same error, on every case."""
+    ctx, measure = _criteria_inputs(case)
+    integer = _outcome(check_foeq, ctx, measure)
+    assert integer == _outcome(fraction_check_foeq, ctx, measure)
+    if isinstance(case, tuple):
+        ok, witness = integer
+        failures = witness["moment_failures"]
+        assert not ok and failures and all({"moment", "scaled_sum"} <= set(f) for f in failures)
+
+
+def test_forward_pole_raises_as_in_the_fraction_route(monkeypatch):
+    """A ratio pole at t = 2 of the second row, past the precondition's points:
+    both routes raise ParameterSingularity naming degree 2, after every row's
+    precondition has held."""
+    import krallhahn.verify as verify
+
+    run = build_run(builtin_config("four-roots"))
+    ratios = list(series_ratios(run.ctx))
+    numer, denom = ratios[1]
+    ratios[1] = numer * Polynomial((-2, 1)), denom * Polynomial((-2, 1))
+    for module in (verify, reference):
+        monkeypatch.setattr(module, "series_ratios", lambda ctx: tuple(ratios))
+    integer = _outcome(check_foeq, run.ctx, run.inner_measure)
+    assert integer == (ParameterSingularity, "ladder ratio has a pole at degree 2")
+    assert integer == _outcome(fraction_check_foeq, run.ctx, run.inner_measure)
+
+
+@pytest.mark.parametrize(
+    "term", ["constant is not None", "moment_failures", "negative_failures", "boundary != 0"]
+)
+def test_criteria_gate_terms_fail_on_their_own(monkeypatch, term):
+    """One name that ``check_foeq`` reads in verify is patched so that one gate
+    term fails and every other holds.  The constant: one row whose polynomial
+    vanishes at theta_0, ..., theta_N makes every ratio sum zero, and zero base
+    polynomials every moment, so no constant is fitted and nothing fails.
+    The moments: h_2 + 1.  The negative sums: row 0's backward product at
+    t = -1 doubled, which moves the sum at n = -2 alone.  The boundary: each
+    row's last backward product set to Y_i(theta_-m) / Y_i(theta_-1), so that
+    the boundary sum is sum_i 1 / p'(root_i) = 0."""
+    import krallhahn.verify as verify
+
+    if term == "constant is not None":
+        p = HahnParams(Fraction(1, 2), Fraction(1, 3), 3)
+        y = Polynomial.from_roots([p.eigenvalue(n) for n in range(p.N + 1)])
+        ctx = context_from_degrees(p, ((), (), (), (p.N + 1,)), row_polys=(y,))
+        measure = hahn_weight(p)
+        assert check_foeq(ctx, measure)[1]["moment_failures"]  # unpatched, the moments fail too
+    else:
+        run = build_run(builtin_config("four-roots"))
+        ctx, measure = run.ctx, run.inner_measure
+        assert check_foeq(ctx, measure)[0]
+    m, theta = ctx.m, ctx.params.eigenvalue
+    base, products = verify.base_polynomial, verify.ratio_products
+    rows = dict(zip(series_ratios(ctx), ctx.row_polys))
+    first = series_ratios(ctx)[0]
+
+    def backward(ratio, points):
+        out = products(ratio, points)
+        if term == "negative_failures" and ratio == first:
+            out[1] *= 2
+        elif term == "boundary != 0":
+            y = rows[ratio]
+            out[m - 1] = y(theta(-m)) / y(theta(-1))
+        return out
+
+    faults = {
+        "constant is not None": ("base_polynomial", lambda ctx, n: Polynomial.zero()),
+        "moment_failures": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
+        "negative_failures": ("ratio_products", backward),
+        "boundary != 0": ("ratio_products", backward),
+    }
+    monkeypatch.setattr(verify, *faults[term])
+    ok, witness = check_foeq(ctx, measure)
+    failing = {
+        "constant is not None": witness["constant"] is None,
+        "moment_failures": bool(witness["moment_failures"]),
+        "negative_failures": bool(witness["negative_failures"]),
+        "boundary != 0": witness["boundary_sum"] == "0",
+    }
+    assert not ok
+    assert [name for name, fails in failing.items() if fails] == [term]
+    if term == "moment_failures":
+        assert [failure["n"] for failure in witness["moment_failures"]] == [2]
+    elif term == "negative_failures":
+        assert [failure["n"] for failure in witness["negative_failures"]] == [-2]
 
 
 def test_checks_subset_is_respected():
