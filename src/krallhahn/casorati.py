@@ -188,15 +188,15 @@ def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomia
 
 
 class _RawPoints:
-    """The raw route's integers for one context, each computed once: the
-    point values s -> :meth:`point` for s = -m, -m + 1, ..., and the table
-    t -> (minors, D(t)) for t = 0, 1, ..., None at a ratio pole, which
-    :func:`casorati_rational` and :func:`krall_polynomial` read.  minors[k]
-    is the integer maximal minor of :func:`casorati_rows` at t without column
-    k.  The table grows to what :func:`casorati_rational` reads and, for
-    :func:`krall_polynomial`, in blocks up to the Omega scan, t <= N + m3 +
-    m4 + 1; a degree past both is taken on its own and not kept.  With
-    a + b + 1 = P / Q, ``dens[r]`` is Y_r's denominator times Q^deg Y_r.
+    """The ladder's integer values for one context, each computed once: the
+    :meth:`point` values at s = -m, -m + 1, ... (:meth:`grow`), which the table
+    and :func:`~krallhahn.verify.check_foeq` read, and the table t -> (minors,
+    D(t)), t >= 0, None at a ratio pole, which :func:`casorati_rational` and
+    :func:`krall_polynomial` read: minors[k] is the integer maximal minor of
+    :func:`casorati_rows` at t without column k.  It grows to what
+    :func:`casorati_rational` reads and, for q_n, in blocks up to the Omega
+    scan, t <= N + m3 + m4 + 1; a degree past both is taken alone and not
+    kept.  ``dens[r]`` is Y_r's denominator times Q^deg Y_r, a + b + 1 = P / Q.
     """
 
     def __init__(self, ctx: ConstructionContext) -> None:
@@ -222,18 +222,21 @@ class _RawPoints:
             *(horner(ys, theta, self.Q) for _, _, ys in self.parts),
         )
 
+    def grow(self, stop: int) -> list[tuple[int, ...]]:
+        """The point values kept, grown to s < stop; entry i is at s = i - m."""
+        self.values += map(self.point, range(len(self.values) - self.m, stop))
+        return self.values
+
     def lanes(self, ts: range, keep: bool) -> tuple[list[list[list[int]]], list[int]]:
         """:func:`casorati_rows` at every t of ts at once: entry c of row r is
         a list over ts, and so is D(t), 0 at a ratio pole.  The point values
-        kept are read, and with ``keep`` (ts extends the table) the new ones
-        are kept."""
-        m, count, known = self.m, len(ts), self.values
+        kept are read, and with ``keep`` (ts extends the table) they are grown
+        to ts first."""
+        m, count, known = self.m, len(ts), self.grow(ts.stop) if keep else self.values
         values = [
             known[s + m] if 0 <= s + m < len(known) else self.point(s)
             for s in range(ts.start - m, ts.stop)
         ]  # values[l + k] is at s = t - m + k for t = ts[l]
-        if keep:
-            known += values[len(known) - ts.start :]
         rows = []
         denominator = [1] * count
         for r, den in enumerate(self.dens):
@@ -298,7 +301,7 @@ class _RawPoints:
 
 
 @_stage
-def _raw_memo(ctx: ConstructionContext) -> _RawPoints:
+def raw_points(ctx: ConstructionContext) -> _RawPoints:
     """The context's :class:`_RawPoints`."""
     return _RawPoints(ctx)
 
@@ -319,7 +322,7 @@ def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ..
     context (:class:`_RawPoints`).  A ratio pole at one of t - m + 1, ..., t
     raises ParameterSingularity.
     """
-    raw = _raw_memo(ctx)
+    raw = raw_points(ctx)
     rows, (denominator,) = raw.lanes(range(t, t + 1), False)
     if not denominator:
         raise raw.pole(t)
@@ -352,7 +355,7 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
         clearing_factor(ctx).degree + raw_degree,
         denominator_degree + casorati_cleared(ctx).degree,
     )
-    raw = _raw_memo(ctx)
+    raw = raw_points(ctx)
     while (missing := bound + 1 - (len(raw.table) - raw.table.count(None))) > 0:
         raw.extend(len(raw.table) + missing)
     kept = ((t, entry) for t, entry in enumerate(raw.table) if entry is not None)
@@ -383,7 +386,7 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    minors, denominator = _raw_memo(ctx).entry(n)
+    minors, denominator = raw_points(ctx).entry(n)
     parts = [base_polynomial(ctx, n - k).integer_parts for k in range(min(ctx.m, n) + 1)]
     common = lcm(*(den for _, den in parts))
     acc = [0] * (n + 1)

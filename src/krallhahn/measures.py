@@ -21,9 +21,9 @@ products, and a ``Fraction`` is formed only once per result.
 Two routes avoid the value-vector loops.  :func:`orthogonality_certificate`
 decides a family's orthogonality, and reads its norms, off iterated partial
 sums of M o V on the lattice hull of the support: additions only.  The power
-moments and :func:`gram_schmidt` read the integer power sums sum_i M_i P_i^k,
-taken in one pass, so a Gram-Schmidt pairing, or a base moment of the
-``criteria`` check, is a short dot product of coefficients with those sums.
+moments, :func:`gram_schmidt` and the integrals of the ``criteria`` check read
+the integer power sums sum_i M_i P_i^k, taken in one pass, so a pairing or an
+integral is a short dot product of coefficients with those sums.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateMoments
 from .polynomials import Polynomial, Scalar
@@ -114,13 +114,22 @@ class DiscreteMeasure:
 
     def power_sums(self, up_to: int) -> list[int]:
         """sum_i M_i P_i^k for k = 0..up_to: the k-th moment is this over D e^k.
-        :func:`gram_schmidt` and the ``criteria`` check read their moments here."""
+        :func:`gram_schmidt` and :meth:`integrals` read their moments here."""
         sums, acc = [], list(self.masses)
         for k in range(up_to + 1):
             if k:
                 acc = list(map(mul, acc, self.points))
             sums.append(sum(acc))
         return sums
+
+    def integrals(self, polys: Iterable[Polynomial], up_to: int) -> Iterator[tuple[int, int]]:
+        """Each p's integral, deg p <= up_to, from the power sums S_k: p = sum_k
+        c_k x^k / c gives sum_k c_k S_k e^(up_to - k) over c D e^up_to > 0."""
+        e = self.point_denominator
+        sums = [s * e ** (up_to - k) for k, s in enumerate(self.power_sums(up_to))]
+        for p in polys:
+            nums, c = p.integer_parts
+            yield sum(map(mul, nums, sums)), c * self.mass_denominator * e**up_to
 
     def moments(self, up_to: int) -> list[Fraction]:
         """Power moments of degree 0..up_to."""

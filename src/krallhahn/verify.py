@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import prod
 from operator import index, mul
 from typing import Callable, Iterable, Sequence
@@ -32,7 +32,7 @@ from .casorati import (
     krall_polynomial,
     mixing_polynomial,
     operator_halfwidth,
-    series_ratios,
+    raw_points,
     spectral_increment,
     spectral_polynomial,
 )
@@ -49,7 +49,7 @@ from .hahn import (
     transformed_hahn_weight,
     transformed_support,
 )
-from .ladder import ratio_products, series_shift
+from .ladder import series_shift
 from .measures import (
     DiscreteMeasure,
     gram_schmidt,
@@ -324,66 +324,59 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
     sums for 0 <= n <= N, the negative-index sums to vanish, and the
     boundary sum to be nonzero.
 
-    Degrees 0..N run on integers: each moment is a dot product of h_n's integer
-    coefficients with the measure's power sums, each ratio sum is one integer
-    over one denominator, and the degrees past the fit are cross-multiplied.
+    All on integers: the moments from the measure's power sums, and the ratio
+    sums S(n) = sum_i xi_i(n) Y_i(theta_n) / (p'(root_i) Y_i(theta_-1)), each
+    one integer over one denominator for n = -m..N, from the ladder's point
+    values (:func:`~krallhahn.casorati.raw_points`).  xi_i(n) is ratio(0) ...
+    ratio(n), or for n < 0 the inverse of ratio(-1) ... ratio(n + 1), one
+    running product from t = 1 - m; the row's scale of its Y values cancels.
 
     Precondition: each reduced series ratio is finite and nonzero at the
-    nonpositive points the sums read, t = 1 - m, ..., 0.  The point 0 starts
-    every forward product, and the negative and boundary sums invert the
-    backward products over t = -1, ..., 1 - m.  A forward pole at t >= 1
-    raises ParameterSingularity: each row's ratio denominator is evaluated at
-    0..N, in row order, and the first zero names the pole.
+    points t = 1 - m, ..., 0 that the sums read.  A pole at t >= 1 would make
+    every later cross-multiplication vacuous, so the first, row by row, raises
+    ParameterSingularity.  No validated context has one: it needs a = -t or
+    a + b = -(N + 1 + t), which HahnParams rejects.
     """
-    p = ctx.params
-    m = ctx.m
+    p, m = ctx.params, ctx.m
     if m == 0:
         return True, {"note": "no determinant rows; criteria are vacuous"}
-    ratios = series_ratios(ctx)
-    for kind, ratio in sorted(dict(zip(ctx.row_kinds, ratios)).items()):
-        bad = [t for t in range(1 - m, 1) if not all(poly(t) for poly in ratio)]
+    # values[s + m] at s: m ratio numerators, their denominators, scaled Y_i(theta_s)
+    values = raw_points(ctx).grow(p.N + 1)
+    for kind, i in sorted(dict(zip(ctx.row_kinds, range(m))).items()):
+        bad = [t for t in range(1 - m, 1) if not values[t + m][i] * values[t + m][m + i]]
         if bad:
             return False, {
                 "precondition": f"ratio sequence of kind {kind} vanishes or blows "
                 f"up at nonpositive integer(s) {bad}"
             }
-    roots = ctx.spectral_roots
-    theta_start = p.eigenvalue(-1)
-    denominators = []  # p'(root_i) Y_i(theta_start), p the monic polynomial with the roots
-    for i, y in enumerate(ctx.row_polys):
-        start_value = y(theta_start)
-        if start_value == 0:
+    # per row, xi_i(n) / (p'(root_i) Y_i(theta_-1)) = xs[i] / zs[i], from n = -m up
+    roots, xs, zs = ctx.spectral_roots, [], []
+    for i, start in enumerate(values[m - 1][2 * m :]):  # at theta_-1
+        if not start:
             return False, {
                 "precondition": f"row {i} polynomial vanishes at the starting "
                 "eigenvalue; the criteria sums are undefined"
             }
-        denominators.append(prod(roots[i] - r for r in roots[:i] + roots[i + 1 :]) * start_value)
-
-    # per row, xs[n] / zs[n] = ratio(0) ... ratio(n) / (denominators[i] yd Q^deg) for
-    # Y_i = sum_k ys[k] x^k / yd: times horner(ys, n (n Q + P), Q), it is row i's term at n
-    P, Q = (p.a + p.b + 1).as_integer_ratio()
-    degrees, rows = range(p.N + 1), []
-    for (numer, denom), y, den in zip(ratios, ctx.row_polys, denominators):
-        (tn, td), (bn, bd), (ys, yd) = numer.integer_parts, denom.integer_parts, y.integer_parts
-        bottoms = [horner(bn, t) * td for t in degrees]
-        if 0 in bottoms:
-            raise ParameterSingularity(f"ladder ratio has a pole at degree {bottoms.index(0)}")
-        fn, fd = (1 / (den * yd * Q**y.degree)).as_integer_ratio()
-        xs = [x * fn for x in accumulate((horner(tn, t) * bd for t in degrees), mul)]
-        rows.append((xs, [z * fd for z in accumulate(bottoms, mul)], ys))
-    # the moment of h_n = sum_k c_k x^k / c is sum_k c_k S_k e^(n - k) / (c D e^n)
-    sums, e, d = measure.power_sums(p.N), measure.point_denominator, measure.mass_denominator
-    powers = [e**k for k in degrees]
-
-    constant = fit_at = None
-    failures = []
-    for n in degrees:
-        # lhs / lhs_den is the moment, rhs / rhs_den (-1)^n times the ratio sum
-        nums, c = base_polynomial(ctx, n).integer_parts
-        lhs, lhs_den = sum(map(mul, map(mul, nums, sums), powers[n::-1])), c * d * powers[n]
-        theta, rhs, rhs_den = n * (n * Q + P), 0, 1
-        for xs, zs, ys in rows:
-            rhs, rhs_den = rhs * zs[n] + xs[n] * horner(ys, theta, Q) * rhs_den, rhs_den * zs[n]
+        pn, pd = prod(roots[i] - r for r in roots[:i] + roots[i + 1 :]).as_integer_ratio()
+        xs.append(prod(v[m + i] for v in values[1:m]) * pd)
+        zs.append(prod(v[i] for v in values[1:m]) * pn * start)
+    degrees = range(p.N + 1)
+    pole = next((t for i in range(m) for t in degrees if not values[t + m][m + i]), None)
+    if pole is not None:
+        raise ParameterSingularity(f"ladder ratio has a pole at degree {pole}")
+    sums = []  # S(n) as (numerator, denominator), n = -m, ..., N
+    for n, v in enumerate(values, -m):
+        if n > -m:
+            xs, zs = list(map(mul, xs, v[:m])), list(map(mul, zs, v[m : 2 * m]))
+        num, den = 0, 1
+        for x, z, y in zip(xs, zs, v[2 * m :]):
+            num, den = num * z + x * y * den, den * z
+        sums.append((num, den))
+    constant, fit_at, failures = None, None, []
+    moments = measure.integrals((base_polynomial(ctx, n) for n in degrees), p.N)
+    for n, (lhs, lhs_den) in zip(degrees, moments):
+        # lhs / lhs_den is the moment, rhs / rhs_den (-1)^n S(n)
+        rhs, rhs_den = sums[n + m]
         rhs = -rhs if n % 2 else rhs
         if constant is None:
             if rhs:
@@ -399,15 +392,10 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
                 "moment": format_rational(Fraction(lhs, lhs_den)),
                 "scaled_sum": format_rational(constant * Fraction(rhs, rhs_den)),
             })
-    # 1 / xi_i(n) = ratio(-1) ... ratio(n + 1) for the sums at n = -m, ..., -1
-    backward = [ratio_products(ratio, range(-1, -m, -1)) for ratio in ratios]
-    boundary, *below = (
-        sum(y(p.eigenvalue(n)) / (products[-n - 1] * den)
-            for y, products, den in zip(ctx.row_polys, backward, denominators))
-        for n in range(-m, 0)
-    )
+    boundary, *below = sums[:m]
     negative_failures = [
-        {"n": n, "sum": format_rational(total)} for n, total in enumerate(below, 1 - m) if total
+        {"n": n, "sum": format_rational(Fraction(*total))}
+        for n, total in enumerate(below, 1 - m) if total[0]
     ]
     witness = {
         "constant": format_rational(constant) if constant is not None else None,
@@ -416,9 +404,9 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
         "moment_failures": failures,
         "negative_range": [1 - m, -1],
         "negative_failures": negative_failures,
-        "boundary_sum": format_rational(boundary),
+        "boundary_sum": format_rational(Fraction(*boundary)),
     }
-    ok = constant is not None and not failures and not negative_failures and boundary != 0
+    ok = constant is not None and not failures and not negative_failures and boundary[0] != 0
     return ok, witness
 
 

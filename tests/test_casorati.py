@@ -771,6 +771,32 @@ class TestPointRoute:
         assert set(calls.values()) == {1}
         assert qs == [reference_krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
 
+    def test_criteria_read_the_point_values(self, monkeypatch):
+        """The criteria check reads the ladder's point values and evaluates no
+        ratio itself: a criteria-only run on a fresh context keeps them for
+        exactly s = -m..N, with no lane_bareiss pass and an empty table of
+        minors, and after q_n at the orthogonality range the check evaluates
+        no point."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        passes, calls = [], Counter()
+        bareiss, point = casorati.lane_bareiss, casorati._RawPoints.point
+        monkeypatch.setattr(casorati, "lane_bareiss", lambda *a: passes.append(1) or bareiss(*a))
+        monkeypatch.setattr(
+            casorati._RawPoints, "point", lambda raw, s: calls.update((s,)) or point(raw, s)
+        )
+        cfg = replace(builtin_config("four-roots"), checks=("criteria",))
+        (check,) = verify.run_config(cfg).checks
+        run = build_run(cfg)
+        ctx = run.ctx
+        raw = casorati.raw_points(ctx)
+        assert check.passed
+        assert sorted(calls) == list(range(-ctx.m, ctx.params.N + 1))
+        assert len(raw.values) == len(calls) and not passes and not raw.table
+        krall_polynomial(ctx, ctx.orthogonality_range)
+        calls.clear()
+        assert verify.check_foeq(ctx, run.inner_measure) == (check.passed, check.witness)
+        assert passes and not calls
+
 
 # the contexts of test_poles_are_skipped and test_pole_in_the_bordered_rows_raises,
 # and one of m = 3 whose Casorati matrix is singular at t = 0 while the bordered
@@ -799,7 +825,7 @@ class TestMinorTable:
         else:
             ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
         values = casorati_rational(ctx)
-        table = casorati._raw_memo(ctx).table
+        table = casorati.raw_points(ctx).table
         assert len(table) == max(values) + 1
         for t, entry in enumerate(table):
             try:
@@ -826,7 +852,7 @@ class TestMinorTable:
         table and the point values kept keep their lengths."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = build_run(builtin_config("four-roots")).ctx
-        raw = casorati._raw_memo(ctx)
+        raw = casorati.raw_points(ctx)
         krall_polynomial(ctx, 0)
         assert len(raw.table) == raw.reach == ctx.orthogonality_range + 2
         lengths = len(raw.table), len(raw.values)

@@ -426,6 +426,9 @@ def test_moments_read_the_power_sums():
     assert HALF_STEP.power_sums(3)[0] == sum(HALF_STEP.masses)
     assert HALF_STEP.power_sums(-1) == []
     assert HALF_STEP.moments(4) == [fraction_integrate(HALF_STEP, X**k) for k in range(5)]
+    polys = [Polynomial.zero(), X - Fraction(1, 3), (X**4 - 2 * X) / 7]
+    integrals = [Fraction(*v) for v in HALF_STEP.integrals(polys, 4)]
+    assert integrals == [fraction_integrate(HALF_STEP, p) for p in polys]
 
 
 # -- property tests on random measures -------------------------------------------

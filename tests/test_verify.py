@@ -1,8 +1,10 @@
 """The verification harness: runs, checks, reports, enumeration."""
 
 import json
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, reject, settings
@@ -15,6 +17,7 @@ from krallhahn.config import (
     builtin_config,
     config_from_dict,
 )
+from krallhahn import casorati
 from krallhahn.casorati import casorati_value, series_ratios
 from krallhahn.context import context_from_degrees
 from krallhahn.diffops import DifferenceOperator
@@ -761,14 +764,14 @@ def test_integer_criteria_match_fraction_route(case):
 def test_forward_pole_raises_as_in_the_fraction_route(monkeypatch):
     """A ratio pole at t = 2 of the second row, past the precondition's points:
     both routes raise ParameterSingularity naming degree 2, after every row's
-    precondition has held."""
-    import krallhahn.verify as verify
-
+    precondition has held.  Contexts share their stages by equality, so the
+    stage store starts empty and the point values read the patched ratios."""
     run = build_run(builtin_config("four-roots"))
     ratios = list(series_ratios(run.ctx))
     numer, denom = ratios[1]
     ratios[1] = numer * Polynomial((-2, 1)), denom * Polynomial((-2, 1))
-    for module in (verify, reference):
+    monkeypatch.setattr(casorati, "_store", OrderedDict())
+    for module in (casorati, reference):
         monkeypatch.setattr(module, "series_ratios", lambda ctx: tuple(ratios))
     integer = _outcome(check_foeq, run.ctx, run.inner_measure)
     assert integer == (ParameterSingularity, "ladder ratio has a pole at degree 2")
@@ -779,16 +782,19 @@ def test_forward_pole_raises_as_in_the_fraction_route(monkeypatch):
     "term", ["constant is not None", "moment_failures", "negative_failures", "boundary != 0"]
 )
 def test_criteria_gate_terms_fail_on_their_own(monkeypatch, term):
-    """One name that ``check_foeq`` reads in verify is patched so that one gate
-    term fails and every other holds.  The constant: one row whose polynomial
-    vanishes at theta_0, ..., theta_N makes every ratio sum zero, and zero base
+    """One input of ``check_foeq`` is changed so that one gate term fails and
+    every other holds.  The constant: one row whose polynomial vanishes at
+    theta_0, ..., theta_N makes every ratio sum zero, and zero base
     polynomials every moment, so no constant is fitted and nothing fails.
-    The moments: h_2 + 1.  The negative sums: row 0's backward product at
-    t = -1 doubled, which moves the sum at n = -2 alone.  The boundary: each
-    row's last backward product set to Y_i(theta_-m) / Y_i(theta_-1), so that
-    the boundary sum is sum_i 1 / p'(root_i) = 0."""
+    The moments: h_2 + 1.  The other two edit the point values (the stage
+    store starts empty, since contexts share their stages by equality).  The
+    negative sums: row 0's ratio at t = -1 doubled, which moves the sums at
+    n <= -2: at m = 4, n = -3, -2 and the boundary, which stays nonzero.  The
+    boundary: each row's ratio at t = 1 - m replaced so that its boundary
+    term is 1 / p'(root_i), and the boundary sum is sum_i 1 / p'(root_i) = 0."""
     import krallhahn.verify as verify
 
+    monkeypatch.setattr(casorati, "_store", OrderedDict())
     if term == "constant is not None":
         p = HahnParams(Fraction(1, 2), Fraction(1, 3), 3)
         y = Polynomial.from_roots([p.eigenvalue(n) for n in range(p.N + 1)])
@@ -799,27 +805,25 @@ def test_criteria_gate_terms_fail_on_their_own(monkeypatch, term):
         run = build_run(builtin_config("four-roots"))
         ctx, measure = run.ctx, run.inner_measure
         assert check_foeq(ctx, measure)[0]
-    m, theta = ctx.m, ctx.params.eigenvalue
-    base, products = verify.base_polynomial, verify.ratio_products
-    rows = dict(zip(series_ratios(ctx), ctx.row_polys))
-    first = series_ratios(ctx)[0]
-
-    def backward(ratio, points):
-        out = products(ratio, points)
-        if term == "negative_failures" and ratio == first:
-            out[1] *= 2
-        elif term == "boundary != 0":
-            y = rows[ratio]
-            out[m - 1] = y(theta(-m)) / y(theta(-1))
-        return out
-
+    m, base = ctx.m, verify.base_polynomial
+    values = casorati.raw_points(ctx).grow(ctx.params.N + 1)  # values[s + m] is at s
+    if term == "negative_failures":
+        edited = list(values[m - 1])
+        edited[0] *= 2
+        values[m - 1] = tuple(edited)
+    elif term == "boundary != 0":
+        # ratio_i(1 - m) = Y_i(theta_-m) / (Y_i(theta_-1) ratio_i(2 - m) ... ratio_i(-1))
+        edited = list(values[1])
+        for i in range(m):
+            edited[i] = values[0][2 * m + i] * prod(v[m + i] for v in values[2:m])
+            edited[m + i] = values[m - 1][2 * m + i] * prod(v[i] for v in values[2:m])
+        values[1] = tuple(edited)
     faults = {
-        "constant is not None": ("base_polynomial", lambda ctx, n: Polynomial.zero()),
-        "moment_failures": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
-        "negative_failures": ("ratio_products", backward),
-        "boundary != 0": ("ratio_products", backward),
+        "constant is not None": lambda ctx, n: Polynomial.zero(),
+        "moment_failures": lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0),
     }
-    monkeypatch.setattr(verify, *faults[term])
+    if term in faults:
+        monkeypatch.setattr(verify, "base_polynomial", faults[term])
     ok, witness = check_foeq(ctx, measure)
     failing = {
         "constant is not None": witness["constant"] is None,
@@ -832,7 +836,7 @@ def test_criteria_gate_terms_fail_on_their_own(monkeypatch, term):
     if term == "moment_failures":
         assert [failure["n"] for failure in witness["moment_failures"]] == [2]
     elif term == "negative_failures":
-        assert [failure["n"] for failure in witness["negative_failures"]] == [-2]
+        assert [failure["n"] for failure in witness["negative_failures"]] == [-3, -2]
 
 
 def test_checks_subset_is_respected():
