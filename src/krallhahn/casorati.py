@@ -200,7 +200,7 @@ class _RawPoints:
     """
 
     def __init__(self, ctx: ConstructionContext) -> None:
-        shift = ctx.params.a + ctx.params.b + 1
+        shift = ctx.params.theta_shift
         self.m, self.P, self.Q = ctx.m, shift.numerator, shift.denominator
         self.parts = []
         for (numer, denom), poly in zip(series_ratios(ctx), ctx.row_polys):
@@ -227,16 +227,21 @@ class _RawPoints:
         self.values += map(self.point, range(len(self.values) - self.m, stop))
         return self.values
 
+    def at(self, ss: range) -> list[tuple[int, ...]]:
+        """The point values at s in ss: the ones kept, and the rest taken alone
+        and not kept."""
+        m, known = self.m, self.values
+        return [known[s + m] if 0 <= s + m < len(known) else self.point(s) for s in ss]
+
     def lanes(self, ts: range, keep: bool) -> tuple[list[list[list[int]]], list[int]]:
         """:func:`casorati_rows` at every t of ts at once: entry c of row r is
         a list over ts, and so is D(t), 0 at a ratio pole.  The point values
         kept are read, and with ``keep`` (ts extends the table) they are grown
         to ts first."""
-        m, count, known = self.m, len(ts), self.grow(ts.stop) if keep else self.values
-        values = [
-            known[s + m] if 0 <= s + m < len(known) else self.point(s)
-            for s in range(ts.start - m, ts.stop)
-        ]  # values[l + k] is at s = t - m + k for t = ts[l]
+        m, count = self.m, len(ts)
+        if keep:
+            self.grow(ts.stop)
+        values = self.at(range(ts.start - m, ts.stop))  # values[l + k] at s = t - m + k, t = ts[l]
         rows = []
         denominator = [1] * count
         for r, den in enumerate(self.dens):
@@ -256,12 +261,12 @@ class _RawPoints:
             denominator = [d * s * den for d, s in zip(denominator, suffix[m])]
         return rows, denominator
 
-    def pole(self, t: int) -> ParameterSingularity:
-        """The error for a ratio pole in the rows at t: the first zero denominator,
-        row by row."""
-        m = self.m
-        s = next(s for r in range(m) for s in range(t - m + 1, t + 1) if not self.point(s)[m + r])
-        return ParameterSingularity(f"ladder ratio has a pole at degree {s}")
+    def pole(self, ss: range) -> ParameterSingularity | None:
+        """The error for the first zero ratio denominator at s in ss, row by row,
+        from the point values (:meth:`at`), or None when there is none."""
+        m, values = self.m, self.at(ss)
+        s = next((s for r in range(m) for s, v in zip(ss, values) if not v[m + r]), None)
+        return None if s is None else ParameterSingularity(f"ladder ratio has a pole at degree {s}")
 
     def entries(self, ts: range, keep: bool) -> list[tuple[tuple[int, ...], int] | None]:
         """The table's entries at ts, one :func:`~krallhahn.matrices.lane_bareiss`
@@ -296,7 +301,7 @@ class _RawPoints:
             self.extend(min(self.reach, max(t + 1, len(self.table) + LANES)))
         (entry,) = self.table[t : t + 1] or self.entries(range(t, t + 1), False)
         if entry is None:
-            raise self.pole(t)
+            raise self.pole(range(t - self.m + 1, t + 1))
         return entry
 
 
@@ -325,7 +330,7 @@ def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ..
     raw = raw_points(ctx)
     rows, (denominator,) = raw.lanes(range(t, t + 1), False)
     if not denominator:
-        raise raw.pole(t)
+        raise raw.pole(range(t - raw.m + 1, t + 1))
     return tuple(tuple(v for (v,) in row) for row in rows), denominator
 
 

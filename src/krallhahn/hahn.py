@@ -2,25 +2,31 @@
 
 The Hahn polynomials are built straight from their defining sum, so the
 three-term recurrence and the second-order eigenvalue equation remain
-independent checks of the same family.  The coefficients of a Hahn sum are
-integers over one denominator, stepped by integer running products, and the
-sums (and the dual Hahn ones) are expanded by integer Horner in Newton form.
+independent checks of the same family.  The coefficients of a Hahn sum, and
+of a dual Hahn sum, are integers over one denominator, stepped by integer
+running products from the integer parts of the parameters, and each sum is
+expanded by integer Horner in Newton form.
+
 Weights are stored with the constant N! * Gamma(a+1) * Gamma(b+1) divided
 out, which keeps every mass rational; all weight comparisons in this package
-are up to a global constant anyway, and the masses are stepped by their
-one-step ratio (Koekoek et al., 9.5).
+are up to a global constant anyway.  The masses are stepped by their one-step
+ratio (Koekoek et al., 9.5), each kept as a reduced integer pair: the step is
+reduced and cross-cancelled against the mass before it multiplies (Knuth,
+TAOCP 4.5.1), and the masses go to the measure as integer parts over the lcm
+of their denominators, canonical as they are, with no ``Fraction`` built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from functools import cached_property
+from math import comb, factorial, gcd, lcm, prod
 
 from .diffops import DifferenceOperator
 from .errors import NotThetaRepresentable, ParameterSingularity
-from .measures import DiscreteMeasure, christoffel
-from .polynomials import Polynomial, divide_out_roots, newton_form, pochhammer
+from .measures import DiscreteMeasure, canonical_measure, christoffel
+from .polynomials import Polynomial, divide_out_roots, newton_form
 from .rationals import Rational, as_rational, format_rational
 from .sets import SetQuartet, default_pads, set_max
 
@@ -53,6 +59,12 @@ class HahnParams:
             raise ParameterSingularity(
                 f"a+b = {format_rational(s)} lies in -1..-{2 * self.N + 1}"
             )
+
+    @cached_property
+    def theta_shift(self) -> Fraction:
+        """a + b + 1, as in theta_x = x (x + a + b + 1), taken once per triple:
+        the integer routes read its parts."""
+        return self.a + self.b + 1
 
     def eigenvalue(self, n: Rational | int) -> Fraction:
         """theta_n = n (n + a + b + 1)."""
@@ -125,12 +137,11 @@ def _hahn_factors(n: int, p: HahnParams) -> tuple[int, int, int, int, list[int]]
     outer / Q^n and (a+1)_j is prod(low[:j]) / q^j.  Where either Pochhammer
     vanishes the Hahn polynomial is undefined: that raises ParameterSingularity."""
     a, N = p.a, p.N
-    s = a + p.b + 1
-    P, Q = s.numerator, s.denominator
+    P, Q = p.theta_shift.numerator, p.theta_shift.denominator
     outer = prod(P + (N + 1 + i) * Q for i in range(n))
     if outer == 0:
         raise ParameterSingularity(
-            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(s - 1)}, N = {N}"
+            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(p.theta_shift - 1)}, N = {N}"
         )
     q = a.denominator
     low = [a.numerator + (1 + i) * q for i in range(n)]
@@ -204,17 +215,30 @@ def hahn_weight(p: HahnParams) -> DiscreteMeasure:
 
     w(x) = (a+1)_x (b+1)_{N-x} / (x! (N-x)!), from w(0) and the step
     w(x+1) / w(x) = (x+a+1)(N-x) / ((x+1)(N-x+b)), nonzero by the exclusions.
+    Each mass is a reduced pair num / den.  With a = pa/qa and b = pb/qb the
+    step is up / down in integers, reduced; then num up / (den down) is reduced
+    by gcd(num, down) and gcd(up, den) alone.  A den may be negative: the lcm L
+    of the dens is positive, and the exact quotient L // den carries the sign.
+    The masses over L are canonical parts, handed over with no further gcd:
+    for a prime p dividing L, take a den with the largest power of p; then p
+    divides neither L // den nor, the pair being reduced, its num.
     """
     a, b, N = p.a, p.b, p.N
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    mass = pochhammer(b + 1, N) / factorial(N)
-    masses = {Fraction(0): mass}
+    num, den = prod(pb + (1 + i) * qb for i in range(N)), qb**N * factorial(N)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    pairs = [(num, den)]
     for x in range(N):
-        # the step with a = pa/qa and b = pb/qb, as one reduced integer ratio
-        step = Fraction(((x + 1) * qa + pa) * (N - x) * qb, (x + 1) * ((N - x) * qb + pb) * qa)
-        mass = mass * step
-        masses[Fraction(x + 1)] = mass
-    return DiscreteMeasure(masses)
+        up, down = ((x + 1) * qa + pa) * (N - x) * qb, (x + 1) * ((N - x) * qb + pb) * qa
+        g = gcd(up, down)
+        up, down = up // g, down // g
+        g, h = gcd(num, down), gcd(up, den)
+        num, den = (num // g) * (up // h), (den // h) * (down // g)
+        pairs.append((num, den))
+    common = lcm(*(den for _, den in pairs))
+    masses = tuple(num * (common // den) for num, den in pairs)
+    return canonical_measure(tuple(range(N + 1)), 1, masses, common)
 
 
 def dual_hahn_polynomial(
@@ -232,19 +256,30 @@ def dual_hahn_polynomial(
         raise ParameterSingularity(
             f"dual family needs alpha not in -1,-2,...; got {format_rational(alpha)}"
         )
+    # Term j is (-1)^j (-n)_j (-gamma+j)_{n-j} / ((alpha+1)_j j!) on prod_{i<j} (x - i(i+s)),
+    # s = alpha+beta+1 = P/Q, and (-1)^j (-n)_j / j! = C(n, j).  With alpha = pa/qa and
+    # gamma = pg/qg, (alpha+1)_j = prod(low[:j]) / qa^j and (-gamma+j)_{n-j} is
+    # prod_{j<=i<n} (i qg - pg) / qg^(n-j), so over the one denominator qg^n prod(low)
+    # term j is C(n, j) (qa qg)^j prod_{j<=i<n} (i qg - pg) low[i].
+    pa, qa, pg, qg = alpha.numerator, alpha.denominator, gamma.numerator, gamma.denominator
     s = alpha + beta + 1
-    # Term j is (-1)^j (-n)_j (-gamma+j)_{n-j} / ((alpha+1)_j j!) on prod_{i<j} (x - i(i+s));
-    # (-1)^j (-n)_j / j! = C(n, j) is stepped up, (-gamma+j)_{n-j} down.
-    upper = [Fraction(1)]  # upper[k] = (-gamma+n-k)_k
-    for k in range(n):
-        upper.append(upper[-1] * (n - 1 - k - gamma))
-    head = Fraction(1)
-    coeffs = []
+    P, Q = s.numerator, s.denominator
+    low = [pa + (1 + i) * qa for i in range(n)]
+    den = qg**n * prod(low)
+    # the factors of term j that fall with j, stepped down from j = n; the sign
+    # of the denominator starts the product, so that the denominator is positive
+    falling = [1 if den > 0 else -1]
+    for j in range(n - 1, -1, -1):
+        falling.append(falling[-1] * (j * qg - pg) * low[j])
+    falling.reverse()
+    coeffs, rising = [], 1
     for j in range(n + 1):
         if j:
-            head = head * (n - j + 1) / (j * (alpha + j))
-        coeffs.append(head * upper[n - j])
-    return newton_form(coeffs, [j * (j + s) for j in range(n)])
+            rising *= qa * qg
+        coeffs.append(comb(n, j) * rising * falling[j])
+    nodes = [Fraction(j * (j * Q + P), Q) for j in range(n)]
+    numerators, scale = newton_form(coeffs, nodes).integer_parts
+    return Polynomial.from_integer_parts(numerators, scale * abs(den))
 
 
 # -- the four companion families -------------------------------------------------
@@ -335,16 +370,12 @@ def transformed_hahn_weight(
     return christoffel(base, factor * (-1) ** (len(f1) + len(f3)))
 
 
-def transformed_support(p: HahnParams, quartet: SetQuartet, pads: tuple[int, int, int]) -> list[Fraction]:
-    """Expected support of the transformed weight, from the set data alone."""
+def transformed_support(p: HahnParams, quartet: SetQuartet, pads: tuple[int, int, int]) -> list[int]:
+    """Expected support of the transformed weight, in increasing order, from the
+    set data alone."""
     f3m, f4m = set_max(quartet.third), set_max(quartet.fourth)
-    removed = {Fraction(p.N + f) for f in quartet.third}
-    removed |= {Fraction(-f4m - 1 + f) for f in quartet.fourth}
-    return [
-        Fraction(x)
-        for x in range(-f4m - 1, p.N + f3m + pads[2] + 1)
-        if Fraction(x) not in removed
-    ]
+    removed = {p.N + f for f in quartet.third} | {-f4m - 1 + f for f in quartet.fourth}
+    return [x for x in range(-f4m - 1, p.N + f3m + pads[2] + 1) if x not in removed]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ A :class:`DiscreteMeasure` stores integers only: its support points P_i in
 increasing order over one point denominator e, and its masses M_i over one
 mass denominator D.  The form is canonical (zero masses dropped, e, D > 0,
 each side divided by its gcd), so ``==`` and ``hash`` read the parts;
+:func:`canonical_measure` takes parts that are canonical already, unchecked;
 ``atoms``, ``support`` and ``mass`` are ``Fraction`` views built on request.
 
 Translation, scaling, Christoffel transforms and proportionality work on the
@@ -144,7 +145,9 @@ class DiscreteMeasure:
         points = [pt * q + shift for pt in self.points]
         g = gcd(e * q, *points)
         # the masses do not move, so they stay canonical as they are
-        return _wrap(tuple(p // g for p in points), e * q // g, self.masses, self.mass_denominator)
+        return canonical_measure(
+            tuple(p // g for p in points), e * q // g, self.masses, self.mass_denominator
+        )
 
     def scale(self, factor: Scalar) -> "DiscreteMeasure":
         f = as_rational(factor)
@@ -172,11 +175,16 @@ def _measure(points: Sequence[int], e: int, masses: Sequence[int], d: int) -> Di
         kept = [i for i, m in enumerate(masses) if m]
         points, masses = [points[i] for i in kept], [masses[i] for i in kept]
     g, h = gcd(e, *points), gcd(d, *masses)
-    return _wrap(tuple(p // g for p in points), e // g, tuple(m // h for m in masses), d // h)
+    return canonical_measure(
+        tuple(p // g for p in points), e // g, tuple(m // h for m in masses), d // h
+    )
 
 
-def _wrap(points: tuple[int, ...], e: int, masses: tuple[int, ...], d: int) -> DiscreteMeasure:
-    """A measure from parts that are already canonical."""
+def canonical_measure(
+    points: tuple[int, ...], e: int, masses: tuple[int, ...], d: int
+) -> DiscreteMeasure:
+    """A measure from parts that are already canonical (increasing points, no
+    zero mass, e, d > 0, each side's gcd 1), taken as they are, unchecked."""
     measure = object.__new__(DiscreteMeasure)
     measure.points, measure.point_denominator = points, e
     measure.masses, measure.mass_denominator = masses, d

@@ -23,7 +23,6 @@ from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, Parameter
 from krallhahn.hahn import (
     HahnParams,
     hahn_polynomial,
-    hahn_weight,
     reflect,
     transformed_parameters,
 )
@@ -34,9 +33,16 @@ from krallhahn.ladder import (
     series_shift,
 )
 from krallhahn.matrices import _exact_solve
-from krallhahn.measures import christoffel
+from krallhahn.measures import DiscreteMeasure, christoffel
 from krallhahn.oracle import _primitive, operator_solution_space
-from krallhahn.polynomials import Polynomial, horner, interpolate, pochhammer, taylor_shift
+from krallhahn.polynomials import (
+    Polynomial,
+    horner,
+    interpolate,
+    newton_form,
+    pochhammer,
+    taylor_shift,
+)
 from krallhahn.rationals import Rational, as_rational, clear_denominators, format_rational
 from krallhahn.sets import set_max
 from krallhahn.verify import build_run
@@ -628,6 +634,22 @@ def per_atom_hahn_weight(p):
     }
 
 
+def fraction_hahn_weight(p: HahnParams) -> DiscreteMeasure:
+    """Each mass a ``Fraction``, stepped by its one-step ratio as one reduced
+    ``Fraction``, then handed to the measure constructor as a dict: the route
+    that the integer-pair stepping of ``hahn.hahn_weight`` replaced."""
+    a, b, N = p.a, p.b, p.N
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    mass = pochhammer(b + 1, N) / factorial(N)
+    masses = {Fraction(0): mass}
+    for x in range(N):
+        # the step with a = pa/qa and b = pb/qb, as one reduced integer ratio
+        step = Fraction(((x + 1) * qa + pa) * (N - x) * qb, (x + 1) * ((N - x) * qb + pb) * qa)
+        mass = mass * step
+        masses[Fraction(x + 1)] = mass
+    return DiscreteMeasure(masses)
+
+
 def pochhammer_hahn_leading_coefficient(n, p):
     """(-1)^n (a+b+1)_{2n} / ((2+a+b+N)_n (a+1)_n n!) from three Pochhammer
     products, the reference for the integer-product route."""
@@ -657,6 +679,34 @@ def reference_dual_hahn(n, alpha, beta, gamma):
     return acc
 
 
+def fraction_dual_hahn_polynomial(
+    n: int, alpha: Rational | int, beta: Rational | int, gamma: Rational | int
+) -> Polynomial:
+    """The dual sum's coefficients stepped as ``Fraction``s, then one Newton
+    form: the route that the integer terms of ``hahn.dual_hahn_polynomial``
+    replaced."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    alpha, beta, gamma = as_rational(alpha), as_rational(beta), as_rational(gamma)
+    if alpha.denominator == 1 and alpha.numerator <= -1:
+        raise ParameterSingularity(
+            f"dual family needs alpha not in -1,-2,...; got {format_rational(alpha)}"
+        )
+    s = alpha + beta + 1
+    # Term j is (-1)^j (-n)_j (-gamma+j)_{n-j} / ((alpha+1)_j j!) on prod_{i<j} (x - i(i+s));
+    # (-1)^j (-n)_j / j! = C(n, j) is stepped up, (-gamma+j)_{n-j} down.
+    upper = [Fraction(1)]  # upper[k] = (-gamma+n-k)_k
+    for k in range(n):
+        upper.append(upper[-1] * (n - 1 - k - gamma))
+    head = Fraction(1)
+    coeffs = []
+    for j in range(n + 1):
+        if j:
+            head = head * (n - j + 1) / (j * (alpha + j))
+        coeffs.append(head * upper[n - j])
+    return newton_form(coeffs, [j * (j + s) for j in range(n)])
+
+
 def dual_hahn_leading_coefficient(n, alpha):
     """The closed form 1 / (alpha + 1)_n of R_n's leading coefficient."""
     return 1 / pochhammer(as_rational(alpha) + 1, n)
@@ -676,7 +726,8 @@ def duality_factor(n, x, p):
 
 
 def reference_factored_weight(p, quartet):
-    """The Christoffel factor multiplied up one linear factor at a time."""
+    """The Christoffel factor multiplied up one linear factor at a time, on the
+    ``Fraction`` weight."""
     x = Polynomial.variable()
     factor = Polynomial.one()
     for f in quartet.first:
@@ -687,13 +738,16 @@ def reference_factored_weight(p, quartet):
         factor = factor * (p.N - f - x)
     for f in quartet.fourth:
         factor = factor * (x - f)
-    return christoffel(hahn_weight(p), factor)
+    return christoffel(fraction_hahn_weight(p), factor)
 
 
 def reference_transformed_weight(p, quartet, pads):
-    """The shifted, translated base weight times its factor, built the same way."""
+    """The shifted, translated ``Fraction`` base weight times its factor, built
+    the same way."""
     f4m = set_max(quartet.fourth)
-    base = hahn_weight(transformed_parameters(p, quartet, pads)).translate(Fraction(-f4m - 1))
+    base = fraction_hahn_weight(transformed_parameters(p, quartet, pads)).translate(
+        Fraction(-f4m - 1)
+    )
     x = Polynomial.variable()
     factor = Polynomial.one()
     for f in quartet.first:

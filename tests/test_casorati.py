@@ -333,6 +333,20 @@ class TestDeterminantRoutes:
             krall_polynomial(ctx, 2)
         assert pointwise_dual_route(ctx)
 
+    @pytest.mark.parametrize("a", [-2, -20])
+    def test_pole_in_the_rows_names_its_degree(self, a, monkeypatch):
+        """Kind 4's pole at n = -a: the raw rows and q_n at n = -a raise it by
+        its degree.  At a = -20, past the table's reach, the point values there
+        are taken alone and none is kept."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = context_from_degrees(HahnParams(a, Fraction(1, 2), 1), ((), (), (), (0, 1)))
+        raw = casorati.raw_points(ctx)
+        for build in (casorati.casorati_rows, krall_polynomial):
+            with pytest.raises(ParameterSingularity, match=f"pole at degree {-a}$"):
+                build(ctx, -a)
+        assert len(raw.values) <= raw.m + raw.reach
+        assert (raw.reach < -a) == (a == -20)
+
     @pytest.mark.parametrize("corrupt", ["cleared_entry", "clearing_factor"])
     def test_corrupted_clearing_block_fails(self, corrupt, monkeypatch):
         """A falling block one step too long breaks the pointwise comparison."""

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from krallhahn.config import BUILTIN_CONFIGS, builtin_config
+import krallhahn.hahn as hahn
 from krallhahn.errors import ParameterSingularity
 from krallhahn.hahn import (
     HahnParams,
     companion_eigencoefficients,
+    companion_parameters,
     companion_polynomial,
     corollary_reduction,
     dual_hahn_polynomial,
@@ -33,6 +36,8 @@ from reference import (
     duality_factor,
     euclid_grid,
     euclid_recurrence_functions,
+    fraction_dual_hahn_polynomial,
+    fraction_hahn_weight,
     lowest_terms,
     per_atom_hahn_weight,
     pochhammer_hahn_leading_coefficient,
@@ -293,6 +298,90 @@ def test_weight_matches_per_atom_reference_on_a_seeded_grid():
     assert any(p.a < 0 and p.b < 0 for p in grid)
     for p in grid:
         assert hahn_weight(p).atoms == per_atom_hahn_weight(p)
+
+
+def _draw_params(rng, N):
+    """Valid HahnParams at N, a and b drawn from p/q with |p| <= 30 and q <= 6."""
+    while True:
+        try:
+            return HahnParams(
+                Fraction(rng.randint(-30, 30), rng.randint(1, 6)),
+                Fraction(rng.randint(-30, 30), rng.randint(1, 6)),
+                N,
+            )
+        except ParameterSingularity:
+            pass
+
+
+# one derandomised draw per N = 1..40 and one at N = 200, shared by the tests of
+# the integer weight and dual routes against the Fraction routes they replaced
+_DRAW_RNG = random.Random(41)
+FRACTION_ROUTE_DRAWS = [_draw_params(_DRAW_RNG, N) for N in [*range(1, 41), 200]]
+FRACTION_ROUTE_QUARTETS = [
+    SetQuartet.of((), (), (), (1,)),
+    SetQuartet.of((1,), (2,), (), ()),
+    SetQuartet.of((), (), (1, 2), (3,)),
+    SetQuartet.of((2,), (1, 3), (), (1,)),
+]
+
+
+def _outcome(build, *args):
+    """What a build returns, or ParameterSingularity when it raises that."""
+    try:
+        return build(*args)
+    except ParameterSingularity:
+        return ParameterSingularity
+
+
+def test_weights_match_fraction_routes(monkeypatch):
+    """hahn_weight, factored_hahn_weight and transformed_hahn_weight equal the
+    Fraction routes on the shared draws, and every mass that hahn_weight puts
+    over the lcm of its denominators is in lowest terms: each denominator read
+    by the lcm is, up to sign, the Fraction mass's.  The draws take negative
+    non-integer a and b, and steps whose denominator (N - x) q_b + p_b is
+    negative, so that a stepped denominator turns negative."""
+    draws = FRACTION_ROUTE_DRAWS
+    assert any(p.a < 0 and p.a.denominator > 1 for p in draws)
+    assert any(p.b < 0 and p.b.denominator > 1 for p in draws)
+    assert any(
+        (p.N - x) * p.b.denominator + p.b.numerator < 0 for p in draws for x in range(p.N)
+    )
+    denominators = []
+
+    def spy(*dens):
+        denominators.append([abs(d) for d in dens])
+        return lcm(*dens)
+
+    monkeypatch.setattr(hahn, "lcm", spy)
+    for i, p in enumerate(draws):
+        expected = fraction_hahn_weight(p)
+        denominators.clear()
+        assert hahn_weight(p) == expected, p
+        assert denominators == [[m.denominator for m in expected.atoms.values()]], p
+        quartet = FRACTION_ROUTE_QUARTETS[i % len(FRACTION_ROUTE_QUARTETS)]
+        assert factored_hahn_weight(p, quartet) == reference_factored_weight(p, quartet), p
+        pads = default_pads(quartet)
+        assert _outcome(transformed_hahn_weight, p, quartet, pads) == _outcome(
+            reference_transformed_weight, p, quartet, pads
+        ), p
+
+
+def test_companions_match_fraction_route():
+    """Each kind's companion polynomial, gamma = a + b + N (kinds 1, 2) or
+    -2 - N (kinds 3, 4), equals the Fraction dual route shifted by a + b on the
+    shared draws; an alpha in -1, -2, ... raises on both."""
+    built = set()
+    for p in FRACTION_ROUTE_DRAWS:
+        for kind in (1, 2, 3, 4):
+            alpha, beta, gamma = companion_parameters(kind, p)
+            for degree in range(5):
+                expected = _outcome(fraction_dual_hahn_polynomial, degree, alpha, beta, gamma)
+                if expected is not ParameterSingularity:
+                    expected = expected.shift_argument(p.a + p.b)
+                    built.add((kind, gamma.denominator > 1))
+                assert _outcome(companion_polynomial, kind, degree, p) == expected, (p, kind)
+    # every kind, and a non-integer gamma = a + b + N too
+    assert {kind for kind, _ in built} == {1, 2, 3, 4} and (1, True) in built
 
 
 class TestDualFamily:

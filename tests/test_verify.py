@@ -2,6 +2,7 @@
 
 import json
 from collections import OrderedDict
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -24,6 +25,7 @@ from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid, KrallHahnError, ParameterSingularity
 from krallhahn.hahn import HahnParams, hahn_weight
+from krallhahn.measures import DiscreteMeasure
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import format_rational
@@ -455,6 +457,24 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     else:
         flags = {key: value for key, value in witness.items() if isinstance(value, bool)}
         assert [key for key, value in flags.items() if not value] == ["determinant_dual_route"]
+
+
+def test_support_check_reads_the_point_denominator():
+    """The run's integer points over the point denominator 2 put every atom at
+    half its place: the points match the formula's integers, but the support
+    does not."""
+    import krallhahn.verify as verify
+
+    run = build_run(builtin_config("single-root-direct"))
+    halved = DiscreteMeasure({
+        Fraction(pt, 2): Fraction(m, run.measure.mass_denominator)
+        for pt, m in zip(run.measure.points, run.measure.masses)
+    })
+    assert (halved.points, halved.point_denominator) == (run.measure.points, 2)
+    assert verify._check_support(run)[0]
+    ok, witness = verify._check_support(replace(run, measure=halved))
+    assert not ok and witness["support_matches_formula"] is False
+    assert witness["size"] == witness["expected_size"]
 
 
 @pytest.mark.parametrize("term", ["nonorthogonal_pairs", "zero_norms"])
