@@ -14,7 +14,7 @@ higher degree (e = 0), however large its coefficient degrees.
 reference.  Likewise
 :func:`operator_sum`, which assembles
 :func:`~krallhahn.casorati.krall_operator`, multiplies operators as integer
-value tables at points and interpolates once;
+value tables at points and interpolates every shift in one call;
 :meth:`DifferenceOperator.compose` and :func:`operator_polynomial` build the
 products as polynomials and are its reference.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, filterfalse, islice
 from math import lcm
-from operator import add, index, mul
+from operator import add, index, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ZeroOperatorError
@@ -283,8 +283,9 @@ def operator_sum(
     (c_i, q), is sum_i c_i d^(deg c - i) T B^i over q d^(deg c), and the
     T B^i of Y_r(base) are repeated right multiplications of
     T = M_r(base) o L_r by base.  The denominators are known before any table
-    is built, so every term is added into one table over their lcm, and each
-    shift is interpolated once (:func:`~krallhahn.polynomials.interpolate`).
+    is built, so every term is added into one table over their lcm, and the
+    shifts are interpolated in one call, as lanes
+    (:func:`~krallhahn.polynomials.interpolate`).
 
     A product adds the coefficient degrees: the S_{j+k} coefficient of T o B
     is sum_j T_j(x) b_k(x + j).  With e and f_r the largest coefficient
@@ -346,7 +347,7 @@ def operator_sum(
         add_polynomial(left, symbol, powers, 1)
         product = _right_multiply(left, ladder_values, window)
         add_polynomial(total, poly, right_powers(product), common // den)
-    return DifferenceOperator({l: interpolate(row, common) for l, row in total.items()})
+    return DifferenceOperator(dict(zip(total, interpolate(list(total.values()), common))))
 
 
 def eigen_certificate(
@@ -365,8 +366,9 @@ def eigen_certificate(
     With every h_l = H_l / L over the lcm L of their denominators, f = F / c
     and lambda = num / den, the residual vanishes at x iff
     den * sum_l H_l(x) F(x + l) == num * L * F(x), on integers: each H_l is
-    evaluated once per point for all pairs, and each F once at each point
-    x + l that a tested x reads, l = 0 or a shift of op.  The zero operator
+    evaluated once at the consecutive points from the first tested to the
+    last, and each F once at the consecutive points x + l those reach, l = 0
+    or a shift of op, so the sum is one pass per shift.  The zero operator
     has no terms, so its sum is 0 and the residual is -lambda f.  A float
     lambda raises ``TypeError``.
     """
@@ -375,19 +377,25 @@ def eigen_certificate(
     extra = degree_excess(op) - len(known)  # points needed beyond deg f + 1
     needed = max((len(nums) + extra for nums, _ in pairs), default=0)
     points = list(islice(filterfalse(known.__contains__, count()), max(needed, 0)))
-    values, common = coefficient_values(op, points)  # H_l at the points
-    shifts = {0, *op.terms}
-    terms = list(values.items())
+    first, last = (points[0], points[-1]) if points else (0, -1)
+    offsets = [x - first for x in points]
+    values, common = coefficient_values(op, range(first, last + 1))  # H_l from first to last
+    lo, hi = min((0, *op.terms)), max((0, *op.terms))
+    terms = [(l - lo, row) for l, row in values.items()]
     verdicts = []
     for nums, lam in pairs:
-        window = points[: max(len(nums) + extra, 0)]
-        at = {y: horner(nums, y) for y in {x + l for x in window for l in shifts}}
-        scale = lam.numerator * common
-        verdicts.append(
-            all(
-                lam.denominator * sum(row[i] * at[x + l] for l, row in terms)
-                == scale * at[x]
-                for i, x in enumerate(window)
-            )
-        )
+        size = max(len(nums) + extra, 0)
+        if not size:
+            verdicts.append(True)
+            continue
+        span = offsets[size - 1] + 1
+        at = [horner(nums, y) for y in range(first + lo, first + span + hi)]  # F(first + lo ..)
+        sums = [0] * span
+        for k, row in terms:
+            sums = list(map(add, sums, map(mul, row, at[k : k + span])))
+        residual = list(map(
+            sub, map(lam.denominator.__mul__, sums),
+            map((lam.numerator * common).__mul__, at[-lo : span - lo]),
+        ))
+        verdicts.append(not any(map(residual.__getitem__, offsets[:size])))
     return verdicts

@@ -85,20 +85,35 @@ def reflect(poly: Polynomial, shift: Rational | int) -> Polynomial:
 def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
     """Rewrite a reflection-invariant polynomial as a polynomial in theta_x.
 
-    theta_x = x(x + a + b + 1).  The base-theta digits come from repeated
-    division by theta.  theta is invariant under x -> -(x + a + b + 1) and a
-    linear digit is not, so a nonconstant digit means no such form: it raises.
+    theta_x = x(x + a + b + 1).  With a + b + 1 = P/Q, y = Q x and p = C / den
+    of degree d, Q^d p is the integer polynomial E(y) = sum_k C_k Q^(d-k) y^k,
+    and Q^2 theta = T(y) = y(y + P) is monic in y.  So E's base-T digits come
+    from integer subtractions alone, in one pass: dividing by T leaves the
+    remainder in E's two lowest slots and the quotient above them, and the
+    quotient is divided in place in turn.  Digit k, r_k + s_k y, stands for
+    r_k Q^(2k) theta^k / (Q^d den).  theta is invariant under
+    x -> -(x + a + b + 1) and a linear digit is not, so a nonzero s_k means
+    no such form: it raises.
     """
-    theta = Polynomial((0, as_rational(ab_sum) + 1, 1))
-    digits = []
-    while not poly.is_zero:
-        poly, digit = poly.divmod(theta)
-        if digit.degree > 0:
-            raise NotThetaRepresentable(
-                "polynomial is not invariant under x -> -(x + a + b + 1)"
-            )
-        digits.append(digit.coefficient(0))
-    return Polynomial(digits)
+    nums, den = poly.integer_parts
+    shift = as_rational(ab_sum) + 1
+    P, Q = shift.numerator, shift.denominator
+    top = len(nums) - 1
+    digits, power = [], 1
+    for c in reversed(nums):
+        digits.append(c * power)
+        power *= Q
+    digits.reverse()  # digits[k] = C_k Q^(top - k)
+    for start in range(2, top + 1, 2):
+        for i in range(top, start - 1, -1):
+            digits[i - 1] -= P * digits[i]
+    if any(digits[1::2]):
+        raise NotThetaRepresentable("polynomial is not invariant under x -> -(x + a + b + 1)")
+    scaled, power = [], 1
+    for r in digits[::2]:
+        scaled.append(r * power)
+        power *= Q * Q
+    return Polynomial.from_integer_parts(scaled, den * Q ** max(top, 0))
 
 
 def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
@@ -162,11 +177,20 @@ def hahn_leading_coefficient(n: int, p: HahnParams) -> Fraction:
 
 
 def hahn_operator(p: HahnParams) -> DifferenceOperator:
-    """Second-order difference operator with the Hahn family as eigenfunctions."""
-    x = Polynomial.variable()
-    down = x * (x - p.b - p.N - 1)
-    up = (x + p.a + 1) * (x - p.N)
-    return DifferenceOperator({-1: down, 0: -(up + down), 1: up})
+    """Second-order difference operator with the Hahn family as eigenfunctions:
+    down S_-1 - (up + down) S_0 + up S_1, with down = x(x - b - N - 1) and
+    up = (x + a + 1)(x - N), on the integer parts of a and b over
+    L = lcm(den a, den b)."""
+    N, a, b = p.N, p.a, p.b
+    den = lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    down = (0, -B - (N + 1) * den, den)
+    up = (-N * (A + den), A + den - N * den, den)
+    middle = [-(u + d) for u, d in zip(up, down)]
+    return DifferenceOperator({
+        l: Polynomial.from_integer_parts(nums, den)
+        for l, nums in ((-1, down), (0, middle), (1, up))
+    })
 
 
 def hahn_recurrence_functions(p: HahnParams) -> tuple[tuple[Polynomial, Polynomial], ...]:
@@ -219,6 +243,7 @@ def hahn_weight(p: HahnParams) -> DiscreteMeasure:
     step is up / down in integers, reduced; then num up / (den down) is reduced
     by gcd(num, down) and gcd(up, den) alone.  A den may be negative: the lcm L
     of the dens is positive, and the exact quotient L // den carries the sign.
+    L and each L // den come from a tree of lcms (:func:`_lcm_cofactors`).
     The masses over L are canonical parts, handed over with no further gcd:
     for a prime p dividing L, take a den with the largest power of p; then p
     divides neither L // den nor, the pair being reduced, its num.
@@ -236,9 +261,35 @@ def hahn_weight(p: HahnParams) -> DiscreteMeasure:
         g, h = gcd(num, down), gcd(up, den)
         num, den = (num // g) * (up // h), (den // h) * (down // g)
         pairs.append((num, den))
-    common = lcm(*(den for _, den in pairs))
-    masses = tuple(num * (common // den) for num, den in pairs)
+    common, cofactors = _lcm_cofactors([den for _, den in pairs])
+    masses = tuple(num * c for (num, _), c in zip(pairs, cofactors))
     return canonical_measure(tuple(range(N + 1)), 1, masses, common)
+
+
+# below about 32 operands of the sizes hahn_weight hands over, one flat lcm
+# is faster than a tree of pairs, which only adds calls
+_LCM_BLOCK = 32
+
+
+def _lcm_cofactors(dens: list[int]) -> tuple[int, list[int]]:
+    """(L, [L // d for d in dens]) for nonzero integers, L their lcm > 0.
+
+    Each block of _LCM_BLOCK dens takes one flat lcm, and L is a balanced
+    tree of lcms of pairs over those, so no lcm reads a large operand against
+    a small one.  Each L // d is the product of the exact quotients
+    parent // child on the path from the root down to d.
+    """
+    blocks = [dens[i : i + _LCM_BLOCK] for i in range(0, len(dens), _LCM_BLOCK)]
+    levels = [[lcm(*block) for block in blocks]]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([lcm(*below[i : i + 2]) for i in range(0, len(below), 2)])
+    factors = [1]
+    for above, below in zip(levels[:0:-1], levels[-2::-1]):
+        factors = [factors[i // 2] * (above[i // 2] // node) for i, node in enumerate(below)]
+    return levels[-1][0], [
+        f * (top // d) for f, top, block in zip(factors, levels[0], blocks) for d in block
+    ]
 
 
 def dual_hahn_polynomial(

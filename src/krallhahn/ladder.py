@@ -41,19 +41,28 @@ def series_shift(p: HahnParams) -> Polynomial:
 
 
 def ladder_operator(kind: int, p: HahnParams) -> DifferenceOperator:
-    """First-order difference operator realising the triangular series action."""
-    x = Polynomial.variable()
-    half = Polynomial.constant(Fraction(p.a + p.b + 1, 2))
-    identity = DifferenceOperator({0: half})
-    if kind == 1:
-        return identity + DifferenceOperator.backward_difference().scale(x)
-    if kind == 2:
-        return identity + DifferenceOperator.forward_difference().scale(x - p.N)
-    if kind == 3:
-        return identity + DifferenceOperator.forward_difference().scale(x + p.a + 1)
-    if kind == 4:
-        return identity + DifferenceOperator.backward_difference().scale(x - p.b - p.N - 1)
-    raise ValueError(f"kind must be 1..4, got {kind}")
+    """First-order difference operator realising the triangular series action:
+    (a + b + 1)/2 plus x - root times the backward difference S_0 - S_-1
+    (kinds 1, 4) or the forward difference S_1 - S_0 (kinds 2, 3), with
+    root 0, N, -a - 1 and b + N + 1 for kinds 1-4, on integer parts: with
+    a + b + 1 = P/Q and root = r/q, over L = lcm(2Q, q)."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be 1..4, got {kind}")
+    a, b, N = p.a, p.b, p.N
+    top, q = (
+        (0, 1), (N, 1), (-a.numerator - a.denominator, a.denominator),
+        (b.numerator + (N + 1) * b.denominator, b.denominator),
+    )[kind - 1]
+    P, Q = p.theta_shift.numerator, p.theta_shift.denominator
+    den = lcm(2 * Q, q)
+    half, root = P * (den // (2 * Q)), top * (den // q)
+    if kind in (2, 3):  # half - (x - root) on S_0, x - root on S_1
+        terms = {0: (half + root, -den), 1: (-root, den)}
+    else:  # half + (x - root) on S_0, -(x - root) on S_-1
+        terms = {-1: (root, -den), 0: (half - root, den)}
+    return DifferenceOperator({
+        l: Polynomial.from_integer_parts(nums, den) for l, nums in terms.items()
+    })
 
 
 def ratio_products(ratio: tuple[Polynomial, Polynomial], points: Iterable[int]) -> list[Fraction]:

@@ -57,14 +57,14 @@ def operator_solution_space(
     probe.  An inconsistent pointwise system, or coupling rows with no
     solution, give (None, 0).  Otherwise the values at x = 0..degree_cap,
     each point's particular solution plus the coupling's multiples of its
-    kernel vectors, are interpolated, and the interpolant is returned with
-    the coupling's nullity (0 if no point is singular) if it passes the
-    certificate, else (None, 0).  The certificate is told that every
-    residual vanishes at 0..degree_cap: there h(x) solves every fed
-    equation, since :func:`_difference_solve` checks each row below the
-    unknown it reaches and its dense branch takes every remaining row, and
-    :func:`~krallhahn.polynomials.interpolate` reproduces the values
-    exactly.  Each eigenvalue is read by
+    kernel vectors, are interpolated, every shift in one call as lanes, and
+    the interpolant is returned with the coupling's nullity (0 if no point
+    is singular) if it passes the certificate, else (None, 0).  The
+    certificate is told that every residual vanishes at 0..degree_cap:
+    there h(x) solves every fed equation, since :func:`_difference_solve`
+    checks each row below the unknown it reaches and its dense branch takes
+    every remaining row, and :func:`~krallhahn.polynomials.interpolate`
+    reproduces the values exactly.  Each eigenvalue is read by
     :func:`~krallhahn.rationals.as_rational`, so a float raises
     ``TypeError``.
     """
@@ -99,12 +99,8 @@ def operator_solution_space(
         for (x, vector), tk in zip(kernels, t):  # t_k K_k added at its own point
             values[x] = [v + tk * k for v, k in zip(values[x], vector)]
         common *= det
-    found = DifferenceOperator(
-        {
-            l: interpolate([row[col] for row in values], common)
-            for col, l in enumerate(range(-halfwidth, halfwidth + 1))
-        }
-    )
+    shifts = range(-halfwidth, halfwidth + 1)
+    found = DifferenceOperator(dict(zip(shifts, interpolate(list(zip(*values)), common))))
     if all(eigen_certificate(found, zip(qs, lambdas), zeros=range(degree_cap + 1))):
         return found, nullity
     return None, 0

@@ -13,7 +13,8 @@ integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
 Newton-form sums are integer Horner (:func:`newton_form`), and ``divmod`` is
 integer pseudo-division (``/`` divides by a scalar only).  :func:`interpolate`
 is the one route from integer values at integer nodes back to a polynomial,
-:func:`antidifference` among its callers.  Each result is made canonical once.
+:func:`antidifference` among its callers; several tables of one length go
+through it in one call, as lanes.  Each result is made canonical once.
 ``Fraction`` appears only at the edges: scalars are read by
 :func:`~krallhahn.rationals.as_rational`, so a ``float`` raises ``TypeError``,
 and ``coefficient``, ``leading_coefficient``, ``coeffs``, iteration,
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NonExactDivision
@@ -419,11 +420,18 @@ def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial
 
     With coeffs[j] = c_j / d and the first n = len(coeffs) - 1 nodes p_i / q,
     this is sum_j c_j q^(n-j) prod_{i<j} (q x - p_i) / (d q^n): integers only.
+    On integer nodes q = 1, so no powers of q are carried, and each step
+    (x - p_j) acc + c_j is one ``map`` pass.
     """
     n = len(coeffs) - 1
     nums, den = clear_denominators(coeffs)
     tops, q = clear_denominators(nodes[:n])
     acc, scale = [nums[n]], 1
+    if q == 1:
+        for j in range(n - 1, -1, -1):
+            p = tops[j]
+            acc = [nums[j] - p * acc[0], *map(sub, acc, map(p.__mul__, acc[1:])), acc[-1]]
+        return _make(acc, den)
     for j in range(n - 1, -1, -1):
         p, scale = tops[j], scale * q
         acc = [nums[j] * scale - p * acc[0]] + [
@@ -433,8 +441,10 @@ def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial
 
 
 def interpolate(
-    values: Sequence[int], denominator: int, nodes: Sequence[int] | None = None
-) -> Polynomial:
+    values: Sequence[int] | Sequence[Sequence[int]],
+    denominator: int,
+    nodes: Sequence[int] | None = None,
+) -> Polynomial | list[Polynomial]:
     """The polynomial p of degree below K = len(values) >= 1 with
     p(nodes[i]) = values[i] / denominator, for a denominator > 0 and
     increasing integer nodes, by default 0..K-1.
@@ -445,7 +455,17 @@ def interpolate(
     gap at level k is k: plain differences, and s_k = k.  Scaled by
     s_(j+1) ... s_(K-1), the coefficients are integers over s_1 ... s_(K-1)
     times the denominator, so one :func:`newton_form` call builds p.
+
+    ``values`` may instead be a list of tables of one length on 0..K-1, the
+    lanes: one polynomial per table comes back, two or more tables through
+    one Newton expansion (:func:`_interpolate_lanes`).
     """
+    if not values or not isinstance(values[0], int):
+        if nodes is not None:
+            raise ValueError("lanes are interpolated on the nodes 0..K-1")
+        if len(values) > 1:
+            return _interpolate_lanes(values, denominator)
+        return [interpolate(table, denominator) for table in values]
     top = len(values) - 1
     nodes = range(top + 1) if nodes is None else nodes
     diffs, leading, steps = list(values), [values[0]], range(1, top + 1)
@@ -467,6 +487,32 @@ def interpolate(
     coeffs.reverse()  # coeffs[j] = leading[j] * s_(j+1) ... s_top, and scale = s_1 ... s_top
     numerators, _ = newton_form(coeffs, nodes).integer_parts
     return Polynomial.from_integer_parts(numerators, scale * denominator)
+
+
+def _interpolate_lanes(tables: Sequence[Sequence[int]], denominator: int) -> list[Polynomial]:
+    """p = sum_j Delta^j p(0) (K - 1)! / j! prod_(i<j) (x - i) over (K - 1)!
+    for each table: its forward differences first, then one Horner pass for
+    all tables, each coefficient of acc a list with one entry per table, so
+    that a step (x - j) acc + c_j is one ``map`` pass per coefficient."""
+    top = len(tables[0]) - 1
+    lanes = []  # lanes[s][j]: the j-th forward difference of table s at 0
+    for values in tables:
+        diffs, lane = list(values), [values[0]]
+        for _ in range(top):
+            diffs = list(map(sub, diffs[1:], diffs))
+            lane.append(diffs[0])
+        lanes.append(lane)
+    leading = list(zip(*lanes))  # leading[j]: the j-th differences of every table
+    acc, factor = [leading[top]], 1
+    for j in range(top - 1, -1, -1):
+        factor *= j + 1  # (K - 1)! / j!
+        c = map(factor.__mul__, leading[j])
+        acc = [
+            list(map(sub, c, map(j.__mul__, acc[0]))),
+            *(list(map(sub, low, map(j.__mul__, high))) for low, high in zip(acc, acc[1:])),
+            acc[-1],
+        ]
+    return [_make(numerators, factor * denominator) for numerators in zip(*acc)]
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -17,7 +17,13 @@ from operator import mul
 from typing import Sequence
 
 from krallhahn import casorati
-from krallhahn.casorati import base_polynomial, eigenvalue_polynomial, normalizer, series_ratios
+from krallhahn.casorati import (
+    base_polynomial,
+    eigenvalue_polynomial,
+    mixing_polynomial,
+    normalizer,
+    series_ratios,
+)
 from krallhahn.diffops import DifferenceOperator, coefficient_values, operator_polynomial
 from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
@@ -154,6 +160,22 @@ def reference_from_roots(roots):
         ] + [q * nums[-1]]
         den *= q
     return Polynomial.from_integer_parts(nums, den)
+
+
+def reference_newton_form(coeffs, nodes):
+    """sum_j coeffs[j] prod_{i<j} (x - nodes[i]) by Horner over q^(n-j) and
+    (q x - p_i) for nodes p_i / q, powers of q carried even when q = 1: the
+    reference for newton_form's integer-node branch."""
+    n = len(coeffs) - 1
+    nums, den = clear_denominators(coeffs)
+    tops, q = clear_denominators(nodes[:n])
+    acc, scale = [nums[n]], 1
+    for j in range(n - 1, -1, -1):
+        p, scale = tops[j], scale * q
+        acc = [nums[j] * scale - p * acc[0]] + [
+            q * prev - p * cur for prev, cur in zip(acc, acc[1:])
+        ] + [q * acc[-1]]
+    return Polynomial.from_integer_parts(acc, den * scale)
 
 
 def lagrange(nodes, values):
@@ -1100,6 +1122,22 @@ def shifted_entry_mixing(ctx, row):
     return as_polynomial(acc)
 
 
+def reference_theta_substitute(poly, ab_sum):
+    """The base-theta digits by repeated Polynomial.divmod by theta, the route
+    that the one integer pass of hahn.theta_substitute replaced: a digit of
+    positive degree raises."""
+    theta = Polynomial((0, as_rational(ab_sum) + 1, 1))
+    digits = []
+    while not poly.is_zero:
+        poly, digit = poly.divmod(theta)
+        if digit.degree > 0:
+            raise NotThetaRepresentable(
+                "polynomial is not invariant under x -> -(x + a + b + 1)"
+            )
+        digits.append(digit.coefficient(0))
+    return Polynomial(digits)
+
+
 def peeling_theta_substitute(poly, ab_sum):
     """The theta expansion by a reflection check and peeling of leading terms
     with fresh theta powers, the reference for the digit route."""
@@ -1139,6 +1177,64 @@ def reference_krall_polynomial(ctx, n):
         border[k] = -h if k % 2 else h
     q = cofactor_det([*reference_casorati_rows(ctx, n), border])
     return -q if ctx.m % 2 else q
+
+
+def theta_inputs(ctx):
+    """The polynomials the construction expands in theta: the spectral sum and
+    each mixing polynomial divided by the shifted step."""
+    p = ctx.params
+    theta = p.eigenvalue_poly()
+    spectral = 2 * eigenvalue_polynomial(ctx)
+    for row in range(ctx.m):
+        spectral = spectral + ctx.row_polys[row].compose(theta) * mixing_polynomial(ctx, row)
+    sigma_next = series_shift(p).shift_argument(1)
+    return [spectral] + [
+        mixing_polynomial(ctx, row).divide_exact(sigma_next) for row in range(ctx.m)
+    ]
+
+
+def reference_krall_operator(ctx):
+    """(D, P, [M_r]): the spectral polynomial P and the mixing symbols M_r by
+    reference_theta_substitute on theta_inputs, and D = P(H)/2 + sum_r
+    M_r(H) L_r Y_r(H) by compose_operator on the reference Hahn operator H and
+    ladder operators L_r: the reference for krall_operator,
+    spectral_polynomial and mixing_symbol."""
+    p = ctx.params
+    s = p.a + p.b
+    spectral, *symbols = [reference_theta_substitute(poly, s) for poly in theta_inputs(ctx)]
+    rows = [
+        (symbol, reference_ladder_operator(kind, p), poly)
+        for symbol, kind, poly in zip(symbols, ctx.row_kinds, ctx.row_polys)
+    ]
+    operator = compose_operator(reference_hahn_operator(p), spectral * Fraction(1, 2), rows)
+    return operator, spectral, symbols
+
+
+def reference_hahn_operator(p):
+    """The Hahn operator by Polynomial algebra on Fraction scalars, the
+    reference for hahn.hahn_operator's integer parts."""
+    x = Polynomial.variable()
+    down = x * (x - p.b - p.N - 1)
+    up = (x + p.a + 1) * (x - p.N)
+    return DifferenceOperator({-1: down, 0: -(up + down), 1: up})
+
+
+def reference_ladder_operator(kind, p):
+    """The ladder operator as the identity times (a + b + 1)/2 plus a scaled
+    forward or backward difference, the reference for ladder.ladder_operator's
+    integer parts."""
+    x = Polynomial.variable()
+    half = Polynomial.constant(Fraction(p.a + p.b + 1, 2))
+    identity = DifferenceOperator({0: half})
+    if kind == 1:
+        return identity + DifferenceOperator.backward_difference().scale(x)
+    if kind == 2:
+        return identity + DifferenceOperator.forward_difference().scale(x - p.N)
+    if kind == 3:
+        return identity + DifferenceOperator.forward_difference().scale(x + p.a + 1)
+    if kind == 4:
+        return identity + DifferenceOperator.backward_difference().scale(x - p.b - p.N - 1)
+    raise ValueError(f"kind must be 1..4, got {kind}")
 
 
 def compose_operator(base, head, rows):

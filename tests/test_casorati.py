@@ -76,6 +76,7 @@ from reference import (
     reference_casorati_rows,
     reference_krall_polynomial,
     shifted_entry_mixing,
+    theta_inputs,
     value,
 )
 
@@ -529,20 +530,6 @@ class TestDifferenceIdentities:
             inc = spectral_increment(ctx)
             lhs = ps.compose(p.eigenvalue_poly()) - ps.compose(p.eigenvalue_poly(shift=-1))
             assert lhs == inc + inc.shift_argument(ctx.m)
-
-
-def theta_inputs(ctx):
-    """The polynomials the construction expands in theta: the spectral sum and
-    each mixing polynomial divided by the shifted step."""
-    p = ctx.params
-    theta = p.eigenvalue_poly()
-    spectral = 2 * eigenvalue_polynomial(ctx)
-    for row in range(ctx.m):
-        spectral = spectral + ctx.row_polys[row].compose(theta) * mixing_polynomial(ctx, row)
-    sigma_next = series_shift(p).shift_argument(1)
-    return [spectral] + [
-        mixing_polynomial(ctx, row).divide_exact(sigma_next) for row in range(ctx.m)
-    ]
 
 
 class TestThetaRoutes:

@@ -238,6 +238,25 @@ def test_eigen_certificate_matches_apply_on_seeded_cases():
         eigen_certificate(DifferenceOperator.identity(), [(X, 0.5)])
 
 
+def test_eigen_certificate_matches_reference_on_zero_operator_and_gapped_zeros():
+    """On the zero operator the residual is -lambda f, zero only for f = 0 or
+    lambda = 0: the certificate equals the reference.  Handed non-contiguous
+    zeros, it agrees with the reference on true eigenpairs, Hahn polynomials
+    of the Hahn operator, whose windows then skip those points."""
+    zero = DifferenceOperator.zero()
+    pairs = [(Polynomial.zero(), Fraction(3)), (X**3 - 2, Fraction(0)),
+             (X**2 - 1, Fraction(-2, 3)), (Polynomial.constant(5), Fraction(1))]
+    assert eigen_certificate(zero, pairs) == reference_eigen_certificate(zero, pairs)
+    assert eigen_certificate(zero, pairs) == [True, True, False, False]
+    p = HahnParams(Fraction(-7, 2), Fraction(5, 3), 9)
+    op = hahn_operator(p)
+    pairs = [(hahn_polynomial(n, p), p.eigenvalue(n)) for n in range(6)]
+    expected = reference_eigen_certificate(op, pairs)
+    assert expected == [True] * 6
+    for zeros in ([1, 4, 5, 9], [0, 2, 3, 7, 8, 11]):
+        assert eigen_certificate(op, pairs, zeros=zeros) == expected, zeros
+
+
 @pytest.mark.parametrize("k, top, s, lam", [
     (1, 2, 0, Fraction(0)),
     (3, 7, 0, Fraction(-5, 3)),

@@ -8,7 +8,7 @@ import pytest
 
 from krallhahn.config import BUILTIN_CONFIGS, builtin_config
 import krallhahn.hahn as hahn
-from krallhahn.errors import ParameterSingularity
+from krallhahn.errors import NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
     HahnParams,
     companion_eigencoefficients,
@@ -23,10 +23,11 @@ from krallhahn.hahn import (
     hahn_recurrence,
     hahn_recurrence_functions,
     hahn_weight,
+    theta_substitute,
     transformed_hahn_weight,
     transformed_support,
 )
-from krallhahn.ladder import series_ratio
+from krallhahn.ladder import KINDS, ladder_operator, series_ratio
 from krallhahn.measures import gram_schmidt
 from krallhahn.polynomials import Polynomial, pochhammer
 from krallhahn.sets import SetQuartet, default_pads
@@ -44,6 +45,9 @@ from reference import (
     reference_dual_hahn,
     reference_factored_weight,
     reference_hahn,
+    reference_hahn_operator,
+    reference_ladder_operator,
+    reference_theta_substitute,
     reference_transformed_weight,
 )
 
@@ -347,12 +351,13 @@ def test_weights_match_fraction_routes(monkeypatch):
         (p.N - x) * p.b.denominator + p.b.numerator < 0 for p in draws for x in range(p.N)
     )
     denominators = []
+    cofactors = hahn._lcm_cofactors
 
-    def spy(*dens):
+    def spy(dens):
         denominators.append([abs(d) for d in dens])
-        return lcm(*dens)
+        return cofactors(dens)
 
-    monkeypatch.setattr(hahn, "lcm", spy)
+    monkeypatch.setattr(hahn, "_lcm_cofactors", spy)
     for i, p in enumerate(draws):
         expected = fraction_hahn_weight(p)
         denominators.clear()
@@ -364,6 +369,16 @@ def test_weights_match_fraction_routes(monkeypatch):
         assert _outcome(transformed_hahn_weight, p, quartet, pads) == _outcome(
             reference_transformed_weight, p, quartet, pads
         ), p
+
+
+def test_lcm_cofactors_match_one_flat_lcm():
+    """The lcm tree over blocks gives the flat lcm and every L // d, signs
+    included, for one den, one block, a block and one more, and many blocks."""
+    rng = random.Random(44)
+    for count in (1, 2, hahn._LCM_BLOCK, hahn._LCM_BLOCK + 1, 5 * hahn._LCM_BLOCK + 3):
+        dens = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(count)]
+        common = lcm(*dens)
+        assert hahn._lcm_cofactors(dens) == (common, [common // d for d in dens]), count
 
 
 def test_companions_match_fraction_route():
@@ -382,6 +397,47 @@ def test_companions_match_fraction_route():
                 assert _outcome(companion_polynomial, kind, degree, p) == expected, (p, kind)
     # every kind, and a non-integer gamma = a + b + N too
     assert {kind for kind, _ in built} == {1, 2, 3, 4} and (1, True) in built
+
+
+def test_operators_match_references():
+    """hahn_operator and the four ladder operators, built on integer parts,
+    equal the Polynomial-algebra references on the shared draws, which take
+    negative non-integer a and b, and integer a and b both above -1 and
+    below -N."""
+    draws = FRACTION_ROUTE_DRAWS
+    assert any(p.a < 0 and p.a.denominator > 1 for p in draws)
+    assert any(p.b < 0 and p.b.denominator > 1 for p in draws)
+    assert any(v.denominator == 1 and v >= 0 for p in draws for v in (p.a, p.b))
+    assert any(v.denominator == 1 and v < -p.N for p in draws for v in (p.a, p.b))
+    for p in draws:
+        assert hahn_operator(p) == reference_hahn_operator(p), p
+        for kind in KINDS:
+            assert ladder_operator(kind, p) == reference_ladder_operator(kind, p), (p, kind)
+
+
+def test_theta_substitute_matches_reference():
+    """On the shared draws, a + b + 1 integer or not, theta_substitute equals
+    the repeated-divmod reference on symbol(theta_x), and gives back the
+    symbol; adding x theta_x^k, a linear digit at place k, makes both raise
+    the same error."""
+    rng = random.Random(42)
+    x = Polynomial.variable()
+    draws = FRACTION_ROUTE_DRAWS
+    assert {p.theta_shift.denominator > 1 for p in draws} == {True, False}
+    for p in draws:
+        s, theta = p.a + p.b, p.eigenvalue_poly()
+        symbol = Polynomial(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 5))]
+        )
+        poly = symbol.compose(theta)
+        assert theta_substitute(poly, s) == reference_theta_substitute(poly, s) == symbol, p
+        broken = poly + x * theta ** rng.randint(0, 3)
+        messages = []
+        for route in (theta_substitute, reference_theta_substitute):
+            with pytest.raises(NotThetaRepresentable) as raised:
+                route(broken, s)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1], p
 
 
 class TestDualFamily:

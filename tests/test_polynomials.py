@@ -32,7 +32,13 @@ from krallhahn.rationals import (
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import enumerate_root_couples
 
-from reference import lagrange, lowest_terms, poly_gcd, reference_from_roots
+from reference import (
+    lagrange,
+    lowest_terms,
+    poly_gcd,
+    reference_from_roots,
+    reference_newton_form,
+)
 
 X = Polynomial.variable()
 
@@ -289,6 +295,32 @@ def test_interpolate_matches_lagrange():
     assert interpolate([2 * x * x - 5 * x + 1 for x in range(7)], 3).degree == 2
     assert interpolate([0] * 6, 7).is_zero
     assert interpolate([4, 4], 1) == Polynomial.constant(4)
+
+
+def test_lane_interpolation_matches_per_table():
+    """interpolate on a list of tables, the lanes, equals interpolate on each
+    table: K = 1..40 points, 1..13 tables, an all-zero table among them, and
+    lanes that are all zero."""
+    rng = random.Random(42)
+    for K in range(1, 41):
+        tables = [[rng.randint(-10**6, 10**6) for _ in range(K)] for _ in range(K % 13 + 1)]
+        tables[rng.randrange(len(tables))] = [0] * K
+        denominator = rng.randint(1, 40)
+        assert interpolate(tables, denominator) == [interpolate(t, denominator) for t in tables], K
+    assert interpolate([(0,) * 6] * 3, 5) == [Polynomial.zero()] * 3
+    assert interpolate([], 1) == []
+    with pytest.raises(ValueError):
+        interpolate([[1, 2], [3, 4]], 1, [0, 2])
+
+
+def test_newton_form_on_integer_nodes_matches_reference():
+    """The integer-node branch (q = 1, no powers of q) against Horner with the
+    powers of q carried, for rational coefficients at 0..12 integer nodes."""
+    rng = random.Random(43)
+    for n in range(13):
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n + 1)]
+        for nodes in (range(n), [rng.randint(-20, 20) for _ in range(n + 1)]):
+            assert newton_form(coeffs, nodes) == reference_newton_form(coeffs, nodes), n
 
 
 def test_antidifference_telescopes():
