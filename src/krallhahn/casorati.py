@@ -35,12 +35,14 @@ or a checked identity, so a failed cancellation surfaces as an error instead
 of an approximation.  The normaliser is a product of known linear factors: a
 leading constant and integer root numerators over one denominator Q per
 context (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
-terms over L, the lcm of the m shifted root multisets, so no gcd is taken, and
-drops the linear factors G that L and every weight of a row kind share.
-Nothing is expanded: the weights and L' = L / G are evaluated from their
-roots, the numerator is summed from cofactor values at x + j, the small
-quotient is interpolated from a few points, and quotient * L' = numerator is
-checked at every point.
+terms over L', the lcm of the shifted root multisets less each term's known
+numerator roots, so no gcd is taken.  Nothing is expanded: the weights and L'
+are evaluated from their roots, the numerator is summed from cofactor values
+at x + j, and the small quotient is interpolated from a few points.  Every
+cofactor vanishes at a root of the normaliser to an order read off the column
+root lists (:func:`_cofactor_orders`), so most of L' cancels in every term;
+what is left, L'', fixes how many points K'' = K - deg L' + deg L'' the check
+quotient * L' = numerator needs.
 
 The stages that several checks read, the series ratios and the Hahn base
 polynomials among them, are memoised per context in one bounded store owned by
@@ -51,7 +53,7 @@ are kept, so memory stays flat however many configs one process verifies.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from fractions import Fraction
 from functools import wraps
 from itertools import islice
@@ -495,40 +497,100 @@ def eigenvalue_polynomial(ctx: ConstructionContext) -> Polynomial:
 # -- the mixing polynomials ------------------------------------------------------------
 
 
+def _elements(multiset: dict[int, int]) -> list[int]:
+    """The roots of a dict root -> multiplicity, each as often as it counts."""
+    return [r for r, k in multiset.items() for _ in range(k)]
+
+
+def _lcm_roots(multisets) -> dict[int, int]:
+    """Each root of the multisets at its largest multiplicity."""
+    out: dict[int, int] = {}
+    for multiset in multisets:
+        for r, k in multiset.items():
+            out[r] = max(k, out.get(r, 0))
+    return out
+
+
+def _cofactor_orders(ctx: ConstructionContext) -> dict[int, list[dict[int, int]]]:
+    """Per row kind and column c = 1..m, root -> a lower bound on the order at
+    which cofactor (r, c - 1), r a row of that kind, vanishes at that root (over
+    Q, at y): sum_w max(0, |U_w - {r}| - |[m] - {c} - I_w|).  U_w holds the rows
+    whose kind uses block w, and I_w the columns whose block-w factor, of roots
+    rising[c - 1:] + falling[:c - 1] of rising(m - 1, 0) and falling(m - 1, m -
+    1) read at y - c, vanishes there.  Every Leibniz term sends the other rows
+    of U_w to distinct columns other than c, at most |[m] - {c} - I_w| of them
+    outside I_w, and each one inside brings a factor that vanishes there."""
+    p, m = ctx.params, ctx.m
+    _, _, q = normalizer_factors(ctx)
+    orders = {kind: [{} for _ in range(m)] for kind in ctx.row_kinds}
+    for which in (1, 2):
+        if (users := sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)) < 2:
+            continue  # no other row uses the block
+        rising, falling = rising_roots(which, m - 1, 0, p, q), falling_roots(which, m - 1, m - 1, p, q)
+        columns: dict[int, set[int]] = {}
+        for c in range(1, m + 1):
+            for r in rising[c - 1 :] + falling[: c - 1]:
+                columns.setdefault(r + c * q, set()).add(c)
+        for kind, per_column in orders.items():
+            others = users - (which in CLEARING_BLOCKS[kind])
+            for r, where in columns.items():
+                if (least := others - m + len(where)) >= 0:  # else no column is forced
+                    for c, order in enumerate(per_column, 1):
+                        if (forced := least + (c not in where)) > 0:
+                            order[r] = order.get(r, 0) + forced
+    return orders
+
+
+@_stage
+def _term_roots(ctx: ConstructionContext) -> dict[int, list[tuple[dict[int, int], ...]]]:
+    """Per row kind and term j = 1..m, the root multisets S_j - N_j, N_j - S_j
+    and N_j - S_j - O_j at x, as dicts root -> multiplicity over Q.  At y = x
+    + j, N_j holds the roots of normalizer(y), S_j the term's known numerator
+    roots (sigma's, r0, and column j's of :func:`~krallhahn.ladder.column_roots`)
+    and O_j the cofactor's orders (:func:`_cofactor_orders`)."""
+    p, m = ctx.params, ctx.m
+    _, roots, q = normalizer_factors(ctx)
+    counts = {r: roots.count(r) for r in dict.fromkeys(roots)}
+    # sigma(x + half + j) = -2 (x - r0 + half + j), with half = -(m - 1) / 2
+    r0 = ((1 - p.a - p.b) / 2 * q).numerator + (m - 1) * q // 2
+    orders, terms = _cofactor_orders(ctx), {}
+    for kind in dict.fromkeys(ctx.row_kinds):
+        terms[kind] = []
+        for j, (extra, order) in enumerate(zip(column_roots(kind, m, p, q), orders[kind]), 1):
+            net = {r - j * q: -k for r, k in counts.items()}  # S_j - N_j
+            for r in (r0 - j * q, *extra):
+                net[r] = net.get(r, 0) + 1
+            terms[kind].append((
+                {r: k for r, k in net.items() if k > 0},
+                {r: -k for r, k in net.items() if k < 0},
+                {r: k for r in net if (k := -net[r] - order.get(r + j * q, 0)) > 0},
+            ))
+    return terms
+
+
 @_stage
 def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[tuple], tuple[int, ...]]]:
     """Per row kind, the weights of the mixing terms j = 1..m and the roots of
-    L' (see :func:`mixing_polynomial`), none expanded.  Weight j, sigma(x + half
-    + j) prefactor(x + j) L / N_j times the kind's blocks rising(m - j, 0) and
-    falling(j - 1, j - 1), is (prefactor(x + j), R_j - G, a constant), with R_j
-    its other roots over Q and G the meet of L and every R_j; L' is L - G."""
-    p, m = ctx.params, ctx.m
-    _, roots, q = normalizer_factors(ctx)
-    shifted = [Counter(r - j * q for r in roots) for j in range(1, m + 1)]
-    common = Counter()
-    for multiset in shifted:
-        common |= multiset
-    # sigma(x + half + j) = -2 (x - r0 + half + j), with half = -(m - 1) / 2
-    r0 = ((1 - p.a - p.b) / 2 * q).numerator + (m - 1) * q // 2
-    bases = [common - multiset for multiset in shifted]  # L / N_j
-    for j, base in enumerate(bases, 1):
-        base[r0 - j * q] += 1
+    L' (see :func:`mixing_polynomial`), none expanded.  Term j is S_j / N_j
+    (:func:`_term_roots`) times its cofactor, so L' is the lcm of the N_j -
+    S_j, and weight j, sigma(x + half + j) prefactor(x + j) L' / N_j times the
+    kind's blocks rising(m - j, 0) and falling(j - 1, j - 1), is
+    (prefactor(x + j), the roots S_j - N_j and L' - (N_j - S_j), a constant).
+    The cofactors' orders (:func:`_cofactor_orders`) cancel all of L' but the
+    L'' of :func:`_mixing_tables` in every term."""
     factors = {}
-    for kind in dict.fromkeys(ctx.row_kinds):
-        multisets = [base.copy() for base in bases]
-        shared = common.copy()
-        for multiset, extra in zip(multisets, column_roots(kind, m, p, q)):
-            multiset.update(extra)
-            shared &= multiset
+    for kind, terms in _term_roots(ctx).items():
+        divisor = _lcm_roots(deficit for _, deficit, _ in terms)
         factors[kind] = [
-            (ctx.prefactor.shift_argument(j), tuple((multiset - shared).elements()),
+            (ctx.prefactor.shift_argument(j),
+             (*_elements(surplus), *[r for r, k in divisor.items() for _ in range(k - deficit.get(r, 0))]),
              2 if (j - 1) * len(CLEARING_BLOCKS[kind]) % 2 else -2)
-            for j, multiset in enumerate(multisets, 1)
-        ], tuple((common - shared).elements())
+            for j, (surplus, deficit, _) in enumerate(terms, 1)
+        ], tuple(_elements(divisor))
     return factors
 
 
-def _linear_product(values: list[int], roots: tuple[int, ...], points: range) -> list[int]:
+def _linear_product(values: list[int], roots: tuple[int, ...], points: list[int]) -> list[int]:
     """values[i] * prod_r (points[i] - r), on integers."""
     for r in roots:
         values = list(map(mul, values, map(r.__rsub__, points)))
@@ -536,30 +598,37 @@ def _linear_product(values: list[int], roots: tuple[int, ...], points: range) ->
 
 
 @_stage
-def _mixing_tables(ctx: ConstructionContext) -> dict[int, tuple[int, list, int, list, tuple]]:
-    """Per row kind, (K, W, s, V, R): weight j is W[j - 1][x] / s at x = 0..K-1
-    and L', of roots R, is V[x] / Q^deg L', from their linear factors.  K - 1,
-    the largest deg w_j + the bound on cofactor (row, j - 1), bounds the kind's
-    numerators.  The cleared adjugate is then taken, once, to every x + j read."""
+def _mixing_tables(ctx: ConstructionContext) -> dict[int, tuple[list[int], list, int, list, tuple, tuple]]:
+    """Per row kind, (X, W, s, V, R', R''): weight j is W[j - 1][i] / s at x =
+    X[i], and L', of roots R', is V[i] / Q^deg L'.  L'', of roots R'', is the
+    lcm of the N_j - S_j - O_j (:func:`_term_roots`), what each term keeps of
+    the normaliser once the cofactor's orders at its roots are cancelled.  K -
+    1, the largest deg w_j + the bound on cofactor (row, j - 1), bounds the
+    numerators n, so n L'' / L' has degree below K'' = K - deg L' + deg L''
+    and X holds the first K'' integers x >= 0 where L' is nonzero: enough to
+    prove the division (:func:`mixing_polynomial`).  The cleared adjugate is
+    taken, once, to every x + j read."""
     adjugate = _cleared_adjugate(ctx)
     _, _, q = normalizer_factors(ctx)
     tables = {}
     for kind, (weights, divisor) in _mixing_factors(ctx).items():
-        count = 1 + max(0, *(
+        kept = tuple(_elements(_lcm_roots(term[2] for term in _term_roots(ctx)[kind])))
+        count = max(0, len(kept) - len(divisor) + 1 + max(0, *(
             prefactor.degree + len(roots) + adjugate.degree_bound(row, col)
             for row in range(ctx.m) if ctx.row_kinds[row] == kind
             for col, (prefactor, roots, _) in enumerate(weights)
-        ))
-        points = range(0, q * count, q)
+        )))
+        zeros = set(divisor)
+        xs = [x for x in range(count + len(zeros)) if x * q not in zeros][:count]
+        points = [x * q for x in xs]
         scale = lcm(*(f.integer_parts[1] * q ** len(roots) for f, roots, _ in weights))
         values = []
         for prefactor, roots, constant in weights:
             nums, den = prefactor.integer_parts
             factor = constant * (scale // (den * q ** len(roots)))
-            start = [factor * horner(nums, x) for x in range(count)]
-            values.append(_linear_product(start, roots, points))
-        tables[kind] = count, values, scale, _linear_product([1] * count, divisor, points), divisor
-    adjugate.extend(max(count for count, *_ in tables.values()) + ctx.m)
+            values.append(_linear_product([factor * horner(nums, x) for x in xs], roots, points))
+        tables[kind] = xs, values, scale, _linear_product([1] * count, divisor, points), divisor, kept
+    adjugate.extend(max((xs[-1] + 1 for xs, *_ in tables.values() if xs), default=0) + ctx.m)
     return tables
 
 
@@ -568,32 +637,35 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
     Term j is the cofactor (row, j - 1) of the cleared matrix at x + j, signed
-    as the term, over normalizer(x + j) = lead * N_j, N_j monic.  Over L, the
-    lcm of the N_j, no gcd is taken, and the factors G shared by L and every
-    weight are dropped (:func:`_mixing_factors`).  n = sum_j w_j(x) cofactor(x
-    + j) is summed on integers at x = 0..K-1 (:func:`_mixing_tables`).  n / L'
-    must be a polynomial, a hypothesis of the construction: it is interpolated
-    at the first K - deg L' points where L' is nonzero, and quotient * L' = n
-    is then required at all K points.  Both sides have degree below K, so that
-    proves the division exact.  A mismatch raises NonExactDivision naming the
-    degree of the reduced denominator: n is interpolated, and each root of L'
-    where n vanishes is divided out of n (:func:`divide_out_roots`); the roots
-    left make it."""
+    as the term, over normalizer(x + j) = lead * N_j, N_j monic.  Over L', the
+    lcm of the N_j less their known numerator roots, no gcd is taken
+    (:func:`_mixing_factors`).  n = sum_j w_j(x) cofactor(x + j) is summed on
+    integers at the K'' points of :func:`_mixing_tables`.  n / L' must be a
+    polynomial, a hypothesis of the construction: it is interpolated at the
+    first K - deg L' points, and quotient * L' = n is required at all K''.
+    Each cofactor vanishes at the roots of N to the orders of
+    :func:`_cofactor_orders` at least, so L'' clears every term and n'' = n
+    L'' / L' is a polynomial of degree below K''.  L' / L'' is nonzero at the
+    points, so quotient * L'' = n'' holds at K'' points, and the division is
+    exact.  A mismatch raises NonExactDivision naming the degree of the
+    reduced denominator: n'' is interpolated, and each root of L'' where it
+    vanishes is divided out (:func:`divide_out_roots`); the roots left make it."""
     lead, _, q = normalizer_factors(ctx)
-    count, weights, scale, divisor, roots = _mixing_tables(ctx)[ctx.row_kinds[row]]
+    xs, weights, scale, divisor, roots, kept = _mixing_tables(ctx)[ctx.row_kinds[row]]
     adjugate = _cleared_adjugate(ctx)
-    numer = [0] * count
+    numer = [0] * len(xs)
     for j, (weight, values) in enumerate(zip(weights, adjugate.values[row]), 1):
-        numer = list(map(add, numer, map(mul, weight, values[j : j + count])))
-    scale *= prod(adjugate.dens) // adjugate.dens[row]  # n(x) = numer[x] / scale
-    power = q ** len(roots)  # L'(x) = divisor[x] / power
-    nodes = [x for x, d in enumerate(divisor) if d][: max(count - len(roots), 0)]
-    values = [Fraction(numer[x] * power, divisor[x] * scale * lead) for x in nodes]
-    quotient = interpolate(*clear_denominators(values), nodes) if nodes else Polynomial.zero()
+        numer = list(map(add, numer, map(mul, weight, [values[x + j] for x in xs])))
+    scale *= prod(adjugate.dens) // adjugate.dens[row]  # n(x) = numer / scale
+    power, nodes = q ** len(roots), max(len(xs) - len(kept), 0)  # L'(x) = divisor / power
+    values = [Fraction(n * power, d * scale * lead) for n, d in zip(numer[:nodes], divisor)]
+    quotient = interpolate(*clear_denominators(values), xs[:nodes]) if nodes else Polynomial.zero()
     nums, den = quotient.integer_parts
     lhs, rhs = lead * scale, den * power
-    if any(horner(nums, x) * d * lhs != n * rhs for x, (n, d) in enumerate(zip(numer, divisor))):
-        _, kept = divide_out_roots(interpolate(numer, scale), roots, q)
+    if any(horner(nums, x) * d * lhs != n * rhs for x, n, d in zip(xs, numer, divisor)):
+        values = _linear_product(numer, kept, [x * q for x in xs])  # n L'', up to a constant
+        values = [Fraction(v, d) for v, d in zip(values, divisor)]  # n'' = n L'' / L'
+        _, kept = divide_out_roots(interpolate(*clear_denominators(values), xs), kept, q)
         reduced = Polynomial.from_integer_roots(kept, q)
         raise NonExactDivision(
             f"denominator of degree {reduced.degree} does not cancel", remainder=reduced

@@ -25,7 +25,12 @@ from krallhahn.casorati import (
     series_ratios,
 )
 from krallhahn.diffops import DifferenceOperator, coefficient_values, operator_polynomial
-from krallhahn.errors import DegenerateMoments, NotThetaRepresentable, ParameterSingularity
+from krallhahn.errors import (
+    DegenerateMoments,
+    NonExactDivision,
+    NotThetaRepresentable,
+    ParameterSingularity,
+)
 from krallhahn.hahn import (
     HahnParams,
     hahn_polynomial,
@@ -43,6 +48,7 @@ from krallhahn.measures import DiscreteMeasure, christoffel
 from krallhahn.oracle import _primitive, operator_solution_space
 from krallhahn.polynomials import (
     Polynomial,
+    divide_out_roots,
     horner,
     interpolate,
     newton_form,
@@ -1120,6 +1126,61 @@ def shifted_entry_mixing(ctx, row):
         term = lowest_terms(numer, divisor_base.shift_argument(j))
         acc = add(acc, term if (row + 1 + j) % 2 == 0 else neg(term))
     return as_polynomial(acc)
+
+
+def full_mixing_tables(ctx):
+    """Per row kind, (K, W, s, V, R): weight j is W[j - 1][x] / s at x = 0..K-1
+    and L', of roots R, is V[x] / Q^deg L', from their linear factors, with K -
+    1 the largest deg w_j + the bound on cofactor (row, j - 1); the cleared
+    adjugate is taken to every x + j read.  The tables of the full-K route."""
+    adjugate = casorati._cleared_adjugate(ctx)
+    _, _, q = casorati.normalizer_factors(ctx)
+    tables = {}
+    for kind, (weights, divisor) in casorati._mixing_factors(ctx).items():
+        count = 1 + max(0, *(
+            prefactor.degree + len(roots) + adjugate.degree_bound(row, col)
+            for row in range(ctx.m) if ctx.row_kinds[row] == kind
+            for col, (prefactor, roots, _) in enumerate(weights)
+        ))
+        points = range(0, q * count, q)
+        scale = lcm(*(f.integer_parts[1] * q ** len(roots) for f, roots, _ in weights))
+        values = []
+        for prefactor, roots, constant in weights:
+            nums, den = prefactor.integer_parts
+            factor = constant * (scale // (den * q ** len(roots)))
+            start = [factor * horner(nums, x) for x in range(count)]
+            values.append(casorati._linear_product(start, roots, points))
+        tables[kind] = count, values, scale, casorati._linear_product([1] * count, divisor, points), divisor
+    adjugate.extend(max(count for count, *_ in tables.values()) + ctx.m)
+    return tables
+
+
+def full_mixing_polynomial(ctx, row):
+    """The mixing polynomial checked at all K points: the numerator n summed at
+    x = 0..K-1, the quotient interpolated at the first K - deg L' points where
+    L' is nonzero, and quotient * L' = n required at every point; a mismatch
+    names the reduced denominator of n / L' from the roots of L'.  The
+    reference for the check at K'' points."""
+    lead, _, q = casorati.normalizer_factors(ctx)
+    count, weights, scale, divisor, roots = full_mixing_tables(ctx)[ctx.row_kinds[row]]
+    adjugate = casorati._cleared_adjugate(ctx)
+    numer = [0] * count
+    for j, (weight, values) in enumerate(zip(weights, adjugate.values[row]), 1):
+        numer = [n + w * v for n, w, v in zip(numer, weight, values[j : j + count])]
+    scale *= prod(adjugate.dens) // adjugate.dens[row]
+    power = q ** len(roots)
+    nodes = [x for x, d in enumerate(divisor) if d][: max(count - len(roots), 0)]
+    values = [Fraction(numer[x] * power, divisor[x] * scale * lead) for x in nodes]
+    quotient = interpolate(*clear_denominators(values), nodes) if nodes else Polynomial.zero()
+    nums, den = quotient.integer_parts
+    lhs, rhs = lead * scale, den * power
+    if any(horner(nums, x) * d * lhs != n * rhs for x, (n, d) in enumerate(zip(numer, divisor))):
+        _, kept = divide_out_roots(interpolate(numer, scale), roots, q)
+        reduced = Polynomial.from_integer_roots(kept, q)
+        raise NonExactDivision(
+            f"denominator of degree {reduced.degree} does not cancel", remainder=reduced
+        )
+    return quotient
 
 
 def reference_theta_substitute(poly, ab_sum):

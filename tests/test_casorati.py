@@ -7,6 +7,7 @@ from collections import Counter, OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from math import inf
 
 import pytest
 
@@ -49,13 +50,15 @@ from krallhahn.hahn import (
     reflect,
 )
 from krallhahn.ladder import CLEARING_BLOCKS, KINDS, ladder_operator, series_shift
-from krallhahn.polynomials import Polynomial
+from krallhahn.polynomials import Polynomial, divide_out_roots, horner
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
 
+from freeze_golden import config as golden_config
 from reference import (
     ONE,
     add,
+    block_mixing_prefactor,
     block_normalizer,
     closed_form_krall_polynomial,
     cofactor_det,
@@ -66,6 +69,8 @@ from reference import (
     explicit_falling_block,
     explicit_rising_block,
     fraction_casorati_value,
+    full_mixing_polynomial,
+    full_mixing_tables,
     lowest_terms,
     pair_route_mixing,
     point_cofactor,
@@ -474,28 +479,27 @@ class TestDifferenceIdentities:
     def test_mismatch_past_the_quotient_nodes_raises(self, monkeypatch):
         """One cleared-adjugate value patched at the last point a numerator
         reads, past the points the quotient is interpolated from: only the
-        identity at every point sees it, and the division is refused."""
+        identity at every checked point sees it, and the division is refused."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = build_run(builtin_config("four-roots")).ctx
         row, m = 0, ctx.m
-        count, weights, _, divisor, roots = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
-        nodes = [x for x, d in enumerate(divisor) if d][: count - len(roots)]
-        assert len(nodes) == count - len(roots) > 0 and nodes[-1] < count - 1
-        assert weights[m - 1][count - 1]
-        casorati._cleared_adjugate(ctx).values[row][m - 1][count - 1 + m] += 1
+        xs, weights, _, divisor, _, kept = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
+        assert 0 < len(xs) - len(kept) < len(xs) and all(divisor)
+        assert weights[m - 1][-1]
+        casorati._cleared_adjugate(ctx).values[row][m - 1][xs[-1] + m] += 1
         with pytest.raises(NonExactDivision, match="does not cancel") as err:
             mixing_polynomial(ctx, row)
         assert err.value.remainder.degree > 0
 
     def test_reduced_denominator_matches_lowest_terms(self, monkeypatch):
         """The patched four-roots row of the test above: the reduced
-        denominator, read off L''s roots, is the one Euclid over Q gives for
-        the numerator that the error path interpolates."""
+        denominator, read off the roots of L'', is the one Euclid over Q gives
+        for the numerator n'' that the error path interpolates."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = build_run(builtin_config("four-roots")).ctx
         row, m = 0, ctx.m
-        count, *_, roots = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
-        casorati._cleared_adjugate(ctx).values[row][m - 1][count - 1 + m] += 1
+        xs, *_, kept = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
+        casorati._cleared_adjugate(ctx).values[row][m - 1][xs[-1] + m] += 1
         interpolated, interpolate = [], casorati.interpolate
 
         def spy(*args):
@@ -506,22 +510,35 @@ class TestDifferenceIdentities:
         with pytest.raises(NonExactDivision) as err:
             mixing_polynomial(ctx, row)
         q = casorati.normalizer_factors(ctx)[2]
-        _, expected = lowest_terms(interpolated[-1], Polynomial.from_integer_roots(roots, q))
+        _, expected = lowest_terms(interpolated[-1], Polynomial.from_integer_roots(kept, q))
         assert err.value.remainder == expected and expected.degree > 0
         assert str(err.value) == f"denominator of degree {expected.degree} does not cancel"
 
     def test_mismatch_at_five_rows_is_named_from_the_roots(self, monkeypatch):
         """F1=[3], N=8 (m = 5), one value patched at the last point row 1
         reads: the division is refused with the reduced denominator's degree,
-        well inside the time limit (Euclid over Q took minutes here)."""
+        well inside the time limit (Euclid over Q against the 65 roots of L'
+        took minutes here).  That degree is the one Euclid over Q gives for
+        the n'' that the error path interpolates, against the 21 roots of L''."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = build_run(DIFFERENTIAL_CONFIGS["F1=3-theorem-N8"]).ctx
         row, m = 1, ctx.m
-        count, weights, *_ = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
-        assert m == 5 and weights[m - 1][count - 1]
-        casorati._cleared_adjugate(ctx).values[row][m - 1][count - 1 + m] += 1
-        with pytest.raises(NonExactDivision, match="denominator of degree 57 does not cancel"):
+        xs, weights, *_, kept = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
+        assert m == 5 and weights[m - 1][-1] and len(kept) == 21
+        casorati._cleared_adjugate(ctx).values[row][m - 1][xs[-1] + m] += 1
+        interpolated, interpolate = [], casorati.interpolate
+
+        def spy(*args):
+            interpolated.append(interpolate(*args))
+            return interpolated[-1]
+
+        monkeypatch.setattr(casorati, "interpolate", spy)
+        message = "denominator of degree 21 does not cancel"
+        with pytest.raises(NonExactDivision, match=message) as err:
             mixing_polynomial(ctx, row)
+        q = casorati.normalizer_factors(ctx)[2]
+        _, expected = lowest_terms(interpolated[-1], Polynomial.from_integer_roots(kept, q))
+        assert err.value.remainder == expected
 
     def test_spectral_difference(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):
@@ -680,6 +697,70 @@ class TestIntegerScalars:
             else:
                 value = casorati_value(ctx, point)
                 assert type(value) is Fraction and value == expected, point
+
+
+MIXING_CONTEXTS = [*DIFFERENTIAL_CONFIGS, "wide"]
+
+
+def _mixing_context(name):
+    """A differential config's context, or a golden config's."""
+    cfg = DIFFERENTIAL_CONFIGS[name] if name in DIFFERENTIAL_CONFIGS else golden_config(name)
+    return build_run(cfg).ctx
+
+
+def _order(poly, root, q):
+    """The order of poly at root / q, by repeated exact division."""
+    linear, order = Polynomial.from_integer_roots((root,), q), 0
+    while not poly.is_zero and not horner(poly.integer_parts[0], root, q):
+        poly, order = poly.divide_exact(linear), order + 1
+    return inf if poly.is_zero else order
+
+
+class TestMixingOrders:
+    """The cofactors' orders at the normaliser's roots, read off the column
+    root lists, and the mixing check at K'' points, against the true orders,
+    the terms' true reduced denominators and the full-K route."""
+
+    @pytest.mark.parametrize("name", MIXING_CONTEXTS)
+    def test_orders_and_kept_roots_bound_the_true_ones(self, name, monkeypatch):
+        """Every claimed order of a cofactor at a root is at most its order
+        found by dividing the interpolated cofactor; the true reduced
+        denominator of every term sigma_j B_j cofactor(x + j) / N_j lies in
+        the term's kept roots, and those lie in L'', which lies in L'; K'' =
+        K - deg L' + deg L''; and the cleared adjugate is taken no further
+        than its determinant's bound or the last point x + j the check reads."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = _mixing_context(name)
+        tables = casorati._mixing_tables(ctx)
+        adjugate = casorati._cleared_adjugate(ctx)
+        reads = [xs[-1] + 1 + ctx.m for xs, *_ in tables.values() if xs]
+        assert len(adjugate.dets) == max([adjugate.degree_bound() + 1, *reads])
+        _, roots, q = casorati.normalizer_factors(ctx)
+        orders, terms = casorati._cofactor_orders(ctx), casorati._term_roots(ctx)
+        sigma = series_shift(ctx.params).shift_argument(Fraction(-(ctx.m - 1), 2))
+        for row, kind in enumerate(ctx.row_kinds):
+            kept = Counter(tables[kind][-1])
+            for j in range(1, ctx.m + 1):
+                cofactor = point_cofactor(adjugate, row, j - 1)
+                for root, order in orders[kind][j - 1].items():
+                    assert order <= _order(cofactor, root, q), (row, j, root)
+                numer = sigma.shift_argument(j) * block_mixing_prefactor(ctx, row, j)
+                _, denominator = divide_out_roots(
+                    numer * cofactor.shift_argument(j), [r - j * q for r in roots], q
+                )
+                assert Counter(denominator) <= Counter(terms[kind][j - 1][2]) <= kept, (row, j)
+        full = full_mixing_tables(ctx) if ctx.m else {}
+        for kind, (xs, *_, divisor, kept) in tables.items():
+            assert Counter(kept) <= Counter(divisor)
+            assert len(xs) == full[kind][0] - len(divisor) + len(kept)
+            if ctx.m > 1:  # the orders cancel part of L' in every context with two rows
+                assert any(orders[kind]) and len(kept) < len(divisor)
+
+    @pytest.mark.parametrize("name", MIXING_CONTEXTS)
+    def test_mixing_matches_the_full_check(self, name):
+        ctx = _mixing_context(name)
+        rows = range(ctx.m)
+        assert [mixing_polynomial(ctx, r) for r in rows] == [full_mixing_polynomial(ctx, r) for r in rows]
 
 
 def _signed_minor(matrix, r, c):

@@ -344,7 +344,7 @@ def test_point_adjugate_takes_each_point_once(monkeypatch):
     ctx = build_run(builtin_config("four-roots")).ctx
     tables = casorati._mixing_tables(ctx)
     adjugate = casorati._cleared_adjugate(ctx)
-    assert len(adjugate.dets) >= max(count for count, *_ in tables.values()) + ctx.m
+    assert len(adjugate.dets) >= max(xs[-1] + 1 for xs, *_ in tables.values()) + ctx.m
     _assert_one_table(adjugate, calls)
 
 
