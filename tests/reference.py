@@ -1128,15 +1128,27 @@ def shifted_entry_mixing(ctx, row):
     return as_polynomial(acc)
 
 
+def flat_linear_product(values, roots, points):
+    """values[i] * prod_r (points[i] - r) over a flat root list, one root at a
+    time: the reference for casorati._linear_product's pass per distinct root."""
+    for r in roots:
+        values = list(map(mul, values, map(r.__rsub__, points)))
+    return values
+
+
 def full_mixing_tables(ctx):
     """Per row kind, (K, W, s, V, R): weight j is W[j - 1][x] / s at x = 0..K-1
     and L', of roots R, is V[x] / Q^deg L', from their linear factors, with K -
     1 the largest deg w_j + the bound on cofactor (row, j - 1); the cleared
-    adjugate is taken to every x + j read.  The tables of the full-K route."""
+    adjugate is taken to every x + j read.  The root multisets of the weights
+    and of L' are flattened into root lists and multiplied out one root at a
+    time (``flat_linear_product``).  The tables of the full-K route."""
     adjugate = casorati._cleared_adjugate(ctx)
     _, _, q = casorati.normalizer_factors(ctx)
     tables = {}
     for kind, (weights, divisor) in casorati._mixing_factors(ctx).items():
+        weights = [(f, tuple(Counter(roots).elements()), c) for f, roots, c in weights]
+        divisor = tuple(Counter(divisor).elements())
         count = 1 + max(0, *(
             prefactor.degree + len(roots) + adjugate.degree_bound(row, col)
             for row in range(ctx.m) if ctx.row_kinds[row] == kind
@@ -1149,8 +1161,8 @@ def full_mixing_tables(ctx):
             nums, den = prefactor.integer_parts
             factor = constant * (scale // (den * q ** len(roots)))
             start = [factor * horner(nums, x) for x in range(count)]
-            values.append(casorati._linear_product(start, roots, points))
-        tables[kind] = count, values, scale, casorati._linear_product([1] * count, divisor, points), divisor
+            values.append(flat_linear_product(start, roots, points))
+        tables[kind] = count, values, scale, flat_linear_product([1] * count, divisor, points), divisor
     adjugate.extend(max(count for count, *_ in tables.values()) + ctx.m)
     return tables
 

@@ -68,6 +68,7 @@ from reference import (
     explicit_column_factors,
     explicit_falling_block,
     explicit_rising_block,
+    flat_linear_product,
     fraction_casorati_value,
     full_mixing_polynomial,
     full_mixing_tables,
@@ -484,7 +485,7 @@ class TestDifferenceIdentities:
         ctx = build_run(builtin_config("four-roots")).ctx
         row, m = 0, ctx.m
         xs, weights, _, divisor, _, kept = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
-        assert 0 < len(xs) - len(kept) < len(xs) and all(divisor)
+        assert 0 < len(xs) - sum(kept.values()) < len(xs) and all(divisor)
         assert weights[m - 1][-1]
         casorati._cleared_adjugate(ctx).values[row][m - 1][xs[-1] + m] += 1
         with pytest.raises(NonExactDivision, match="does not cancel") as err:
@@ -510,7 +511,8 @@ class TestDifferenceIdentities:
         with pytest.raises(NonExactDivision) as err:
             mixing_polynomial(ctx, row)
         q = casorati.normalizer_factors(ctx)[2]
-        _, expected = lowest_terms(interpolated[-1], Polynomial.from_integer_roots(kept, q))
+        denominator = Polynomial.from_integer_roots(Counter(kept).elements(), q)
+        _, expected = lowest_terms(interpolated[-1], denominator)
         assert err.value.remainder == expected and expected.degree > 0
         assert str(err.value) == f"denominator of degree {expected.degree} does not cancel"
 
@@ -524,7 +526,7 @@ class TestDifferenceIdentities:
         ctx = build_run(DIFFERENTIAL_CONFIGS["F1=3-theorem-N8"]).ctx
         row, m = 1, ctx.m
         xs, weights, *_, kept = casorati._mixing_tables(ctx)[ctx.row_kinds[row]]
-        assert m == 5 and weights[m - 1][-1] and len(kept) == 21
+        assert m == 5 and weights[m - 1][-1] and sum(kept.values()) == 21
         casorati._cleared_adjugate(ctx).values[row][m - 1][xs[-1] + m] += 1
         interpolated, interpolate = [], casorati.interpolate
 
@@ -537,7 +539,8 @@ class TestDifferenceIdentities:
         with pytest.raises(NonExactDivision, match=message) as err:
             mixing_polynomial(ctx, row)
         q = casorati.normalizer_factors(ctx)[2]
-        _, expected = lowest_terms(interpolated[-1], Polynomial.from_integer_roots(kept, q))
+        denominator = Polynomial.from_integer_roots(Counter(kept).elements(), q)
+        _, expected = lowest_terms(interpolated[-1], denominator)
         assert err.value.remainder == expected
 
     def test_spectral_difference(self, single_root_ctx, four_root_ctx):
@@ -660,9 +663,12 @@ class TestIntegerScalars:
     @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, "invariant-prefactor"])
     def test_mixing_weights_match_polynomial_route(self, name):
         """w_j L' = w'_j L for every kind and j, with w'_j and L' expanded
-        here from the returned roots and w_j and L from the ``Fraction``-root
-        polynomial route; L' divides L, and the shared factors G = L / L' are
-        the expected ones."""
+        here from the returned root dicts and w_j and L from the
+        ``Fraction``-root polynomial route; each weight's dict is the Counter
+        of the roots of w_j L' / L over its prefactor and constant, each
+        root's order found by exact division and the orders summing to the
+        degree; L' divides L, and the shared factors G = L / L' are the
+        expected ones."""
         ctx = _differential_context(name)
         reference, full = polynomial_mixing_factors(ctx)
         factors = casorati._mixing_factors(ctx)
@@ -670,11 +676,15 @@ class TestIntegerScalars:
         assert list(factors) == list(dict.fromkeys(ctx.row_kinds))
         shared = {}
         for kind, (weights, roots) in factors.items():
-            divisor = Polynomial.from_integer_roots(roots, q)
+            divisor = Polynomial.from_integer_roots(Counter(roots).elements(), q)
             assert len(weights) == ctx.m
             for (prefactor, factor_roots, constant), expected in zip(weights, reference[kind]):
-                weight = prefactor * Polynomial.from_integer_roots(factor_roots, q) * constant
+                expanded = Polynomial.from_integer_roots(Counter(factor_roots).elements(), q)
+                weight = prefactor * expanded * constant
                 assert weight * full == expected * divisor
+                monic = (expected * divisor).divide_exact(full * prefactor * constant)
+                found = Counter({r: _order(monic, r, q) for r in {*factor_roots, *roots}})
+                assert dict(+found) == factor_roots and found.total() == monic.degree
             assert full.divmod(divisor)[1].is_zero
             shared[kind] = full.degree - divisor.degree
         assert shared == self.SHARED_DEGREES.get(name, shared)
@@ -752,9 +762,30 @@ class TestMixingOrders:
         full = full_mixing_tables(ctx) if ctx.m else {}
         for kind, (xs, *_, divisor, kept) in tables.items():
             assert Counter(kept) <= Counter(divisor)
-            assert len(xs) == full[kind][0] - len(divisor) + len(kept)
+            assert len(xs) == full[kind][0] - sum(divisor.values()) + sum(kept.values())
             if ctx.m > 1:  # the orders cancel part of L' in every context with two rows
-                assert any(orders[kind]) and len(kept) < len(divisor)
+                assert any(orders[kind]) and sum(kept.values()) < sum(divisor.values())
+
+    def test_linear_product_matches_flat_product(self):
+        """One (x q - r)^k pass per distinct root equals the product taken one
+        root at a time, on multiplicities 1-4, with zero and negative factors,
+        an empty multiset and no points."""
+        points, values = [-6, -3, 0, 3, 6, 9], [5, -2, 7, 0, 1, -4]
+        for roots in ({}, {3: 1}, {-3: 2, 6: 1}, {0: 3, 9: 1, -6: 4}, {2: 4, -1: 3, 5: 2, 7: 1}):
+            flat = [r for r, k in roots.items() for _ in range(k)]
+            assert casorati._linear_product(values, roots, points) == flat_linear_product(values, flat, points)
+            assert casorati._linear_product([], roots, []) == []
+
+    # the largest multiplicity of a weight root, where it exceeds 1
+    REPEATED_ROOTS = {"F1=3-theorem-N8": 4, "F1=2-theorem": 2, "F4=3-corollary": 2}
+
+    @pytest.mark.parametrize("name", REPEATED_ROOTS)
+    def test_weights_repeat_roots(self, name):
+        """The contexts whose weights carry a root of multiplicity k > 1, so
+        the full-check comparison below reaches the (x q - r)^k pass."""
+        ctx = _mixing_context(name)
+        weights = [roots for ws, _ in casorati._mixing_factors(ctx).values() for _, roots, _ in ws]
+        assert max(k for roots in weights for k in roots.values()) == self.REPEATED_ROOTS[name]
 
     @pytest.mark.parametrize("name", MIXING_CONTEXTS)
     def test_mixing_matches_the_full_check(self, name):
