@@ -192,15 +192,16 @@ def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomia
 
 
 class _RawPoints:
-    """The ladder's integer values for one context, each computed once: the
-    :meth:`point` values at s = -m, -m + 1, ... (:meth:`grow`), which the table
-    and :func:`~krallhahn.verify.check_foeq` read, and the table t -> (minors,
-    D(t)), t >= 0, None at a ratio pole, which :func:`casorati_rational` and
-    :func:`krall_polynomial` read: minors[k] is the integer maximal minor of
-    :func:`casorati_rows` at t without column k.  It grows to what
-    :func:`casorati_rational` reads and, for q_n, in blocks up to the Omega
-    scan, t <= N + m3 + m4 + 1; a degree past both is taken alone and not
-    kept.  ``dens[r]`` is Y_r's denominator times Q^deg Y_r, a + b + 1 = P / Q.
+    """The ladder's integer values for one context, each computed once and
+    kept: the :meth:`point` values at s = -m, -m + 1, ... (:meth:`grow`),
+    which the table and :func:`~krallhahn.verify.check_foeq` read, and the
+    table t -> (minors, D(t)), t >= 0, None at a ratio pole, which
+    :func:`casorati_rational` and :func:`krall_polynomial` read: minors[k] is
+    the integer maximal minor of :func:`casorati_rows` at t without column k.
+    It grows (:meth:`extend`) to what :func:`casorati_rational` reads and, for
+    q_n, in blocks up to the Omega scan, t <= N + m3 + m4 + 1, and past that
+    exactly to the degree asked for.  ``dens[r]`` is Y_r's denominator times
+    Q^deg Y_r, a + b + 1 = P / Q.
     """
 
     def __init__(self, ctx: ConstructionContext) -> None:
@@ -231,21 +232,11 @@ class _RawPoints:
         self.values += map(self.point, range(len(self.values) - self.m, stop))
         return self.values
 
-    def at(self, ss: range) -> list[tuple[int, ...]]:
-        """The point values at s in ss: the ones kept, and the rest taken alone
-        and not kept."""
-        m, known = self.m, self.values
-        return [known[s + m] if 0 <= s + m < len(known) else self.point(s) for s in ss]
-
-    def lanes(self, ts: range, keep: bool) -> tuple[list[list[list[int]]], list[int]]:
-        """:func:`casorati_rows` at every t of ts at once: entry c of row r is
-        a list over ts, and so is D(t), 0 at a ratio pole.  The point values
-        kept are read, and with ``keep`` (ts extends the table) they are grown
-        to ts first."""
+    def lanes(self, ts: range) -> tuple[list[list[list[int]]], list[int]]:
+        """:func:`casorati_rows` at every t >= 0 of ts at once: entry c of row
+        r is a list over ts, and so is D(t), 0 at a ratio pole."""
         m, count = self.m, len(ts)
-        if keep:
-            self.grow(ts.stop)
-        values = self.at(range(ts.start - m, ts.stop))  # values[l + k] at s = t - m + k, t = ts[l]
+        values = self.grow(ts.stop)[ts.start : ts.stop + m]  # values[l + k] at s = ts[l] - m + k
         rows = []
         denominator = [1] * count
         for r, den in enumerate(self.dens):
@@ -265,21 +256,23 @@ class _RawPoints:
             denominator = [d * s * den for d, s in zip(denominator, suffix[m])]
         return rows, denominator
 
-    def pole(self, ss: range) -> ParameterSingularity | None:
-        """The error for the first zero ratio denominator at s in ss, row by row,
-        from the point values (:meth:`at`), or None when there is none."""
-        m, values = self.m, self.at(ss)
+    def pole(self, ss: range) -> None:
+        """Raise ParameterSingularity at the first zero ratio denominator at
+        s >= -m in ss, row by row, from the point values kept."""
+        m = self.m
+        values = self.grow(ss.stop)[ss.start + m : ss.stop + m]
         s = next((s for r in range(m) for s, v in zip(ss, values) if not v[m + r]), None)
-        return None if s is None else ParameterSingularity(f"ladder ratio has a pole at degree {s}")
+        if s is not None:
+            raise ParameterSingularity(f"ladder ratio has a pole at degree {s}")
 
-    def entries(self, ts: range, keep: bool) -> list[tuple[tuple[int, ...], int] | None]:
-        """The table's entries at ts, one :func:`~krallhahn.matrices.lane_bareiss`
-        pass per block of ``LANES``.  On [A | b], with A columns 1..m and b
-        column 0, minor_0 = det A and minor_k = (-1)^(k-1) (adj A b)_(k-1) by
-        Cramer's identity, which holds on every lane, A singular or not."""
-        out: list[tuple[tuple[int, ...], int] | None] = []
-        for lo in range(ts.start, ts.stop, LANES):
-            rows, denominator = self.lanes(range(lo, min(lo + LANES, ts.stop)), keep)
+    def extend(self, stop: int) -> None:
+        """Grow the table to t < stop, one
+        :func:`~krallhahn.matrices.lane_bareiss` pass per block of ``LANES``.
+        On [A | b], with A columns 1..m and b column 0, minor_0 = det A and
+        minor_k = (-1)^(k-1) (adj A b)_(k-1) by Cramer's identity, which holds
+        on every lane, A singular or not."""
+        for lo in range(len(self.table), stop, LANES):
+            rows, denominator = self.lanes(range(lo, min(lo + LANES, stop)))
             live = [i for i, d in enumerate(denominator) if d]
             if len(live) < len(denominator):
                 rows = [[[col[i] for i in live] for col in row] for row in rows]
@@ -290,22 +283,16 @@ class _RawPoints:
             block = [None] * len(denominator)
             for i, entry in zip(live, minors):
                 block[i] = entry, denominator[i]
-            out += block
-        return out
-
-    def extend(self, stop: int) -> None:
-        """Grow the table to t < stop."""
-        if stop > len(self.table):
-            self.table += self.entries(range(len(self.table), stop), True)
+            self.table += block
 
     def entry(self, t: int) -> tuple[tuple[int, ...], int]:
-        """(minors, D(t)) at t from the table; a ratio pole raises
-        ParameterSingularity."""
-        if len(self.table) <= t < self.reach:
-            self.extend(min(self.reach, max(t + 1, len(self.table) + LANES)))
-        (entry,) = self.table[t : t + 1] or self.entries(range(t, t + 1), False)
+        """(minors, D(t)) at t >= 0 from the table, grown to it first; a ratio
+        pole raises ParameterSingularity."""
+        if t >= len(self.table):
+            self.extend(max(t + 1, min(self.reach, len(self.table) + LANES)))
+        entry = self.table[t]
         if entry is None:
-            raise self.pole(range(t - self.m + 1, t + 1))
+            self.pole(range(t - self.m + 1, t + 1))
         return entry
 
 
@@ -328,13 +315,16 @@ def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ..
     + i, entry c is the prefix product of numer(s_i) for i < m - c times the
     suffix product of denom(s_i) for i >= m - c, times Y_r(theta_{t-c}), and
     d_r holds every denom(s_i).  The values at each point are computed once per
-    context (:class:`_RawPoints`).  A ratio pole at one of t - m + 1, ..., t
-    raises ParameterSingularity.
+    context and kept (:class:`_RawPoints`), from s = -m, so t must be
+    nonnegative.  A ratio pole at one of t - m + 1, ..., t raises
+    ParameterSingularity.
     """
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
     raw = raw_points(ctx)
-    rows, (denominator,) = raw.lanes(range(t, t + 1), False)
+    rows, (denominator,) = raw.lanes(range(t, t + 1))
     if not denominator:
-        raise raw.pole(range(t - raw.m + 1, t + 1))
+        raw.pole(range(t - raw.m + 1, t + 1))
     return tuple(tuple(v for (v,) in row) for row in rows), denominator
 
 
@@ -390,8 +380,8 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     drops column k and minor_0 is the Casorati determinant at n.  The minor_k
     are the integer maximal minors of the rows of :func:`casorati_rows` over
     their denominator D(n), read from the context's table (:class:`_RawPoints`),
-    and the h_{n-k} are put over the lcm of their denominators, so q_n is one
-    integer sum over one denominator.
+    which grows to n first, and the h_{n-k} are put over the lcm of their
+    denominators, so q_n is one integer sum over one denominator.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

@@ -363,9 +363,7 @@ def check_foeq(ctx: ConstructionContext, measure: DiscreteMeasure) -> tuple[bool
         xs.append(prod(v[m + i] for v in values[1:m]) * pd)
         zs.append(prod(v[i] for v in values[1:m]) * pn * start)
     degrees = range(p.N + 1)
-    pole = raw_points(ctx).pole(degrees)
-    if pole is not None:
-        raise pole
+    raw_points(ctx).pole(degrees)
     sums = []  # S(n) as (numerator, denominator), n = -m, ..., N
     for n, v in enumerate(values, -m):
         if n > -m:

@@ -44,12 +44,15 @@ from krallhahn.errors import (
 )
 from krallhahn.hahn import (
     HahnParams,
+    corollary_reduction,
+    dual_hahn_polynomial,
     hahn_leading_coefficient,
     hahn_operator,
     hahn_polynomial,
     reflect,
 )
 from krallhahn.ladder import CLEARING_BLOCKS, KINDS, ladder_operator, series_shift
+from krallhahn.matrices import LANES
 from krallhahn.polynomials import Polynomial, divide_out_roots, horner
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
@@ -138,6 +141,58 @@ class TestContextValidation:
                 SetQuartet.of((1,), (), (), ()),
                 (1, 1, 1),
             )
+
+
+# F4=[1] at a = 1/2, b = 1/3, N = 8, and the inputs each guard refuses:
+# (error, message pattern, call)
+_GUARD_PARAMS = HahnParams(Fraction(1, 2), Fraction(1, 3), 8)
+_GUARD_QUARTET = SetQuartet.of((), (), (), (1,))
+INPUT_GUARDS = {
+    "krall-negative-degree": (
+        ValueError, "nonnegative",
+        lambda: krall_polynomial(context_from_quartet(_GUARD_PARAMS, _GUARD_QUARTET), -1),
+    ),
+    # the rows read the point values kept from s = -m, so t < 0 has none
+    "rows-negative-degree": (
+        ValueError, "nonnegative",
+        lambda: casorati.casorati_rows(context_from_quartet(_GUARD_PARAMS, _GUARD_QUARTET), -1),
+    ),
+    "hahn-negative-degree": (ValueError, "nonnegative", lambda: hahn_polynomial(-1, _GUARD_PARAMS)),
+    "dual-hahn-negative-degree": (
+        ValueError, "nonnegative",
+        lambda: dual_hahn_polynomial(-1, Fraction(1, 2), Fraction(1, 3), 8),
+    ),
+    "three-degree-sets": (
+        ValueError, "four degree sets", lambda: context_from_degrees(_GUARD_PARAMS, ((), (), ()))
+    ),
+    "negative-row-degree": (
+        ValueError, "nonnegative, got -1",
+        lambda: context_from_degrees(_GUARD_PARAMS, ((), (), (), (-1,))),
+    ),
+    "row-polynomial-count": (
+        ValueError, "expected 1 row polynomials, got 0",
+        lambda: context_from_degrees(_GUARD_PARAMS, ((), (), (), (1,)), row_polys=()),
+    ),
+    "zero-pad": (
+        ValueError, "pads must be",
+        lambda: context_from_quartet(_GUARD_PARAMS, _GUARD_QUARTET, (0, 1, 1)),
+    ),
+    "quartet-a-zero": (
+        ParameterSingularity, "a = 0 is an integer",
+        lambda: context_from_quartet(HahnParams(0, Fraction(1, 3), 8), _GUARD_QUARTET),
+    ),
+    "reduction-a-negative-integer": (
+        ParameterSingularity, "a = -20 is a negative integer",
+        lambda: corollary_reduction(HahnParams(-20, Fraction(1, 3), 8), _GUARD_QUARTET),
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", INPUT_GUARDS)
+def test_input_guards_raise(guard):
+    error, pattern, call = INPUT_GUARDS[guard]
+    with pytest.raises(error, match=pattern):
+        call()
 
 
 class TestReflectionAndTheta:
@@ -343,16 +398,20 @@ class TestDeterminantRoutes:
     @pytest.mark.parametrize("a", [-2, -20])
     def test_pole_in_the_rows_names_its_degree(self, a, monkeypatch):
         """Kind 4's pole at n = -a: the raw rows and q_n at n = -a raise it by
-        its degree.  At a = -20, past the table's reach, the point values there
-        are taken alone and none is kept."""
+        its degree t = -a.  The point values and the table reach t + 1 and keep
+        what they computed: the table in blocks below its reach and, at
+        a = -20, past it, exactly to t + 1."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = context_from_degrees(HahnParams(a, Fraction(1, 2), 1), ((), (), (), (0, 1)))
-        raw = casorati.raw_points(ctx)
-        for build in (casorati.casorati_rows, krall_polynomial):
-            with pytest.raises(ParameterSingularity, match=f"pole at degree {-a}$"):
-                build(ctx, -a)
-        assert len(raw.values) <= raw.m + raw.reach
-        assert (raw.reach < -a) == (a == -20)
+        raw, t = casorati.raw_points(ctx), -a
+        with pytest.raises(ParameterSingularity, match=f"pole at degree {t}$"):
+            casorati.casorati_rows(ctx, t)
+        assert len(raw.values) == raw.m + t + 1 and not raw.table
+        with pytest.raises(ParameterSingularity, match=f"pole at degree {t}$"):
+            krall_polynomial(ctx, t)
+        assert len(raw.table) == len(raw.values) - raw.m == max(t + 1, min(raw.reach, LANES))
+        assert raw.table[t] is None
+        assert (raw.reach < t) == (a == -20)
 
     @pytest.mark.parametrize("corrupt", ["cleared_entry", "clearing_factor"])
     def test_corrupted_clearing_block_fails(self, corrupt, monkeypatch):
@@ -884,6 +943,28 @@ class TestPointRoute:
         assert set(calls.values()) == {1}
         assert qs == [reference_krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
 
+    def test_degrees_past_the_reach_are_evaluated_once(self, monkeypatch):
+        """q_n past the table's reach reads the point values and minors kept:
+        after q_0..q_{n_max}, q_n at reach..reach + 3, asked for twice, reach
+        each point once, and every q_n equals the reference."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        calls = Counter()
+        point = casorati._RawPoints.point
+        monkeypatch.setattr(
+            casorati._RawPoints, "point", lambda raw, s: calls.update((s,)) or point(raw, s)
+        )
+        run = build_run(ROUTE_CONFIGS["F1234=1-corollary"])
+        ctx = run.ctx
+        raw = casorati.raw_points(ctx)
+        degrees = [*range(run.n_max + 1), *range(raw.reach, raw.reach + 4)]
+        assert run.n_max < raw.reach
+        for _ in range(2):
+            qs = [krall_polynomial(ctx, n) for n in degrees]
+        assert sorted(calls) == list(range(-ctx.m, raw.reach + 4))
+        assert set(calls.values()) == {1}
+        assert len(raw.table) == raw.reach + 4
+        assert qs == [reference_krall_polynomial(ctx, n) for n in degrees]
+
     def test_criteria_read_the_point_values(self, monkeypatch):
         """The criteria check reads the ladder's point values and evaluates no
         ratio itself: a criteria-only run on a fresh context keeps them for
@@ -961,17 +1042,20 @@ class TestMinorTable:
 
     def test_degrees_past_the_table_are_taken_alone(self, monkeypatch):
         """krall_polynomial grows the table in blocks up to the Omega scan,
-        t <= N + m3 + m4 + 1, and takes a degree past it on its own lanes: the
-        table and the point values kept keep their lengths."""
+        t <= N + m3 + m4 + 1, and past it exactly to the degree asked for: the
+        table and the point values kept reach t + 1, and a degree below what
+        is kept grows neither."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = build_run(builtin_config("four-roots")).ctx
         raw = casorati.raw_points(ctx)
         krall_polynomial(ctx, 0)
         assert len(raw.table) == raw.reach == ctx.orthogonality_range + 2
-        lengths = len(raw.table), len(raw.values)
         for n in (raw.reach, raw.reach + 1, raw.reach + 40):
             assert krall_polynomial(ctx, n) == reference_krall_polynomial(ctx, n), n
-            assert (len(raw.table), len(raw.values)) == lengths
+            assert len(raw.table) == len(raw.values) - raw.m == n + 1
+        n = raw.reach + 20
+        assert krall_polynomial(ctx, n) == reference_krall_polynomial(ctx, n)
+        assert len(raw.table) == len(raw.values) - raw.m == raw.reach + 41
 
 
 def _random_polynomial(rng, degree):

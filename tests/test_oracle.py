@@ -412,6 +412,39 @@ def test_kernel_route_matches_global_solve(probe):
     assert _assert_matches_global_solve(args)[1] == nullity
 
 
+@pytest.mark.parametrize("probe", ["every-point-singular", "single-root-wider"])
+def test_negative_coupling_denominator_is_normalised(probe, desk_params, monkeypatch):
+    """The coupling solve's denominator may come out negative, and the oracle
+    then negates it and its numerators together.  The coupling result
+    negated whole, as valid a solution, must leave the operator and the
+    nullity unchanged: on the probe with one kernel vector at each of
+    x = 0, 1, 2, and on one whose kernels leave a nullity."""
+    if probe == "every-point-singular":
+        fed = (4, 5)
+        qs = [hahn_polynomial(n, desk_params) for n in fed]
+        args = (qs, [desk_params.eigenvalue(n) for n in fed], 1, 2)
+    else:
+        name, bump, cap_bump, _, _, _ = _KERNEL_PROBES[probe]
+        qs, lambdas, r, cap = _case_inputs(name)
+        args = (qs, lambdas, r + bump, cap + cap_bump)
+    expected = operator_solution_space(*args)
+    built, dets = [], []
+    rows, solve = oracle._coupling_rows, oracle._exact_solve
+
+    def negated(aug, ncols):
+        solved = solve(aug, ncols)
+        if solved is None or not any(aug is coupled for coupled in built):
+            return solved
+        t, det, free = solved
+        dets.append(-det)
+        return [-v for v in t], -det, [[-v for v in vector] for vector in free]
+
+    monkeypatch.setattr(oracle, "_coupling_rows", lambda *a: built.append(rows(*a)) or built[-1])
+    monkeypatch.setattr(oracle, "_exact_solve", negated)
+    assert operator_solution_space(*args) == expected
+    assert expected[0] is not None and len(dets) == 1 and dets[0] < 0
+
+
 @pytest.mark.parametrize("cap, nullity", [(1, None), (2, 3)])
 def test_rows_running_out_leave_the_top_unknown_free(desk_params, coupling, cap, nullity):
     """Fed degrees 0..5 are all below 2r = 6: at every point the rows fix

@@ -20,7 +20,7 @@ from krallhahn.config import (
 )
 from krallhahn import casorati
 from krallhahn.casorati import casorati_value, series_ratios
-from krallhahn.context import context_from_degrees
+from krallhahn.context import context_from_degrees, context_from_quartet
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid, KrallHahnError, ParameterSingularity
@@ -681,6 +681,31 @@ def test_check_foeq_ratio_precondition(a, b, degree_sets, bad):
         assert "precondition" not in witness
     else:
         assert witness["precondition"].endswith(f"nonpositive integer(s) {bad}")
+
+
+@pytest.mark.parametrize("branch", ["starting eigenvalue", "zero constant"])
+def test_check_foeq_undefined_sums_and_zero_constant(branch):
+    """F4=[1] at a = 1/2, b = 1/3, N = 8.  The row polynomial x + a + b
+    vanishes at theta_-1 = -(a + b), so the sums are undefined.  Against
+    {0: 1, 1: -1}, whose h_0 moment is 0, the companion row's constant,
+    fitted at n = 0, is zero.  Both fail as the Fraction reference does."""
+    p = HahnParams(Fraction(1, 2), Fraction(1, 3), 8)
+    quartet = SetQuartet.of((), (), (), (1,))
+    if branch == "starting eigenvalue":
+        ctx = context_from_quartet(p, quartet, row_polys=(Polynomial((p.a + p.b, 1)),))
+        measure = hahn_weight(p)
+    else:
+        ctx, measure = context_from_quartet(p, quartet), DiscreteMeasure({0: 1, 1: -1})
+    ok, witness = check_foeq(ctx, measure)
+    assert not ok and (ok, witness) == fraction_check_foeq(ctx, measure)
+    if branch == "starting eigenvalue":
+        assert witness == {
+            "precondition": "row 0 polynomial vanishes at the starting eigenvalue; "
+            "the criteria sums are undefined"
+        }
+    else:
+        assert witness["constant"] == "0" and witness["fitted_at"] == 0
+        assert witness["moment_failures"] == [{"n": 0, "reason": "fitted constant is zero"}]
 
 
 @pytest.mark.parametrize(
