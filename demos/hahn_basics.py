@@ -12,7 +12,7 @@ from krallhahn.hahn import (
     hahn_recurrence,
     hahn_weight,
 )
-from krallhahn.measures import orthogonality_table
+from krallhahn.measures import orthogonality_certificate
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import format_rational
 
@@ -27,10 +27,11 @@ def main() -> None:
     for n, h in enumerate(hs):
         print(f"h_{n}(x) = {h}")
 
-    print("\ninner products <h_i, h_j> for i, j <= 4:")
-    table = orthogonality_table(weight, hs)
-    for row in table:
-        print("  " + "  ".join(f"{format_rational(v):>14}" for v in row))
+    norms, pairs = orthogonality_certificate(weight, hs)
+    print("\nnorms <h_n, h_n> for n <= 4:")
+    for n, norm in enumerate(norms):
+        print(f"  n = {n}: {format_rational(norm)}")
+    print(f"pairs i < j with <h_i, h_j> != 0: {pairs}")
 
     print("\nthree-term recurrence  x h_n = A(n+1) h_{n+1} + B(n) h_n + C(n) h_{n-1}:")
     x = Polynomial.variable()
