@@ -6,12 +6,15 @@ fresh process would, so no test reads stages that another test built.
 """
 
 from collections import OrderedDict
+from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
 from krallhahn import casorati
 from krallhahn.casorati import (
     krall_operator,
+    krall_polynomial,
     mixing_polynomial,
     mixing_symbol,
     raw_points,
@@ -20,15 +23,20 @@ from krallhahn.casorati import (
 from krallhahn.config import config_from_dict
 from krallhahn.hahn import factored_hahn_weight
 from krallhahn.oracle import operator_solution_space
+from krallhahn.polynomials import Polynomial
 from krallhahn.verify import build_run, run_config
 from reference import (
     _solve_globally,
+    cofactor_det,
+    explicit_cleared_matrix,
     fraction_check_foeq,
     full_mixing_polynomial,
     pair_route_mixing,
+    reference_casorati_rows,
     reference_eigen_certificate,
     reference_factored_weight,
     reference_krall_operator,
+    reference_krall_polynomial,
     reference_transformed_weight,
     shifted_entry_mixing,
 )
@@ -89,6 +97,55 @@ def test_nine_oracle_witness(checks):
         assert witness["hypotheses"]["determinant_dual_route"] is True
         assert witness["hypotheses"]["mixing_skew_and_divisible"] is True
         assert witness["omega-nonvanishing"]["forced_nonzeros"] == []
+
+
+def _cofactors(rows):
+    """The cofactor (r, c) of a square matrix, by cofactor_det on its minors."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (r + c) * cofactor_det(
+                [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
+            )
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+
+
+def test_nine_singular_lanes_follow_the_rank_rule():
+    """Nine rows (m = 9): Omega vanishes at 10..17, so the raw table's lanes
+    there are singular, and so is the cleared matrix at x = 10..17, of rank
+    n - 1 at x = 10 and lower at 11..17.  lane_bareiss fills those lanes by
+    its rank rule, and no check reads them.  The raw minors at t = 10..17
+    must be 0 and equal the reference rows' minors, q_10..q_17 the reference's
+    zero polynomial, and the cleared adjugate at x = 10..17 the explicit
+    matrix's cofactors times prod_{i != r} d_i, with 9 nonzero at x = 10."""
+    ctx = build_run(config_from_dict({**NINE, "checks": ["genre"]})).ctx
+    m = ctx.m
+    krall_polynomial(ctx, 17)
+    table = raw_points(ctx).table
+    assert len(table) == 18
+    for t in range(10, 18):
+        minors, den = table[t]
+        rows = reference_casorati_rows(ctx, t)
+        expected = [cofactor_det([row[:k] + row[k + 1 :] for row in rows]) for k in range(m + 1)]
+        assert minors == (0,) * (m + 1)
+        assert [Fraction(v, den) for v in minors] == expected, t
+        assert krall_polynomial(ctx, t) == reference_krall_polynomial(ctx, t) == Polynomial.zero()
+
+    adjugate = casorati._cleared_adjugate(ctx)
+    explicit = explicit_cleared_matrix(ctx)
+    dens = [lcm(*(entry.integer_parts[1] for entry in row)) for row in explicit]
+    for x in range(10, 18):
+        cofactors = _cofactors([[entry(x) for entry in row] for row in explicit])
+        expected = [
+            [v * (prod(dens) // dens[r]) for v in row] for r, row in enumerate(cofactors)
+        ]
+        found = [[adjugate.values[r][c][x] for c in range(m)] for r in range(m)]
+        assert adjugate.dets[x] == 0
+        assert found == expected, x
+        assert sum(v != 0 for row in found for v in row) == (9 if x == 10 else 0)
 
 
 def test_eleven_rows_divide_and_agree():

@@ -57,21 +57,6 @@ class DifferenceOperator:
     def identity(cls) -> "DifferenceOperator":
         return cls({0: Polynomial.one()})
 
-    @classmethod
-    def shift(cls, offset: int, coeff: Polynomial | Scalar = 1) -> "DifferenceOperator":
-        coeff = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(coeff)
-        return cls({offset: coeff})
-
-    @classmethod
-    def forward_difference(cls) -> "DifferenceOperator":
-        """S_1 - S_0."""
-        return cls({1: Polynomial.one(), 0: -Polynomial.one()})
-
-    @classmethod
-    def backward_difference(cls) -> "DifferenceOperator":
-        """S_0 - S_{-1}."""
-        return cls({0: Polynomial.one(), -1: -Polynomial.one()})
-
     # -- structure ---------------------------------------------------------------
 
     @property

@@ -15,16 +15,17 @@ each side divided by its gcd), so ``==`` and ``hash`` read the parts;
 Translation, scaling, Christoffel transforms and proportionality work on the
 parts.  A polynomial sum_k c_k x^k / d of degree n has the integer value
 vector V_i = sum_k c_k P_i^k e^(n-k), by integer Horner, and its value at
-point i is V_i / (d e^n).  Integrals, inner products and the Gram table are
+point i is V_i / (d e^n).  Inner products and the Gram table are
 integer dot products of (M o V) with value vectors, never polynomial
 products, and a ``Fraction`` is formed only once per result.
 
 Two routes avoid the value-vector loops.  :func:`orthogonality_certificate`
 decides a family's orthogonality, and reads its norms, off iterated partial
-sums of M o V on the lattice hull of the support: additions only.  The power
-moments, :func:`gram_schmidt` and the integrals of the ``criteria`` check read
-the integer power sums sum_i M_i P_i^k, taken in one pass, so a pairing or an
-integral is a short dot product of coefficients with those sums.
+sums of M o V on the lattice hull of the support: additions only.
+:func:`gram_schmidt` and :meth:`DiscreteMeasure.integrals`, the integrals of
+the ``criteria`` check, read the integer power sums sum_i M_i P_i^k, taken in
+one pass, so a pairing or an integral is a short dot product of coefficients
+with those sums.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class DiscreteMeasure:
         """M o V: the integer value vector times the integer masses."""
         return list(map(mul, self.masses, values))
 
-    def integrate(self, p: Polynomial) -> Fraction:
-        values, scale = self.evaluate(p)
-        return Fraction(sum(map(mul, self.masses, values)), self.mass_denominator * scale)
-
     def inner_product(self, p: Polynomial, q: Polynomial) -> Fraction:
         (u, su), (v, sv) = self.evaluate(p), self.evaluate(q)
         return Fraction(sum(map(mul, self.weighted(u), v)), self.mass_denominator * su * sv)
@@ -131,11 +128,6 @@ class DiscreteMeasure:
         for p in polys:
             nums, c = p.integer_parts
             yield sum(map(mul, nums, sums)), c * self.mass_denominator * e**up_to
-
-    def moments(self, up_to: int) -> list[Fraction]:
-        """Power moments of degree 0..up_to."""
-        d, e = self.mass_denominator, self.point_denominator
-        return [Fraction(m, d * e**k) for k, m in enumerate(self.power_sums(up_to))]
 
     def translate(self, offset: Scalar) -> "DiscreteMeasure":
         """Push every atom from pt to pt + offset."""

@@ -69,13 +69,6 @@ class Polynomial:
         return _X
 
     @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        c = as_rational(coeff)
-        if c == 0:
-            return _ZERO
-        return _wrap((0,) * degree + (c.numerator,), c.denominator)
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
         """The monic product of (x - r) over the roots, with multiplicity."""
         return cls.from_integer_roots(*clear_denominators(list(roots)))

@@ -529,7 +529,7 @@ def reference_gram_schmidt(measure, up_to):
     earlier polynomial, each pairing integrated as a product polynomial."""
     basis, norms = [], []
     for k in range(up_to + 1):
-        candidate = Polynomial.monomial(k)
+        candidate = Polynomial.variable() ** k
         for p, norm in zip(basis, norms):
             coeff = fraction_integrate(measure, candidate * p) / norm
             if coeff != 0:
@@ -1299,14 +1299,15 @@ def reference_ladder_operator(kind, p):
     x = Polynomial.variable()
     half = Polynomial.constant(Fraction(p.a + p.b + 1, 2))
     identity = DifferenceOperator({0: half})
+    forward, backward = DifferenceOperator({1: 1, 0: -1}), DifferenceOperator({0: 1, -1: -1})
     if kind == 1:
-        return identity + DifferenceOperator.backward_difference().scale(x)
+        return identity + backward.scale(x)
     if kind == 2:
-        return identity + DifferenceOperator.forward_difference().scale(x - p.N)
+        return identity + forward.scale(x - p.N)
     if kind == 3:
-        return identity + DifferenceOperator.forward_difference().scale(x + p.a + 1)
+        return identity + forward.scale(x + p.a + 1)
     if kind == 4:
-        return identity + DifferenceOperator.backward_difference().scale(x - p.b - p.N - 1)
+        return identity + backward.scale(x - p.b - p.N - 1)
     raise ValueError(f"kind must be 1..4, got {kind}")
 
 
@@ -1557,7 +1558,7 @@ def fraction_check_foeq(ctx, measure):
     fit_at = None
     failures = []
     for n in range(p.N + 1):
-        lhs = measure.integrate(base_polynomial(ctx, n))
+        lhs = fraction_integrate(measure, base_polynomial(ctx, n))
         rhs = ratio_sum(n) * (-1 if n % 2 else 1)
         if constant is None:
             if rhs != 0:

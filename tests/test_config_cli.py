@@ -46,6 +46,11 @@ class TestConfigParsing:
         )
         assert config_from_dict(cfg.to_dict()) == cfg
 
+    def test_round_trip_keeps_n_max(self):
+        cfg = config_from_dict(_variant(n_max=5))
+        assert cfg.n_max == 5 and cfg.to_dict()["n_max"] == 5
+        assert config_from_dict(cfg.to_dict()) == cfg
+
     @pytest.mark.parametrize(
         "overrides,fragment",
         [
@@ -179,6 +184,31 @@ class TestCli:
         cfg_path.write_text(json.dumps(_variant(a="1/0")))
         assert main(["verify", "--config", str(cfg_path)]) == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "configuration must be a JSON object"),
+        (_variant(a=True), "field 'a': boolean is not a rational"),
+    ], ids=["list", "boolean"])
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, data, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_report_write_failure_after_the_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "a.json"
+        cfg_path.write_text(json.dumps(_variant(checks=["genre"])))
+        report_path = tmp_path / "r.json"
+
+        def refuse(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(["verify", "--config", str(cfg_path), "--report", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert "genre: PASS" in captured.out  # the run finished before the write
+        assert captured.err.splitlines() == [f"error: cannot write report {report_path}: disk full"]
+        assert not report_path.exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -241,6 +241,17 @@ def test_three_term_recurrence(a, b, N):
         assert lhs == rhs
 
 
+def test_recurrence_names_a_plus_b_where_it_is_undefined():
+    """At (a, b, N) = (-11/2, -9/2, 3) a recurrence denominator vanishes at
+    n = 4 and 5, where the Hahn sum is still defined (h_5 of degree 4)."""
+    p = HahnParams(Fraction(-11, 2), Fraction(-9, 2), 3)
+    assert [hahn_polynomial(n, p).degree for n in (4, 5)] == [4, 4]
+    for n in (4, 5):
+        with pytest.raises(ParameterSingularity) as caught:
+            hahn_recurrence(n, p)
+        assert str(caught.value) == f"recurrence coefficient undefined at n = {n} for a+b = -10"
+
+
 def test_recurrence_functions_match_the_euclid_reference():
     """The recurrence coefficients, reduced by their denominators' roots,
     against the expanded denominators reduced by Euclid's gcd, on the grid of

@@ -67,7 +67,7 @@ def test_clear_denominators():
     [
         lambda: clear_denominators([Fraction(1, 2), 0.1]),
         lambda: Polynomial([0.1]),
-        lambda: Polynomial.monomial(2, 0.1),
+        lambda: Polynomial.constant(0.1) * X**2,
         lambda: X / 0.1,
         lambda: X(0.1),
         lambda: X.shift_argument(0.1),
@@ -104,7 +104,7 @@ def test_integer_inputs_are_not_truncated(entry):
     [
         lambda: Polynomial(["1e400"]),
         lambda: Polynomial.constant("1e400"),
-        lambda: Polynomial.monomial(2, "1e400"),
+        lambda: Polynomial.constant("1e400") * X**2,
         lambda: X("1e400"),
         lambda: X.shift_argument("1e400"),
         lambda: DiscreteMeasure({0: "1e400"}),

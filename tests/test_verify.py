@@ -23,7 +23,7 @@ from krallhahn.casorati import casorati_value, series_ratios
 from krallhahn.context import context_from_degrees, context_from_quartet
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
-from krallhahn.errors import ConfigInvalid, KrallHahnError, ParameterSingularity
+from krallhahn.errors import ConfigInvalid, KrallHahnError, NonExactDivision, ParameterSingularity
 from krallhahn.hahn import HahnParams, hahn_weight
 from krallhahn.measures import DiscreteMeasure
 from krallhahn.oracle import operator_solution_space
@@ -353,7 +353,7 @@ def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, 
         if bump is None:
             return op
         offset, k, c = bump
-        return op + DifferenceOperator.shift(offset, Polynomial.monomial(k, c))
+        return op + DifferenceOperator({offset: c * Polynomial.variable() ** k})
 
     def changed(ctx, n):
         q = build_q(ctx, n)
@@ -411,13 +411,13 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     faults = {
         "omega-nonvanishing": ("casorati_value", lambda ctx, n: 0 if n == 1 else value(ctx, n)),
         "degree-leading": ("core_leading_coefficient", lambda ctx: 2 * leading(ctx)),
-        "genre": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator.shift(r + 1)),
+        "genre": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator({r + 1: 1})),
         "support": ("transformed_support", moved),
         "criteria": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
         # q_2 and q_3 swapped: still pairwise orthogonal, but no longer of degree n
         "orthogonality": ("krall_polynomial", lambda ctx, n: member(ctx, {2: 3, 3: 2}.get(n, n))),
         # the constructed operator plus the identity: the oracle still finds the true one
-        "oracle": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator.shift(0)),
+        "oracle": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator({0: 1})),
         "eigen-equation": (
             "hahn_leading_coefficient",
             lambda n, p: 2 * hahn_leading(n, p) if n == 2 else hahn_leading(n, p),
@@ -552,6 +552,24 @@ def test_run_config_criteria_constant_surfaces():
     assert report.passed
     assert report.summary["criteria_constant"] == "-20095806215/17915904"
     assert report.summary["eigenvalues"][0] == "-44/3"
+
+
+def test_run_config_names_a_construction_error(monkeypatch):
+    """An eigenvalue polynomial that cannot be built leaves the report whole:
+    its checks are kept, and its summary names the error in place of the
+    half-width and the eigenvalues."""
+    import krallhahn.verify as verify
+
+    def fails(ctx):
+        raise NonExactDivision("remainder x + 1")
+
+    monkeypatch.setattr(verify, "eigenvalue_polynomial", fails)
+    cfg = config_from_dict({**BUILTIN_CONFIGS["single-root"], "checks": ["support"]})
+    report = run_config(cfg)
+    assert [check.name for check in report.checks] == ["support"] and report.passed
+    summary = report.to_json_dict()["summary"]
+    assert summary["construction_error"] == "NonExactDivision: remainder x + 1"
+    assert "r" not in summary and "eigenvalues" not in summary
 
 
 def test_report_is_deterministic():
