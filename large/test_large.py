@@ -5,9 +5,12 @@ collects only ``tests/``.  Every test starts from an empty stage store, as a
 fresh process would, so no test reads stages that another test built.
 """
 
+import json
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from krallhahn.casorati import (
 )
 from krallhahn.config import config_from_dict
 from krallhahn.hahn import factored_hahn_weight
+from krallhahn.matrices import PointAdjugate
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.verify import build_run, run_config
@@ -40,9 +44,21 @@ from reference import (
     reference_transformed_weight,
     shifted_entry_mixing,
 )
+from freeze_golden import scrub
+from test_golden import first_difference
 from test_oracle import _case_inputs
 
 NINE = {"a": "1/2", "b": "1/3", "N": 8, "F": [[5], [], [], []], "path": "theorem"}
+# F1=[7] (m = 13) with every check, and a mixed config of m = 15 (r = 17) with
+# the two checks that read the cleared adjugate and the raw table
+LARGE_M = {
+    "f1-7": {**NINE, "F": [[7], [], [], []]},
+    "m15": {
+        "a": "1/2", "b": "1/3", "N": 10, "F": [[3, 4], [2, 4], [2], [3]], "path": "theorem",
+        "checks": ["omega-nonvanishing", "hypotheses"],
+    },
+}
+FROZEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -100,17 +116,23 @@ def test_nine_oracle_witness(checks):
 
 
 def _cofactors(rows):
-    """The cofactor (r, c) of a square matrix, by cofactor_det on its minors."""
+    """The cofactor (r, c) of a square matrix: for each r, the Laplace
+    expansion of cofactor_det over the other rows, kept on every set of n - 1
+    columns, so that each minor is computed once."""
     n = len(rows)
-    return [
-        [
-            (-1) ** (r + c) * cofactor_det(
-                [row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r]
-            )
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
+    out = []
+    for r in range(n):
+        minors = {(): 1}  # minors[cols]: the bottom len(cols) other rows on cols
+        for size, row in enumerate(reversed([row for i, row in enumerate(rows) if i != r]), 1):
+            minors = {
+                cols: sum(
+                    (-1) ** pos * row[j] * minors[cols[:pos] + cols[pos + 1 :]]
+                    for pos, j in enumerate(cols)
+                )
+                for cols in combinations(range(n), size)
+            }
+        out.append([(-1) ** (r + c) * minors[(*range(c), *range(c + 1, n))] for c in range(n)])
+    return out
 
 
 def test_nine_singular_lanes_follow_the_rank_rule():
@@ -146,6 +168,55 @@ def test_nine_singular_lanes_follow_the_rank_rule():
         assert adjugate.dets[x] == 0
         assert found == expected, x
         assert sum(v != 0 for row in found for v in row) == (9 if x == 10 else 0)
+
+
+@pytest.mark.parametrize("name", LARGE_M)
+def test_large_m_reports_are_frozen(name):
+    """The report, timings removed, equals its copy in ``large/golden/``,
+    frozen from the route that expanded every cleared entry as a polynomial,
+    eliminated A itself and read the raw table at B + 1 points: hundreds of
+    points of a 13 x 13 and a 15 x 15 adjugate, and of the raw table."""
+    report = scrub(json.loads(json.dumps(run_config(config_from_dict(LARGE_M[name])).to_json_dict())))
+    expected = json.loads((FROZEN / f"{name}.json").read_text())
+    difference = first_difference(report, expected)
+    assert difference is None, f"{name}.json: {difference}"
+
+
+def test_factored_table_at_forced_zeros():
+    """F1=[7] (m = 13, one row kind): every column's blocks are shared, so the
+    cleared adjugate eliminates A diag(G)^-1 and scales G back.  At Omega's
+    forced zeros x = 10..21 the matrix is singular, and the table's values
+    must equal the explicit matrix's cofactors times prod_{i != r} d_i: the
+    cofactors of its rows scaled to integers."""
+    ctx = build_run(config_from_dict({**LARGE_M["f1-7"], "checks": ["genre"]})).ctx
+    m, adjugate = ctx.m, casorati._cleared_adjugate(ctx)
+    explicit = explicit_cleared_matrix(ctx)
+    dens = [lcm(*(entry.integer_parts[1] for entry in row)) for row in explicit]
+    assert adjugate.dens == dens
+    for x in range(ctx.orthogonality_range + 2, ctx.params.N + m + 1):
+        rows = [[int(entry(x) * d) for entry in row] for d, row in zip(dens, explicit)]
+        assert adjugate.dets[x] == 0
+        found = [[adjugate.values[r][c][x] for c in range(m)] for r in range(m)]
+        assert found == _cofactors(rows), x
+
+
+@pytest.mark.parametrize("config", [
+    NINE,
+    {"a": "1/2", "b": "1/3", "N": 8, "F": [[2], [2], [2], [2]], "path": "corollary"},
+], ids=["nine", "m8-every-kind"])
+def test_structured_table_at_large_m(config):
+    """The cleared adjugate's table, rows read off the matrix's structure
+    (with every block shared on nine, none on the m = 8 every-kind context),
+    equals PointAdjugate on the polynomial cleared matrix at every point it
+    holds once the mixing rows have read it."""
+    ctx = build_run(config_from_dict({**config, "checks": ["genre"]})).ctx
+    adjugate = casorati._cleared_adjugate(ctx)
+    casorati._mixing_tables(ctx)
+    reference = PointAdjugate(casorati.cleared_matrix(ctx))
+    reference.extend(len(adjugate.dets))
+    assert (adjugate.dens, adjugate.degrees) == (reference.dens, reference.degrees)
+    assert adjugate.dets == reference.dets
+    assert adjugate.values == reference.values
 
 
 def test_eleven_rows_divide_and_agree():

@@ -10,13 +10,16 @@ builds, all exactly:
 * the eigenvalue polynomial and the spectral polynomial,
 * the higher-order difference operator the new family satisfies.
 
-The cleared Casorati matrix is built from Y_r(theta) and the column factors,
-each once per context: column c of a row is the kind's clearing blocks for c,
-expanded from :func:`~krallhahn.ladder.column_roots`, the root lists that also
-make up the clearing factor and the mixing weights.  Its determinant and
-cofactors (the mixing minors) come from integer point values
-(:class:`~krallhahn.matrices.PointAdjugate`), on degree bounds read off the
-entries, not off :func:`core_degree`, which the degree check compares.
+Entry (r, c) of the cleared Casorati matrix is Y_r(theta) at x - c times the
+kind's clearing blocks for column c, whose roots
+(:func:`~krallhahn.ladder.block_column_roots`) also make up the clearing
+factor and the mixing weights.  Its determinant and cofactors (the mixing
+minors) come from integer point values
+(:class:`~krallhahn.matrices.PointAdjugate`) read off that structure, with
+the blocks that every row kind shares factored out of the elimination
+(:func:`_cleared_adjugate`), on degree bounds read off the entries, not off
+:func:`core_degree`, which the degree check compares.  No run expands the
+matrix as polynomials (:func:`cleared_matrix`).
 
 The raw Casorati rows (:func:`casorati_rows`: running products of the series
 ratios times the row values, no clearing block, as integers over one
@@ -59,7 +62,7 @@ from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import wraps
 from itertools import islice, repeat
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 
 from .context import ConstructionContext
@@ -68,7 +71,7 @@ from .errors import NonExactDivision, ParameterSingularity
 from .hahn import hahn_operator, hahn_polynomial, theta_substitute
 from .ladder import (
     CLEARING_BLOCKS,
-    column_roots,
+    block_column_roots,
     falling_roots,
     ladder_operator,
     rising_roots,
@@ -125,17 +128,37 @@ def _row_theta(ctx: ConstructionContext, row: int) -> Polynomial:
 
 
 @_stage
+def _block_roots(ctx: ConstructionContext, which: int) -> list[list[int]]:
+    """:func:`~krallhahn.ladder.block_column_roots` over the normaliser's
+    denominator Q (:func:`normalizer_factors`), once per context and block."""
+    _, _, q = normalizer_factors(ctx)
+    return block_column_roots(which, ctx.m, ctx.params, q)
+
+
+def _column_roots(ctx: ConstructionContext, blocks) -> list[list[int]]:
+    """Per column c = 1..m, the roots over Q of the given clearing blocks'
+    factors.  Read at x, a row kind's clear the mixing term j = c; read at
+    x - c (each root plus c Q), they are column c's factor in the cleared
+    matrix, rising(m - c, -c) times falling(c - 1, -1) per block, and column
+    m's, falling(m - 1, -1), is the row's share of the clearing factor."""
+    columns: list[list[int]] = [[] for _ in range(ctx.m)]
+    for which in blocks:
+        for roots, block in zip(columns, _block_roots(ctx, which)):
+            roots += block
+    return columns
+
+
+@_stage
 def _column_factors(ctx: ConstructionContext, kind: int) -> tuple[Polynomial, ...]:
     """The factors of columns c = 1..m in a row of this kind, once per context:
-    term c of :func:`~krallhahn.ladder.column_roots` read at x - c, per block
-    rising(m - c, -c) times falling(c - 1, -1), of sign (-1)^((c - 1) |blocks|),
+    its :func:`_column_roots` read at x - c, of sign (-1)^((c - 1) |blocks|),
     over the one denominator Q of :func:`normalizer_factors`."""
     _, _, q = normalizer_factors(ctx)
-    blocks = len(CLEARING_BLOCKS[kind])
+    blocks = CLEARING_BLOCKS[kind]
     factors = []
-    for c, roots in enumerate(column_roots(kind, ctx.m, ctx.params, q), 1):
+    for c, roots in enumerate(_column_roots(ctx, blocks), 1):
         factor = Polynomial.from_integer_roots([r + c * q for r in roots], q)
-        factors.append(-factor if (c - 1) * blocks % 2 else factor)
+        factors.append(-factor if (c - 1) * len(blocks) % 2 else factor)
     return tuple(factors)
 
 
@@ -147,17 +170,90 @@ def _cleared_entry(ctx: ConstructionContext, row: int, col: int) -> Polynomial:
 
 @_stage
 def cleared_matrix(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], ...]:
-    """The denominator-cleared Casorati matrix, as a tuple of row tuples."""
+    """The denominator-cleared Casorati matrix, as a tuple of row tuples: the
+    polynomial form of what :func:`_cleared_adjugate` evaluates, which no run
+    reads."""
     m = ctx.m
     return tuple(
         tuple(_cleared_entry(ctx, row, col) for col in range(1, m + 1)) for row in range(m)
     )
 
 
+def _primitive_values(roots: dict[int, int], divisor: int, points: list[int]) -> list[int]:
+    """prod_p ((s Q - p) / gcd(Q, p))^k over the roots p of multiplicity k, at
+    each s Q in points, with divisor = prod_p gcd(Q, p)^k: the values of a
+    cleared column factor's primitive part."""
+    return [v // divisor for v in _linear_product([1] * len(points), roots, points)]
+
+
 @_stage
 def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
-    """The cleared matrix's determinant and cofactors from integer point values."""
-    return PointAdjugate(cleared_matrix(ctx))
+    """The cleared matrix's determinant and cofactors from integer point
+    values, the table of ``PointAdjugate(cleared_matrix(ctx))`` point for
+    point, with its integer rows read off the matrix's structure and no entry
+    expanded.
+
+    Entry (r, c) at x is Y_r(theta_s) times row r's column-c factor, both read
+    at s = x - c: :func:`_row_theta` and the kind's column-c roots p over Q
+    (:func:`~krallhahn.ladder.block_column_roots`), each a factor (s Q - p) /
+    Q, with the sign of :func:`_column_factors`.  G_c, the product of the
+    column-c blocks that every kind present uses, divides every row's factor
+    and is taken out of the elimination: with g_c = prod over G_c's roots of
+    (s Q - p) / gcd(Q, p), its primitive part, diag(d) A = B diag(g), where
+    B_rc = w_rc y_r(s) h_rc(s), y_r is the primitive part of Y_r o theta,
+    h_rc the product of (s Q - p) / gcd(Q, p) over the row's other column-c
+    roots, and w_rc an integer.  By Gauss's lemma the content of a product is
+    the product of the contents, so the row scales d_r and the w_rc are read
+    off the content of Y_r o theta and the factor's, prod_p gcd(Q, p) / Q.
+    Each y_r is evaluated once per s and kept, for all m columns, and each g_c
+    and h_rc once per column, kind and point."""
+    m, (_, _, q) = ctx.m, normalizer_factors(ctx)
+    kinds = dict.fromkeys(ctx.row_kinds)
+
+    def column_parts(blocks):
+        """Per column, the blocks' roots as a dict root -> multiplicity, and
+        prod_p gcd(Q, p) over them."""
+        return [
+            (roots, prod(gcd(q, r) ** k for r, k in roots.items()))
+            for roots in map(Counter, _column_roots(ctx, blocks))
+        ]
+
+    shared = set.intersection(*(set(CLEARING_BLOCKS[kind]) for kind in kinds)) if m else set()
+    common = column_parts(shared)
+    own = {kind: column_parts(set(CLEARING_BLOCKS[kind]) - shared) for kind in kinds}
+    ys, dens, weights, degrees = [], [], [], []
+    for row, kind in enumerate(ctx.row_kinds):
+        theta, blocks = _row_theta(ctx, row), len(CLEARING_BLOCKS[kind])
+        nums, den = theta.integer_parts
+        unit = gcd(*nums)
+        ys.append([v // unit for v in nums])
+        # entry (row, c) has content tops[c - 1] / bottom, up to sign
+        bottom = den * q ** ((m - 1) * blocks)
+        tops = [unit * g * h for (_, g), (_, h) in zip(common, own[kind])]
+        dens.append(lcm(*(bottom // gcd(top, bottom) for top in tops)))
+        weights.append([
+            (-top if (c - 1) * blocks % 2 else top) * dens[-1] // bottom for c, top in enumerate(tops, 1)
+        ])
+        degrees.append([theta.degree + (m - 1) * blocks] * m)
+
+    values: list[list[int]] = [[] for _ in ys]  # values[row][i] is y_row at s = i - m
+
+    def evaluate(block: range) -> tuple[list, list]:
+        for nums, kept in zip(ys, values):
+            kept += (horner(nums, s) for s in range(len(kept) - m, block.stop - 1))
+        rows: list[list[list[int]]] = [[] for _ in range(m)]
+        columns = []
+        for c in range(1, m + 1):
+            points = [(x - c) * q for x in block]
+            factors = {kind: _primitive_values(*own[kind][c - 1], points) for kind in kinds}
+            for row, kind in enumerate(ctx.row_kinds):
+                w, ys_at = weights[row][c - 1], values[row][block.start + m - c : block.stop + m - c]
+                rows[row].append([w * y * h for y, h in zip(ys_at, factors[kind])])
+            if shared:
+                columns.append(_primitive_values(*common[c - 1], points))
+        return rows, columns
+
+    return PointAdjugate(dens=dens, degrees=degrees, evaluate=evaluate)
 
 
 @_stage
@@ -169,9 +265,15 @@ def casorati_cleared(ctx: ConstructionContext) -> Polynomial:
 @_stage
 def clearing_factor(ctx: ConstructionContext) -> Polynomial:
     """Product of the per-row denominators removed from the raw determinant:
-    each row's column-m factor, falling(m - 1, -1) per block."""
-    factors = (_column_factors(ctx, kind)[-1] for kind in ctx.row_kinds)
-    return prod(factors, start=Polynomial.one())
+    each row's column-m factor, falling(m - 1, -1) per block, expanded from
+    all their roots at once, of sign (-1)^((m - 1) |blocks|) per row."""
+    m, (_, _, q) = ctx.m, normalizer_factors(ctx)
+    roots, sign = [], 1
+    for kind in ctx.row_kinds:
+        blocks = CLEARING_BLOCKS[kind]
+        roots += [r + m * q for r in _column_roots(ctx, blocks)[-1]]
+        sign *= -1 if (m - 1) * len(blocks) % 2 else 1
+    return Polynomial.from_integer_roots(roots, q) * sign
 
 
 def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
@@ -338,11 +440,15 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     pole are skipped.
 
     With den_r the reduced denominator of row r's ratio, E = prod_r prod_{i=1}^{m-1}
-    den_r(x - i) clears every row, and E * clearing_factor * R and
-    E * casorati_cleared are polynomials of degree at most B, computed below.
-    E is nonzero at every point kept, so agreement at the B + 1 points returned
-    proves clearing_factor * R = casorati_cleared: a nonzero polynomial of
-    degree B has at most B roots.
+    den_r(x - i) clears every row, so E * R is a polynomial of degree at most
+    raw_degree, computed below, and E is nonzero at every point kept.  E
+    divides the clearing factor cf: den_r divides the product of the kind's
+    falling blocks falling(1, 0), and prod_{i=1}^{m-1} of those at x - i is
+    falling(m - 1, -1) per block, row r's share of cf up to sign.  So with C
+    the cleared determinant, cf * R - C = (cf / E)(E * R) - C is a polynomial
+    of degree at most B' = max(deg cf - deg E + raw_degree, deg C), and
+    agreement at the B' + 1 points kept, which are returned, proves cf * R =
+    C: a nonzero polynomial of degree B' has at most B' roots.
     """
     m = ctx.m
     raw_degree = denominator_degree = 0
@@ -351,8 +457,8 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
         raw_degree += max((m - c) * dn + (c - 1) * dd for c in range(1, m + 1)) + 2 * u
         denominator_degree += (m - 1) * dd
     bound = max(
-        clearing_factor(ctx).degree + raw_degree,
-        denominator_degree + casorati_cleared(ctx).degree,
+        clearing_factor(ctx).degree - denominator_degree + raw_degree,
+        casorati_cleared(ctx).degree,
     )
     raw = raw_points(ctx)
     while (missing := bound + 1 - (len(raw.table) - raw.table.count(None))) > 0:
@@ -507,16 +613,14 @@ def _cofactor_orders(ctx: ConstructionContext) -> dict[int, list[dict[int, int]]
     1) read at y - c, vanishes there.  Every Leibniz term sends the other rows
     of U_w to distinct columns other than c, at most |[m] - {c} - I_w| of them
     outside I_w, and each one inside brings a factor that vanishes there."""
-    p, m = ctx.params, ctx.m
-    _, _, q = normalizer_factors(ctx)
+    m, (_, _, q) = ctx.m, normalizer_factors(ctx)
     orders = {kind: [{} for _ in range(m)] for kind in ctx.row_kinds}
     for which in (1, 2):
         if (users := sum(which in CLEARING_BLOCKS[kind] for kind in ctx.row_kinds)) < 2:
             continue  # no other row uses the block
-        rising, falling = rising_roots(which, m - 1, 0, p, q), falling_roots(which, m - 1, m - 1, p, q)
         columns: dict[int, set[int]] = {}
-        for c in range(1, m + 1):
-            for r in rising[c - 1 :] + falling[: c - 1]:
+        for c, roots in enumerate(_block_roots(ctx, which), 1):
+            for r in roots:
                 columns.setdefault(r + c * q, set()).add(c)
         for kind, per_column in orders.items():
             others = users - (which in CLEARING_BLOCKS[kind])
@@ -533,7 +637,7 @@ def _term_roots(ctx: ConstructionContext) -> dict[int, list[tuple[dict[int, int]
     """Per row kind and term j = 1..m, the root multisets S_j - N_j, N_j - S_j
     and N_j - S_j - O_j at x, as dicts root -> multiplicity over Q.  At y = x
     + j, N_j holds the roots of normalizer(y), S_j the term's known numerator
-    roots (sigma's, r0, and column j's of :func:`~krallhahn.ladder.column_roots`)
+    roots (sigma's, r0, and column j's of :func:`_column_roots`)
     and O_j the cofactor's orders (:func:`_cofactor_orders`)."""
     p, m = ctx.params, ctx.m
     _, roots, q = normalizer_factors(ctx)
@@ -543,7 +647,8 @@ def _term_roots(ctx: ConstructionContext) -> dict[int, list[tuple[dict[int, int]
     orders, terms = _cofactor_orders(ctx), {}
     for kind in dict.fromkeys(ctx.row_kinds):
         terms[kind] = []
-        for j, (extra, order) in enumerate(zip(column_roots(kind, m, p, q), orders[kind]), 1):
+        columns = _column_roots(ctx, CLEARING_BLOCKS[kind])
+        for j, (extra, order) in enumerate(zip(columns, orders[kind]), 1):
             net = {r - j * q: -k for r, k in counts.items()}  # S_j - N_j
             for r in (r0 - j * q, *extra):
                 net[r] = net.get(r, 0) + 1

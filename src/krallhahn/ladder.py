@@ -9,9 +9,9 @@ clearing blocks (:data:`CLEARING_BLOCKS`) and reduced by dividing out the
 roots shared; the ratio is the one-step product.  A clearing block has one
 form: its roots, as integer numerators over a given denominator
 (:func:`rising_roots`, :func:`falling_roots`), and a polynomial is expanded
-only from those roots.  :func:`column_roots` groups them per column of a row,
-for the cleared Casorati matrix, the clearing factor and the mixing weights
-alike.
+only from those roots.  :func:`block_column_roots` groups one block's per
+column of a row, for the cleared Casorati matrix, the clearing factor and the
+mixing weights alike.
 """
 
 from __future__ import annotations
@@ -143,23 +143,19 @@ def falling_roots(which: int, length: int, shift: Rational | int, p: HahnParams,
     return _block_roots(as_rational(shift) + _falling_offset(which, length, p), length, q)
 
 
-def column_roots(kind: int, m: int, p: HahnParams, q: int) -> list[list[int]]:
-    """Roots over q of the clearing factors of the columns c = 1..m of a row of
-    this kind: per block, rising(m - c, 0) times falling(c - 1, c - 1), of
-    leading coefficient (-1)^((c - 1) |blocks|).  Their roots are the last
+def block_column_roots(which: int, m: int, p: HahnParams, q: int) -> list[list[int]]:
+    """Roots over q of one clearing block's part of the clearing factors of
+    the columns c = 1..m of a row: rising(m - c, 0) times falling(c - 1,
+    c - 1), of leading coefficient (-1)^(c - 1), whose roots are the last
     m - c of rising(m - 1, 0)'s and the first c - 1 of falling(m - 1, m - 1)'s.
 
     Read at x, term c clears the mixing term j = c.  Read at x - c (each root
-    plus c q), it is the factor of column c of the cleared Casorati matrix,
-    rising(m - c, -c) times falling(c - 1, -1); column m's, falling(m - 1, -1),
-    is the row's share of the clearing factor."""
-    terms: list[list[int]] = [[] for _ in range(m)]
-    for which in CLEARING_BLOCKS[kind]:
-        rising = rising_roots(which, m - 1, 0, p, q)
-        falling = falling_roots(which, m - 1, m - 1, p, q)
-        for c, roots in enumerate(terms, 1):
-            roots += rising[c - 1 :] + falling[: c - 1]
-    return terms
+    plus c q), it is the block's part of column c of the cleared Casorati
+    matrix, rising(m - c, -c) times falling(c - 1, -1); column m's,
+    falling(m - 1, -1), is its share of the clearing factor."""
+    rising = rising_roots(which, m - 1, 0, p, q)
+    falling = falling_roots(which, m - 1, m - 1, p, q)
+    return [rising[c - 1 :] + falling[: c - 1] for c in range(1, m + 1)]
 
 
 def ratio_product(kind: int, length: int, p: HahnParams) -> tuple[Polynomial, Polynomial]:

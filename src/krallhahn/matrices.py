@@ -13,9 +13,11 @@ determinant pass.  :func:`integer_dets` takes determinants of one size as the
 lanes of one pass, and :func:`_exact_solve` runs the elimination on one lane.
 :class:`PointAdjugate` keeps one table of the integer values of the
 determinant and the adjugate of a polynomial matrix at x = 0, 1, ..., both
-from one lane pass on [A(x) | I] per block of :data:`LANES` points, and
+from one lane pass on [B(x) | I] per block of :data:`LANES` points, and
 interpolates the determinant (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 5); :func:`poly_det` is that route on any square matrix.
+Algebra, ch. 5); B is the matrix itself with its rows scaled to integers, or
+rows read off a structure with column factors taken out; :func:`poly_det` is
+the first route on any square matrix.
 Nothing here eliminates polynomials or rational functions: the construction
 clears row denominators first, and its cross-check and the family q_n take
 lane passes on integer rows kept over one denominator per point.
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .polynomials import Polynomial, horner, interpolate
 
@@ -177,34 +180,59 @@ class PointAdjugate:
     denominator, ``dets[x]`` is prod_i d_i det A(x) and ``values[r][c][x]``
     prod_{i != r} d_i times the cofactor (r, c).  Both always hold the same
     points, and grow only by :meth:`extend`; the constructor takes them to the
-    determinant's degree bound."""
+    determinant's degree bound.
 
-    def __init__(self, rows: Sequence[Sequence[Polynomial]]) -> None:
-        _square_size(rows)
-        self.dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
-        self.scaled = [
-            [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
-            for den, row in zip(self.dens, rows)
-        ]
-        self.degrees = [[e.degree for e in row] for row in rows]
+    The integer rows come from ``rows``, the matrix A, entry by entry; or,
+    where A has a structure to read, from ``evaluate``, with ``dens`` the d_i
+    and ``degrees`` the entries' degrees: ``evaluate(block)`` gives, as lists
+    over the points of ``block``, integer rows B and column values g (or none,
+    all ones) with diag(d) A = B diag(g) there.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[Sequence[Polynomial]] | None = None,
+        *,
+        dens: Sequence[int] = (),
+        degrees: Sequence[Sequence[int]] = (),
+        evaluate: Callable[[range], tuple[list, list]] | None = None,
+    ) -> None:
+        if rows is not None:
+            _square_size(rows)
+            dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
+            scaled = [
+                [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
+                for den, row in zip(dens, rows)
+            ]
+            degrees = [[e.degree for e in row] for row in rows]
+
+            def evaluate(block):
+                return [[[horner(nums, x) for x in block] for nums in row] for row in scaled], []
+
+        self.dens, self.degrees, self.evaluate = list(dens), [list(d) for d in degrees], evaluate
         self.dets: list[int] = []
-        self.values: list[list[list[int]]] = [[[] for _ in rows] for _ in rows]
+        self.values: list[list[list[int]]] = [[[] for _ in self.dens] for _ in self.dens]
         self.extend(max(self.degree_bound(), 0) + 1)
 
     def extend(self, stop: int) -> None:
         """Take ``dets`` and ``values`` to every x < stop: one
-        :func:`lane_bareiss` on [A(x) | I] per block of :data:`LANES` points,
-        which gives det A(x) and adj A(x) together, singular points included."""
-        n = len(self.scaled)
+        :func:`lane_bareiss` on [B(x) | I] per block of :data:`LANES` points,
+        which gives det B(x) and adj B(x) together, singular points included.
+        With A = B diag(g) (row scales aside), det A = det B prod_c g_c and
+        adj A = adj(diag g) adj B: row c of adj B times prod_{c' != c} g_c',
+        an identity at every point, singular or not."""
+        n = len(self.dens)
         for lo in range(len(self.dets), stop, LANES):
             block = range(lo, min(lo + LANES, stop))
+            rows, columns = self.evaluate(block)
             ones, zeros = [1] * len(block), [0] * len(block)
-            aug = [
-                [*([horner(nums, x) for x in block] for nums in row),
-                 *(ones if j == i else zeros for j in range(n))]
-                for i, row in enumerate(self.scaled)
-            ]
+            aug = [[*row, *(ones if j == i else zeros for j in range(n))] for i, row in enumerate(rows)]
             det, adj = lane_bareiss(aug, n, len(block))
+            if columns:
+                for c in range(n):
+                    others = [prod(gs) for gs in zip(ones, *columns[:c], *columns[c + 1 :])]
+                    adj[c] = [list(map(mul, lanes, others)) for lanes in adj[c]]
+                det = [prod(gs) for gs in zip(det, *columns)]
             self.dets += det
             for c, column in enumerate(adj):  # adj A[c][r] is the cofactor (r, c)
                 for r, lanes in enumerate(column):

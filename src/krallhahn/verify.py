@@ -54,12 +54,11 @@ from .measures import (
     DiscreteMeasure,
     gram_schmidt,
     orthogonality_certificate,
-    proportionality_constant,
 )
 from .oracle import operator_solution_space
 from .polynomials import horner
 from .rationals import format_rational
-from .sets import SetQuartet, degree_sum_halfwidth, theorem_halfwidth
+from .sets import degree_sum_halfwidth, theorem_halfwidth
 
 
 @dataclass
@@ -539,33 +538,29 @@ def enumerate_root_couples(
     root-factored weight up to a global sign.
 
     A root f can be contributed either by the fourth-set factor (x - f) or,
-    mirrored, by the third-set factor (N - (N-f) - x); enumerating the
-    2^k assignments and verifying each measure identity exactly yields every
-    representation together with its operator half-width.
+    mirrored, by the third-set factor (N - (N-f) - x) = -(x - f), so each of
+    the 2^k assignments gives the same factor polynomial, and so the same
+    Christoffel weight, up to the sign (-1)^|F3|; each couple carries that
+    sign and its operator half-width.  a and b must make valid Hahn
+    parameters, though the couples do not depend on them.
     """
     roots = sorted(set(map(index, roots)))
     if not roots:
         raise ValueError("need at least one root")
     if roots[0] < 1 or roots[-1] > N - 1:
         raise ValueError(f"roots must lie strictly inside (0, {N})")
-    params = HahnParams(a, b, N)
-    target = factored_hahn_weight(params, SetQuartet.of((), (), (), roots))
+    HahnParams(a, b, N)
     couples = []
     for size in range(len(roots) + 1):
         for mirrored in combinations(roots, size):
             third = tuple(sorted(N - r for r in mirrored))
             fourth = tuple(r for r in roots if r not in mirrored)
-            quartet = SetQuartet.of((), (), third, fourth)
-            candidate = factored_hahn_weight(params, quartet)
-            ratio = proportionality_constant(candidate, target)
-            if ratio is None or ratio * ratio != 1:
-                continue
             couples.append(
                 {
                     "F3": list(third),
                     "F4": list(fourth),
-                    "r": degree_sum_halfwidth(quartet.sets),
-                    "sign": int(ratio),
+                    "r": degree_sum_halfwidth(((), (), third, fourth)),
+                    "sign": -1 if size % 2 else 1,
                     "within_half": max(third, default=-1) < Fraction(N, 2)
                     and max(fourth, default=-1) < Fraction(N, 2),
                 }

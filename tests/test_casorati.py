@@ -52,8 +52,9 @@ from krallhahn.hahn import (
     reflect,
 )
 from krallhahn.ladder import CLEARING_BLOCKS, KINDS, ladder_operator, series_shift
-from krallhahn.matrices import LANES
-from krallhahn.polynomials import Polynomial, divide_out_roots, horner
+from krallhahn.matrices import LANES, PointAdjugate
+from krallhahn.polynomials import Polynomial, divide_out_roots, horner, interpolate
+from krallhahn.rationals import clear_denominators
 from krallhahn.sets import SetQuartet
 from krallhahn.verify import build_run
 
@@ -70,7 +71,6 @@ from reference import (
     explicit_clearing_factor,
     explicit_column_factors,
     explicit_falling_block,
-    explicit_rising_block,
     flat_linear_product,
     fraction_casorati_value,
     full_mixing_polynomial,
@@ -316,6 +316,35 @@ def pointwise_dual_route(ctx):
     )
 
 
+def _raw_bounds(ctx):
+    """(B, B', E, raw_degree) from the reference polynomials: E = prod_r
+    prod_{i=1}^{m-1} den_r(x - i), raw_degree the bound on deg E R, B the old
+    bound on deg E (cf R - C), and B' the one on deg (cf R - C), with cf / E
+    taken by exact division, which fails unless E divides cf."""
+    m, E, raw_degree = ctx.m, Polynomial.one(), 0
+    for (numer, denom), u in zip(casorati.series_ratios(ctx), ctx.row_degrees):
+        for i in range(1, m):
+            E = E * denom.shift_argument(-i)
+        raw_degree += max((m - c) * numer.degree + (c - 1) * denom.degree for c in range(1, m + 1)) + 2 * u
+    cf, C = clearing_factor(ctx), casorati_cleared(ctx)
+    old = max(cf.degree + raw_degree, E.degree + C.degree)
+    return old, max(cf.divide_exact(E).degree + raw_degree, C.degree), E, raw_degree
+
+
+def _raw_values(ctx, count):
+    """The raw determinant at the first ``count`` points the table keeps."""
+    raw = casorati.raw_points(ctx)
+    while (missing := count - (len(raw.table) - raw.table.count(None))) > 0:
+        raw.extend(len(raw.table) + missing)
+    kept = [(t, entry) for t, entry in enumerate(raw.table) if entry is not None][:count]
+    return {t: Fraction(minors[0], den) for t, (minors, den) in kept}
+
+
+def _agrees(ctx, values):
+    cleared, clearing = casorati_cleared(ctx), clearing_factor(ctx)
+    return all(value * clearing(t) == cleared(t) for t, value in values.items())
+
+
 def _template_config(F, path, a, b):
     return config_from_dict({"a": a, "b": b, "N": 12, "F": F, "path": path})
 
@@ -335,6 +364,19 @@ DIFFERENTIAL_CONFIGS = {
     **ROUTE_CONFIGS,
     "F1=3-theorem-N8": config_from_dict(
         {"a": "1/2", "b": "1/3", "N": 8, "F": [[3], [], [], []], "path": "theorem"}
+    ),
+}
+
+
+# DIFFERENTIAL_CONFIGS and the two kind sets that share one block: {1, 2}
+# share block 2, {2, 4} block 1
+STRUCTURE_CONFIGS = {
+    **DIFFERENTIAL_CONFIGS,
+    "F12=1-theorem-N8": config_from_dict(
+        {"a": "1/2", "b": "1/3", "N": 8, "F": [[1], [1], [], []], "path": "theorem"}
+    ),
+    "F2=2-F4=1-theorem-N8": config_from_dict(
+        {"a": "1/2", "b": "1/3", "N": 8, "F": [[], [2], [], [1]], "path": "theorem"}
     ),
 }
 
@@ -364,20 +406,56 @@ class TestDeterminantRoutes:
         assert casorati.cleared_matrix(ctx) == explicit_cleared_matrix(ctx)
 
     def test_point_count_is_the_degree_bound(self, four_root_ctx):
-        """B + 1 points for the m = 4 context with one row of each kind, degree 1.
+        """B' + 1 points for the m = 4 context with one row of each kind, degree 1.
 
         Reduced ratio degrees (numerator, denominator) are (1, 1), (2, 2),
         (0, 0), (1, 1) for kinds 1..4.  With both equal to d, every entry of
         row r times D_r has degree at most 3 d + 2 u = 3 d + 2, and these sum
-        to 3 * 4 + 8 = 20.  The clearing factor has degree 3 per clearing
-        block, 4 blocks: 12.  So B = max(12 + 20, 3 * 4 + deg C) with
-        deg C = 18, and B = 32.
+        to 3 * 4 + 8 = 20, a bound on deg E R; deg E = 3 * 4 = 12.  The
+        clearing factor has degree 3 per clearing block, 4 blocks: 12, so cf / E
+        is a constant, and B' = max(12 - 12 + 20, deg C) with deg C = 18, so
+        B' = 20.  The old route read B + 1 points, B = max(12 + 20, 12 + 18)
+        = 32, and cf R = C holds at all of them too.
         """
         ctx = four_root_ctx
         assert ctx.row_kinds == (1, 2, 3, 4) and ctx.row_degrees == (1, 1, 1, 1)
         assert clearing_factor(ctx).degree == 12
         assert casorati_cleared(ctx).degree == 18
-        assert len(casorati_rational(ctx)) == max(12 + 20, 12 + 18) + 1
+        assert _raw_bounds(ctx)[:2] == (32, 20)
+        assert len(casorati_rational(ctx)) == max(12 - 12 + 20, 18) + 1
+        assert _agrees(ctx, _raw_values(ctx, max(12 + 20, 12 + 18) + 1))
+
+    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, "same", "wide"])
+    def test_both_point_counts_give_one_verdict(self, name):
+        """The cross-check at B' + 1 points and the old one at B + 1 agree, E
+        divides the clearing factor, and E R, interpolated from the raw table
+        at the B + 1 points, has degree at most raw_degree."""
+        cfg = DIFFERENTIAL_CONFIGS[name] if name in DIFFERENTIAL_CONFIGS else golden_config(name)
+        ctx = build_run(cfg).ctx
+        old, new, E, raw_degree = _raw_bounds(ctx)
+        assert len(casorati_rational(ctx)) == new + 1 <= old + 1
+        values = _raw_values(ctx, old + 1)
+        assert _agrees(ctx, casorati_rational(ctx)) == _agrees(ctx, values) is True
+        product = interpolate(*clear_denominators([E(t) * v for t, v in values.items()]), list(values))
+        assert product.degree <= raw_degree
+
+    def test_value_at_the_last_point_read_is_checked(self, monkeypatch):
+        """On ``same`` (kinds 2, 2, 2), deg(cf / E) = 3, so B' = max(3 +
+        raw_degree, deg C) = 22, against B = 28 and 19 without the quotient.  A
+        raw value patched at the (B' + 1)-th kept point fails the hypotheses
+        check."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        cfg = replace(golden_config("same"), checks=("hypotheses",))
+        ctx = build_run(cfg).ctx
+        old, new, E, raw_degree = _raw_bounds(ctx)
+        assert (old, new, max(raw_degree, casorati_cleared(ctx).degree)) == (28, 22, 19)
+        assert verify.run_config(cfg).passed
+        t = max(_raw_values(ctx, new + 1))
+        table = casorati.raw_points(ctx).table
+        (minor, *others), den = table[t]
+        table[t] = (minor + 1, *others), den
+        (check,) = verify.run_config(cfg).checks
+        assert check.witness["determinant_dual_route"] is False
 
     def test_poles_are_skipped(self):
         # kind 4's ratio -(n + b)/(n + a) has its pole at n = 2 when a = -2;
@@ -415,19 +493,23 @@ class TestDeterminantRoutes:
 
     @pytest.mark.parametrize("corrupt", ["cleared_entry", "clearing_factor"])
     def test_corrupted_clearing_block_fails(self, corrupt, monkeypatch):
-        """A falling block one step too long breaks the pointwise comparison."""
+        """A falling block one step too long, in the column values the cleared
+        adjugate evaluates or in the clearing factor, fails the hypotheses
+        check's pointwise comparison."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
         ctx = build_run(builtin_config("four-roots")).ctx
         p, m = ctx.params, ctx.m
         if corrupt == "cleared_entry":
-            def entry(ctx, row, col):
-                value = ctx.row_polys[row].compose(p.eigenvalue_poly(shift=-col))
-                for which in CLEARING_BLOCKS[ctx.row_kinds[row]]:
-                    value = value * explicit_rising_block(which, m - col, -col, p)
-                    value = value * explicit_falling_block(which, col, -1, p)
-                return value
+            # the column values the cleared adjugate evaluates, each with one
+            # more linear factor s - 1, as if a block were one step too long
+            q, values = casorati.normalizer_factors(ctx)[2], casorati._primitive_values
 
-            monkeypatch.setattr(casorati, "_cleared_entry", entry)
+            def longer(roots, divisor, points):
+                return [v * (point - q) // q for v, point in zip(values(roots, divisor, points), points)]
+
+            monkeypatch.setattr(casorati, "_primitive_values", longer)
+            report = verify.run_config(replace(builtin_config("four-roots"), checks=("hypotheses",)))
+            assert not report.checks[0].passed
         else:
             def factor(ctx):
                 acc = Polynomial.one()
@@ -903,22 +985,56 @@ class TestPointRoute:
                     assert value == cofactor(x) * (total // adjugate.dens[r]), (x, r, c)
                 assert point_cofactor(adjugate, r, c) == cofactor
 
-    def test_zero_entry(self, monkeypatch):
-        """A cleared matrix with one entry zero: the point route still equals cofactor_det."""
-        monkeypatch.setattr(casorati, "_store", OrderedDict())
-        entry = casorati._cleared_entry
-        def zeroed(ctx, row, col):
-            return Polynomial.zero() if (row, col) == (1, 2) else entry(ctx, row, col)
-
-        monkeypatch.setattr(casorati, "_cleared_entry", zeroed)
+    def test_zero_entry(self):
+        """The four-roots cleared matrix with one entry zeroed, through
+        PointAdjugate on its polynomial rows: the determinant and every
+        cofactor still equal cofactor_det's."""
         ctx = build_run(builtin_config("four-roots")).ctx
-        matrix = casorati.cleared_matrix(ctx)
-        assert matrix[1][1].is_zero
-        assert casorati_cleared(ctx) == cofactor_det(matrix)
-        adjugate = casorati._cleared_adjugate(ctx)
+        matrix = [list(row) for row in casorati.cleared_matrix(ctx)]
+        matrix[1][1] = Polynomial.zero()
+        adjugate = PointAdjugate(matrix)
+        assert adjugate.degrees[1][1] == -1
+        assert adjugate.det() == cofactor_det(matrix) != casorati_cleared(ctx)
         for r in range(ctx.m):
             for c in range(ctx.m):
                 assert point_cofactor(adjugate, r, c) == _signed_minor(matrix, r, c)
+
+    @pytest.mark.parametrize("name", STRUCTURE_CONFIGS)
+    def test_structured_table_matches_polynomial_rows(self, name, monkeypatch):
+        """The cleared adjugate's table, its integer rows read off the matrix's
+        structure with the blocks that every kind shares factored out, equals
+        PointAdjugate on the polynomial cleared matrix at every point it holds
+        once the mixing rows have taken it to every x + j they read: the row
+        scales, the entry degrees, ``dets`` and every ``values[r][c]``.  The
+        shared blocks are every block with one kind (F1=2-theorem,
+        F4=3-corollary, F1=3-theorem-N8), block 2 with kinds {1, 2}, block 1
+        with {2, 4}, and none with kind 3 or kinds {1, 4}."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(STRUCTURE_CONFIGS[name]).ctx
+        adjugate = casorati._cleared_adjugate(ctx)
+        casorati._mixing_tables(ctx)
+        reference = PointAdjugate(casorati.cleared_matrix(ctx))
+        reference.extend(len(adjugate.dets))
+        assert (adjugate.dens, adjugate.degrees) == (reference.dens, reference.degrees)
+        assert adjugate.dets == reference.dets
+        assert adjugate.values == reference.values
+
+    @pytest.mark.parametrize(
+        "name", ["single-root", "single-root-direct", "four-roots", "classical", "F1=3-theorem-N8"]
+    )
+    def test_run_never_builds_the_polynomial_matrix(self, name, monkeypatch):
+        """A run with every check reads the cleared matrix only through its
+        structured point table: neither cleared_matrix nor _cleared_entry is
+        called."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        calls = []
+        for attr in ("cleared_matrix", "_cleared_entry"):
+            built = getattr(casorati, attr)
+            monkeypatch.setattr(
+                casorati, attr, lambda *args, built=built, attr=attr: calls.append(attr) or built(*args)
+            )
+        assert verify.run_config(DIFFERENTIAL_CONFIGS[name]).passed
+        assert not calls
 
     def test_raw_points_are_evaluated_once_per_context(self, monkeypatch):
         """casorati_rational and krall_polynomial share the raw route's point

@@ -1,9 +1,9 @@
 """Determinants and exact linear solving."""
 
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -322,7 +322,9 @@ def test_point_adjugate_takes_each_point_once(monkeypatch):
     each ``extend``, ``dets`` and every ``values[r][c]`` have the same length,
     and every entry is evaluated once per point, never again by a later pass.
     The seeded matrices of the cofactor test, then the four-roots cleared
-    matrix taken to every point its mixing rows read."""
+    adjugate, whose rows are read off the matrix's structure: taken to every
+    point its mixing rows read, past the block the constructor took, it evaluates each
+    row's Y_r o theta once at each s = x - c it reads, s = -m .. stop - 2."""
     calls, horner = [], matrices.horner
 
     def counted(*args):
@@ -340,12 +342,27 @@ def test_point_adjugate_takes_each_point_once(monkeypatch):
             assert len(adjugate.dets) >= stop
             _assert_one_table(adjugate, calls)
     monkeypatch.setattr(casorati, "_store", OrderedDict())
-    calls.clear()
     ctx = build_run(builtin_config("four-roots")).ctx
+    m, rows = ctx.m, {}
+    for row in range(ctx.m):
+        nums, _ = casorati._row_theta(ctx, row).integer_parts
+        rows[tuple(v // gcd(*nums) for v in nums)] = row
+    assert len(rows) == m
+    values, horner = Counter(), casorati.horner
+
+    def counted_rows(nums, x, *rest):
+        if tuple(nums) in rows:
+            values[rows[tuple(nums)], x] += 1
+        return horner(nums, x, *rest)
+
+    monkeypatch.setattr(casorati, "horner", counted_rows)
     tables = casorati._mixing_tables(ctx)
     adjugate = casorati._cleared_adjugate(ctx)
-    assert len(adjugate.dets) >= max(xs[-1] + 1 for xs, *_ in tables.values()) + ctx.m
-    _assert_one_table(adjugate, calls)
+    stop = len(adjugate.dets)
+    assert stop >= max(xs[-1] + 1 for xs, *_ in tables.values()) + m > adjugate.degree_bound() + 1
+    assert all(len(values) == stop for column in adjugate.values for values in column)
+    assert set(values.values()) == {1}
+    assert sorted(values) == [(row, s) for row in range(m) for s in range(-m, stop - 1)]
 
 
 def test_poly_det_scalar_rows_above_a_polynomial_row():

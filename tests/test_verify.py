@@ -24,8 +24,8 @@ from krallhahn.context import context_from_degrees, context_from_quartet
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid, KrallHahnError, NonExactDivision, ParameterSingularity
-from krallhahn.hahn import HahnParams, hahn_weight
-from krallhahn.measures import DiscreteMeasure
+from krallhahn.hahn import HahnParams, factored_hahn_weight, hahn_weight
+from krallhahn.measures import DiscreteMeasure, proportionality_constant
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import format_rational
@@ -938,6 +938,24 @@ class TestEnumeration:
                 "minimal": False,
             },
         ]
+
+    def test_mirrored_roots_scale_the_weight_by_the_sign(self):
+        """The identity the enumeration rests on: mirroring a root f into F3 as
+        N - f turns the factor (x - f) into (f - x), so for every root set of
+        size <= 3 inside (0, N), N <= 12, each of the 2^k assignments is a
+        couple, and its factored weight is (-1)^|F3| times the root-factored
+        one, the sign the couple carries."""
+        for N in range(2, 13):
+            p = HahnParams(Fraction(1, 2), Fraction(1, 3), N)
+            for size in (1, 2, 3):
+                for roots in combinations(range(1, N), size):
+                    target = factored_hahn_weight(p, SetQuartet.of((), (), (), roots))
+                    couples = enumerate_root_couples(N, roots)
+                    assert len({(tuple(rec["F3"]), tuple(rec["F4"])) for rec in couples}) == 2**size
+                    for rec in couples:
+                        weight = factored_hahn_weight(p, SetQuartet.of((), (), rec["F3"], rec["F4"]))
+                        ratio = proportionality_constant(weight, target)
+                        assert ratio == rec["sign"] == (-1) ** len(rec["F3"]), (N, roots, rec)
 
     def test_root_bounds(self):
         with pytest.raises(ValueError):
