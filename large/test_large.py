@@ -36,6 +36,7 @@ from reference import (
     fraction_check_foeq,
     full_mixing_polynomial,
     pair_route_mixing,
+    per_kind_mixing_tables,
     reference_casorati_rows,
     reference_eigen_certificate,
     reference_factored_weight,
@@ -58,6 +59,8 @@ LARGE_M = {
         "checks": ["omega-nonvanishing", "hypotheses"],
     },
 }
+# CI's m = 8 context: two rows of each kind
+M8_EVERY_KIND = {"a": "1/2", "b": "1/3", "N": 8, "F": [[2], [2], [2], [2]], "path": "corollary"}
 FROZEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -200,10 +203,7 @@ def test_factored_table_at_forced_zeros():
         assert found == _cofactors(rows), x
 
 
-@pytest.mark.parametrize("config", [
-    NINE,
-    {"a": "1/2", "b": "1/3", "N": 8, "F": [[2], [2], [2], [2]], "path": "corollary"},
-], ids=["nine", "m8-every-kind"])
+@pytest.mark.parametrize("config", [NINE, M8_EVERY_KIND], ids=["nine", "m8-every-kind"])
 def test_structured_table_at_large_m(config):
     """The cleared adjugate's table, rows read off the matrix's structure
     (with every block shared on nine, none on the m = 8 every-kind context),
@@ -217,6 +217,16 @@ def test_structured_table_at_large_m(config):
     assert (adjugate.dens, adjugate.degrees) == (reference.dens, reference.degrees)
     assert adjugate.dets == reference.dets
     assert adjugate.values == reference.values
+
+
+@pytest.mark.parametrize("config", [LARGE_M["m15"], M8_EVERY_KIND], ids=["m15", "m8-every-kind"])
+def test_mixing_tables_at_large_m(config):
+    """The mixing weights and L' with each term's roots common to every row
+    kind multiplied out once (four kinds on both contexts, m = 15 and 8)
+    equal the per-kind route's tables, field for field."""
+    ctx = build_run(config_from_dict({**config, "checks": ["genre"]})).ctx
+    tables, reference = casorati._mixing_tables(ctx), per_kind_mixing_tables(ctx)
+    assert len(tables) == 4 and tables == reference
 
 
 def test_eleven_rows_divide_and_agree():

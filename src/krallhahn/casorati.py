@@ -30,8 +30,8 @@ per context.  Each q_n is the sum of those minors against
 alternating Hahn polynomials, the bordered determinant expanded along its
 border; minor_0 is the raw determinant that :func:`casorati_rational`, the
 cross-check of the cleared route, reads.  The Omega scan and the
-leading-coefficient gate read the cleared route (:func:`casorati_value`, by
-integer Horner), so they do not compare the raw rows with themselves.
+leading-coefficient gate read the cleared route (:func:`casorati_parts`, two
+integers by Horner), so they do not compare the raw rows with themselves.
 
 Every quantity the theory claims is polynomial comes from an exact division
 or a checked identity, so a failed cancellation surfaces as an error instead
@@ -42,7 +42,8 @@ terms over L', the lcm of the shifted root multisets less each term's known
 numerator roots, so no gcd is taken.  Nothing is expanded: every root
 multiset, from the terms' roots to the weights, L' and L'', stays a dict root
 -> multiplicity, the weights and L' are evaluated from it with one (x Q - r)^k
-pass per distinct root, the numerator is summed from cofactor values at x + j,
+pass per distinct root, taken once for all row kinds where every kind holds
+the root, the numerator is summed from cofactor values at x + j,
 and the small quotient is interpolated from a few points.  Every
 cofactor vanishes at a root of the normaliser to an order read off the column
 root lists (:func:`_cofactor_orders`), so most of L' cancels in every term;
@@ -85,7 +86,7 @@ from .polynomials import (
     divide_out_roots,
     horner,
     interpolate,
-    quotient_at,
+    quotient_parts,
 )
 from .rationals import Rational, clear_denominators
 
@@ -276,13 +277,22 @@ def clearing_factor(ctx: ConstructionContext) -> Polynomial:
     return Polynomial.from_integer_roots(roots, q) * sign
 
 
+def casorati_parts(ctx: ConstructionContext, point: Rational | int) -> tuple[int, int]:
+    """The (uncleared) Casorati determinant at a point as two integers (top,
+    bottom), not reduced, by integer Horner on the cleared determinant and the
+    clearing factor (:func:`~krallhahn.polynomials.quotient_parts`): enough to
+    test for zero or to cross-multiply.  Where the clearing factor vanishes it
+    raises ParameterSingularity."""
+    top, bottom = quotient_parts(casorati_cleared(ctx), clearing_factor(ctx), point)
+    if not bottom:
+        raise ParameterSingularity(f"clearing factor vanishes at {point}")
+    return top, bottom
+
+
 def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
-    """Exact value of the (uncleared) Casorati determinant at a point, by
-    integer Horner (:func:`~krallhahn.polynomials.quotient_at`)."""
-    try:
-        return quotient_at(casorati_cleared(ctx), clearing_factor(ctx), point)
-    except ZeroDivisionError:
-        raise ParameterSingularity(f"clearing factor vanishes at {point}") from None
+    """Exact value of the (uncleared) Casorati determinant at a point, as one
+    ``Fraction`` of :func:`casorati_parts`."""
+    return Fraction(*casorati_parts(ctx, point))
 
 
 @_stage
@@ -684,10 +694,20 @@ def _mixing_factors(ctx: ConstructionContext) -> dict[int, tuple[list[tuple], di
     return factors
 
 
+def _common_roots(multisets: list[dict[int, int]]) -> dict[int, int]:
+    """Each root that all the multisets hold, at its least multiplicity."""
+    first, *rest = multisets
+    for other in rest:
+        first = {r: min(k, other[r]) for r, k in first.items() if r in other}
+    return first
+
+
 def _linear_product(values: list[int], roots: dict[int, int], points: list[int]) -> list[int]:
     """values[i] * prod_r (points[i] - r)^k over the roots r of multiplicity k,
     on integers: one pass per distinct root, a plain product where k = 1 (a
-    pow pass took about 40 % longer on a weight of 15 simple roots)."""
+    pow pass took about 40 % longer on a weight of 15 simple roots).
+    :func:`_mixing_tables` makes one call per term on the roots that every
+    row kind's weight holds, and one per kind on the roots left."""
     for r, k in roots.items():
         factors = map(r.__rsub__, points)
         values = list(map(mul, values, factors if k == 1 else map(pow, factors, repeat(k))))
@@ -704,27 +724,50 @@ def _mixing_tables(ctx: ConstructionContext) -> dict[int, tuple[list[int], list,
     multiplicities.  K - 1, the largest deg w_j + the bound on cofactor (row,
     j - 1), bounds the numerators n, so n L'' / L' has degree below K'' = K -
     deg L' + deg L'' and X holds the first K'' integers x >= 0 where L' is
-    nonzero: enough to prove the division (:func:`mixing_polynomial`).  The
-    cleared adjugate is taken, once, to every x + j read."""
+    nonzero: enough to prove the division (:func:`mixing_polynomial`).
+
+    The kinds' root multisets overlap.  So for each term j the roots that
+    every kind's weight j holds, at their least multiplicity, and the roots
+    that every kind's L' holds are multiplied out once, on the union of the
+    kinds' X; each kind then multiplies in only its constant, its prefactor
+    (each distinct one evaluated once on that union) and its own remaining
+    roots.  With one kind the common part is the whole weight.  The cleared
+    adjugate is taken, once, to every x + j read."""
     adjugate = _cleared_adjugate(ctx)
     _, _, q = normalizer_factors(ctx)
-    tables = {}
-    for kind, (weights, divisor) in _mixing_factors(ctx).items():
+    factors = _mixing_factors(ctx)
+    if not factors:
+        return {}
+    grids = {}
+    for kind, (weights, divisor) in factors.items():
         kept = _lcm_roots(term[2] for term in _term_roots(ctx)[kind])
         count = max(0, sum(kept.values()) - sum(divisor.values()) + 1 + max(0, *(
             prefactor.degree + sum(roots.values()) + adjugate.degree_bound(row, col)
             for row in range(ctx.m) if ctx.row_kinds[row] == kind
             for col, (prefactor, roots, _) in enumerate(weights)
         )))
-        xs = [x for x in range(count + len(divisor)) if x * q not in divisor][:count]
-        points = [x * q for x in xs]
+        grids[kind] = [x for x in range(count + len(divisor)) if x * q not in divisor][:count], kept
+    union = sorted(set().union(*(xs for xs, _ in grids.values())))
+    index = {x: i for i, x in enumerate(union)}
+    # the roots common to every kind: per term j, then of L'
+    common = [_common_roots([weights[j][1] for weights, _ in factors.values()]) for j in range(ctx.m)]
+    common.append(_common_roots([divisor for _, divisor in factors.values()]))
+    shared = [_linear_product([1] * len(union), roots, [x * q for x in union]) for roots in common]
+    tables, prefactors = {}, {}  # prefactors: numerators -> values on the union
+    for kind, (weights, divisor) in factors.items():
+        xs, kept = grids[kind]
+        at, points = [index[x] for x in xs], [x * q for x in xs]
         scale = lcm(*(f.integer_parts[1] * q ** sum(roots.values()) for f, roots, _ in weights))
         values = []
-        for prefactor, roots, constant in weights:
+        for (prefactor, roots, constant), both, done in zip(weights, common, shared):
             nums, den = prefactor.integer_parts
-            factor = constant * (scale // (den * q ** sum(roots.values())))
-            values.append(_linear_product([factor * horner(nums, x) for x in xs], roots, points))
-        tables[kind] = xs, values, scale, _linear_product([1] * count, divisor, points), divisor, kept
+            if nums not in prefactors:
+                prefactors[nums] = [horner(nums, x) for x in union]
+            factor, ys = constant * (scale // (den * q ** sum(roots.values()))), prefactors[nums]
+            rest = {r: left for r, k in roots.items() if (left := k - both.get(r, 0))}
+            values.append(_linear_product([factor * ys[i] * done[i] for i in at], rest, points))
+        rest = {r: left for r, k in divisor.items() if (left := k - common[-1].get(r, 0))}
+        tables[kind] = xs, values, scale, _linear_product([shared[-1][i] for i in at], rest, points), divisor, kept
     adjugate.extend(max((xs[-1] + 1 for xs, *_ in tables.values() if xs), default=0) + ctx.m)
     return tables
 

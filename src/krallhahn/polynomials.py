@@ -396,16 +396,16 @@ def horner(numerators: Sequence[int], p: int, q: int = 1) -> int:
     return acc
 
 
-def quotient_at(numer: Polynomial, denom: Polynomial, point: Scalar) -> Fraction:
-    """numer(point) / denom(point) as one ``Fraction``: at p/q, homogeneous
-    integer Horner gives q^d times each polynomial's numerators at p/q.  A zero
-    denominator raises ``ZeroDivisionError``."""
+def quotient_parts(numer: Polynomial, denom: Polynomial, point: Scalar) -> tuple[int, int]:
+    """numer(point) / denom(point) as two integers (top, bottom), not reduced:
+    at p/q, homogeneous integer Horner gives q^d times each polynomial's
+    numerators at p/q.  bottom is 0 where denom vanishes."""
     if type(point) is not int:
         point = as_rational(point)
     p, q = point.numerator, point.denominator
     (nn, nd), (dn, dd) = numer.integer_parts, denom.integer_parts
     top = horner(nn, p, q) * dd * q ** max(len(dn) - len(nn), 0)
-    return Fraction(top, horner(dn, p, q) * nd * q ** max(len(nn) - len(dn), 0))
+    return top, horner(dn, p, q) * nd * q ** max(len(nn) - len(dn), 0)
 
 
 def newton_form(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Polynomial:

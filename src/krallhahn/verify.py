@@ -22,7 +22,7 @@ from .casorati import (
     base_polynomial,
     casorati_cleared,
     casorati_rational,
-    casorati_value,
+    casorati_parts,
     clearing_factor,
     core_degree,
     core_determinant,
@@ -153,7 +153,7 @@ def build_run(cfg: ConstructionConfig) -> RunData:
 def _check_omega(run: RunData) -> tuple[bool, dict]:
     ctx = run.ctx
     scan_max = ctx.orthogonality_range + 1
-    zeros = [n for n in range(scan_max + 1) if casorati_value(ctx, n) == 0]
+    zeros = [n for n in range(scan_max + 1) if not casorati_parts(ctx, n)[0]]
     witness = {"scanned_up_to": scan_max, "zeros": zeros}
     ok = not zeros
     if ctx.quartet is not None and (ctx.quartet.first or ctx.quartet.second):
@@ -162,7 +162,7 @@ def _check_omega(run: RunData) -> tuple[bool, dict]:
         lo = ctx.orthogonality_range + 2
         hi = ctx.params.N + ctx.m
         forced = [n for n in range(lo, hi + 1)]
-        missing = [n for n in forced if casorati_value(ctx, n) != 0]
+        missing = [n for n in forced if casorati_parts(ctx, n)[0]]
         witness["forced_zero_range"] = [lo, hi]
         witness["forced_nonzeros"] = missing
         ok = ok and not missing
@@ -249,10 +249,12 @@ def _check_eigen(run: RunData) -> tuple[bool, dict]:
     gated = []
     for n in range(run.n_max + 1):
         qn = krall_polynomial(ctx, n)
-        expected_lc = casorati_value(ctx, n) * hahn_leading_coefficient(n, ctx.params)
+        (nums, den), (top, bottom) = qn.integer_parts, casorati_parts(ctx, n)
+        hahn_lc = hahn_leading_coefficient(n, ctx.params)
         if qn.degree != n:
             failures.append({"n": n, "reason": f"degree {qn.degree}"})
-        elif qn.leading_coefficient != expected_lc:
+        # Omega(n) times the Hahn leading coefficient, cross-multiplied on integers
+        elif nums[-1] * bottom * hahn_lc.denominator != den * top * hahn_lc.numerator:
             failures.append({"n": n, "reason": "leading coefficient mismatch"})
         else:
             gated.append((n, qn))
@@ -427,7 +429,7 @@ def _check_oracle(run: RunData) -> tuple[bool, dict]:
     for n in range(2 * r + 2 + max(casorati_cleared(ctx).degree, 0)):
         if len(fed) == 2 * r + 2:
             break
-        (fed if casorati_value(ctx, n) else skipped).append(n)
+        (fed if casorati_parts(ctx, n)[0] else skipped).append(n)
     qs = [krall_polynomial(ctx, n) for n in fed]
     lambdas = [Fraction(lam(n)) for n in fed]
     found, nullity = operator_solution_space(qs, lambdas, r, cap)

@@ -1195,6 +1195,33 @@ def full_mixing_polynomial(ctx, row):
     return quotient
 
 
+def per_kind_mixing_tables(ctx):
+    """casorati._mixing_tables with every row kind's weights and L' multiplied
+    out on its own points, one ``_linear_product`` pass per distinct root of
+    each: the route that the passes over the roots common to every kind
+    replaced.  Per row kind, (X, W, s, V, R', R'')."""
+    adjugate = casorati._cleared_adjugate(ctx)
+    _, _, q = casorati.normalizer_factors(ctx)
+    tables = {}
+    for kind, (weights, divisor) in casorati._mixing_factors(ctx).items():
+        kept = casorati._lcm_roots(term[2] for term in casorati._term_roots(ctx)[kind])
+        count = max(0, sum(kept.values()) - sum(divisor.values()) + 1 + max(0, *(
+            prefactor.degree + sum(roots.values()) + adjugate.degree_bound(row, col)
+            for row in range(ctx.m) if ctx.row_kinds[row] == kind
+            for col, (prefactor, roots, _) in enumerate(weights)
+        )))
+        xs = [x for x in range(count + len(divisor)) if x * q not in divisor][:count]
+        points = [x * q for x in xs]
+        scale = lcm(*(f.integer_parts[1] * q ** sum(roots.values()) for f, roots, _ in weights))
+        values = []
+        for prefactor, roots, constant in weights:
+            nums, den = prefactor.integer_parts
+            factor = constant * (scale // (den * q ** sum(roots.values())))
+            values.append(casorati._linear_product([factor * horner(nums, x) for x in xs], roots, points))
+        tables[kind] = xs, values, scale, casorati._linear_product([1] * count, divisor, points), divisor, kept
+    return tables
+
+
 def reference_theta_substitute(poly, ab_sum):
     """The base-theta digits by repeated Polynomial.divmod by theta, the route
     that the one integer pass of hahn.theta_substitute replaced: a digit of

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+import sys
 from collections import Counter, OrderedDict
 from dataclasses import replace
 from fractions import Fraction
@@ -80,6 +81,7 @@ from reference import (
     point_cofactor,
     polynomial_mixing_factors,
     peeling_theta_substitute,
+    per_kind_mixing_tables,
     rational_casorati,
     rational_det,
     reference_casorati_rows,
@@ -916,6 +918,35 @@ class TestMixingOrders:
             flat = [r for r, k in roots.items() for _ in range(k)]
             assert casorati._linear_product(values, roots, points) == flat_linear_product(values, flat, points)
             assert casorati._linear_product([], roots, []) == []
+
+    @pytest.mark.parametrize("name", STRUCTURE_CONFIGS)
+    def test_tables_match_the_per_kind_route(self, name, monkeypatch):
+        """Each term's roots common to every row kind, and those of L',
+        multiplied out once on the union of the kinds' points: every field
+        equals the per-kind route's (X, each weight table, s, L''s values, R'
+        and R''), and with two kinds or more the passes over a root are fewer
+        (324 -> 135 on four-roots)."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = build_run(STRUCTURE_CONFIGS[name]).ctx
+        passes, linear = Counter(), casorati._linear_product
+
+        def spy(values, roots, points):  # the passes, by the calling function
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                caller = caller.f_back
+            passes[caller.f_code.co_name] += len(roots)
+            return linear(values, roots, points)
+
+        monkeypatch.setattr(casorati, "_linear_product", spy)
+        tables, reference = casorati._mixing_tables(ctx), per_kind_mixing_tables(ctx)
+        assert tables.keys() == reference.keys()
+        for kind in reference:
+            for field, found, expected in zip(("X", "W", "s", "V", "R'", "R''"), tables[kind], reference[kind]):
+                assert found == expected, (kind, field)
+        shared, per_kind = passes["_mixing_tables"], passes["per_kind_mixing_tables"]
+        assert shared < per_kind if len(tables) > 1 else shared == per_kind
+        if name == "four-roots":
+            assert (per_kind, shared) == (324, 135)
 
     # the largest multiplicity of a weight root, where it exceeds 1
     REPEATED_ROOTS = {"F1=3-theorem-N8": 4, "F1=2-theorem": 2, "F4=3-corollary": 2}

@@ -397,7 +397,7 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     cfg = config_from_dict({**BUILTIN_CONFIGS["four-roots"], "checks": [check, other]})
     assert run_config(cfg).passed
     ctx = build_run(cfg).ctx
-    value, leading = verify.casorati_value, verify.core_leading_coefficient
+    parts, leading = verify.casorati_parts, verify.core_leading_coefficient
     operator, support = verify.krall_operator, verify.transformed_support
     base, member = verify.base_polynomial, verify.krall_polynomial
     hahn_leading, raw = verify.hahn_leading_coefficient, verify.casorati_rational
@@ -409,7 +409,7 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
         return [first - 1, *rest]
 
     faults = {
-        "omega-nonvanishing": ("casorati_value", lambda ctx, n: 0 if n == 1 else value(ctx, n)),
+        "omega-nonvanishing": ("casorati_parts", lambda ctx, n: (0, 1) if n == 1 else parts(ctx, n)),
         "degree-leading": ("core_leading_coefficient", lambda ctx: 2 * leading(ctx)),
         "genre": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator({r + 1: 1})),
         "support": ("transformed_support", moved),
