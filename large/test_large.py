@@ -25,7 +25,7 @@ from krallhahn.casorati import (
 )
 from krallhahn.config import config_from_dict
 from krallhahn.hahn import factored_hahn_weight
-from krallhahn.matrices import PointAdjugate
+from krallhahn.matrices import polynomial_adjugate
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.verify import build_run, run_config
@@ -207,12 +207,12 @@ def test_factored_table_at_forced_zeros():
 def test_structured_table_at_large_m(config):
     """The cleared adjugate's table, rows read off the matrix's structure
     (with every block shared on nine, none on the m = 8 every-kind context),
-    equals PointAdjugate on the polynomial cleared matrix at every point it
+    equals polynomial_adjugate on the cleared matrix at every point it
     holds once the mixing rows have read it."""
     ctx = build_run(config_from_dict({**config, "checks": ["genre"]})).ctx
     adjugate = casorati._cleared_adjugate(ctx)
     casorati._mixing_tables(ctx)
-    reference = PointAdjugate(casorati.cleared_matrix(ctx))
+    reference = polynomial_adjugate(casorati.cleared_matrix(ctx))
     reference.extend(len(adjugate.dets))
     assert (adjugate.dens, adjugate.degrees) == (reference.dens, reference.degrees)
     assert adjugate.dets == reference.dets

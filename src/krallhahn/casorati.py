@@ -17,9 +17,10 @@ factor and the mixing weights.  Its determinant and cofactors (the mixing
 minors) come from integer point values
 (:class:`~krallhahn.matrices.PointAdjugate`) read off that structure, with
 the blocks that every row kind shares factored out of the elimination
-(:func:`_cleared_adjugate`), on degree bounds read off the entries, not off
-:func:`core_degree`, which the degree check compares.  No run expands the
-matrix as polynomials (:func:`cleared_matrix`).
+(:func:`_cleared_adjugate`).  Row r is one sequence read at x - 1, ..., x -
+m, so its entries share one degree, and the degree bounds are sums of those
+row degrees, not :func:`core_degree`, which the degree check compares.  No
+run expands the matrix as polynomials (:func:`cleared_matrix`).
 
 The raw Casorati rows (:func:`casorati_rows`: running products of the series
 ratios times the row values, no clearing block, as integers over one
@@ -150,33 +151,24 @@ def _column_roots(ctx: ConstructionContext, blocks) -> list[list[int]]:
 
 
 @_stage
-def _column_factors(ctx: ConstructionContext, kind: int) -> tuple[Polynomial, ...]:
-    """The factors of columns c = 1..m in a row of this kind, once per context:
-    its :func:`_column_roots` read at x - c, of sign (-1)^((c - 1) |blocks|),
-    over the one denominator Q of :func:`normalizer_factors`."""
-    _, _, q = normalizer_factors(ctx)
-    blocks = CLEARING_BLOCKS[kind]
-    factors = []
-    for c, roots in enumerate(_column_roots(ctx, blocks), 1):
-        factor = Polynomial.from_integer_roots([r + c * q for r in roots], q)
-        factors.append(-factor if (c - 1) * len(blocks) % 2 else factor)
-    return tuple(factors)
-
-
-def _cleared_entry(ctx: ConstructionContext, row: int, col: int) -> Polynomial:
-    """Row `row`, column `col` (1-based col) of the denominator-cleared matrix."""
-    factors = _column_factors(ctx, ctx.row_kinds[row])
-    return _row_theta(ctx, row).shift_argument(-col) * factors[col - 1]
-
-
-@_stage
 def cleared_matrix(ctx: ConstructionContext) -> tuple[tuple[Polynomial, ...], ...]:
     """The denominator-cleared Casorati matrix, as a tuple of row tuples: the
     polynomial form of what :func:`_cleared_adjugate` evaluates, which no run
-    reads."""
-    m = ctx.m
+    reads.  Entry (r, c) is Y_r(theta) at x - c times column c's factor of
+    row r's kind: its :func:`_column_roots` read at x - c, over the one
+    denominator Q of :func:`normalizer_factors`, of sign (-1)^((c - 1)
+    |blocks|), each kind's factors expanded once per call."""
+    _, _, q = normalizer_factors(ctx)
+    factors = {}
+    for kind in dict.fromkeys(ctx.row_kinds):
+        blocks = CLEARING_BLOCKS[kind]
+        factors[kind] = [
+            Polynomial.from_integer_roots([r + c * q for r in roots], q) * (-1) ** ((c - 1) * len(blocks))
+            for c, roots in enumerate(_column_roots(ctx, blocks), 1)
+        ]
     return tuple(
-        tuple(_cleared_entry(ctx, row, col) for col in range(1, m + 1)) for row in range(m)
+        tuple(_row_theta(ctx, row).shift_argument(-c) * f for c, f in enumerate(factors[kind], 1))
+        for row, kind in enumerate(ctx.row_kinds)
     )
 
 
@@ -190,14 +182,14 @@ def _primitive_values(roots: dict[int, int], divisor: int, points: list[int]) ->
 @_stage
 def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
     """The cleared matrix's determinant and cofactors from integer point
-    values, the table of ``PointAdjugate(cleared_matrix(ctx))`` point for
-    point, with its integer rows read off the matrix's structure and no entry
-    expanded.
+    values, the table of ``polynomial_adjugate(cleared_matrix(ctx))`` point
+    for point, with its integer rows read off the matrix's structure and no
+    entry expanded.
 
     Entry (r, c) at x is Y_r(theta_s) times row r's column-c factor, both read
     at s = x - c: :func:`_row_theta` and the kind's column-c roots p over Q
     (:func:`~krallhahn.ladder.block_column_roots`), each a factor (s Q - p) /
-    Q, with the sign of :func:`_column_factors`.  G_c, the product of the
+    Q, with the sign of :func:`cleared_matrix`.  G_c, the product of the
     column-c blocks that every kind present uses, divides every row's factor
     and is taken out of the elimination: with g_c = prod over G_c's roots of
     (s Q - p) / gcd(Q, p), its primitive part, diag(d) A = B diag(g), where
@@ -207,7 +199,8 @@ def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
     the product of the contents, so the row scales d_r and the w_rc are read
     off the content of Y_r o theta and the factor's, prod_p gcd(Q, p) / Q.
     Each y_r is evaluated once per s and kept, for all m columns, and each g_c
-    and h_rc once per column, kind and point."""
+    and h_rc once per column, kind and point.  Every entry of row r has degree
+    deg(Y_r o theta) + (m - 1) |blocks|, the row's one degree."""
     m, (_, _, q) = ctx.m, normalizer_factors(ctx)
     kinds = dict.fromkeys(ctx.row_kinds)
 
@@ -235,7 +228,7 @@ def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
         weights.append([
             (-top if (c - 1) * blocks % 2 else top) * dens[-1] // bottom for c, top in enumerate(tops, 1)
         ])
-        degrees.append([theta.degree + (m - 1) * blocks] * m)
+        degrees.append(theta.degree + (m - 1) * blocks)
 
     values: list[list[int]] = [[] for _ in ys]  # values[row][i] is y_row at s = i - m
 
@@ -254,7 +247,7 @@ def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
                 columns.append(_primitive_values(*common[c - 1], points))
         return rows, columns
 
-    return PointAdjugate(dens=dens, degrees=degrees, evaluate=evaluate)
+    return PointAdjugate(dens, degrees, evaluate)
 
 
 @_stage
@@ -721,10 +714,11 @@ def _mixing_tables(ctx: ConstructionContext) -> dict[int, tuple[list[int], list,
     lcm of the N_j - S_j - O_j (:func:`_term_roots`), what each term keeps of
     the normaliser once the cofactor's orders at its roots are cancelled.  R'
     and R'' are dicts root -> multiplicity, and each degree is a sum of
-    multiplicities.  K - 1, the largest deg w_j + the bound on cofactor (row,
-    j - 1), bounds the numerators n, so n L'' / L' has degree below K'' = K -
-    deg L' + deg L'' and X holds the first K'' integers x >= 0 where L' is
-    nonzero: enough to prove the division (:func:`mixing_polynomial`).
+    multiplicities.  K - 1, the largest deg w_j plus the largest bound on the
+    cofactors of a row of the kind (the sum of the other rows' degrees),
+    bounds the numerators n, so n L'' / L' has degree below K'' = K - deg L'
+    + deg L'' and X holds the first K'' integers x >= 0 where L' is nonzero:
+    enough to prove the division (:func:`mixing_polynomial`).
 
     The kinds' root multisets overlap.  So for each term j the roots that
     every kind's weight j holds, at their least multiplicity, and the roots
@@ -741,11 +735,9 @@ def _mixing_tables(ctx: ConstructionContext) -> dict[int, tuple[list[int], list,
     grids = {}
     for kind, (weights, divisor) in factors.items():
         kept = _lcm_roots(term[2] for term in _term_roots(ctx)[kind])
-        count = max(0, sum(kept.values()) - sum(divisor.values()) + 1 + max(0, *(
-            prefactor.degree + sum(roots.values()) + adjugate.degree_bound(row, col)
-            for row in range(ctx.m) if ctx.row_kinds[row] == kind
-            for col, (prefactor, roots, _) in enumerate(weights)
-        )))
+        bound = max(adjugate.degree_bound(row) for row, k in enumerate(ctx.row_kinds) if k == kind)
+        bound += max(prefactor.degree + sum(roots.values()) for prefactor, roots, _ in weights)
+        count = max(0, sum(kept.values()) - sum(divisor.values()) + 1 + max(0, bound))
         grids[kind] = [x for x in range(count + len(divisor)) if x * q not in divisor][:count], kept
     union = sorted(set().union(*(xs for xs, _ in grids.values())))
     index = {x: i for i, x in enumerate(union)}

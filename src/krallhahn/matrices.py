@@ -14,10 +14,11 @@ lanes of one pass, and :func:`_exact_solve` runs the elimination on one lane.
 :class:`PointAdjugate` keeps one table of the integer values of the
 determinant and the adjugate of a polynomial matrix at x = 0, 1, ..., both
 from one lane pass on [B(x) | I] per block of :data:`LANES` points, and
-interpolates the determinant (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 5); B is the matrix itself with its rows scaled to integers, or
-rows read off a structure with column factors taken out; :func:`poly_det` is
-the first route on any square matrix.
+interpolates the determinant on the sum of its row degrees (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 5); B holds integer rows read off
+the matrix's structure, with column factors taken out.
+:func:`polynomial_adjugate` reads B off a matrix of polynomials entry by
+entry, and :func:`poly_det` takes its determinant on any square matrix.
 Nothing here eliminates polynomials or rational functions: the construction
 clears row denominators first, and its cross-check and the family q_n take
 lane passes on integer rows kept over one denominator per point.
@@ -176,40 +177,25 @@ LANES = 32
 
 class PointAdjugate:
     """det A and adj A of a square polynomial matrix A at x = 0, 1, ..., in
-    one table: with row i scaled to integers by d_i, its entries' lcm
-    denominator, ``dets[x]`` is prod_i d_i det A(x) and ``values[r][c][x]``
-    prod_{i != r} d_i times the cofactor (r, c).  Both always hold the same
-    points, and grow only by :meth:`extend`; the constructor takes them to the
-    determinant's degree bound.
+    one table: with row i scaled to integers by d_i, ``dets[x]`` is
+    prod_i d_i det A(x) and ``values[r][c][x]`` prod_{i != r} d_i times the
+    cofactor (r, c).  Both always hold the same points, and grow only by
+    :meth:`extend`; the constructor takes them to the determinant's degree
+    bound.
 
-    The integer rows come from ``rows``, the matrix A, entry by entry; or,
-    where A has a structure to read, from ``evaluate``, with ``dens`` the d_i
-    and ``degrees`` the entries' degrees: ``evaluate(block)`` gives, as lists
-    over the points of ``block``, integer rows B and column values g (or none,
-    all ones) with diag(d) A = B diag(g) there.
+    ``dens`` holds the d_i, ``degrees`` one bound per row on the degrees of
+    its entries, and ``evaluate(block)`` gives, as lists over the points of
+    ``block``, integer rows B and column values g (or none, all ones) with
+    diag(d) A = B diag(g) there.
     """
 
     def __init__(
         self,
-        rows: Sequence[Sequence[Polynomial]] | None = None,
-        *,
-        dens: Sequence[int] = (),
-        degrees: Sequence[Sequence[int]] = (),
-        evaluate: Callable[[range], tuple[list, list]] | None = None,
+        dens: Sequence[int],
+        degrees: Sequence[int],
+        evaluate: Callable[[range], tuple[list, list]],
     ) -> None:
-        if rows is not None:
-            _square_size(rows)
-            dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
-            scaled = [
-                [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
-                for den, row in zip(dens, rows)
-            ]
-            degrees = [[e.degree for e in row] for row in rows]
-
-            def evaluate(block):
-                return [[[horner(nums, x) for x in block] for nums in row] for row in scaled], []
-
-        self.dens, self.degrees, self.evaluate = list(dens), [list(d) for d in degrees], evaluate
+        self.dens, self.degrees, self.evaluate = list(dens), list(degrees), evaluate
         self.dets: list[int] = []
         self.values: list[list[list[int]]] = [[[] for _ in self.dens] for _ in self.dens]
         self.extend(max(self.degree_bound(), 0) + 1)
@@ -238,25 +224,39 @@ class PointAdjugate:
                 for r, lanes in enumerate(column):
                     self.values[r][c] += lanes
 
-    def degree_bound(self, row: int | None = None, col: int | None = None) -> int:
-        """sum_{i != row} max_{c != col} deg A[i][c]: with no arguments a bound
-        on deg det A, else on the cofactor's degree (-1 or less: it is 0)."""
-        return sum(
-            max((d for c, d in enumerate(degs) if c != col), default=-1)
-            for i, degs in enumerate(self.degrees)
-            if i != row
-        )
+    def degree_bound(self, row: int | None = None) -> int:
+        """sum_i deg_i over the rows but ``row``: with no row a bound on deg
+        det A, else on the degree of every cofactor (row, c) (-1 or less: it
+        is 0)."""
+        return sum(self.degrees) - (self.degrees[row] if row is not None else 0)
 
     def det(self) -> Polynomial:
         count = max(self.degree_bound(), 0) + 1
         return interpolate(self.dets[:count], prod(self.dens))
 
 
+def polynomial_adjugate(rows: Sequence[Sequence[Polynomial]]) -> PointAdjugate:
+    """:class:`PointAdjugate` of a square matrix of polynomials, read entry by
+    entry: row i is scaled to integers by d_i, its entries' lcm denominator,
+    and its degree is the largest of its entries'."""
+    _square_size(rows)
+    dens = [lcm(*(e.integer_parts[1] for e in row)) for row in rows]
+    scaled = [
+        [[c * (den // d) for c in nums] for nums, d in (e.integer_parts for e in row)]
+        for den, row in zip(dens, rows)
+    ]
+
+    def evaluate(block):
+        return [[[horner(nums, x) for x in block] for nums in row] for row in scaled], []
+
+    return PointAdjugate(dens, [max(e.degree for e in row) for row in rows], evaluate)
+
+
 def poly_det(rows: Sequence[Sequence[Polynomial | Fraction | int]]) -> Polynomial:
     """The determinant of a square matrix, a scalar entry read as a constant
     polynomial (the empty matrix gives ``Polynomial.one()``), by
-    :meth:`PointAdjugate.det`."""
-    return PointAdjugate([
+    :func:`polynomial_adjugate`."""
+    return polynomial_adjugate([
         [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row] for row in rows
     ]).det()
 

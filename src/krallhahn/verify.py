@@ -532,10 +532,7 @@ def run_many(
 # -- root-couple enumeration ---------------------------------------------------------
 
 
-def enumerate_root_couples(
-    N: int, roots: Iterable[int], a: Fraction | int = Fraction(1, 2),
-    b: Fraction | int = Fraction(1, 3),
-) -> list[dict]:
+def enumerate_root_couples(N: int, roots: Iterable[int]) -> list[dict]:
     """All third/fourth-set couples whose factored weight equals the given
     root-factored weight up to a global sign.
 
@@ -543,15 +540,15 @@ def enumerate_root_couples(
     mirrored, by the third-set factor (N - (N-f) - x) = -(x - f), so each of
     the 2^k assignments gives the same factor polynomial, and so the same
     Christoffel weight, up to the sign (-1)^|F3|; each couple carries that
-    sign and its operator half-width.  a and b must make valid Hahn
-    parameters, though the couples do not depend on them.
+    sign and its operator half-width, none of which depends on the Hahn
+    parameters a and b.  N and the roots are read by ``operator.index``, so a
+    float raises TypeError.
     """
-    roots = sorted(set(map(index, roots)))
+    N, roots = index(N), sorted(set(map(index, roots)))
     if not roots:
         raise ValueError("need at least one root")
     if roots[0] < 1 or roots[-1] > N - 1:
         raise ValueError(f"roots must lie strictly inside (0, {N})")
-    HahnParams(a, b, N)
     couples = []
     for size in range(len(roots) + 1):
         for mirrored in combinations(roots, size):

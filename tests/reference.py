@@ -304,9 +304,10 @@ def gauss_jordan(rows, rhs):
 
 def point_cofactor(adjugate, row, col):
     """Cofactor (row, col) of a PointAdjugate's matrix, interpolated from the
-    adjugate's point values at its degree bound + 1 points, taken that far
-    first by ``extend``: the cofactor route the mixing polynomials replaced."""
-    count = max(adjugate.degree_bound(row, col), 0) + 1
+    adjugate's point values at the row's cofactor bound + 1 points, taken that
+    far first by ``extend``: the cofactor route the mixing polynomials
+    replaced."""
+    count = max(adjugate.degree_bound(row), 0) + 1
     adjugate.extend(count)
     scale = prod(adjugate.dens) // adjugate.dens[row]
     return interpolate(adjugate.values[row][col][:count], scale)
@@ -1103,19 +1104,18 @@ def pair_route_mixing(ctx, row):
 
 
 def shifted_entry_mixing(ctx, row):
-    """The mixing polynomial with every minor entry rebuilt and shifted, the
-    reference for the minors of the cached matrix shifted once."""
+    """The mixing polynomial with every minor entry shifted before the
+    expansion, the reference for the minors of the matrix shifted once."""
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
     half = Fraction(-(m - 1), 2)
     divisor_base = normalizer(ctx)
     acc = ZERO
-    rows_kept = [r for r in range(m) if r != row]
+    rows_kept = [entries for r, entries in enumerate(casorati.cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
         minor = cofactor_det([
-            [casorati._cleared_entry(ctx, r, c).shift_argument(j)
-             for c in range(1, m + 1) if c != j]
-            for r in rows_kept
+            [entry.shift_argument(j) for c, entry in enumerate(entries, 1) if c != j]
+            for entries in rows_kept
         ])
         numer = (
             sigma.shift_argument(half + j)
@@ -1136,21 +1136,37 @@ def flat_linear_product(values, roots, points):
     return values
 
 
+def entry_cofactor_bounds(ctx):
+    """(row, col) -> sum_{i != row} max_{c != col} deg A[i][c], A the
+    explicit cleared matrix: the per-entry bound on cofactor (row, col) that
+    the sum of the other rows' degrees (PointAdjugate.degree_bound(row))
+    replaced."""
+    degrees = [[entry.degree for entry in entries] for entries in explicit_cleared_matrix(ctx)]
+    return {
+        (row, col): sum(
+            max((d for c, d in enumerate(degs) if c != col), default=-1)
+            for i, degs in enumerate(degrees) if i != row
+        )
+        for row in range(ctx.m) for col in range(ctx.m)
+    }
+
+
 def full_mixing_tables(ctx):
     """Per row kind, (K, W, s, V, R): weight j is W[j - 1][x] / s at x = 0..K-1
     and L', of roots R, is V[x] / Q^deg L', from their linear factors, with K -
-    1 the largest deg w_j + the bound on cofactor (row, j - 1); the cleared
-    adjugate is taken to every x + j read.  The root multisets of the weights
+    1 the largest deg w_j + the per-entry bound on cofactor (row, j - 1)
+    (``entry_cofactor_bounds``); the cleared adjugate is taken to every x + j
+    read.  The root multisets of the weights
     and of L' are flattened into root lists and multiplied out one root at a
     time (``flat_linear_product``).  The tables of the full-K route."""
     adjugate = casorati._cleared_adjugate(ctx)
     _, _, q = casorati.normalizer_factors(ctx)
-    tables = {}
+    tables, bounds = {}, entry_cofactor_bounds(ctx)
     for kind, (weights, divisor) in casorati._mixing_factors(ctx).items():
         weights = [(f, tuple(Counter(roots).elements()), c) for f, roots, c in weights]
         divisor = tuple(Counter(divisor).elements())
         count = 1 + max(0, *(
-            prefactor.degree + len(roots) + adjugate.degree_bound(row, col)
+            prefactor.degree + len(roots) + bounds[row, col]
             for row in range(ctx.m) if ctx.row_kinds[row] == kind
             for col, (prefactor, roots, _) in enumerate(weights)
         ))
@@ -1198,15 +1214,16 @@ def full_mixing_polynomial(ctx, row):
 def per_kind_mixing_tables(ctx):
     """casorati._mixing_tables with every row kind's weights and L' multiplied
     out on its own points, one ``_linear_product`` pass per distinct root of
-    each: the route that the passes over the roots common to every kind
-    replaced.  Per row kind, (X, W, s, V, R', R'')."""
-    adjugate = casorati._cleared_adjugate(ctx)
+    each, and K read off the per-entry cofactor bounds
+    (``entry_cofactor_bounds``): the routes that the passes over the roots
+    common to every kind and the sum of row degrees replaced.  Per row kind,
+    (X, W, s, V, R', R'')."""
     _, _, q = casorati.normalizer_factors(ctx)
-    tables = {}
+    tables, bounds = {}, entry_cofactor_bounds(ctx)
     for kind, (weights, divisor) in casorati._mixing_factors(ctx).items():
         kept = casorati._lcm_roots(term[2] for term in casorati._term_roots(ctx)[kind])
         count = max(0, sum(kept.values()) - sum(divisor.values()) + 1 + max(0, *(
-            prefactor.degree + sum(roots.values()) + adjugate.degree_bound(row, col)
+            prefactor.degree + sum(roots.values()) + bounds[row, col]
             for row in range(ctx.m) if ctx.row_kinds[row] == kind
             for col, (prefactor, roots, _) in enumerate(weights)
         )))

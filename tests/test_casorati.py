@@ -52,8 +52,8 @@ from krallhahn.hahn import (
     hahn_polynomial,
     reflect,
 )
-from krallhahn.ladder import CLEARING_BLOCKS, KINDS, ladder_operator, series_shift
-from krallhahn.matrices import LANES, PointAdjugate
+from krallhahn.ladder import CLEARING_BLOCKS, ladder_operator, series_shift
+from krallhahn.matrices import LANES, polynomial_adjugate
 from krallhahn.polynomials import Polynomial, divide_out_roots, horner, interpolate
 from krallhahn.rationals import clear_denominators
 from krallhahn.sets import SetQuartet
@@ -70,7 +70,6 @@ from reference import (
     compose_operator,
     explicit_cleared_matrix,
     explicit_clearing_factor,
-    explicit_column_factors,
     explicit_falling_block,
     flat_linear_product,
     fraction_casorati_value,
@@ -396,14 +395,13 @@ class TestDeterminantRoutes:
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
     def test_column_factors_match_explicit_products(self, name):
-        """Every kind's column factors, the clearing factor and the cleared
-        matrix, from ladder's root lists, against the clearing blocks as
-        explicit products of linear factors.  The contexts have rows of all
-        four kinds (four-roots, F1234=1-corollary), m = 1 (single-root), m = 0
-        (classical) and forced zeros (F1=3-theorem-N8)."""
+        """The clearing factor and the cleared matrix, whose entries carry
+        every present kind's column factors, from ladder's root lists, against
+        the clearing blocks as explicit products of linear factors.  The
+        contexts have rows of all four kinds (four-roots, F1234=1-corollary),
+        m = 1 (single-root), m = 0 (classical) and forced zeros
+        (F1=3-theorem-N8)."""
         ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
-        for kind in KINDS:
-            assert casorati._column_factors(ctx, kind) == explicit_column_factors(ctx, kind)
         assert clearing_factor(ctx) == explicit_clearing_factor(ctx)
         assert casorati.cleared_matrix(ctx) == explicit_cleared_matrix(ctx)
 
@@ -989,7 +987,7 @@ class TestPointRoute:
             for c in range(ctx.m):
                 expected = _signed_minor(matrix, r, c)
                 assert point_cofactor(adjugate, r, c) == expected, (r, c)
-                assert adjugate.degree_bound(r, c) >= expected.degree
+                assert adjugate.degree_bound(r) >= expected.degree
         mixing = [mixing_polynomial(ctx, r) for r in range(ctx.m)]
         assert mixing == [pair_route_mixing(ctx, r) for r in range(ctx.m)]
 
@@ -1018,13 +1016,15 @@ class TestPointRoute:
 
     def test_zero_entry(self):
         """The four-roots cleared matrix with one entry zeroed, through
-        PointAdjugate on its polynomial rows: the determinant and every
-        cofactor still equal cofactor_det's."""
+        polynomial_adjugate on its polynomial rows: each row keeps the degree
+        of its other entries, and the determinant and every cofactor still
+        equal cofactor_det's."""
         ctx = build_run(builtin_config("four-roots")).ctx
         matrix = [list(row) for row in casorati.cleared_matrix(ctx)]
         matrix[1][1] = Polynomial.zero()
-        adjugate = PointAdjugate(matrix)
-        assert adjugate.degrees[1][1] == -1
+        adjugate = polynomial_adjugate(matrix)
+        assert adjugate.degrees == casorati._cleared_adjugate(ctx).degrees
+        assert adjugate.degrees[1] == matrix[1][0].degree > -1
         assert adjugate.det() == cofactor_det(matrix) != casorati_cleared(ctx)
         for r in range(ctx.m):
             for c in range(ctx.m):
@@ -1034,9 +1034,9 @@ class TestPointRoute:
     def test_structured_table_matches_polynomial_rows(self, name, monkeypatch):
         """The cleared adjugate's table, its integer rows read off the matrix's
         structure with the blocks that every kind shares factored out, equals
-        PointAdjugate on the polynomial cleared matrix at every point it holds
+        polynomial_adjugate on the cleared matrix at every point it holds
         once the mixing rows have taken it to every x + j they read: the row
-        scales, the entry degrees, ``dets`` and every ``values[r][c]``.  The
+        scales, the row degrees, ``dets`` and every ``values[r][c]``.  The
         shared blocks are every block with one kind (F1=2-theorem,
         F4=3-corollary, F1=3-theorem-N8), block 2 with kinds {1, 2}, block 1
         with {2, 4}, and none with kind 3 or kinds {1, 4}."""
@@ -1044,7 +1044,7 @@ class TestPointRoute:
         ctx = build_run(STRUCTURE_CONFIGS[name]).ctx
         adjugate = casorati._cleared_adjugate(ctx)
         casorati._mixing_tables(ctx)
-        reference = PointAdjugate(casorati.cleared_matrix(ctx))
+        reference = polynomial_adjugate(casorati.cleared_matrix(ctx))
         reference.extend(len(adjugate.dets))
         assert (adjugate.dens, adjugate.degrees) == (reference.dens, reference.degrees)
         assert adjugate.dets == reference.dets
@@ -1055,15 +1055,11 @@ class TestPointRoute:
     )
     def test_run_never_builds_the_polynomial_matrix(self, name, monkeypatch):
         """A run with every check reads the cleared matrix only through its
-        structured point table: neither cleared_matrix nor _cleared_entry is
-        called."""
+        structured point table: cleared_matrix, which builds every polynomial
+        entry, is not called."""
         monkeypatch.setattr(casorati, "_store", OrderedDict())
-        calls = []
-        for attr in ("cleared_matrix", "_cleared_entry"):
-            built = getattr(casorati, attr)
-            monkeypatch.setattr(
-                casorati, attr, lambda *args, built=built, attr=attr: calls.append(attr) or built(*args)
-            )
+        calls, built = [], casorati.cleared_matrix
+        monkeypatch.setattr(casorati, "cleared_matrix", lambda *args: calls.append(args) or built(*args))
         assert verify.run_config(DIFFERENTIAL_CONFIGS[name]).passed
         assert not calls
 

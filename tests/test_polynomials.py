@@ -90,8 +90,9 @@ def test_floats_are_rejected(entry):
                                      ((1.7,), (), (), ())),
         lambda: DifferenceOperator({1.7: X}),
         lambda: enumerate_root_couples(8, [1.7]),
+        lambda: enumerate_root_couples(8.0, [1]),
     ],
-    ids=["set element", "row degree", "shift offset", "root"],
+    ids=["set element", "row degree", "shift offset", "root", "couples N"],
 )
 def test_integer_inputs_are_not_truncated(entry):
     # int(1.7) would silently read 1 and build a different family
