@@ -24,7 +24,7 @@ from krallhahn.casorati import (
     spectral_polynomial,
 )
 from krallhahn.config import config_from_dict
-from krallhahn.hahn import factored_hahn_weight
+from krallhahn.hahn import HahnFamily, HahnParams, factored_hahn_weight
 from krallhahn.matrices import polynomial_adjugate
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
@@ -36,6 +36,7 @@ from reference import (
     fraction_check_foeq,
     full_mixing_polynomial,
     pair_route_mixing,
+    per_degree_hahn_polynomial,
     per_kind_mixing_tables,
     reference_casorati_rows,
     reference_eigen_certificate,
@@ -288,6 +289,15 @@ def test_hahn_data_at_n_1000():
     assert factored == reference_factored_weight(run.outer, cfg.quartet)
     (check,) = run_config(cfg).checks
     assert check.passed
+
+
+def test_hahn_family_to_degree_200():
+    """h_0..h_200 at (1/2, 1/3, 200), read off one family as the N = 200
+    criteria check reads them, must equal the per-degree route."""
+    p = HahnParams(Fraction(1, 2), Fraction(1, 3), 200)
+    family = HahnFamily(p)
+    for n in range(p.N + 1):
+        assert family[n].integer_parts == per_degree_hahn_polynomial(n, p).integer_parts, n
 
 
 @pytest.mark.parametrize("config", [

@@ -51,11 +51,13 @@ root lists (:func:`_cofactor_orders`), so most of L' cancels in every term;
 what is left, L'', fixes how many points K'' = K - deg L' + deg L'' the check
 quotient * L' = numerator needs.
 
-The stages that several checks read, the series ratios and the Hahn base
-polynomials among them, are memoised per context in one bounded store owned by
-this module.  Contexts are matched by equality, so equal contexts built by
-separate calls share their results; only the few most recently used contexts
-are kept, so memory stays flat however many configs one process verifies.
+The stages that several checks read, the series ratios and the Hahn family
+among them, are memoised per context in one bounded store owned by this
+module; the family (:class:`~krallhahn.hahn.HahnFamily`) keeps each h_n it
+builds, so one context builds each base polynomial once.  Contexts are matched
+by equality, so equal contexts built by separate calls share their results;
+only the few most recently used contexts are kept, so memory stays flat
+however many configs one process verifies.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from operator import add, mul
 from .context import ConstructionContext
 from .diffops import DifferenceOperator, operator_sum
 from .errors import NonExactDivision, ParameterSingularity
-from .hahn import hahn_operator, hahn_polynomial, theta_substitute
+from .hahn import HahnFamily, hahn_operator, theta_substitute
 from .ladder import (
     CLEARING_BLOCKS,
     block_column_roots,
@@ -474,9 +476,16 @@ def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
 
 
 @_stage
+def _hahn_family(ctx: ConstructionContext) -> HahnFamily:
+    """The context's one :class:`~krallhahn.hahn.HahnFamily`, which keeps each
+    h_n it builds."""
+    return HahnFamily(ctx.params)
+
+
 def base_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
-    """The degree-n Hahn polynomial of the context's parameters, built once."""
-    return hahn_polynomial(n, ctx.params)
+    """The degree-n Hahn polynomial of the context's parameters, read off the
+    context's one family, so each degree is built once per context."""
+    return _hahn_family(ctx)[n]
 
 
 def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
@@ -489,20 +498,20 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     drops column k and minor_0 is the Casorati determinant at n.  The minor_k
     are the integer maximal minors of the rows of :func:`casorati_rows` over
     their denominator D(n), read from the context's table (:class:`_RawPoints`),
-    which grows to n first, and the h_{n-k} are put over the lcm of their
-    denominators, so q_n is one integer sum over one denominator.
+    which grows to n first, and the h_{n-k} come from the context's one family
+    (:func:`base_polynomial`) and are put over the lcm of their denominators,
+    so q_n is one integer sum over one denominator, added one term at a time.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     minors, denominator = raw_points(ctx).entry(n)
-    parts = [base_polynomial(ctx, n - k).integer_parts for k in range(min(ctx.m, n) + 1)]
+    family = _hahn_family(ctx)
+    parts = [family[n - k].integer_parts for k in range(min(ctx.m, n) + 1)]
     common = lcm(*(den for _, den in parts))
     acc = [0] * (n + 1)
     for minor, (nums, den) in zip(minors, parts):
         if minor:
-            scale = minor * (common // den)
-            for i, c in enumerate(nums):
-                acc[i] += scale * c
+            acc[: len(nums)] = map(add, acc, map((minor * (common // den)).__mul__, nums))
     if denominator < 0:
         acc, denominator = [-c for c in acc], -denominator
     return Polynomial.from_integer_parts(acc, common * denominator)

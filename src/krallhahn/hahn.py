@@ -5,7 +5,9 @@ three-term recurrence and the second-order eigenvalue equation remain
 independent checks of the same family.  The coefficients of a Hahn sum, and
 of a dual Hahn sum, are integers over one denominator, stepped by integer
 running products from the integer parts of the parameters, and each sum is
-expanded by integer Horner in Newton form.
+expanded by integer Horner in Newton form.  The Hahn polynomials of one
+parameter triple come from one :class:`HahnFamily`, which keeps those running
+products from degree to degree and each h_n it builds.
 
 Weights are stored with the constant N! * Gamma(a+1) * Gamma(b+1) divided
 out, which keeps every mass rational; all weight comparisons in this package
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, gcd, lcm, prod
+from operator import sub
 
 from .diffops import DifferenceOperator
 from .errors import NotThetaRepresentable, ParameterSingularity
@@ -116,64 +119,100 @@ def theta_substitute(poly: Polynomial, ab_sum: Rational | int) -> Polynomial:
     return Polynomial.from_integer_parts(scaled, den * Q ** max(top, 0))
 
 
-def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
-    """Degree-n Hahn polynomial from the defining hypergeometric-type sum.
+class HahnFamily:
+    """The Hahn polynomials h_n of one parameter triple, each built once, on request.
 
-    Term j is (N-n+1)_{n-j} (a+b+1)_{n+j} / ((2+a+b+N)_n (a+1)_j (n-j)! j!)
-    on (-x)_j.  With a+b+1 = P/Q and a+1 = p/q, so that 2+a+b+N = (P + (N+1)Q)/Q,
-    every term is an integer over the one denominator
-    Q^n n! prod_{i<n} (P + (N+1+i)Q) prod_{i<n} (p + iq):
-    C(n, j) prod_{i<n+j} (P + iQ) q^j times (N-n+1)_{n-j} prod_{j<=i<n} (p + iq) Q^(n-j).
+    With a+b+1 = P/Q and a+1 = p/q, term j of h_n (:func:`hahn_polynomial`)
+    is an integer over one denominator:
+
+        den_n  = Q^n n! prod_{i<n} (P + (N+1+i)Q) prod_{i<n} (p + iq),
+        term_j = C(n, j) R_{n+j} q^j prod_{j<=i<n} (N-i)(p + iq)Q,
+
+    with R_k = prod_{i<k} (P + iQ).  Each of these factors steps from one index
+    to the next by one integer product, so the family keeps den_n, R_k up to
+    k = 2n, q^j and the steps (N-i)(p + iq)Q as running lists, grown to the
+    largest degree asked for (Koekoek, Lesky and Swarttouw, 9.5).  A degree
+    then takes its falling products and its binomials, stepped down Pascal's
+    row from j = n, inside one Horner pass on the integer nodes 0..n-1 of
+    (-x)_j = prod_{i<j} (i - x), and is normalised once.
+
+    (2+a+b+N)_n vanishes for every n past the index i with P + (N+1+i)Q = 0,
+    and (a+1)_n past the i with p + iq = 0.  The sum is undefined there, and
+    that raises ParameterSingularity in whatever order the degrees are asked
+    for.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    P, Q, q, outer, low = _hahn_factors(n, p)
-    N = p.N
-    den = Q**n * factorial(n) * outer * prod(low)
-    # the factors of term j that fall with j, stepped down from j = n; the sign
-    # of the denominator starts the product, so that the denominator is positive
-    falling = [1 if den > 0 else -1]
-    for j in range(n - 1, -1, -1):
-        falling.append(falling[-1] * (N - j) * low[j] * Q)
-    falling.reverse()
-    rising = prod(P + i * Q for i in range(n))
-    coeffs = []  # on (-x)_j = (-1)^j prod_{i<j} (x - i)
-    for j in range(n + 1):
-        if j:
-            rising *= (P + (n + j - 1) * Q) * q
-        term = comb(n, j) * rising * falling[j]
-        coeffs.append(-term if j % 2 else term)
-    numerators, _ = newton_form(coeffs, range(n)).integer_parts
-    return Polynomial.from_integer_parts(numerators, abs(den))
+
+    def __init__(self, p: HahnParams) -> None:
+        self.params = p
+        P, Q, q = p.theta_shift.numerator, p.theta_shift.denominator, p.a.denominator
+        self._parts = P, Q, p.a.numerator + q, q
+        # the indices at which P + (N+1+i)Q and p + iq vanish, negative for none:
+        # -P/Q - N - 1 (-p/q) must be an integer, so Q = 1 (q = 1)
+        self._zeros = -P - p.N - 1 if Q == 1 else -1, -p.a.numerator - q if q == 1 else -1
+        self._dens, self._steps, self._rising, self._powers, self._built = [1], [], [1], [1], {}
+
+    def __getitem__(self, n: int) -> Polynomial:
+        """h_n, built on the first request and kept."""
+        if n in self._built:
+            return self._built[n]
+        self._grow(n)
+        den, steps, rising, powers = self._dens[n], self._steps, self._rising, self._powers
+        # the falling products start from the sign of den, so that the denominator is positive
+        acc, falling, binomial = [], 1 if den > 0 else -1, 1
+        for j in range(n, -1, -1):
+            if j < n:
+                falling *= steps[j]
+                binomial = binomial * (j + 1) // (n - j)
+            term = binomial * powers[j] * rising[n + j] * falling
+            # acc -> (j - x) acc + term: (-x)_(j+1) = (-x)_j (j - x)
+            acc = [term + j * acc[0], *map(sub, map(j.__mul__, acc[1:]), acc), -acc[-1]] if acc else [term]
+        self._built[n] = Polynomial.from_integer_parts(acc, abs(den))
+        return self._built[n]
+
+    def leading_coefficient(self, n: int) -> Fraction:
+        """(-1)^n (a+b+1)_{2n} / ((2+a+b+N)_n (a+1)_n n!) = (-1)^n R_{2n} q^n / den_n."""
+        self._grow(n)
+        return Fraction((-1) ** n * self._rising[2 * n] * self._powers[n], self._dens[n])
+
+    def _grow(self, n: int) -> None:
+        """Raise for a degree that the sum leaves undefined; else extend the
+        running products to degree n."""
+        p, (outer, low) = self.params, self._zeros
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
+        if 0 <= outer < n:
+            raise ParameterSingularity(
+                f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(p.theta_shift - 1)}, N = {p.N}"
+            )
+        if 0 <= low < n:
+            raise ParameterSingularity(f"(a+1)_{low + 1} vanishes for a = {format_rational(p.a)}")
+        (P, Q, lo, q), N = self._parts, p.N
+        dens, steps, rising, powers = self._dens, self._steps, self._rising, self._powers
+        for i in range(len(steps), n):
+            factor = lo + i * q
+            steps.append((N - i) * factor * Q)
+            dens.append(dens[i] * ((i + 1) * Q * (P + (N + 1 + i) * Q) * factor))
+            powers.append(powers[i] * q)
+        for k in range(len(rising) - 1, 2 * n):
+            rising.append(rising[k] * (P + k * Q))
 
 
-def _hahn_factors(n: int, p: HahnParams) -> tuple[int, int, int, int, list[int]]:
-    """(P, Q, q, outer, low) with a+b+1 = P/Q and a+1 = p/q: (2+a+b+N)_n is
-    outer / Q^n and (a+1)_j is prod(low[:j]) / q^j.  Where either Pochhammer
-    vanishes the Hahn polynomial is undefined: that raises ParameterSingularity."""
-    a, N = p.a, p.N
-    P, Q = p.theta_shift.numerator, p.theta_shift.denominator
-    outer = prod(P + (N + 1 + i) * Q for i in range(n))
-    if outer == 0:
-        raise ParameterSingularity(
-            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(p.theta_shift - 1)}, N = {N}"
-        )
-    q = a.denominator
-    low = [a.numerator + (1 + i) * q for i in range(n)]
-    if 0 in low:
-        raise ParameterSingularity(
-            f"(a+1)_{low.index(0) + 1} vanishes for a = {format_rational(a)}"
-        )
-    return P, Q, q, outer, low
+def hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
+    """Degree-n Hahn polynomial from the defining hypergeometric-type sum,
+
+        h_n(x) = sum_j (N-n+1)_{n-j} (a+b+1)_{n+j} / ((2+a+b+N)_n (a+1)_j (n-j)! j!) (-x)_j,
+
+    read off a fresh :class:`HahnFamily`: O(n) integer products and one
+    O(n^2) Horner pass.  A degree the sum leaves undefined raises
+    ParameterSingularity, and a negative degree ValueError."""
+    return HahnFamily(p)[n]
 
 
 def hahn_leading_coefficient(n: int, p: HahnParams) -> Fraction:
     """Leading coefficient of the degree-n Hahn polynomial,
     (-1)^n (a+b+1)_{2n} / ((2+a+b+N)_n (a+1)_n n!), as one ``Fraction`` of the
-    integer factors that :func:`hahn_polynomial` reads."""
-    P, Q, q, outer, low = _hahn_factors(n, p)
-    top = prod(P + i * Q for i in range(2 * n)) * q**n
-    return Fraction(-top if n % 2 else top, Q**n * outer * prod(low) * factorial(n))
+    integer running products of a fresh :class:`HahnFamily`."""
+    return HahnFamily(p).leading_coefficient(n)
 
 
 def hahn_operator(p: HahnParams) -> DifferenceOperator:

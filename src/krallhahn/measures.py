@@ -12,10 +12,10 @@ each side divided by its gcd), so ``==`` and ``hash`` read the parts;
 :func:`canonical_measure` takes parts that are canonical already, unchecked;
 ``atoms``, ``support`` and ``mass`` are ``Fraction`` views built on request.
 
-Translation, scaling, Christoffel transforms and proportionality work on the
-parts.  A polynomial sum_k c_k x^k / d of degree n has the integer value
-vector V_i = sum_k c_k P_i^k e^(n-k), by integer Horner, and its value at
-point i is V_i / (d e^n).  Inner products and the Gram table are
+Translation, scaling and Christoffel transforms work on the parts.  A
+polynomial sum_k c_k x^k / d of degree n has the integer value vector
+V_i = sum_k c_k P_i^k e^(n-k), by integer Horner, and its value at point i
+is V_i / (d e^n).  Inner products and the Gram table are
 integer dot products of (M o V) with value vectors, never polynomial
 products, and a ``Fraction`` is formed only once per result.
 
@@ -191,24 +191,6 @@ def christoffel(measure: DiscreteMeasure, factor: Polynomial) -> DiscreteMeasure
     values, scale = measure.evaluate(factor)
     return _measure(measure.points, measure.point_denominator,
                     measure.weighted(values), measure.mass_denominator * scale)
-
-
-def proportionality_constant(
-    left: DiscreteMeasure, right: DiscreteMeasure
-) -> Fraction | None:
-    """The constant c with left = c * right, or ``None`` when there is none.
-
-    Zero measures are proportional only to each other (with c = 1); others
-    when their points agree and every L_i R_0 equals L_0 R_i.
-    """
-    if left.points != right.points or left.point_denominator != right.point_denominator:
-        return None
-    if not right.masses:
-        return Fraction(1)
-    l0, r0 = left.masses[0], right.masses[0]
-    if any(l * r0 != l0 * r for l, r in zip(left.masses, right.masses)):
-        return None
-    return Fraction(l0 * right.mass_denominator, r0 * left.mass_denominator)
 
 
 def gram_schmidt(measure: DiscreteMeasure, up_to: int) -> list[Polynomial]:

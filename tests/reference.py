@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -617,6 +617,25 @@ def dict_christoffel(atoms, factor):
     return dict_measure({pt: m * factor(pt) for pt, m in atoms.items()})
 
 
+def proportionality_constant(
+    left: DiscreteMeasure, right: DiscreteMeasure
+) -> Fraction | None:
+    """The constant c with left = c * right, or ``None`` when there is none,
+    by cross-multiplying the integer masses.
+
+    Zero measures are proportional only to each other (with c = 1); others
+    when their points agree and every L_i R_0 equals L_0 R_i.
+    """
+    if left.points != right.points or left.point_denominator != right.point_denominator:
+        return None
+    if not right.masses:
+        return Fraction(1)
+    l0, r0 = left.masses[0], right.masses[0]
+    if any(l * r0 != l0 * r for l, r in zip(left.masses, right.masses)):
+        return None
+    return Fraction(l0 * right.mass_denominator, r0 * left.mass_denominator)
+
+
 def dict_proportionality_constant(left, right):
     if not right:
         return Fraction(1) if not left else None
@@ -650,6 +669,65 @@ def reference_hahn(n, p):
         )
         acc = acc + coeff * rising
     return acc
+
+
+def per_degree_hahn_polynomial(n: int, p: HahnParams) -> Polynomial:
+    """Degree-n Hahn polynomial with every Pochhammer prefix, binomial and the
+    denominator recomputed for this degree alone: the reference for the running
+    products of ``hahn.HahnFamily``.
+
+    Term j is (N-n+1)_{n-j} (a+b+1)_{n+j} / ((2+a+b+N)_n (a+1)_j (n-j)! j!)
+    on (-x)_j.  With a+b+1 = P/Q and a+1 = p/q, so that 2+a+b+N = (P + (N+1)Q)/Q,
+    every term is an integer over the one denominator
+    Q^n n! prod_{i<n} (P + (N+1+i)Q) prod_{i<n} (p + iq):
+    C(n, j) prod_{i<n+j} (P + iQ) q^j times (N-n+1)_{n-j} prod_{j<=i<n} (p + iq) Q^(n-j).
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    P, Q, q, outer, low = _per_degree_hahn_factors(n, p)
+    N = p.N
+    den = Q**n * factorial(n) * outer * prod(low)
+    falling = [1 if den > 0 else -1]
+    for j in range(n - 1, -1, -1):
+        falling.append(falling[-1] * (N - j) * low[j] * Q)
+    falling.reverse()
+    rising = prod(P + i * Q for i in range(n))
+    coeffs = []  # on (-x)_j = (-1)^j prod_{i<j} (x - i)
+    for j in range(n + 1):
+        if j:
+            rising *= (P + (n + j - 1) * Q) * q
+        term = comb(n, j) * rising * falling[j]
+        coeffs.append(-term if j % 2 else term)
+    numerators, _ = newton_form(coeffs, range(n)).integer_parts
+    return Polynomial.from_integer_parts(numerators, abs(den))
+
+
+def _per_degree_hahn_factors(n: int, p: HahnParams) -> tuple[int, int, int, int, list[int]]:
+    """(P, Q, q, outer, low) with a+b+1 = P/Q and a+1 = p/q: (2+a+b+N)_n is
+    outer / Q^n and (a+1)_j is prod(low[:j]) / q^j.  Where either Pochhammer
+    vanishes the Hahn polynomial is undefined: that raises ParameterSingularity."""
+    a, N = p.a, p.N
+    P, Q = p.theta_shift.numerator, p.theta_shift.denominator
+    outer = prod(P + (N + 1 + i) * Q for i in range(n))
+    if outer == 0:
+        raise ParameterSingularity(
+            f"(2+a+b+N)_{n} vanishes for a+b = {format_rational(p.theta_shift - 1)}, N = {N}"
+        )
+    q = a.denominator
+    low = [a.numerator + (1 + i) * q for i in range(n)]
+    if 0 in low:
+        raise ParameterSingularity(
+            f"(a+1)_{low.index(0) + 1} vanishes for a = {format_rational(a)}"
+        )
+    return P, Q, q, outer, low
+
+
+def per_degree_hahn_leading_coefficient(n: int, p: HahnParams) -> Fraction:
+    """The leading coefficient from the per-degree factors of
+    :func:`per_degree_hahn_polynomial`."""
+    P, Q, q, outer, low = _per_degree_hahn_factors(n, p)
+    top = prod(P + i * Q for i in range(2 * n)) * q**n
+    return Fraction(-top if n % 2 else top, Q**n * outer * prod(low) * factorial(n))
 
 
 def per_atom_hahn_weight(p):

@@ -44,6 +44,7 @@ from krallhahn.errors import (
     ResonantParameters,
 )
 from krallhahn.hahn import (
+    HahnFamily,
     HahnParams,
     corollary_reduction,
     dual_hahn_polynomial,
@@ -1342,6 +1343,50 @@ class TestStageStore:
         for n in range(first.params.N + 1):
             assert base_polynomial(first, n) == hahn_polynomial(n, first.params)
             assert base_polynomial(first, n) is base_polynomial(second, n)
+
+    def test_one_family_builds_each_hahn_polynomial_once(self, monkeypatch):
+        """krall_polynomial (in the orthogonality check) and the criteria check
+        read h_n from the context's one family: one family per context, and
+        each degree built once, whichever check reads it first."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        families, built = [], {}
+        init, getitem = HahnFamily.__init__, HahnFamily.__getitem__
+
+        def spy_init(self, p):
+            families.append(p)
+            init(self, p)
+
+        def spy_getitem(self, n):
+            hn = getitem(self, n)
+            built.setdefault(n, []).append(hn)
+            return hn
+
+        monkeypatch.setattr(HahnFamily, "__init__", spy_init)
+        monkeypatch.setattr(HahnFamily, "__getitem__", spy_getitem)
+        cfg = config_from_dict({
+            "a": "7/3", "b": "11/5", "N": 17, "F": [[], [], [], [1, 2]], "path": "corollary",
+            "checks": ["orthogonality", "criteria"],
+        })
+        report = verify.run_config(cfg)
+        assert report.passed
+        ctx = build_run(cfg).ctx
+        assert families == [ctx.params]
+        assert set(range(ctx.params.N + 1)) <= set(built)  # the criteria moments
+        for n, reads in built.items():
+            assert all(hn is reads[0] for hn in reads), n
+        assert max(map(len, built.values())) > 1
+
+    def test_hahn_polynomial_leaves_the_store_alone(self, desk_params, monkeypatch):
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        ctx = context_from_quartet(desk_params, SetQuartet.of((), (), (), (1,)), (1, 1, 1))
+        h3 = base_polynomial(ctx, 3)
+        before = [(context, dict(entry)) for context, entry in casorati._store.items()]
+        h4 = hahn_polynomial(4, desk_params)
+        assert hahn_leading_coefficient(4, desk_params) == h4.leading_coefficient
+        assert hahn_polynomial(3, desk_params) is not h3
+        assert [(context, dict(entry)) for context, entry in casorati._store.items()] == before
+        # the context's family had not built h_4: it builds its own now
+        assert base_polynomial(ctx, 4) == h4 and base_polynomial(ctx, 4) is not h4
 
     def test_store_is_bounded(self):
         contexts = self._distinct_contexts(casorati._STORE_CONTEXTS + 3)

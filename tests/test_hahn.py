@@ -10,6 +10,7 @@ from krallhahn.config import BUILTIN_CONFIGS, builtin_config
 import krallhahn.hahn as hahn
 from krallhahn.errors import NotThetaRepresentable, ParameterSingularity
 from krallhahn.hahn import (
+    HahnFamily,
     HahnParams,
     companion_eigencoefficients,
     companion_parameters,
@@ -41,6 +42,8 @@ from reference import (
     fraction_hahn_weight,
     lowest_terms,
     per_atom_hahn_weight,
+    per_degree_hahn_leading_coefficient,
+    per_degree_hahn_polynomial,
     pochhammer_hahn_leading_coefficient,
     reference_dual_hahn,
     reference_factored_weight,
@@ -195,6 +198,88 @@ def test_singular_degrees_raise(a, b, N, first, message):
         with pytest.raises(ParameterSingularity) as caught:
             hahn_polynomial(n, p)
         assert str(caught.value) == message.format(n=n)
+
+
+def _family_against_reference(p, degrees):
+    """Ask one family for ``degrees`` in the order given; every answer, a
+    polynomial or a ParameterSingularity, must equal the per-degree route's.
+    Returns how many degrees raised."""
+    family, raised = HahnFamily(p), 0
+    for n in degrees:
+        try:
+            expected = per_degree_hahn_polynomial(n, p)
+            leading = per_degree_hahn_leading_coefficient(n, p)
+        except ParameterSingularity as exc:
+            raised += 1
+            for build in (family.__getitem__, family.leading_coefficient):
+                with pytest.raises(ParameterSingularity) as caught:
+                    build(n)
+                assert str(caught.value) == str(exc), n
+            continue
+        hn = family[n]
+        assert hn.integer_parts == expected.integer_parts, n
+        assert family[n] is hn
+        assert family.leading_coefficient(n) == leading, n
+    return raised
+
+
+@pytest.mark.parametrize(
+    "a,b,N", TRIPLES + [(Fraction(-11, 2), Fraction(-9, 2), 3), (Fraction(-7, 2), Fraction(9, 4), 40)]
+)
+def test_family_matches_per_degree_reference(a, b, N):
+    """Past N, and at (-11/2, -9/2, 3) through h_5's degree drop and the
+    vanishing (2+a+b+N)_n from n = 6, in increasing and in decreasing order."""
+    p = HahnParams(a, b, N)
+    degrees = list(range(N + 8))
+    assert _family_against_reference(p, degrees) == _family_against_reference(p, degrees[::-1])
+
+
+def test_family_matches_per_degree_reference_on_a_seeded_grid():
+    """Negative and integer a and b among the triples, degrees asked for in a
+    shuffled order, singular degrees included."""
+    rng, raised = random.Random(51), 0
+    for p in random_params(rng, 60):
+        degrees = list(range(p.N + 8))
+        rng.shuffle(degrees)
+        raised += _family_against_reference(p, degrees)
+    assert raised
+
+
+@pytest.mark.parametrize(
+    "a,b,N",
+    [
+        (Fraction(-15, 2), Fraction(-3, 2), 3),  # (2+a+b+N)_n from n = 5
+        (Fraction(-5), Fraction(1, 3), 4),  # (a+1)_n from n = 5
+        (Fraction(-9), Fraction(-12), 8),  # (a+1)_n from n = 9, (2+a+b+N)_n from n = 12
+        (Fraction(-12), Fraction(1), 4),  # (2+a+b+N)_n from n = 6, (a+1)_n from n = 12
+    ],
+)
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "skipping"])
+def test_singular_family_names_each_degree_in_any_order(a, b, N, order):
+    """Whatever degree a family has grown to, a singular degree raises with the
+    message the per-degree route gives: (2+a+b+N) named at the requested
+    degree, (a+1) at the first index that vanishes."""
+    p = HahnParams(a, b, N)
+    degrees = list(range(N + 8))
+    degrees = {
+        "increasing": degrees,
+        "decreasing": degrees[::-1],
+        "skipping": degrees[::3] + degrees[2::3] + degrees[1::3],
+    }[order]
+    assert _family_against_reference(p, degrees)
+
+
+def test_negative_degree_raises_value_error(desk_params):
+    family = HahnFamily(desk_params)
+    for build in (
+        family.__getitem__,
+        family.leading_coefficient,
+        lambda n: hahn_polynomial(n, desk_params),
+        lambda n: hahn_leading_coefficient(n, desk_params),
+    ):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            build(-1)
+    assert family[3] == hahn_polynomial(3, desk_params)
 
 
 @pytest.mark.parametrize("a,b,N", TRIPLES)

@@ -28,7 +28,6 @@ from krallhahn.measures import (
     gram_schmidt,
     orthogonality_certificate,
     orthogonality_table,
-    proportionality_constant,
 )
 from krallhahn.polynomials import Polynomial
 from krallhahn.verify import build_run
@@ -43,6 +42,7 @@ from reference import (
     fraction_integrate,
     fraction_table,
     fraction_values,
+    proportionality_constant,
     reference_gram_schmidt,
     value_gram_schmidt,
 )

@@ -25,7 +25,7 @@ from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
 from krallhahn.errors import ConfigInvalid, KrallHahnError, NonExactDivision, ParameterSingularity
 from krallhahn.hahn import HahnParams, factored_hahn_weight, hahn_weight
-from krallhahn.measures import DiscreteMeasure, proportionality_constant
+from krallhahn.measures import DiscreteMeasure
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
 from krallhahn.rationals import format_rational
@@ -51,6 +51,7 @@ from reference import (
     cached_global_solve,
     closed_form_product_values,
     fraction_check_foeq,
+    proportionality_constant,
     reference_eigen_certificate,
     solve_lower_probe,
 )
