@@ -10,7 +10,6 @@ as runnable configurations.
 """
 
 from .casorati import (
-    casorati_value,
     core_determinant,
     eigenvalue_polynomial,
     krall_operator,
@@ -21,7 +20,7 @@ from .casorati import (
 )
 from .config import ConstructionConfig, builtin_config, config_from_dict, config_from_file
 from .context import ConstructionContext, context_from_degrees, context_from_quartet
-from .diffops import DifferenceOperator, operator_polynomial
+from .diffops import DifferenceOperator
 from .errors import (
     ConfigInvalid,
     DegenerateMoments,
@@ -86,7 +85,6 @@ __all__ = [
     "antidifference",
     "as_rational",
     "builtin_config",
-    "casorati_value",
     "check_foeq",
     "companion_polynomial",
     "config_from_dict",
@@ -110,7 +108,6 @@ __all__ = [
     "ladder_operator",
     "mixing_polynomial",
     "operator_halfwidth",
-    "operator_polynomial",
     "operator_solution_space",
     "padded_complement",
     "pochhammer",

@@ -22,8 +22,8 @@ m, so its entries share one degree, and the degree bounds are sums of those
 row degrees, not :func:`core_degree`, which the degree check compares.  No
 run expands the matrix as polynomials (:func:`cleared_matrix`).
 
-The raw Casorati rows (:func:`casorati_rows`: running products of the series
-ratios times the row values, no clearing block, as integers over one
+The raw Casorati rows (:meth:`_RawPoints.lanes`: running products of the
+series ratios times the row values, no clearing block, as integers over one
 denominator per point) are built for a range of t at once, a lane per t, and
 one :func:`~krallhahn.matrices.lane_bareiss` pass (det A and adj A b on every
 lane, singular or not) puts all m + 1 maximal minors at each t into a table
@@ -284,12 +284,6 @@ def casorati_parts(ctx: ConstructionContext, point: Rational | int) -> tuple[int
     return top, bottom
 
 
-def casorati_value(ctx: ConstructionContext, point: Rational | int) -> Fraction:
-    """Exact value of the (uncleared) Casorati determinant at a point, as one
-    ``Fraction`` of :func:`casorati_parts`."""
-    return Fraction(*casorati_parts(ctx, point))
-
-
 @_stage
 def series_ratios(ctx: ConstructionContext) -> tuple[tuple[Polynomial, Polynomial], ...]:
     """Each row's series ratio, as a reduced (numerator, denominator) pair,
@@ -304,7 +298,8 @@ class _RawPoints:
     which the table and :func:`~krallhahn.verify.check_foeq` read, and the
     table t -> (minors, D(t)), t >= 0, None at a ratio pole, which
     :func:`casorati_rational` and :func:`krall_polynomial` read: minors[k] is
-    the integer maximal minor of :func:`casorati_rows` at t without column k.
+    the integer maximal minor of the raw rows at t (:meth:`lanes`) without
+    column k.
     It grows (:meth:`extend`) to what :func:`casorati_rational` reads and, for
     q_n, in blocks up to the Omega scan, t <= N + m3 + m4 + 1, and past that
     exactly to the degree asked for.  ``dens[r]`` is Y_r's denominator times
@@ -340,8 +335,21 @@ class _RawPoints:
         return self.values
 
     def lanes(self, ts: range) -> tuple[list[list[list[int]]], list[int]]:
-        """:func:`casorati_rows` at every t >= 0 of ts at once: entry c of row
-        r is a list over ts, and so is D(t), 0 at a ratio pole."""
+        """The raw Casorati rows at every t >= 0 of ts at once: m integer rows
+        of m + 1 entries and one denominator D(t), entry c of row r a list over
+        ts, and so is D(t), 0 at a ratio pole.
+
+        Row r, column c is ratio_r(t - c) ... ratio_r(t - m + 1) *
+        Y_r(theta_{t-c}), from the definition, with no clearing block.
+        Columns 1..m are the Casorati matrix at t; column 0 borders it for
+        q_t.  Row r is taken as integers over its own denominator d_r, and
+        D(t) is the product of the d_r, so a determinant of the integer rows
+        over D(t) is the determinant of the rational rows.  With ratio_r =
+        numer / denom on the points s_i = t - m + 1 + i, entry c is the prefix
+        product of numer(s_i) for i < m - c times the suffix product of
+        denom(s_i) for i >= m - c, times Y_r(theta_{t-c}), and d_r holds every
+        denom(s_i).
+        """
         m, count = self.m, len(ts)
         values = self.grow(ts.stop)[ts.start : ts.stop + m]  # values[l + k] at s = ts[l] - m + k
         rows = []
@@ -409,40 +417,14 @@ def raw_points(ctx: ConstructionContext) -> _RawPoints:
     return _RawPoints(ctx)
 
 
-def casorati_rows(ctx: ConstructionContext, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The raw Casorati rows at the integer t: m integer rows of m + 1 entries
-    and one denominator D(t).
-
-    Row r, column c is ratio_r(t - c) ... ratio_r(t - m + 1) * Y_r(theta_{t-c}),
-    from the definition, with no clearing block.  Columns 1..m are the
-    Casorati matrix at t; column 0 borders it for q_t.  Row r is returned as
-    integers over its own denominator d_r, and D(t) is the product of the d_r,
-    so a determinant of the integer rows over D(t) is the determinant of the
-    rational rows.  With ratio_r = numer / denom on the points s_i = t - m + 1
-    + i, entry c is the prefix product of numer(s_i) for i < m - c times the
-    suffix product of denom(s_i) for i >= m - c, times Y_r(theta_{t-c}), and
-    d_r holds every denom(s_i).  The values at each point are computed once per
-    context and kept (:class:`_RawPoints`), from s = -m, so t must be
-    nonnegative.  A ratio pole at one of t - m + 1, ..., t raises
-    ParameterSingularity.
-    """
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    raw = raw_points(ctx)
-    rows, (denominator,) = raw.lanes(range(t, t + 1))
-    if not denominator:
-        raw.pole(range(t - raw.m + 1, t + 1))
-    return tuple(tuple(v for (v,) in row) for row in rows), denominator
-
-
 def casorati_rational(ctx: ConstructionContext) -> dict[int, Fraction]:
     """Raw (uncleared) determinant values at t = 0, 1, ..., the cross-check route.
 
-    Each value is minor_0 of :func:`casorati_rows`, the integer determinant of
-    columns 1..m, over its denominator D(t), read from the context's table of
-    minors (:class:`_RawPoints`).  The rows use no clearing block, so the route
-    is independent of the clearing algebra.  Points where the rows hit a ratio
-    pole are skipped.
+    Each value is minor_0 of the raw rows (:meth:`_RawPoints.lanes`), the
+    integer determinant of columns 1..m, over its denominator D(t), read from
+    the context's table of minors (:class:`_RawPoints`).  The rows use no
+    clearing block, so the route is independent of the clearing algebra.
+    Points where the rows hit a ratio pole are skipped.
 
     With den_r the reduced denominator of row r's ratio, E = prod_r prod_{i=1}^{m-1}
     den_r(x - i) clears every row, so E * R is a polynomial of degree at most
@@ -496,9 +478,9 @@ def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     cofactor signs (-1)^(m+k) cancel the border's alternation up to (-1)^m, so
     (-1)^m times the determinant is sum_k h_{n-k} * minor_k, where minor_k
     drops column k and minor_0 is the Casorati determinant at n.  The minor_k
-    are the integer maximal minors of the rows of :func:`casorati_rows` over
-    their denominator D(n), read from the context's table (:class:`_RawPoints`),
-    which grows to n first, and the h_{n-k} come from the context's one family
+    are the integer maximal minors of the raw rows (:meth:`_RawPoints.lanes`)
+    over their denominator D(n), read from the context's table
+    (:class:`_RawPoints`), which grows to n first, and the h_{n-k} come from the context's one family
     (:func:`base_polynomial`) and are put over the lcm of their denominators,
     so q_n is one integer sum over one denominator, added one term at a time.
     """

@@ -2,7 +2,7 @@
 
 An operator is a finite sum of shift terms h_l(x) * S_l where S_l moves the
 argument by the integer l, i.e. (S_l f)(x) = f(x + l).  Acting on polynomials
-this stays exact.  Composition follows from S_l h(x) = h(x + l) S_l.
+this stays exact.  Products follow from S_l h(x) = h(x + l) S_l.
 
 Whether D f = lambda f is decided by :func:`eigen_certificate` from values
 at integer points, on integers, at as many points as the residual's degree
@@ -11,24 +11,22 @@ moments sum_l l^j h_l, less the points a caller already knows to be zeros.
 An operator in the algebra of the paper maps each polynomial to one of no
 higher degree (e = 0), however large its coefficient degrees.
 :meth:`DifferenceOperator.apply` builds the polynomial D f and is the slow
-reference.  Likewise
-:func:`operator_sum`, which assembles
-:func:`~krallhahn.casorati.krall_operator`, multiplies operators as integer
-value tables at points and interpolates every shift in one call;
-:meth:`DifferenceOperator.compose` and :func:`operator_polynomial` build the
-products as polynomials and are its reference.
+reference.  :func:`operator_sum`, which assembles
+:func:`~krallhahn.casorati.krall_operator`, is the one route that multiplies
+operators: as integer value tables at points, with every shift interpolated
+in one call.  The polynomial operator algebra (sums, scaling, composition and
+operator polynomials) is its reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, filterfalse, islice
 from math import lcm
 from operator import add, index, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ZeroOperatorError
-from .polynomials import Polynomial, Scalar, horner, interpolate
+from .polynomials import Polynomial, horner, interpolate
 from .rationals import Rational, as_rational
 
 
@@ -46,16 +44,6 @@ class DifferenceOperator:
             if not coeff.is_zero:
                 cleaned[index(offset)] = coeff
         object.__setattr__(self, "terms", cleaned)
-
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "DifferenceOperator":
-        return cls({})
-
-    @classmethod
-    def identity(cls) -> "DifferenceOperator":
-        return cls({0: Polynomial.one()})
 
     # -- structure ---------------------------------------------------------------
 
@@ -87,45 +75,7 @@ class DifferenceOperator:
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.terms.items())))
 
-    # -- algebra ---------------------------------------------------------------
-
-    def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        if not isinstance(other, DifferenceOperator):
-            return NotImplemented
-        merged = dict(self.terms)
-        for offset, coeff in other.terms.items():
-            merged[offset] = merged.get(offset, Polynomial.zero()) + coeff
-        return DifferenceOperator(merged)
-
-    def __neg__(self) -> "DifferenceOperator":
-        return DifferenceOperator({l: -c for l, c in self.terms.items()})
-
-    def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        if not isinstance(other, DifferenceOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor: Polynomial | Scalar) -> "DifferenceOperator":
-        """Left multiplication by a polynomial (or scalar) in x."""
-        factor = factor if isinstance(factor, Polynomial) else Polynomial.constant(factor)
-        return DifferenceOperator({l: factor * c for l, c in self.terms.items()})
-
-    def __mul__(self, factor: Scalar) -> "DifferenceOperator":
-        if not isinstance(factor, (int, Fraction)):
-            return NotImplemented
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        """Operator product: (self o other)(f) = self(other(f))."""
-        out: dict[int, Polynomial] = {}
-        for l, h in self.terms.items():
-            for k, g in other.terms.items():
-                contrib = h * g.shift_argument(l)
-                key = l + k
-                out[key] = out.get(key, Polynomial.zero()) + contrib
-        return DifferenceOperator(out)
+    # -- action ------------------------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
         """D f as a polynomial, one Taylor shift and one product per term; see
@@ -150,14 +100,6 @@ class DifferenceOperator:
             return "DifferenceOperator(0)"
         parts = [f"S_{l}: {c!r}" for l, c in sorted(self.terms.items())]
         return "DifferenceOperator({" + ", ".join(parts) + "})"
-
-
-def operator_polynomial(poly: Polynomial, base: DifferenceOperator) -> DifferenceOperator:
-    """poly(base), with base**0 the identity operator (Horner)."""
-    acc = DifferenceOperator.zero()
-    for c in reversed(poly.coeffs):
-        acc = acc.compose(base) + DifferenceOperator.identity().scale(c)
-    return acc
 
 
 def _common_numerators(op: DifferenceOperator) -> tuple[dict[int, list[int]], int]:
@@ -279,8 +221,8 @@ def operator_sum(
     e (deg M_r + deg Y_r) + f_r.  K - 1 is the largest of these
     (:func:`_sum_points`; a zero polynomial has degree -1 and adds nothing),
     and a polynomial of degree below K is fixed by its values at K points,
-    so the result is exact.  :meth:`DifferenceOperator.compose` and
-    :func:`operator_polynomial` are the reference.
+    so the result is exact.  Composition and operator polynomials over the
+    polynomial coefficients, in ``tests/reference.py``, are the reference.
     """
     K = _sum_points(base, head, rows)
     reach = _reach(base)

@@ -1,9 +1,7 @@
 """Finitely supported signed measures on the rationals.
 
 Measures here are formal: masses may be negative (parameters outside the
-classical positivity range still give valid orthogonality functionals), and
-families are routinely stored modulo a global nonzero constant, so comparisons
-up to constant and up to sign are first-class operations.
+classical positivity range still give valid orthogonality functionals).
 
 A :class:`DiscreteMeasure` stores integers only: its support points P_i in
 increasing order over one point denominator e, and its masses M_i over one
@@ -12,7 +10,7 @@ each side divided by its gcd), so ``==`` and ``hash`` read the parts;
 :func:`canonical_measure` takes parts that are canonical already, unchecked;
 ``atoms``, ``support`` and ``mass`` are ``Fraction`` views built on request.
 
-Translation, scaling and Christoffel transforms work on the parts.  A
+Translation and Christoffel transforms work on the parts.  A
 polynomial sum_k c_k x^k / d of degree n has the integer value vector
 V_i = sum_k c_k P_i^k e^(n-k), by integer Horner, and its value at point i
 is V_i / (d e^n).  Inner products and the Gram table are
@@ -140,12 +138,6 @@ class DiscreteMeasure:
         return canonical_measure(
             tuple(p // g for p in points), e * q // g, self.masses, self.mass_denominator
         )
-
-    def scale(self, factor: Scalar) -> "DiscreteMeasure":
-        f = as_rational(factor)
-        masses = [m * f.numerator for m in self.masses]
-        return _measure(self.points, self.point_denominator, masses,
-                        self.mass_denominator * f.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteMeasure):

@@ -24,7 +24,7 @@ from krallhahn.casorati import (
     normalizer,
     series_ratios,
 )
-from krallhahn.diffops import DifferenceOperator, coefficient_values, operator_polynomial
+from krallhahn.diffops import DifferenceOperator, coefficient_values
 from krallhahn.errors import (
     DegenerateMoments,
     NonExactDivision,
@@ -44,7 +44,7 @@ from krallhahn.ladder import (
     series_shift,
 )
 from krallhahn.matrices import _exact_solve
-from krallhahn.measures import DiscreteMeasure, christoffel
+from krallhahn.measures import DiscreteMeasure, _measure, christoffel
 from krallhahn.oracle import _primitive, operator_solution_space
 from krallhahn.polynomials import (
     Polynomial,
@@ -613,6 +613,15 @@ def dict_scale(atoms, factor):
     return dict_measure({pt: f * m for pt, m in atoms.items()})
 
 
+def scale_measure(measure, factor):
+    """Every mass times factor, on the measure's integer parts: the masses'
+    numerators times the factor's, over the mass denominator times its
+    denominator.  A float factor raises ``TypeError``."""
+    f = as_rational(factor)
+    points, e, masses, d = measure.parts
+    return _measure(points, e, [m * f.numerator for m in masses], d * f.denominator)
+
+
 def dict_christoffel(atoms, factor):
     return dict_measure({pt: m * factor(pt) for pt, m in atoms.items()})
 
@@ -1127,6 +1136,12 @@ def fraction_casorati_value(ctx, point):
     return casorati.casorati_cleared(ctx)(point) / denom
 
 
+def casorati_value(ctx, point):
+    """The (uncleared) Casorati determinant at a point as one ``Fraction`` of
+    casorati.casorati_parts."""
+    return Fraction(*casorati.casorati_parts(ctx, point))
+
+
 def block_mixing_prefactor(ctx, row, j):
     """The clearing factor of a mixing polynomial's j-th term, as products of
     explicit rising and falling clearing blocks."""
@@ -1364,6 +1379,21 @@ def reference_casorati_rows(ctx, t):
     return rows
 
 
+def casorati_rows(ctx, t):
+    """The raw Casorati rows at the integer t >= 0, as m integer rows of m + 1
+    entries and one denominator D(t): one lane of the context's
+    ``raw_points(ctx).lanes``.  A ratio pole at one of t - m + 1, ..., t
+    raises ParameterSingularity through ``pole``; the point values are kept
+    from s = -m, so a negative t raises ``ValueError``."""
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    raw = casorati.raw_points(ctx)
+    rows, (denominator,) = raw.lanes(range(t, t + 1))
+    if not denominator:
+        raw.pole(range(t - raw.m + 1, t + 1))
+    return tuple(tuple(v for (v,) in row) for row in rows), denominator
+
+
 def reference_krall_polynomial(ctx, n):
     """q_n as one bordered cofactor_det over the reference rows."""
     border = [Polynomial.zero()] * (ctx.m + 1)
@@ -1423,14 +1453,62 @@ def reference_ladder_operator(kind, p):
     identity = DifferenceOperator({0: half})
     forward, backward = DifferenceOperator({1: 1, 0: -1}), DifferenceOperator({0: 1, -1: -1})
     if kind == 1:
-        return identity + backward.scale(x)
+        return operator_add(identity, operator_scale(backward, x))
     if kind == 2:
-        return identity + forward.scale(x - p.N)
+        return operator_add(identity, operator_scale(forward, x - p.N))
     if kind == 3:
-        return identity + forward.scale(x + p.a + 1)
+        return operator_add(identity, operator_scale(forward, x + p.a + 1))
     if kind == 4:
-        return identity + backward.scale(x - p.b - p.N - 1)
+        return operator_add(identity, operator_scale(backward, x - p.b - p.N - 1))
     raise ValueError(f"kind must be 1..4, got {kind}")
+
+
+# -- the operator algebra: the polynomial reference for diffops.operator_sum -------------
+
+
+def zero_operator():
+    return DifferenceOperator({})
+
+
+def identity_operator():
+    return DifferenceOperator({0: Polynomial.one()})
+
+
+def operator_add(left, right):
+    """left + right, shift by shift."""
+    merged = dict(left.terms)
+    for offset, coeff in right.terms.items():
+        merged[offset] = merged.get(offset, Polynomial.zero()) + coeff
+    return DifferenceOperator(merged)
+
+
+def operator_scale(op, factor):
+    """Left multiplication by a polynomial or a scalar in x."""
+    factor = factor if isinstance(factor, Polynomial) else Polynomial.constant(factor)
+    return DifferenceOperator({l: factor * c for l, c in op.terms.items()})
+
+
+def operator_sub(left, right):
+    """left - right."""
+    return operator_add(left, operator_scale(right, -1))
+
+
+def compose(left, right):
+    """The operator product: compose(left, right)(f) = left(right(f)), term by
+    term from h S_l g S_k = h(x) g(x + l) S_(l+k)."""
+    out = {}
+    for l, h in left.terms.items():
+        for k, g in right.terms.items():
+            out[l + k] = out.get(l + k, Polynomial.zero()) + h * g.shift_argument(l)
+    return DifferenceOperator(out)
+
+
+def operator_polynomial(poly, base):
+    """poly(base), with base**0 the identity operator (Horner)."""
+    acc = zero_operator()
+    for c in reversed(poly.coeffs):
+        acc = operator_add(compose(acc, base), operator_scale(identity_operator(), c))
+    return acc
 
 
 def compose_operator(base, head, rows):
@@ -1438,8 +1516,8 @@ def compose_operator(base, head, rows):
     by operator_polynomial and compose: the reference for the table route."""
     acc = operator_polynomial(head, base)
     for symbol, ladder, poly in rows:
-        left = operator_polynomial(symbol, base).compose(ladder)
-        acc = acc + left.compose(operator_polynomial(poly, base))
+        left = compose(operator_polynomial(symbol, base), ladder)
+        acc = operator_add(acc, compose(left, operator_polynomial(poly, base)))
     return acc
 
 

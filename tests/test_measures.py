@@ -5,8 +5,9 @@ references from ``reference``: the ``Fraction`` value/dot route it replaced
 (values, weighted dot products and the Gram table, all on ``Fraction``
 values), Gram-Schmidt as the projection through polynomial products and on
 integer value vectors, and the ``Fraction`` atom dicts the measure stored
-before its integer parts (construction, translation, scaling, Christoffel
-transforms, equality and proportionality).  The orthogonality certificate is
+before its integer parts (construction, translation, Christoffel
+transforms, equality, and the integer scaling and proportionality helpers of
+``reference``).  The orthogonality certificate is
 compared with the Gram table it stands in for.  The projection and the
 inner-product checks integrate with ``fraction_integrate``, the sum of mass *
 p(point) over the atoms, so no reference depends on the route under test.
@@ -44,6 +45,7 @@ from reference import (
     fraction_values,
     proportionality_constant,
     reference_gram_schmidt,
+    scale_measure,
     value_gram_schmidt,
 )
 
@@ -82,8 +84,8 @@ def test_translate_and_scale():
     assert mu.translate(HALF).support == [HALF, Fraction(5, 2)]
     assert mu.translate(1).translate(-1) == mu
     assert mu.translate(HALF).translate(-HALF) == mu
-    assert mu.scale(2) == DiscreteMeasure({0: 2, 2: 6})
-    assert mu.scale(0).size == 0
+    assert scale_measure(mu, 2) == DiscreteMeasure({0: 2, 2: 6})
+    assert scale_measure(mu, 0).size == 0
 
 
 @pytest.mark.parametrize("offset", [0, 3, -HALF, Fraction(7, 3)])
@@ -104,14 +106,14 @@ def test_christoffel_kills_root_atoms():
 
 def test_proportionality():
     mu = DiscreteMeasure({0: 2, 1: 4})
-    assert proportionality_constant(mu.scale(Fraction(-3, 7)), mu) == Fraction(-3, 7)
+    assert proportionality_constant(scale_measure(mu, Fraction(-3, 7)), mu) == Fraction(-3, 7)
     assert proportionality_constant(mu, DiscreteMeasure({0: 2})) is None
     assert proportionality_constant(mu, DiscreteMeasure({0: 2, 1: 5})) is None
     empty = DiscreteMeasure({})
     assert proportionality_constant(empty, empty) == 1
     assert proportionality_constant(mu, empty) is None
-    assert proportionality_constant(mu, mu.scale(-1)) == -1
-    assert proportionality_constant(mu, mu.scale(2)) == Fraction(1, 2)
+    assert proportionality_constant(mu, scale_measure(mu, -1)) == -1
+    assert proportionality_constant(mu, scale_measure(mu, 2)) == Fraction(1, 2)
 
 
 def test_gram_schmidt_two_point_measure():
@@ -285,7 +287,7 @@ def test_integer_form():
         lambda: DiscreteMeasure({0.1: 1}),
         lambda: DiscreteMeasure({0: 0.1}),
         lambda: SIGNED.translate(0.1),
-        lambda: SIGNED.scale(0.1),
+        lambda: scale_measure(SIGNED, 0.1),
         lambda: SIGNED.mass(0.1),
     ],
     ids=["point", "mass", "translate", "scale", "mass lookup"],
@@ -535,11 +537,11 @@ _DIFFERENTIAL = settings(max_examples=30)
 def test_random_translate_and_scale_match_dict_reference(atoms, offset, factor, probe):
     measure, reference = DiscreteMeasure(atoms), dict_measure(atoms)
     _assert_holds(measure, reference, probe)
-    moved, scaled = measure.translate(offset), measure.scale(factor)
+    moved, scaled = measure.translate(offset), scale_measure(measure, factor)
     _assert_holds(moved, dict_translate(reference, offset), probe)
     _assert_holds(scaled, dict_scale(reference, factor), probe)
-    _assert_holds(moved.scale(factor), dict_scale(dict_translate(reference, offset), factor),
-                  probe)
+    _assert_holds(scale_measure(moved, factor),
+                  dict_scale(dict_translate(reference, offset), factor), probe)
 
 
 @_DIFFERENTIAL

@@ -19,7 +19,7 @@ from krallhahn.config import (
     config_from_dict,
 )
 from krallhahn import casorati
-from krallhahn.casorati import casorati_value, series_ratios
+from krallhahn.casorati import series_ratios
 from krallhahn.context import context_from_degrees, context_from_quartet
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.ladder import KINDS, series_ratio
@@ -49,8 +49,10 @@ import reference
 from reference import (
     apply_route_failures,
     cached_global_solve,
+    casorati_value,
     closed_form_product_values,
     fraction_check_foeq,
+    operator_add,
     proportionality_constant,
     reference_eigen_certificate,
     solve_lower_probe,
@@ -354,7 +356,7 @@ def test_eigen_equation_fails_for_a_perturbed_operator(monkeypatch, name, bump, 
         if bump is None:
             return op
         offset, k, c = bump
-        return op + DifferenceOperator({offset: c * Polynomial.variable() ** k})
+        return operator_add(op, DifferenceOperator({offset: c * Polynomial.variable() ** k}))
 
     def changed(ctx, n):
         q = build_q(ctx, n)
@@ -412,13 +414,17 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     faults = {
         "omega-nonvanishing": ("casorati_parts", lambda ctx, n: (0, 1) if n == 1 else parts(ctx, n)),
         "degree-leading": ("core_leading_coefficient", lambda ctx: 2 * leading(ctx)),
-        "genre": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator({r + 1: 1})),
+        "genre": (
+            "krall_operator", lambda ctx: operator_add(operator(ctx), DifferenceOperator({r + 1: 1}))
+        ),
         "support": ("transformed_support", moved),
         "criteria": ("base_polynomial", lambda ctx, n: base(ctx, n) + (1 if n == 2 else 0)),
         # q_2 and q_3 swapped: still pairwise orthogonal, but no longer of degree n
         "orthogonality": ("krall_polynomial", lambda ctx, n: member(ctx, {2: 3, 3: 2}.get(n, n))),
         # the constructed operator plus the identity: the oracle still finds the true one
-        "oracle": ("krall_operator", lambda ctx: operator(ctx) + DifferenceOperator({0: 1})),
+        "oracle": (
+            "krall_operator", lambda ctx: operator_add(operator(ctx), DifferenceOperator({0: 1}))
+        ),
         "eigen-equation": (
             "hahn_leading_coefficient",
             lambda n, p: 2 * hahn_leading(n, p) if n == 2 else hahn_leading(n, p),
