@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from krallhahn import casorati
+from krallhahn import casorati, matrices
 from krallhahn.casorati import (
     krall_operator,
     krall_polynomial,
@@ -32,6 +32,7 @@ from krallhahn.verify import build_run, run_config
 from reference import (
     _solve_globally,
     cofactor_det,
+    eliminated_adjugate,
     explicit_cleared_matrix,
     fraction_check_foeq,
     full_mixing_polynomial,
@@ -202,6 +203,28 @@ def test_factored_table_at_forced_zeros():
         assert adjugate.dets[x] == 0
         found = [[adjugate.values[r][c][x] for c in range(m)] for r in range(m)]
         assert found == _cofactors(rows), x
+
+
+@pytest.mark.parametrize("a, b", [("9/2", "11/3"), ("7/2", "13/3")])
+def test_expansion_table_at_240_points(a, b, monkeypatch):
+    """The construct workload's m = 4 template (four kinds, corollary path,
+    N = 12) at the first (a, b) of each of its two slots in the seed-0
+    stream: the cleared adjugate from lane_laplace, taken to 240 points,
+    equals the table with lane_bareiss on [B | I]
+    (reference.eliminated_adjugate) in its place at every point, the
+    singular x = 12 included."""
+    config = {"a": a, "b": b, "N": 12, "F": [[1], [1], [1], [1]], "path": "corollary"}
+    ctx = build_run(config_from_dict(config)).ctx
+    tables = []
+    for route in (matrices.lane_laplace, eliminated_adjugate):
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        monkeypatch.setattr(matrices, "lane_laplace", route)
+        adjugate = casorati._cleared_adjugate(ctx)
+        adjugate.extend(240)
+        tables.append((adjugate.dets, adjugate.values))
+    assert ctx.row_kinds == (1, 2, 3, 4) and len(tables[0][0]) == 240
+    assert [x for x, det in enumerate(tables[0][0]) if det == 0] == [12]
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("config", [NINE, M8_EVERY_KIND], ids=["nine", "m8-every-kind"])

@@ -16,7 +16,7 @@ kind's clearing blocks for column c, whose roots
 factor and the mixing weights.  Its determinant and cofactors (the mixing
 minors) come from integer point values
 (:class:`~krallhahn.matrices.PointAdjugate`) read off that structure, with
-the blocks that every row kind shares factored out of the elimination
+the blocks that every row kind shares factored out of the lane passes
 (:func:`_cleared_adjugate`).  Row r is one sequence read at x - 1, ..., x -
 m, so its entries share one degree, and the degree bounds are sums of those
 row degrees, not :func:`core_degree`, which the degree check compares.  No
@@ -30,7 +30,10 @@ lane, singular or not) puts all m + 1 maximal minors at each t into a table
 per context.  Each q_n is the sum of those minors against
 alternating Hahn polynomials, the bordered determinant expanded along its
 border; minor_0 is the raw determinant that :func:`casorati_rational`, the
-cross-check of the cleared route, reads.  The Omega scan and the
+cross-check of the cleared route, reads.  At m <= 4 the two routes take
+their determinants by different algorithms: the cleared one by Laplace
+expansion (:func:`~krallhahn.matrices.lane_laplace`), the raw one by
+elimination.  The Omega scan and the
 leading-coefficient gate read the cleared route (:func:`casorati_parts`, two
 integers by Horner), so they do not compare the raw rows with themselves.
 
@@ -193,7 +196,7 @@ def _cleared_adjugate(ctx: ConstructionContext) -> PointAdjugate:
     (:func:`~krallhahn.ladder.block_column_roots`), each a factor (s Q - p) /
     Q, with the sign of :func:`cleared_matrix`.  G_c, the product of the
     column-c blocks that every kind present uses, divides every row's factor
-    and is taken out of the elimination: with g_c = prod over G_c's roots of
+    and is taken out of the lane passes: with g_c = prod over G_c's roots of
     (s Q - p) / gcd(Q, p), its primitive part, diag(d) A = B diag(g), where
     B_rc = w_rc y_r(s) h_rc(s), y_r is the primitive part of Y_r o theta,
     h_rc the product of (s Q - p) / gcd(Q, p) over the row's other column-c

@@ -11,9 +11,16 @@ A; a singular lane's [A | B] is eliminated again on its own, and its entries
 are 0 below rank n - 1 of A or rank n of [A | B], and otherwise one
 determinant pass.  :func:`integer_dets` takes determinants of one size as the
 lanes of one pass, and :func:`_exact_solve` runs the elimination on one lane.
+
+At n <= 4 elimination is the wrong tool for det A and adj A: on [A | I] it
+makes 94 lane passes at n = 4, each entry an exact division, and a singular
+lane a second elimination.  :func:`lane_laplace` gives the same two from the
+2 x 2 minors of rows 0, 1 and of rows 2, 3 (the generalized Laplace
+expansion) in 29 passes with no division, singular lanes included; its
+reference is :func:`lane_bareiss`, which stays the only elimination.
 :class:`PointAdjugate` keeps one table of the integer values of the
 determinant and the adjugate of a polynomial matrix at x = 0, 1, ..., both
-from one lane pass on [B(x) | I] per block of :data:`LANES` points, and
+from one lane pass on B(x) per block of :data:`LANES` points, and
 interpolates the determinant on the sum of its row degrees (von zur Gathen
 and Gerhard, Modern Computer Algebra, ch. 5); B holds integer rows read off
 the matrix's structure, with column factors taken out.
@@ -32,6 +39,7 @@ kernels of its singular points.  It is the only linear solver here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
@@ -162,6 +170,69 @@ def lane_bareiss(
     return det, x
 
 
+def _expand(row: list[list[int]], keep: tuple[int, ...], minors: dict, sign: int) -> list[int]:
+    """sign * sum_i (-1)^i row[keep[i]] * minors[keep less keep[i]] on every
+    lane, in one pass: the determinant on the columns ``keep`` of ``row``
+    above the rows whose minors these are, expanded along ``row``."""
+    a, b, *c = (row[j] for j in keep)
+    x, y, *z = (minors[keep[:i] + keep[i + 1 :]] for i in range(len(keep)))
+    if c:
+        return [sign * (p * u - q * v + r * w) for p, q, r, u, v, w in zip(a, b, *c, x, y, *z)]
+    return [sign * (p * u - q * v) for p, q, u, v in zip(a, b, x, y)]
+
+
+def lane_laplace(
+    rows: list[list[list[int]]], count: int
+) -> tuple[list[int], list[list[list[int]]]]:
+    """det A and adj A for the n rows A, 1 <= n <= 4, on ``count`` lanes at
+    once, as ``lane_bareiss([A | I], n, count)`` gives them: ``adj[c][r]`` is
+    the cofactor (r, c), a list over the lanes.
+
+    The generalized Laplace expansion along rows 0 and 1, with no division,
+    so a singular lane is no special case.  The 2 x 2 minors of rows 0 and 1
+    on every column pair are taken once, and those of rows 2 and 3 (at n = 3,
+    row 2's entries).  The cofactor (r, c) is the determinant on the other
+    columns of the other rows: for r < 2, row 1 - r expanded against the
+    minors of rows 2.., for r >= 2 the other row of 2.. against those of rows
+    0 and 1 (at n = 3, their minor itself), at most three products in one
+    pass.  det A is row 0 times its own cofactors: 29 passes at n = 4.  Past
+    n = 4 the expansion needs minors of k >= 3 rows, C(n, k) of them, so
+    larger n stays on :func:`lane_bareiss`.  The rows are left as they were.
+    """
+    n = len(rows)
+    if not 1 <= n <= 4:
+        raise ValueError(f"lane_laplace takes 1 to 4 rows, got {n}")
+    if n == 1:
+        return rows[0][0][:], [[[1] * count]]
+    if n == 2:
+        (a, b), (c, d) = rows
+        det = [p * s - q * r for p, q, r, s in zip(a, b, c, d)]
+        return det, [[d[:], [-v for v in b]], [[-v for v in c], a[:]]]
+
+    def minors(u, v):
+        return {
+            (j, k): [p * s - q * r for p, q, r, s in zip(u[j], u[k], v[j], v[k])]
+            for j, k in combinations(range(n), 2)
+        }
+
+    top = minors(*rows[:2])
+    low = minors(*rows[2:]) if n == 4 else {(j,): e for j, e in enumerate(rows[2])}
+    adj = [[None] * n for _ in range(n)]
+    for c in range(n):
+        keep = tuple(j for j in range(n) if j != c)
+        for r in range(n):
+            sign = -1 if (r + c) % 2 else 1
+            if r < 2:
+                adj[c][r] = _expand(rows[1 - r], keep, low, sign)
+            elif n == 4:
+                adj[c][r] = _expand(rows[5 - r], keep, top, sign)
+            else:
+                adj[c][r] = [sign * v for v in top[keep]]
+    own = zip(*(column[0] for column in adj))
+    det = [sum(map(mul, es, cs)) for es, cs in zip(zip(*rows[0]), own)]
+    return det, adj
+
+
 def integer_dets(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     """Determinants of square integer matrices of one size, each on its own
     lane of one :func:`lane_bareiss` pass; the empty matrix has determinant 1."""
@@ -180,8 +251,9 @@ class PointAdjugate:
     one table: with row i scaled to integers by d_i, ``dets[x]`` is
     prod_i d_i det A(x) and ``values[r][c][x]`` prod_{i != r} d_i times the
     cofactor (r, c).  Both always hold the same points, and grow only by
-    :meth:`extend`; the constructor takes them to the determinant's degree
-    bound.
+    :meth:`extend`, one :func:`lane_laplace` pass per block of points for
+    1 <= n <= 4 and one :func:`lane_bareiss` pass on [B | I] otherwise; the
+    constructor takes them to the determinant's degree bound.
 
     ``dens`` holds the d_i, ``degrees`` one bound per row on the degrees of
     its entries, and ``evaluate(block)`` gives, as lists over the points of
@@ -201,19 +273,25 @@ class PointAdjugate:
         self.extend(max(self.degree_bound(), 0) + 1)
 
     def extend(self, stop: int) -> None:
-        """Take ``dets`` and ``values`` to every x < stop: one
-        :func:`lane_bareiss` on [B(x) | I] per block of :data:`LANES` points,
-        which gives det B(x) and adj B(x) together, singular points included.
-        With A = B diag(g) (row scales aside), det A = det B prod_c g_c and
-        adj A = adj(diag g) adj B: row c of adj B times prod_{c' != c} g_c',
-        an identity at every point, singular or not."""
+        """Take ``dets`` and ``values`` to every x < stop, det B(x) and
+        adj B(x) together, singular points included, per block of
+        :data:`LANES` points: one :func:`lane_laplace` for 1 <= n <= 4, else
+        one :func:`lane_bareiss` on [B(x) | I].  With A = B diag(g) (row
+        scales aside), det A = det B prod_c g_c and adj A = adj(diag g) adj B:
+        row c of adj B times prod_{c' != c} g_c', an identity at every point,
+        singular or not."""
         n = len(self.dens)
         for lo in range(len(self.dets), stop, LANES):
             block = range(lo, min(lo + LANES, stop))
             rows, columns = self.evaluate(block)
             ones, zeros = [1] * len(block), [0] * len(block)
-            aug = [[*row, *(ones if j == i else zeros for j in range(n))] for i, row in enumerate(rows)]
-            det, adj = lane_bareiss(aug, n, len(block))
+            if 1 <= n <= 4:
+                det, adj = lane_laplace(rows, len(block))
+            else:
+                aug = [
+                    [*row, *(ones if j == i else zeros for j in range(n))] for i, row in enumerate(rows)
+                ]
+                det, adj = lane_bareiss(aug, n, len(block))
             if columns:
                 for c in range(n):
                     others = [prod(gs) for gs in zip(ones, *columns[:c], *columns[c + 1 :])]

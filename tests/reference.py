@@ -43,7 +43,7 @@ from krallhahn.ladder import (
     ratio_products,
     series_shift,
 )
-from krallhahn.matrices import _exact_solve
+from krallhahn.matrices import _exact_solve, lane_bareiss
 from krallhahn.measures import DiscreteMeasure, _measure, christoffel
 from krallhahn.oracle import _primitive, operator_solution_space
 from krallhahn.polynomials import (
@@ -260,6 +260,17 @@ def cofactor_det(rows):
             expanded[cols] = acc
         minors = expanded
     return minors[tuple(range(n))]
+
+
+def eliminated_adjugate(rows, count):
+    """det A and adj A of the n rows A on ``count`` lanes, as
+    ``matrices.lane_laplace`` gives them, from one ``lane_bareiss`` pass on
+    [A | I]: the elimination route that the expansion replaced in
+    ``PointAdjugate`` at 1 <= n <= 4."""
+    n = len(rows)
+    ones, zeros = [1] * count, [0] * count
+    aug = [[*row, *(ones if j == i else zeros for j in range(n))] for i, row in enumerate(rows)]
+    return lane_bareiss(aug, n, count)
 
 
 def gauss_jordan(rows, rhs):

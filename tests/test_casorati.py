@@ -13,7 +13,7 @@ from math import inf
 import pytest
 
 import krallhahn
-from krallhahn import casorati, diffops, ladder, verify
+from krallhahn import casorati, diffops, ladder, matrices, verify
 from krallhahn.casorati import (
     base_polynomial,
     casorati_cleared,
@@ -70,6 +70,7 @@ from reference import (
     closed_form_krall_polynomial,
     cofactor_det,
     compose_operator,
+    eliminated_adjugate,
     explicit_cleared_matrix,
     explicit_clearing_factor,
     explicit_falling_block,
@@ -1056,6 +1057,50 @@ class TestPointRoute:
         assert (adjugate.dens, adjugate.degrees) == (reference.dens, reference.degrees)
         assert adjugate.dets == reference.dets
         assert adjugate.values == reference.values
+
+    def test_four_kind_table_is_the_explicit_cofactors(self, monkeypatch):
+        """F1234=1-corollary, the construct workload's m = 4 template: once
+        the mixing rows have read it, the table's ``dets`` and ``values`` are
+        the explicit cleared matrix's determinant and cofactors, times the
+        row scales, at every point, its singular point x = 12 included.  At
+        m <= 4 the table is a Laplace expansion: no lane_bareiss and no
+        integer_dets pass builds it."""
+        ctx = build_run(ROUTE_CONFIGS["F1234=1-corollary"]).ctx
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        passes = Counter()
+        for name in ("lane_bareiss", "integer_dets"):
+            route = getattr(matrices, name)
+            counted = lambda *a, name=name, route=route: passes.update((name,)) or route(*a)
+            monkeypatch.setattr(matrices, name, counted)
+        adjugate = casorati._cleared_adjugate(ctx)
+        casorati._mixing_tables(ctx)
+        assert not passes
+        explicit, singular = explicit_cleared_matrix(ctx), []
+        for x, det in enumerate(adjugate.dets):
+            rows = [[int(entry(x) * d) for entry in row] for d, row in zip(adjugate.dens, explicit)]
+            assert det == cofactor_det(rows), x
+            for r in range(ctx.m):
+                found = [adjugate.values[r][c][x] for c in range(ctx.m)]
+                assert found == [_signed_minor(rows, r, c) for c in range(ctx.m)], (x, r)
+            singular += [x] if det == 0 else []
+        assert singular == [12] and len(adjugate.dets) == 29
+
+    @pytest.mark.parametrize("name", ["classical", "F12=1-theorem-N8", "F2=2-F4=1-theorem-N8"])
+    def test_expansion_table_is_the_elimination_table(self, name, monkeypatch):
+        """The m = 0 classical context and the contexts whose kinds {1, 2}
+        and {2, 4} share a block, taken as far as the mixing rows read: the
+        table with lane_laplace is the table with lane_bareiss on [B | I]
+        (reference.eliminated_adjugate) in its place, the elimination that
+        it replaced at 1 <= m <= 4."""
+        ctx = build_run(STRUCTURE_CONFIGS[name]).ctx
+        tables = []
+        for route in (matrices.lane_laplace, eliminated_adjugate):
+            monkeypatch.setattr(casorati, "_store", OrderedDict())
+            monkeypatch.setattr(matrices, "lane_laplace", route)
+            adjugate = casorati._cleared_adjugate(ctx)
+            casorati._mixing_tables(ctx)
+            tables.append((adjugate.dens, adjugate.degrees, adjugate.dets, adjugate.values))
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "name", ["single-root", "single-root-direct", "four-roots", "classical", "F1=3-theorem-N8"]

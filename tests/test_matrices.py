@@ -4,6 +4,7 @@ import random
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -258,6 +259,46 @@ def test_lane_bareiss_matches_the_scalar_routes():
                         assert x[k][0][i] == cofactor_det(replaced), (n, i, k)
             if kind == "column" and n == 5:  # a rank n - 1 lane with adj A b != 0
                 assert any(x[k][0][i] for i in (1, 7) for k in range(n))
+
+
+def test_lane_laplace_matches_elimination_and_expansion():
+    """lane_laplace on seeded integer matrices of sizes 1-4, one per lane,
+    against lane_bareiss on [A | I] (reference.eliminated_adjugate) and
+    cofactor expansion lane by lane.  The lanes hold full-rank matrices with
+    small and with 90-bit entries, zero matrices, rank n - 1 ones (adj A of
+    rank 1) and, from n = 2 on, rank <= n - 2 ones (adj A = 0): their last
+    rows combine the rows above.  Every lane agrees, singular or not, and the
+    caller's rows are left as they were; 0 or 5 rows raise."""
+    rng = random.Random(53)
+    for n in range(1, 5):
+        mats = []
+        for lane in range(15):
+            shape = lane % 5
+            bits = 90 if shape == 1 else 4
+            rows = [[rng.getrandbits(bits) - (1 << bits - 1) for _ in range(n)] for _ in range(n)]
+            if shape == 2:
+                rows = [[0] * n for _ in range(n)]
+            if shape > 2:  # rank n - 1, then rank <= n - 2: the rows from k on combine those above
+                k = max(n - shape + 2, 0)
+                for i in range(k, n):
+                    coefs = [rng.randint(-3, 3) for _ in range(k)]
+                    rows[i] = [sum(map(mul, coefs, column)) for column in zip(*rows[:k])] or [0] * n
+            mats.append(rows)
+        lanes = [[[rows[r][c] for rows in mats] for c in range(n)] for r in range(n)]
+        copies = [[entry[:] for entry in row] for row in lanes]
+        det, adj = matrices.lane_laplace(lanes, len(mats))
+        assert lanes == copies, n
+        assert (det, adj) == reference.eliminated_adjugate(lanes, len(mats)), n
+        for i, rows in enumerate(mats):
+            got = [[column[r][i] for r in range(n)] for column in adj]
+            assert det[i] == cofactor_det(rows), (n, i)
+            assert got == [[_cofactor(rows, r, c) for r in range(n)] for c in range(n)], (n, i)
+            if i % 5 > 2:  # adj A has rank 1 at rank n - 1 and is 0 below
+                assert det[i] == 0 and any(map(any, got)) == (i % 5 == 3 or n == 1), (n, i)
+        assert sum(v != 0 for v in det) >= 6, n
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            matrices.lane_laplace([[[1]] * n] * n, 1)
 
 
 def _point_adjugate_cases():
