@@ -16,6 +16,7 @@ import pytest
 
 from krallhahn import casorati, matrices
 from krallhahn.casorati import (
+    core_determinant,
     krall_operator,
     krall_polynomial,
     mixing_polynomial,
@@ -39,6 +40,7 @@ from reference import (
     pair_route_mixing,
     per_degree_hahn_polynomial,
     per_kind_mixing_tables,
+    pseudo_division_quotients,
     reference_casorati_rows,
     reference_eigen_certificate,
     reference_factored_weight,
@@ -180,11 +182,18 @@ def test_large_m_reports_are_frozen(name):
     """The report, timings removed, equals its copy in ``large/golden/``,
     frozen from the route that expanded every cleared entry as a polynomial,
     eliminated A itself and read the raw table at B + 1 points: hundreds of
-    points of a 13 x 13 and a 15 x 15 adjugate, and of the raw table."""
-    report = scrub(json.loads(json.dumps(run_config(config_from_dict(LARGE_M[name])).to_json_dict())))
+    points of a 13 x 13 and a 15 x 15 adjugate, and of the raw table.  The
+    core determinant and every mixing symbol the run read, taken by dividing
+    out known roots, equal the quotients of the reference pseudo-division by
+    the expanded normaliser and by sigma(x + 1)."""
+    config = config_from_dict(LARGE_M[name])
+    report = scrub(json.loads(json.dumps(run_config(config).to_json_dict())))
     expected = json.loads((FROZEN / f"{name}.json").read_text())
     difference = first_difference(report, expected)
     assert difference is None, f"{name}.json: {difference}"
+    ctx = build_run(config).ctx
+    symbols = [mixing_symbol(ctx, row) for row in range(ctx.m)]
+    assert (core_determinant(ctx), symbols) == pseudo_division_quotients(ctx)
 
 
 def test_factored_table_at_forced_zeros():

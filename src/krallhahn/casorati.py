@@ -41,7 +41,12 @@ Every quantity the theory claims is polynomial comes from an exact division
 or a checked identity, so a failed cancellation surfaces as an error instead
 of an approximation.  The normaliser is a product of known linear factors: a
 leading constant and integer root numerators over one denominator Q per
-context (:func:`normalizer_factors`).  :func:`mixing_polynomial` puts its m
+context (:func:`normalizer_factors`), never expanded.  Every polynomial
+quotient is taken by dividing out such known roots
+(:func:`~krallhahn.polynomials.divide_out_roots`): the core determinant is
+the cleared one with the normaliser's roots divided out, and each mixing
+symbol the mixing polynomial with the root of sigma(x + 1); a root that does
+not divide raises NonExactDivision.  :func:`mixing_polynomial` puts its m
 terms over L', the lcm of the shifted root multisets less each term's known
 numerator roots, so no gcd is taken.  Nothing is expanded: every root
 multiset, from the terms' roots to the weights, L' and L'', stays a dict root
@@ -534,17 +539,25 @@ def normalizer_factors(ctx: ConstructionContext) -> tuple[int, tuple[int, ...], 
     return lead, tuple(roots), q
 
 
-@_stage
-def normalizer(ctx: ConstructionContext) -> Polynomial:
-    """The divisor of the cleared determinant, built from :func:`normalizer_factors`."""
-    lead, roots, q = normalizer_factors(ctx)
-    return Polynomial.from_integer_roots(roots, q) * lead
+def _uncancelled(kept: list[int], q: int) -> NonExactDivision:
+    """The error for roots p/q of a divisor that did not divide: its remainder
+    is the reduced denominator, the product of (x - p/q) over those roots."""
+    reduced = Polynomial.from_integer_roots(kept, q)
+    return NonExactDivision(f"denominator of degree {reduced.degree} does not cancel", remainder=reduced)
 
 
 @_stage
 def core_determinant(ctx: ConstructionContext) -> Polynomial:
-    """Cleared determinant divided by the normaliser; polynomial by the theory."""
-    return casorati_cleared(ctx).divide_exact(normalizer(ctx))
+    """Cleared determinant divided by the normaliser; polynomial by the theory.
+
+    The normaliser's roots (:func:`normalizer_factors`) are divided out one by
+    one (:func:`divide_out_roots`), then its leading constant; a root that
+    does not divide raises NonExactDivision with the factors left."""
+    lead, roots, q = normalizer_factors(ctx)
+    core, kept = divide_out_roots(casorati_cleared(ctx), roots, q)
+    if kept:
+        raise _uncancelled(kept, q)
+    return core / lead
 
 
 def core_degree(ctx: ConstructionContext) -> int:
@@ -633,8 +646,8 @@ def _cofactor_orders(ctx: ConstructionContext) -> dict[int, list[dict[int, int]]
 def _term_roots(ctx: ConstructionContext) -> dict[int, list[tuple[dict[int, int], ...]]]:
     """Per row kind and term j = 1..m, the root multisets S_j - N_j, N_j - S_j
     and N_j - S_j - O_j at x, as dicts root -> multiplicity over Q.  At y = x
-    + j, N_j holds the roots of normalizer(y), S_j the term's known numerator
-    roots (sigma's, r0, and column j's of :func:`_column_roots`)
+    + j, N_j holds the roots of the normaliser at y, S_j the term's known
+    numerator roots (sigma's, r0, and column j's of :func:`_column_roots`)
     and O_j the cofactor's orders (:func:`_cofactor_orders`)."""
     p, m = ctx.params, ctx.m
     _, roots, q = normalizer_factors(ctx)
@@ -763,10 +776,10 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
     """The row's mixing polynomial (skew-invariant, divisible by the shifted step).
 
     Term j is the cofactor (row, j - 1) of the cleared matrix at x + j, signed
-    as the term, over normalizer(x + j) = lead * N_j, N_j monic.  Over L', the
-    lcm of the N_j less their known numerator roots, no gcd is taken
-    (:func:`_mixing_factors`).  n = sum_j w_j(x) cofactor(x + j) is summed on
-    integers at the K'' points of :func:`_mixing_tables`.  n / L' must be a
+    as the term, over the normaliser at x + j, lead * N_j with N_j monic.
+    Over L', the lcm of the N_j less their known numerator roots, no gcd is
+    taken (:func:`_mixing_factors`).  n = sum_j w_j(x) cofactor(x + j) is
+    summed on integers at the K'' points of :func:`_mixing_tables`.  n / L' must be a
     polynomial, a hypothesis of the construction: it is interpolated at the
     first K - deg L' points, and quotient * L' = n is required at all K''.
     Each cofactor vanishes at the roots of N to the orders of
@@ -794,18 +807,22 @@ def mixing_polynomial(ctx: ConstructionContext, row: int) -> Polynomial:
         values = _linear_product(numer, kept, [x * q for x in xs])  # n L'', up to a constant
         values = [Fraction(v, d) for v, d in zip(values, divisor)]  # n'' = n L'' / L'
         _, kept = divide_out_roots(interpolate(*clear_denominators(values), xs), Counter(kept).elements(), q)
-        reduced = Polynomial.from_integer_roots(kept, q)
-        raise NonExactDivision(
-            f"denominator of degree {reduced.degree} does not cancel", remainder=reduced
-        )
+        raise _uncancelled(kept, q)
     return quotient
 
 
 def mixing_symbol(ctx: ConstructionContext, row: int) -> Polynomial:
-    """Mixing polynomial divided by the shifted step, written in theta."""
-    sigma_next = series_shift(ctx.params).shift_argument(1)
-    quotient = mixing_polynomial(ctx, row).divide_exact(sigma_next)
-    return theta_substitute(quotient, ctx.params.a + ctx.params.b)
+    """Mixing polynomial divided by the shifted step, written in theta.
+
+    sigma(x + 1) = -2 (x - c) with c = -(a + b + 1) / 2: c is divided out
+    (:func:`divide_out_roots`), then -2; where c is no root of the mixing
+    polynomial, NonExactDivision names x - c."""
+    p = ctx.params
+    c = -p.theta_shift / 2
+    quotient, kept = divide_out_roots(mixing_polynomial(ctx, row), [c.numerator], c.denominator)
+    if kept:
+        raise _uncancelled(kept, c.denominator)
+    return theta_substitute(quotient * Fraction(-1, 2), p.a + p.b)
 
 
 # -- the spectral polynomial and the operator -------------------------------------------

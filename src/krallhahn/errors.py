@@ -8,9 +8,11 @@ class KrallHahnError(Exception):
 
 
 class NonExactDivision(KrallHahnError):
-    """Polynomial division left a nonzero remainder.
+    """A quotient that the theory claims is a polynomial is not one: some
+    known roots of the divisor are no roots of the numerator.
 
-    The offending remainder is kept on the exception so callers can report
+    ``remainder`` is the reduced denominator that did not cancel, the monic
+    product of (x - r) over those roots, on every raise, so callers can report
     exactly what failed to cancel.
     """
 

@@ -9,20 +9,22 @@ and ``==`` and ``hash`` read the parts.
 Sums scale both sides to the lcm of the denominators, products are integer
 convolutions, evaluation is homogeneous integer Horner (on bare integer
 numerators too, by :func:`horner`), :meth:`Polynomial.shift_argument` is an
-integer Taylor shift (a rational shift p/q goes through q^n f(y/q)),
-Newton-form sums are integer Horner (:func:`newton_form`), and ``divmod`` is
-integer pseudo-division (``/`` divides by a scalar only).  :func:`interpolate`
-is the one route from integer values at integer nodes back to a polynomial,
-:func:`antidifference` among its callers; several tables of one length go
-through it in one call, as lanes.  Each result is made canonical once.
+integer Taylor shift (a rational shift p/q goes through q^n f(y/q)), and
+Newton-form sums are integer Horner (:func:`newton_form`); ``/`` divides by a
+scalar only.  :func:`interpolate` is the one route from integer values at
+integer nodes back to a polynomial, :func:`antidifference` among its callers;
+several tables of one length go through it in one call, as lanes.  Each
+result is made canonical once.
 ``Fraction`` appears only at the edges: scalars are read by
 :func:`~krallhahn.rationals.as_rational`, so a ``float`` raises ``TypeError``,
 and ``coefficient``, ``leading_coefficient``, ``coeffs``, iteration,
-evaluation and the string forms give ``Fraction`` values.  The few rational
-functions the construction needs (ladder ratios, recurrence coefficients,
-the mixing quotient's error path) have denominators whose roots are known, so
-they are (numerator, denominator) pairs reduced by those roots
-(:func:`divide_out_roots`); no polynomial gcd is taken.
+evaluation and the string forms give ``Fraction`` values.  Every polynomial
+quotient the construction takes is by linear factors with known roots: the
+ladder ratios and recurrence coefficients, reduced to (numerator,
+denominator) pairs, the mixing quotient's error path, the core determinant
+over the normaliser and the mixing polynomials over the shifted step.  One
+synthetic division per root takes them all (:func:`divide_out_roots`), so no
+pseudo-division or polynomial gcd is taken.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import NonExactDivision
 from .rationals import as_rational, clear_denominators, format_rational
 
 Scalar = Union[int, Fraction]
@@ -196,8 +197,8 @@ class Polynomial:
         return result
 
     def __truediv__(self, other: Scalar) -> "Polynomial":
-        """Division by a scalar; the exact quotient by a polynomial is
-        :meth:`divide_exact`."""
+        """Division by a scalar; a polynomial divides out its known roots
+        (:func:`divide_out_roots`)."""
         return self * (1 / as_rational(other))
 
     def __eq__(self, other: object) -> bool:
@@ -267,60 +268,6 @@ class Polynomial:
             tuple(-c if k & 1 else c for k, c in enumerate(self._numerators)),
             self._denominator,
         )
-
-    # -- division ------------------------------------------------------------
-
-    def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder, by integer pseudo-division.
-
-        Before a step cancels the remainder's top coefficient, the remainder
-        and the quotient so far are scaled by s = |lead / gcd(lead, top)|, so
-        the step subtracts an integer multiple of the divisor.  With S the
-        product of the scales, S A = Q B + R on the numerators A and B, and
-        S > 0 keeps the denominators positive.
-        """
-        b = divisor._numerators
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        a = self._numerators
-        if len(a) < len(b):
-            return _ZERO, self
-        rem = list(a)
-        lead, nb = b[-1], len(b)
-        quo = [0] * (len(a) - nb + 1)
-        scale = 1
-        for k in range(len(quo) - 1, -1, -1):
-            top = rem[k + nb - 1]
-            if not top:
-                continue
-            g = gcd(top, lead)
-            if lead < 0:
-                g = -g
-            s, t = lead // g, top // g
-            if s != 1:
-                scale *= s
-                for i in range(k + nb - 1):
-                    rem[i] *= s
-                for i in range(k + 1, len(quo)):
-                    quo[i] *= s
-            quo[k] = t
-            for i in range(nb - 1):
-                rem[k + i] -= t * b[i]
-            rem[k + nb - 1] = 0
-        den = self._denominator * scale
-        return (
-            _make([v * divisor._denominator for v in quo], den),
-            _make(rem[: nb - 1], den),
-        )
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Quotient when the division is exact; raises otherwise."""
-        quo, rem = self.divmod(divisor)
-        if not rem.is_zero:
-            raise NonExactDivision(
-                f"division left remainder of degree {rem.degree}", remainder=rem
-            )
-        return quo
 
     def monic(self) -> "Polynomial":
         nums = self._numerators
@@ -557,17 +504,33 @@ def divide_out_roots(
 ) -> tuple[Polynomial, list[int]]:
     """numer / prod (x - p/q) over the integers p in roots, in lowest terms.
 
-    Each p, multiplicity counted, where numer(p/q) = 0 (integer Horner) is
-    divided out of numer, and the others are kept.  Returns (quotient, kept);
-    the reduced, monic denominator is ``Polynomial.from_integer_roots(kept, q)``.
+    The package's one polynomial division.  Each p, multiplicity counted, is
+    read as b/a in lowest terms and tried by one synthetic division on numer's
+    integer numerators c_n..c_0: with B_n = 0, each step B_(k-1) = (c_k + b
+    B_k) / a must be exact (Gauss's lemma: a x - b is primitive) and c_0 + b
+    B_0 must be 0.  Where both hold, the quotient is a B over the same
+    denominator; the zero polynomial is divisible by every root.  The other
+    roots are kept.  The next root is tried on B, and the product of the a's
+    is multiplied in once, at the end, so no step carries their content.
+    Returns (quotient, kept); the reduced, monic denominator is
+    ``Polynomial.from_integer_roots(kept, q)``.
     """
-    kept = []
+    (nums, den), kept, scale = numer.integer_parts, [], 1
     for p in roots:
-        if horner(numer.integer_parts[0], p, q):
-            kept.append(p)
+        g = gcd(p, q)
+        b, a = p // g, q // g
+        acc, quotient = 0, []
+        for c in nums[:0:-1]:
+            acc, left = divmod(c + b * acc, a)
+            if left:
+                break
+            quotient.append(acc)
         else:
-            numer = numer.divide_exact(Polynomial.from_integer_roots((p,), q))
-    return numer, kept
+            if not nums or nums[0] + b * acc == 0:
+                nums, scale = quotient[::-1], scale * a
+                continue
+        kept.append(p)
+    return _make([v * scale for v in nums], den), kept
 
 
 def pochhammer(base: Fraction | int, length: int) -> Fraction:

@@ -49,7 +49,6 @@ from .hahn import (
     transformed_hahn_weight,
     transformed_support,
 )
-from .ladder import series_shift
 from .measures import (
     DiscreteMeasure,
     gram_schmidt,
@@ -182,14 +181,13 @@ def _check_hypotheses(run: RunData) -> tuple[bool, dict]:
         for t, v in casorati_rational(ctx).items()
     )
     transport = reflect(inc, p.a + p.b - 1) == -inc.shift_argument(ctx.m)
-    sigma_next = series_shift(p).shift_argument(1)
+    centre = -p.theta_shift / 2  # the root of sigma(x + 1)
     mixing_ok = True
     mixing_degrees = []
     for row in range(ctx.m):
         mh = mixing_polynomial(ctx, row)
         mixing_degrees.append(mh.degree)
-        _, remainder = mh.divmod(sigma_next)
-        if not remainder.is_zero or reflect(mh, p.a + p.b) != -mh:
+        if mh(centre) or reflect(mh, p.a + p.b) != -mh:
             mixing_ok = False
     ps = spectral_polynomial(ctx)
     theta = p.eigenvalue_poly()

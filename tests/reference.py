@@ -21,7 +21,6 @@ from krallhahn.casorati import (
     base_polynomial,
     eigenvalue_polynomial,
     mixing_polynomial,
-    normalizer,
     series_ratios,
 )
 from krallhahn.diffops import DifferenceOperator, coefficient_values
@@ -203,11 +202,63 @@ def lagrange(nodes, values):
     return Polynomial(total)
 
 
+def pseudo_divmod(f, g):
+    """Quotient and remainder of f by g, by integer pseudo-division: the
+    general division that dividing out known roots
+    (:func:`krallhahn.polynomials.divide_out_roots`) replaced.
+
+    Before a step cancels the remainder's top coefficient, the remainder and
+    the quotient so far are scaled by s = |lead / gcd(lead, top)|, so the step
+    subtracts an integer multiple of the divisor.  With S the product of the
+    scales, S A = Q B + R on the numerators A and B, and S > 0 keeps the
+    denominators positive.
+    """
+    (a, da), (b, db) = f.integer_parts, g.integer_parts
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) < len(b):
+        return Polynomial.zero(), f
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    quo = [0] * (len(a) - nb + 1)
+    scale = 1
+    for k in range(len(quo) - 1, -1, -1):
+        top = rem[k + nb - 1]
+        if not top:
+            continue
+        common = gcd(top, lead)
+        if lead < 0:
+            common = -common
+        s, t = lead // common, top // common
+        if s != 1:
+            scale *= s
+            for i in range(k + nb - 1):
+                rem[i] *= s
+            for i in range(k + 1, len(quo)):
+                quo[i] *= s
+        quo[k] = t
+        for i in range(nb - 1):
+            rem[k + i] -= t * b[i]
+        rem[k + nb - 1] = 0
+    return (
+        Polynomial.from_integer_parts([v * db for v in quo], da * scale),
+        Polynomial.from_integer_parts(rem[: nb - 1], da * scale),
+    )
+
+
+def divide_exact(f, g):
+    """f / g by :func:`pseudo_divmod` where the division is exact; a nonzero
+    remainder raises NonExactDivision carrying it."""
+    quo, rem = pseudo_divmod(f, g)
+    if not rem.is_zero:
+        raise NonExactDivision(f"division left remainder of degree {rem.degree}", remainder=rem)
+    return quo
+
 
 def poly_gcd(a, b):
     """Monic greatest common divisor, by Euclid over the rationals."""
     while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
+        a, b = b, pseudo_divmod(a, b)[1]
     return a.monic()
 
 
@@ -226,8 +277,8 @@ def lowest_terms(numer, denom):
         return Polynomial.zero(), Polynomial.one()
     g = poly_gcd(numer, denom)
     if g.degree > 0:
-        numer = numer.divide_exact(g)
-        denom = denom.divide_exact(g)
+        numer = divide_exact(numer, g)
+        denom = divide_exact(denom, g)
     lead = denom.leading_coefficient
     if lead != 1:
         numer, denom = numer / lead, denom / lead
@@ -1120,6 +1171,14 @@ def closed_form_krall_polynomial(ctx, n):
     return acc
 
 
+def expanded_normalizer(ctx):
+    """The normaliser expanded from its known linear factors
+    (casorati.normalizer_factors): the divisor that the core determinant's
+    root-by-root division replaced."""
+    lead, roots, q = casorati.normalizer_factors(ctx)
+    return Polynomial.from_integer_roots(roots, q) * lead
+
+
 def block_normalizer(ctx):
     """The normaliser as a product of explicit block and step polynomials, the
     reference for the root-multiset route."""
@@ -1213,7 +1272,7 @@ def shifted_entry_mixing(ctx, row):
     p, m = ctx.params, ctx.m
     sigma = series_shift(p)
     half = Fraction(-(m - 1), 2)
-    divisor_base = normalizer(ctx)
+    divisor_base = expanded_normalizer(ctx)
     acc = ZERO
     rows_kept = [entries for r, entries in enumerate(casorati.cleared_matrix(ctx)) if r != row]
     for j in range(1, m + 1):
@@ -1344,13 +1403,13 @@ def per_kind_mixing_tables(ctx):
 
 
 def reference_theta_substitute(poly, ab_sum):
-    """The base-theta digits by repeated Polynomial.divmod by theta, the route
+    """The base-theta digits by repeated pseudo-division by theta, the route
     that the one integer pass of hahn.theta_substitute replaced: a digit of
     positive degree raises."""
     theta = Polynomial((0, as_rational(ab_sum) + 1, 1))
     digits = []
     while not poly.is_zero:
-        poly, digit = poly.divmod(theta)
+        poly, digit = pseudo_divmod(poly, theta)
         if digit.degree > 0:
             raise NotThetaRepresentable(
                 "polynomial is not invariant under x -> -(x + a + b + 1)"
@@ -1417,7 +1476,7 @@ def reference_krall_polynomial(ctx, n):
 
 def theta_inputs(ctx):
     """The polynomials the construction expands in theta: the spectral sum and
-    each mixing polynomial divided by the shifted step."""
+    each mixing polynomial divided by the shifted step, by pseudo-division."""
     p = ctx.params
     theta = p.eigenvalue_poly()
     spectral = 2 * eigenvalue_polynomial(ctx)
@@ -1425,8 +1484,19 @@ def theta_inputs(ctx):
         spectral = spectral + ctx.row_polys[row].compose(theta) * mixing_polynomial(ctx, row)
     sigma_next = series_shift(p).shift_argument(1)
     return [spectral] + [
-        mixing_polynomial(ctx, row).divide_exact(sigma_next) for row in range(ctx.m)
+        divide_exact(mixing_polynomial(ctx, row), sigma_next) for row in range(ctx.m)
     ]
+
+
+def pseudo_division_quotients(ctx):
+    """(core determinant, [mixing symbols]) by pseudo-division: the cleared
+    determinant by the expanded normaliser, and each mixing polynomial by
+    sigma(x + 1) (``theta_inputs``) read in theta by the repeated-division
+    digits: the reference for the root-by-root divisions."""
+    s = ctx.params.a + ctx.params.b
+    core = divide_exact(casorati.casorati_cleared(ctx), expanded_normalizer(ctx))
+    _, *quotients = theta_inputs(ctx)
+    return core, [reference_theta_substitute(quotient, s) for quotient in quotients]
 
 
 def reference_krall_operator(ctx):

@@ -27,7 +27,6 @@ from krallhahn.casorati import (
     krall_polynomial,
     mixing_polynomial,
     mixing_symbol,
-    normalizer,
     operator_halfwidth,
     spectral_increment,
     spectral_polynomial,
@@ -70,7 +69,9 @@ from reference import (
     closed_form_krall_polynomial,
     cofactor_det,
     compose_operator,
+    divide_exact,
     eliminated_adjugate,
+    expanded_normalizer,
     explicit_cleared_matrix,
     explicit_clearing_factor,
     explicit_falling_block,
@@ -87,6 +88,7 @@ from reference import (
     polynomial_mixing_factors,
     peeling_theta_substitute,
     per_kind_mixing_tables,
+    pseudo_division_quotients,
     rational_casorati,
     rational_det,
     reference_casorati_rows,
@@ -337,7 +339,7 @@ def _raw_bounds(ctx):
         raw_degree += max((m - c) * numer.degree + (c - 1) * denom.degree for c in range(1, m + 1)) + 2 * u
     cf, C = clearing_factor(ctx), casorati_cleared(ctx)
     old = max(cf.degree + raw_degree, E.degree + C.degree)
-    return old, max(cf.divide_exact(E).degree + raw_degree, C.degree), E, raw_degree
+    return old, max(divide_exact(cf, E).degree + raw_degree, C.degree), E, raw_degree
 
 
 def _raw_values(ctx, count):
@@ -534,7 +536,45 @@ class TestDeterminantRoutes:
 
     def test_core_times_normalizers_is_cleared(self, single_root_ctx, four_root_ctx):
         for ctx in (single_root_ctx, four_root_ctx):
-            assert core_determinant(ctx) * normalizer(ctx) == casorati_cleared(ctx)
+            assert core_determinant(ctx) * expanded_normalizer(ctx) == casorati_cleared(ctx)
+
+    @pytest.mark.parametrize("name", [*DIFFERENTIAL_CONFIGS, "same", "seven", "large"])
+    def test_root_division_matches_pseudo_division(self, name):
+        """The core determinant and every mixing symbol, each taken by
+        dividing out known roots, equal the quotients of the reference
+        pseudo-division by the expanded divisors; the golden same, seven and
+        large contexts hold zero mixing polynomials (rows 2; 4-6; 3-4)."""
+        ctx = _mixing_context(name)
+        symbols = [mixing_symbol(ctx, row) for row in range(ctx.m)]
+        assert (core_determinant(ctx), symbols) == pseudo_division_quotients(ctx)
+        zeros = [row for row in range(ctx.m) if mixing_polynomial(ctx, row).is_zero]
+        assert zeros == {"same": [2], "seven": [4, 5, 6], "large": [3, 4]}.get(name, zeros)
+
+    def test_uncancelled_normalizer_root_raises(self, monkeypatch):
+        """The cleared determinant moved by the normaliser less one copy of
+        its double root r: every other root and the other copy of r divide,
+        one copy of r does not, and the core determinant and the
+        degree-leading check name x - r."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        cfg = replace(builtin_config("four-roots"), checks=("degree-leading",))
+        ctx = build_run(cfg).ctx
+        lead, roots, q = casorati.normalizer_factors(ctx)
+        (root, count), _ = Counter(roots).most_common(2)
+        others = list(roots)
+        others.remove(root)
+        assert count == 2 and root in others
+        cleared = casorati.casorati_cleared
+
+        def moved(ctx):
+            return cleared(ctx) + Polynomial.from_integer_roots(others, q) * lead
+
+        monkeypatch.setattr(casorati, "casorati_cleared", casorati._stage(moved))
+        message = "denominator of degree 1 does not cancel"
+        with pytest.raises(NonExactDivision, match=message) as err:
+            core_determinant(ctx)
+        assert err.value.remainder == Polynomial.from_integer_roots([root], q)
+        (check,) = verify.run_config(cfg).checks
+        assert not check.passed and check.witness == {"error": f"NonExactDivision: {err.value}"}
 
     def test_point_values(self, four_root_ctx):
         cleared = casorati_cleared(four_root_ctx)
@@ -561,17 +601,31 @@ class TestDifferenceIdentities:
             inc = spectral_increment(ctx)
             assert reflect(inc, p.a + p.b - 1) == -inc.shift_argument(ctx.m)
 
-    def test_mixing_skew_symmetry(self, four_root_ctx):
+    def test_mixing_skew_symmetry(self, four_root_ctx, monkeypatch):
+        """Each mixing polynomial is skew and vanishes at the root c of
+        sigma(x + 1); one moved off c (plus 1) makes mixing_symbol name x - c
+        and the hypotheses check fail."""
         p = four_root_ctx.params
         sigma_next = series_shift(p).shift_argument(1)
+        centre = -p.theta_shift / 2  # sigma_next = -2 (x - centre)
         for row in range(four_root_ctx.m):
             mh = mixing_polynomial(four_root_ctx, row)
             assert reflect(mh, p.a + p.b) == -mh
-            quotient, remainder = mh.divmod(sigma_next)
-            assert remainder.is_zero
-            assert theta_substitute(quotient, p.a + p.b) == mixing_symbol(
+            quotient, kept = divide_out_roots(mh, [centre.numerator], centre.denominator)
+            assert kept == [] and quotient * Fraction(-1, 2) * sigma_next == mh
+            assert theta_substitute(quotient * Fraction(-1, 2), p.a + p.b) == mixing_symbol(
                 four_root_ctx, row
             )
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        mixing = casorati.mixing_polynomial
+        monkeypatch.setattr(casorati, "mixing_polynomial", lambda ctx, row: mixing(ctx, row) + 1)
+        monkeypatch.setattr(verify, "mixing_polynomial", casorati.mixing_polynomial)
+        with pytest.raises(NonExactDivision, match="denominator of degree 1 does not cancel") as err:
+            mixing_symbol(four_root_ctx, 0)
+        assert err.value.remainder == X - centre
+        cfg = replace(builtin_config("four-roots"), checks=("hypotheses",))
+        (check,) = verify.run_config(cfg).checks
+        assert check.witness["mixing_skew_and_divisible"] is False
 
     def test_mixing_matches_shifted_entry_route(self):
         """Minors of the cached matrix shifted once equal minors rebuilt at x + j."""
@@ -601,7 +655,7 @@ class TestDifferenceIdentities:
         ]
         mixing = [mixing_polynomial(ctx, row) for row in range(ctx.m)]
         monkeypatch.undo()
-        assert normalizer(ctx) == block_normalizer(ctx)
+        assert expanded_normalizer(ctx) == block_normalizer(ctx)
         assert mixing == [pair_route_mixing(ctx, row) for row in range(ctx.m)]
 
     def test_uncancelled_mixing_denominator_raises(self, monkeypatch):
@@ -831,10 +885,10 @@ class TestIntegerScalars:
                 expanded = Polynomial.from_integer_roots(Counter(factor_roots).elements(), q)
                 weight = prefactor * expanded * constant
                 assert weight * full == expected * divisor
-                monic = (expected * divisor).divide_exact(full * prefactor * constant)
+                monic = divide_exact(expected * divisor, full * prefactor * constant)
                 found = Counter({r: _order(monic, r, q) for r in {*factor_roots, *roots}})
                 assert dict(+found) == factor_roots and found.total() == monic.degree
-            assert full.divmod(divisor)[1].is_zero
+            assert divide_out_roots(full, Counter(roots).elements(), q)[1] == []
             shared[kind] = full.degree - divisor.degree
         assert shared == self.SHARED_DEGREES.get(name, shared)
         if ctx.m > 1:
@@ -869,9 +923,9 @@ def _mixing_context(name):
 
 def _order(poly, root, q):
     """The order of poly at root / q, by repeated exact division."""
-    linear, order = Polynomial.from_integer_roots((root,), q), 0
+    order = 0
     while not poly.is_zero and not horner(poly.integer_parts[0], root, q):
-        poly, order = poly.divide_exact(linear), order + 1
+        poly, order = divide_out_roots(poly, (root,), q)[0], order + 1
     return inf if poly.is_zero else order
 
 
@@ -1314,7 +1368,7 @@ class TestStageStore:
         casorati.series_ratios,
         casorati_cleared,
         clearing_factor,
-        normalizer,
+        casorati.normalizer_factors,
         core_determinant,
         eigenvalue_polynomial,
         spectral_polynomial,

@@ -11,9 +11,8 @@ import pytest
 import reference
 from krallhahn import casorati, matrices
 from krallhahn.config import builtin_config
-from krallhahn.errors import NonExactDivision
 from krallhahn.matrices import integer_dets, lane_bareiss, poly_det, polynomial_adjugate
-from krallhahn.polynomials import Polynomial
+from krallhahn.polynomials import Polynomial, divide_out_roots
 from krallhahn.rationals import clear_denominators
 from krallhahn.verify import build_run
 
@@ -63,9 +62,9 @@ def test_numeric_vandermonde():
 
 
 def test_polynomial_division_is_exact():
-    assert (X**2 - 1).divide_exact(X + 1) == X - 1
-    with pytest.raises(NonExactDivision):
-        (X**2 + 1).divide_exact(X + 1)
+    assert divide_out_roots(X**2 - 1, [-1], 1) == (X - 1, [])
+    # x + 1 does not divide x^2 + 1: its root is kept
+    assert divide_out_roots(X**2 + 1, [-1], 1) == (X**2 + 1, [-1])
     assert (2 * X) / 2 == X
     # ``/`` divides by scalars only
     with pytest.raises(TypeError):

@@ -15,9 +15,9 @@ from math import gcd, lcm
 import pytest
 
 from krallhahn.errors import NonExactDivision
-from krallhahn.polynomials import Polynomial, antidifference, horner
+from krallhahn.polynomials import Polynomial, antidifference, divide_out_roots, horner
 
-from reference import FractionPolynomial, reference_antidifference
+from reference import FractionPolynomial, divide_exact, pseudo_divmod, reference_antidifference
 
 
 def assert_canonical(p):
@@ -131,27 +131,38 @@ class TestAgainstFractionReference:
         for (f, rf), (g, rg) in pairs(5):
             if g.is_zero:
                 with pytest.raises(ZeroDivisionError):
-                    f.divmod(g)
+                    pseudo_divmod(f, g)
                 continue
-            quo, rem = f.divmod(g)
+            quo, rem = pseudo_divmod(f, g)
             rquo, rrem = rf.divmod(rg)
             check(quo, rquo)
             check(rem, rrem)
             # exact: the product divides back to f
-            check((f * g).divide_exact(g), rf)
+            check(divide_exact(f * g, g), rf)
             if not rem.is_zero:
                 with pytest.raises(NonExactDivision) as err:
-                    f.divide_exact(g)
+                    divide_exact(f, g)
                 assert err.value.remainder == rem
 
     def test_negative_leading_divisors(self):
         x = Polynomial.variable()
         for (f, rf), _ in pairs(6, count=15):
             for divisor in (-2 * x + 3, Fraction(-4, 9) * x**2 + x - Fraction(1, HUGE), -x):
-                quo, rem = f.divmod(divisor)
+                quo, rem = pseudo_divmod(f, divisor)
                 rquo, rrem = rf.divmod(FractionPolynomial(divisor.coeffs))
                 check(quo, rquo)
                 check(rem, rrem)
+            # the linear divisors by their roots 3/2 and 0: f * divisor / (x - root)
+            # is f times the divisor's leading coefficient
+            for divisor, (p, q) in ((-2 * x + 3, (3, 2)), (-x, (0, 1))):
+                lead = divisor.leading_coefficient
+                quotient, kept = divide_out_roots(f * divisor, [p], q)
+                assert kept == []
+                check(quotient, rf * lead)
+                quotient, kept = divide_out_roots(f, [p], q)
+                rquo, rrem = rf.divmod(FractionPolynomial(divisor.coeffs))
+                assert kept == ([] if rrem.is_zero else [p])
+                check(quotient, rquo * lead if rrem.is_zero else rf)
 
     @pytest.mark.parametrize("shift", [
         0, 1, -1, 7, -13, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
@@ -205,7 +216,10 @@ class TestCanonicalForm:
                 (f.reflect_argument().reflect_argument(), f),
             ]
             if not g.is_zero:
-                routes.append(((f * g).divide_exact(g), f))
+                routes.append((divide_exact(f * g, g), f))
+            # the divisor (x - 3/2)^2 (x + 1/3) by its known roots
+            roots = [9, 9, -2]
+            routes.append((divide_out_roots(f * Polynomial.from_integer_roots(roots, 6), roots, 6)[0], f))
             for left, right in routes:
                 assert left.integer_parts == right.integer_parts
                 assert left == right and hash(left) == hash(right)
@@ -217,7 +231,8 @@ class TestCanonicalForm:
             assert (f * 0).integer_parts == zero
             assert (f * g - g * f).integer_parts == zero
             if not g.is_zero:
-                assert (f * g).divmod(g)[1].integer_parts == zero
+                assert pseudo_divmod(f * g, g)[1].integer_parts == zero
+            assert divide_out_roots(f - f, [1, -3, 1], 4)[0].integer_parts == zero
         assert Polynomial([0, Fraction(0, 5)]).integer_parts == zero
         assert Polynomial.zero().integer_parts == zero
 

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from krallhahn.context import context_from_degrees
 from krallhahn.diffops import DifferenceOperator, eigen_certificate
-from krallhahn.errors import NonExactDivision
 from krallhahn.hahn import HahnParams
 from krallhahn.measures import DiscreteMeasure
 from krallhahn.oracle import operator_solution_space
@@ -36,6 +36,7 @@ from reference import (
     lagrange,
     lowest_terms,
     poly_gcd,
+    pseudo_divmod,
     reference_from_roots,
     reference_newton_form,
 )
@@ -190,15 +191,60 @@ def test_taylor_shift_matches_horner_compose():
 
 def test_divmod_and_exact_division():
     p = (X - 1) * (X + 2) * (2 * X - 3)
-    quo, rem = p.divmod(X - 1)
-    assert rem.is_zero
+    quo, kept = divide_out_roots(p, [1], 1)
+    assert kept == []
     assert quo == (X + 2) * (2 * X - 3)
-    assert p.divide_exact(X + 2) == (X - 1) * (2 * X - 3)
-    with pytest.raises(NonExactDivision) as err:
-        (p + 1).divide_exact(X - 1)
-    assert err.value.remainder is not None
+    assert divide_out_roots(p, [-2], 1)[0] == (X - 1) * (2 * X - 3)
+    # 3/2 read as 9/6, a root numerator that shares a factor with q
+    assert divide_out_roots(p, [9, 6], 6) == (2 * X + 4, [])
+    # 1 is no root of p + 1: it is kept, and nothing is divided
+    assert divide_out_roots(p + 1, [1], 1) == (p + 1, [1])
     with pytest.raises(ZeroDivisionError):
-        p.divmod(Polynomial.zero())
+        pseudo_divmod(p, Polynomial.zero())
+
+
+def test_divide_out_roots_matches_pseudo_division():
+    """One synthetic division per root against the reference pseudo-division
+    by x - p/q, root by root, on seeded cases: q = 1 and q > 1, root
+    numerators sharing a factor with q, repeated roots and non-roots, each
+    list tried in three orders, 200-bit coefficients, constants and the zero
+    polynomial, which every root divides.  The quotient is the pseudo-quotient
+    and the kept roots are those that left a remainder, in any order."""
+    rng = random.Random(54)
+    cases = [
+        (Polynomial.zero(), [3, -1, 3, 0], 2),
+        (Polynomial.constant(Fraction(-7, 3)), [0, 5], 5),
+        (Polynomial.one(), [], 1),
+    ]
+    for _ in range(80):
+        q = rng.choice((1, 1, 2, 3, 4, 6, 10))
+        roots = [rng.randint(-12, 12) for _ in range(rng.randint(1, 6))]
+        factors = [p for p in roots if rng.random() < 0.6] * rng.randint(1, 2)
+        factors += [rng.randint(-12, 12) for _ in range(rng.randint(0, 2))]
+        scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 2**200), rng.randint(1, 99))
+        numer = Polynomial.from_integer_roots(factors, q) * scale
+        if rng.random() < 0.5:  # a factor with no rational root, expanded
+            numer = numer * Polynomial([rng.randint(1, 9), rng.randint(-5, 5), rng.randint(1, 9)])
+        cases.append((numer, roots, q))
+    seen = Counter()
+    for numer, roots, q in cases:
+        expected, kept = numer, []
+        for p in roots:
+            quo, rem = pseudo_divmod(expected, Polynomial.from_integer_roots((p,), q))
+            if rem.is_zero:
+                expected = quo
+            else:
+                kept.append(p)
+        assert divide_out_roots(numer, roots, q) == (expected, kept)
+        for order in (roots[::-1], rng.sample(roots, len(roots))):
+            quotient, left = divide_out_roots(numer, order, q)
+            assert quotient == expected and Counter(left) == Counter(kept)
+        divided = Counter(roots) - Counter(kept)
+        seen["shared factor"] += any(gcd(p, q) not in (1, q) for p in divided)
+        seen["twice"] += any(count > 1 for count in divided.values())
+        seen["kept"] += bool(kept)
+        seen["q > 1"] += q > 1 and bool(divided)
+    assert min(seen.values()) > 5, seen
 
 
 def test_poly_gcd():

@@ -11,6 +11,7 @@ import krallhahn
 from krallhahn import casorati, diffops
 from krallhahn.diffops import DifferenceOperator
 from krallhahn.measures import DiscreteMeasure
+from krallhahn.polynomials import Polynomial
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -20,9 +21,12 @@ OPERATOR_ALGEBRA = (
 RETIRED = [
     (casorati, "casorati_value"),
     (casorati, "casorati_rows"),
+    (casorati, "normalizer"),
     (diffops, "operator_polynomial"),
     *((DifferenceOperator, name) for name in OPERATOR_ALGEBRA),
     (DiscreteMeasure, "scale"),
+    (Polynomial, "divmod"),
+    (Polynomial, "divide_exact"),
 ]
 
 
@@ -35,8 +39,9 @@ def test_every_exported_name_resolves():
     "owner, name", RETIRED, ids=[f"{owner.__name__}.{name}" for owner, name in RETIRED]
 )
 def test_retired_members_are_gone(owner, name):
-    """The operator algebra, the one-point Casorati wrappers and measure
-    scaling had no caller in a run; they live on in ``tests/reference.py``."""
+    """The operator algebra, the one-point Casorati wrappers, measure scaling,
+    pseudo-division and the expanded normaliser had no caller in a run; they
+    live on in ``tests/reference.py``."""
     assert not hasattr(owner, name)
     assert name not in krallhahn.__all__ and not hasattr(krallhahn, name)
 
