@@ -25,7 +25,8 @@ from krallhahn.casorati import (
     spectral_polynomial,
 )
 from krallhahn.config import config_from_dict
-from krallhahn.hahn import HahnFamily, HahnParams, factored_hahn_weight
+from krallhahn.hahn import HahnFamily, HahnParams, factored_hahn_weight, hahn_operator
+from krallhahn.ladder import ladder_operator
 from krallhahn.matrices import polynomial_adjugate
 from krallhahn.oracle import operator_solution_space
 from krallhahn.polynomials import Polynomial
@@ -40,6 +41,7 @@ from reference import (
     pair_route_mixing,
     per_degree_hahn_polynomial,
     per_kind_mixing_tables,
+    powers_operator_sum,
     pseudo_division_quotients,
     reference_casorati_rows,
     reference_eigen_certificate,
@@ -337,15 +339,21 @@ def test_hahn_family_to_degree_200():
     {"a": "7/3", "b": "11/5", "N": 4, "F": [[2, 3], [1, 3], [], []], "path": "corollary"},
 ], ids=["F1=[5]", "wide"])
 def test_operators_at_large_m_and_r(config):
-    """F1=[5] (m = 9, K = 18, weight roots of multiplicity up to 8) and the
-    wide probe's construction (r = 8): the operator assembled on integer
-    value tables must equal the one composed as polynomials from the
-    reference routes; the spectral polynomial and every mixing symbol must
-    equal their repeated-divmod theta forms; and every mixing polynomial must
-    equal the full-K route's."""
+    """F1=[5] (``nine``: m = 9, K = 18, weight roots of multiplicity up to 8)
+    and the wide probe's construction (r = 8): the operator assembled on
+    integer value tables by one right Horner in the Hahn operator must equal
+    the one composed as polynomials from the reference routes, and the table
+    route that builds every power of the Hahn operator; the spectral
+    polynomial and every mixing symbol must equal their repeated-divmod theta
+    forms; and every mixing polynomial must equal the full-K route's."""
     ctx = build_run(config_from_dict({**config, "checks": ["genre"]})).ctx
     operator, spectral, symbols = reference_krall_operator(ctx)
     assert krall_operator(ctx) == operator
+    rows = [
+        (mixing_symbol(ctx, row), ladder_operator(kind, ctx.params), poly)
+        for row, (kind, poly) in enumerate(zip(ctx.row_kinds, ctx.row_polys))
+    ]
+    assert powers_operator_sum(hahn_operator(ctx.params), spectral * Fraction(1, 2), rows) == operator
     assert spectral_polynomial(ctx) == spectral
     assert [mixing_symbol(ctx, row) for row in range(ctx.m)] == symbols
     for row in range(ctx.m):

@@ -308,10 +308,12 @@ class _RawPoints:
     :func:`casorati_rational` and :func:`krall_polynomial` read: minors[k] is
     the integer maximal minor of the raw rows at t (:meth:`lanes`) without
     column k.
-    It grows (:meth:`extend`) to what :func:`casorati_rational` reads and, for
-    q_n, in blocks up to the Omega scan, t <= N + m3 + m4 + 1, and past that
-    exactly to the degree asked for.  ``dens[r]`` is Y_r's denominator times
-    Q^deg Y_r, a + b + 1 = P / Q.
+    It grows (:meth:`extend`) to what its reader asks for and, below the
+    Omega scan's reach, t <= N + m3 + m4 + 1, by at least a block of
+    ``LANES``, so that the pass :func:`casorati_rational` makes also covers
+    the q_n degrees there; past the reach it grows exactly to the degree
+    asked for.  ``dens[r]`` is Y_r's denominator times Q^deg Y_r,
+    a + b + 1 = P / Q.
     """
 
     def __init__(self, ctx: ConstructionContext) -> None:
@@ -389,11 +391,13 @@ class _RawPoints:
             raise ParameterSingularity(f"ladder ratio has a pole at degree {s}")
 
     def extend(self, stop: int) -> None:
-        """Grow the table to t < stop, one
+        """Grow the table to t < stop, and to at least
+        t < min(reach, len + ``LANES``), one
         :func:`~krallhahn.matrices.lane_bareiss` pass per block of ``LANES``.
         On [A | b], with A columns 1..m and b column 0, minor_0 = det A and
         minor_k = (-1)^(k-1) (adj A b)_(k-1) by Cramer's identity, which holds
         on every lane, A singular or not."""
+        stop = max(stop, min(self.reach, len(self.table) + LANES))
         for lo in range(len(self.table), stop, LANES):
             rows, denominator = self.lanes(range(lo, min(lo + LANES, stop)))
             live = [i for i, d in enumerate(denominator) if d]
@@ -412,7 +416,7 @@ class _RawPoints:
         """(minors, D(t)) at t >= 0 from the table, grown to it first; a ratio
         pole raises ParameterSingularity."""
         if t >= len(self.table):
-            self.extend(max(t + 1, min(self.reach, len(self.table) + LANES)))
+            self.extend(t + 1)
         entry = self.table[t]
         if entry is None:
             self.pole(range(t - self.m + 1, t + 1))
@@ -476,6 +480,13 @@ def base_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
     """The degree-n Hahn polynomial of the context's parameters, read off the
     context's one family, so each degree is built once per context."""
     return _hahn_family(ctx)[n]
+
+
+def base_leading_coefficient(ctx: ConstructionContext, n: int) -> Fraction:
+    """The leading coefficient of :func:`base_polynomial`, the closed form of
+    :func:`~krallhahn.hahn.hahn_leading_coefficient` read off the running
+    products of the context's one family."""
+    return _hahn_family(ctx).leading_coefficient(n)
 
 
 def krall_polynomial(ctx: ConstructionContext, n: int) -> Polynomial:
@@ -845,8 +856,9 @@ def krall_operator(ctx: ConstructionContext) -> DifferenceOperator:
     It is P(D) / 2 + sum_r M_r(D) o L_r o Y_r(D), with D the Hahn operator, P
     the spectral polynomial, and for row r the mixing symbol M_r, the ladder
     operator L_r of its kind and the row polynomial Y_r.  It is assembled on
-    integer value tables by :func:`~krallhahn.diffops.operator_sum`: each
-    coefficient is computed at x = 0..K-1 and interpolated once.  D's
+    integer value tables by :func:`~krallhahn.diffops.operator_sum`, as one
+    right Horner in D: each coefficient is computed at x = 0..K-1 and
+    interpolated once.  D's
     coefficients have degree 2 and L_r's degree 1, and a product adds the
     coefficient degrees, so every coefficient has degree at most
     K - 1 = max(2 deg P, max_r 2(deg M_r + deg Y_r) + 1), and K values fix it.

@@ -199,30 +199,47 @@ def operator_sum(
     rows: Sequence[tuple[Polynomial, DifferenceOperator, Polynomial]],
 ) -> DifferenceOperator:
     """head(base) + sum_r M_r(base) o L_r o Y_r(base) for rows (M_r, L_r, Y_r),
-    assembled on integer value tables.
+    assembled on integer value tables as one right Horner in base.
 
     An operator is held as a table: for each shift l, the numerators of
     h_l(x) at x = 0..K-1 over one denominator.  Products are right
     multiplications by base or L_r (:func:`_right_multiply`), whose
     coefficients are evaluated once (:func:`coefficient_values`) on the window
-    of points x + j the shifts reach.  With base = B / d, the powers
-    base^i = B^i / d^i are built once; T o c(base), for c with integer parts
-    (c_i, q), is sum_i c_i d^(deg c - i) T B^i over q d^(deg c), and the
-    T B^i of Y_r(base) are repeated right multiplications of
-    T = M_r(base) o L_r by base.  The denominators are known before any table
-    is built, so every term is added into one table over their lcm, and the
+    of points x + j the shifts reach.
+
+    Right multiplication is linear, so with T_r = M_r(base) o L_r, head =
+    sum_i p_i x^i and Y_r = sum_i y_ri x^i, the sum is sum_i A_i base^i with
+    A_i = p_i + sum_r y_ri T_r, p_i a scalar on S_0.  With base = B / d,
+    M_r(base), for M_r with integer parts (c_k, q), is
+    sum_k c_k d^(deg M_r - k) B^k over q d^(deg M_r), so each T_r is built
+    once from the powers B^k up to the largest deg M_r only.  Over one
+    denominator ``common`` for every A_i, Horner's rule X = A_top, then
+    X <- X o B + d^(top - i) A_i for i = top - 1, ..., 0, leaves
+    sum_i d^(top - i) A_i B^i, which is the sum over common d^top.  The
     shifts are interpolated in one call, as lanes
     (:func:`~krallhahn.polynomials.interpolate`).
 
     A product adds the coefficient degrees: the S_{j+k} coefficient of T o B
     is sum_j T_j(x) b_k(x + j).  With e and f_r the largest coefficient
-    degrees of base and L_r, base^i has degree at most e i, head(base) at
-    most e deg head, and M_r(base) o L_r o base^i with i <= deg Y_r at most
+    degrees of base and L_r, head(base) has degree at most e deg head, and
+    M_r(base) o L_r o base^i with i <= deg Y_r at most
     e (deg M_r + deg Y_r) + f_r.  K - 1 is the largest of these
     (:func:`_sum_points`; a zero polynomial has degree -1 and adds nothing),
     and a polynomial of degree below K is fixed by its values at K points,
-    so the result is exact.  Composition and operator polynomials over the
-    polynomial coefficients, in ``tests/reference.py``, are the reference.
+    so the result is exact.  The Horner route sums the same terms in another
+    order, so K and the window still bound every read.  A table holds its
+    operator's values at x = 0..K-1, however high the coefficient degrees
+    of a partial sum, and right multiplication reads T_j(x) there and
+    b_k(x + j) at the shifts j of T, which the window covers when |j| is at
+    most the largest shift of any term.  Every table that is right-multiplied
+    is a left factor of the terms: X before step i is
+    sum_(j > i) d^(top - j) A_j B^(j - i - 1), and the powers B^k and each
+    M_r(B) build T_r.
+
+    The route that builds every power of base and right-multiplies each row
+    by Y_r(base) on its own, and composition and operator polynomials over
+    the polynomial coefficients, both in ``tests/reference.py``, are the
+    references.
     """
     K = _sum_points(base, head, rows)
     reach = _reach(base)
@@ -231,50 +248,39 @@ def operator_sum(
         """A bound on the largest shift of poly(base)."""
         return reach * max(poly.degree, 0)
 
-    # the largest shift of any table, so that every b_k(x + j) read is in the window
+    # the largest shift of any term, so that every b_k(x + j) read is in the window
     window = max([span(head)] + [
         span(symbol) + _reach(ladder) + span(poly) for symbol, ladder, poly in rows
     ])
     points = range(-window, K + window)
     values, d = coefficient_values(base, points)
-    ladders = [coefficient_values(ladder, points) for _, ladder, _ in rows]
-
-    def denominator(poly: Polynomial) -> int:
-        """q d^deg, for poly's integer parts (c, q)."""
-        nums, den = poly.integer_parts
-        return den * d ** max(len(nums) - 1, 0)
-
-    dens = [denominator(head)] + [
-        denominator(symbol) * ladder_den * denominator(poly)
-        for (symbol, _, poly), (_, ladder_den) in zip(rows, ladders)
-    ]
-    common = lcm(*dens)
-
-    def add_polynomial(acc: dict[int, list[int]], poly: Polynomial, tables, scale: int) -> None:
-        """acc += scale * sum_i c_i d^(deg - i) tables[i], for poly's numerators
-        c and tables[i] = T B^i: scale * q d^deg times T o poly(base)."""
-        nums, _ = poly.integer_parts
-        top = len(nums) - 1
-        for i, (c, table) in enumerate(zip(nums, tables)):
-            if c:
-                _accumulate(acc, table, scale * c * d ** (top - i))
-
-    def right_powers(table):
-        while True:
-            yield table
-            table = _right_multiply(table, values, window)
-
     powers = [{0: [1] * K}]
-    for _ in range(max([head.degree] + [symbol.degree for symbol, _, _ in rows])):
+    for _ in range(max([0] + [symbol.degree for symbol, _, _ in rows])):
         powers.append(_right_multiply(powers[-1], values, window))
-    total: dict[int, list[int]] = {}
-    add_polynomial(total, head, powers, common // dens[0])
-    for (symbol, _, poly), (ladder_values, _), den in zip(rows, ladders, dens[1:]):
+    # (T, the numerators of its polynomial in base, the denominator of both):
+    # the head's scalar on S_0, then each row's T_r
+    terms = [(powers[0], *head.integer_parts)]
+    for symbol, ladder, poly in rows:
+        nums, den = symbol.integer_parts
         left: dict[int, list[int]] = {}
-        add_polynomial(left, symbol, powers, 1)
-        product = _right_multiply(left, ladder_values, window)
-        add_polynomial(total, poly, right_powers(product), common // den)
-    return DifferenceOperator(dict(zip(total, interpolate(list(total.values()), common))))
+        for i, (c, table) in enumerate(zip(nums, powers)):
+            if c:
+                _accumulate(left, table, c * d ** (len(nums) - 1 - i))
+        ladder_values, ladder_den = coefficient_values(ladder, points)
+        ys, y_den = poly.integer_parts
+        den *= d ** max(len(nums) - 1, 0) * ladder_den * y_den
+        terms.append((_right_multiply(left, ladder_values, window), ys, den))
+    common = lcm(*(den for _, _, den in terms))
+    top = max(len(ys) for _, ys, _ in terms) - 1
+    total: dict[int, list[int]] = {}
+    for i in range(top, -1, -1):
+        total = _right_multiply(total, values, window)
+        for table, ys, den in terms:
+            if i < len(ys) and ys[i]:
+                _accumulate(total, table, d ** (top - i) * ys[i] * (common // den))
+    return DifferenceOperator(
+        dict(zip(total, interpolate(list(total.values()), common * d ** max(top, 0))))
+    )
 
 
 def eigen_certificate(

@@ -19,6 +19,7 @@ from operator import index, mul
 from typing import Callable, Iterable, Sequence
 
 from .casorati import (
+    base_leading_coefficient,
     base_polynomial,
     casorati_cleared,
     casorati_rational,
@@ -44,7 +45,6 @@ from .hahn import (
     HahnParams,
     corollary_reduction,
     factored_hahn_weight,
-    hahn_leading_coefficient,
     reflect,
     transformed_hahn_weight,
     transformed_support,
@@ -181,7 +181,9 @@ def _check_hypotheses(run: RunData) -> tuple[bool, dict]:
         for t, v in casorati_rational(ctx).items()
     )
     transport = reflect(inc, p.a + p.b - 1) == -inc.shift_argument(ctx.m)
-    centre = -p.theta_shift / 2  # the root of sigma(x + 1)
+    # the root of sigma(x + 1), the fixed point of the reflection: a skew
+    # polynomial vanishes there, so the skew test implies the divisibility
+    centre = -p.theta_shift / 2
     mixing_ok = True
     mixing_degrees = []
     for row in range(ctx.m):
@@ -242,13 +244,12 @@ def _check_eigen(run: RunData) -> tuple[bool, dict]:
     :func:`eigen_certificate` call, and the failures are listed in n order."""
     ctx = run.ctx
     op = krall_operator(ctx)
-    lam = eigenvalue_polynomial(ctx)
-    failures = []
-    gated = []
+    eigenvalues = list(map(eigenvalue_polynomial(ctx), range(run.n_max + 1)))
+    failures, gated = [], []
     for n in range(run.n_max + 1):
         qn = krall_polynomial(ctx, n)
         (nums, den), (top, bottom) = qn.integer_parts, casorati_parts(ctx, n)
-        hahn_lc = hahn_leading_coefficient(n, ctx.params)
+        hahn_lc = base_leading_coefficient(ctx, n)
         if qn.degree != n:
             failures.append({"n": n, "reason": f"degree {qn.degree}"})
         # Omega(n) times the Hahn leading coefficient, cross-multiplied on integers
@@ -256,7 +257,7 @@ def _check_eigen(run: RunData) -> tuple[bool, dict]:
             failures.append({"n": n, "reason": "leading coefficient mismatch"})
         else:
             gated.append((n, qn))
-    holds = eigen_certificate(op, [(qn, lam(n)) for n, qn in gated])
+    holds = eigen_certificate(op, [(qn, eigenvalues[n]) for n, qn in gated])
     failures += [
         {"n": n, "reason": "eigen-equation residual nonzero"}
         for (n, _), ok in zip(gated, holds)
@@ -265,7 +266,7 @@ def _check_eigen(run: RunData) -> tuple[bool, dict]:
     failures.sort(key=lambda failure: failure["n"])
     witness = {
         "n_max": run.n_max,
-        "eigenvalues": [format_rational(lam(n)) for n in range(run.n_max + 1)],
+        "eigenvalues": [format_rational(value) for value in eigenvalues],
         "failures": failures,
     }
     return not failures, witness

@@ -23,7 +23,14 @@ from krallhahn.casorati import (
     mixing_polynomial,
     series_ratios,
 )
-from krallhahn.diffops import DifferenceOperator, coefficient_values
+from krallhahn.diffops import (
+    DifferenceOperator,
+    _accumulate,
+    _reach,
+    _right_multiply,
+    _sum_points,
+    coefficient_values,
+)
 from krallhahn.errors import (
     DegenerateMoments,
     NonExactDivision,
@@ -1600,6 +1607,68 @@ def compose_operator(base, head, rows):
         left = compose(operator_polynomial(symbol, base), ladder)
         acc = operator_add(acc, compose(left, operator_polynomial(poly, base)))
     return acc
+
+
+
+def powers_operator_sum(base, head, rows):
+    """head(base) + sum_r M_r(base) o L_r o Y_r(base) on integer value tables,
+    the route that diffops.operator_sum took before its right Horner: every
+    power of base up to the largest of deg head and deg M_r is built, head(base)
+    and each M_r(base) are sums over them, and each row is right-multiplied by
+    Y_r(base) on its own, T B^i for i <= deg Y_r by repeated right
+    multiplication of T = M_r(base) o L_r by base.  Every term is added into
+    one table over the lcm of their denominators q d^deg."""
+    K = _sum_points(base, head, rows)
+    reach = _reach(base)
+
+    def span(poly: Polynomial) -> int:
+        """A bound on the largest shift of poly(base)."""
+        return reach * max(poly.degree, 0)
+
+    # the largest shift of any table, so that every b_k(x + j) read is in the window
+    window = max([span(head)] + [
+        span(symbol) + _reach(ladder) + span(poly) for symbol, ladder, poly in rows
+    ])
+    points = range(-window, K + window)
+    values, d = coefficient_values(base, points)
+    ladders = [coefficient_values(ladder, points) for _, ladder, _ in rows]
+
+    def denominator(poly: Polynomial) -> int:
+        """q d^deg, for poly's integer parts (c, q)."""
+        nums, den = poly.integer_parts
+        return den * d ** max(len(nums) - 1, 0)
+
+    dens = [denominator(head)] + [
+        denominator(symbol) * ladder_den * denominator(poly)
+        for (symbol, _, poly), (_, ladder_den) in zip(rows, ladders)
+    ]
+    common = lcm(*dens)
+
+    def add_polynomial(acc: dict[int, list[int]], poly: Polynomial, tables, scale: int) -> None:
+        """acc += scale * sum_i c_i d^(deg - i) tables[i], for poly's numerators
+        c and tables[i] = T B^i: scale * q d^deg times T o poly(base)."""
+        nums, _ = poly.integer_parts
+        top = len(nums) - 1
+        for i, (c, table) in enumerate(zip(nums, tables)):
+            if c:
+                _accumulate(acc, table, scale * c * d ** (top - i))
+
+    def right_powers(table):
+        while True:
+            yield table
+            table = _right_multiply(table, values, window)
+
+    powers = [{0: [1] * K}]
+    for _ in range(max([head.degree] + [symbol.degree for symbol, _, _ in rows])):
+        powers.append(_right_multiply(powers[-1], values, window))
+    total: dict[int, list[int]] = {}
+    add_polynomial(total, head, powers, common // dens[0])
+    for (symbol, _, poly), (ladder_values, _), den in zip(rows, ladders, dens[1:]):
+        left: dict[int, list[int]] = {}
+        add_polynomial(left, symbol, powers, 1)
+        product = _right_multiply(left, ladder_values, window)
+        add_polynomial(total, poly, right_powers(product), common // den)
+    return DifferenceOperator(dict(zip(total, interpolate(list(total.values()), common))))
 
 
 # -- the eigen certificate ---------------------------------------------------------------

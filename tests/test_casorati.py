@@ -85,6 +85,7 @@ from reference import (
     operator_sub,
     pair_route_mixing,
     point_cofactor,
+    powers_operator_sum,
     polynomial_mixing_factors,
     peeling_theta_substitute,
     per_kind_mixing_tables,
@@ -1268,8 +1269,10 @@ class TestMinorTable:
         else:
             ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
         values = casorati_rational(ctx)
-        table = casorati.raw_points(ctx).table
-        assert len(table) == max(values) + 1
+        raw = casorati.raw_points(ctx)
+        table = raw.table
+        # the one pass also covers the q_n degrees up to the Omega scan
+        assert len(table) == max(max(values) + 1, min(raw.reach, LANES))
         for t, entry in enumerate(table):
             try:
                 reference = reference_casorati_rows(ctx, t)
@@ -1306,6 +1309,23 @@ class TestMinorTable:
         assert krall_polynomial(ctx, n) == reference_krall_polynomial(ctx, n)
         assert len(raw.table) == len(raw.values) - raw.m == raw.reach + 41
 
+    def test_one_pass_for_the_cross_check_and_the_q_n(self, monkeypatch):
+        """On the construct workload's m = 3 theorem template the cross-check
+        reads B' + 1 = 13 points, short of the Omega scan's reach of 15: its
+        one lane_bareiss pass grows the table to the reach, so q_0..q_n_max,
+        read after it as the eigen-equation check reads them, take no second
+        pass."""
+        monkeypatch.setattr(casorati, "_store", OrderedDict())
+        run = build_run(ROUTE_CONFIGS["F123=1-theorem"])
+        ctx, raw = run.ctx, casorati.raw_points(run.ctx)
+        casorati_cleared(ctx), clearing_factor(ctx)
+        passes, bareiss = [], casorati.lane_bareiss
+        monkeypatch.setattr(casorati, "lane_bareiss", lambda *a: passes.append(a[2]) or bareiss(*a))
+        assert len(casorati_rational(ctx)) == 13 < raw.reach == 15
+        qs = [krall_polynomial(ctx, n) for n in range(run.n_max + 1)]
+        assert passes == [15] and run.n_max == 13
+        assert qs[-1] == reference_krall_polynomial(ctx, run.n_max)
+
 
 def _random_polynomial(rng, degree):
     """Degree exactly ``degree`` (-1 gives zero), small rational coefficients."""
@@ -1315,10 +1335,34 @@ def _random_polynomial(rng, degree):
     return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)] + [lead])
 
 
+# the first draw of each construct and oracle benchmark template in the seed-0 stream
+WORKLOAD_DRAWS = {
+    name: {"a": a, "b": b, "N": N, "F": F, "path": path}
+    for name, a, b, N, F, path in (
+        ("construct-F4=[3]", "5/2", "2/3", 12, [[], [], [], [3]], "corollary"),
+        ("construct-F123=[1]", "1/2", "2/3", 12, [[1], [1], [1], []], "theorem"),
+        ("construct-F1234=[1]", "9/2", "11/3", 12, [[1], [1], [1], [1]], "corollary"),
+        ("construct-F1=[2]", "5/2", "1/3", 12, [[2], [], [], []], "theorem"),
+        ("oracle-F4=[2]", "5/2", "8/3", 8, [[], [], [], [2]], "corollary"),
+        ("oracle-F4=[1,3]", "9/2", "4/3", 8, [[], [], [], [1, 3]], "corollary"),
+        ("oracle-F1=[2]", "7/2", "2/3", 8, [[2], [], [], []], "theorem"),
+    )
+}
+
+
+def _operator_inputs(ctx):
+    """(D, P / 2, rows): the Hahn operator, half the spectral polynomial and
+    the rows (M_r, L_r, Y_r) that krall_operator hands to operator_sum."""
+    p = ctx.params
+    rows = [(mixing_symbol(ctx, row), ladder_operator(kind, p), poly)
+            for row, (kind, poly) in enumerate(zip(ctx.row_kinds, ctx.row_polys))]
+    return hahn_operator(p), spectral_polynomial(ctx) * Fraction(1, 2), rows
+
+
 class TestTableOperator:
     def _check(self, base, head, rows):
         reference = compose_operator(base, head, rows)
-        assert operator_sum(base, head, rows) == reference
+        assert operator_sum(base, head, rows) == reference == powers_operator_sum(base, head, rows)
         largest = max((c.degree for c in reference.terms.values()), default=-1)
         assert diffops._sum_points(base, head, rows) - 1 >= largest
 
@@ -1348,10 +1392,8 @@ class TestTableOperator:
     @pytest.mark.parametrize("name", DIFFERENTIAL_CONFIGS)
     def test_matches_krall_operator(self, name):
         ctx = build_run(DIFFERENTIAL_CONFIGS[name]).ctx
-        p, spectral = ctx.params, spectral_polynomial(ctx)
-        rows = [(mixing_symbol(ctx, row), ladder_operator(kind, p), poly)
-                for row, (kind, poly) in enumerate(zip(ctx.row_kinds, ctx.row_polys))]
-        D, head = hahn_operator(p), spectral * Fraction(1, 2)
+        spectral = spectral_polynomial(ctx)
+        D, head, rows = _operator_inputs(ctx)
         reference = compose_operator(D, head, rows)
         assert krall_operator(ctx) == reference
         # K - 1 = max(2 deg P, max_r 2(deg M_r + deg Y_r) + 1) bounds every coefficient
@@ -1360,6 +1402,19 @@ class TestTableOperator:
             2 * (symbol.degree + poly.degree) + 1 for symbol, _, poly in rows
         ])
         assert points - 1 >= max(c.degree for c in reference.terms.values())
+
+    @pytest.mark.parametrize("name", [*WORKLOAD_DRAWS, "wide", "F1=3-theorem-N8"])
+    def test_horner_matches_powers_and_compose(self, name):
+        """The right Horner in the Hahn operator equals the route that builds
+        every power of it and right-multiplies each row by Y_r(D) on its own,
+        and the composition of the polynomial operators, on one draw of each
+        workload template, the r = 8 ``wide`` probe and forced zeros (m = 5)."""
+        if name in WORKLOAD_DRAWS:
+            cfg = config_from_dict(WORKLOAD_DRAWS[name])
+        else:
+            cfg = DIFFERENTIAL_CONFIGS.get(name) or golden_config(name)
+        args = _operator_inputs(build_run(cfg).ctx)
+        assert operator_sum(*args) == powers_operator_sum(*args) == compose_operator(*args)
 
 
 class TestStageStore:

@@ -403,7 +403,7 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
     parts, leading = verify.casorati_parts, verify.core_leading_coefficient
     operator, support = verify.krall_operator, verify.transformed_support
     base, member = verify.base_polynomial, verify.krall_polynomial
-    hahn_leading, raw = verify.hahn_leading_coefficient, verify.casorati_rational
+    hahn_leading, raw = verify.base_leading_coefficient, verify.casorati_rational
     r = verify.operator_halfwidth(ctx)
     first = min(raw(ctx))
 
@@ -426,8 +426,8 @@ def test_each_check_fails_on_its_own_fault(monkeypatch, check, other):
             "krall_operator", lambda ctx: operator_add(operator(ctx), DifferenceOperator({0: 1}))
         ),
         "eigen-equation": (
-            "hahn_leading_coefficient",
-            lambda n, p: 2 * hahn_leading(n, p) if n == 2 else hahn_leading(n, p),
+            "base_leading_coefficient",
+            lambda ctx, n: 2 * hahn_leading(ctx, n) if n == 2 else hahn_leading(ctx, n),
         ),
         # the raw determinant's first value, one more: the dual route disagrees there
         "hypotheses": (
